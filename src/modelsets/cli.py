@@ -53,6 +53,10 @@ DEFAULTS = {
 }
 
 
+# density files written by solve: per-channel grids and one combined CSV
+OUTPUT_SELECTORS = ("grids", "csv")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -173,7 +177,12 @@ def build_config(args):
         elif key == "boundary":
             cfg["boundary"] = value
         elif key == "outputs":
-            cfg["outputs"] = [p.strip() for p in value.split(",") if p.strip()]
+            selectors = [p.strip() for p in value.split(",") if p.strip()]
+            for sel in selectors:
+                if sel not in OUTPUT_SELECTORS:
+                    raise ConfigError(f"{path}:{lineno}: unknown output selector {sel!r}; "
+                                      f"expected {', '.join(OUTPUT_SELECTORS)}")
+            cfg["outputs"] = selectors
         elif key.startswith("nu_row") or key.startswith(("window", "coset")) or key == "q":
             pass  # handled below with full context
         else:
@@ -325,7 +334,7 @@ def cmd_solve(cfg, outdir):
     summary.write(f"fourier_max_rel_dev = {_fmt(deviation)}\n")
     files = {"nu.txt": _nu_text(nu), "pf.txt": _pf_text(pf),
              "summary.txt": summary.getvalue()}
-    selectors = cfg.outputs or ["grids", "csv"]
+    selectors = cfg.outputs or OUTPUT_SELECTORS
     if "grids" in selectors:
         for j in range(density.r):
             buf = io.StringIO()

@@ -11,7 +11,6 @@ on finite patches.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,98 +214,81 @@ def build_nu(spec, windows_ji, policy=POLICY_AREA, matrix=None):
     raise ValueError(f"unknown weighting policy {policy!r}")
 
 
-def _coeff_bound(radius_phys, radius_internal):
-    B = embedding_matrix()
-    norm_inf = np.abs(np.linalg.inv(B)).sum(axis=1).max()
-    return int(math.floor(norm_inf * math.sqrt(radius_phys**2 + radius_internal**2) + 1))
+def _enumerate_module(radius_phys, radius_internal):
+    """All module points with |x| <= radius_phys and |x*| <= radius_internal.
 
-
-def _enumerate_module(bound, radius_phys, radius_internal):
-    """Chunked sweep of the coefficient box, filtered by both embeddings.
-
-    Yields (coeffs (k,4) int array, phys complex array, internal complex
-    array) per chunk; exhaustive for all module points with physical
-    modulus at most radius_phys and internal modulus at most
-    radius_internal.
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) of the coefficient
+    vectors in the ellipsoid |x|^2 / radius_phys^2 + |x*|^2 /
+    radius_internal^2 <= 2, which contains the product of the two disks.
+    The Cholesky factor of the ellipsoid's Gram matrix bounds each
+    coefficient to an interval given the ones after it, so the work is
+    proportional to the number of points found, not to a coefficient box.
+    The two disk filters are then applied exactly.  Returns coefficients
+    (n, 4) int64, physical and internal images as complex arrays.
     """
     E = embedding_matrix()
-    rng = np.arange(-bound, bound + 1)
-    g1, g2, g3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    tail = np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
-    tail_f = tail.astype(float)
-    base = [tail_f @ E[c, 1:] for c in range(4)]
-    n = len(tail)
-    coord = [np.empty(n) for _ in range(4)]
-    sq = np.empty(n)
-    tmp = np.empty(n)
     r2_phys = radius_phys * radius_phys + 1e-9
     r2_int = radius_internal * radius_internal + 1e-9
-    for m0 in rng:
-        for c in range(4):
-            np.add(base[c], m0 * E[c, 0], out=coord[c])
-        np.multiply(coord[0], coord[0], out=sq)
-        np.multiply(coord[1], coord[1], out=tmp)
-        sq += tmp
-        mask = sq <= r2_phys
-        np.multiply(coord[2], coord[2], out=sq)
-        np.multiply(coord[3], coord[3], out=tmp)
-        sq += tmp
-        mask &= sq <= r2_int
-        if not mask.any():
-            continue
-        coeffs = np.empty((int(mask.sum()), 4), dtype=np.int64)
-        coeffs[:, 0] = m0
-        coeffs[:, 1:] = tail[mask]
-        yield (coeffs,
-               coord[0][mask] + 1j * coord[1][mask],
-               coord[2][mask] + 1j * coord[3][mask])
+    gram = E.T @ np.diag([1 / r2_phys, 1 / r2_phys, 1 / r2_int, 1 / r2_int]) @ E
+    U = np.linalg.cholesky(gram).T  # gram = U.T @ U, row k involves m_k..m_3
+    # level by level from m3 down to m0, every prefix (m_{k+1}, .., m_3) is
+    # expanded into its interval of admissible m_k; the budget and interval
+    # slack keep the ellipsoid a superset of the disks despite rounding
+    coeffs = np.zeros((1, 0), dtype=np.int64)
+    budget = np.array([2.0 + 1e-6])
+    for k in range(3, -1, -1):
+        center = -(coeffs @ U[k, k + 1:]) / U[k, k]
+        half = np.sqrt(np.maximum(budget, 0.0)) / U[k, k]
+        lo = np.ceil(center - half - 1e-9).astype(np.int64)
+        hi = np.floor(center + half + 1e-9).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(coeffs)), counts)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        m = lo[parent] + np.arange(len(parent)) - starts
+        budget = budget[parent] - (U[k, k] * (m - center[parent])) ** 2
+        coeffs = np.column_stack([m, coeffs[parent]])
+    # same operation order as a per-m0 sweep, so the printed digits are stable
+    tail_f = coeffs[:, 1:].astype(float)
+    x, y, u, v = (tail_f @ E[c, 1:] + coeffs[:, 0] * E[c, 0] for c in range(4))
+    keep = (x * x + y * y <= r2_phys) & (u * u + v * v <= r2_int)
+    return coeffs[keep], x[keep] + 1j * y[keep], u[keep] + 1j * v[keep]
 
 
-def _sorted_rows(coeffs):
-    order = np.lexsort((coeffs[:, 3], coeffs[:, 2], coeffs[:, 1], coeffs[:, 0]))
-    return order
+def _select(targets, radius, eps):
+    """Module points within the physical radius, split by residue and window.
+
+    targets is a list of (residue, window) pairs.  For each one, returns the
+    (coeffs, phys, internal) arrays of the points with that coefficient-sum
+    residue mod 5 whose internal image lies in the window within eps, in
+    lexicographic coefficient order.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    r_int = max((w.circumradius() for _, w in targets), default=0.0) + 1e-6
+    coeffs, phys, internal = _enumerate_module(radius, r_int)
+    rho = coeffs.sum(axis=1) % 5
+    pts = np.column_stack([internal.real, internal.imag])
+    out = []
+    for residue, window in targets:
+        sel = np.flatnonzero(rho == residue)
+        sel = sel[contains_many(window, pts[sel], eps)]
+        sel = sel[np.lexsort(coeffs[sel][:, ::-1].T)]  # m0 is the primary key
+        out.append((coeffs[sel], phys[sel], internal[sel]))
+    return out
 
 
 def generate_all(spec, radius):
     """All component point lists out to the given physical radius.
 
-    Enumeration sweeps a provably sufficient coefficient box once and
-    splits the survivors by residue and window membership; each list is
-    sorted by coefficient tuple.
+    One output-sensitive lattice enumeration finds the module points in
+    the physical disk whose internal image can reach a window; they are
+    split by residue and window membership, and each list is sorted by
+    coefficient tuple.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    windows = [spec.shifted_window(i) for i in range(1, spec.r + 1)]
-    r_int = max(w.circumradius() for w in windows) + 1e-6
-    bound = _coeff_bound(radius, r_int)
-    residues = {z.rho(): idx for idx, z in enumerate(spec.coset_reps)}
-    buckets = [[] for _ in range(spec.r)]
-    for coeffs, phys, internal in _enumerate_module(bound, radius, r_int):
-        rho = coeffs.sum(axis=1) % 5
-        pts = np.column_stack([internal.real, internal.imag])
-        for res, idx in residues.items():
-            sel = rho == res
-            if not sel.any():
-                continue
-            inside = contains_many(windows[idx], pts[sel], spec.eps)
-            if not inside.any():
-                continue
-            buckets[idx].append((coeffs[sel][inside], phys[sel][inside],
-                                 internal[sel][inside]))
-    out = []
-    for idx in range(spec.r):
-        if not buckets[idx]:
-            out.append([])
-            continue
-        coeffs = np.concatenate([b[0] for b in buckets[idx]])
-        phys = np.concatenate([b[1] for b in buckets[idx]])
-        internal = np.concatenate([b[2] for b in buckets[idx]])
-        order = _sorted_rows(coeffs)
-        out.append([
-            LabeledPoint(idx + 1, CycInt(*coeffs[k]), complex(phys[k]), complex(internal[k]))
-            for k in order
-        ])
-    return out
+    targets = [(z.rho(), spec.shifted_window(i + 1)) for i, z in enumerate(spec.coset_reps)]
+    return [[LabeledPoint(idx + 1, CycInt(*c), complex(x), complex(u))
+             for c, x, u in zip(*found)]
+            for idx, found in enumerate(_select(targets, radius, spec.eps))]
 
 
 def generate_points(spec, component, radius):
@@ -323,48 +305,14 @@ def translation_sets(spec, windows_ji, radius):
     z_j - Q z_i, physical modulus at most radius, and internal image inside
     the transition window (j, i); empty windows give empty lists.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     r = spec.r
-    targets = {}
-    nonempty = []
-    r_int = 0.0
-    for j in range(r):
-        for i in range(r):
-            w = windows_ji[j][i]
-            if w.is_empty:
-                continue
-            zj = spec.coset_reps[j]
-            zi = spec.coset_reps[i]
-            targets[(j, i)] = (zj - spec.q_mult * zi).rho()
-            nonempty.append((j, i))
-            r_int = max(r_int, w.circumradius())
-    r_int += 1e-6
-    bound = _coeff_bound(radius, r_int)
+    keys = [(j, i) for j in range(r) for i in range(r) if not windows_ji[j][i].is_empty]
+    targets = [((spec.coset_reps[j] - spec.q_mult * spec.coset_reps[i]).rho(), windows_ji[j][i])
+               for j, i in keys]
     eps = abs(spec.eps)  # transition windows relax the interior-closure condition
-    buckets = {key: [] for key in nonempty}
-    for coeffs, phys, internal in _enumerate_module(bound, radius, r_int):
-        rho = coeffs.sum(axis=1) % 5
-        pts = np.column_stack([internal.real, internal.imag])
-        for key in nonempty:
-            sel = rho == targets[key]
-            if not sel.any():
-                continue
-            inside = contains_many(windows_ji[key[0]][key[1]], pts[sel], eps)
-            if not inside.any():
-                continue
-            buckets[key].append((coeffs[sel][inside], phys[sel][inside],
-                                 internal[sel][inside]))
     out = [[[] for _ in range(r)] for _ in range(r)]
-    for (j, i), chunks in buckets.items():
-        if not chunks:
-            continue
-        coeffs = np.concatenate([b[0] for b in chunks])
-        phys = np.concatenate([b[1] for b in chunks])
-        internal = np.concatenate([b[2] for b in chunks])
-        order = _sorted_rows(coeffs)
-        out[j][i] = [ModulePoint(CycInt(*coeffs[k]), complex(phys[k]), complex(internal[k]))
-                     for k in order]
+    for (j, i), found in zip(keys, _select(targets, radius, eps)):
+        out[j][i] = [ModulePoint(CycInt(*c), complex(x), complex(u)) for c, x, u in zip(*found)]
     return out
 
 

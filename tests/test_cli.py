@@ -182,3 +182,14 @@ def test_verify_insufficient_radius(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "ID2.mean_residual insufficient-radius <= 0.05 FAIL" in report
     assert capsys.readouterr().out.count("\n") >= 4
+
+
+def test_unknown_output_selector_rejected(tmp_path, capsys):
+    config = tmp_path / "typo.cfg"
+    config.write_text("outputs = grid\n")
+    out = tmp_path / "out"
+    assert run(["solve", "--config", str(config), "--out", str(out),
+                "--h", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert ":1:" in err and "'grid'" in err
+    assert not out.exists()
