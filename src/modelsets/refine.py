@@ -5,6 +5,15 @@ axis and a cell centered at the origin.  With that layout the difference
 of two cell centers is again a cell-center offset, so the discrete
 convolution in the refinement step lands exactly on the grid and the
 point reflection u -> -u is an exact array flip.
+
+The refinement step is evaluated spectrally.  `build_kernel` fixes, once,
+the box of cells where each contracted input channel can be non-zero, the
+bounding box of each output channel's window mask, and one periodic FFT
+shape long enough that every linear convolution from an input box into
+its output hull fits without wrapping.  It stores the real FFT of every
+transition kernel placed on that shape, so a step costs one forward
+transform per non-zero input channel and one inverse transform per output
+channel, and the circular result equals the linear one on the mask.
 """
 
 from __future__ import annotations
@@ -12,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.ndimage import map_coordinates
-from scipy.signal import fftconvolve
 
 from .polygeom import GridSpec, area, centroid, linear_image, rasterize
 
 FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
+_WRITE_CHUNK_VALUES = 120_000  # floats formatted per write; bounds the temporary text
 
 
 def make_centered_grid(half_extent, h):
@@ -68,7 +78,7 @@ class _Block:
 
 @dataclass
 class RefinementKernel:
-    """Rasters and geometry needed to apply the refinement operator once."""
+    """Rasters, geometry and kernel spectra needed to apply the refinement operator."""
 
     grid: GridSpec
     a_matrix: np.ndarray
@@ -79,6 +89,12 @@ class RefinementKernel:
     indicators: np.ndarray  # (r, ny, nx) normalized window rasters
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting each window
     windows: list
+    fft_shape: tuple        # common periodic shape of every spectrum
+    samples: list           # per channel i: map_coordinates coordinates of the box
+                            # where f_i(A^-1 y) can be non-zero, or None
+    outputs: list           # per channel j: (grid slices of the mask's bounding
+                            # box, the same cells in the periodic result)
+    spectra: list           # r x r rfft2 of |det Q| h^2 blocks, None where nu vanishes
 
 
 def _bbox(P):
@@ -95,11 +111,93 @@ def _check_support(grid, j, i, trans, image):
                          f"({j},{i}) exceeds the grid box")
 
 
+def _box(arr):
+    """First and one-past-last (row, col) of the non-zero entries."""
+    rows = np.flatnonzero(arr.any(axis=1))
+    cols = np.flatnonzero(arr.any(axis=0))
+    return np.array([rows[0], cols[0]]), np.array([rows[-1] + 1, cols[-1] + 1])
+
+
+def _slices(lo, hi):
+    return slice(int(lo[0]), int(hi[0])), slice(int(lo[1]), int(hi[1]))
+
+
 def _crop(raster):
-    rows = np.flatnonzero(raster.any(axis=1))
-    cols = np.flatnonzero(raster.any(axis=0))
-    return _Block(arr=raster[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1],
-                  iy0=int(rows[0]), ix0=int(cols[0]))
+    lo, hi = _box(raster)
+    # a copy, so the block does not keep the whole raster alive
+    return _Block(arr=raster[_slices(lo, hi)].copy(), iy0=int(lo[0]), ix0=int(lo[1]))
+
+
+def _input_boxes(grid, a_inv, masks):
+    """Per channel, the box of cells where f_i(A^-1 y) can be non-zero.
+
+    A bilinear sample of a channel that vanishes off its mask is zero unless
+    one of the four stencil nodes around A^-1 y lies on the mask.  Returns
+    (lo, hi, map_coordinates coordinates of the box) per channel, or None
+    when no cell qualifies.
+    """
+    X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
+    px = a_inv[0, 0] * X + a_inv[0, 1] * Y
+    py = a_inv[1, 0] * X + a_inv[1, 1] * Y
+    rows = (py - grid.origin[1]) / grid.h - 0.5
+    cols = (px - grid.origin[0]) / grid.h - 0.5
+    # lower-left stencil node, counted in a frame padded by one zero cell
+    a = np.floor(rows).astype(np.intp) + 1
+    b = np.floor(cols).astype(np.intp) + 1
+    on_grid = (a >= 0) & (a <= grid.ny) & (b >= 0) & (b <= grid.nx)
+    a[~on_grid] = 0
+    b[~on_grid] = 0
+    boxes = []
+    for mask in masks:
+        pad = np.pad(mask, 1)
+        near = pad[:-1, :-1] | pad[1:, :-1] | pad[:-1, 1:] | pad[1:, 1:]
+        touched = near[a, b] & on_grid
+        if not touched.any():
+            boxes.append(None)
+            continue
+        lo, hi = _box(touched)
+        box = _slices(lo, hi)
+        boxes.append((lo, hi, np.stack([rows[box], cols[box]])))
+    return boxes
+
+
+def _spectral_plan(grid, masks, blocks, input_boxes, scale):
+    """Periodic FFT shape, output boxes and placed kernel spectra of the step.
+
+    The hull of output channel j covers its mask's bounding box and, for
+    every i with a block, the linear-convolution support of input box i with
+    block (j, i).  The shape holds the longest hull, so placing each block at
+    its offset from the hull start makes the circular convolution exact on
+    the hull.
+    """
+    r = len(masks)
+    centre = np.array([(grid.ny - 1) // 2, (grid.nx - 1) // 2])
+    hulls = []
+    for j in range(r):
+        box_lo, box_hi = _box(masks[j])
+        lo, hi = box_lo, box_hi
+        starts = {}
+        for i in range(r):
+            if blocks[j][i] is None or input_boxes[i] is None:
+                continue
+            in_lo, in_hi, _ = input_boxes[i]
+            offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - centre
+            starts[i] = in_lo + offset
+            lo = np.minimum(lo, starts[i])
+            hi = np.maximum(hi, in_hi + offset + blocks[j][i].arr.shape - 1)
+        hulls.append((box_lo, box_hi, lo, hi, starts))
+    shape = tuple(fft.next_fast_len(int(n), real=True)
+                  for n in np.max([hi - lo for _, _, lo, hi, _ in hulls], axis=0))
+    spectra = [[None] * r for _ in range(r)]
+    outputs = []
+    for j, (box_lo, box_hi, lo, _, starts) in enumerate(hulls):
+        for i, start in starts.items():
+            arr = blocks[j][i].arr
+            padded = np.zeros(shape)
+            padded[_slices(start - lo, start - lo + arr.shape)] = arr * scale
+            spectra[j][i] = fft.rfft2(padded)
+        outputs.append((_slices(box_lo, box_hi), _slices(box_lo - lo, box_hi - lo)))
+    return shape, outputs, spectra
 
 
 def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid, supersample=4):
@@ -107,8 +205,10 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid, supersample=
 
     Kernels are normalized by their discrete integral, so each one sums to
     exactly one cell measure; entries with zero weight carry no raster.
-    Raises when the grid cannot hold a window or a convolution support, or
-    when a positive weight sits on a measure-zero window.
+    Also fixes the input and output boxes of the spectral step and the
+    transforms of the |det Q|-scaled kernels.  Raises when the grid cannot
+    hold a window or a convolution support, or when a positive weight sits
+    on a measure-zero window.
     """
     nu = np.asarray(nu, dtype=float)
     a_matrix = np.asarray(a_matrix, dtype=float)
@@ -143,10 +243,16 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid, supersample=
             _check_support(grid, j + 1, i + 1, trans, linear_image(windows[i], a_matrix))
             cov = rasterize(trans, grid, supersample)
             blocks[j][i] = _crop(cov / (cov.sum() * h2))
-    return RefinementKernel(grid=grid, a_matrix=a_matrix,
-                            a_inv=np.linalg.inv(a_matrix), detq_abs=float(detq_abs),
-                            nu=nu, blocks=blocks, indicators=indicators,
-                            masks=masks, windows=list(windows))
+    a_inv = np.linalg.inv(a_matrix)
+    input_boxes = _input_boxes(grid, a_inv, masks)
+    fft_shape, outputs, spectra = _spectral_plan(grid, masks, blocks, input_boxes,
+                                                 float(detq_abs) * h2)
+    samples = [None if box is None else box[2] for box in input_boxes]
+    return RefinementKernel(grid=grid, a_matrix=a_matrix, a_inv=a_inv,
+                            detq_abs=float(detq_abs), nu=nu, blocks=blocks,
+                            indicators=indicators, masks=masks,
+                            windows=list(windows), fft_shape=fft_shape,
+                            samples=samples, outputs=outputs, spectra=spectra)
 
 
 def initial_density(kernel, w):
@@ -156,39 +262,7 @@ def initial_density(kernel, w):
     return DensityGrid.from_values(kernel.grid, values)
 
 
-def _resample_contracted(values, grid, a_inv):
-    """Samples of f(A^-1 y) at the cell centers, zero outside the grid."""
-    X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
-    px = a_inv[0, 0] * X + a_inv[0, 1] * Y
-    py = a_inv[1, 0] * X + a_inv[1, 1] * Y
-    rows = (py - grid.origin[1]) / grid.h - 0.5
-    cols = (px - grid.origin[0]) / grid.h - 0.5
-    return map_coordinates(values, [rows, cols], order=1, mode="constant",
-                           cval=0.0, prefilter=False)
-
-
-def _convolve_block(block, g, grid):
-    """h^2-weighted discrete convolution of a cropped kernel with a full grid.
-
-    Exactness of the cell-center alignment relies on the centered odd grid;
-    the result is placed back on the full grid with zero padding.
-    """
-    full = fftconvolve(g, block.arr, mode="full")
-    my = (grid.ny - 1) // 2
-    mx = (grid.nx - 1) // 2
-    sy = my - block.iy0
-    sx = mx - block.ix0
-    out = np.zeros((grid.ny, grid.nx))
-    y_lo = max(0, -sy)
-    y_hi = min(grid.ny, full.shape[0] - sy)
-    x_lo = max(0, -sx)
-    x_hi = min(grid.nx, full.shape[1] - sx)
-    if y_lo < y_hi and x_lo < x_hi:
-        out[y_lo:y_hi, x_lo:x_hi] = full[y_lo + sy:y_hi + sy, x_lo + sx:x_hi + sx]
-    return out * grid.h**2
-
-
-def apply_refinement(f, kernel, nu=None, conserve_mass=True):
+def apply_refinement(f, kernel, conserve_mass=True):
     """One application of the matrix refinement operator.
 
     Each input channel is resampled through the inverse contraction with
@@ -199,34 +273,51 @@ def apply_refinement(f, kernel, nu=None, conserve_mass=True):
     identity m' = nu m; without that correction the discrete operator's
     spectral radius drifts off one by the quadrature error and the
     fixed-point residual cannot fall below it.
+
+    Channel i of f is taken to vanish off kernel.masks[i], as every density
+    the solver produces does; values outside the mask are ignored.  The
+    convolutions run as products of the kernel's cached spectra with one
+    transform per non-zero input channel, and an all-zero channel is
+    skipped.
     """
-    if nu is None:
-        nu = kernel.nu
-    nu = np.asarray(nu, dtype=float)
+    nu = kernel.nu
     r = f.r
     grid = kernel.grid
     h2 = grid.h**2
-    resampled = [_resample_contracted(f.values[i], grid, kernel.a_inv)
-                 for i in range(r)]
+    transformed = []
+    for i in range(r):
+        g = np.where(kernel.masks[i], f.values[i], 0.0)
+        if kernel.samples[i] is None or not g.any():
+            transformed.append(None)
+            continue
+        sampled = map_coordinates(g, kernel.samples[i], order=1, mode="constant",
+                                  cval=0.0, prefilter=False)
+        transformed.append(fft.rfft2(sampled, s=kernel.fft_shape))
     target = nu @ f.masses
     values = np.zeros_like(f.values)
     for j in range(r):
-        acc = np.zeros((grid.ny, grid.nx))
+        total = None
         for i in range(r):
             if nu[j, i] == 0:
                 continue
             if kernel.blocks[j][i] is None:
                 raise ValueError(f"no kernel raster for transition ({j + 1},{i + 1}); "
                                  "rebuild the kernel with this weight matrix")
-            acc += nu[j, i] * _convolve_block(kernel.blocks[j][i], resampled[i], grid)
-        acc *= kernel.detq_abs
+            if transformed[i] is None:
+                continue
+            term = nu[j, i] * kernel.spectra[j][i] * transformed[i]
+            total = term if total is None else total + term
+        if total is None:
+            continue
+        box, periodic = kernel.outputs[j]
+        acc = fft.irfft2(total, s=kernel.fft_shape)[periodic]
         np.maximum(acc, 0.0, out=acc)
-        acc[~kernel.masks[j]] = 0.0
+        acc[~kernel.masks[j][box]] = 0.0
         if conserve_mass:
             raw = acc.sum() * h2
             if raw > 0 and target[j] > 0:
                 acc *= target[j] / raw
-        values[j] = acc
+        values[j][box] = acc
     return DensityGrid.from_values(grid, values)
 
 
@@ -311,6 +402,38 @@ def _product_depth(a_matrix, k, depth):
     return level
 
 
+def _polygon_ft_table(polygons, kappas):
+    """polygon_ft of every polygon at every wavevector, shape (kappas, polygons).
+
+    The same edge sum and small-k expansion as polygon_ft, evaluated for all
+    edges of all polygons at once.
+    """
+    if not all(P.is_polygon for P in polygons):
+        raise ValueError("Fourier transform needs a polygon window")
+    out = np.zeros((len(kappas), len(polygons)), dtype=complex)
+    if not polygons:
+        return out
+    v = np.concatenate([P.vertices for P in polygons])
+    w = np.concatenate([np.roll(P.vertices, -1, axis=0) for P in polygons])
+    starts = np.cumsum([0] + [len(P.vertices) for P in polygons[:-1]])
+    edge = w - v
+    lengths = np.hypot(edge[:, 0], edge[:, 1])
+    tangents = edge / lengths[:, None]
+    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+    mid = 0.5 * (v + w)
+    kn = np.hypot(kappas[:, 0], kappas[:, 1])
+    small = kn < FT_SMALL_K
+    k = kappas[~small]
+    line = lengths * np.sinc((k @ tangents.T) * lengths / (2 * np.pi)) \
+        * np.exp(-1j * (k @ mid.T))
+    sums = np.add.reduceat((k @ normals.T) * line, starts, axis=1)
+    areas = np.array([area(P) for P in polygons])
+    out[~small] = 1j * sums / (kn[~small] ** 2)[:, None] / areas
+    centroids = np.array([centroid(P) for P in polygons])
+    out[small] = np.exp(-1j * (kappas[small] @ centroids.T))
+    return out
+
+
 def fourier_product(windows_ji, nu, w, a_matrix, k, depth=None):
     """Truncated infinite matrix product for the density transform at k.
 
@@ -326,13 +449,13 @@ def fourier_product(windows_ji, nu, w, a_matrix, k, depth=None):
     kappas = [np.asarray(k, dtype=float).reshape(2)]
     for _ in range(depth):
         kappas.append(a_matrix.T @ kappas[-1])
+    jj, ii = np.nonzero(nu)
+    table = _polygon_ft_table([windows_ji[j][i] for j, i in zip(jj, ii)],
+                              np.array(kappas))
+    mats = np.zeros((depth + 1, r, r), dtype=complex)
+    mats[:, jj, ii] = nu[jj, ii] * table
     acc = w.astype(complex)
-    for kappa in reversed(kappas):
-        mat = np.zeros((r, r), dtype=complex)
-        for j in range(r):
-            for i in range(r):
-                if nu[j, i] != 0:
-                    mat[j, i] = nu[j, i] * polygon_ft(windows_ji[j][i], kappa)
+    for mat in mats[::-1]:
         acc = mat @ acc
     return acc
 
@@ -373,14 +496,25 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
+def _write_rows(fileobj, row_template, table):
+    """Format a float table one row per template, a few row blocks at a time.
+
+    `%.12g` prints exactly what `_fmt` does; the chunks keep the Python
+    floats and the text of one write small.
+    """
+    step = max(1, _WRITE_CHUNK_VALUES // table.shape[1])
+    for start in range(0, len(table), step):
+        chunk = table[start:start + step]
+        fileobj.write((row_template * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_density_grid(density, channel, fileobj):
     """One channel as headered rows of samples, y increasing row by row."""
     g = density.grid
     fileobj.write(f"# origin {_fmt(g.origin[0])} {_fmt(g.origin[1])}\n")
     fileobj.write(f"# h {_fmt(g.h)}\n")
     fileobj.write(f"# nx {g.nx} ny {g.ny}\n")
-    for row in density.values[channel]:
-        fileobj.write(" ".join(_fmt(v) for v in row) + "\n")
+    _write_rows(fileobj, " ".join(["%.12g"] * g.nx) + "\n", density.values[channel])
 
 
 def write_density_csv(density, fileobj):
@@ -389,7 +523,10 @@ def write_density_csv(density, fileobj):
     xs = g.x_centers()
     ys = g.y_centers()
     fileobj.write("x,y," + ",".join(f"f{j + 1}" for j in range(density.r)) + "\n")
-    for iy in range(g.ny):
-        for ix in range(g.nx):
-            vals = ",".join(_fmt(density.values[j, iy, ix]) for j in range(density.r))
-            fileobj.write(f"{_fmt(xs[ix])},{_fmt(ys[iy])},{vals}\n")
+    template = ",".join(["%.12g"] * (2 + density.r)) + "\n"
+    step = max(1, _WRITE_CHUNK_VALUES // (g.nx * (2 + density.r)))
+    for iy in range(0, g.ny, step):
+        rows = ys[iy:iy + step]
+        table = np.column_stack([np.tile(xs, len(rows)), np.repeat(rows, g.nx),
+                                 density.values[:, iy:iy + step].reshape(density.r, -1).T])
+        _write_rows(fileobj, template, table)

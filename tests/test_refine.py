@@ -76,11 +76,16 @@ def test_grid_underflow_names_the_pair():
 
 
 def test_convolution_against_direct_sum():
+    # with A = I and |det Q| = 1 the unscaled step is one kernel convolution
     grid = make_centered_grid(0.7, 0.1)  # 15x15
+    window = square_region(0.48)
+    trans = Region.polygon([(-0.25, -0.1), (0.2, -0.25), (0.05, 0.25)])
+    K = build_kernel([window], [[trans]], np.array([[1.0]]), np.eye(2), 1.0, grid)
     rng = np.random.default_rng(31)
-    g = rng.uniform(size=(grid.ny, grid.nx))
-    block = refine._Block(arr=rng.uniform(size=(4, 5)), iy0=6, ix0=3)
-    got = refine._convolve_block(block, g, grid)
+    g = np.where(K.masks[0], rng.uniform(size=(grid.ny, grid.nx)), 0.0)
+    got = apply_refinement(DensityGrid.from_values(grid, g[None]), K,
+                           conserve_mass=False).values[0]
+    block = K.blocks[0][0]
     my, mx = (grid.ny - 1) // 2, (grid.nx - 1) // 2
     want = np.zeros_like(g)
     for ny in range(grid.ny):
@@ -93,6 +98,8 @@ def test_convolution_against_direct_sum():
                     if 0 <= gy < grid.ny and 0 <= gx < grid.nx:
                         total += block.arr[by, bx] * g[gy, gx]
             want[ny, nx] = total * grid.h**2
+    want[~K.masks[0]] = 0.0
+    assert K.masks[0].sum() == 11 * 11 and block.arr.shape == (5, 5)
     assert np.abs(got - want).max() < 1e-12
 
 

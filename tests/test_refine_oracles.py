@@ -1,0 +1,294 @@
+"""Fast refinement paths checked against the straightforward code they replaced.
+
+The oracles are the former implementations: the refinement step as one
+`fftconvolve` per transition on the full grid, the rasterizer that probes
+every cell of the bounding box, the per-value density writers and the
+per-entry Fourier matrix product.
+"""
+
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import map_coordinates
+from scipy.signal import fftconvolve
+
+from modelsets import refine
+from modelsets.polygeom import GridSpec, Region, _edge_normals, rasterize
+from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
+                              fourier_product, initial_density, polygon_ft)
+from tests.test_refine import toy_kernel
+
+STEP_TOL = 1e-12
+
+
+def resample_contracted(values, grid, a_inv):
+    """Samples of f(A^-1 y) at the cell centers, zero outside the grid."""
+    X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
+    px = a_inv[0, 0] * X + a_inv[0, 1] * Y
+    py = a_inv[1, 0] * X + a_inv[1, 1] * Y
+    rows = (py - grid.origin[1]) / grid.h - 0.5
+    cols = (px - grid.origin[0]) / grid.h - 0.5
+    return map_coordinates(values, [rows, cols], order=1, mode="constant",
+                           cval=0.0, prefilter=False)
+
+
+def convolve_block(block, g, grid):
+    """h^2-weighted discrete convolution of a cropped kernel with a full grid."""
+    full = fftconvolve(g, block.arr, mode="full")
+    sy = (grid.ny - 1) // 2 - block.iy0
+    sx = (grid.nx - 1) // 2 - block.ix0
+    out = np.zeros((grid.ny, grid.nx))
+    y_lo, y_hi = max(0, -sy), min(grid.ny, full.shape[0] - sy)
+    x_lo, x_hi = max(0, -sx), min(grid.nx, full.shape[1] - sx)
+    if y_lo < y_hi and x_lo < x_hi:
+        out[y_lo:y_hi, x_lo:x_hi] = full[y_lo + sy:y_hi + sy, x_lo + sx:x_hi + sx]
+    return out * grid.h**2
+
+
+def oracle_step(f, kernel, conserve_mass=True):
+    """The refinement step with one full-grid fftconvolve per transition."""
+    nu = kernel.nu
+    grid = kernel.grid
+    resampled = [resample_contracted(f.values[i], grid, kernel.a_inv)
+                 for i in range(f.r)]
+    target = nu @ f.masses
+    values = np.zeros_like(f.values)
+    for j in range(f.r):
+        acc = np.zeros((grid.ny, grid.nx))
+        for i in range(f.r):
+            if nu[j, i] != 0:
+                acc += nu[j, i] * convolve_block(kernel.blocks[j][i], resampled[i], grid)
+        acc *= kernel.detq_abs
+        np.maximum(acc, 0.0, out=acc)
+        acc[~kernel.masks[j]] = 0.0
+        if conserve_mass:
+            raw = acc.sum() * grid.h**2
+            if raw > 0 and target[j] > 0:
+                acc *= target[j] / raw
+        values[j] = acc
+    return DensityGrid.from_values(grid, values)
+
+
+def oracle_rasterize(P, grid, supersample=4):
+    """Coverage fractions from supersample^2 probes in every bounding-box cell."""
+    out = np.zeros((grid.ny, grid.nx))
+    v = P.vertices
+    h = grid.h
+    ix0 = max(0, int(np.floor((v[:, 0].min() - grid.origin[0]) / h)) - 1)
+    ix1 = min(grid.nx, int(np.ceil((v[:, 0].max() - grid.origin[0]) / h)) + 1)
+    iy0 = max(0, int(np.floor((v[:, 1].min() - grid.origin[1]) / h)) - 1)
+    iy1 = min(grid.ny, int(np.ceil((v[:, 1].max() - grid.origin[1]) / h)) + 1)
+    if ix0 >= ix1 or iy0 >= iy1:
+        return out
+    xs = grid.origin[0] + (np.arange(ix0, ix1)) * h
+    ys = grid.origin[1] + (np.arange(iy0, iy1)) * h
+    X, Y = np.meshgrid(xs, ys)
+    count = np.zeros_like(X)
+    normals, offsets = _edge_normals(P)
+    for a in range(supersample):
+        for b in range(supersample):
+            px = (X + (a + 0.5) / supersample * h).ravel()
+            py = (Y + (b + 0.5) / supersample * h).ravel()
+            dist = np.outer(px, normals[:, 0]) + np.outer(py, normals[:, 1]) - offsets
+            count += (dist.max(axis=1) <= 0.0).reshape(X.shape)
+    out[iy0:iy1, ix0:ix1] = count / supersample**2
+    return out
+
+
+def _fmt(x):
+    return f"{x:.12g}"
+
+
+def oracle_write_density_grid(density, channel, fileobj):
+    g = density.grid
+    fileobj.write(f"# origin {_fmt(g.origin[0])} {_fmt(g.origin[1])}\n")
+    fileobj.write(f"# h {_fmt(g.h)}\n")
+    fileobj.write(f"# nx {g.nx} ny {g.ny}\n")
+    for row in density.values[channel]:
+        fileobj.write(" ".join(_fmt(v) for v in row) + "\n")
+
+
+def oracle_write_density_csv(density, fileobj):
+    g = density.grid
+    xs = g.x_centers()
+    ys = g.y_centers()
+    fileobj.write("x,y," + ",".join(f"f{j + 1}" for j in range(density.r)) + "\n")
+    for iy in range(g.ny):
+        for ix in range(g.nx):
+            vals = ",".join(_fmt(density.values[j, iy, ix]) for j in range(density.r))
+            fileobj.write(f"{_fmt(xs[ix])},{_fmt(ys[iy])},{vals}\n")
+
+
+def oracle_fourier_product(windows_ji, nu, w, a_matrix, k):
+    depth = refine._product_depth(a_matrix, k, None)
+    kappas = [np.asarray(k, dtype=float).reshape(2)]
+    for _ in range(depth):
+        kappas.append(a_matrix.T @ kappas[-1])
+    acc = w.astype(complex)
+    for kappa in reversed(kappas):
+        mat = np.zeros((len(w), len(w)), dtype=complex)
+        for j, i in zip(*np.nonzero(nu)):
+            mat[j, i] = nu[j, i] * polygon_ft(windows_ji[j][i], kappa)
+        acc = mat @ acc
+    return acc
+
+
+def assert_steps_agree(f, kernel, conserve_mass):
+    got = apply_refinement(f, kernel, conserve_mass=conserve_mass)
+    want = oracle_step(f, kernel, conserve_mass=conserve_mass)
+    assert np.abs(got.values - want.values).max() <= STEP_TOL
+    assert np.abs(got.masses - want.masses).max() <= STEP_TOL
+    return got
+
+
+def preset_kernel(spec, transitions, nu, h):
+    windows = [spec.shifted_window(i) for i in range(1, 5)]
+    grid = refine.grid_for_windows(windows, h)
+    return build_kernel(windows, transitions, nu, spec.a_matrix(), spec.detq_abs, grid)
+
+
+@pytest.fixture(scope="module", params=["area", "explicit"])
+def preset64(request, spec, transitions):
+    nu = request.getfixturevalue(f"nu_{request.param}")
+    w = request.getfixturevalue(f"pf_{request.param}").w
+    return preset_kernel(spec, transitions, nu, 1 / 64), w
+
+
+@pytest.mark.parametrize("conserve_mass", [True, False])
+def test_step_matches_oracle_on_presets(preset64, conserve_mass):
+    kernel, w = preset64
+    f = initial_density(kernel, w)
+    for _ in range(3):
+        f = assert_steps_agree(f, kernel, conserve_mass)
+
+
+@pytest.mark.parametrize("conserve_mass", [True, False])
+def test_step_matches_oracle_on_random_masked_input(preset64, conserve_mass):
+    kernel, _ = preset64
+    rng = np.random.default_rng(8)
+    raw = rng.uniform(size=kernel.masks.shape)
+    masked = DensityGrid.from_values(kernel.grid, np.where(kernel.masks, raw, 0.0))
+    assert_steps_agree(masked, kernel, conserve_mass)
+    # values off the masks are outside the step's domain and are ignored
+    unmasked = DensityGrid.from_values(kernel.grid, raw)
+    got = apply_refinement(unmasked, kernel, conserve_mass=False)
+    want = oracle_step(masked, kernel, conserve_mass=False)
+    assert np.abs(got.values - want.values).max() <= STEP_TOL
+
+
+def test_step_matches_oracle_with_a_zero_channel(preset64):
+    kernel, _ = preset64
+    rng = np.random.default_rng(9)
+    values = np.where(kernel.masks, rng.uniform(size=kernel.masks.shape), 0.0)
+    values[2] = 0.0
+    assert_steps_agree(DensityGrid.from_values(kernel.grid, values), kernel, True)
+
+
+@pytest.mark.parametrize("conserve_mass", [True, False])
+def test_step_matches_oracle_on_square_toy(conserve_mass):
+    kernel, _ = toy_kernel(1 / 64)
+    f = initial_density(kernel, [1.0])
+    for _ in range(3):
+        f = assert_steps_agree(f, kernel, conserve_mass)
+
+
+def test_fourier_product_matches_oracle(spec, transitions, nu_area, pf_area,
+                                        nu_explicit, pf_explicit):
+    rng = np.random.default_rng(23)
+    ks = np.vstack([rng.uniform(-30, 30, size=(20, 2)), [(0.0, 0.0), (3e-7, -2e-7)]])
+    for nu, pf in ((nu_area, pf_area), (nu_explicit, pf_explicit)):
+        for k in ks:
+            got = fourier_product(transitions, nu, pf.w, spec.a_matrix(), k)
+            want = oracle_fourier_product(transitions, nu, pf.w, spec.a_matrix(), k)
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_polygon_ft_table_matches_scalar(transitions):
+    polygons = [t for row in transitions for t in row if t.is_polygon]
+    rng = np.random.default_rng(29)
+    # the edge sum cancels down to about eps * diameter / |k|, so both paths
+    # agree to 1e-12 only from |k| ~ 1e-3 on; below FT_SMALL_K both expand
+    kappas = np.vstack([rng.uniform(-50, 50, size=(30, 2)),
+                        [(0.0, 0.0), (5e-7, 1e-7), (2e-3, -1e-3)]])
+    table = refine._polygon_ft_table(polygons, kappas)
+    for n, kappa in enumerate(kappas):
+        for p, P in enumerate(polygons):
+            assert abs(table[n, p] - polygon_ft(P, kappa)) <= 1e-12
+    with pytest.raises(ValueError, match="polygon"):
+        refine._polygon_ft_table([Region.single((0.0, 0.0))], kappas)
+
+
+@st.composite
+def convex_polygons(draw):
+    """Points on a random ellipse with well separated angles."""
+    n = draw(st.integers(3, 9))
+    angles = np.sort(draw(st.lists(st.floats(0, 2 * np.pi), min_size=n, max_size=n)))
+    gaps = np.diff(np.append(angles, angles[0] + 2 * np.pi))
+    assume(gaps.min() > 0.2)
+    rx, ry = draw(st.floats(0.05, 0.9)), draw(st.floats(0.05, 0.9))
+    cx, cy = draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.4, 0.4))
+    verts = np.column_stack([cx + rx * np.cos(angles), cy + ry * np.sin(angles)])
+    try:
+        return Region.polygon(verts)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def grids(draw):
+    h = draw(st.sampled_from([1 / 8, 0.1, 1 / 32, 0.037, 1 / 64]))
+    ox = -1.4 - draw(st.floats(0, 1)) * h
+    oy = -1.4 - draw(st.floats(0, 1)) * h
+    n = int(np.ceil(2.8 / h)) + 2
+    return GridSpec(origin=(ox, oy), h=h, nx=n, ny=n)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(P=convex_polygons(), grid=grids(), supersample=st.integers(1, 5))
+def test_rasterize_matches_oracle(P, grid, supersample):
+    assert np.array_equal(rasterize(P, grid, supersample),
+                          oracle_rasterize(P, grid, supersample))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(nodes=st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                      min_size=3, max_size=4, unique=True),
+       h=st.sampled_from([1 / 16, 0.05, 1 / 32]), supersample=st.integers(1, 4))
+def test_rasterize_matches_oracle_on_cell_edges(nodes, h, supersample):
+    # vertices on grid nodes put whole edges on cell boundaries
+    grid = GridSpec(origin=(-32 * h, -32 * h), h=h, nx=64, ny=64)
+    try:
+        P = Region.polygon(grid.origin + h * (np.array(nodes) + 32))
+    except ValueError:
+        assume(False)
+    assert np.array_equal(rasterize(P, grid, supersample),
+                          oracle_rasterize(P, grid, supersample))
+
+
+DENSITY_VALUES = st.one_of(st.just(0.0), st.just(5e-324),
+                           st.floats(0, 1e-300), st.floats(0, 1e3),
+                           st.floats(1e-6, 1e20))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data(), r=st.integers(1, 4), nx=st.integers(1, 9), ny=st.integers(1, 9),
+       h=st.floats(1e-3, 2.0), ox=st.floats(-5, 5), oy=st.floats(-5, 5),
+       chunk=st.integers(1, 60))
+def test_density_writers_match_oracle(data, r, nx, ny, h, ox, oy, chunk):
+    values = data.draw(arrays(np.float64, (r, ny, nx), elements=DENSITY_VALUES))
+    density = DensityGrid.from_values(GridSpec(origin=(ox, oy), h=h, nx=nx, ny=ny),
+                                      values)
+    with mock.patch.object(refine, "_WRITE_CHUNK_VALUES", chunk):
+        got, want = io.StringIO(), io.StringIO()
+        refine.write_density_csv(density, got)
+        oracle_write_density_csv(density, want)
+        assert got.getvalue() == want.getvalue()
+        for j in range(r):
+            got, want = io.StringIO(), io.StringIO()
+            refine.write_density_grid(density, j, got)
+            oracle_write_density_grid(density, j, want)
+            assert got.getvalue() == want.getvalue()
