@@ -9,11 +9,10 @@ from .refine import (DensityGrid, FixedPointResult, RefinementKernel,
                      fourier_product, grid_for_windows, grid_ft,
                      initial_density, make_centered_grid, polygon_ft,
                      solve_fixed_point)
-from .scheme import (LabeledPoint, ModulePoint, SchemeSpec, TransitionData,
-                     build_nu, build_transition_data, check_selfsim_closure,
-                     generate_all, generate_points, penrose_scheme,
-                     points_csv_text, transition_windows, translation_sets,
-                     write_points_csv)
+from .scheme import (LabeledPoint, ModulePoint, SchemeSpec, build_nu,
+                     check_selfsim_closure, generate_all, generate_points,
+                     penrose_scheme, points_csv_text, transition_windows,
+                     translation_sets, write_points_csv)
 from .verify import (Id2Report, InsufficientRadiusError, ReportLine,
                      check_id2, density_estimate, id3_values, point_weights,
                      render_report, sample_density, weyl_test)

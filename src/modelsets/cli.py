@@ -191,12 +191,10 @@ def build_config(args):
         override = getattr(args, name, None)
         if override is not None:
             cfg[name] = override
-    if cfg["s"] <= 0:
-        raise ConfigError("radius s must be positive")
-    if cfg["h"] <= 0:
-        raise ConfigError("grid step h must be positive")
-    if cfg["maxit"] <= 0:
-        raise ConfigError("maxit must be positive")
+    for key in ("s", "h", "tol", "maxit", "supersample", "closure_s", "id2_samples",
+                "k_count", "k_max"):
+        if not cfg[key] > 0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
     if cfg["boundary"] not in ("closed", "open"):
         raise ConfigError("boundary must be 'closed' or 'open'")
     if cfg["scheme"] == "penrose":
@@ -267,13 +265,6 @@ def cmd_points(cfg, outdir):
     return 0
 
 
-def _nu_and_pf(cfg):
-    trans = scheme.transition_windows(cfg.spec)
-    nu = scheme.build_nu(cfg.spec, trans, policy=cfg.nu_policy, matrix=cfg.nu_matrix)
-    pf = pfsolve.pf_eigen(nu)
-    return trans, nu, pf
-
-
 def _nu_text(nu):
     return "\n".join("\t".join(_fmt(v) for v in row) for row in nu) + "\n"
 
@@ -286,12 +277,17 @@ def _pf_text(pf):
 
 
 def cmd_nu(cfg, outdir):
-    _, nu, pf = _nu_and_pf(cfg)
+    _, nu, pf = next(_pipeline(cfg))
     _write_all(outdir, {"nu.txt": _nu_text(nu), "pf.txt": _pf_text(pf)})
     return 0
 
 
-def _solve_pipeline(cfg):
+def _pipeline(cfg):
+    """Yield (trans, nu, pf), then run on to yield (result, deviation).
+
+    `nu` takes only the first item, so the later stages run only for
+    `solve` and `verify`.  A failure is labelled with its stage.
+    """
     stage = "transition windows"
     try:
         trans = scheme.transition_windows(cfg.spec)
@@ -300,6 +296,7 @@ def _solve_pipeline(cfg):
                              matrix=cfg.nu_matrix)
         stage = "eigenpair"
         pf = pfsolve.pf_eigen(nu)
+        yield trans, nu, pf
         if not pfsolve.check_pf1(pf, tol=1e-8):
             raise ValueError(f"spectral radius {pf.lambda_max} is not 1")
         stage = "kernel"
@@ -318,12 +315,12 @@ def _solve_pipeline(cfg):
         deviation = refine.compare_solvers(result.density, trans, nu, pf.w,
                                            cfg.spec.a_matrix(), ks)
     except (ValueError, RuntimeError) as exc:
-        raise RuntimeError(f"solve failed at stage '{stage}': {exc}") from exc
-    return trans, nu, pf, result, deviation
+        raise RuntimeError(f"failed at stage '{stage}': {exc}") from exc
+    yield result, deviation
 
 
 def cmd_solve(cfg, outdir):
-    trans, nu, pf, result, deviation = _solve_pipeline(cfg)
+    (_, nu, pf), (result, deviation) = _pipeline(cfg)
     density = result.density
     summary = io.StringIO()
     summary.write(f"lambda = {_fmt(pf.lambda_max)}\n")
@@ -349,7 +346,7 @@ def cmd_solve(cfg, outdir):
 
 
 def cmd_verify(cfg, outdir):
-    trans, nu, pf, result, _ = _solve_pipeline(cfg)
+    (trans, nu, pf), (result, _) = _pipeline(cfg)
     density = result.density
     points = scheme.generate_all(cfg.spec, cfg.s)
     tsets = scheme.translation_sets(cfg.spec, trans, cfg.s)

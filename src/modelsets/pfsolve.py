@@ -1,9 +1,8 @@
 """Dominant eigenpair of the non-negative transition weight matrix.
 
-Power iteration with a statistically normalized start; the second
-eigenvalue magnitude comes from iterating the matrix deflated with the
-left dominant eigenvector, which is enough to decide simplicity of the
-leading eigenvalue at the tolerances used here.
+The matrix is r x r with r the number of components, so one dense
+eigendecomposition gives the Perron root, its eigenvector and the gap to
+the next eigenvalue modulus.
 """
 
 from __future__ import annotations
@@ -11,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+_TOL = 1e-12  # entries of w below 10 * _TOL snap to zero; gap > _TOL means simple
 
 
 @dataclass
@@ -21,64 +22,15 @@ class PfResult:
     gap: float
 
 
-def _power(mat, tol, maxit):
-    n = mat.shape[0]
-    v = np.full(n, 1.0 / n)
-    lam = 0.0
-    for _ in range(maxit):
-        u = mat @ v
-        s = u.sum()
-        if s <= 0:
-            raise RuntimeError("power iteration collapsed to the zero vector")
-        lam = s
-        u = u / s
-        if np.max(np.abs(mat @ u - lam * u)) <= tol * max(1.0, lam):
-            return lam, u
-        v = u
-    resid = np.max(np.abs(mat @ v - lam * v))
-    raise RuntimeError(f"power iteration did not converge after {maxit} "
-                       f"iterations (residual {resid:.3e}); the dominant "
-                       "eigenvalue may not be isolated in modulus")
-
-
-def _second_magnitude(mat, lam, w, left):
-    denom = left @ w
-    if abs(denom) < 1e-14:
-        return None
-    deflated = mat - lam * np.outer(w, left) / denom
-
-    def project(y):
-        return y - w * (left @ y) / denom
-
-    n = mat.shape[0]
-    starts = [np.ones(n)] + [np.eye(n)[k] for k in range(n)]
-    y = None
-    for s in starts:
-        cand = project(s)
-        if np.linalg.norm(cand) > 1e-9:
-            y = cand / np.linalg.norm(cand)
-            break
-    if y is None:
-        return 0.0
-    logs = []
-    for it in range(300):
-        z = deflated @ y
-        norm = np.linalg.norm(z)
-        if norm < 1e-300:
-            return 0.0
-        if it >= 280:
-            logs.append(np.log(norm))
-        y = z / norm
-    return float(np.exp(np.mean(logs)))
-
-
-def pf_eigen(nu, tol=1e-12, maxit=100000):
+def pf_eigen(nu):
     """Dominant eigenvalue and statistically normalized eigenvector.
 
-    Raises on negative entries and when the iteration cannot converge
-    (e.g. two dominant eigenvalues of equal modulus).  Entries of w that
-    fall below the snapping threshold are set to exact zero before the
-    final normalization, so structurally vanishing components print as 0.
+    Raises ValueError on bad input and RuntimeError when the spectral radius
+    is zero, when another eigenvalue of maximal modulus is not the Perron
+    root (a periodic peripheral spectrum), or when a repeated Perron root
+    comes back with a mixed-sign eigenvector.  Entries of w below the
+    snapping threshold are set to exact zero before the final
+    normalization, so structurally vanishing components print as 0.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 2 or nu.shape[0] != nu.shape[1]:
@@ -87,16 +39,28 @@ def pf_eigen(nu, tol=1e-12, maxit=100000):
         raise ValueError("nu must be entrywise non-negative")
     if not np.any(nu > 0):
         raise ValueError("nu must be non-zero")
-    lam, w = _power(nu, tol, maxit)
-    w = w.copy()
-    w[w < 10 * tol] = 0.0
+    vals, vecs = np.linalg.eig(nu)
+    mods = np.abs(vals)
+    order = np.argsort(-mods, kind="stable")
+    lam = mods[order[0]]
+    if lam <= _TOL * nu.max():
+        raise RuntimeError("eigenpair did not converge: spectral radius 0 (nilpotent nu)")
+    # peripheral eigenvalues other than lam are lam times a root of unity, far
+    # from lam; only a defective lam splits into values this close to itself
+    peripheral = vals[mods >= lam * (1 - 1e-9)]
+    if np.any(np.abs(peripheral - lam) > 1e-4 * lam):
+        raise RuntimeError("eigenpair did not converge: several eigenvalues share "
+                           "the maximal modulus (periodic nu)")
+    v = vecs[:, order[0]].real
+    v = v / v[np.argmax(np.abs(v))]
+    if v.min() < -10 * _TOL:
+        raise RuntimeError("eigenpair did not converge: the repeated dominant "
+                           "eigenvalue has a mixed-sign eigenvector")
+    w = v / v.sum()
+    w[w < 10 * _TOL] = 0.0
     w = w / w.sum()
-    _, left = _power(nu.T, tol, maxit)
-    second = _second_magnitude(nu, lam, w, left)
-    if second is None:
-        return PfResult(lambda_max=float(lam), w=w, simple=False, gap=0.0)
-    gap = float(lam - second)
-    return PfResult(lambda_max=float(lam), w=w, simple=gap > tol, gap=gap)
+    gap = float(lam - mods[order[1]]) if len(vals) > 1 else float(lam)
+    return PfResult(lambda_max=float(lam), w=w, simple=gap > _TOL, gap=gap)
 
 
 def check_pf1(result, tol=1e-10):

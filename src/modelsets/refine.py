@@ -81,14 +81,12 @@ class RefinementKernel:
     """Rasters, geometry and kernel spectra needed to apply the refinement operator."""
 
     grid: GridSpec
-    a_matrix: np.ndarray
     a_inv: np.ndarray
     detq_abs: float
     nu: np.ndarray
     blocks: list          # r x r, _Block or None where nu vanishes
     indicators: np.ndarray  # (r, ny, nx) normalized window rasters
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting each window
-    windows: list
     fft_shape: tuple        # common periodic shape of every spectrum
     samples: list           # per channel i: map_coordinates coordinates of the box
                             # where f_i(A^-1 y) can be non-zero, or None
@@ -248,11 +246,10 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid, supersample=
     fft_shape, outputs, spectra = _spectral_plan(grid, masks, blocks, input_boxes,
                                                  float(detq_abs) * h2)
     samples = [None if box is None else box[2] for box in input_boxes]
-    return RefinementKernel(grid=grid, a_matrix=a_matrix, a_inv=a_inv,
-                            detq_abs=float(detq_abs), nu=nu, blocks=blocks,
-                            indicators=indicators, masks=masks,
-                            windows=list(windows), fft_shape=fft_shape,
-                            samples=samples, outputs=outputs, spectra=spectra)
+    return RefinementKernel(grid=grid, a_inv=a_inv, detq_abs=float(detq_abs), nu=nu,
+                            blocks=blocks, indicators=indicators, masks=masks,
+                            fft_shape=fft_shape, samples=samples, outputs=outputs,
+                            spectra=spectra)
 
 
 def initial_density(kernel, w):
@@ -461,17 +458,19 @@ def fourier_product(windows_ji, nu, w, a_matrix, k, depth=None):
 
 
 def grid_ft(density, ks):
-    """Midpoint-rule Fourier transform of every channel at the wavevectors."""
+    """Midpoint-rule Fourier transform of every channel at the wavevectors.
+
+    One matrix product per non-zero channel covers all wavevectors; an
+    all-zero channel transforms to exactly zero.
+    """
     ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-    xs = density.grid.x_centers()
-    ys = density.grid.y_centers()
+    px = np.exp(-1j * np.outer(ks[:, 0], density.grid.x_centers()))
+    py = np.exp(-1j * np.outer(ks[:, 1], density.grid.y_centers()))
     out = np.zeros((density.r, len(ks)), dtype=complex)
-    h2 = density.grid.h**2
-    for n, k in enumerate(ks):
-        px = np.exp(-1j * k[0] * xs)
-        py = np.exp(-1j * k[1] * ys)
-        for j in range(density.r):
-            out[j, n] = h2 * (py @ (density.values[j] @ px))
+    for j, values in enumerate(density.values):
+        if values.any():
+            rows = py.real @ values + 1j * (py.imag @ values)  # no complex copy of values
+            out[j] = density.grid.h**2 * np.einsum("nx,nx->n", rows, px)
     return out
 
 
@@ -482,6 +481,8 @@ def compare_solvers(density, windows_ji, nu, w, a_matrix, ks):
     maximum over the sampled wavevectors and channels.
     """
     ks = np.asarray(ks, dtype=float).reshape(-1, 2)
+    if not len(ks):
+        raise ValueError("no wavevectors to compare the solvers at")
     w = np.asarray(w, dtype=float)
     via_grid = grid_ft(density, ks)
     scale = np.abs(w).max()

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cyclotomic import TAU, CycInt, embedding_matrix
-from .pfsolve import pf_eigen
 from .polygeom import Region, area, contains, contains_many, erode, linear_image, translate
 
 POLICY_AREA = "area-markov"
@@ -105,37 +104,6 @@ class ModulePoint:
     coeffs: CycInt
     phys: complex
     internal: complex
-
-
-@dataclass
-class TransitionData:
-    """Transition structure of a scheme for a fixed similarity."""
-
-    windows_ji: list
-    nu: np.ndarray
-    pf_value: float
-    pf_vector: np.ndarray
-    tsets: list = None
-
-
-def build_transition_data(spec, policy=POLICY_AREA, matrix=None, tset_radius=None):
-    """Assemble the full transition structure in one call.
-
-    Computes the transition-window table, the weight matrix under the given
-    policy, its dominant eigenpair, and optionally the translation sets out
-    to tset_radius.
-    """
-    windows_ji = transition_windows(spec)
-    nu = build_nu(spec, windows_ji, policy=policy, matrix=matrix)
-    result = pf_eigen(nu)
-    if np.max(np.abs(nu @ result.w - result.lambda_max * result.w)) > 1e-10:
-        raise RuntimeError("eigenpair residual exceeds 1e-10")
-    tsets = None
-    if tset_radius is not None:
-        tsets = translation_sets(spec, windows_ji, tset_radius)
-    return TransitionData(windows_ji=windows_ji, nu=nu,
-                          pf_value=result.lambda_max, pf_vector=result.w,
-                          tsets=tsets)
 
 
 def penrose_scheme(gamma=0j, boundary_mode="closed"):

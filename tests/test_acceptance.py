@@ -12,7 +12,7 @@ import pytest
 
 from modelsets import cli, refine, scheme, verify
 from modelsets.polygeom import Region, linear_image
-from tests.conftest import TAU
+from tests.conftest import TAU, _solve
 from tests.test_scheme import EXAMPLE1_NU, TABLE_SCALES, expected_region
 
 
@@ -24,11 +24,7 @@ def criterion(number, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def solve2_256(spec, transitions, nu_explicit, pf_explicit):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine.grid_for_windows(windows, 1 / 256)
-    kernel = refine.build_kernel(windows, transitions, nu_explicit,
-                                 spec.a_matrix(), spec.detq_abs, grid)
-    return refine.solve_fixed_point(kernel, pf_explicit.w)
+    return _solve(spec, transitions, nu_explicit, pf_explicit.w, 1 / 256)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,11 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from modelsets import cli
 from tests.conftest import TAU
@@ -130,6 +134,48 @@ def test_invalid_values_rejected(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
     assert run(["solve", "--preset", "nope", "--out", str(tmp_path)]) == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+BAD_CONFIGS = [
+    # each value would otherwise make a cross-check vacuous or crash mid-run
+    ("k_count = 0\n", "k_count"),
+    ("k_max = 0\n", "k_max"),
+    ("id2_samples = 0\n", "id2_samples"),
+    ("supersample = 0\n", "supersample"),
+    ("closure_s = -1\n", "closure_s"),
+    ("tol = 0\n", "tol"),
+    ("maxit = 0\n", "maxit"),
+    ("s = 0\n", "s"),
+    ("h = -0.01\n", "h"),
+    ("k_count = many\n", "k_count"),
+    ("boundary = fuzzy\n", "boundary"),
+    ("nu_policy = magic\n", "nu_policy"),
+    ("scheme = hexagonal\n", "scheme"),
+    ("gamma = 0.1\n", "gamma"),
+    ("nu_policy = explicit\n", "explicit"),
+    ("nu_row1 = 1 0 0 0\n", "nu_row2"),
+]
+
+
+@pytest.mark.parametrize("text,key", BAD_CONFIGS, ids=[key for _, key in BAD_CONFIGS])
+def test_bad_config_table(tmp_path, capsys, text, key):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run(["verify", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+def test_tracer_installs():
+    # the benchmark tracer wraps functions by name; a removed name breaks it
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = ['perfbench', 'src']; "
+            "from tracer import Tracer, install; install(Tracer('t'))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_ghost_transition_fails_before_output(tmp_path, capsys):

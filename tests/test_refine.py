@@ -278,6 +278,9 @@ def test_compare_solvers_toy():
     dev0 = compare_solvers(res.density, trans, np.array([[1.0]]),
                            np.array([1.0]), 0.5 * np.eye(2), [(0.0, 0.0)])
     assert abs(dev0 - abs(res.density.masses[0] - 1.0)) < 1e-12
+    with pytest.raises(ValueError, match="no wavevectors"):
+        compare_solvers(res.density, trans, np.array([[1.0]]), np.array([1.0]),
+                        0.5 * np.eye(2), np.zeros((0, 2)))
 
 
 def test_write_density_grid_format(tmp_path):

@@ -2,8 +2,8 @@
 
 The oracles are the former implementations: the refinement step as one
 `fftconvolve` per transition on the full grid, the rasterizer that probes
-every cell of the bounding box, the per-value density writers and the
-per-entry Fourier matrix product.
+every cell of the bounding box, the per-value density writers, the
+per-entry Fourier matrix product and the per-wavevector grid transform.
 """
 
 import io
@@ -137,6 +137,19 @@ def oracle_fourier_product(windows_ji, nu, w, a_matrix, k):
     return acc
 
 
+def oracle_grid_ft(density, ks):
+    xs = density.grid.x_centers()
+    ys = density.grid.y_centers()
+    out = np.zeros((density.r, len(ks)), dtype=complex)
+    h2 = density.grid.h**2
+    for n, k in enumerate(ks):
+        px = np.exp(-1j * k[0] * xs)
+        py = np.exp(-1j * k[1] * ys)
+        for j in range(density.r):
+            out[j, n] = h2 * (py @ (density.values[j] @ px))
+    return out
+
+
 def assert_steps_agree(f, kernel, conserve_mass):
     got = apply_refinement(f, kernel, conserve_mass=conserve_mass)
     want = oracle_step(f, kernel, conserve_mass=conserve_mass)
@@ -205,6 +218,21 @@ def test_fourier_product_matches_oracle(spec, transitions, nu_area, pf_area,
             got = fourier_product(transitions, nu, pf.w, spec.a_matrix(), k)
             want = oracle_fourier_product(transitions, nu, pf.w, spec.a_matrix(), k)
             assert np.abs(got - want).max() <= 1e-12
+
+
+def test_grid_ft_matches_oracle(solve1_128):
+    rng = np.random.default_rng(31)
+    ks = np.vstack([rng.uniform(-30, 30, size=(25, 2)), [(0.0, 0.0)]])
+    example1 = solve1_128.density
+    assert not example1.values[0].any() and not example1.values[3].any()
+    values = rng.uniform(size=(3, 41, 37))
+    values[1] = 0.0
+    toy = DensityGrid.from_values(GridSpec(origin=(-0.7, -0.6), h=1 / 32, nx=37, ny=41),
+                                  values)
+    for density in (example1, toy):
+        got = refine.grid_ft(density, ks)
+        assert np.abs(got - oracle_grid_ft(density, ks)).max() <= 1e-12
+        assert np.all(got[~density.values.any(axis=(1, 2))] == 0)
 
 
 def test_polygon_ft_table_matches_scalar(transitions):

@@ -6,6 +6,7 @@ from scipy.spatial import cKDTree
 
 from modelsets import scheme
 from modelsets.cyclotomic import CycInt, TAU as TAU_CYC
+from modelsets.pfsolve import pf_eigen
 from modelsets.polygeom import Region, area, contains, contains_many, linear_image
 from tests.conftest import EXAMPLE2_NU, TAU
 
@@ -268,14 +269,16 @@ def test_points_csv(spec):
 
 
 def test_build_transition_data(spec):
-    data = scheme.build_transition_data(spec, tset_radius=5.0)
-    assert abs(data.pf_value - 1.0) < 1e-10
-    assert np.abs(data.nu @ data.pf_vector - data.pf_vector).max() <= 1e-10
-    areas = np.array([[area(data.windows_ji[j][i]) for i in range(4)]
-                      for j in range(4)])
-    assert np.all(data.nu[areas == 0] == 0)
-    assert data.tsets[0][2] == []
-    assert len(data.tsets[1][0]) > 0
+    windows_ji = scheme.transition_windows(spec)
+    nu = scheme.build_nu(spec, windows_ji)
+    pf = pf_eigen(nu)
+    tsets = scheme.translation_sets(spec, windows_ji, 5.0)
+    assert abs(pf.lambda_max - 1.0) < 1e-10
+    assert np.abs(nu @ pf.w - pf.w).max() <= 1e-10
+    areas = np.array([[area(windows_ji[j][i]) for i in range(4)] for j in range(4)])
+    assert np.all(nu[areas == 0] == 0)
+    assert tsets[0][2] == []
+    assert len(tsets[1][0]) > 0
 
 
 def test_density_ratio_converges_with_radius(points40):

@@ -5,16 +5,12 @@ import pytest
 
 from modelsets import refine, scheme, verify
 from modelsets.polygeom import Region, linear_image
-from tests.conftest import TAU
+from tests.conftest import TAU, _solve
 
 
 @pytest.fixture(scope="module")
 def coarse_solution(spec, transitions, nu_explicit, pf_explicit):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine.grid_for_windows(windows, 1 / 64)
-    kernel = refine.build_kernel(windows, transitions, nu_explicit,
-                                 spec.a_matrix(), spec.detq_abs, grid)
-    return refine.solve_fixed_point(kernel, pf_explicit.w).density
+    return _solve(spec, transitions, nu_explicit, pf_explicit.w, 1 / 64).density
 
 
 @pytest.fixture(scope="module")
