@@ -195,6 +195,8 @@ def build_config(args):
                 "k_count", "k_max"):
         if not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']!r}")
     if cfg["boundary"] not in ("closed", "open"):
         raise ConfigError("boundary must be 'closed' or 'open'")
     if cfg["scheme"] == "penrose":
@@ -382,11 +384,11 @@ def cmd_verify(cfg, outdir):
                 expected = areas[j] / areas[i]
                 ratio_dev = max(ratio_dev, abs(measured / expected - 1.0))
     lines.append(verify.ReportLine("DENSITY.ratio_max_reldev", ratio_dev, 0.05))
-    r = cfg.spec.r
     if cfg.s >= cfg.closure_s:
         closure_points = points
-        closure_tsets = [[[v for v in tsets[j][i] if abs(v.phys) <= cfg.closure_s]
-                          for i in range(r)] for j in range(r)]
+        near = [[np.abs(t.phys) <= cfg.closure_s for t in row] for row in tsets]
+        closure_tsets = [[scheme.PointSet(t.coeffs[m], t.phys[m], t.internal[m])
+                          for t, m in zip(row, mrow)] for row, mrow in zip(tsets, near)]
     else:
         closure_points = scheme.generate_all(cfg.spec, cfg.closure_s)
         closure_tsets = scheme.translation_sets(cfg.spec, trans, cfg.closure_s)

@@ -115,6 +115,11 @@ class CycInt:
         """Complex value of the Galois conjugate (the star image)."""
         return sum(m * b for m, b in zip(self.coeffs, _STAR_BASIS))
 
+    def mult_matrix(self):
+        """4x4 int64 matrix M of multiplication by self: M @ b.coeffs == (self * b).coeffs."""
+        cols = [(self * CycInt(*unit)).coeffs for unit in np.eye(4, dtype=np.int64)]
+        return np.array(cols, dtype=np.int64).T
+
     def inverse(self):
         """Multiplicative inverse, if the element is a unit of the ring.
 
@@ -122,11 +127,9 @@ class CycInt:
         and verifies the rounded solution exactly; raises ValueError for
         non-units.
         """
-        cols = [(self * CycInt(*(1 if k == j else 0 for k in range(4)))).coeffs
-                for j in range(4)]
-        mat = np.array(cols, dtype=float).T
         try:
-            sol = np.linalg.solve(mat, np.array([1.0, 0.0, 0.0, 0.0]))
+            sol = np.linalg.solve(self.mult_matrix().astype(float),
+                                  np.array([1.0, 0.0, 0.0, 0.0]))
         except np.linalg.LinAlgError:
             raise ValueError(f"{self!r} is not invertible")
         cand = CycInt(*(round(x) for x in sol))

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import TAU, CycInt, embedding_matrix
+from .cyclotomic import TAU, CoefficientOverflow, CycInt, embedding_matrix
+# contains is unused here but stays importable: perfbench/tracer.py wraps scheme.contains
 from .polygeom import Region, area, contains, contains_many, erode, linear_image, translate
 
 POLICY_AREA = "area-markov"
@@ -87,23 +88,20 @@ class SchemeSpec:
         return translate(self.windows[i - 1], (self.gamma.real, self.gamma.imag))
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    """A point of one component, with both embeddings cached."""
+@dataclass(eq=False)
+class PointSet:
+    """Module points as arrays, one row per point in coefficient order.
 
-    component: int
-    coeffs: CycInt
-    phys: complex
-    internal: complex
+    coeffs is (n, 4) int64; phys and internal are the complex physical and
+    internal (star) images, each of length n.
+    """
 
+    coeffs: np.ndarray
+    phys: np.ndarray
+    internal: np.ndarray
 
-@dataclass(frozen=True)
-class ModulePoint:
-    """A module element used as a self-similarity translation."""
-
-    coeffs: CycInt
-    phys: complex
-    internal: complex
+    def __len__(self):
+        return len(self.coeffs)
 
 
 def penrose_scheme(gamma=0j, boundary_mode="closed"):
@@ -226,9 +224,9 @@ def _select(targets, radius, eps):
     """Module points within the physical radius, split by residue and window.
 
     targets is a list of (residue, window) pairs.  For each one, returns the
-    (coeffs, phys, internal) arrays of the points with that coefficient-sum
-    residue mod 5 whose internal image lies in the window within eps, in
-    lexicographic coefficient order.
+    PointSet of the points with that coefficient-sum residue mod 5 whose
+    internal image lies in the window within eps, in lexicographic
+    coefficient order.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -241,47 +239,35 @@ def _select(targets, radius, eps):
         sel = np.flatnonzero(rho == residue)
         sel = sel[contains_many(window, pts[sel], eps)]
         sel = sel[np.lexsort(coeffs[sel][:, ::-1].T)]  # m0 is the primary key
-        out.append((coeffs[sel], phys[sel], internal[sel]))
+        out.append(PointSet(coeffs[sel], phys[sel], internal[sel]))
     return out
 
 
 def generate_all(spec, radius):
-    """All component point lists out to the given physical radius.
+    """One PointSet per component, out to the given physical radius.
 
     One output-sensitive lattice enumeration finds the module points in
     the physical disk whose internal image can reach a window; they are
-    split by residue and window membership, and each list is sorted by
+    split by residue and window membership, and each set is sorted by
     coefficient tuple.
     """
     targets = [(z.rho(), spec.shifted_window(i + 1)) for i, z in enumerate(spec.coset_reps)]
-    return [[LabeledPoint(idx + 1, CycInt(*c), complex(x), complex(u))
-             for c, x, u in zip(*found)]
-            for idx, found in enumerate(_select(targets, radius, spec.eps))]
-
-
-def generate_points(spec, component, radius):
-    """Point list of one component (1-based) out to the given radius."""
-    if not 1 <= component <= spec.r:
-        raise ValueError("component index out of range")
-    return generate_all(spec, radius)[component - 1]
+    return _select(targets, radius, spec.eps)
 
 
 def translation_sets(spec, windows_ji, radius):
-    """r x r lists of admissible self-similarity translations.
+    """r x r PointSets of admissible self-similarity translations.
 
     Entry (j, i) holds the module points y with residue matching the coset
     z_j - Q z_i, physical modulus at most radius, and internal image inside
-    the transition window (j, i); empty windows give empty lists.
+    the transition window (j, i); empty windows give empty sets.
     """
     r = spec.r
-    keys = [(j, i) for j in range(r) for i in range(r) if not windows_ji[j][i].is_empty]
     targets = [((spec.coset_reps[j] - spec.q_mult * spec.coset_reps[i]).rho(), windows_ji[j][i])
-               for j, i in keys]
+               for j in range(r) for i in range(r)]
     eps = abs(spec.eps)  # transition windows relax the interior-closure condition
-    out = [[[] for _ in range(r)] for _ in range(r)]
-    for (j, i), found in zip(keys, _select(targets, radius, eps)):
-        out[j][i] = [ModulePoint(CycInt(*c), complex(x), complex(u)) for c, x, u in zip(*found)]
-    return out
+    found = _select(targets, radius, eps)
+    return [found[j * r:(j + 1) * r] for j in range(r)]
 
 
 @dataclass
@@ -293,6 +279,13 @@ class ClosureReport:
     boundary_hits: int = 0
 
 
+def _check_int64(scale, *arrays):
+    """Raise unless scale times the sum of the arrays' largest |entries| fits in int64."""
+    bound = scale * sum(max(int(a.max()), -int(a.min())) for a in arrays)
+    if bound >= 2**63:
+        raise CoefficientOverflow(f"coefficients up to {bound} exceed the 64-bit range")
+
+
 def check_selfsim_closure(spec, points, tsets, radius):
     """Verify that every admissible similarity maps the patch into the set.
 
@@ -300,29 +293,40 @@ def check_selfsim_closure(spec, points, tsets, radius):
     translation v in the (j, i) translation set, Q x + v must again belong
     to component j; membership is decided exactly on coefficients plus the
     window test.  Points landing within the boundary tolerance are counted
-    separately rather than as violations.
+    separately rather than as violations.  Each (j, i) pair is one int64
+    pass over all (x, v); CoefficientOverflow is raised before any product
+    or sum that could leave the 64-bit range.
     """
     report = ClosureReport(checked=0)
     eps = abs(spec.eps)
-    for i in range(1, spec.r + 1):
-        for x in points[i - 1]:
-            if abs(x.phys) > radius:
+    qmat = spec.q_mult.mult_matrix()
+    q_norm = max(sum(map(abs, row)) for row in qmat.tolist())
+    star = embedding_matrix()[2:]
+    for i in range(spec.r):
+        x = points[i].coeffs[np.abs(points[i].phys) <= radius]
+        bad = []  # (x row, j, v row) of every violation, sorted into the scalar loop's order
+        for j in range(spec.r):
+            v = tsets[j][i].coeffs
+            if not len(x) or not len(v):
                 continue
-            for j in range(1, spec.r + 1):
-                window = spec.shifted_window(j)
-                for v in tsets[j - 1][i - 1]:
-                    y = spec.q_mult * x.coeffs + v.coeffs
-                    report.checked += 1
-                    if y.rho() != spec.coset_reps[j - 1].rho():
-                        report.violations.append((i, j, x.coeffs, v.coeffs))
-                        continue
-                    u = y.internal()
-                    if contains(window, (u.real, u.imag), -eps):
-                        continue  # safely interior
-                    if contains(window, (u.real, u.imag), eps):
-                        report.boundary_hits += 1
-                    else:
-                        report.violations.append((i, j, x.coeffs, v.coeffs))
+            _check_int64(q_norm, x)
+            qx = x @ qmat.T
+            _check_int64(1, qx, v)
+            y = (qx[:, None, :] + v[None, :, :]).reshape(-1, 4)
+            report.checked += len(y)
+            residue_ok = (y % 5).sum(axis=1) % 5 == spec.coset_reps[j].rho()
+            yf = y.astype(float)
+            # summed term by term, as the scalar star embedding does
+            u = np.column_stack([sum(yf[:, k] * row[k] for k in range(4)) for row in star])
+            window = spec.shifted_window(j + 1)
+            inner = contains_many(window, u, -eps)
+            outer = contains_many(window, u, eps)
+            report.boundary_hits += int(np.count_nonzero(residue_ok & ~inner & outer))
+            rows = np.flatnonzero(~residue_ok | ~(inner | outer))
+            bad += [(a, j, b) for a, b in zip(*np.divmod(rows, len(v)))]
+        for a, j, b in sorted(bad):
+            report.violations.append((i + 1, j + 1, tuple(x[a].tolist()),
+                                      tuple(tsets[j][i].coeffs[b].tolist())))
     return report
 
 
@@ -331,20 +335,15 @@ def _fmt(x):
 
 
 def write_points_csv(points, fileobj):
-    """Write labeled points as CSV (flattened list or per-component lists)."""
-    if points and isinstance(points[0], list):
-        flat = [p for comp in points for p in comp]
-    else:
-        flat = list(points)
-    flat.sort(key=lambda p: (p.component, p.coeffs.coeffs))
+    """Write per-component PointSets as CSV; component k is points[k - 1]."""
     fileobj.write(POINTS_CSV_HEADER + "\n")
-    for p in flat:
-        m0, m1, m2, m3 = p.coeffs.coeffs
-        fileobj.write(",".join([
-            str(p.component), str(m0), str(m1), str(m2), str(m3),
-            _fmt(p.phys.real), _fmt(p.phys.imag),
-            _fmt(p.internal.real), _fmt(p.internal.imag),
-        ]) + "\n")
+    for component, ps in enumerate(points, start=1):
+        for (m0, m1, m2, m3), x, u in zip(ps.coeffs.tolist(), ps.phys.tolist(),
+                                          ps.internal.tolist()):
+            fileobj.write(",".join([
+                str(component), str(m0), str(m1), str(m2), str(m3),
+                _fmt(x.real), _fmt(x.imag), _fmt(u.real), _fmt(u.imag),
+            ]) + "\n")
 
 
 def points_csv_text(points):

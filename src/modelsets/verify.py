@@ -22,18 +22,19 @@ class InsufficientRadiusError(RuntimeError):
     """A translation set needed by the averaged equations is empty."""
 
 
-def _internal_coords(points):
-    return np.array([[p.internal.real, p.internal.imag] for p in points])
+def _xy(z):
+    """(n, 2) real coordinates of a complex array."""
+    return np.column_stack([z.real, z.imag])
 
 
 def weyl_test(points, window, sub, eps=1e-9):
-    """Fraction of internal images in a sub-window vs. the area ratio.
+    """Fraction of a PointSet's internal images in a sub-window vs. the area ratio.
 
     Returns (empirical fraction, expected fraction, absolute deviation).
     """
     if not points:
-        raise ValueError("weyl_test needs a non-empty point list")
-    pts = _internal_coords(points)
+        raise ValueError("weyl_test needs a non-empty point set")
+    pts = _xy(points.internal)
     inside = contains_many(sub, pts, eps)
     empirical = inside.sum() / len(pts)
     expected = area(sub) / area(window)
@@ -50,15 +51,12 @@ def sample_density(density, channel, pts):
                            mode="constant", cval=0.0, prefilter=False)
 
 
-def point_weights(spec, density, points, component):
-    """Density weights of labeled points: the channel sampled at the star image.
+def point_weights(spec, density, internal, component):
+    """Density weights at internal images (a complex array): the channel sampled there.
 
-    Points whose internal image lies outside the component window carry
-    weight zero.
+    Images outside the component window carry weight zero.
     """
-    if not points:
-        return np.zeros(0)
-    pts = _internal_coords(points)
+    pts = _xy(internal)
     vals = sample_density(density, component, pts)
     inside = contains_many(spec.shifted_window(component), pts, abs(spec.eps))
     vals[~inside] = 0.0
@@ -91,44 +89,37 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0,
     q_abs = abs(spec.q_phys)
     a_inv = 1.0 / spec.a_internal
     eps = abs(spec.eps)
-    pool = []
-    for j in range(1, spec.r + 1):
-        for p in points[j - 1]:
-            if abs(p.phys) <= radius / q_abs:
-                pool.append(p)
-    if not pool:
+    near = [np.abs(p.phys) <= radius / q_abs for p in points]
+    pool_comp = np.concatenate([np.full(m.sum(), j) for j, m in enumerate(near)])
+    pool = np.concatenate([p.internal[m] for p, m in zip(points, near)])
+    if not len(pool):
         raise InsufficientRadiusError("no sample points inside radius/q")
     rng = np.random.default_rng(seed)
     if len(pool) > samples:
-        pool = [pool[k] for k in rng.choice(len(pool), size=samples, replace=False)]
-    t_internal = [[None] * spec.r for _ in range(spec.r)]
+        pick = rng.choice(len(pool), size=samples, replace=False)
+        pool_comp, pool = pool_comp[pick], pool[pick]
+    lhs = np.zeros(len(pool))
+    rhs = np.zeros(len(pool))
     for j in range(spec.r):
+        mine = pool_comp == j
+        lhs[mine] = point_weights(spec, density, pool[mine], j + 1)
         for i in range(spec.r):
-            if nu[j, i] > 0:
-                tset = [v for v in tsets[j][i] if abs(v.phys) <= radius]
-                if not tset:
-                    raise InsufficientRadiusError(
-                        f"insufficient radius: translation set ({j + 1},{i + 1}) "
-                        f"is empty at radius {radius}")
-                t_internal[j][i] = np.array([v.internal for v in tset])
-    floor = scale_floor * max(density.values.max(), 1e-300)
-    residuals = []
-    for p in pool:
-        j = p.component
-        lhs = point_weights(spec, density, [p], j)[0]
-        rhs = 0.0
-        for i in range(1, spec.r + 1):
-            if nu[j - 1, i - 1] == 0:
+            if nu[j, i] == 0:
                 continue
-            eta = (p.internal - t_internal[j - 1][i - 1]) * a_inv
-            pts = np.column_stack([eta.real, eta.imag])
-            vals = sample_density(density, i, pts)
-            inside = contains_many(spec.shifted_window(i), pts, eps)
-            vals[~inside] = 0.0
-            rhs += nu[j - 1, i - 1] * vals.mean()
-        rhs *= spec.detq_abs
-        residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor))
-    residuals = np.array(residuals)
+            t = tsets[j][i].internal[np.abs(tsets[j][i].phys) <= radius]
+            if not len(t):
+                raise InsufficientRadiusError(
+                    f"insufficient radius: translation set ({j + 1},{i + 1}) "
+                    f"is empty at radius {radius}")
+            # every (sample, translation) preimage at once; one row per sample
+            eta = (pool[mine][:, None] - t[None, :]) * a_inv
+            pts = _xy(eta.ravel())
+            vals = sample_density(density, i + 1, pts)
+            vals[~contains_many(spec.shifted_window(i + 1), pts, eps)] = 0.0
+            rhs[mine] += nu[j, i] * vals.reshape(eta.shape).mean(axis=1)
+    rhs *= spec.detq_abs
+    floor = scale_floor * max(density.values.max(), 1e-300)
+    residuals = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
     return Id2Report(mean_residual=float(residuals.mean()),
                      max_residual=float(residuals.max()),
                      samples=len(residuals))
@@ -145,7 +136,7 @@ def id3_values(spec, density, points):
         comp = points[j - 1]
         if not comp:
             continue
-        vals = point_weights(spec, density, comp, j)
+        vals = point_weights(spec, density, comp.internal, j)
         out[j - 1] = area(spec.shifted_window(j)) * vals.mean()
     return out
 
@@ -162,7 +153,7 @@ def density_estimate(points, s_list):
     r = len(points)
     out = np.zeros((r, len(s_list)))
     for j in range(r):
-        radii = np.array([abs(p.phys) for p in points[j]])
+        radii = np.abs(points[j].phys)
         for n, s in enumerate(s_list):
             out[j, n] = (radii <= s).sum() / (np.pi * s * s)
     return out

@@ -12,7 +12,7 @@ import pytest
 
 from modelsets import cli, refine, scheme, verify
 from modelsets.polygeom import Region, linear_image
-from tests.conftest import TAU, _solve
+from tests.conftest import TAU, _solve, within
 from tests.test_scheme import EXAMPLE1_NU, TABLE_SCALES, expected_region
 
 
@@ -145,8 +145,7 @@ def test_ac8_equidistribution_and_density(spec, points40):
 
 
 def test_ac9_selfsim_closure(spec, points40, tsets40):
-    tsets5 = [[[v for v in tsets40[j][i] if abs(v.phys) <= 5.0]
-               for i in range(4)] for j in range(4)]
+    tsets5 = [[within(t, 5.0) for t in row] for row in tsets40]
     report = scheme.check_selfsim_closure(spec, points40, tsets5, 5.0)
     criterion(9, "self-similarity closure",
               report.checked > 0 and len(report.violations) == 0,

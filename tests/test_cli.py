@@ -154,6 +154,7 @@ BAD_CONFIGS = [
     ("gamma = 0.1\n", "gamma"),
     ("nu_policy = explicit\n", "explicit"),
     ("nu_row1 = 1 0 0 0\n", "nu_row2"),
+    ("seed = -1\n", "seed"),
 ]
 
 
@@ -176,6 +177,21 @@ def test_tracer_installs():
     done = subprocess.run([sys.executable, "-c", code], cwd=root,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_counts_match_points_csv(tmp_path):
+    # the tracer counts generate_all's points as the sum of len() per component
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = ['perfbench', 'src']; "
+            "from tracer import Tracer, install; from modelsets import cli; "
+            "t = Tracer('t'); install(t); "
+            f"assert cli.main(['points', '--s', '10', '--out', {str(tmp_path)!r}]) == 0; "
+            "print(t.counts['scheme.generate_all.points'])")
+    done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    rows = (tmp_path / "points.csv").read_text().strip().split("\n")[1:]
+    assert int(done.stdout) == len(rows) > 0
 
 
 def test_ghost_transition_fails_before_output(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modelsets.cyclotomic import (ONE, TAU, XI, ZERO, CoefficientOverflow,
                                   CycInt, embedding_matrix)
@@ -106,3 +107,40 @@ def test_embedding_matrix_shape():
     vec = B @ np.array(a.coeffs)
     assert abs(complex(vec[0], vec[1]) - a.physical()) < 1e-12
     assert abs(complex(vec[2], vec[3]) - a.internal()) < 1e-12
+
+
+elements = st.tuples(*[st.integers(min_value=-10**5, max_value=10**5)] * 4).map(
+    lambda m: CycInt(*m))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=elements, b=elements, c=elements)
+def test_ring_axioms(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+    assert a + (-a) == ZERO and a - b == a + (-b)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=elements, b=elements)
+def test_star_and_embeddings_are_ring_homomorphisms(a, b):
+    assert (a + b).star() == a.star() + b.star()
+    assert (a * b).star() == a.star() * b.star()
+    assert ONE.star() == ONE
+    scale = (1 + max(map(abs, a.coeffs))) * (1 + max(map(abs, b.coeffs)))
+    for embed in (CycInt.physical, CycInt.internal):
+        assert abs(embed(a + b) - (embed(a) + embed(b))) <= 1e-12 * scale
+        assert abs(embed(a * b) - embed(a) * embed(b)) <= 1e-12 * scale
+        assert embed(ONE) == 1
+    assert abs(a.star().physical() - a.internal()) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=elements, b=elements)
+def test_mult_matrix(a, b):
+    m = a.mult_matrix()
+    assert m.dtype == np.int64 and m.shape == (4, 4)
+    assert tuple((m @ np.array(b.coeffs)).tolist()) == (a * b).coeffs

@@ -54,9 +54,9 @@ def oracle_select(targets, radius, eps):
 
 
 def assert_same_points(got, expected):
-    assert [p.coeffs.coeffs for p in got] == [c for c, _, _ in expected]
-    for p, (_, x, u) in zip(got, expected):
-        assert abs(p.phys - x) <= 1e-12 and abs(p.internal - u) <= 1e-12
+    assert list(map(tuple, got.coeffs.tolist())) == [c for c, _, _ in expected]
+    for x, u, (_, x0, u0) in zip(got.phys, got.internal, expected):
+        assert abs(x - x0) <= 1e-12 and abs(u - u0) <= 1e-12
 
 
 def oracle_generate_all(spec, radius):
@@ -121,13 +121,12 @@ def test_ellipsoid_holding_only_the_origin(spec, transitions):
     coeffs, phys, internal = scheme._enumerate_module(1e-3, 1e-3)
     assert coeffs.tolist() == [[0, 0, 0, 0]]
     assert phys.tolist() == [0j] and internal.tolist() == [0j]
-    assert scheme.generate_all(spec, 1e-3) == [[], [], [], []]
+    assert [c.coeffs.shape for c in scheme.generate_all(spec, 1e-3)] == [(0, 4)] * 4
     tsets = scheme.translation_sets(spec, transitions, 1e-3)
     # the origin has residue 0; the (j, i) windows with rho(z_j - tau z_i) = 0 contain it
     hits = sorted((j + 1, i + 1) for j in range(4) for i in range(4) if tsets[j][i])
     assert hits == [(1, 2), (2, 4), (3, 1), (4, 3)]
-    assert all([v.coeffs.coeffs for v in tsets[j - 1][i - 1]] == [(0, 0, 0, 0)]
-               for j, i in hits)
+    assert all(tsets[j - 1][i - 1].coeffs.tolist() == [[0, 0, 0, 0]] for j, i in hits)
 
 
 def test_points_csv_bytes_unchanged(points40):

@@ -5,10 +5,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from modelsets import scheme
-from modelsets.cyclotomic import CycInt, TAU as TAU_CYC
+from modelsets.cyclotomic import CoefficientOverflow, CycInt, TAU as TAU_CYC
 from modelsets.pfsolve import pf_eigen
 from modelsets.polygeom import Region, area, contains, contains_many, linear_image
-from tests.conftest import EXAMPLE2_NU, TAU
+from tests.conftest import EXAMPLE2_NU, TAU, within
 
 # frozen by the brute-force enumeration oracle below (run at s = 10)
 ORACLE_COUNTS_S10 = (70, 155, 155, 70)
@@ -156,7 +156,7 @@ def test_generate_all_against_live_oracle(spec):
     got = scheme.generate_all(spec, 6.0)
     expected = oracle_enumeration(6.0)
     for comp in range(1, 5):
-        assert {p.coeffs.coeffs for p in got[comp - 1]} == expected[comp]
+        assert set(map(tuple, got[comp - 1].coeffs.tolist())) == expected[comp]
 
 
 def test_generate_all_frozen_count(spec):
@@ -164,36 +164,36 @@ def test_generate_all_frozen_count(spec):
     assert tuple(len(c) for c in got) == ORACLE_COUNTS_S10
 
 
+def coeff_set(points):
+    return set(map(tuple, points.coeffs.tolist()))
+
+
 def test_point_membership_basics(spec):
     pts = scheme.generate_all(spec, 2.0)
-    assert any(p.coeffs == CycInt(1) for p in pts[0])  # 1* = 1 is a vertex of P
-    for comp in pts:
-        for p in comp:
-            assert p.coeffs != CycInt(0)
-            assert p.coeffs.rho() == p.component
-            assert contains(spec.shifted_window(p.component),
-                            (p.internal.real, p.internal.imag), abs(spec.eps))
-
-
-def test_generate_points_single_component(spec):
-    all_pts = scheme.generate_all(spec, 4.0)
-    one = scheme.generate_points(spec, 2, 4.0)
-    assert [p.coeffs for p in one] == [p.coeffs for p in all_pts[1]]
+    assert [1, 0, 0, 0] in pts[0].coeffs.tolist()  # 1* = 1 is a vertex of P
+    for component, comp in enumerate(pts, start=1):
+        assert comp.coeffs.dtype == np.int64 and comp.coeffs.shape == (len(comp), 4)
+        assert not np.any(np.all(comp.coeffs == 0, axis=1))
+        assert np.all(comp.coeffs.sum(axis=1) % 5 == component)
+        for m, x, u in zip(comp.coeffs.tolist(), comp.phys, comp.internal):
+            assert abs(x - CycInt(*m).physical()) <= 1e-12
+            assert abs(u - CycInt(*m).internal()) <= 1e-12
+        assert contains_many(spec.shifted_window(component),
+                             np.column_stack([comp.internal.real, comp.internal.imag]),
+                             abs(spec.eps)).all()
 
 
 def test_monotone_in_radius(spec):
     small = scheme.generate_all(spec, 5.0)
     large = scheme.generate_all(spec, 8.0)
     for comp in range(4):
-        small_set = {p.coeffs for p in small[comp]}
-        large_set = {p.coeffs for p in large[comp]}
-        assert small_set <= large_set
+        assert coeff_set(small[comp]) <= coeff_set(large[comp])
 
 
 def test_components_disjoint(points40):
     seen = set()
     for comp in points40:
-        coeffs = {p.coeffs for p in comp}
+        coeffs = coeff_set(comp)
         assert not (coeffs & seen)
         seen |= coeffs
 
@@ -201,8 +201,8 @@ def test_components_disjoint(points40):
 def test_uniform_discreteness(points40):
     mins = []
     for s in (10.0, 20.0, 40.0):
-        pts = np.array([[p.phys.real, p.phys.imag]
-                        for comp in points40 for p in comp if abs(p.phys) <= s])
+        phys = np.concatenate([comp.phys[np.abs(comp.phys) <= s] for comp in points40])
+        pts = np.column_stack([phys.real, phys.imag])
         d, _ = cKDTree(pts).query(pts, k=2)
         mins.append(d[:, 1].min())
     assert min(mins) > 0.3
@@ -212,7 +212,7 @@ def test_uniform_discreteness(points40):
 def test_equidistribution(points40):
     sub = Region.polygon([(math.cos(2 * math.pi * k / 5) / TAU,
                            math.sin(2 * math.pi * k / 5) / TAU) for k in range(5)])
-    pts = np.array([[p.internal.real, p.internal.imag] for p in points40[0]])
+    pts = np.column_stack([points40[0].internal.real, points40[0].internal.imag])
     frac = contains_many(sub, pts).mean()
     assert abs(frac - TAU**-2) <= 5 / math.sqrt(len(pts))
 
@@ -222,12 +222,14 @@ def test_equidistribution(points40):
 def test_translation_sets(spec, transitions):
     tsets = scheme.translation_sets(spec, transitions, 10.0)
     # rho(z1 - tau z2) = (1 - 3*2) mod 5 = 0, and 0* = 0 sits in the singleton
-    assert [v.coeffs for v in tsets[0][1]] == [CycInt(0)]
-    assert tsets[0][2] == []  # empty transition window
-    for v in tsets[2][0]:
-        assert contains(transitions[2][0], (v.internal.real, v.internal.imag), 1e-9)
-        assert v.coeffs.rho() == (3 - 3 * 1) % 5
-        assert abs(v.phys) <= 10 + 1e-9
+    assert tsets[0][1].coeffs.tolist() == [[0, 0, 0, 0]]
+    assert tsets[0][2].coeffs.shape == (0, 4)  # empty transition window
+    t = tsets[2][0]
+    assert len(t) > 0
+    assert contains_many(transitions[2][0],
+                         np.column_stack([t.internal.real, t.internal.imag]), 1e-9).all()
+    assert np.all(t.coeffs.sum(axis=1) % 5 == (3 - 3 * 1) % 5)
+    assert np.all(np.abs(t.phys) <= 10 + 1e-9)
 
 
 def test_selfsim_closure_small_patch(spec, transitions):
@@ -247,10 +249,94 @@ def test_closure_single_point(spec, transitions):
 
 
 def test_closure_vacuous_for_empty_sets(spec):
-    empties = [[[] for _ in range(4)] for _ in range(4)]
+    empties = [[point_set([])] * 4 for _ in range(4)]
     points = scheme.generate_all(spec, 2.0)
     report = scheme.check_selfsim_closure(spec, points, empties, 2.0)
     assert report.checked == 0 and report.violations == []
+
+
+def point_set(rows):
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    z = [CycInt(*m) for m in rows.tolist()]
+    return scheme.PointSet(rows, np.array([c.physical() for c in z], dtype=complex),
+                           np.array([c.internal() for c in z], dtype=complex))
+
+
+def closure_oracle(spec, points, tsets, radius):
+    """The scalar closure check: one CycInt product and window test per (x, v)."""
+    checked, violations, boundary_hits = 0, [], 0
+    eps = abs(spec.eps)
+    for i in range(1, spec.r + 1):
+        for m, phys in zip(points[i - 1].coeffs.tolist(), points[i - 1].phys):
+            if abs(phys) > radius:
+                continue
+            x = CycInt(*m)
+            for j in range(1, spec.r + 1):
+                window = spec.shifted_window(j)
+                for n in tsets[j - 1][i - 1].coeffs.tolist():
+                    v = CycInt(*n)
+                    y = spec.q_mult * x + v
+                    checked += 1
+                    if y.rho() != spec.coset_reps[j - 1].rho():
+                        violations.append((i, j, x.coeffs, v.coeffs))
+                        continue
+                    u = y.internal()
+                    if contains(window, (u.real, u.imag), -eps):
+                        continue
+                    if contains(window, (u.real, u.imag), eps):
+                        boundary_hits += 1
+                    else:
+                        violations.append((i, j, x.coeffs, v.coeffs))
+    return checked, violations, boundary_hits
+
+
+def assert_closure_matches_oracle(spec, points, tsets, radius):
+    report = scheme.check_selfsim_closure(spec, points, tsets, radius)
+    got = (report.checked, report.violations, report.boundary_hits)
+    assert got == closure_oracle(spec, points, tsets, radius)
+    return got
+
+
+def test_closure_matches_scalar_oracle(spec, points40, tsets40):
+    tsets5 = [[within(t, 5.0) for t in row] for row in tsets40]
+    assert assert_closure_matches_oracle(spec, points40, tsets5, 5.0) == (3480, [], 380)
+
+
+def test_closure_matches_scalar_oracle_generic_gamma():
+    spec = scheme.penrose_scheme(gamma=0.031 - 0.047j)
+    points = scheme.generate_all(spec, 5.0)
+    tsets = scheme.translation_sets(spec, scheme.transition_windows(spec), 5.0)
+    checked, violations, _ = assert_closure_matches_oracle(spec, points, tsets, 5.0)
+    assert checked > 0 and violations == []
+
+
+def test_closure_planted_violations(spec, transitions):
+    points = scheme.generate_all(spec, 5.0)
+    tsets = [list(row) for row in scheme.translation_sets(spec, transitions, 5.0)]
+    # + 5 keeps the residue but moves the star image 5 off its window; + 1 breaks the
+    # residue; both sets map from component 1, so each x violates under two j
+    for (j, i), shift in (((2, 0), [5, 0, 0, 0]), ((0, 0), [1, 0, 0, 0])):
+        rows = tsets[j][i].coeffs.copy()
+        rows[-1] += shift
+        tsets[j][i] = point_set(rows)
+    _, violations, _ = assert_closure_matches_oracle(spec, points, tsets, 5.0)
+    assert {(i, j) for i, j, _, _ in violations} == {(1, 1), (1, 3)}
+
+
+@pytest.mark.parametrize("x,v", [
+    ([0, 2**62, 2**62, 0], [0, 0, 0, 0]),    # Q x leaves int64
+    ([1, 0, 0, 0], [0, 0, 1 - 2**63, 0]),    # Q x + v leaves int64
+])
+def test_closure_overflow_raises(spec, x, v):
+    empty = point_set([])
+    points = [point_set([x])] + [empty] * 3
+    tsets = [[empty] * 4 for _ in range(4)]
+    tsets[2][0] = point_set([v])
+    points[0].phys[:] = 0  # inside the patch whatever the coefficients
+    with pytest.raises(CoefficientOverflow):
+        closure_oracle(spec, points, tsets, 1.0)
+    with pytest.raises(CoefficientOverflow):
+        scheme.check_selfsim_closure(spec, points, tsets, 1.0)
 
 
 # --- CSV export ---------------------------------------------------------------
@@ -277,7 +363,7 @@ def test_build_transition_data(spec):
     assert np.abs(nu @ pf.w - pf.w).max() <= 1e-10
     areas = np.array([[area(windows_ji[j][i]) for i in range(4)] for j in range(4)])
     assert np.all(nu[areas == 0] == 0)
-    assert tsets[0][2] == []
+    assert len(tsets[0][2]) == 0
     assert len(tsets[1][0]) > 0
 
 
@@ -295,7 +381,7 @@ def test_gamma_shifts_windows():
     w = shifted.shifted_window(1)
     assert np.allclose(w.vertices, base.windows[0].vertices + np.array([0.05, 0.02]))
     pts = scheme.generate_all(shifted, 4.0)
-    for comp in pts:
-        for p in comp:
-            assert contains(shifted.shifted_window(p.component),
-                            (p.internal.real, p.internal.imag), abs(shifted.eps))
+    for component, comp in enumerate(pts, start=1):
+        assert contains_many(shifted.shifted_window(component),
+                             np.column_stack([comp.internal.real, comp.internal.imag]),
+                             abs(shifted.eps)).all()

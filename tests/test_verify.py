@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modelsets import refine, scheme, verify
-from modelsets.polygeom import Region, linear_image
+from modelsets.polygeom import Region, contains_many, linear_image
 from tests.conftest import TAU, _solve
 
 
@@ -63,6 +63,45 @@ def test_id2_residual_small(spec, coarse_solution, nu_explicit, points20, tsets2
     assert rep.mean_residual <= 0.1
 
 
+def id2_oracle(spec, density, nu, points, tsets, radius, samples, seed, scale_floor=0.05):
+    """The per-sample loop that check_id2 batches: one preimage set per sample and i."""
+    nu = np.asarray(nu, dtype=float)
+    a_inv = 1.0 / spec.a_internal
+    pool = [(j, u) for j, p in enumerate(points, start=1)
+            for x, u in zip(p.phys, p.internal) if abs(x) <= radius / abs(spec.q_phys)]
+    rng = np.random.default_rng(seed)
+    if len(pool) > samples:
+        pool = [pool[k] for k in rng.choice(len(pool), size=samples, replace=False)]
+    floor = scale_floor * max(density.values.max(), 1e-300)
+    residuals = []
+    for j, u in pool:
+        lhs = verify.point_weights(spec, density, np.array([u]), j)[0]
+        rhs = 0.0
+        for i in range(1, spec.r + 1):
+            if nu[j - 1, i - 1] == 0:
+                continue
+            t = tsets[j - 1][i - 1]
+            eta = (u - t.internal[np.abs(t.phys) <= radius]) * a_inv
+            pts = np.column_stack([eta.real, eta.imag])
+            vals = verify.sample_density(density, i, pts)
+            vals[~contains_many(spec.shifted_window(i), pts, abs(spec.eps))] = 0.0
+            rhs += nu[j - 1, i - 1] * vals.mean()
+        rhs *= spec.detq_abs
+        residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor))
+    residuals = np.array(residuals)
+    return float(residuals.mean()), float(residuals.max()), len(residuals)
+
+
+@pytest.mark.parametrize("radius,samples,seed", [(20.0, 100, 0), (12.0, 10**4, 3)])
+def test_id2_matches_per_sample_oracle(spec, coarse_solution, nu_explicit, points20,
+                                       tsets20, radius, samples, seed):
+    rep = verify.check_id2(spec, coarse_solution, nu_explicit, points20, tsets20, radius,
+                           samples=samples, seed=seed)
+    expected = id2_oracle(spec, coarse_solution, nu_explicit, points20, tsets20, radius,
+                          samples, seed)
+    assert (rep.mean_residual, rep.max_residual, rep.samples) == expected
+
+
 def test_id2_zero_density_gives_zero_residual(spec, coarse_solution, nu_explicit,
                                               points20, tsets20):
     zero = refine.DensityGrid.from_values(
@@ -85,7 +124,7 @@ def test_id3_close_to_masses(spec, coarse_solution, pf_explicit, points20):
 
 def test_point_weights_vanish_off_window(spec, coarse_solution, points20):
     # component-2 points evaluated against the wrong (smaller) window come back 0
-    w = verify.point_weights(spec, coarse_solution, points20[0], 1)
+    w = verify.point_weights(spec, coarse_solution, points20[0].internal, 1)
     assert np.all(w >= 0)
     assert w.max() > 0
 
