@@ -19,6 +19,7 @@ import numpy as np
 from . import pfsolve, refine, scheme, verify
 from .cyclotomic import CycInt
 from .polygeom import Region, area, linear_image, translate
+from .text import fmt
 
 EXAMPLE2_MATRIX = [
     [0.5, 0.0, 0.0, 0.5],
@@ -77,10 +78,6 @@ class RunConfig:
     k_count: int
     k_max: float
     outputs: object = None
-
-
-def _fmt(x):
-    return f"{x:.12g}"
 
 
 def parse_config_file(path):
@@ -243,8 +240,8 @@ def _region_line(j, i, region):
     if region.is_empty:
         return f"{j} {i} EMPTY"
     if region.is_point:
-        return f"{j} {i} POINT {_fmt(region.point[0])} {_fmt(region.point[1])}"
-    coords = " ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in region.vertices)
+        return f"{j} {i} POINT {fmt(region.point[0])} {fmt(region.point[1])}"
+    coords = " ".join(f"{fmt(x)} {fmt(y)}" for x, y in region.vertices)
     return f"{j} {i} POLYGON {coords}"
 
 
@@ -253,7 +250,7 @@ def cmd_windows(cfg, outdir):
     r = cfg.spec.r
     lines = [_region_line(j + 1, i + 1, trans[j][i])
              for j in range(r) for i in range(r)]
-    areas = ["\t".join(_fmt(area(trans[j][i])) for i in range(r)) for j in range(r)]
+    areas = ["\t".join(fmt(area(trans[j][i])) for i in range(r)) for j in range(r)]
     _write_all(outdir, {
         "windows.txt": "\n".join(lines) + "\n",
         "areas.txt": "\n".join(areas) + "\n",
@@ -268,13 +265,13 @@ def cmd_points(cfg, outdir):
 
 
 def _nu_text(nu):
-    return "\n".join("\t".join(_fmt(v) for v in row) for row in nu) + "\n"
+    return "\n".join("\t".join(fmt(v) for v in row) for row in nu) + "\n"
 
 
 def _pf_text(pf):
-    return (f"lambda = {_fmt(pf.lambda_max)}\n"
-            f"w = {' '.join(_fmt(v) for v in pf.w)}\n"
-            f"gap = {_fmt(pf.gap)}\n"
+    return (f"lambda = {fmt(pf.lambda_max)}\n"
+            f"w = {' '.join(fmt(v) for v in pf.w)}\n"
+            f"gap = {fmt(pf.gap)}\n"
             f"simple = {'true' if pf.simple else 'false'}\n")
 
 
@@ -325,12 +322,12 @@ def cmd_solve(cfg, outdir):
     (_, nu, pf), (result, deviation) = _pipeline(cfg)
     density = result.density
     summary = io.StringIO()
-    summary.write(f"lambda = {_fmt(pf.lambda_max)}\n")
-    summary.write(f"w = {' '.join(_fmt(v) for v in pf.w)}\n")
-    summary.write(f"masses = {' '.join(_fmt(v) for v in density.masses)}\n")
+    summary.write(f"lambda = {fmt(pf.lambda_max)}\n")
+    summary.write(f"w = {' '.join(fmt(v) for v in pf.w)}\n")
+    summary.write(f"masses = {' '.join(fmt(v) for v in density.masses)}\n")
     summary.write(f"iterations = {result.iterations}\n")
-    summary.write(f"residuals = {' '.join(_fmt(v) for v in result.residuals)}\n")
-    summary.write(f"fourier_max_rel_dev = {_fmt(deviation)}\n")
+    summary.write(f"residuals = {' '.join(fmt(v) for v in result.residuals)}\n")
+    summary.write(f"fourier_max_rel_dev = {fmt(deviation)}\n")
     files = {"nu.txt": _nu_text(nu), "pf.txt": _pf_text(pf),
              "summary.txt": summary.getvalue()}
     selectors = cfg.outputs or OUTPUT_SELECTORS

@@ -14,6 +14,10 @@ its output hull fits without wrapping.  It stores the real FFT of every
 transition kernel placed on that shape, so a step costs one forward
 transform per non-zero input channel and one inverse transform per output
 channel, and the circular result equals the linear one on the mask.
+
+The step works on packed densities: one vector of the mask cells of the
+channels it carries.  The fixed-point solve keeps its whole state in that
+form and builds a full grid only for its result.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ import numpy as np
 from scipy import fft
 from scipy.ndimage import map_coordinates
 
+from . import text
 from .polygeom import GridSpec, area, centroid, linear_image, rasterize
 
 FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
-_WRITE_CHUNK_VALUES = 120_000  # floats formatted per write; bounds the temporary text
+_MIX_DEPTH = 2  # residual differences in each Anderson fit
 
 
 def make_centered_grid(half_extent, h):
@@ -88,8 +93,9 @@ class RefinementKernel:
     indicators: np.ndarray  # (r, ny, nx) normalized window rasters
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting each window
     fft_shape: tuple        # common periodic shape of every spectrum
-    samples: list           # per channel i: map_coordinates coordinates of the box
-                            # where f_i(A^-1 y) can be non-zero, or None
+    samples: list           # per channel i: map_coordinates coordinates, into the
+                            # padded mask box, of the box where f_i(A^-1 y) can be
+                            # non-zero, or None
     outputs: list           # per channel j: (grid slices of the mask's bounding
                             # box, the same cells in the periodic result)
     spectra: list           # r x r rfft2 of |det Q| h^2 blocks, None where nu vanishes
@@ -132,7 +138,9 @@ def _input_boxes(grid, a_inv, masks):
     A bilinear sample of a channel that vanishes off its mask is zero unless
     one of the four stencil nodes around A^-1 y lies on the mask.  Returns
     (lo, hi, map_coordinates coordinates of the box) per channel, or None
-    when no cell qualifies.
+    when no cell qualifies.  The coordinates index the mask's bounding box
+    padded by one zero cell on every side, which holds every stencil node
+    that can be non-zero.
     """
     X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
     px = a_inv[0, 0] * X + a_inv[0, 1] * Y
@@ -155,7 +163,8 @@ def _input_boxes(grid, a_inv, masks):
             continue
         lo, hi = _box(touched)
         box = _slices(lo, hi)
-        boxes.append((lo, hi, np.stack([rows[box], cols[box]])))
+        origin = _box(mask)[0] - 1
+        boxes.append((lo, hi, np.stack([rows[box] - origin[0], cols[box] - origin[1]])))
     return boxes
 
 
@@ -259,6 +268,103 @@ def initial_density(kernel, w):
     return DensityGrid.from_values(kernel.grid, values)
 
 
+@dataclass
+class _Packing:
+    """Layout of a packed density: one float64 vector holding the mask cells
+    of the live channels, channel by channel, each in row-major order.
+
+    Packing leaves the other channels out, so they are exactly zero on
+    unpacking.
+    """
+
+    kernel: RefinementKernel
+    channels: list  # (channel, slice of the packed vector)
+
+    @classmethod
+    def of(cls, kernel, live):
+        channels = []
+        start = 0
+        for j in live:
+            stop = start + int(kernel.masks[j].sum())
+            channels.append((j, slice(start, stop)))
+            start = stop
+        return cls(kernel=kernel, channels=channels)
+
+    def pack(self, values):
+        return np.concatenate([values[j][self.kernel.masks[j]] for j, _ in self.channels])
+
+    def unpack(self, x):
+        values = np.zeros(self.kernel.masks.shape)
+        for j, cells in self.channels:
+            values[j][self.kernel.masks[j]] = x[cells]
+        return DensityGrid.from_values(self.kernel.grid, values)
+
+    def masses(self, x):
+        masses = np.zeros(len(self.kernel.masks))
+        for j, cells in self.channels:
+            masses[j] = x[cells].sum() * self.kernel.grid.h**2
+        return masses
+
+
+def _output_cells(kernel, j, transformed):
+    """Output channel j on its mask cells, before clamping, or None if no input reaches it.
+
+    Sums nu_ji times kernel spectrum (j, i) times input spectrum i over the
+    transformed inputs and takes one inverse transform.
+    """
+    total = None
+    for i in np.flatnonzero(kernel.nu[j]):
+        if kernel.blocks[j][i] is None:
+            raise ValueError(f"no kernel raster for transition ({j + 1},{i + 1}); "
+                             "rebuild the kernel with this weight matrix")
+        if i not in transformed:
+            continue
+        term = kernel.spectra[j][i] * transformed[i]
+        term *= kernel.nu[j, i]
+        if total is None:
+            total = term
+        else:
+            total += term
+    if total is None:
+        return None
+    box, periodic = kernel.outputs[j]
+    return fft.irfft2(total, s=kernel.fft_shape)[periodic][kernel.masks[j][box]]
+
+
+def _packed_step(x, masses, packing, conserve_mass=True):
+    """The refinement step on a packed density whose channel masses are given.
+
+    Input channels outside the packing are taken to be zero and output
+    channels outside it are not formed, so the packing must be closed under
+    the weight matrix (nu_ji = 0 from a packed i to an unpacked j).
+    """
+    kernel = packing.kernel
+    h2 = kernel.grid.h**2
+    transformed = {}
+    for i, cells in packing.channels:
+        if kernel.samples[i] is None or not x[cells].any():
+            continue
+        inside = kernel.masks[i][kernel.outputs[i][0]]
+        padded = np.zeros((inside.shape[0] + 2, inside.shape[1] + 2))
+        padded[1:-1, 1:-1][inside] = x[cells]
+        sampled = map_coordinates(padded, kernel.samples[i], order=1, mode="constant",
+                                  cval=0.0, prefilter=False)
+        transformed[i] = fft.rfft2(sampled, s=kernel.fft_shape)
+    target = kernel.nu @ masses
+    out = np.zeros_like(x)
+    for j, cells in packing.channels:
+        acc = _output_cells(kernel, j, transformed)
+        if acc is None:
+            continue
+        np.maximum(acc, 0.0, out=acc)
+        if conserve_mass:
+            raw = acc.sum() * h2
+            if raw > 0 and target[j] > 0:
+                acc *= target[j] / raw
+        out[cells] = acc
+    return out
+
+
 def apply_refinement(f, kernel, conserve_mass=True):
     """One application of the matrix refinement operator.
 
@@ -277,45 +383,9 @@ def apply_refinement(f, kernel, conserve_mass=True):
     transform per non-zero input channel, and an all-zero channel is
     skipped.
     """
-    nu = kernel.nu
-    r = f.r
-    grid = kernel.grid
-    h2 = grid.h**2
-    transformed = []
-    for i in range(r):
-        g = np.where(kernel.masks[i], f.values[i], 0.0)
-        if kernel.samples[i] is None or not g.any():
-            transformed.append(None)
-            continue
-        sampled = map_coordinates(g, kernel.samples[i], order=1, mode="constant",
-                                  cval=0.0, prefilter=False)
-        transformed.append(fft.rfft2(sampled, s=kernel.fft_shape))
-    target = nu @ f.masses
-    values = np.zeros_like(f.values)
-    for j in range(r):
-        total = None
-        for i in range(r):
-            if nu[j, i] == 0:
-                continue
-            if kernel.blocks[j][i] is None:
-                raise ValueError(f"no kernel raster for transition ({j + 1},{i + 1}); "
-                                 "rebuild the kernel with this weight matrix")
-            if transformed[i] is None:
-                continue
-            term = nu[j, i] * kernel.spectra[j][i] * transformed[i]
-            total = term if total is None else total + term
-        if total is None:
-            continue
-        box, periodic = kernel.outputs[j]
-        acc = fft.irfft2(total, s=kernel.fft_shape)[periodic]
-        np.maximum(acc, 0.0, out=acc)
-        acc[~kernel.masks[j][box]] = 0.0
-        if conserve_mass:
-            raw = acc.sum() * h2
-            if raw > 0 and target[j] > 0:
-                acc *= target[j] / raw
-        values[j][box] = acc
-    return DensityGrid.from_values(grid, values)
+    packing = _Packing.of(kernel, range(f.r))
+    return packing.unpack(_packed_step(packing.pack(f.values), f.masses, packing,
+                                       conserve_mass))
 
 
 @dataclass
@@ -329,30 +399,80 @@ class FixedPointResult:
         return len(self.residuals)
 
 
+def _mixing_weights(gram):
+    """Affine weights, summing to one, of the residual combination of least L2 norm.
+
+    `gram` holds the inner products of the stored residuals, newest last.
+    The fit runs over the differences from the newest residual, which keeps
+    the small normal system well scaled as the residuals shrink.
+    """
+    n = len(gram) - 1
+    if n == 0:
+        return np.ones(1)
+    normal = gram[n, n] - gram[n, :n][None, :] - gram[:n, n][:, None] + gram[:n, :n]
+    gamma = np.linalg.lstsq(normal, gram[n, n] - gram[:n, n], rcond=None)[0]
+    return np.append(gamma, 1.0 - gamma.sum())
+
+
 def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
     """Iterate the refinement operator to its invariant density.
 
     Starts from the window indicators carrying masses w and stops when the
-    summed L1 change of all channels drops below tol.  Requires w to be
-    fixed by the weight matrix (spectral radius one).
+    summed L1 change of all channels over one step drops below tol.
+    Requires w to be fixed by the weight matrix (spectral radius one).
+
+    The iterates are Anderson-mixed (Walker & Ni 2011): each next iterate
+    combines the last _MIX_DEPTH + 1 step outputs with the affine weights
+    that minimize the combined residual, and is then clamped at zero and
+    rescaled to the masses w, because the mass direction is a neutral mode
+    of the weight matrix in which mixing error would never decay.  When a
+    step's residual rises the history is dropped and the next iterate is
+    that step's output, the plain step (Toth & Kelley 2015).  The state is
+    packed over the mask cells of the channels with w_j > 0; w = nu w
+    forces nu_ji = 0 from those into every other channel, which stays
+    exactly zero.
     """
     w = np.asarray(w, dtype=float)
     if np.max(np.abs(kernel.nu @ w - w)) > 1e-8:
         raise ValueError("the weight matrix does not fix w (its spectral "
                          "radius must be one)")
-    f = initial_density(kernel, w)
-    residuals = []
-    mass_history = [f.masses.copy()]
+    packing = _Packing.of(kernel, np.flatnonzero(w > 0))
     h2 = kernel.grid.h**2
+    x = packing.pack(initial_density(kernel, w).values)
+    masses = packing.masses(x)
+    residuals = []
+    mass_history = [masses]
+    outputs, diffs, gram = [], [], np.zeros((0, 0))
     for _ in range(maxit):
-        f_next = apply_refinement(f, kernel)
-        resid = float(np.abs(f_next.values - f.values).sum() * h2)
+        g = _packed_step(x, masses, packing)
+        diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
+        resid = float(np.abs(diff).sum() * h2)
         residuals.append(resid)
-        mass_history.append(f_next.masses.copy())
-        f = f_next
+        mass_history.append(packing.masses(g))
         if resid < tol:
-            return FixedPointResult(density=f, residuals=np.array(residuals),
+            return FixedPointResult(density=packing.unpack(g),
+                                    residuals=np.array(residuals),
                                     mass_history=mass_history)
+        if len(residuals) > 1 and resid > residuals[-2]:
+            outputs, diffs, gram = [], [], np.zeros((0, 0))
+        outputs.append(g)
+        diffs.append(diff)
+        grown = np.empty((len(diffs), len(diffs)))
+        grown[:-1, :-1] = gram
+        grown[-1] = grown[:, -1] = [d @ diff for d in diffs]
+        gram = grown
+        alpha = _mixing_weights(gram)
+        x = alpha[0] * outputs[0]
+        for a, g_k in zip(alpha[1:], outputs[1:]):
+            x += a * g_k
+        np.maximum(x, 0.0, out=x)
+        masses = packing.masses(x)
+        for j, cells in packing.channels:
+            x[cells] *= w[j] / masses[j]
+        masses = packing.masses(x)
+        if len(outputs) > _MIX_DEPTH:  # the oldest pair takes no part in the next fit
+            del outputs[0], diffs[0]
+            gram = gram[1:, 1:]
     raise RuntimeError(f"fixed point iteration did not reach tol={tol} within "
                        f"{maxit} iterations (last residual {residuals[-1]:.3e})")
 
@@ -493,29 +613,13 @@ def compare_solvers(density, windows_ji, nu, w, a_matrix, ks):
     return worst
 
 
-def _fmt(x):
-    return f"{x:.12g}"
-
-
-def _write_rows(fileobj, row_template, table):
-    """Format a float table one row per template, a few row blocks at a time.
-
-    `%.12g` prints exactly what `_fmt` does; the chunks keep the Python
-    floats and the text of one write small.
-    """
-    step = max(1, _WRITE_CHUNK_VALUES // table.shape[1])
-    for start in range(0, len(table), step):
-        chunk = table[start:start + step]
-        fileobj.write((row_template * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-
 def write_density_grid(density, channel, fileobj):
     """One channel as headered rows of samples, y increasing row by row."""
     g = density.grid
-    fileobj.write(f"# origin {_fmt(g.origin[0])} {_fmt(g.origin[1])}\n")
-    fileobj.write(f"# h {_fmt(g.h)}\n")
+    fileobj.write(f"# origin {text.fmt(g.origin[0])} {text.fmt(g.origin[1])}\n")
+    fileobj.write(f"# h {text.fmt(g.h)}\n")
     fileobj.write(f"# nx {g.nx} ny {g.ny}\n")
-    _write_rows(fileobj, " ".join(["%.12g"] * g.nx) + "\n", density.values[channel])
+    text.write_rows(fileobj, " ".join(["%.12g"] * g.nx) + "\n", density.values[channel])
 
 
 def write_density_csv(density, fileobj):
@@ -525,9 +629,9 @@ def write_density_csv(density, fileobj):
     ys = g.y_centers()
     fileobj.write("x,y," + ",".join(f"f{j + 1}" for j in range(density.r)) + "\n")
     template = ",".join(["%.12g"] * (2 + density.r)) + "\n"
-    step = max(1, _WRITE_CHUNK_VALUES // (g.nx * (2 + density.r)))
+    step = max(1, text.WRITE_CHUNK_VALUES // (g.nx * (2 + density.r)))
     for iy in range(0, g.ny, step):
         rows = ys[iy:iy + step]
         table = np.column_stack([np.tile(xs, len(rows)), np.repeat(rows, g.nx),
                                  density.values[:, iy:iy + step].reshape(density.r, -1).T])
-        _write_rows(fileobj, template, table)
+        text.write_rows(fileobj, template, table)

@@ -18,11 +18,13 @@ import numpy as np
 from .cyclotomic import TAU, CoefficientOverflow, CycInt, embedding_matrix
 # contains is unused here but stays importable: perfbench/tracer.py wraps scheme.contains
 from .polygeom import Region, area, contains, contains_many, erode, linear_image, translate
+from .text import write_rows
 
 POLICY_AREA = "area-markov"
 POLICY_EXPLICIT = "explicit"
 
 POINTS_CSV_HEADER = "component,m0,m1,m2,m3,phys_re,phys_im,int_re,int_im"
+_POINTS_CSV_ROW = "%d,%d,%d,%d,%d,%.12g,%.12g,%.12g,%.12g\n"
 
 _BOUNDARY_EPS = 1e-9
 
@@ -330,20 +332,16 @@ def check_selfsim_closure(spec, points, tsets, radius):
     return report
 
 
-def _fmt(x):
-    return f"{x:.12g}"
-
-
 def write_points_csv(points, fileobj):
     """Write per-component PointSets as CSV; component k is points[k - 1]."""
     fileobj.write(POINTS_CSV_HEADER + "\n")
     for component, ps in enumerate(points, start=1):
-        for (m0, m1, m2, m3), x, u in zip(ps.coeffs.tolist(), ps.phys.tolist(),
-                                          ps.internal.tolist()):
-            fileobj.write(",".join([
-                str(component), str(m0), str(m1), str(m2), str(m3),
-                _fmt(x.real), _fmt(x.imag), _fmt(u.real), _fmt(u.imag),
-            ]) + "\n")
+        table = np.empty((len(ps), 9), dtype=object)  # Python ints, then floats
+        table[:, 0] = component
+        table[:, 1:5] = ps.coeffs
+        table[:, 5:] = np.column_stack([ps.phys.real, ps.phys.imag,
+                                        ps.internal.real, ps.internal.imag])
+        write_rows(fileobj, _POINTS_CSV_ROW, table)
 
 
 def points_csv_text(points):

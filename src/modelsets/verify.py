@@ -16,6 +16,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .polygeom import area, contains_many
+from .text import fmt
 
 
 class InsufficientRadiusError(RuntimeError):
@@ -172,15 +173,9 @@ class ReportLine:
         return isinstance(self.value, (int, float)) and self.value <= self.bound
 
 
-def _fmt(x):
-    if isinstance(x, str):
-        return x
-    return f"{x:.12g}"
-
-
 def render_report(lines):
     out = []
     for line in lines:
         verdict = "PASS" if line.passed else "FAIL"
-        out.append(f"{line.name} {_fmt(line.value)} <= {_fmt(line.bound)} {verdict}")
+        out.append(f"{line.name} {fmt(line.value)} <= {fmt(line.bound)} {verdict}")
     return "\n".join(out) + "\n"

@@ -226,6 +226,29 @@ def test_solve_example1_summary(tmp_path):
     assert (out / "density.csv").read_text().startswith("x,y,f1,f2,f3,f4\n")
 
 
+def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):
+    config = tmp_path / "short.cfg"
+    config.write_text("maxit = 3\n")
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", "penrose-example2", "--config", str(config),
+                "--h", "0.03125", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "failed at stage 'fixed point'" in err and "did not reach tol" in err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_solve_deterministic(tmp_path):
+    # the same configuration writes the same bytes, mixing solve included
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["solve", "--preset", "penrose-example2", "--h", "0.03125",
+                    "--out", str(out)]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "summary.txt" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_solve_example2_positive_peaks(tmp_path):
     out = tmp_path / "s2"
     assert run(["solve", "--preset", "penrose-example2", "--h", "0.03125",

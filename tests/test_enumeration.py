@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -135,3 +136,13 @@ def test_points_csv_bytes_unchanged(points40):
             scheme.generate_all(scheme.penrose_scheme(gamma=gamma), s)
         text = scheme.points_csv_text(points)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_points_csv_bytes_hold_across_write_chunks():
+    # a chunk that is not a whole number of rows still writes whole rows
+    s, gamma = 20.0, 0.031 - 0.047j
+    points = scheme.generate_all(scheme.penrose_scheme(gamma=gamma), s)
+    for chunk in (1, 50, 63):
+        with mock.patch("modelsets.text.WRITE_CHUNK_VALUES", chunk):
+            csv = scheme.points_csv_text(points)
+        assert hashlib.sha256(csv.encode()).hexdigest() == POINTS_CSV_SHA256[(s, gamma)]

@@ -160,6 +160,15 @@ def test_solver_requires_fixed_mass_vector(spec, transitions, nu_area):
         solve_fixed_point(K, np.array([0.25, 0.25, 0.25, 0.25]))
 
 
+def test_solver_reports_iteration_exhaustion(spec, transitions, nu_area, pf_area):
+    windows = [spec.shifted_window(i) for i in range(1, 5)]
+    grid = refine.grid_for_windows(windows, 1 / 32)
+    K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
+                     spec.detq_abs, grid)
+    with pytest.raises(RuntimeError, match="did not reach tol"):
+        solve_fixed_point(K, pf_area.w, maxit=3)
+
+
 def test_toy_solve_and_grid_consistency():
     results = {}
     for h in (1 / 32, 1 / 64, 1 / 128):

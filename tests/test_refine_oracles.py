@@ -1,9 +1,10 @@
 """Fast refinement paths checked against the straightforward code they replaced.
 
 The oracles are the former implementations: the refinement step as one
-`fftconvolve` per transition on the full grid, the rasterizer that probes
-every cell of the bounding box, the per-value density writers, the
-per-entry Fourier matrix product and the per-wavevector grid transform.
+`fftconvolve` per transition on the full grid, the plain fixed-point
+iteration, the rasterizer that probes every cell of the bounding box, the
+per-value density writers, the per-entry Fourier matrix product and the
+per-wavevector grid transform.
 """
 
 import io
@@ -16,10 +17,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
-from modelsets import refine
+from modelsets import refine, text
 from modelsets.polygeom import GridSpec, Region, _edge_normals, rasterize
 from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
-                              fourier_product, initial_density, polygon_ft)
+                              fourier_product, initial_density, polygon_ft,
+                              solve_fixed_point)
 from tests.test_refine import toy_kernel
 
 STEP_TOL = 1e-12
@@ -71,6 +73,19 @@ def oracle_step(f, kernel, conserve_mass=True):
                 acc *= target[j] / raw
         values[j] = acc
     return DensityGrid.from_values(grid, values)
+
+
+def oracle_solve(kernel, w, tol=1e-8, maxit=200):
+    """The plain fixed-point loop: iterate the step until one moves less than tol."""
+    f = initial_density(kernel, w)
+    h2 = kernel.grid.h**2
+    for _ in range(maxit):
+        f_next = apply_refinement(f, kernel)
+        resid = float(np.abs(f_next.values - f.values).sum() * h2)
+        f = f_next
+        if resid < tol:
+            return f
+    raise RuntimeError("oracle iteration did not reach tol")
 
 
 def oracle_rasterize(P, grid, supersample=4):
@@ -201,6 +216,65 @@ def test_step_matches_oracle_with_a_zero_channel(preset64):
     assert_steps_agree(DensityGrid.from_values(kernel.grid, values), kernel, True)
 
 
+def test_mixed_solve_beats_plain_iteration(preset64):
+    kernel, w = preset64
+    h2 = kernel.grid.h**2
+    reference = oracle_solve(kernel, w, tol=1e-13)
+    plain = oracle_solve(kernel, w)
+    step = refine._packed_step
+    inputs = []
+
+    def recorded_step(x, masses, packing, conserve_mass=True):
+        inputs.append((x.min(), packing.masses(x)))
+        return step(x, masses, packing, conserve_mass)
+
+    with mock.patch.object(refine, "_packed_step", recorded_step):
+        result = solve_fixed_point(kernel, w)
+    assert result.iterations <= 12
+    # every iterate is projected: non-negative, carrying the masses w
+    for lowest, masses in inputs:
+        assert lowest >= 0.0 and np.abs(masses - w).max() <= 1e-12
+    mixed_err = np.abs(result.density.values - reference.values).sum() * h2
+    plain_err = np.abs(plain.values - reference.values).sum() * h2
+    assert mixed_err <= plain_err
+    assert np.all(result.density.values[w == 0] == 0.0)
+    hist = result.mass_history
+    assert len(hist) == result.iterations + 1
+    for m, m_next in zip(hist, hist[1:]):
+        assert np.abs(m_next - kernel.nu @ m).max() <= 1e-12
+
+
+def test_rising_residual_resets_the_mixing_history(preset64):
+    # reversing one channel's packed cells after the fifth step keeps its mass
+    # but not its shape, so that step's residual rises above the one before
+    kernel, w = preset64
+    calls, fits = [0], []
+    step, weights = refine._packed_step, refine._mixing_weights
+
+    def perturbed_step(x, masses, packing, conserve_mass=True):
+        out = step(x, masses, packing, conserve_mass)
+        calls[0] += 1
+        if calls[0] == 5:
+            cells = packing.channels[0][1]
+            out[cells] = out[cells][::-1].copy()
+        return out
+
+    def recorded_weights(gram):
+        fits.append(len(gram))
+        return weights(gram)
+
+    with mock.patch.object(refine, "_packed_step", perturbed_step), \
+            mock.patch.object(refine, "_mixing_weights", recorded_weights):
+        result = solve_fixed_point(kernel, w)
+    r = result.residuals
+    # the fit restarts from one residual exactly where the residual rose
+    assert [k for k, n in enumerate(fits) if n == 1] == \
+        [0] + [k for k in range(1, len(fits)) if r[k] > r[k - 1]]
+    assert fits[:8] == [1, 2, 3, 3, 1, 1, 2, 3]
+    assert r[-1] < 1e-8
+    assert np.all(result.density.values[w == 0] == 0.0)
+
+
 @pytest.mark.parametrize("conserve_mass", [True, False])
 def test_step_matches_oracle_on_square_toy(conserve_mass):
     kernel, _ = toy_kernel(1 / 64)
@@ -310,7 +384,7 @@ def test_density_writers_match_oracle(data, r, nx, ny, h, ox, oy, chunk):
     values = data.draw(arrays(np.float64, (r, ny, nx), elements=DENSITY_VALUES))
     density = DensityGrid.from_values(GridSpec(origin=(ox, oy), h=h, nx=nx, ny=ny),
                                       values)
-    with mock.patch.object(refine, "_WRITE_CHUNK_VALUES", chunk):
+    with mock.patch.object(text, "WRITE_CHUNK_VALUES", chunk):
         got, want = io.StringIO(), io.StringIO()
         refine.write_density_csv(density, got)
         oracle_write_density_csv(density, want)
