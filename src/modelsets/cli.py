@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -44,7 +45,6 @@ DEFAULTS = {
     "tol": 1e-8,
     "maxit": 200,
     "boundary": "closed",
-    "supersample": 4,
     "closure_s": 5.0,
     "id2_samples": 100,
     "seed": 0,
@@ -56,6 +56,18 @@ DEFAULTS = {
 
 # density files written by solve: per-channel grids and one combined CSV
 OUTPUT_SELECTORS = ("grids", "csv")
+
+# numeric keys: parser and the values allowed
+NUMERIC_KEYS = {
+    "s": (float, "positive"), "h": (float, "positive"), "tol": (float, "positive"),
+    "maxit": (int, "positive"), "closure_s": (float, "positive"),
+    "id2_samples": (int, "positive"), "k_count": (int, "positive"),
+    "k_max": (float, "positive"), "seed": (int, "non-negative"),
+}
+RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
+
+# per-component keys: window<k>, coset<k> and nu_row<k> for k = 1..r
+INDEXED_KEY = re.compile(r"(window|coset|nu_row)([1-9][0-9]*)")
 
 
 class ConfigError(ValueError):
@@ -71,7 +83,6 @@ class RunConfig:
     h: float
     tol: float
     maxit: int
-    supersample: int
     closure_s: float
     id2_samples: int
     seed: int
@@ -94,6 +105,9 @@ def parse_config_file(path):
             key = key.strip()
             if not key:
                 raise ConfigError(f"{path}:{lineno}: empty key")
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is set twice "
+                                  f"(first on line {raw[key][1]})")
             raw[key] = (value.strip(), lineno)
     return raw
 
@@ -154,15 +168,10 @@ def build_config(args):
     path = args.config or "<config>"
     if args.config:
         raw = parse_config_file(args.config)
-    simple_keys = {
-        "s": float, "h": float, "tol": float, "maxit": int, "seed": int,
-        "supersample": int, "closure_s": float, "id2_samples": int,
-        "k_count": int, "k_max": float,
-    }
     for key, (value, lineno) in raw.items():
-        if key in simple_keys:
+        if key in NUMERIC_KEYS:
             try:
-                cfg[key] = simple_keys[key](value)
+                cfg[key] = NUMERIC_KEYS[key][0](value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}")
         elif key == "scheme":
@@ -180,20 +189,17 @@ def build_config(args):
                     raise ConfigError(f"{path}:{lineno}: unknown output selector {sel!r}; "
                                       f"expected {', '.join(OUTPUT_SELECTORS)}")
             cfg["outputs"] = selectors
-        elif key.startswith("nu_row") or key.startswith(("window", "coset")) or key == "q":
-            pass  # handled below with full context
+        elif key == "q" or INDEXED_KEY.fullmatch(key):
+            pass  # handled below, once the scheme is known
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     for name in ("s", "h", "tol"):
         override = getattr(args, name, None)
         if override is not None:
             cfg[name] = override
-    for key in ("s", "h", "tol", "maxit", "supersample", "closure_s", "id2_samples",
-                "k_count", "k_max"):
-        if not cfg[key] > 0:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg['seed']!r}")
+    for key, (_, rule) in NUMERIC_KEYS.items():
+        if not RULES[rule](cfg[key]):
+            raise ConfigError(f"{key} must be {rule}, got {cfg[key]!r}")
     if cfg["boundary"] not in ("closed", "open"):
         raise ConfigError("boundary must be 'closed' or 'open'")
     if cfg["scheme"] == "penrose":
@@ -203,9 +209,14 @@ def build_config(args):
         spec = _inline_scheme(raw, path, cfg["gamma"], cfg["boundary"])
     else:
         raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
+    for key, (_, lineno) in raw.items():
+        if (key == "q" or key.startswith(("window", "coset"))) and cfg["scheme"] != "inline":
+            raise ConfigError(f"{path}:{lineno}: {key!r} needs scheme = inline")
+        match = INDEXED_KEY.fullmatch(key)
+        if match and int(match[2]) > spec.r:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is outside components 1..{spec.r}")
     nu_matrix = cfg.get("nu_matrix")
-    rows = [key for key in raw if key.startswith("nu_row")]
-    if rows:
+    if any(key.startswith("nu_row") for key in raw):
         matrix = []
         for j in range(1, spec.r + 1):
             key = f"nu_row{j}"
@@ -222,11 +233,7 @@ def build_config(args):
         if m.shape != (spec.r, spec.r) or np.any(m < 0):
             raise ConfigError(f"explicit nu must be a non-negative {spec.r}x{spec.r} matrix")
     return RunConfig(spec=spec, nu_policy=cfg["nu_policy"], nu_matrix=nu_matrix,
-                     s=cfg["s"], h=cfg["h"], tol=cfg["tol"], maxit=cfg["maxit"],
-                     supersample=cfg["supersample"], closure_s=cfg["closure_s"],
-                     id2_samples=cfg["id2_samples"], seed=cfg["seed"],
-                     k_count=cfg["k_count"], k_max=cfg["k_max"],
-                     outputs=cfg["outputs"])
+                     outputs=cfg["outputs"], **{key: cfg[key] for key in NUMERIC_KEYS})
 
 
 def _write_all(outdir, files):
@@ -302,8 +309,7 @@ def _pipeline(cfg):
         windows = [cfg.spec.shifted_window(i) for i in range(1, cfg.spec.r + 1)]
         grid = refine.grid_for_windows(windows, cfg.h)
         kernel = refine.build_kernel(windows, trans, nu, cfg.spec.a_matrix(),
-                                     cfg.spec.detq_abs, grid,
-                                     supersample=cfg.supersample)
+                                     cfg.spec.detq_abs, grid)
         stage = "fixed point"
         result = refine.solve_fixed_point(kernel, pf.w, tol=cfg.tol,
                                           maxit=cfg.maxit)
@@ -381,16 +387,11 @@ def cmd_verify(cfg, outdir):
                 expected = areas[j] / areas[i]
                 ratio_dev = max(ratio_dev, abs(measured / expected - 1.0))
     lines.append(verify.ReportLine("DENSITY.ratio_max_reldev", ratio_dev, 0.05))
-    if cfg.s >= cfg.closure_s:
-        closure_points = points
-        near = [[np.abs(t.phys) <= cfg.closure_s for t in row] for row in tsets]
-        closure_tsets = [[scheme.PointSet(t.coeffs[m], t.phys[m], t.internal[m])
-                          for t, m in zip(row, mrow)] for row, mrow in zip(tsets, near)]
-    else:
-        closure_points = scheme.generate_all(cfg.spec, cfg.closure_s)
-        closure_tsets = scheme.translation_sets(cfg.spec, trans, cfg.closure_s)
-    closure = scheme.check_selfsim_closure(cfg.spec, closure_points,
-                                           closure_tsets, cfg.closure_s)
+    closure_points = points if cfg.s >= cfg.closure_s else \
+        scheme.generate_all(cfg.spec, cfg.closure_s)
+    closure = scheme.check_selfsim_closure(
+        cfg.spec, closure_points, scheme.translation_sets(cfg.spec, trans, cfg.closure_s),
+        cfg.closure_s)
     lines.append(verify.ReportLine("CLOSURE.violations",
                                    len(closure.violations), 0))
     report = verify.render_report(lines)

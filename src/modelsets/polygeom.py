@@ -17,6 +17,7 @@ COLLINEAR_TOL = 1e-12
 COLLAPSE_AREA = 1e-18
 POINT_FEAS_TOL = 1e-9
 DEFAULT_EPS = 1e-9
+SNAP_TOL = 1e-12
 
 
 class Region:
@@ -307,57 +308,53 @@ class GridSpec:
                 and v[:, 1].min() >= y0 + margin and v[:, 1].max() <= y1 - margin)
 
 
-def rasterize(P, grid, supersample=4):
-    """Per-cell coverage fractions of a polygon on a grid.
+def rasterize(P, grid):
+    """Exact per-cell coverage fractions of a polygon on a grid.
 
-    Each cell is probed at supersample^2 stratified midpoints; the result is
-    the inside fraction in [0, 1], zero outside the polygon's bounding box.
-    Only cells cut by the boundary are probed: a cell whose four corners lie
-    inside every edge by a margin has every probe inside, so its fraction is
-    exactly 1, and one whose corners all lie beyond a single edge gets 0.
+    Every edge is cut where it crosses a grid line.  Each piece adds its
+    signed trapezoid area, measured to its cell's right side, to that cell
+    and the rest of its height to the next cell in the row; a running sum
+    along each row then gives the polygon's area in every cell.  Values
+    within SNAP_TOL of 0 or 1 are rounding residue and are set exactly.
     """
     if not P.is_polygon:
         raise ValueError("measure-zero window: rasterization forbidden")
     if not grid.covers(P):
         raise ValueError("grid box must contain the rasterized window")
-    if supersample < 1:
-        raise ValueError("supersample must be >= 1")
+    a = (P.vertices - grid.origin) / grid.h
+    # the polygon's box of cells; a vertex on the grid's far side can round past it
+    lo = np.floor(a.min(axis=0)).astype(np.int64)
+    hi = np.minimum(np.ceil(a.max(axis=0)).astype(np.int64), [grid.nx, grid.ny])
+    nx, ny = hi - lo
+    a = a - lo  # grid units from the polygon's box: cell (ix, iy) is [ix, ix+1) x [iy, iy+1)
+    b = np.roll(a, -1, axis=0)
+    # cut points: the vertices, then every crossing of a grid line strictly
+    # inside an edge; an edge on a grid line crosses none, so no 0/0
+    edge, param, cuts = [np.arange(len(a))], [np.zeros(len(a))], [a]
+    for c in (0, 1):
+        first = np.floor(np.minimum(a[:, c], b[:, c])).astype(np.int64) + 1
+        counts = np.maximum(np.ceil(np.maximum(a[:, c], b[:, c])).astype(np.int64) - first, 0)
+        e = np.repeat(np.arange(len(a)), counts)
+        k = first[e] + np.arange(len(e)) - np.repeat(np.cumsum(counts) - counts, counts)
+        t = (k - a[e, c]) / (b[e, c] - a[e, c])
+        pts = a[e] + t[:, None] * (b[e] - a[e])
+        pts[:, c] = k
+        edge.append(e)
+        param.append(t)
+        cuts.append(pts)
+    p = np.concatenate(cuts)[np.lexsort((np.concatenate(param), np.concatenate(edge)))]
+    q = np.roll(p, -1, axis=0)
+    mid = 0.5 * (p + q)
+    # a piece on the box's last grid line belongs to the cell before it
+    ix, iy = np.clip(np.floor(mid).astype(np.int64), 0, [nx - 1, ny - 1]).T
+    frac = mid[:, 0] - ix
+    dy = p[:, 1] - q[:, 1]  # positive on the left side of a CCW polygon
+    acc = np.zeros((ny, nx + 1))
+    np.add.at(acc, (iy, ix), dy * (1.0 - frac))
+    np.add.at(acc, (iy, ix + 1), dy * frac)
+    cov = np.cumsum(acc, axis=1)[:, :-1]
+    cov[np.abs(cov) <= SNAP_TOL] = 0.0
+    cov[np.abs(cov - 1.0) <= SNAP_TOL] = 1.0
     out = np.zeros((grid.ny, grid.nx))
-    v = P.vertices
-    h = grid.h
-    ix0 = max(0, int(np.floor((v[:, 0].min() - grid.origin[0]) / h)) - 1)
-    ix1 = min(grid.nx, int(np.ceil((v[:, 0].max() - grid.origin[0]) / h)) + 1)
-    iy0 = max(0, int(np.floor((v[:, 1].min() - grid.origin[1]) / h)) - 1)
-    iy1 = min(grid.ny, int(np.ceil((v[:, 1].max() - grid.origin[1]) / h)) + 1)
-    if ix0 >= ix1 or iy0 >= iy1:
-        return out
-    xs = grid.origin[0] + (np.arange(ix0, ix1)) * h
-    ys = grid.origin[1] + (np.arange(iy0, iy1)) * h
-    normals, offsets = _edge_normals(P)
-    # far above the rounding of a half-plane distance on any grid that fits in memory
-    margin = 1e-9 * h
-    corner_x = grid.origin[0] + np.arange(ix0, ix1 + 1) * h
-    corner_y = grid.origin[1] + np.arange(iy0, iy1 + 1) * h
-    deepest = np.full((len(ys), len(xs)), -np.inf)
-    outside = np.zeros((len(ys), len(xs)), dtype=bool)
-    for n, c in zip(normals, offsets):
-        d = np.add.outer(corner_y * n[1], corner_x * n[0]) - c
-        np.maximum(deepest, np.maximum(np.maximum(d[:-1, :-1], d[1:, :-1]),
-                                       np.maximum(d[:-1, 1:], d[1:, 1:])), out=deepest)
-        outside |= np.minimum(np.minimum(d[:-1, :-1], d[1:, :-1]),
-                              np.minimum(d[:-1, 1:], d[1:, 1:])) >= margin
-    inside = deepest <= -margin
-    rows, cols = np.nonzero(~(inside | outside))
-    X = xs[cols]
-    Y = ys[rows]
-    count = np.zeros(len(rows))
-    for a in range(supersample):
-        for b in range(supersample):
-            px = X + (a + 0.5) / supersample * h
-            py = Y + (b + 0.5) / supersample * h
-            dist = np.outer(px, normals[:, 0]) + np.outer(py, normals[:, 1]) - offsets
-            count += dist.max(axis=1) <= 0.0
-    box = out[iy0:iy1, ix0:ix1]
-    box[inside] = 1.0
-    box[rows, cols] = count / supersample**2
+    out[lo[1]:hi[1], lo[0]:hi[0]] = cov
     return out

@@ -207,7 +207,7 @@ def _spectral_plan(grid, masks, blocks, input_boxes, scale):
     return shape, outputs, spectra
 
 
-def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid, supersample=4):
+def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
     """Rasterize window indicators and transition kernels on a shared grid.
 
     Kernels are normalized by their discrete integral, so each one sums to
@@ -235,7 +235,7 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid, supersample=
     for j, w in enumerate(windows):
         if not grid.covers(w):
             raise ValueError(f"grid underflow: window {j + 1} exceeds the grid box")
-        cov = rasterize(w, grid, supersample)
+        cov = rasterize(w, grid)
         indicators[j] = cov / (cov.sum() * h2)
         masks[j] = cov > 0
     blocks = [[None] * r for _ in range(r)]
@@ -248,7 +248,7 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid, supersample=
                 raise ValueError(f"ghost transition ({j + 1},{i + 1}): positive "
                                  "weight on a measure-zero window")
             _check_support(grid, j + 1, i + 1, trans, linear_image(windows[i], a_matrix))
-            cov = rasterize(trans, grid, supersample)
+            cov = rasterize(trans, grid)
             blocks[j][i] = _crop(cov / (cov.sum() * h2))
     a_inv = np.linalg.inv(a_matrix)
     input_boxes = _input_boxes(grid, a_inv, masks)

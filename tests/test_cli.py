@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -9,6 +10,18 @@ import pytest
 
 from modelsets import cli
 from tests.conftest import TAU
+
+
+# sha256 of the files `solve --preset penrose-example1 --h 0.03125` writes,
+# as recorded with exact cell coverage
+SOLVE_EX1_SHA256 = {
+    "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
+    "density_ch2.txt": "f572b41af7994fc7d417d53ab0d75a5b26f9ae04e209a6316167ba3a76266ede",
+    "density_ch3.txt": "20af6a89a2c6747be6f7d8117aa6418dc4352f1011324bcddd73a44eee13caf8",
+    "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
+    "density.csv": "a41b9db56aa4af67d89ac8a3198d0562638671fe370c48966bf287884384339b",
+    "summary.txt": "2756fab4a225324d6612df4172f29fad070b8f12c3709c4af700339e4087394f",
+}
 
 
 def run(args):
@@ -155,6 +168,15 @@ BAD_CONFIGS = [
     ("nu_policy = explicit\n", "explicit"),
     ("nu_row1 = 1 0 0 0\n", "nu_row2"),
     ("seed = -1\n", "seed"),
+    # keys that would otherwise be accepted and never read: the key and its line
+    ("s = 40\nwindowz = 1\n", "bad.cfg:2: unknown key 'windowz'"),
+    ("coset_shift = 2\n", "bad.cfg:1: unknown key 'coset_shift'"),
+    ("s = 40\nwindow7 = 0,0;1,0;0,1\n", "bad.cfg:2: 'window7'"),
+    ("q = 1,2,3,4\n", "bad.cfg:1: 'q'"),
+    ("scheme = inline\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1 0 0 0\n"
+     "window3 = 0,0;1,0;0,1\nq = 0 0 -1 -1\n", "bad.cfg:4: 'window3'"),
+    ("nu_row5 = 1 0 0 0\n", "bad.cfg:1: 'nu_row5'"),
+    ("s = 3\ns = 4\n", "bad.cfg:2: 's'"),
 ]
 
 
@@ -224,6 +246,8 @@ def test_solve_example1_summary(tmp_path):
     for j in range(1, 5):
         assert (out / f"density_ch{j}.txt").exists()
     assert (out / "density.csv").read_text().startswith("x,y,f1,f2,f3,f4\n")
+    for name, digest in SOLVE_EX1_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):

@@ -176,13 +176,13 @@ def test_contains():
 def test_rasterize_full_cover():
     grid = GridSpec(origin=(0.0, 0.0), h=0.25, nx=4, ny=4)
     square = Region.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    cov = rasterize(square, grid, supersample=2)
+    cov = rasterize(square, grid)
     assert np.all(cov == 1.0)
 
 
 def test_rasterize_pentagon_area():
     grid = GridSpec(origin=(-1.1, -1.1), h=0.01, nx=220, ny=220)
-    cov = rasterize(pentagon(), grid, supersample=4)
+    cov = rasterize(pentagon(), grid)
     assert abs(cov.sum() * grid.h**2 - area(pentagon())) < 0.005
     # a cell far outside the polygon stays zero
     assert cov[0, 0] == 0.0

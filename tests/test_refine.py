@@ -270,7 +270,7 @@ def test_support_stays_on_window_masks(spec, solve2_128):
     dens = solve2_128.density
     windows = [spec.shifted_window(i) for i in range(1, 5)]
     for j in range(4):
-        cov = rasterize(windows[j], dens.grid, 2)
+        cov = rasterize(windows[j], dens.grid)
         outside = cov == 0
         assert np.abs(dens.values[j][outside]).max() <= 1e-12
 

@@ -18,7 +18,7 @@ from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
 from modelsets import refine, text
-from modelsets.polygeom import GridSpec, Region, _edge_normals, rasterize
+from modelsets.polygeom import GridSpec, Region, _edge_normals, area, rasterize
 from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
                               fourier_product, initial_density, polygon_ft,
                               solve_fixed_point)
@@ -101,16 +101,17 @@ def oracle_rasterize(P, grid, supersample=4):
         return out
     xs = grid.origin[0] + (np.arange(ix0, ix1)) * h
     ys = grid.origin[1] + (np.arange(iy0, iy1)) * h
-    X, Y = np.meshgrid(xs, ys)
-    count = np.zeros_like(X)
+    probe = (np.arange(supersample) + 0.5) / supersample * h
+    px = (xs[:, None] + probe).ravel()
     normals, offsets = _edge_normals(P)
-    for a in range(supersample):
-        for b in range(supersample):
-            px = (X + (a + 0.5) / supersample * h).ravel()
-            py = (Y + (b + 0.5) / supersample * h).ravel()
-            dist = np.outer(px, normals[:, 0]) + np.outer(py, normals[:, 1]) - offsets
-            count += (dist.max(axis=1) <= 0.0).reshape(X.shape)
-    out[iy0:iy1, ix0:ix1] = count / supersample**2
+    # one row of cells at a time: a supersample x (columns * supersample) block
+    for row, y in enumerate(ys):
+        py = y + probe
+        inside = np.ones((supersample, len(px)), dtype=bool)
+        for n, c in zip(normals, offsets):
+            inside &= np.add.outer(py * n[1], px * n[0]) - c <= 0.0
+        count = inside.reshape(supersample, len(xs), supersample).sum(axis=(0, 2))
+        out[iy0 + row, ix0:ix1] = count / supersample**2
     return out
 
 
@@ -349,26 +350,49 @@ def grids(draw):
     return GridSpec(origin=(ox, oy), h=h, nx=n, ny=n)
 
 
+def assert_exact_coverage(P, grid):
+    """Coverage in [0, 1], within 1/64 of a 64^2-probe oracle in every cell,
+    summing to the polygon's area, and positive wherever a probe is inside."""
+    cov = rasterize(P, grid)
+    probed = oracle_rasterize(P, grid, 64)
+    assert cov.min() >= 0.0 and cov.max() <= 1.0
+    assert np.abs(cov - probed).max() <= 1 / 64
+    assert abs(cov.sum() * grid.h**2 - area(P)) <= 1e-12
+    assert np.all(cov[probed > 0] > 0)
+    return cov
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(P=convex_polygons(), grid=grids(), supersample=st.integers(1, 5))
-def test_rasterize_matches_oracle(P, grid, supersample):
-    assert np.array_equal(rasterize(P, grid, supersample),
-                          oracle_rasterize(P, grid, supersample))
+@given(P=convex_polygons(), grid=grids())
+def test_rasterize_matches_oracle(P, grid):
+    assert_exact_coverage(P, grid)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(nodes=st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
                       min_size=3, max_size=4, unique=True),
-       h=st.sampled_from([1 / 16, 0.05, 1 / 32]), supersample=st.integers(1, 4))
-def test_rasterize_matches_oracle_on_cell_edges(nodes, h, supersample):
+       h=st.sampled_from([1 / 16, 0.05, 1 / 32]))
+def test_rasterize_matches_oracle_on_cell_edges(nodes, h):
     # vertices on grid nodes put whole edges on cell boundaries
     grid = GridSpec(origin=(-32 * h, -32 * h), h=h, nx=64, ny=64)
     try:
         P = Region.polygon(grid.origin + h * (np.array(nodes) + 32))
     except ValueError:
         assume(False)
-    assert np.array_equal(rasterize(P, grid, supersample),
-                          oracle_rasterize(P, grid, supersample))
+    assert_exact_coverage(P, grid)
+
+
+def test_rasterize_cells_touching_a_vertex_are_zero():
+    # vertex on the node (1, 1) and an edge through the node (1.25, 1.25):
+    # cells (row, col) (3, 3), (3, 4) and (4, 3) meet the triangle only at
+    # the first node, and (5, 4) only at the second
+    grid = GridSpec(origin=(0.0, 0.0), h=0.25, nx=8, ny=8)
+    P = Region.polygon([(1.0, 1.0), (1.75, 1.25), (1.5, 1.5)])
+    cov = assert_exact_coverage(P, grid)
+    for cell in [(3, 3), (3, 4), (4, 3), (5, 4)]:
+        assert cov[cell] == 0.0
+    # between the diagonal and the side of slope 1/3: a third of the cell
+    assert abs(cov[4, 4] - 1 / 3) <= 1e-15
 
 
 DENSITY_VALUES = st.one_of(st.just(0.0), st.just(5e-324),
