@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import pfsolve, refine, scheme, verify
 from .cyclotomic import CycInt
@@ -314,7 +315,7 @@ def _pipeline(cfg):
         result = refine.solve_fixed_point(kernel, pf.w, tol=cfg.tol,
                                           maxit=cfg.maxit)
         stage = "solver comparison"
-        rng = np.random.default_rng(cfg.seed)
+        rng = default_rng(cfg.seed)
         ks = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
         ks = ks[np.hypot(ks[:, 0], ks[:, 1]) <= cfg.k_max][:cfg.k_count]
         deviation = refine.compare_solvers(result.density, trans, nu, pf.w,

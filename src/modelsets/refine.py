@@ -7,13 +7,17 @@ convolution in the refinement step lands exactly on the grid and the
 point reflection u -> -u is an exact array flip.
 
 The refinement step is evaluated spectrally.  `build_kernel` fixes, once,
-the box of cells where each contracted input channel can be non-zero, the
-bounding box of each output channel's window mask, and one periodic FFT
-shape long enough that every linear convolution from an input box into
-its output hull fits without wrapping.  It stores the real FFT of every
-transition kernel placed on that shape, so a step costs one forward
+the box of cells where each contracted input channel can be non-zero with
+the bilinear stencil that samples it there, the bounding box of each
+output channel's window mask, and one periodic FFT shape long enough that
+every linear convolution from an input box into its output hull fits
+without wrapping.  It stores the real FFT of every transition kernel
+placed on that shape, so a step costs one stencil pass and one forward
 transform per non-zero input channel and one inverse transform per output
-channel, and the circular result equals the linear one on the mask.
+channel, and the circular result equals the linear one on the mask.  The
+stencils and the numpy transforms round exactly as the order-1
+`map_coordinates` and the real transforms they replace, so the outputs
+kept their bytes.
 
 The step works on packed densities: one vector of the mask cells of the
 channels it carries.  The fixed-point solve keeps its whole state in that
@@ -25,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
-from scipy.ndimage import map_coordinates
+from numpy import fft
 
 from . import text
 from .polygeom import GridSpec, area, centroid, linear_image, rasterize
@@ -93,12 +96,108 @@ class RefinementKernel:
     indicators: np.ndarray  # (r, ny, nx) normalized window rasters
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting each window
     fft_shape: tuple        # common periodic shape of every spectrum
-    samples: list           # per channel i: map_coordinates coordinates, into the
-                            # padded mask box, of the box where f_i(A^-1 y) can be
-                            # non-zero, or None
+    stencils: list          # per channel i: Stencil, on the padded mask box, of the
+                            # box of cells where f_i(A^-1 y) can be non-zero, or None
     outputs: list           # per channel j: (grid slices of the mask's bounding
                             # box, the same cells in the periodic result)
     spectra: list           # r x r rfft2 of |det Q| h^2 blocks, None where nu vanishes
+
+
+def next_fast_len(n):
+    """Smallest 5-smooth integer >= n, a length pocketfft's real transforms
+    are fast on."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def irfft2(a, shape, rows=slice(None)):
+    """Rows `rows` (by default all) of the inverse of fft.rfft2 on `shape`.
+
+    Overwrites the spectrum `a`: the column pass runs in place, and the row
+    pass runs only over `rows`.  The unscaled inverse is multiplied by
+    1 / (ny nx) in one product, the rounding of a whole-transform
+    normalization; numpy's default norm scales axis by axis and rounds
+    differently.
+    """
+    fft.ifft(a, axis=0, norm="forward", out=a)
+    out = fft.irfft(a[rows], n=shape[1], axis=1, norm="forward")
+    out *= 1.0 / (shape[0] * shape[1])
+    return out
+
+
+@dataclass
+class Stencil:
+    """Bilinear samples of an (ny, nx) array at fixed fractional positions.
+
+    Sampling reads a frame: the array flattened, followed by nx + 2 zero
+    cells.  `index` is the flat frame index of each sample's lower-left node
+    (row floor(row), column floor(col)) and `r0`, `c0` are the weights
+    1 - (row - floor(row)) and 1 - (col - floor(col)) of the lower row and
+    column.  As in order-1 map_coordinates with mode "constant" and cval 0,
+    a position outside [0, ny - 1] x [0, nx - 1] samples 0: its index is the
+    first tail cell, so all four of its nodes are zero.  A position on the
+    last row or column reads its other node, of weight 0, from the tail.
+    """
+
+    index: np.ndarray  # int32
+    r0: np.ndarray
+    c0: np.ndarray
+    width: int  # nx, the frame's row stride
+
+    @classmethod
+    def at(cls, rows, cols, shape):
+        ny, nx = shape
+        lo_r = np.floor(rows)
+        lo_c = np.floor(cols)
+        inside = (rows >= 0) & (rows <= ny - 1) & (cols >= 0) & (cols <= nx - 1)
+        index = np.where(inside, lo_r * nx + lo_c, ny * nx).astype(np.int32)
+        return cls(index=index, r0=1.0 - (rows - lo_r), c0=1.0 - (cols - lo_c), width=nx)
+
+    @staticmethod
+    def frame(shape):
+        """A zero frame for an array of `shape`, and that array as a view of it."""
+        ny, nx = shape
+        flat = np.zeros(ny * nx + nx + 2)
+        return flat, flat[:ny * nx].reshape(ny, nx)
+
+    def sample(self, flat):
+        """The samples, of the shape of `index`, read from a frame.
+
+        The four node terms are summed in map_coordinates' grouping and
+        order, (v00 r0) c0 + (v01 r0) c1 + (v10 r1) c0 + (v11 r1) c1, which
+        makes the result bit-identical to it; the closing + 0.0 stands for
+        the +0.0 that map_coordinates starts its sum from, so a zero sample
+        is +0.0 there too.
+        """
+        r1 = 1.0 - self.r0
+        c1 = 1.0 - self.c0
+        # every index is in range by construction; mode "clip" spares take
+        # the buffered copy of `out` that its checking mode makes
+        out = np.take(flat, self.index, mode="clip")
+        out *= self.r0
+        out *= self.c0
+        term = np.empty_like(out)
+        for shift, row_w, col_w in ((1, self.r0, c1), (self.width, r1, self.c0),
+                                    (self.width + 1, r1, c1)):
+            np.take(flat[shift:], self.index, out=term, mode="clip")
+            term *= row_w
+            term *= col_w
+            out += term
+        out += 0.0
+        return out
+
+
+def bilinear(values, rows, cols):
+    """Order-1 samples of a 2-D array at fractional (row, col) positions, 0 off it."""
+    flat, view = Stencil.frame(values.shape)
+    view[...] = values
+    return Stencil.at(rows, cols, values.shape).sample(flat)
 
 
 def _bbox(P):
@@ -137,10 +236,9 @@ def _input_boxes(grid, a_inv, masks):
 
     A bilinear sample of a channel that vanishes off its mask is zero unless
     one of the four stencil nodes around A^-1 y lies on the mask.  Returns
-    (lo, hi, map_coordinates coordinates of the box) per channel, or None
-    when no cell qualifies.  The coordinates index the mask's bounding box
-    padded by one zero cell on every side, which holds every stencil node
-    that can be non-zero.
+    (lo, hi, Stencil of the box) per channel, or None when no cell
+    qualifies.  The stencil samples the mask's bounding box padded by one
+    zero cell on every side, which holds every node that can be non-zero.
     """
     X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
     px = a_inv[0, 0] * X + a_inv[0, 1] * Y
@@ -163,8 +261,10 @@ def _input_boxes(grid, a_inv, masks):
             continue
         lo, hi = _box(touched)
         box = _slices(lo, hi)
-        origin = _box(mask)[0] - 1
-        boxes.append((lo, hi, np.stack([rows[box] - origin[0], cols[box] - origin[1]])))
+        mask_lo, mask_hi = _box(mask)
+        origin = mask_lo - 1
+        boxes.append((lo, hi, Stencil.at(rows[box] - origin[0], cols[box] - origin[1],
+                                         tuple(mask_hi - mask_lo + 2))))
     return boxes
 
 
@@ -193,7 +293,7 @@ def _spectral_plan(grid, masks, blocks, input_boxes, scale):
             lo = np.minimum(lo, starts[i])
             hi = np.maximum(hi, in_hi + offset + blocks[j][i].arr.shape - 1)
         hulls.append((box_lo, box_hi, lo, hi, starts))
-    shape = tuple(fft.next_fast_len(int(n), real=True)
+    shape = tuple(next_fast_len(int(n))
                   for n in np.max([hi - lo for _, _, lo, hi, _ in hulls], axis=0))
     spectra = [[None] * r for _ in range(r)]
     outputs = []
@@ -254,10 +354,10 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
     input_boxes = _input_boxes(grid, a_inv, masks)
     fft_shape, outputs, spectra = _spectral_plan(grid, masks, blocks, input_boxes,
                                                  float(detq_abs) * h2)
-    samples = [None if box is None else box[2] for box in input_boxes]
+    stencils = [None if box is None else box[2] for box in input_boxes]
     return RefinementKernel(grid=grid, a_inv=a_inv, detq_abs=float(detq_abs), nu=nu,
                             blocks=blocks, indicators=indicators, masks=masks,
-                            fft_shape=fft_shape, samples=samples, outputs=outputs,
+                            fft_shape=fft_shape, stencils=stencils, outputs=outputs,
                             spectra=spectra)
 
 
@@ -310,7 +410,8 @@ def _output_cells(kernel, j, transformed):
     """Output channel j on its mask cells, before clamping, or None if no input reaches it.
 
     Sums nu_ji times kernel spectrum (j, i) times input spectrum i over the
-    transformed inputs and takes one inverse transform.
+    transformed inputs and takes one inverse transform, over the rows of the
+    output box only.
     """
     total = None
     for i in np.flatnonzero(kernel.nu[j]):
@@ -327,8 +428,8 @@ def _output_cells(kernel, j, transformed):
             total += term
     if total is None:
         return None
-    box, periodic = kernel.outputs[j]
-    return fft.irfft2(total, s=kernel.fft_shape)[periodic][kernel.masks[j][box]]
+    box, (rows, cols) = kernel.outputs[j]
+    return irfft2(total, kernel.fft_shape, rows)[:, cols][kernel.masks[j][box]]
 
 
 def _packed_step(x, masses, packing, conserve_mass=True):
@@ -342,14 +443,13 @@ def _packed_step(x, masses, packing, conserve_mass=True):
     h2 = kernel.grid.h**2
     transformed = {}
     for i, cells in packing.channels:
-        if kernel.samples[i] is None or not x[cells].any():
+        stencil = kernel.stencils[i]
+        if stencil is None or not x[cells].any():
             continue
         inside = kernel.masks[i][kernel.outputs[i][0]]
-        padded = np.zeros((inside.shape[0] + 2, inside.shape[1] + 2))
+        flat, padded = Stencil.frame((inside.shape[0] + 2, inside.shape[1] + 2))
         padded[1:-1, 1:-1][inside] = x[cells]
-        sampled = map_coordinates(padded, kernel.samples[i], order=1, mode="constant",
-                                  cval=0.0, prefilter=False)
-        transformed[i] = fft.rfft2(sampled, s=kernel.fft_shape)
+        transformed[i] = fft.rfft2(stencil.sample(flat), s=kernel.fft_shape)
     target = kernel.nu @ masses
     out = np.zeros_like(x)
     for j, cells in packing.channels:

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from numpy.random import default_rng
 
 from .polygeom import area, contains_many
+from .refine import bilinear
 from .text import fmt
 
 
@@ -48,8 +49,7 @@ def sample_density(density, channel, pts):
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     rows = (pts[:, 1] - g.origin[1]) / g.h - 0.5
     cols = (pts[:, 0] - g.origin[0]) / g.h - 0.5
-    return map_coordinates(density.values[channel - 1], [rows, cols], order=1,
-                           mode="constant", cval=0.0, prefilter=False)
+    return bilinear(density.values[channel - 1], rows, cols)
 
 
 def point_weights(spec, density, internal, component):
@@ -95,7 +95,7 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0,
     pool = np.concatenate([p.internal[m] for p, m in zip(points, near)])
     if not len(pool):
         raise InsufficientRadiusError("no sample points inside radius/q")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     if len(pool) > samples:
         pick = rng.choice(len(pool), size=samples, replace=False)
         pool_comp, pool = pool_comp[pick], pool[pick]

@@ -11,7 +11,8 @@ from modelsets import scheme
 from modelsets.cyclotomic import CycInt, embedding_matrix
 from modelsets.polygeom import contains_many
 
-# sha256 of points_csv_text(generate_all(...)) as written by the box sweep
+# sha256 of points_csv_text(generate_all(...)) as written by the box sweep,
+# recorded on numpy 2.4.6
 POINTS_CSV_SHA256 = {
     (40.0, 0j): "6bd566d81c78d6c01d7fc7961b2966f8007c7f8388828acb9d1002007538654a",
     (20.0, 0.031 - 0.047j): "c041b1986734af0079a0bf27e8bd359940d7b68b905eee87dbf229e0fc3737d1",

@@ -4,7 +4,8 @@ The oracles are the former implementations: the refinement step as one
 `fftconvolve` per transition on the full grid, the plain fixed-point
 iteration, the rasterizer that probes every cell of the bounding box, the
 per-value density writers, the per-entry Fourier matrix product and the
-per-wavevector grid transform.
+per-wavevector grid transform.  The bilinear stencil and the FFTs are
+checked bit for bit against the scipy routines they replaced.
 """
 
 import io
@@ -12,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import map_coordinates
@@ -418,3 +420,63 @@ def test_density_writers_match_oracle(data, r, nx, ny, h, ox, oy, chunk):
             refine.write_density_grid(density, j, got)
             oracle_write_density_grid(density, j, want)
             assert got.getvalue() == want.getvalue()
+
+
+def coordinates(n):
+    """Sample positions along an axis of n nodes, with the edge cases of
+    map_coordinates' constant mode: exact nodes, the last node, and the
+    nearest doubles past either end."""
+    return st.one_of(st.floats(-1.5, n + 0.5), st.integers(-1, n).map(float),
+                     st.sampled_from([float(n - 1), np.nextafter(n - 1, np.inf),
+                                      np.nextafter(0.0, -np.inf), -0.0]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data(), ny=st.integers(1, 12), nx=st.integers(1, 12),
+       count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_bilinear_matches_map_coordinates(data, ny, nx, count, seed):
+    # dense random values and positions, so that the order of the four
+    # rounded terms shows, with drawn values and positions for the edge cases
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1e3, 1e3, (ny, nx))
+    drawn = data.draw(arrays(bool, (ny, nx)))
+    values[drawn] = data.draw(arrays(np.float64, int(drawn.sum()), elements=st.one_of(
+        st.floats(-1e3, 1e3), st.just(0.0), st.just(-0.0))))
+    rows = np.append(rng.uniform(-1.5, ny + 0.5, count), data.draw(
+        st.lists(coordinates(ny), min_size=count, max_size=count)))
+    cols = np.append(rng.uniform(-1.5, nx + 0.5, count), data.draw(
+        st.lists(coordinates(nx), min_size=count, max_size=count)))
+    got = refine.bilinear(values, rows, cols)
+    want = map_coordinates(values, [rows, cols], order=1, mode="constant", cval=0.0,
+                           prefilter=False)
+    assert got.tobytes() == want.tobytes()  # bit for bit, the sign of zero included
+
+
+def test_next_fast_len_matches_scipy():
+    for n in range(1, 4097):
+        assert refine.next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
+
+
+def assert_ffts_match_scipy(shape, rng):
+    a = rng.standard_normal((max(1, shape[0] - 3), max(1, shape[1] - 2)))
+    spectrum = np.fft.rfft2(a, s=shape)
+    assert np.array_equal(spectrum, scipy.fft.rfft2(a, s=shape))
+    spectrum *= rng.standard_normal(spectrum.shape)
+    want = scipy.fft.irfft2(spectrum, s=shape)
+    rows = slice(shape[0] // 3, shape[0] - shape[0] // 4)
+    assert np.array_equal(refine.irfft2(spectrum.copy(), shape, rows), want[rows])
+    assert np.array_equal(refine.irfft2(spectrum, shape), want)
+
+
+def test_ffts_match_scipy_on_kernel_shapes(preset64):
+    kernel, _ = preset64
+    assert_ffts_match_scipy(kernel.fft_shape, np.random.default_rng(0))
+
+
+def test_ffts_match_scipy_on_random_shapes():
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        shape = tuple(refine.next_fast_len(int(n)) for n in rng.integers(1, 300, 2))
+        assert_ffts_match_scipy(shape, rng)
+    for shape in [(7, 11), (13, 1), (1, 17), (400, 384), (375, 400)]:
+        assert_ffts_match_scipy(shape, rng)
