@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import re
 import sys
@@ -58,14 +59,15 @@ DEFAULTS = {
 # density files written by solve: per-channel grids and one combined CSV
 OUTPUT_SELECTORS = ("grids", "csv")
 
-# numeric keys: parser and the values allowed
+# numeric keys: parser and the finite values allowed
 NUMERIC_KEYS = {
     "s": (float, "positive"), "h": (float, "positive"), "tol": (float, "positive"),
     "maxit": (int, "positive"), "closure_s": (float, "positive"),
     "id2_samples": (int, "positive"), "k_count": (int, "positive"),
     "k_max": (float, "positive"), "seed": (int, "non-negative"),
 }
-RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
+RULES = {"positive": lambda v: 0 < v < math.inf,
+         "non-negative": lambda v: 0 <= v < math.inf}
 
 # per-component keys: window<k>, coset<k> and nu_row<k> for k = 1..r
 INDEXED_KEY = re.compile(r"(window|coset|nu_row)([1-9][0-9]*)")
@@ -118,9 +120,12 @@ def _parse_floats(text, count, what):
     if len(parts) != count:
         raise ConfigError(f"{what} needs {count} numbers, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"{what}: could not parse {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{what}: numbers must be finite, got {text!r}")
+    return vals
 
 
 def _parse_ints(text, count, what):
@@ -199,8 +204,8 @@ def build_config(args):
         if override is not None:
             cfg[name] = override
     for key, (_, rule) in NUMERIC_KEYS.items():
-        if not RULES[rule](cfg[key]):
-            raise ConfigError(f"{key} must be {rule}, got {cfg[key]!r}")
+        if not RULES[rule](cfg[key]):  # NaN fails every comparison
+            raise ConfigError(f"{key} must be {rule} and finite, got {cfg[key]!r}")
     if cfg["boundary"] not in ("closed", "open"):
         raise ConfigError("boundary must be 'closed' or 'open'")
     if cfg["scheme"] == "penrose":
@@ -338,15 +343,13 @@ def cmd_solve(cfg, outdir):
     files = {"nu.txt": _nu_text(nu), "pf.txt": _pf_text(pf),
              "summary.txt": summary.getvalue()}
     selectors = cfg.outputs or OUTPUT_SELECTORS
-    if "grids" in selectors:
-        for j in range(density.r):
-            buf = io.StringIO()
-            refine.write_density_grid(density, j, buf)
-            files[f"density_ch{j + 1}.txt"] = buf.getvalue()
-    if "csv" in selectors:
-        buf = io.StringIO()
-        refine.write_density_csv(density, buf)
-        files["density.csv"] = buf.getvalue()
+    grids = {j: io.StringIO() for j in range(density.r)} if "grids" in selectors else {}
+    csv = io.StringIO() if "csv" in selectors else None
+    refine.write_density(density, grids, csv)
+    for j in list(grids):
+        files[f"density_ch{j + 1}.txt"] = grids.pop(j).getvalue()
+    if csv is not None:
+        files["density.csv"] = csv.getvalue()
     _write_all(outdir, files)
     return 0
 

@@ -713,25 +713,49 @@ def compare_solvers(density, windows_ji, nu, w, a_matrix, ks):
     return worst
 
 
+def write_density(density, grid_files=None, csv_file=None):
+    """Channel grids and the combined CSV from one pass over the samples.
+
+    `grid_files` maps a channel to the file that takes it as headered rows of
+    samples, y increasing row by row; `csv_file` takes all channels as a flat
+    x,y,f1,...,fr table for plotting.  Either may be None.  The pass walks
+    row blocks of about `text.WRITE_CHUNK_VALUES` samples, formats each sample
+    once and joins the same strings into every output that shows it.
+    """
+    g = density.grid
+    grid_files = grid_files or {}
+    for fileobj in grid_files.values():
+        fileobj.write(f"# origin {text.fmt(g.origin[0])} {text.fmt(g.origin[1])}\n")
+        fileobj.write(f"# h {text.fmt(g.h)}\n")
+        fileobj.write(f"# nx {g.nx} ny {g.ny}\n")
+    channels = sorted(grid_files)
+    if csv_file is not None:
+        channels = range(density.r)
+        csv_file.write("x,y," + ",".join(f"f{j + 1}" for j in channels) + "\n")
+        xs = text.format_samples(g.x_centers())
+        ys = text.format_samples(g.y_centers())
+    if not channels:
+        return
+    step = max(1, text.WRITE_CHUNK_VALUES // (g.nx * len(channels)))
+    for iy in range(0, g.ny, step):
+        samples = {j: text.format_samples(density.values[j, iy:iy + step])
+                   for j in channels}
+        for j, fileobj in grid_files.items():
+            s = samples[j]
+            fileobj.write("\n".join([" ".join(s[k:k + g.nx])
+                                     for k in range(0, len(s), g.nx)]) + "\n")
+        if csv_file is not None:
+            block_ys = ys[iy:iy + step]
+            column_y = [y for y in block_ys for _ in range(g.nx)]
+            csv_file.write("\n".join(map(",".join, zip(xs * len(block_ys), column_y,
+                                                       *samples.values()))) + "\n")
+
+
 def write_density_grid(density, channel, fileobj):
     """One channel as headered rows of samples, y increasing row by row."""
-    g = density.grid
-    fileobj.write(f"# origin {text.fmt(g.origin[0])} {text.fmt(g.origin[1])}\n")
-    fileobj.write(f"# h {text.fmt(g.h)}\n")
-    fileobj.write(f"# nx {g.nx} ny {g.ny}\n")
-    text.write_rows(fileobj, " ".join(["%.12g"] * g.nx) + "\n", density.values[channel])
+    write_density(density, grid_files={channel: fileobj})
 
 
 def write_density_csv(density, fileobj):
     """All channels as a flat x,y,f1,...,fr table for plotting."""
-    g = density.grid
-    xs = g.x_centers()
-    ys = g.y_centers()
-    fileobj.write("x,y," + ",".join(f"f{j + 1}" for j in range(density.r)) + "\n")
-    template = ",".join(["%.12g"] * (2 + density.r)) + "\n"
-    step = max(1, text.WRITE_CHUNK_VALUES // (g.nx * (2 + density.r)))
-    for iy in range(0, g.ny, step):
-        rows = ys[iy:iy + step]
-        table = np.column_stack([np.tile(xs, len(rows)), np.repeat(rows, g.nx),
-                                 density.values[:, iy:iy + step].reshape(density.r, -1).T])
-        text.write_rows(fileobj, template, table)
+    write_density(density, csv_file=fileobj)

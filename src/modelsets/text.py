@@ -1,5 +1,7 @@
 """Number text shared by every file the program writes."""
 
+import numpy as np
+
 WRITE_CHUNK_VALUES = 120_000  # values formatted per write; bounds the temporary text
 
 
@@ -18,3 +20,18 @@ def write_rows(fileobj, row_template, table):
     for start in range(0, len(table), step):
         chunk = table[start:start + step]
         fileobj.write((row_template * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def format_samples(values):
+    """The `fmt` text of every value of a float array, in C order, as a list.
+
+    +0.0 needs no formatting and is the literal "0"; every other value, -0.0,
+    NaN and the infinities included, goes through one `%.12g` template.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    out = np.full(flat.size, "0", dtype=object)
+    live = flat.view(np.uint64) != 0
+    n = int(np.count_nonzero(live))
+    if n:
+        out[live] = ("%.12g\0" * n % tuple(flat[live].tolist())).split("\0")[:-1]
+    return out.tolist()

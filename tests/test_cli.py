@@ -193,6 +193,40 @@ def test_bad_config_table(tmp_path, capsys, text, key):
     assert not out.exists()
 
 
+# non-finite numbers, from a config file or a flag, each exit 2 before any output
+NONFINITE_CONFIGS = [
+    pytest.param("points", "gamma = nan, 0\n", [], "gamma: numbers must be finite",
+                 id="gamma-nan"),
+    pytest.param("solve", "k_max = inf\n", [], "k_max must be positive and finite, got inf",
+                 id="k_max-inf"),
+    pytest.param("solve", "tol = inf\n", [], "tol must be positive and finite, got inf",
+                 id="tol-inf"),
+    pytest.param("solve", "s = nan\n", [], "s must be positive and finite, got nan",
+                 id="s-nan"),
+    pytest.param("solve", "nu_policy = explicit\nnu_row1 = 1 0 0 inf\n", [],
+                 "nu_row1: numbers must be finite", id="nu_row-inf"),
+    pytest.param("solve", "scheme = inline\nwindow1 = 0,0;1,0;0,nan\n", [],
+                 "window1 vertex: numbers must be finite", id="window-nan"),
+    pytest.param("solve", "", ["--h", "inf"], "h must be positive and finite, got inf",
+                 id="flag-h-inf"),
+    pytest.param("solve", "", ["--tol", "nan"], "tol must be positive and finite, got nan",
+                 id="flag-tol-nan"),
+    pytest.param("verify", "", ["--s=-inf"], "s must be positive and finite, got -inf",
+                 id="flag-s-minus-inf"),
+]
+
+
+@pytest.mark.parametrize("command,text,flags,message", NONFINITE_CONFIGS)
+def test_nonfinite_numbers_rejected(tmp_path, capsys, command, text, flags, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(config), "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 def test_cli_imports_no_scipy():
     # scipy is a test dependency: the program's FFTs and resampling are numpy's
     root = Path(__file__).resolve().parents[1]
@@ -263,6 +297,23 @@ def test_solve_example1_summary(tmp_path):
     assert (out / "density.csv").read_text().startswith("x,y,f1,f2,f3,f4\n")
     for name, digest in SOLVE_EX1_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("selector,names", [
+    ("grids", [f"density_ch{j}.txt" for j in range(1, 5)]),
+    ("csv", ["density.csv"]),
+])
+def test_solve_output_selectors(tmp_path, selector, names):
+    # each selector writes only its own density files, with the bytes of a full run
+    config = tmp_path / "sel.cfg"
+    config.write_text(f"outputs = {selector}\n")
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", "penrose-example1", "--config", str(config),
+                "--h", "0.03125", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(names + ["nu.txt", "pf.txt", "summary.txt"])
+    for name in names + ["summary.txt"]:
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == SOLVE_EX1_SHA256[name], name
 
 
 def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modelsets.polygeom import (GridSpec, Region, area, centroid, contains,
                                 contains_many, erode, linear_image, rasterize,
@@ -211,3 +212,71 @@ def test_gridspec_validation():
         GridSpec(origin=(0, 0), h=-1.0, nx=4, ny=4)
     with pytest.raises(ValueError):
         GridSpec(origin=(0, 0), h=0.5, nx=0, ny=4)
+
+
+@st.composite
+def convex_regions(draw, smallest=0.05, largest=1.0):
+    """Rotated polygons on a random ellipse; no angular gap is under a third
+    of any other."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(1, 3), min_size=n, max_size=n)))
+    angles = draw(st.floats(0, 2 * np.pi)) + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    rx, ry = draw(st.floats(smallest, largest)), draw(st.floats(smallest, largest))
+    turn = draw(st.floats(0, np.pi))
+    center = np.array([draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))])
+    rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    verts = np.column_stack([rx * np.cos(angles), ry * np.sin(angles)]) @ rot.T + center
+    try:
+        return Region.polygon(verts)
+    except ValueError:
+        assume(False)
+
+
+def brute_erosion_membership(C, K, us, margin):
+    """(inside, outside) by the definition, every vertex of K + u lies in C,
+    each with `margin` to spare in C's half-planes; u near the erosion's
+    boundary is neither."""
+    pts = (us[:, None, :] + K.vertices[None, :, :]).reshape(-1, 2)
+    nk = len(K.vertices)
+    inside = contains_many(C, pts, -margin).reshape(-1, nk).all(axis=1)
+    outside = ~contains_many(C, pts, margin).reshape(-1, nk).all(axis=1)
+    return inside, outside
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(C=convex_regions(0.3, 1.5), K=convex_regions(0.05, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_erode_matches_brute_force_membership(C, K, seed):
+    E = erode(C, K)
+    rng = np.random.default_rng(seed)
+    lo = C.vertices.min(axis=0) - K.vertices.max(axis=0) - 0.1
+    hi = C.vertices.max(axis=0) - K.vertices.min(axis=0) + 0.1
+    us = rng.uniform(lo, hi, (400, 2))
+    if E.is_polygon:
+        us = np.vstack([us, E.vertices, centroid(E)[None, :]])
+    inside, outside = brute_erosion_membership(C, K, us, 1e-7)
+    got = contains_many(E, us, 0.0)
+    assert got[inside].all() and not got[outside].any()
+    if not E.is_empty:
+        # K shifted to any point of the erosion stays in C
+        pts = (E.vertices[:, None, :] + K.vertices[None, :, :]).reshape(-1, 2)
+        assert contains_many(C, pts, 1e-9).all()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(C=convex_regions(0.1, 1.5), tx=st.floats(-1, 1), ty=st.floats(-1, 1),
+       grow=st.one_of(st.floats(1e-6, 1e-4), st.floats(1e-3, 0.5)))
+def test_erode_collapses_to_a_point_and_to_empty(C, tx, ty, grow):
+    # C eroded by the point t is C - t, and by a translate C + t the point -t
+    assert np.array_equal(erode(C, Region.single((tx, ty))).vertices,
+                          C.vertices - (tx, ty))
+    E = erode(C, translate(C, (tx, ty)))
+    assert E.is_point and np.hypot(*(E.point + (tx, ty))) <= 1e-9
+    # by a copy scaled up about an interior point it is empty, and no sample
+    # passes the brute-force test either
+    c = centroid(C)
+    K = translate(linear_image(translate(C, -c), (1 + grow) * np.eye(2)), c)
+    assert erode(C, K).is_empty
+    us = c - np.random.default_rng(0).uniform(-0.01, 0.01, (200, 2))
+    inside, _ = brute_erosion_membership(C, K, us, 0.0)
+    assert not inside.any()

@@ -397,29 +397,47 @@ def test_rasterize_cells_touching_a_vertex_are_zero():
     assert abs(cov[4, 4] - 1 / 3) <= 1e-15
 
 
-DENSITY_VALUES = st.one_of(st.just(0.0), st.just(5e-324),
-                           st.floats(0, 1e-300), st.floats(0, 1e3),
-                           st.floats(1e-6, 1e20))
+# +0.0 is spliced in as "0" without formatting; every other value, -0.0, NaN
+# and the infinities included, must print what `%.12g` prints
+DENSITY_VALUES = st.one_of(st.just(0.0), st.just(-0.0), st.just(5e-324), st.just(-5e-324),
+                           st.floats(0, 1e-300), st.floats(0, 1e3), st.floats(1e-6, 1e20),
+                           st.floats(-1e3, 0), st.floats(allow_nan=True, allow_infinity=True),
+                           st.sampled_from([np.inf, -np.inf, np.nan]))
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(data=st.data(), r=st.integers(1, 4), nx=st.integers(1, 9), ny=st.integers(1, 9),
        h=st.floats(1e-3, 2.0), ox=st.floats(-5, 5), oy=st.floats(-5, 5),
        chunk=st.integers(1, 60))
 def test_density_writers_match_oracle(data, r, nx, ny, h, ox, oy, chunk):
     values = data.draw(arrays(np.float64, (r, ny, nx), elements=DENSITY_VALUES))
-    density = DensityGrid.from_values(GridSpec(origin=(ox, oy), h=h, nx=nx, ny=ny),
-                                      values)
+    density = DensityGrid(grid=GridSpec(origin=(ox, oy), h=h, nx=nx, ny=ny),
+                          values=values, masses=np.zeros(r))
+    channels = data.draw(st.lists(st.integers(0, r - 1), unique=True))
+    want_grids = {}
+    for j in range(r):
+        want_grids[j] = io.StringIO()
+        oracle_write_density_grid(density, j, want_grids[j])
+    want_csv = io.StringIO()
+    oracle_write_density_csv(density, want_csv)
     with mock.patch.object(text, "WRITE_CHUNK_VALUES", chunk):
-        got, want = io.StringIO(), io.StringIO()
+        # grids only (a drawn subset of channels), CSV only, and both in one pass
+        for grid_channels, with_csv in [(channels, False), ([], True), (channels, True)]:
+            grids = {j: io.StringIO() for j in grid_channels}
+            csv = io.StringIO() if with_csv else None
+            refine.write_density(density, grids, csv)
+            for j in grid_channels:
+                assert grids[j].getvalue() == want_grids[j].getvalue()
+            if with_csv:
+                assert csv.getvalue() == want_csv.getvalue()
+        # the one-output entry points
+        got = io.StringIO()
         refine.write_density_csv(density, got)
-        oracle_write_density_csv(density, want)
-        assert got.getvalue() == want.getvalue()
+        assert got.getvalue() == want_csv.getvalue()
         for j in range(r):
-            got, want = io.StringIO(), io.StringIO()
+            got = io.StringIO()
             refine.write_density_grid(density, j, got)
-            oracle_write_density_grid(density, j, want)
-            assert got.getvalue() == want.getvalue()
+            assert got.getvalue() == want_grids[j].getvalue()
 
 
 def coordinates(n):
