@@ -242,11 +242,18 @@ def build_config(args):
                      outputs=cfg["outputs"], **{key: cfg[key] for key in NUMERIC_KEYS})
 
 
+class _Chunks(list):
+    """Text kept as the list of the strings written to it, never joined into one."""
+
+    write = list.append
+
+
 def _write_all(outdir, files):
+    """Write each file's text, a string or a list of strings, under outdir."""
     os.makedirs(outdir, exist_ok=True)
     for name, text in files.items():
         with open(os.path.join(outdir, name), "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _region_line(j, i, region):
@@ -325,8 +332,9 @@ def _pipeline(cfg):
         ks = ks[np.hypot(ks[:, 0], ks[:, 1]) <= cfg.k_max][:cfg.k_count]
         deviation = refine.compare_solvers(result.density, trans, nu, pf.w,
                                            cfg.spec.a_matrix(), ks)
-    except (ValueError, RuntimeError) as exc:
-        raise RuntimeError(f"failed at stage '{stage}': {exc}") from exc
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        reason = str(exc) or "out of memory"  # a bare MemoryError has no message
+        raise RuntimeError(f"failed at stage '{stage}': {reason}") from exc
     yield result, deviation
 
 
@@ -343,13 +351,13 @@ def cmd_solve(cfg, outdir):
     files = {"nu.txt": _nu_text(nu), "pf.txt": _pf_text(pf),
              "summary.txt": summary.getvalue()}
     selectors = cfg.outputs or OUTPUT_SELECTORS
-    grids = {j: io.StringIO() for j in range(density.r)} if "grids" in selectors else {}
-    csv = io.StringIO() if "csv" in selectors else None
+    grids = {j: _Chunks() for j in range(density.r)} if "grids" in selectors else {}
+    csv = _Chunks() if "csv" in selectors else None
     refine.write_density(density, grids, csv)
-    for j in list(grids):
-        files[f"density_ch{j + 1}.txt"] = grids.pop(j).getvalue()
+    for j, chunks in grids.items():
+        files[f"density_ch{j + 1}.txt"] = chunks
     if csv is not None:
-        files["density.csv"] = csv.getvalue()
+        files["density.csv"] = csv
     _write_all(outdir, files)
     return 0
 
@@ -427,8 +435,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

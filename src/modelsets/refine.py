@@ -11,13 +11,15 @@ the box of cells where each contracted input channel can be non-zero with
 the bilinear stencil that samples it there, the bounding box of each
 output channel's window mask, and one periodic FFT shape long enough that
 every linear convolution from an input box into its output hull fits
-without wrapping.  It stores the real FFT of every transition kernel
-placed on that shape, so a step costs one stencil pass and one forward
-transform per non-zero input channel and one inverse transform per output
-channel, and the circular result equals the linear one on the mask.  The
-stencils and the numpy transforms round exactly as the order-1
-`map_coordinates` and the real transforms they replace, so the outputs
-kept their bytes.
+without wrapping, and where on that shape each transition kernel sits.
+The real FFT of a placed kernel is built the first time it is needed and
+then kept, so a run transforms only the kernels its channels reach (the
+fixed-point solve builds those before its first step).  A step costs one
+stencil pass and one forward transform per non-zero input channel and one
+inverse transform per output channel, and the circular result equals the
+linear one on the mask.  The stencils and the numpy transforms round
+exactly as the order-1 `map_coordinates` and the real transforms they
+replace, so the outputs kept their bytes.
 
 The step works on packed densities: one vector of the mask cells of the
 channels it carries.  The fixed-point solve keeps its whole state in that
@@ -93,14 +95,27 @@ class RefinementKernel:
     detq_abs: float
     nu: np.ndarray
     blocks: list          # r x r, _Block or None where nu vanishes
-    indicators: np.ndarray  # (r, ny, nx) normalized window rasters
+    indicators: list        # per channel j: normalized window raster on the cells
+                            # of masks[j], in row-major order
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting each window
     fft_shape: tuple        # common periodic shape of every spectrum
     stencils: list          # per channel i: Stencil, on the padded mask box, of the
                             # box of cells where f_i(A^-1 y) can be non-zero, or None
     outputs: list           # per channel j: (grid slices of the mask's bounding
                             # box, the same cells in the periodic result)
-    spectra: list           # r x r rfft2 of |det Q| h^2 blocks, None where nu vanishes
+    placements: list        # r x r slices of fft_shape that hold block (j, i), None
+                            # where it takes no part in a step
+    spectra: list           # r x r rfft2 of the placed |det Q| h^2 blocks, None
+                            # until spectrum(j, i) first builds it
+
+    def spectrum(self, j, i):
+        """Spectrum (j, i), built on first use and kept."""
+        if self.spectra[j][i] is None:
+            padded = np.zeros(self.fft_shape)
+            padded[self.placements[j][i]] = self.blocks[j][i].arr * \
+                (self.detq_abs * self.grid.h**2)
+            self.spectra[j][i] = fft.rfft2(padded)
+        return self.spectra[j][i]
 
 
 def next_fast_len(n):
@@ -240,14 +255,24 @@ def _input_boxes(grid, a_inv, masks):
     qualifies.  The stencil samples the mask's bounding box padded by one
     zero cell on every side, which holds every node that can be non-zero.
     """
-    X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
-    px = a_inv[0, 0] * X + a_inv[0, 1] * Y
-    py = a_inv[1, 0] * X + a_inv[1, 1] * Y
-    rows = (py - grid.origin[1]) / grid.h - 0.5
-    cols = (px - grid.origin[0]) / grid.h - 0.5
+    # row and column, in cells, of A^-1 c at every cell center c, built by
+    # broadcasting and updated in place: the roundings of the full-grid
+    # expression (A^-1 c - origin) / h - 0.5 without its full-grid temporaries
+    x = grid.x_centers()[None, :]
+    y = grid.y_centers()[:, None]
+    rows = a_inv[1, 0] * x + a_inv[1, 1] * y
+    rows -= grid.origin[1]
+    rows /= grid.h
+    rows -= 0.5
+    cols = a_inv[0, 0] * x + a_inv[0, 1] * y
+    cols -= grid.origin[0]
+    cols /= grid.h
+    cols -= 0.5
     # lower-left stencil node, counted in a frame padded by one zero cell
-    a = np.floor(rows).astype(np.intp) + 1
-    b = np.floor(cols).astype(np.intp) + 1
+    a = np.floor(rows).astype(np.intp)
+    a += 1
+    b = np.floor(cols).astype(np.intp)
+    b += 1
     on_grid = (a >= 0) & (a <= grid.ny) & (b >= 0) & (b <= grid.nx)
     a[~on_grid] = 0
     b[~on_grid] = 0
@@ -268,8 +293,8 @@ def _input_boxes(grid, a_inv, masks):
     return boxes
 
 
-def _spectral_plan(grid, masks, blocks, input_boxes, scale):
-    """Periodic FFT shape, output boxes and placed kernel spectra of the step.
+def _spectral_plan(grid, masks, blocks, input_boxes):
+    """Periodic FFT shape, output boxes and kernel placements of the step.
 
     The hull of output channel j covers its mask's bounding box and, for
     every i with a block, the linear-convolution support of input box i with
@@ -295,16 +320,13 @@ def _spectral_plan(grid, masks, blocks, input_boxes, scale):
         hulls.append((box_lo, box_hi, lo, hi, starts))
     shape = tuple(next_fast_len(int(n))
                   for n in np.max([hi - lo for _, _, lo, hi, _ in hulls], axis=0))
-    spectra = [[None] * r for _ in range(r)]
+    placements = [[None] * r for _ in range(r)]
     outputs = []
     for j, (box_lo, box_hi, lo, _, starts) in enumerate(hulls):
         for i, start in starts.items():
-            arr = blocks[j][i].arr
-            padded = np.zeros(shape)
-            padded[_slices(start - lo, start - lo + arr.shape)] = arr * scale
-            spectra[j][i] = fft.rfft2(padded)
+            placements[j][i] = _slices(start - lo, start - lo + blocks[j][i].arr.shape)
         outputs.append((_slices(box_lo, box_hi), _slices(box_lo - lo, box_hi - lo)))
-    return shape, outputs, spectra
+    return shape, outputs, placements
 
 
 def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
@@ -312,8 +334,9 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
 
     Kernels are normalized by their discrete integral, so each one sums to
     exactly one cell measure; entries with zero weight carry no raster.
-    Also fixes the input and output boxes of the spectral step and the
-    transforms of the |det Q|-scaled kernels.  Raises when the grid cannot
+    Also fixes the input and output boxes of the spectral step and where
+    each |det Q|-scaled kernel sits on its FFT shape; the kernel's
+    `spectrum` transforms one on first use.  Raises when the grid cannot
     hold a window or a convolution support, or when a positive weight sits
     on a measure-zero window.
     """
@@ -330,14 +353,14 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
             abs(grid.origin[1] + grid.ny * grid.h / 2) > 1e-9:
         raise ValueError("kernel grid must be odd-sized and centered at the origin")
     h2 = grid.h**2
-    indicators = np.zeros((r, grid.ny, grid.nx))
+    indicators = []
     masks = np.zeros((r, grid.ny, grid.nx), dtype=bool)
     for j, w in enumerate(windows):
         if not grid.covers(w):
             raise ValueError(f"grid underflow: window {j + 1} exceeds the grid box")
         cov = rasterize(w, grid)
-        indicators[j] = cov / (cov.sum() * h2)
         masks[j] = cov > 0
+        indicators.append(cov[masks[j]] / (cov.sum() * h2))
     blocks = [[None] * r for _ in range(r)]
     for j in range(r):
         for i in range(r):
@@ -352,19 +375,20 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
             blocks[j][i] = _crop(cov / (cov.sum() * h2))
     a_inv = np.linalg.inv(a_matrix)
     input_boxes = _input_boxes(grid, a_inv, masks)
-    fft_shape, outputs, spectra = _spectral_plan(grid, masks, blocks, input_boxes,
-                                                 float(detq_abs) * h2)
+    fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, input_boxes)
     stencils = [None if box is None else box[2] for box in input_boxes]
     return RefinementKernel(grid=grid, a_inv=a_inv, detq_abs=float(detq_abs), nu=nu,
                             blocks=blocks, indicators=indicators, masks=masks,
                             fft_shape=fft_shape, stencils=stencils, outputs=outputs,
-                            spectra=spectra)
+                            placements=placements, spectra=[[None] * r for _ in range(r)])
 
 
 def initial_density(kernel, w):
     """Masses w spread uniformly over the component windows."""
     w = np.asarray(w, dtype=float)
-    values = w[:, None, None] * kernel.indicators
+    values = np.zeros(kernel.masks.shape)
+    for j, raster in enumerate(kernel.indicators):
+        values[j][kernel.masks[j]] = w[j] * raster
     return DensityGrid.from_values(kernel.grid, values)
 
 
@@ -411,7 +435,7 @@ def _output_cells(kernel, j, transformed):
 
     Sums nu_ji times kernel spectrum (j, i) times input spectrum i over the
     transformed inputs and takes one inverse transform, over the rows of the
-    output box only.
+    output box only.  A kernel spectrum not built yet is built here.
     """
     total = None
     for i in np.flatnonzero(kernel.nu[j]):
@@ -420,16 +444,19 @@ def _output_cells(kernel, j, transformed):
                              "rebuild the kernel with this weight matrix")
         if i not in transformed:
             continue
-        term = kernel.spectra[j][i] * transformed[i]
+        term = kernel.spectrum(j, i) * transformed[i]
         term *= kernel.nu[j, i]
         if total is None:
             total = term
         else:
             total += term
+        del term  # at most one product is alive besides the sum
     if total is None:
         return None
     box, (rows, cols) = kernel.outputs[j]
-    return irfft2(total, kernel.fft_shape, rows)[:, cols][kernel.masks[j][box]]
+    values = irfft2(total, kernel.fft_shape, rows)
+    del total  # freed before the mask cells are gathered
+    return values[:, cols][kernel.masks[j][box]]
 
 
 def _packed_step(x, masses, packing, conserve_mass=True):
@@ -462,6 +489,7 @@ def _packed_step(x, masses, packing, conserve_mass=True):
             if raw > 0 and target[j] > 0:
                 acc *= target[j] / raw
         out[cells] = acc
+        del acc  # freed before the next channel's products
     return out
 
 
@@ -479,9 +507,9 @@ def apply_refinement(f, kernel, conserve_mass=True):
 
     Channel i of f is taken to vanish off kernel.masks[i], as every density
     the solver produces does; values outside the mask are ignored.  The
-    convolutions run as products of the kernel's cached spectra with one
-    transform per non-zero input channel, and an all-zero channel is
-    skipped.
+    convolutions run as products of the kernel's spectra, each built the
+    first time a step reads it, with one transform per non-zero input
+    channel, and an all-zero channel is skipped.
     """
     packing = _Packing.of(kernel, range(f.r))
     return packing.unpack(_packed_step(packing.pack(f.values), f.masses, packing,
@@ -520,6 +548,8 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
     Starts from the window indicators carrying masses w and stops when the
     summed L1 change of all channels over one step drops below tol.
     Requires w to be fixed by the weight matrix (spectral radius one).
+    The kernel spectra the steps read are built before the first step, so
+    they are not allocated among a step's temporaries.
 
     The iterates are Anderson-mixed (Walker & Ni 2011): each next iterate
     combines the last _MIX_DEPTH + 1 step outputs with the affine weights
@@ -537,8 +567,13 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
         raise ValueError("the weight matrix does not fix w (its spectral "
                          "radius must be one)")
     packing = _Packing.of(kernel, np.flatnonzero(w > 0))
+    live = [j for j, _ in packing.channels]
+    for j in live:
+        for i in live:
+            if kernel.nu[j, i] != 0 and kernel.placements[j][i] is not None:
+                kernel.spectrum(j, i)
     h2 = kernel.grid.h**2
-    x = packing.pack(initial_density(kernel, w).values)
+    x = np.concatenate([w[j] * kernel.indicators[j] for j in live])
     masses = packing.masses(x)
     residuals = []
     mass_history = [masses]
@@ -550,6 +585,7 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
         residuals.append(resid)
         mass_history.append(packing.masses(g))
         if resid < tol:
+            del outputs[:], diffs[:], x, diff  # freed before the full grid is built
             return FixedPointResult(density=packing.unpack(g),
                                     residuals=np.array(residuals),
                                     mass_history=mass_history)

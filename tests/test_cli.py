@@ -24,6 +24,20 @@ SOLVE_EX1_SHA256 = {
     "summary.txt": "2756fab4a225324d6612df4172f29fad070b8f12c3709c4af700339e4087394f",
 }
 
+# sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
+# recorded like SOLVE_EX1_SHA256; here every channel and every kernel
+# spectrum is live
+SOLVE_EX2_SHA256 = {
+    "density_ch1.txt": "202eaad551cedf6bd12b4cc32b75b99de7147a3f9e0b7e5915879b730d5f484d",
+    "density_ch2.txt": "64a948676e05fe513174351cf1400d01083dd0d8e7a90ed44a6cf45407ad293a",
+    "density_ch3.txt": "b801e99f1e3d4d7d0893699a273058bdb71be7cc1fecc5a599a6bffb4d904df4",
+    "density_ch4.txt": "5065b850a4057574dccb9851b687b3b1594f0a4083a57022084614caf7d291e5",
+    "density.csv": "97aaf2832b22f49b1364f8fc34abd9901090394451950944fa23f7614a1f0e30",
+    "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
+    "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
+    "summary.txt": "056f0445aee479dc0017256502350828e0ce80dacc1c464dc4a81517c7561ab1",
+}
+
 
 def run(args):
     return cli.main(args)
@@ -316,6 +330,28 @@ def test_solve_output_selectors(tmp_path, selector, names):
         assert digest == SOLVE_EX1_SHA256[name], name
 
 
+@pytest.mark.parametrize("command,target,error,message", [
+    ("solve", "modelsets.refine.build_kernel",
+     MemoryError("Unable to allocate 3.36 TiB for an array"),
+     "failed at stage 'kernel': Unable to allocate 3.36 TiB for an array"),
+    ("solve", "modelsets.refine.build_kernel", MemoryError(),
+     "failed at stage 'kernel': out of memory"),
+    ("points", "modelsets.scheme.generate_all", MemoryError(), "error: out of memory"),
+], ids=["kernel", "kernel-no-message", "points"])
+def test_out_of_memory_fails_before_output(tmp_path, capsys, monkeypatch, command, target,
+                                           error, message):
+    # a stand-in for an allocation that fails: a real one of that size can
+    # succeed under memory overcommit, and touching it gets the process killed
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, exhausted)
+    out = tmp_path / "out"
+    assert run([command, "--preset", "penrose-example1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):
     config = tmp_path / "short.cfg"
     config.write_text("maxit = 3\n")
@@ -347,6 +383,15 @@ def test_solve_example2_positive_peaks(tmp_path):
         lines = (out / f"density_ch{j}.txt").read_text().strip().split("\n")
         values = np.array([[float(v) for v in row.split()] for row in lines[3:]])
         assert values.max() > 0
+
+
+def test_solve_example2_pinned_bytes(tmp_path):
+    out = tmp_path / "s2"
+    assert run(["solve", "--preset", "penrose-example2", "--h", "0.03125",
+                "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(SOLVE_EX2_SHA256)
+    for name, digest in SOLVE_EX2_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_verify_insufficient_radius(tmp_path, capsys):

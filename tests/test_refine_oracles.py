@@ -2,8 +2,9 @@
 
 The oracles are the former implementations: the refinement step as one
 `fftconvolve` per transition on the full grid, the plain fixed-point
-iteration, the rasterizer that probes every cell of the bounding box, the
-per-value density writers, the per-entry Fourier matrix product and the
+iteration, the kernel spectra all placed and transformed up front, the
+rasterizer that probes every cell of the bounding box, the per-value
+density writers, the per-entry Fourier matrix product and the
 per-wavevector grid transform.  The bilinear stencil and the FFTs are
 checked bit for bit against the scipy routines they replaced.
 """
@@ -88,6 +89,49 @@ def oracle_solve(kernel, w, tol=1e-8, maxit=200):
         if resid < tol:
             return f
     raise RuntimeError("oracle iteration did not reach tol")
+
+
+def oracle_spectra(kernel):
+    """FFT shape and every kernel spectrum, placed and transformed up front.
+
+    The hull of output channel j covers its mask's bounding box and the
+    linear-convolution support of every input box with its block; the shape
+    holds the longest hull, and each |det Q| h^2-scaled block is zero-padded
+    at its offset from the hull start.
+    """
+    grid, masks, blocks = kernel.grid, kernel.masks, kernel.blocks
+    input_boxes = refine._input_boxes(grid, kernel.a_inv, masks)
+    r = len(masks)
+    centre = np.array([(grid.ny - 1) // 2, (grid.nx - 1) // 2])
+    hulls = []
+    for j in range(r):
+        lo, hi = refine._box(masks[j])
+        starts = {}
+        for i in range(r):
+            if blocks[j][i] is None or input_boxes[i] is None:
+                continue
+            in_lo, in_hi, _ = input_boxes[i]
+            offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - centre
+            starts[i] = in_lo + offset
+            lo = np.minimum(lo, starts[i])
+            hi = np.maximum(hi, in_hi + offset + blocks[j][i].arr.shape - 1)
+        hulls.append((lo, hi, starts))
+    shape = tuple(refine.next_fast_len(int(n))
+                  for n in np.max([hi - lo for lo, hi, _ in hulls], axis=0))
+    spectra = [[None] * r for _ in range(r)]
+    for j, (lo, _, starts) in enumerate(hulls):
+        for i, start in starts.items():
+            arr = blocks[j][i].arr
+            padded = np.zeros(shape)
+            padded[refine._slices(start - lo, start - lo + arr.shape)] = \
+                arr * (kernel.detq_abs * grid.h**2)
+            spectra[j][i] = np.fft.rfft2(padded)
+    return shape, spectra
+
+
+def built_spectra(kernel):
+    r = len(kernel.spectra)
+    return [(j, i) for j in range(r) for i in range(r) if kernel.spectra[j][i] is not None]
 
 
 def oracle_rasterize(P, grid, supersample=4):
@@ -276,6 +320,43 @@ def test_rising_residual_resets_the_mixing_history(preset64):
     assert fits[:8] == [1, 2, 3, 3, 1, 1, 2, 3]
     assert r[-1] < 1e-8
     assert np.all(result.density.values[w == 0] == 0.0)
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+def test_spectra_on_first_use_match_eager_oracle(request, spec, transitions, policy):
+    # h = 1/60, not a power of two, so that h^2 rounds and so does the scaling
+    nu = request.getfixturevalue(f"nu_{policy}")
+    kernel = preset_kernel(spec, transitions, nu, 1 / 60)
+    assert built_spectra(kernel) == []
+    shape, want = oracle_spectra(kernel)
+    assert kernel.fft_shape == shape
+    for j in range(4):
+        for i in range(4):
+            if want[j][i] is None:
+                assert kernel.placements[j][i] is None
+            else:
+                got = kernel.spectrum(j, i)
+                assert got.tobytes() == want[j][i].tobytes(), (j, i)
+                assert kernel.spectrum(j, i) is got  # kept, not rebuilt
+
+
+def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions, nu_area,
+                                                              pf_area):
+    # example 1 carries mass only on channels 2 and 3 (1-based)
+    kernel = preset_kernel(spec, transitions, nu_area, 1 / 64)
+    live = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    step = refine._packed_step
+    at_steps = []
+
+    def recorded_step(*args, **kwargs):
+        at_steps.append(built_spectra(kernel))
+        return step(*args, **kwargs)
+
+    with mock.patch.object(refine, "_packed_step", recorded_step):
+        result = solve_fixed_point(kernel, pf_area.w)
+    assert result.iterations == len(at_steps) > 1
+    assert all(built == live for built in at_steps)
+    assert built_spectra(kernel) == live
 
 
 @pytest.mark.parametrize("conserve_mass", [True, False])
