@@ -11,7 +11,7 @@ from .refine import (DensityGrid, FixedPointResult, RefinementKernel,
                      solve_fixed_point)
 from .scheme import (PointSet, SchemeSpec, build_nu, check_selfsim_closure,
                      generate_all, penrose_scheme, points_csv_text,
-                     transition_windows, translation_sets, write_points_csv)
+                     transition_windows, translation_sets)
 from .verify import (Id2Report, InsufficientRadiusError, ReportLine,
                      check_id2, density_estimate, id3_values, point_weights,
                      render_report, sample_density, weyl_test)

@@ -14,7 +14,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 from numpy.random import default_rng
@@ -37,37 +38,8 @@ PRESETS = {
                          "nu_matrix": EXAMPLE2_MATRIX},
 }
 
-DEFAULTS = {
-    "scheme": "penrose",
-    "nu_policy": "area-markov",
-    "nu_matrix": None,
-    "gamma": (0.0, 0.0),
-    "s": 40.0,
-    "h": 1.0 / 128,
-    "tol": 1e-8,
-    "maxit": 200,
-    "boundary": "closed",
-    "closure_s": 5.0,
-    "id2_samples": 100,
-    "seed": 0,
-    "k_count": 25,
-    "k_max": 10.0,
-    "outputs": None,
-}
-
-
 # density files written by solve: per-channel grids and one combined CSV
 OUTPUT_SELECTORS = ("grids", "csv")
-
-# numeric keys: parser and the finite values allowed
-NUMERIC_KEYS = {
-    "s": (float, "positive"), "h": (float, "positive"), "tol": (float, "positive"),
-    "maxit": (int, "positive"), "closure_s": (float, "positive"),
-    "id2_samples": (int, "positive"), "k_count": (int, "positive"),
-    "k_max": (float, "positive"), "seed": (int, "non-negative"),
-}
-RULES = {"positive": lambda v: 0 < v < math.inf,
-         "non-negative": lambda v: 0 <= v < math.inf}
 
 # per-component keys: window<k>, coset<k> and nu_row<k> for k = 1..r
 INDEXED_KEY = re.compile(r"(window|coset|nu_row)([1-9][0-9]*)")
@@ -130,12 +102,63 @@ def _parse_floats(text, count, what):
 
 def _parse_ints(text, count, what):
     vals = _parse_floats(text, count, what)
-    out = []
-    for v in vals:
-        if v != int(v):
-            raise ConfigError(f"{what}: expected integers, got {text!r}")
-        out.append(int(v))
-    return out
+    if any(v != int(v) for v in vals):
+        raise ConfigError(f"{what}: expected integers, got {text!r}")
+    return [int(v) for v in vals]
+
+
+def _parse_outputs(text):
+    selectors = [p.strip() for p in text.split(",") if p.strip()]
+    for sel in selectors:
+        if sel not in OUTPUT_SELECTORS:
+            raise ConfigError(f"unknown output selector {sel!r}; "
+                              f"expected {', '.join(OUTPUT_SELECTORS)}")
+    return selectors
+
+
+def _one_of(*names):
+    return " or ".join(map(repr, names)), names.__contains__
+
+
+POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)  # NaN fails every comparison
+NON_NEGATIVE = ("non-negative and finite", lambda v: 0 <= v < math.inf)
+
+# every plain key: its default, the parser of its text, and the rule its
+# value must meet as (description, test), or None
+KEYS = {
+    "scheme": ("penrose", str, _one_of("penrose", "inline")),
+    "nu_policy": (scheme.POLICY_AREA, str, _one_of(scheme.POLICY_AREA, scheme.POLICY_EXPLICIT)),
+    "gamma": ((0.0, 0.0), lambda text: tuple(_parse_floats(text, 2, "gamma")), None),
+    "boundary": ("closed", str, _one_of("closed", "open")),
+    "s": (40.0, float, POSITIVE),
+    "h": (1.0 / 128, float, POSITIVE),
+    "tol": (1e-8, float, POSITIVE),
+    "maxit": (200, int, POSITIVE),
+    "closure_s": (5.0, float, POSITIVE),
+    "id2_samples": (100, int, POSITIVE),
+    "seed": (0, int, NON_NEGATIVE),
+    "k_count": (25, int, POSITIVE),
+    "k_max": (10.0, float, POSITIVE),
+    "outputs": (None, _parse_outputs, None),
+}
+
+
+def _located(raw, path, key, parse):
+    """parse(value of key), with any error prefixed by the key's file and line."""
+    value, lineno = raw[key]
+    try:
+        return parse(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    except ValueError as exc:  # from float, int or Region.polygon
+        raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+
+
+def _parse_window(text, key):
+    pts = [p for p in text.split(";") if p.strip()]
+    if len(pts) < 3:
+        raise ConfigError(f"{key} needs >= 3 vertices")
+    return Region.polygon([_parse_floats(p, 2, f"{key} vertex") for p in pts])
 
 
 def _inline_scheme(raw, path, gamma, boundary):
@@ -143,28 +166,25 @@ def _inline_scheme(raw, path, gamma, boundary):
     reps = []
     idx = 1
     while f"window{idx}" in raw:
-        text, lineno = raw[f"window{idx}"]
-        pts = [p for p in text.split(";") if p.strip()]
-        if len(pts) < 3:
-            raise ConfigError(f"{path}:{lineno}: window{idx} needs >= 3 vertices")
-        verts = [_parse_floats(p, 2, f"window{idx} vertex") for p in pts]
-        windows.append(Region.polygon(verts))
+        windows.append(_located(raw, path, f"window{idx}",
+                                lambda text: _parse_window(text, f"window{idx}")))
         if f"coset{idx}" not in raw:
             raise ConfigError(f"{path}: missing coset{idx}")
-        reps.append(CycInt(*_parse_ints(raw[f"coset{idx}"][0], 4, f"coset{idx}")))
+        reps.append(CycInt(*_located(raw, path, f"coset{idx}",
+                                     lambda text: _parse_ints(text, 4, f"coset{idx}"))))
         idx += 1
     if not windows:
         raise ConfigError(f"{path}: inline scheme needs window1, window2, ...")
     if "q" not in raw:
         raise ConfigError(f"{path}: inline scheme needs q = m0,m1,m2,m3")
-    q = CycInt(*_parse_ints(raw["q"][0], 4, "q"))
+    q = CycInt(*_located(raw, path, "q", lambda text: _parse_ints(text, 4, "q")))
     return scheme.SchemeSpec(windows=windows, coset_reps=reps, q_mult=q,
                              gamma=complex(*gamma), boundary_mode=boundary)
 
 
 def build_config(args):
     """Merge defaults, preset, config file, and command-line overrides."""
-    cfg = dict(DEFAULTS)
+    cfg = {key: default for key, (default, _, _) in KEYS.items()}
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}; "
@@ -174,47 +194,25 @@ def build_config(args):
     path = args.config or "<config>"
     if args.config:
         raw = parse_config_file(args.config)
-    for key, (value, lineno) in raw.items():
-        if key in NUMERIC_KEYS:
-            try:
-                cfg[key] = NUMERIC_KEYS[key][0](value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}")
-        elif key == "scheme":
-            cfg["scheme"] = value
-        elif key == "nu_policy":
-            cfg["nu_policy"] = value
-        elif key == "gamma":
-            cfg["gamma"] = tuple(_parse_floats(value, 2, "gamma"))
-        elif key == "boundary":
-            cfg["boundary"] = value
-        elif key == "outputs":
-            selectors = [p.strip() for p in value.split(",") if p.strip()]
-            for sel in selectors:
-                if sel not in OUTPUT_SELECTORS:
-                    raise ConfigError(f"{path}:{lineno}: unknown output selector {sel!r}; "
-                                      f"expected {', '.join(OUTPUT_SELECTORS)}")
-            cfg["outputs"] = selectors
-        elif key == "q" or INDEXED_KEY.fullmatch(key):
-            pass  # handled below, once the scheme is known
-        else:
+    at = {key: f"{path}:{lineno}: " for key, (_, lineno) in raw.items()}
+    for key, (_, lineno) in raw.items():
+        if key in KEYS:
+            cfg[key] = _located(raw, path, key, KEYS[key][1])
+        elif key != "q" and not INDEXED_KEY.fullmatch(key):  # those wait for the scheme
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    for name in ("s", "h", "tol"):
-        override = getattr(args, name, None)
+    for key in KEYS:  # the --s, --h and --tol flags
+        override = getattr(args, key, None)
         if override is not None:
-            cfg[name] = override
-    for key, (_, rule) in NUMERIC_KEYS.items():
-        if not RULES[rule](cfg[key]):  # NaN fails every comparison
-            raise ConfigError(f"{key} must be {rule} and finite, got {cfg[key]!r}")
-    if cfg["boundary"] not in ("closed", "open"):
-        raise ConfigError("boundary must be 'closed' or 'open'")
+            cfg[key] = override
+            at.pop(key, None)
+    for key, (_, _, rule) in KEYS.items():
+        if rule is not None and not rule[1](cfg[key]):
+            raise ConfigError(f"{at.get(key, '')}{key} must be {rule[0]}, got {cfg[key]!r}")
     if cfg["scheme"] == "penrose":
         spec = scheme.penrose_scheme(gamma=complex(*cfg["gamma"]),
                                      boundary_mode=cfg["boundary"])
-    elif cfg["scheme"] == "inline":
-        spec = _inline_scheme(raw, path, cfg["gamma"], cfg["boundary"])
     else:
-        raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
+        spec = _inline_scheme(raw, path, cfg["gamma"], cfg["boundary"])
     for key, (_, lineno) in raw.items():
         if (key == "q" or key.startswith(("window", "coset"))) and cfg["scheme"] != "inline":
             raise ConfigError(f"{path}:{lineno}: {key!r} needs scheme = inline")
@@ -223,23 +221,20 @@ def build_config(args):
             raise ConfigError(f"{path}:{lineno}: {key!r} is outside components 1..{spec.r}")
     nu_matrix = cfg.get("nu_matrix")
     if any(key.startswith("nu_row") for key in raw):
-        matrix = []
+        nu_matrix = []
         for j in range(1, spec.r + 1):
             key = f"nu_row{j}"
             if key not in raw:
                 raise ConfigError(f"{path}: missing {key}")
-            matrix.append(_parse_floats(raw[key][0], spec.r, key))
-        nu_matrix = matrix
+            row = _located(raw, path, key, lambda text: _parse_floats(text, spec.r, key))
+            if min(row) < 0:
+                raise ConfigError(f"{at[key]}{key}: weights must be non-negative")
+            nu_matrix.append(row)
     if cfg["nu_policy"] == scheme.POLICY_EXPLICIT and nu_matrix is None:
-        raise ConfigError("explicit policy needs nu_row1..r (or a preset)")
-    if cfg["nu_policy"] not in (scheme.POLICY_AREA, scheme.POLICY_EXPLICIT):
-        raise ConfigError(f"unknown nu_policy {cfg['nu_policy']!r}")
-    if nu_matrix is not None:
-        m = np.asarray(nu_matrix, dtype=float)
-        if m.shape != (spec.r, spec.r) or np.any(m < 0):
-            raise ConfigError(f"explicit nu must be a non-negative {spec.r}x{spec.r} matrix")
-    return RunConfig(spec=spec, nu_policy=cfg["nu_policy"], nu_matrix=nu_matrix,
-                     outputs=cfg["outputs"], **{key: cfg[key] for key in NUMERIC_KEYS})
+        raise ConfigError(f"{at.get('nu_policy', '')}explicit policy needs nu_row1..r "
+                          "(or a preset)")
+    return RunConfig(spec=spec, nu_matrix=nu_matrix,
+                     **{f.name: cfg[f.name] for f in fields(RunConfig) if f.name in KEYS})
 
 
 class _Chunks(list):
@@ -302,10 +297,10 @@ def cmd_nu(cfg, outdir):
 
 
 def _pipeline(cfg):
-    """Yield (trans, nu, pf), then run on to yield (result, deviation).
+    """Yield (trans, nu, pf), the fixed-point result, then the Fourier deviation.
 
-    `nu` takes only the first item, so the later stages run only for
-    `solve` and `verify`.  A failure is labelled with its stage.
+    Each command takes only the items it reads, so `nu` runs no solve and
+    `verify` no Fourier cross-check.  A failure is labelled with its stage.
     """
     stage = "transition windows"
     try:
@@ -326,6 +321,7 @@ def _pipeline(cfg):
         stage = "fixed point"
         result = refine.solve_fixed_point(kernel, pf.w, tol=cfg.tol,
                                           maxit=cfg.maxit)
+        yield result
         stage = "solver comparison"
         rng = default_rng(cfg.seed)
         ks = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
@@ -335,11 +331,11 @@ def _pipeline(cfg):
     except (ValueError, RuntimeError, MemoryError) as exc:
         reason = str(exc) or "out of memory"  # a bare MemoryError has no message
         raise RuntimeError(f"failed at stage '{stage}': {reason}") from exc
-    yield result, deviation
+    yield deviation
 
 
 def cmd_solve(cfg, outdir):
-    (_, nu, pf), (result, deviation) = _pipeline(cfg)
+    (_, nu, pf), result, deviation = _pipeline(cfg)
     density = result.density
     summary = io.StringIO()
     summary.write(f"lambda = {fmt(pf.lambda_max)}\n")
@@ -363,7 +359,8 @@ def cmd_solve(cfg, outdir):
 
 
 def cmd_verify(cfg, outdir):
-    (trans, nu, pf), (result, _) = _pipeline(cfg)
+    # the pipeline is dropped after its second item, and the kernel with it
+    (trans, nu, pf), result = islice(_pipeline(cfg), 2)
     density = result.density
     points = scheme.generate_all(cfg.spec, cfg.s)
     tsets = scheme.translation_sets(cfg.spec, trans, cfg.s)

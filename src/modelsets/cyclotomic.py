@@ -120,23 +120,6 @@ class CycInt:
         cols = [(self * CycInt(*unit)).coeffs for unit in np.eye(4, dtype=np.int64)]
         return np.array(cols, dtype=np.int64).T
 
-    def inverse(self):
-        """Multiplicative inverse, if the element is a unit of the ring.
-
-        Solves the 4x4 integer system given by the multiplication matrix
-        and verifies the rounded solution exactly; raises ValueError for
-        non-units.
-        """
-        try:
-            sol = np.linalg.solve(self.mult_matrix().astype(float),
-                                  np.array([1.0, 0.0, 0.0, 0.0]))
-        except np.linalg.LinAlgError:
-            raise ValueError(f"{self!r} is not invertible")
-        cand = CycInt(*(round(x) for x in sol))
-        if self * cand != CycInt(1):
-            raise ValueError(f"{self!r} is not a unit")
-        return cand
-
 
 ZERO = CycInt(0)
 ONE = CycInt(1)

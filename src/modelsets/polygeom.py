@@ -299,13 +299,13 @@ class GridSpec:
                 self.origin[0] + self.nx * self.h,
                 self.origin[1] + self.ny * self.h)
 
-    def covers(self, P, margin=0.0):
+    def covers(self, P):
         if P.is_empty:
             return True
         x0, y0, x1, y1 = self.box()
         v = P.vertices
-        return (v[:, 0].min() >= x0 + margin and v[:, 0].max() <= x1 - margin
-                and v[:, 1].min() >= y0 + margin and v[:, 1].max() <= y1 - margin)
+        return (v[:, 0].min() >= x0 and v[:, 0].max() <= x1
+                and v[:, 1].min() >= y0 and v[:, 1].max() <= y1)
 
 
 def rasterize(P, grid):

@@ -39,6 +39,7 @@ from .polygeom import GridSpec, area, centroid, linear_image, rasterize
 FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
 _MIX_DEPTH = 2  # residual differences in each Anderson fit
+_GRID_PAD = 0.082
 
 
 def make_centered_grid(half_extent, h):
@@ -51,13 +52,13 @@ def make_centered_grid(half_extent, h):
     return GridSpec(origin=(o, o), h=h, nx=n, ny=n)
 
 
-def grid_for_windows(windows, h, pad=0.082):
-    """Centered grid covering every window with a safety margin."""
+def grid_for_windows(windows, h):
+    """Centered grid covering every window with a margin of _GRID_PAD."""
     extent = 0.0
     for w in windows:
         if not w.is_empty:
             extent = max(extent, float(np.abs(w.vertices).max()))
-    return make_centered_grid(extent + pad, h)
+    return make_centered_grid(extent + _GRID_PAD, h)
 
 
 @dataclass
@@ -614,52 +615,17 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
 
 
 def polygon_ft(P, k):
-    """Fourier transform of the normalized polygon indicator at wavevector k.
-
-    Uses the exact boundary (divergence-theorem) edge sum; wavevectors
-    shorter than FT_SMALL_K fall back to the first-order expansion around
-    the centroid, and nearly orthogonal edges are handled by the stable
-    sinc evaluation.
-    """
-    if not P.is_polygon:
-        raise ValueError("Fourier transform needs a polygon window")
-    k = np.asarray(k, dtype=float).reshape(2)
-    kn = np.hypot(k[0], k[1])
-    if kn < FT_SMALL_K:
-        c = centroid(P)
-        return complex(np.exp(-1j * (k[0] * c[0] + k[1] * c[1])))
-    v = P.vertices
-    w = np.roll(v, -1, axis=0)
-    edge = w - v
-    lengths = np.hypot(edge[:, 0], edge[:, 1])
-    tangents = edge / lengths[:, None]
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-    mid = 0.5 * (v + w)
-    k_dot_n = normals @ k
-    k_dot_t = tangents @ k
-    phase = np.exp(-1j * (mid @ k))
-    line = lengths * np.sinc(k_dot_t * lengths / (2 * np.pi)) * phase
-    total = 1j * np.dot(k_dot_n, line) / (kn * kn)
-    return complex(total / area(P))
-
-
-def _product_depth(a_matrix, k, depth):
-    if depth is not None:
-        return depth
-    at = a_matrix.T
-    kappa = np.asarray(k, dtype=float).reshape(2)
-    level = 0
-    while np.hypot(*(at @ kappa)) >= _PRODUCT_TAIL and level < 10000:
-        kappa = at @ kappa
-        level += 1
-    return level
+    """Fourier transform of the normalized polygon indicator at wavevector k."""
+    return complex(_polygon_ft_table([P], np.asarray(k, dtype=float).reshape(1, 2))[0, 0])
 
 
 def _polygon_ft_table(polygons, kappas):
     """polygon_ft of every polygon at every wavevector, shape (kappas, polygons).
 
-    The same edge sum and small-k expansion as polygon_ft, evaluated for all
-    edges of all polygons at once.
+    Uses the exact boundary (divergence-theorem) edge sum over all edges of
+    all polygons at once, with the stable sinc evaluation for nearly
+    orthogonal edges; wavevectors shorter than FT_SMALL_K fall back to the
+    first-order expansion around the centroid.
     """
     if not all(P.is_polygon for P in polygons):
         raise ValueError("Fourier transform needs a polygon window")
@@ -687,25 +653,25 @@ def _polygon_ft_table(polygons, kappas):
     return out
 
 
-def fourier_product(windows_ji, nu, w, a_matrix, k, depth=None):
+def fourier_product(windows_ji, nu, w, a_matrix, k):
     """Truncated infinite matrix product for the density transform at k.
 
     Applies the weighted window-transform matrices along the contracted
-    wavevector orbit to the mass vector; the truncation depth follows the
-    geometric decay of the orbit unless given explicitly.
+    wavevector orbit k, A^T k, ... to the mass vector; the orbit stops before
+    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.
     """
     nu = np.asarray(nu, dtype=float)
     w = np.asarray(w, dtype=float)
     a_matrix = np.asarray(a_matrix, dtype=float)
     r = len(w)
-    depth = _product_depth(a_matrix, k, depth)
     kappas = [np.asarray(k, dtype=float).reshape(2)]
-    for _ in range(depth):
-        kappas.append(a_matrix.T @ kappas[-1])
+    while (np.hypot(*(step := a_matrix.T @ kappas[-1])) >= _PRODUCT_TAIL
+           and len(kappas) <= 10000):
+        kappas.append(step)
     jj, ii = np.nonzero(nu)
     table = _polygon_ft_table([windows_ji[j][i] for j, i in zip(jj, ii)],
                               np.array(kappas))
-    mats = np.zeros((depth + 1, r, r), dtype=complex)
+    mats = np.zeros((len(kappas), r, r), dtype=complex)
     mats[:, jj, ii] = nu[jj, ii] * table
     acc = w.astype(complex)
     for mat in mats[::-1]:

@@ -74,9 +74,6 @@ class SchemeSpec:
     def a_matrix(self):
         return _complex_matrix(self.a_internal)
 
-    def q_matrix(self):
-        return _complex_matrix(self.q_phys)
-
     @property
     def detq_abs(self):
         return abs(self.q_phys) ** 2
@@ -332,19 +329,15 @@ def check_selfsim_closure(spec, points, tsets, radius):
     return report
 
 
-def write_points_csv(points, fileobj):
-    """Write per-component PointSets as CSV; component k is points[k - 1]."""
-    fileobj.write(POINTS_CSV_HEADER + "\n")
+def points_csv_text(points):
+    """Per-component PointSets as CSV text; component k is points[k - 1]."""
+    buf = io.StringIO()
+    buf.write(POINTS_CSV_HEADER + "\n")
     for component, ps in enumerate(points, start=1):
         table = np.empty((len(ps), 9), dtype=object)  # Python ints, then floats
         table[:, 0] = component
         table[:, 1:5] = ps.coeffs
         table[:, 5:] = np.column_stack([ps.phys.real, ps.phys.imag,
                                         ps.internal.real, ps.internal.imag])
-        write_rows(fileobj, _POINTS_CSV_ROW, table)
-
-
-def points_csv_text(points):
-    buf = io.StringIO()
-    write_points_csv(points, buf)
+        write_rows(buf, _POINTS_CSV_ROW, table)
     return buf.getvalue()

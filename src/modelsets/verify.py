@@ -19,6 +19,8 @@ from .polygeom import area, contains_many
 from .refine import bilinear
 from .text import fmt
 
+ID2_SCALE_FLOOR = 0.05  # check_id2's residual scale, as a fraction of the peak density
+
 
 class InsufficientRadiusError(RuntimeError):
     """A translation set needed by the averaged equations is empty."""
@@ -71,8 +73,7 @@ class Id2Report:
     samples: int
 
 
-def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0,
-              scale_floor=0.05):
+def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0):
     """Finite-radius residual of the averaged self-similarity equations.
 
     For sampled points x of each component j, compares the weight at x with
@@ -82,7 +83,7 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0,
     preimages stay well inside the patch the translations were drawn from.
 
     The per-point residual is |lhs - rhs| relative to the larger of the two
-    sides, floored at scale_floor times the peak density: near the window
+    sides, floored at ID2_SCALE_FLOOR times the peak density: near the window
     boundary both sides vanish and a purely pointwise ratio would report
     order-one noise regardless of the patch size.
     """
@@ -119,7 +120,7 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0,
             vals[~contains_many(spec.shifted_window(i + 1), pts, eps)] = 0.0
             rhs[mine] += nu[j, i] * vals.reshape(eta.shape).mean(axis=1)
     rhs *= spec.detq_abs
-    floor = scale_floor * max(density.values.max(), 1e-300)
+    floor = ID2_SCALE_FLOOR * max(density.values.max(), 1e-300)
     residuals = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
     return Id2Report(mean_residual=float(residuals.mean()),
                      max_residual=float(residuals.max()),

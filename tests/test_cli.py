@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,10 @@ SOLVE_EX2_SHA256 = {
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
     "summary.txt": "056f0445aee479dc0017256502350828e0ce80dacc1c464dc4a81517c7561ab1",
 }
+
+# sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
+# writes, recorded like SOLVE_EX1_SHA256
+VERIFY_EX2_REPORT_SHA256 = "5671f25cae32e7f8981a3db655f2f7eba949b3cced5263d45fc94ac25f26432f"
 
 
 def run(args):
@@ -166,78 +171,93 @@ def test_invalid_values_rejected(tmp_path, capsys):
 
 BAD_CONFIGS = [
     # each value would otherwise make a cross-check vacuous or crash mid-run
-    ("k_count = 0\n", "k_count must be positive"),
-    ("k_max = 0\n", "k_max must be positive"),
-    ("id2_samples = 0\n", "id2_samples must be positive"),
-    ("supersample = 0\n", "supersample"),
-    ("closure_s = -1\n", "closure_s must be positive"),
-    ("tol = 0\n", "tol must be positive"),
-    ("maxit = 0\n", "maxit must be positive"),
-    ("s = 0\n", "s must be positive"),
-    ("h = -0.01\n", "h must be positive"),
-    ("k_count = many\n", "k_count"),
-    ("boundary = fuzzy\n", "boundary"),
-    ("nu_policy = magic\n", "nu_policy"),
-    ("scheme = hexagonal\n", "scheme"),
-    ("gamma = 0.1\n", "gamma"),
-    ("nu_policy = explicit\n", "explicit"),
-    ("nu_row1 = 1 0 0 0\n", "nu_row2"),
-    ("seed = -1\n", "seed must be non-negative"),
+    ("k_count = 0\n", 1, "k_count must be positive"),
+    ("k_max = 0\n", 1, "k_max must be positive"),
+    ("id2_samples = 0\n", 1, "id2_samples must be positive"),
+    ("supersample = 0\n", 1, "supersample"),
+    ("closure_s = -1\n", 1, "closure_s must be positive"),
+    ("tol = 0\n", 1, "tol must be positive"),
+    ("maxit = 0\n", 1, "maxit must be positive"),
+    ("s = 0\n", 1, "s must be positive"),
+    ("h = -0.01\n", 1, "h must be positive"),
+    ("k_count = many\n", 1, "k_count"),
+    ("boundary = fuzzy\n", 1, "boundary"),
+    ("nu_policy = magic\n", 1, "nu_policy"),
+    ("scheme = hexagonal\n", 1, "scheme"),
+    ("gamma = 0.1\n", 1, "gamma"),
+    ("nu_policy = explicit\n", 1, "explicit"),
+    ("nu_row1 = 1 0 0 0\n", None, "nu_row2"),
+    ("seed = -1\n", 1, "seed must be non-negative"),
     # keys that would otherwise be accepted and never read: the key and its line
-    ("s = 40\nwindowz = 1\n", "bad.cfg:2: unknown key 'windowz'"),
-    ("coset_shift = 2\n", "bad.cfg:1: unknown key 'coset_shift'"),
-    ("s = 40\nwindow7 = 0,0;1,0;0,1\n", "bad.cfg:2: 'window7'"),
-    ("q = 1,2,3,4\n", "bad.cfg:1: 'q'"),
+    ("s = 40\nwindowz = 1\n", 2, "bad.cfg:2: unknown key 'windowz'"),
+    ("coset_shift = 2\n", 1, "bad.cfg:1: unknown key 'coset_shift'"),
+    ("s = 40\nwindow7 = 0,0;1,0;0,1\n", 2, "bad.cfg:2: 'window7'"),
+    ("q = 1,2,3,4\n", 1, "bad.cfg:1: 'q'"),
     ("scheme = inline\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1 0 0 0\n"
-     "window3 = 0,0;1,0;0,1\nq = 0 0 -1 -1\n", "bad.cfg:4: 'window3'"),
-    ("nu_row5 = 1 0 0 0\n", "bad.cfg:1: 'nu_row5'"),
-    ("s = 3\ns = 4\n", "bad.cfg:2: 's'"),
+     "window3 = 0,0;1,0;0,1\nq = 0 0 -1 -1\n", 4, "bad.cfg:4: 'window3'"),
+    ("nu_row5 = 1 0 0 0\n", 1, "bad.cfg:1: 'nu_row5'"),
+    ("s = 3\ns = 4\n", 2, "bad.cfg:2: 's'"),
+    # values of the keys read once the scheme is known
+    ("scheme = inline\nwindow1 = 0,0;1,0\n", 2, "window1 needs >= 3 vertices"),
+    ("scheme = inline\nwindow1 = 0,0;1,0;2,0\n", 2, "bad value for window1: polygon"),
+    ("scheme = inline\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1 0 x 0\n", 3,
+     "coset1: could not parse"),
+    ("scheme = inline\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1 0 0 0\nq = 1 2 3\n", 4,
+     "q needs 4 numbers"),
+    ("nu_policy = explicit\nnu_row1 = 0.5 0 0 0.5\nnu_row2 = 0.5 0.5 -0.5 0.5\n", 3,
+     "nu_row2: weights must be non-negative"),
 ]
 
 
-@pytest.mark.parametrize("text,key", BAD_CONFIGS,
-                         ids=[key.split(" must be")[0] for _, key in BAD_CONFIGS])
-def test_bad_config_table(tmp_path, capsys, text, key):
+@pytest.mark.parametrize("text,line,key", BAD_CONFIGS,
+                         ids=[key.split(" must be")[0] for _, _, key in BAD_CONFIGS])
+def test_bad_config_table(tmp_path, capsys, text, line, key):
+    # a bad value names its file and line; a missing key, which has no line, its file
     config = tmp_path / "bad.cfg"
     config.write_text(text)
     out = tmp_path / "out"
     assert run(["verify", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    assert ("bad.cfg: " if line is None else f"bad.cfg:{line}: ") in err
     assert not out.exists()
 
 
 # non-finite numbers, from a config file or a flag, each exit 2 before any output
+# the line of a value from the file, or None for a flag's value, which has no line
 NONFINITE_CONFIGS = [
-    pytest.param("points", "gamma = nan, 0\n", [], "gamma: numbers must be finite",
+    pytest.param("points", "gamma = nan, 0\n", [], 1, "gamma: numbers must be finite",
                  id="gamma-nan"),
-    pytest.param("solve", "k_max = inf\n", [], "k_max must be positive and finite, got inf",
-                 id="k_max-inf"),
-    pytest.param("solve", "tol = inf\n", [], "tol must be positive and finite, got inf",
+    pytest.param("solve", "k_max = inf\n", [], 1,
+                 "k_max must be positive and finite, got inf", id="k_max-inf"),
+    pytest.param("solve", "tol = inf\n", [], 1, "tol must be positive and finite, got inf",
                  id="tol-inf"),
-    pytest.param("solve", "s = nan\n", [], "s must be positive and finite, got nan",
+    pytest.param("solve", "s = nan\n", [], 1, "s must be positive and finite, got nan",
                  id="s-nan"),
-    pytest.param("solve", "nu_policy = explicit\nnu_row1 = 1 0 0 inf\n", [],
+    pytest.param("solve", "nu_policy = explicit\nnu_row1 = 1 0 0 inf\n", [], 2,
                  "nu_row1: numbers must be finite", id="nu_row-inf"),
-    pytest.param("solve", "scheme = inline\nwindow1 = 0,0;1,0;0,nan\n", [],
+    pytest.param("solve", "scheme = inline\nwindow1 = 0,0;1,0;0,nan\n", [], 2,
                  "window1 vertex: numbers must be finite", id="window-nan"),
-    pytest.param("solve", "", ["--h", "inf"], "h must be positive and finite, got inf",
+    pytest.param("solve", "", ["--h", "inf"], None, "h must be positive and finite, got inf",
                  id="flag-h-inf"),
-    pytest.param("solve", "", ["--tol", "nan"], "tol must be positive and finite, got nan",
-                 id="flag-tol-nan"),
-    pytest.param("verify", "", ["--s=-inf"], "s must be positive and finite, got -inf",
+    pytest.param("solve", "s = 40\n", ["--s", "inf"], None,
+                 "s must be positive and finite, got inf", id="flag-over-file-s-inf"),
+    pytest.param("solve", "", ["--tol", "nan"], None,
+                 "tol must be positive and finite, got nan", id="flag-tol-nan"),
+    pytest.param("verify", "", ["--s=-inf"], None, "s must be positive and finite, got -inf",
                  id="flag-s-minus-inf"),
 ]
 
 
-@pytest.mark.parametrize("command,text,flags,message", NONFINITE_CONFIGS)
-def test_nonfinite_numbers_rejected(tmp_path, capsys, command, text, flags, message):
+@pytest.mark.parametrize("command,text,flags,line,message", NONFINITE_CONFIGS)
+def test_nonfinite_numbers_rejected(tmp_path, capsys, command, text, flags, line, message):
     config = tmp_path / "bad.cfg"
     config.write_text(text)
     out = tmp_path / "out"
     assert run([command, "--config", str(config), "--out", str(out)] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert (f"bad.cfg:{line}: " in err) if line else ("bad.cfg" not in err)
     assert not out.exists()
 
 
@@ -392,6 +412,39 @@ def test_solve_example2_pinned_bytes(tmp_path):
     assert sorted(os.listdir(out)) == sorted(SOLVE_EX2_SHA256)
     for name, digest in SOLVE_EX2_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def verify_example2_report(out):
+    assert run(["verify", "--preset", "penrose-example2", "--h", "0.03125",
+                "--out", str(out)]) == 0
+    return hashlib.sha256((out / "report.txt").read_bytes()).hexdigest()
+
+
+def test_verify_example2_pinned_report(tmp_path):
+    assert verify_example2_report(tmp_path / "v") == VERIFY_EX2_REPORT_SHA256
+
+
+def test_verify_runs_no_fourier_check(tmp_path, monkeypatch):
+    # the report has no Fourier line, so verify must not compute the deviation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify ran the Fourier cross-check")
+
+    for name in ("compare_solvers", "grid_ft", "fourier_product"):
+        monkeypatch.setattr(f"modelsets.refine.{name}", forbidden)
+    assert verify_example2_report(tmp_path / "v") == VERIFY_EX2_REPORT_SHA256
+
+
+def test_readme_key_table_matches_config_keys():
+    # the README's key table lists exactly the keys build_config reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    keys = re.findall(r"^\| `([^`]+)` \|", table.split("\n\n", 1)[0], re.M)
+    plain = {key for key in keys if "<" not in key}
+    indexed = {key for key in keys if "<" in key}
+    assert len(keys) == len(plain) + len(indexed) == len(set(keys))
+    assert plain == set(cli.KEYS) | {"q"}
+    assert {key.split("<")[0] for key in indexed} == {"window", "coset", "nu_row"}
+    assert all(cli.INDEXED_KEY.fullmatch(key.split("<")[0] + "1") for key in indexed)
 
 
 def test_verify_insufficient_radius(tmp_path, capsys):

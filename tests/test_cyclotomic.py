@@ -92,15 +92,6 @@ def test_overflow_detection():
         big + big
 
 
-def test_inverse():
-    assert TAU.inverse() == TAU - ONE
-    assert XI.inverse() * XI == ONE
-    with pytest.raises(ValueError):
-        CycInt(2).inverse()
-    with pytest.raises(ValueError):
-        ZERO.inverse()
-
-
 def test_embedding_matrix_shape():
     B = embedding_matrix()
     a = CycInt(2, -3, 1, 4)

@@ -4,9 +4,10 @@ The oracles are the former implementations: the refinement step as one
 `fftconvolve` per transition on the full grid, the plain fixed-point
 iteration, the kernel spectra all placed and transformed up front, the
 rasterizer that probes every cell of the bounding box, the per-value
-density writers, the per-entry Fourier matrix product and the
-per-wavevector grid transform.  The bilinear stencil and the FFTs are
-checked bit for bit against the scipy routines they replaced.
+density writers, the scalar polygon transform, the per-entry Fourier
+matrix product and the per-wavevector grid transform.  The bilinear
+stencil and the FFTs are checked bit for bit against the scipy routines
+they replaced.
 """
 
 import io
@@ -21,7 +22,7 @@ from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
 from modelsets import refine, text
-from modelsets.polygeom import GridSpec, Region, _edge_normals, area, rasterize
+from modelsets.polygeom import GridSpec, Region, _edge_normals, area, centroid, rasterize
 from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
                               fourier_product, initial_density, polygon_ft,
                               solve_fixed_point)
@@ -185,8 +186,30 @@ def oracle_write_density_csv(density, fileobj):
             fileobj.write(f"{_fmt(xs[ix])},{_fmt(ys[iy])},{vals}\n")
 
 
+def oracle_polygon_ft(P, k):
+    """Transform of the normalized indicator at k, one edge sum per call."""
+    k = np.asarray(k, dtype=float).reshape(2)
+    kn = np.hypot(k[0], k[1])
+    if kn < refine.FT_SMALL_K:
+        c = centroid(P)
+        return complex(np.exp(-1j * (k[0] * c[0] + k[1] * c[1])))
+    v = P.vertices
+    w = np.roll(v, -1, axis=0)
+    edge = w - v
+    lengths = np.hypot(edge[:, 0], edge[:, 1])
+    tangents = edge / lengths[:, None]
+    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+    phase = np.exp(-1j * (0.5 * (v + w) @ k))
+    line = lengths * np.sinc(tangents @ k * lengths / (2 * np.pi)) * phase
+    return complex(1j * np.dot(normals @ k, line) / (kn * kn) / area(P))
+
+
 def oracle_fourier_product(windows_ji, nu, w, a_matrix, k):
-    depth = refine._product_depth(a_matrix, k, None)
+    kappa = np.asarray(k, dtype=float).reshape(2)
+    depth = 0
+    while np.hypot(*(a_matrix.T @ kappa)) >= refine._PRODUCT_TAIL and depth < 10000:
+        kappa = a_matrix.T @ kappa
+        depth += 1
     kappas = [np.asarray(k, dtype=float).reshape(2)]
     for _ in range(depth):
         kappas.append(a_matrix.T @ kappas[-1])
@@ -194,7 +217,7 @@ def oracle_fourier_product(windows_ji, nu, w, a_matrix, k):
     for kappa in reversed(kappas):
         mat = np.zeros((len(w), len(w)), dtype=complex)
         for j, i in zip(*np.nonzero(nu)):
-            mat[j, i] = nu[j, i] * polygon_ft(windows_ji[j][i], kappa)
+            mat[j, i] = nu[j, i] * oracle_polygon_ft(windows_ji[j][i], kappa)
         acc = mat @ acc
     return acc
 
@@ -403,7 +426,7 @@ def test_polygon_ft_table_matches_scalar(transitions):
     table = refine._polygon_ft_table(polygons, kappas)
     for n, kappa in enumerate(kappas):
         for p, P in enumerate(polygons):
-            assert abs(table[n, p] - polygon_ft(P, kappa)) <= 1e-12
+            assert abs(table[n, p] - oracle_polygon_ft(P, kappa)) <= 1e-12
     with pytest.raises(ValueError, match="polygon"):
         refine._polygon_ft_table([Region.single((0.0, 0.0))], kappas)
 
@@ -422,6 +445,16 @@ def convex_polygons(draw):
         return Region.polygon(verts)
     except ValueError:
         assume(False)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(P=convex_polygons(), kn=st.floats(0.5, 60), angle=st.floats(0, 2 * np.pi))
+def test_polygon_ft_matches_oracle(P, kn, angle):
+    # the edge sums cancel to about eps * perimeter / (|k| area), so |k| starts
+    # at 0.5; below FT_SMALL_K both take the centroid expansion
+    for k in [(kn * np.cos(angle), kn * np.sin(angle)), (0.0, 0.0),
+              (0.6 * refine.FT_SMALL_K, -0.7 * refine.FT_SMALL_K)]:
+        assert abs(polygon_ft(P, k) - oracle_polygon_ft(P, k)) <= 1e-12
 
 
 @st.composite
