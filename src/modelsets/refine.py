@@ -7,23 +7,27 @@ convolution in the refinement step lands exactly on the grid and the
 point reflection u -> -u is an exact array flip.
 
 The refinement step is evaluated spectrally.  `build_kernel` fixes, once,
-the box of cells where each contracted input channel can be non-zero with
-the bilinear stencil that samples it there, the bounding box of each
-output channel's window mask, and one periodic FFT shape long enough that
-every linear convolution from an input box into its output hull fits
-without wrapping, and where on that shape each transition kernel sits.
-The real FFT of a placed kernel is built the first time it is needed and
-then kept, so a run transforms only the kernels its channels reach (the
-fixed-point solve builds those before its first step).  A step costs one
-stencil pass and one forward transform per non-zero input channel and one
-inverse transform per output channel, and the circular result equals the
-linear one on the mask.  The stencils and the numpy transforms round
-exactly as the order-1 `map_coordinates` and the real transforms they
-replace, so the outputs kept their bytes.
+the box of cells where each contracted input channel can be non-zero, the
+bounding box of each output channel's window mask, and one periodic FFT
+shape long enough that every linear convolution from an input box into its
+output hull fits without wrapping, and where on that shape each transition
+kernel sits.  The bilinear stencil that samples a box and the real FFT of a
+placed kernel are built the first time they are needed and then kept, so a
+run builds only what its channels reach (the fixed-point solve builds the
+spectra before its first step).  A step costs one stencil pass and one
+forward transform per non-zero input channel and one inverse transform per
+output channel, and the circular result equals the linear one on the mask.
+The stencils and the numpy transforms round exactly as the order-1
+`map_coordinates` and the real transforms they replace, so the outputs
+kept their bytes.
 
 The step works on packed densities: one vector of the mask cells of the
 channels it carries.  The fixed-point solve keeps its whole state in that
-form and builds a full grid only for its result.
+form and builds a full grid only for its result.  When `point_symmetric`
+holds, f_{r-1-j}(u) = f_j(-u) and the solve carries only channels j <= r-1-j,
+making channel r-1-j the exact flip of channel j.  Flipping a box of b cells
+on a period of n turns X_k into conj(X_k) e^{-2 pi i k (b - 1) / n} per
+axis, so a mirrored input needs no stencil pass or transform.
 """
 
 from __future__ import annotations
@@ -100,14 +104,25 @@ class RefinementKernel:
                             # of masks[j], in row-major order
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting each window
     fft_shape: tuple        # common periodic shape of every spectrum
-    stencils: list          # per channel i: Stencil, on the padded mask box, of the
-                            # box of cells where f_i(A^-1 y) can be non-zero, or None
+    boxes: list             # per channel i: (lo, hi) of the cells f_i(A^-1 y) reaches, or None
+    stencils: list          # per box: its Stencil, None until stencil(i) builds it
     outputs: list           # per channel j: (grid slices of the mask's bounding
                             # box, the same cells in the periodic result)
     placements: list        # r x r slices of fft_shape that hold block (j, i), None
                             # where it takes no part in a step
     spectra: list           # r x r rfft2 of the placed |det Q| h^2 blocks, None
                             # until spectrum(j, i) first builds it
+    windows: list           # the component and transition windows it rasterizes
+    windows_ji: list
+
+    def stencil(self, i):
+        """Stencil of input channel i, built on first use and kept; None without a box."""
+        if self.stencils[i] is None and self.boxes[i] is not None:
+            rows, cols = _contracted(self.grid, self.a_inv, _slices(*self.boxes[i]))
+            lo, hi = _box(self.masks[i])  # the frame's origin is one cell before lo
+            self.stencils[i] = Stencil.at(rows - (lo[0] - 1), cols - (lo[1] - 1),
+                                          tuple(hi - lo + 2))
+        return self.stencils[i]
 
     def spectrum(self, j, i):
         """Spectrum (j, i), built on first use and kept."""
@@ -247,20 +262,11 @@ def _crop(raster):
     return _Block(arr=raster[_slices(lo, hi)].copy(), iy0=int(lo[0]), ix0=int(lo[1]))
 
 
-def _input_boxes(grid, a_inv, masks):
-    """Per channel, the box of cells where f_i(A^-1 y) can be non-zero.
-
-    A bilinear sample of a channel that vanishes off its mask is zero unless
-    one of the four stencil nodes around A^-1 y lies on the mask.  Returns
-    (lo, hi, Stencil of the box) per channel, or None when no cell
-    qualifies.  The stencil samples the mask's bounding box padded by one
-    zero cell on every side, which holds every node that can be non-zero.
-    """
-    # row and column, in cells, of A^-1 c at every cell center c, built by
-    # broadcasting and updated in place: the roundings of the full-grid
-    # expression (A^-1 c - origin) / h - 0.5 without its full-grid temporaries
-    x = grid.x_centers()[None, :]
-    y = grid.y_centers()[:, None]
+def _contracted(grid, a_inv, box=(slice(None), slice(None))):
+    """Row and column, in cells, of A^-1 c at each cell center c of `box`, updated in
+    place: the roundings of (A^-1 c - origin) / h - 0.5 without full-size temporaries."""
+    x = grid.x_centers()[box[1]][None, :]
+    y = grid.y_centers()[box[0]][:, None]
     rows = a_inv[1, 0] * x + a_inv[1, 1] * y
     rows -= grid.origin[1]
     rows /= grid.h
@@ -269,6 +275,19 @@ def _input_boxes(grid, a_inv, masks):
     cols -= grid.origin[0]
     cols /= grid.h
     cols -= 0.5
+    return rows, cols
+
+
+def _input_boxes(grid, a_inv, masks):
+    """Per channel, the box of cells where f_i(A^-1 y) can be non-zero.
+
+    A bilinear sample of a channel that vanishes off its mask is zero unless
+    one of the four stencil nodes around A^-1 y lies on the mask.  Returns
+    (lo, hi) per channel, or None when no cell qualifies.  The channel's
+    stencil samples the mask's bounding box padded by one zero cell on every
+    side, which holds every node that can be non-zero.
+    """
+    rows, cols = _contracted(grid, a_inv)
     # lower-left stencil node, counted in a frame padded by one zero cell
     a = np.floor(rows).astype(np.intp)
     a += 1
@@ -282,15 +301,7 @@ def _input_boxes(grid, a_inv, masks):
         pad = np.pad(mask, 1)
         near = pad[:-1, :-1] | pad[1:, :-1] | pad[:-1, 1:] | pad[1:, 1:]
         touched = near[a, b] & on_grid
-        if not touched.any():
-            boxes.append(None)
-            continue
-        lo, hi = _box(touched)
-        box = _slices(lo, hi)
-        mask_lo, mask_hi = _box(mask)
-        origin = mask_lo - 1
-        boxes.append((lo, hi, Stencil.at(rows[box] - origin[0], cols[box] - origin[1],
-                                         tuple(mask_hi - mask_lo + 2))))
+        boxes.append(_box(touched) if touched.any() else None)
     return boxes
 
 
@@ -313,7 +324,7 @@ def _spectral_plan(grid, masks, blocks, input_boxes):
         for i in range(r):
             if blocks[j][i] is None or input_boxes[i] is None:
                 continue
-            in_lo, in_hi, _ = input_boxes[i]
+            in_lo, in_hi = input_boxes[i]
             offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - centre
             starts[i] = in_lo + offset
             lo = np.minimum(lo, starts[i])
@@ -336,8 +347,8 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
     Kernels are normalized by their discrete integral, so each one sums to
     exactly one cell measure; entries with zero weight carry no raster.
     Also fixes the input and output boxes of the spectral step and where
-    each |det Q|-scaled kernel sits on its FFT shape; the kernel's
-    `spectrum` transforms one on first use.  Raises when the grid cannot
+    each |det Q|-scaled kernel sits on its FFT shape; the kernel's `stencil`
+    and `spectrum` build theirs on first use.  Raises when the grid cannot
     hold a window or a convolution support, or when a positive weight sits
     on a measure-zero window.
     """
@@ -375,13 +386,13 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
             cov = rasterize(trans, grid)
             blocks[j][i] = _crop(cov / (cov.sum() * h2))
     a_inv = np.linalg.inv(a_matrix)
-    input_boxes = _input_boxes(grid, a_inv, masks)
-    fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, input_boxes)
-    stencils = [None if box is None else box[2] for box in input_boxes]
+    boxes = _input_boxes(grid, a_inv, masks)
+    fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, boxes)
     return RefinementKernel(grid=grid, a_inv=a_inv, detq_abs=float(detq_abs), nu=nu,
                             blocks=blocks, indicators=indicators, masks=masks,
-                            fft_shape=fft_shape, stencils=stencils, outputs=outputs,
-                            placements=placements, spectra=[[None] * r for _ in range(r)])
+                            fft_shape=fft_shape, boxes=boxes, stencils=[None] * r,
+                            outputs=outputs, placements=placements, windows=windows,
+                            windows_ji=windows_ji, spectra=[[None] * r for _ in range(r)])
 
 
 def initial_density(kernel, w):
@@ -393,27 +404,53 @@ def initial_density(kernel, w):
     return DensityGrid.from_values(kernel.grid, values)
 
 
+def point_symmetric(kernel, w):
+    """Whether nu equals its 180-degree flip, w is centrosymmetric to 1e-12,
+    windows r-1-j and (r-1-j, r-1-i) have the negated vertex sets of j and
+    (j, i), and the masks and input boxes are exact mirror images."""
+    spans = np.array([np.r_[b[0], kernel.masks.shape[1:] - b[1]] if b else [-1] * 4
+                      for b in kernel.boxes])
+    groups = [kernel.windows, [t for row in kernel.windows_ji for t in row]]
+    return bool(np.array_equal(kernel.nu, kernel.nu[::-1, ::-1])
+                and np.abs(w - w[::-1]).max() <= 1e-12
+                and np.array_equal(kernel.masks[::-1], kernel.masks[:, ::-1, ::-1])
+                and np.array_equal(spans[::-1], np.roll(spans, 2, axis=1))
+                and all({tuple(v) for v in p.vertices} == {tuple(-v) for v in q.vertices}
+                        for g in groups for p, q in zip(g, g[::-1])))
+
+
+def _mirror_phases(box, shape):
+    """Row and column factors e^{-2 pi i k (b - 1) / n} of the rfft2 of a box of
+    b cells per axis flipped on a period of n, the integer products reduced mod n."""
+    k0, k1 = np.arange(shape[0])[:, None], np.arange(shape[1] // 2 + 1)
+    return tuple(np.exp(-2j * np.pi * (k * (b - 1) % n) / n)
+                 for k, b, n in zip((k0, k1), box[1] - box[0], shape))
+
+
 @dataclass
 class _Packing:
     """Layout of a packed density: one float64 vector holding the mask cells
-    of the live channels, channel by channel, each in row-major order.
+    of the carried channels, channel by channel, each in row-major order.
 
-    Packing leaves the other channels out, so they are exactly zero on
-    unpacking.
+    Channels left out unpack as exact zeros, except that in the point-reflection
+    quotient channel mirrors[j] unpacks as the flip of channel j.
     """
 
     kernel: RefinementKernel
     channels: list  # (channel, slice of the packed vector)
+    mirrors: dict   # carried channel j < r-1-j -> r-1-j; their cells lead the vector
+    phases: dict    # per carried input in mirrors with a box, its _mirror_phases
 
     @classmethod
-    def of(cls, kernel, live):
-        channels = []
-        start = 0
-        for j in live:
-            stop = start + int(kernel.masks[j].sum())
-            channels.append((j, slice(start, stop)))
-            start = stop
-        return cls(kernel=kernel, channels=channels)
+    def of(cls, kernel, live, quotient=False):
+        r = len(kernel.masks)
+        carried = [j for j in live if j <= r - 1 - j or not quotient]
+        ends = np.cumsum([0] + [int(kernel.masks[j].sum()) for j in carried]).tolist()
+        mirrors = {j: r - 1 - j for j in carried if quotient and j < r - 1 - j}
+        return cls(kernel=kernel, channels=[(j, slice(ends[n], ends[n + 1]))
+                                            for n, j in enumerate(carried)],
+                   mirrors=mirrors, phases={j: _mirror_phases(kernel.boxes[j], kernel.fft_shape)
+                                            for j in mirrors if kernel.boxes[j] is not None})
 
     def pack(self, values):
         return np.concatenate([values[j][self.kernel.masks[j]] for j, _ in self.channels])
@@ -422,12 +459,14 @@ class _Packing:
         values = np.zeros(self.kernel.masks.shape)
         for j, cells in self.channels:
             values[j][self.kernel.masks[j]] = x[cells]
+            if j in self.mirrors:
+                values[self.mirrors[j]] = values[j][::-1, ::-1]
         return DensityGrid.from_values(self.kernel.grid, values)
 
     def masses(self, x):
         masses = np.zeros(len(self.kernel.masks))
         for j, cells in self.channels:
-            masses[j] = x[cells].sum() * self.kernel.grid.h**2
+            masses[j] = masses[self.mirrors.get(j, j)] = x[cells].sum() * self.kernel.grid.h**2
         return masses
 
 
@@ -465,19 +504,23 @@ def _packed_step(x, masses, packing, conserve_mass=True):
 
     Input channels outside the packing are taken to be zero and output
     channels outside it are not formed, so the packing must be closed under
-    the weight matrix (nu_ji = 0 from a packed i to an unpacked j).
+    the weight matrix (nu_ji = 0 from a packed i to an unpacked j).  The
+    spectrum of a mirrored input r-1-i is that of input i, conjugated and phased.
     """
     kernel = packing.kernel
     h2 = kernel.grid.h**2
     transformed = {}
     for i, cells in packing.channels:
-        stencil = kernel.stencils[i]
-        if stencil is None or not x[cells].any():
+        if not x[cells].any() or (stencil := kernel.stencil(i)) is None:
             continue
         inside = kernel.masks[i][kernel.outputs[i][0]]
         flat, padded = Stencil.frame((inside.shape[0] + 2, inside.shape[1] + 2))
         padded[1:-1, 1:-1][inside] = x[cells]
         transformed[i] = fft.rfft2(stencil.sample(flat), s=kernel.fft_shape)
+        if i in packing.phases:
+            partner = transformed[packing.mirrors[i]] = np.conjugate(transformed[i])
+            for factor in packing.phases[i]:
+                partner *= factor
     target = kernel.nu @ masses
     out = np.zeros_like(x)
     for j, cells in packing.channels:
@@ -561,20 +604,24 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
     that step's output, the plain step (Toth & Kelley 2015).  The state is
     packed over the mask cells of the channels with w_j > 0; w = nu w
     forces nu_ji = 0 from those into every other channel, which stays
-    exactly zero.
+    exactly zero.  When `point_symmetric` holds, w is averaged with its flip and
+    only channels j <= r-1-j are carried, a mirrored pair's cells counting twice.
     """
     w = np.asarray(w, dtype=float)
     if np.max(np.abs(kernel.nu @ w - w)) > 1e-8:
         raise ValueError("the weight matrix does not fix w (its spectral "
                          "radius must be one)")
-    packing = _Packing.of(kernel, np.flatnonzero(w > 0))
-    live = [j for j, _ in packing.channels]
-    for j in live:
-        for i in live:
+    quotient = point_symmetric(kernel, w)
+    if quotient:
+        w = 0.5 * (w + w[::-1])
+    packing = _Packing.of(kernel, np.flatnonzero(w > 0), quotient)
+    paired = sum(int(kernel.masks[j].sum()) for j in packing.mirrors)
+    for j, _ in packing.channels:
+        for i in np.flatnonzero(w > 0):
             if kernel.nu[j, i] != 0 and kernel.placements[j][i] is not None:
                 kernel.spectrum(j, i)
     h2 = kernel.grid.h**2
-    x = np.concatenate([w[j] * kernel.indicators[j] for j in live])
+    x = np.concatenate([w[j] * kernel.indicators[j] for j, _ in packing.channels])
     masses = packing.masses(x)
     residuals = []
     mass_history = [masses]
@@ -582,7 +629,7 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
     for _ in range(maxit):
         g = _packed_step(x, masses, packing)
         diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
-        resid = float(np.abs(diff).sum() * h2)
+        resid = float((np.abs(diff).sum() + np.abs(diff[:paired]).sum()) * h2)
         residuals.append(resid)
         mass_history.append(packing.masses(g))
         if resid < tol:
@@ -596,7 +643,7 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
         diffs.append(diff)
         grown = np.empty((len(diffs), len(diffs)))
         grown[:-1, :-1] = gram
-        grown[-1] = grown[:, -1] = [d @ diff for d in diffs]
+        grown[-1] = grown[:, -1] = [d @ diff + d[:paired] @ diff[:paired] for d in diffs]
         gram = grown
         alpha = _mixing_weights(gram)
         x = alpha[0] * outputs[0]
@@ -722,7 +769,9 @@ def write_density(density, grid_files=None, csv_file=None):
     samples, y increasing row by row; `csv_file` takes all channels as a flat
     x,y,f1,...,fr table for plotting.  Either may be None.  The pass walks
     row blocks of about `text.WRITE_CHUNK_VALUES` samples, formats each sample
-    once and joins the same strings into every output that shows it.
+    once and joins the same strings into every output that shows it.  When
+    channel r-1-j is channel j flipped, bit for bit, the text of channel j's
+    rows is kept and channel r-1-j reads it in reverse.
     """
     g = density.grid
     grid_files = grid_files or {}
@@ -738,10 +787,21 @@ def write_density(density, grid_files=None, csv_file=None):
         ys = text.format_samples(g.y_centers())
     if not channels:
         return
+    values, rows = density.values, {}
+    for j in channels:
+        m = density.r - 1 - j
+        if j < m and m in channels and values[m].tobytes() == values[j][::-1, ::-1].tobytes():
+            rows[j] = rows[m] = [" ".join(text.format_samples(row)) for row in values[j]]
     step = max(1, text.WRITE_CHUNK_VALUES // (g.nx * len(channels)))
     for iy in range(0, g.ny, step):
-        samples = {j: text.format_samples(density.values[j, iy:iy + step])
-                   for j in channels}
+        samples = {}
+        for j in channels:
+            if j not in rows:
+                samples[j] = text.format_samples(values[j, iy:iy + step])
+            elif j < density.r - 1 - j:
+                samples[j] = " ".join(rows[j][iy:iy + step]).split(" ")
+            else:  # the rows of channel r-1-j in reverse, each read backwards
+                samples[j] = " ".join(rows[j][max(g.ny - iy - step, 0):g.ny - iy]).split(" ")[::-1]
         for j, fileobj in grid_files.items():
             s = samples[j]
             fileobj.write("\n".join([" ".join(s[k:k + g.nx])

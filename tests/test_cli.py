@@ -14,29 +14,44 @@ from tests.conftest import TAU
 
 
 # sha256 of the files `solve --preset penrose-example1 --h 0.03125` writes,
-# as recorded with exact cell coverage on numpy 2.4.6; the bytes follow the
-# last bit of every float, so they hold for one numpy build
+# as recorded with exact cell coverage and the point-reflection quotient on
+# numpy 2.4.6; the bytes follow the last bit of every float, so they hold
+# for one numpy build
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density_ch2.txt": "f572b41af7994fc7d417d53ab0d75a5b26f9ae04e209a6316167ba3a76266ede",
-    "density_ch3.txt": "20af6a89a2c6747be6f7d8117aa6418dc4352f1011324bcddd73a44eee13caf8",
+    "density_ch2.txt": "f0dd3306819f0555b9f997c8cf225de393319dccb353c1f9b8e7c488afdcfcf5",
+    "density_ch3.txt": "3ed85e533a603967b00ebb95655d0f199fd3b1e9da33bfb156b5c6c35e13b0b9",
     "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density.csv": "a41b9db56aa4af67d89ac8a3198d0562638671fe370c48966bf287884384339b",
-    "summary.txt": "2756fab4a225324d6612df4172f29fad070b8f12c3709c4af700339e4087394f",
+    "density.csv": "bcfd0d19db2ee525c1db85abac64f2f274481993e2e46476b469e273cfe1f1bf",
+    "summary.txt": "f632e1bc1d286eb8153e58572ad8d7f272fb2d373cd818f7d2e24081b664db27",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "202eaad551cedf6bd12b4cc32b75b99de7147a3f9e0b7e5915879b730d5f484d",
-    "density_ch2.txt": "64a948676e05fe513174351cf1400d01083dd0d8e7a90ed44a6cf45407ad293a",
-    "density_ch3.txt": "b801e99f1e3d4d7d0893699a273058bdb71be7cc1fecc5a599a6bffb4d904df4",
-    "density_ch4.txt": "5065b850a4057574dccb9851b687b3b1594f0a4083a57022084614caf7d291e5",
-    "density.csv": "97aaf2832b22f49b1364f8fc34abd9901090394451950944fa23f7614a1f0e30",
+    "density_ch1.txt": "92b21f7929fcb80280e83bb8e2a4a5f391fbcf96fe14c41c0d62ff47753aa507",
+    "density_ch2.txt": "73443426dd2363f22bd6e1bf9fcf1a1381f4ff6db6a3db029ace2c37c9ceefa0",
+    "density_ch3.txt": "54cf94c90f5672ccb4dd6b97a8f4c4a03d96dddb750941253bdcccecaf8696e3",
+    "density_ch4.txt": "918350855554a61df3cfceb1e6200217415bb576341a27354bf5bfcf2af88349",
+    "density.csv": "852d6dbac3220f5c05811b177811c49d4aaf772133a0ef0a0ea54d9cf0521434",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "056f0445aee479dc0017256502350828e0ce80dacc1c464dc4a81517c7561ab1",
+    "summary.txt": "8d7a95a94fc3ee5a3d189eb1e126363e6a58f34256cfcfb59768ab951fc8ee09",
+}
+
+# sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
+# with gamma = 0.031, -0.047, recorded like SOLVE_EX1_SHA256; the shifted
+# windows are not point-symmetric, so this run takes the general solve
+SOLVE_EX2_GAMMA_SHA256 = {
+    "density_ch1.txt": "6a0009f76b1d08517ecc8abae52315f73c4788ab2cc9ded72e80565c3086a3a5",
+    "density_ch2.txt": "1164f0e5676009ec6c9eed3cd2a43a839bd4190a603f3539b5ce30f9a4e2b289",
+    "density_ch3.txt": "76f382e89d7a0423282552d10eb8b057d3e1f38e23ddd049edeadcaea5b61fc4",
+    "density_ch4.txt": "ba76148bebba8f8131413dfd849e92f6dd2d96b0250159d776b71e47bcffef73",
+    "density.csv": "f8e0ee36baf1204a71cfc4b86a1a17dcec6c38169b259dc9307881f91344e6a3",
+    "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
+    "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
+    "summary.txt": "78f925170837567f6fa76ea7162e11ca947ec98cfe9b1eb28e43e011ef7da5b5",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
@@ -399,10 +414,14 @@ def test_solve_example2_positive_peaks(tmp_path):
     out = tmp_path / "s2"
     assert run(["solve", "--preset", "penrose-example2", "--h", "0.03125",
                 "--out", str(out)]) == 0
+    grids = []
     for j in range(1, 5):
         lines = (out / f"density_ch{j}.txt").read_text().strip().split("\n")
-        values = np.array([[float(v) for v in row.split()] for row in lines[3:]])
-        assert values.max() > 0
+        grids.append(np.array([[float(v) for v in row.split()] for row in lines[3:]]))
+        assert grids[-1].max() > 0
+    # the point-reflection quotient writes channels 4 and 3 as 1 and 2 flipped
+    assert np.array_equal(grids[3], grids[0][::-1, ::-1])
+    assert np.array_equal(grids[2], grids[1][::-1, ::-1])
 
 
 def test_solve_example2_pinned_bytes(tmp_path):
@@ -411,6 +430,18 @@ def test_solve_example2_pinned_bytes(tmp_path):
                 "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == sorted(SOLVE_EX2_SHA256)
     for name, digest in SOLVE_EX2_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_solve_example2_shifted_gamma_pinned_bytes(tmp_path):
+    # the general solve keeps its bytes
+    config = tmp_path / "gamma.cfg"
+    config.write_text("gamma = 0.031, -0.047\n")
+    out = tmp_path / "s2g"
+    assert run(["solve", "--preset", "penrose-example2", "--config", str(config),
+                "--h", "0.03125", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(SOLVE_EX2_GAMMA_SHA256)
+    for name, digest in SOLVE_EX2_GAMMA_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 

@@ -21,8 +21,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import map_coordinates
 from scipy.signal import fftconvolve
 
-from modelsets import refine, text
-from modelsets.polygeom import GridSpec, Region, _edge_normals, area, centroid, rasterize
+from modelsets import pfsolve, refine, scheme, text
+from modelsets.polygeom import (GridSpec, Region, _edge_normals, area, centroid, linear_image,
+                                rasterize, translate)
 from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
                               fourier_product, initial_density, polygon_ft,
                               solve_fixed_point)
@@ -111,7 +112,7 @@ def oracle_spectra(kernel):
         for i in range(r):
             if blocks[j][i] is None or input_boxes[i] is None:
                 continue
-            in_lo, in_hi, _ = input_boxes[i]
+            in_lo, in_hi = input_boxes[i]
             offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - centre
             starts[i] = in_lo + offset
             lo = np.minimum(lo, starts[i])
@@ -365,9 +366,10 @@ def test_spectra_on_first_use_match_eager_oracle(request, spec, transitions, pol
 
 def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions, nu_area,
                                                               pf_area):
-    # example 1 carries mass only on channels 2 and 3 (1-based)
+    # example 1 carries mass only on channels 2 and 3 (1-based), and the
+    # point-reflection quotient forms channel 2 only, from inputs 2 and 3
     kernel = preset_kernel(spec, transitions, nu_area, 1 / 64)
-    live = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    live = [(1, 1), (1, 2)]
     step = refine._packed_step
     at_steps = []
 
@@ -380,6 +382,106 @@ def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions,
     assert result.iterations == len(at_steps) > 1
     assert all(built == live for built in at_steps)
     assert built_spectra(kernel) == live
+    # channel 3 is sampled as the flip of channel 2, and 1 and 4 carry no mass
+    assert [i for i, s in enumerate(kernel.stencils) if s is not None] == [1]
+
+
+def oracle_stencil(kernel, i):
+    """The stencil of input box i cut from positions computed on the whole grid."""
+    grid, a_inv = kernel.grid, kernel.a_inv
+    X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
+    rows = (a_inv[1, 0] * X + a_inv[1, 1] * Y - grid.origin[1]) / grid.h - 0.5
+    cols = (a_inv[0, 0] * X + a_inv[0, 1] * Y - grid.origin[0]) / grid.h - 0.5
+    box = refine._slices(*kernel.boxes[i])
+    lo, hi = refine._box(kernel.masks[i])
+    return refine.Stencil.at(rows[box] - (lo[0] - 1), cols[box] - (lo[1] - 1),
+                             tuple(hi - lo + 2))
+
+
+@pytest.mark.parametrize("h", [1 / 64, 1 / 60])
+def test_stencils_on_first_use_match_whole_grid_oracle(spec, transitions, nu_explicit, h):
+    kernel = preset_kernel(spec, transitions, nu_explicit, h)
+    assert kernel.stencils == [None] * 4
+    for i in range(4):
+        got, want = kernel.stencil(i), oracle_stencil(kernel, i)
+        for field in ("index", "r0", "c0"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (i, field)
+        assert got.width == want.width and kernel.stencil(i) is got  # kept, not rebuilt
+
+
+def general_path():
+    """The decision patched off, so the solve carries every channel."""
+    return mock.patch.object(refine, "point_symmetric", lambda kernel, w: False)
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+def test_quotient_solve_matches_general_solve(request, spec, transitions, policy):
+    nu = request.getfixturevalue(f"nu_{policy}")
+    w = request.getfixturevalue(f"pf_{policy}").w
+    kernel = preset_kernel(spec, transitions, nu, 1 / 64)
+    assert refine.point_symmetric(kernel, w)
+    quotient = solve_fixed_point(kernel, w)
+    with general_path():
+        general = solve_fixed_point(kernel, w)
+    got, want = quotient.density.values, general.density.values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for j in range(4):
+        assert np.array_equal(got[3 - j], got[j][::-1, ::-1])
+    # the residual keeps the L1 change of all four channels
+    assert quotient.iterations == general.iterations
+    assert np.abs(quotient.residuals - general.residuals).max() <= 1e-12
+    for m, m_general in zip(quotient.mass_history, general.mass_history):
+        assert np.abs(m - m_general).max() <= 1e-12
+
+
+def test_quotient_with_a_self_mirrored_channel_matches_general_solve():
+    # three channels: 1 and 3 (1-based) are point reflections of each other
+    # and 2 of itself, so the carried state holds a pair and a single channel
+    def rect(a, b, c=(0.0, 0.0)):
+        return translate(Region.polygon([(-a, -b), (a, -b), (a, b), (-a, b)]), c)
+
+    windows = [rect(1, 0.5, (0.25, 0.125)), rect(0.75, 0.75), rect(1, 0.5, (-0.25, -0.125))]
+    offsets = [[(0.25, 0.0), (0.125, 0.125), (0.0, 0.0625)],
+               [(0.0625, 0.0), (0.0, 0.0), (-0.0625, 0.0)]]
+    trans = [[rect(0.25, 0.125, c) for c in row] for row in offsets]
+    trans.append([linear_image(t, -np.eye(2)) for t in trans[0][::-1]])
+    nu = np.array([[0.5, 0.25, 0.2], [0.3, 0.5, 0.3], [0.2, 0.25, 0.5]])
+    w = pfsolve.pf_eigen(nu).w
+    kernel = build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0,
+                          refine.make_centered_grid(2.0, 1 / 32))
+    assert refine.point_symmetric(kernel, w)
+    quotient = solve_fixed_point(kernel, w)
+    with general_path():
+        general = solve_fixed_point(kernel, w)
+    got, want = quotient.density.values, general.density.values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(got[2], got[0][::-1, ::-1])
+    assert quotient.iterations == general.iterations
+    assert np.abs(quotient.residuals - general.residuals).max() <= 1e-12
+
+
+def test_point_symmetry_decision(spec, transitions, nu_area, pf_area, nu_explicit,
+                                 pf_explicit):
+    for nu, pf in ((nu_area, pf_area), (nu_explicit, pf_explicit)):
+        assert refine.point_symmetric(preset_kernel(spec, transitions, nu, 1 / 16), pf.w)
+    # every window moved by the same gamma: window 4 is no longer window 1 negated
+    shifted = scheme.penrose_scheme(gamma=0.031 - 0.047j)
+    # the components in another order: channels 1 and 2 (1-based) mirror each
+    # other, as do 3 and 4, where the quotient pairs 1 with 4 and 2 with 3
+    w = spec.windows
+    permuted = scheme.SchemeSpec(windows=[w[0], w[3], w[2], w[1]],
+                                 coset_reps=[spec.coset_reps[k] for k in (0, 3, 2, 1)],
+                                 q_mult=spec.q_mult)
+    for other in (shifted, permuted):
+        trans = scheme.transition_windows(other)
+        nu = scheme.build_nu(other, trans)
+        kernel = preset_kernel(other, trans, nu, 1 / 16)
+        assert not refine.point_symmetric(kernel, pfsolve.pf_eigen(nu).w)
+    # an explicit nu that is not its own 180-degree flip, with a symmetric w
+    lopsided = nu_explicit.copy()
+    lopsided[2] = [0.1, 0.4, 0.4, 0.1]
+    kernel = preset_kernel(spec, transitions, lopsided, 1 / 16)
+    assert not refine.point_symmetric(kernel, np.full(4, 0.25))
 
 
 @pytest.mark.parametrize("conserve_mass", [True, False])
@@ -552,6 +654,45 @@ def test_density_writers_match_oracle(data, r, nx, ny, h, ox, oy, chunk):
             got = io.StringIO()
             refine.write_density_grid(density, j, got)
             assert got.getvalue() == want_grids[j].getvalue()
+
+
+@pytest.mark.parametrize("chunk", [11, 60, 10**6])  # 1, 3 (the last block short) or 7 rows
+@pytest.mark.parametrize("exact", [True, False])
+def test_density_writer_formats_a_mirrored_channel_once(exact, chunk):
+    # channels 4 and 3 (1-based) are channels 1 and 2 flipped; unless `exact`,
+    # one sample of channel 3 is -0.0 where channel 2 has +0.0, which compares
+    # equal but prints "-0", so channel 3 must be formatted on its own
+    rng = np.random.default_rng(4)
+    values = rng.uniform(size=(4, 7, 5))
+    values[1, 2, 3] = 0.0
+    values[3] = values[0][::-1, ::-1]
+    values[2] = values[1][::-1, ::-1]
+    if not exact:
+        values[2, 4, 1] = -0.0
+    density = DensityGrid(grid=GridSpec(origin=(-0.3, -0.4), h=0.1, nx=5, ny=7),
+                          values=values, masses=np.zeros(4))
+    formatted = []
+    format_samples = text.format_samples
+
+    def counted(array):
+        formatted.append(np.size(array))
+        return format_samples(array)
+
+    grids = {j: io.StringIO() for j in range(4)}
+    csv = io.StringIO()
+    with mock.patch.object(text, "WRITE_CHUNK_VALUES", chunk), \
+            mock.patch.object(text, "format_samples", counted):
+        refine.write_density(density, grids, csv)
+    # the coordinates, then the samples of two channels, or three without the flip
+    assert sum(formatted) == 5 + 7 + (2 if exact else 3) * 35
+    for j in range(4):
+        want = io.StringIO()
+        oracle_write_density_grid(density, j, want)
+        assert grids[j].getvalue() == want.getvalue()
+    want = io.StringIO()
+    oracle_write_density_csv(density, want)
+    assert csv.getvalue() == want.getvalue()
+    assert ("-0" in grids[2].getvalue().split()) != exact
 
 
 def coordinates(n):
