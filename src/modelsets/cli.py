@@ -362,16 +362,18 @@ def cmd_verify(cfg, outdir):
     # the pipeline is dropped after its second item, and the kernel with it
     (trans, nu, pf), result = islice(_pipeline(cfg), 2)
     density = result.density
-    points = scheme.generate_all(cfg.spec, cfg.s)
-    tsets = scheme.translation_sets(cfg.spec, trans, cfg.s)
+    # one patch out to the larger radius; each check cuts it with PointSet.within
+    radius = max(cfg.s, cfg.closure_s)
+    patch = scheme.generate_all(cfg.spec, radius)
+    tsets = scheme.translation_sets(cfg.spec, trans, radius)
+    points = [p.within(cfg.s) for p in patch]
     lines = []
     # star images equidistribute: component-1 sub-window at the contraction scale
     contraction = abs(cfg.spec.a_internal)
     sub = translate(linear_image(cfg.spec.windows[0], contraction * np.eye(2)),
                     (cfg.spec.gamma.real, cfg.spec.gamma.imag))
     if points[0]:
-        _, _, dev = verify.weyl_test(points[0], cfg.spec.shifted_window(1), sub,
-                                     eps=abs(cfg.spec.eps))
+        _, _, dev = verify.weyl_test(points[0], cfg.spec.shifted_window(1), sub)
         lines.append(verify.ReportLine("WEYL.comp1_deviation", dev,
                                        5.0 / np.sqrt(len(points[0]))))
     else:
@@ -396,10 +398,8 @@ def cmd_verify(cfg, outdir):
                 expected = areas[j] / areas[i]
                 ratio_dev = max(ratio_dev, abs(measured / expected - 1.0))
     lines.append(verify.ReportLine("DENSITY.ratio_max_reldev", ratio_dev, 0.05))
-    closure_points = points if cfg.s >= cfg.closure_s else \
-        scheme.generate_all(cfg.spec, cfg.closure_s)
     closure = scheme.check_selfsim_closure(
-        cfg.spec, closure_points, scheme.translation_sets(cfg.spec, trans, cfg.closure_s),
+        cfg.spec, patch, [[t.within(cfg.closure_s) for t in row] for row in tsets],
         cfg.closure_s)
     lines.append(verify.ReportLine("CLOSURE.violations",
                                    len(closure.violations), 0))

@@ -398,10 +398,9 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
 def initial_density(kernel, w):
     """Masses w spread uniformly over the component windows."""
     w = np.asarray(w, dtype=float)
-    values = np.zeros(kernel.masks.shape)
-    for j, raster in enumerate(kernel.indicators):
-        values[j][kernel.masks[j]] = w[j] * raster
-    return DensityGrid.from_values(kernel.grid, values)
+    packing = _Packing.of(kernel, range(len(kernel.masks)))
+    return packing.unpack(np.concatenate([w[j] * kernel.indicators[j]
+                                          for j, _ in packing.channels]))
 
 
 def point_symmetric(kernel, w):

@@ -17,7 +17,8 @@ import numpy as np
 
 from .cyclotomic import TAU, CoefficientOverflow, CycInt, embedding_matrix
 # contains is unused here but stays importable: perfbench/tracer.py wraps scheme.contains
-from .polygeom import Region, area, contains, contains_many, erode, linear_image, translate
+from .polygeom import (DEFAULT_EPS, Region, area, contains, contains_many, erode,
+                       linear_image, translate)
 from .text import write_rows
 
 POLICY_AREA = "area-markov"
@@ -25,8 +26,6 @@ POLICY_EXPLICIT = "explicit"
 
 POINTS_CSV_HEADER = "component,m0,m1,m2,m3,phys_re,phys_im,int_re,int_im"
 _POINTS_CSV_ROW = "%d,%d,%d,%d,%d,%.12g,%.12g,%.12g,%.12g\n"
-
-_BOUNDARY_EPS = 1e-9
 
 
 def _complex_matrix(c):
@@ -80,7 +79,8 @@ class SchemeSpec:
 
     @property
     def eps(self):
-        return _BOUNDARY_EPS if self.boundary_mode == "closed" else -_BOUNDARY_EPS
+        """Signed window tolerance of the components: +DEFAULT_EPS closed, - open."""
+        return DEFAULT_EPS if self.boundary_mode == "closed" else -DEFAULT_EPS
 
     def shifted_window(self, i):
         """Window of component i (1-based) translated by the displacement."""
@@ -101,6 +101,12 @@ class PointSet:
 
     def __len__(self):
         return len(self.coeffs)
+
+    def within(self, radius):
+        """The rows with |phys| <= radius, in the same order, by _enumerate_module's
+        disk test, so that a cut patch equals the one enumerated at radius."""
+        keep = self.phys.real ** 2 + self.phys.imag ** 2 <= radius * radius + 1e-9
+        return PointSet(self.coeffs[keep], self.phys[keep], self.internal[keep])
 
 
 def penrose_scheme(gamma=0j, boundary_mode="closed"):
@@ -264,8 +270,8 @@ def translation_sets(spec, windows_ji, radius):
     r = spec.r
     targets = [((spec.coset_reps[j] - spec.q_mult * spec.coset_reps[i]).rho(), windows_ji[j][i])
                for j in range(r) for i in range(r)]
-    eps = abs(spec.eps)  # transition windows relax the interior-closure condition
-    found = _select(targets, radius, eps)
+    # transition windows are closed whatever the boundary mode of the components
+    found = _select(targets, radius, DEFAULT_EPS)
     return [found[j * r:(j + 1) * r] for j in range(r)]
 
 
@@ -297,12 +303,11 @@ def check_selfsim_closure(spec, points, tsets, radius):
     or sum that could leave the 64-bit range.
     """
     report = ClosureReport(checked=0)
-    eps = abs(spec.eps)
     qmat = spec.q_mult.mult_matrix()
     q_norm = max(sum(map(abs, row)) for row in qmat.tolist())
     star = embedding_matrix()[2:]
     for i in range(spec.r):
-        x = points[i].coeffs[np.abs(points[i].phys) <= radius]
+        x = points[i].within(radius).coeffs
         bad = []  # (x row, j, v row) of every violation, sorted into the scalar loop's order
         for j in range(spec.r):
             v = tsets[j][i].coeffs
@@ -318,8 +323,8 @@ def check_selfsim_closure(spec, points, tsets, radius):
             # summed term by term, as the scalar star embedding does
             u = np.column_stack([sum(yf[:, k] * row[k] for k in range(4)) for row in star])
             window = spec.shifted_window(j + 1)
-            inner = contains_many(window, u, -eps)
-            outer = contains_many(window, u, eps)
+            inner = contains_many(window, u, -DEFAULT_EPS)
+            outer = contains_many(window, u, DEFAULT_EPS)
             report.boundary_hits += int(np.count_nonzero(residue_ok & ~inner & outer))
             rows = np.flatnonzero(~residue_ok | ~(inner | outer))
             bad += [(a, j, b) for a, b in zip(*np.divmod(rows, len(v)))]

@@ -31,7 +31,7 @@ def _xy(z):
     return np.column_stack([z.real, z.imag])
 
 
-def weyl_test(points, window, sub, eps=1e-9):
+def weyl_test(points, window, sub):
     """Fraction of a PointSet's internal images in a sub-window vs. the area ratio.
 
     Returns (empirical fraction, expected fraction, absolute deviation).
@@ -39,7 +39,7 @@ def weyl_test(points, window, sub, eps=1e-9):
     if not points:
         raise ValueError("weyl_test needs a non-empty point set")
     pts = _xy(points.internal)
-    inside = contains_many(sub, pts, eps)
+    inside = contains_many(sub, pts)
     empirical = inside.sum() / len(pts)
     expected = area(sub) / area(window)
     return float(empirical), float(expected), float(abs(empirical - expected))
@@ -61,7 +61,7 @@ def point_weights(spec, density, internal, component):
     """
     pts = _xy(internal)
     vals = sample_density(density, component, pts)
-    inside = contains_many(spec.shifted_window(component), pts, abs(spec.eps))
+    inside = contains_many(spec.shifted_window(component), pts)
     vals[~inside] = 0.0
     return vals
 
@@ -90,10 +90,9 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0):
     nu = np.asarray(nu, dtype=float)
     q_abs = abs(spec.q_phys)
     a_inv = 1.0 / spec.a_internal
-    eps = abs(spec.eps)
-    near = [np.abs(p.phys) <= radius / q_abs for p in points]
-    pool_comp = np.concatenate([np.full(m.sum(), j) for j, m in enumerate(near)])
-    pool = np.concatenate([p.internal[m] for p, m in zip(points, near)])
+    near = [p.within(radius / q_abs) for p in points]
+    pool_comp = np.concatenate([np.full(len(p), j) for j, p in enumerate(near)])
+    pool = np.concatenate([p.internal for p in near])
     if not len(pool):
         raise InsufficientRadiusError("no sample points inside radius/q")
     rng = default_rng(seed)
@@ -108,16 +107,14 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0):
         for i in range(spec.r):
             if nu[j, i] == 0:
                 continue
-            t = tsets[j][i].internal[np.abs(tsets[j][i].phys) <= radius]
+            t = tsets[j][i].within(radius).internal
             if not len(t):
                 raise InsufficientRadiusError(
                     f"insufficient radius: translation set ({j + 1},{i + 1}) "
                     f"is empty at radius {radius}")
             # every (sample, translation) preimage at once; one row per sample
             eta = (pool[mine][:, None] - t[None, :]) * a_inv
-            pts = _xy(eta.ravel())
-            vals = sample_density(density, i + 1, pts)
-            vals[~contains_many(spec.shifted_window(i + 1), pts, eps)] = 0.0
+            vals = point_weights(spec, density, eta.ravel(), i + 1)
             rhs[mine] += nu[j, i] * vals.reshape(eta.shape).mean(axis=1)
     rhs *= spec.detq_abs
     floor = ID2_SCALE_FLOOR * max(density.values.max(), 1e-300)
@@ -152,12 +149,10 @@ def density_estimate(points, s_list):
     s_list = list(s_list)
     if sorted(s_list) != s_list:
         raise ValueError("radii must be increasing")
-    r = len(points)
-    out = np.zeros((r, len(s_list)))
-    for j in range(r):
-        radii = np.abs(points[j].phys)
+    out = np.zeros((len(points), len(s_list)))
+    for j, comp in enumerate(points):
         for n, s in enumerate(s_list):
-            out[j, n] = (radii <= s).sum() / (np.pi * s * s)
+            out[j, n] = len(comp.within(s)) / (np.pi * s * s)
     return out
 
 

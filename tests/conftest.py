@@ -43,12 +43,6 @@ def pf_explicit(nu_explicit):
     return pfsolve.pf_eigen(nu_explicit)
 
 
-def within(points, radius):
-    """The rows of a PointSet with physical modulus at most radius."""
-    keep = np.abs(points.phys) <= radius
-    return scheme.PointSet(points.coeffs[keep], points.phys[keep], points.internal[keep])
-
-
 def _solve(spec, transitions, nu, w, h):
     windows = [spec.shifted_window(i) for i in range(1, spec.r + 1)]
     grid = refine.grid_for_windows(windows, h)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modelsets import cli
+from modelsets import cli, scheme
 from tests.conftest import TAU
 
 
@@ -57,6 +57,22 @@ SOLVE_EX2_GAMMA_SHA256 = {
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
 # writes, recorded like SOLVE_EX1_SHA256
 VERIFY_EX2_REPORT_SHA256 = "5671f25cae32e7f8981a3db655f2f7eba949b3cced5263d45fc94ac25f26432f"
+
+# sha256 of that report.txt under other settings, recorded like
+# SOLVE_EX1_SHA256, with the exit code: (flags, config text, exit, digest).
+# At s = 3 and 4.9 the closure patch (closure_s = 5) reaches past s; at
+# s = 3 ID2 has no translations and ID3 and DENSITY fail, and the bytes are
+# pinned all the same
+VERIFY_EX2_VARIANT_SHA256 = {
+    "s3": (["--s", "3"], None, 1,
+           "ed947320c2c10caff96857e9997e5e90c0123859f415b930cade5d86b0cc0123"),
+    "s4.9": (["--s", "4.9"], None, 1,
+             "f7fb41f4bd58e4d7e8d4e7eb650bc172f745b1d3de13e02117660d4422b19a25"),
+    "gamma": ([], "gamma = 0.031, -0.047\n", 0,
+              "22dc8094761230e9119a73bc63c43971e6a5bbac4f59dbfb5c84bf0bc0e737ae"),
+    "open": ([], "boundary = open\n", 0,
+             "2d2730982ede5602250ddd1ce176cbfa2a85273affaaffd127624bf2ef813e76"),
+}
 
 
 def run(args):
@@ -453,6 +469,37 @@ def verify_example2_report(out):
 
 def test_verify_example2_pinned_report(tmp_path):
     assert verify_example2_report(tmp_path / "v") == VERIFY_EX2_REPORT_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_EX2_VARIANT_SHA256))
+def test_verify_example2_variant_pinned_report(tmp_path, name):
+    flags, text, code, digest = VERIFY_EX2_VARIANT_SHA256[name]
+    if text is not None:
+        config = tmp_path / "variant.cfg"
+        config.write_text(text)
+        flags = flags + ["--config", str(config)]
+    out = tmp_path / "v"
+    assert run(["verify", "--preset", "penrose-example2", "--h", "0.03125",
+                "--out", str(out)] + flags) == code
+    assert hashlib.sha256((out / "report.txt").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags, code, radius", [([], 0, 40.0), (["--s", "3"], 1, 5.0)],
+                         ids=["default-s", "s3"])
+def test_verify_enumerates_one_patch(tmp_path, monkeypatch, flags, code, radius):
+    # one sweep for the points and one for the translations, both at
+    # max(s, closure_s), whichever of the two radii is larger
+    radii = []
+    enumerate_module = scheme._enumerate_module
+
+    def counted(radius_phys, radius_internal):
+        radii.append(radius_phys)
+        return enumerate_module(radius_phys, radius_internal)
+
+    monkeypatch.setattr(scheme, "_enumerate_module", counted)
+    assert run(["verify", "--preset", "penrose-example2", "--h", "0.03125",
+                "--out", str(tmp_path / "v")] + flags) == code
+    assert radii == [radius, radius]
 
 
 def test_verify_runs_no_fourier_check(tmp_path, monkeypatch):

@@ -1,11 +1,12 @@
 """Lattice enumeration checked against the coefficient-box sweep it replaced."""
 
+import functools
 import hashlib
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from modelsets import scheme
 from modelsets.cyclotomic import CycInt, embedding_matrix
@@ -112,6 +113,43 @@ def test_point_on_both_disk_boundaries_is_found(m):
        gy=st.floats(min_value=-0.2, max_value=0.2))
 def test_enumeration_matches_box_sweep(radius, gx, gy):
     assert_matches_oracle(scheme.penrose_scheme(gamma=complex(gx, gy)), radius)
+
+
+@functools.cache
+def scheme_and_windows(gamma):
+    spec = scheme.penrose_scheme(gamma=gamma)
+    return spec, scheme.transition_windows(spec)
+
+
+def assert_same_bytes(got, expected):
+    for name in ("coeffs", "phys", "internal"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gamma=st.sampled_from([0j, 0.031 - 0.047j]),
+       radius=st.floats(min_value=0.0, max_value=12.0, exclude_min=True),
+       frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       snap=st.booleans())
+def test_within_a_larger_patch_matches_direct_enumeration(gamma, radius, frac, snap):
+    # verify enumerates once at the larger radius and cuts the smaller patches
+    # from it; snap moves s down onto a point's modulus, where the points of a
+    # rotation orbit round to either side of the circle
+    spec, windows_ji = scheme_and_windows(gamma)
+    big = scheme.generate_all(spec, radius)
+    big_t = scheme.translation_sets(spec, windows_ji, radius)
+    s = radius * frac
+    if snap:
+        moduli = np.abs(np.concatenate([p.phys for p in big]
+                                       + [t.phys for row in big_t for t in row]))
+        s = moduli[moduli <= s].max(initial=0.0)
+    assume(0 < s < radius)
+    for got, expected in zip(big, scheme.generate_all(spec, s)):
+        assert_same_bytes(got.within(s), expected)
+    small_t = scheme.translation_sets(spec, windows_ji, s)
+    for j in range(spec.r):
+        for i in range(spec.r):
+            assert_same_bytes(big_t[j][i].within(s), small_t[j][i])
 
 
 def test_enumeration_matches_box_sweep_closed_boundaries(spec):

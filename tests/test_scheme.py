@@ -8,7 +8,7 @@ from modelsets import scheme
 from modelsets.cyclotomic import CoefficientOverflow, CycInt, TAU as TAU_CYC
 from modelsets.pfsolve import pf_eigen
 from modelsets.polygeom import Region, area, contains, contains_many, linear_image
-from tests.conftest import EXAMPLE2_NU, TAU, within
+from tests.conftest import EXAMPLE2_NU, TAU
 
 # frozen by the brute-force enumeration oracle below (run at s = 10)
 ORACLE_COUNTS_S10 = (70, 155, 155, 70)
@@ -298,7 +298,7 @@ def assert_closure_matches_oracle(spec, points, tsets, radius):
 
 
 def test_closure_matches_scalar_oracle(spec, points40, tsets40):
-    tsets5 = [[within(t, 5.0) for t in row] for row in tsets40]
+    tsets5 = [[t.within(5.0) for t in row] for row in tsets40]
     assert assert_closure_matches_oracle(spec, points40, tsets5, 5.0) == (3480, [], 380)
 
 

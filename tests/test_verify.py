@@ -56,6 +56,15 @@ def test_density_estimate_ratios(points20):
         verify.density_estimate(points20, [20.0, 10.0])
 
 
+def test_density_estimate_counts_the_patch_enumerated_at_s(spec):
+    # s is the computed modulus of a point whose rotation orbit rounds to both
+    # sides of the circle; DENSITY must count the very points WEYL and ID3 use
+    s = 6.854101966249685
+    points = scheme.generate_all(spec, s)
+    counts = verify.density_estimate(points, [s])[:, 0] * (np.pi * s * s)
+    assert np.rint(counts).tolist() == [len(p) for p in points]
+
+
 def test_id2_residual_small(spec, coarse_solution, nu_explicit, points20, tsets20):
     rep = verify.check_id2(spec, coarse_solution, nu_explicit, points20,
                            tsets20, 20.0, samples=100, seed=0)
