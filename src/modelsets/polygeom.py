@@ -2,9 +2,10 @@
 
 A Region is an empty set, a single point, or a convex polygon with CCW
 vertices.  Erosion of one convex region by another is computed exactly by
-shifting each half-plane of the eroded region inward by the support of the
-structuring region; degenerate intersections collapse to a point or to the
-empty region.
+shifting each edge line of the eroded region inward by the support of the
+structuring region and meeting consecutive lines, after dropping the ones
+that cut nothing off; degenerate intersections collapse to a point or to
+the empty region.
 """
 
 from __future__ import annotations
@@ -200,60 +201,35 @@ def contains_many(P, pts, eps=DEFAULT_EPS):
     return dist.max(axis=1) <= eps
 
 
-def _clip_halfplane(verts, n, c):
-    """Sutherland-Hodgman clip of a polygon with the half-plane <u,n> <= c."""
-    if len(verts) == 0:
-        return verts
-    d = verts @ n - c
-    out = []
-    k = len(verts)
-    for i in range(k):
-        j = (i + 1) % k
-        if d[i] <= 0:
-            out.append(verts[i])
-        if (d[i] <= 0) != (d[j] <= 0):
-            t = d[i] / (d[i] - d[j])
-            out.append(verts[i] + t * (verts[j] - verts[i]))
-    return np.array(out) if out else np.zeros((0, 2))
+def _meet(na, da, nb, db, cross):
+    """Rows of the points where the lines na . u = da and nb . u = db meet,
+    given cross = na x nb != 0; negating na and nb negates them exactly."""
+    return np.column_stack([da * nb[:, 1] - db * na[:, 1],
+                            db * na[:, 0] - da * nb[:, 0]]) / cross[:, None]
 
 
-def _clip_all(normals, offsets, radius):
-    verts = np.array([[-radius, -radius], [radius, -radius],
-                      [radius, radius], [-radius, radius]])
-    for n, c in zip(normals, offsets):
-        verts = _clip_halfplane(verts, n, c)
-        if len(verts) == 0:
-            break
-    return verts
-
-
-def _degenerate_region(normals, offsets, radius):
-    """Classify an (almost) measure-zero half-plane intersection.
-
-    A point survives if the system is feasible within POINT_FEAS_TOL; the
-    candidate is refined by least squares on the active constraints so an
-    exact singleton is recovered to machine precision.
-    """
-    inflated = _clip_all(normals, offsets + 1e-6, radius)
-    if len(inflated) == 0:
-        return Region.empty()
-    u0 = inflated.mean(axis=0)
-    active = normals @ u0 - offsets >= -3e-6
-    if active.sum() < 2:
-        active[:] = True
-    ustar, *_ = np.linalg.lstsq(normals[active], offsets[active], rcond=None)
-    if (normals @ ustar - offsets).max() <= POINT_FEAS_TOL:
-        ustar[np.abs(ustar) < 1e-12] = 0.0
-        return Region.single(ustar)
-    return Region.empty()
+def _crosses(u, v):
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def erode(C, K):
     """Erosion {u : K + u is contained in C} of convex regions.
 
-    Computed by shifting every half-plane of C inward by the support of K
-    along its outward normal; exact for convex C and K.  The result may be
-    a polygon, a single point, or empty.
+    Every edge line of C moves inward by the support of K along its outward
+    normal; exact for convex C and K.  While more than three lines are left,
+    the one with the most slack (of equal slacks, the largest offset) is
+    dropped if the meeting point of its neighbours satisfies it within
+    POINT_FEAS_TOL and their normals are not (nearly) parallel.  Consecutive
+    kept lines meet at the vertices.  They make a polygon when each kept line
+    bounds an edge of positive length, the area is at least COLLAPSE_AREA
+    and every vertex satisfies every moved line within POINT_FEAS_TOL.
+    Otherwise the result is the meeting point of the best-conditioned
+    consecutive pair, with coordinates within SNAP_TOL of 0 set to 0, if it
+    satisfies every line within POINT_FEAS_TOL, and empty if it does not.
+    Each vertex depends only on its own two lines and the choices only on
+    values that negation keeps, so erode(-C, -K) is exactly -erode(C, K);
+    the vertex either list starts at matters only where two lines tie in
+    both slack and offset.
     """
     if C.is_empty or K.is_empty:
         raise ValueError("erode requires non-empty regions")
@@ -262,15 +238,31 @@ def erode(C, K):
     if C.is_point:
         return Region.empty()
     normals, offsets = _edge_normals(C)
-    shifted = offsets - np.array([support(K, n) for n in normals])
-    radius = C.circumradius() + K.circumradius() + 1.0
-    verts = _clip_all(normals, shifted, radius)
-    if len(verts) >= 3 and _signed_area(verts) >= COLLAPSE_AREA:
-        try:
-            return Region.polygon(verts)
-        except ValueError:
-            pass
-    return _degenerate_region(normals, shifted, radius)
+    offsets = offsets - np.array([support(K, n) for n in normals])
+    keep = np.arange(len(normals))
+    while len(keep) > 3:
+        a, b = np.roll(keep, 1), np.roll(keep, -1)
+        cross = _crosses(normals[a], normals[b])
+        apart = cross > COLLINEAR_TOL
+        p = _meet(normals[a], offsets[a], normals[b], offsets[b], np.where(apart, cross, 1.0))
+        slack = np.where(apart, offsets[keep] - np.einsum("ij,ij->i", normals[keep], p), -np.inf)
+        k = np.lexsort((offsets[keep], slack))[-1]  # most slack, ties to the outermost
+        if slack[k] < -POINT_FEAS_TOL:
+            break
+        keep = np.delete(keep, k)
+    n, d = normals[keep], offsets[keep]
+    cross = _crosses(np.roll(n, 1, axis=0), n)
+    verts = _meet(np.roll(n, 1, axis=0), np.roll(d, 1), n, d, cross)  # on lines k - 1 and k
+    feasible = (verts @ normals.T - offsets).max(axis=1) <= POINT_FEAS_TOL
+    if (feasible.all() and (_crosses(n, np.roll(verts, -1, axis=0) - verts) > 0).all()
+            and _signed_area(verts - verts[0]) >= COLLAPSE_AREA):
+        return Region("polygon", verts)
+    best = np.argmax(cross)
+    if not feasible[best]:
+        return Region.empty()
+    u = verts[best]
+    u[np.abs(u) <= SNAP_TOL] = 0.0
+    return Region.single(u)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,6 @@ run builds only what its channels reach (the fixed-point solve builds the
 spectra before its first step).  A step costs one stencil pass and one
 forward transform per non-zero input channel and one inverse transform per
 output channel, and the circular result equals the linear one on the mask.
-The stencils and the numpy transforms round exactly as the order-1
-`map_coordinates` and the real transforms they replace, so the outputs
-kept their bytes.
 
 The step works on packed densities: one vector of the mask cells of the
 channels it carries.  The fixed-point solve keeps its whole state in that
@@ -151,15 +148,10 @@ def irfft2(a, shape, rows=slice(None)):
     """Rows `rows` (by default all) of the inverse of fft.rfft2 on `shape`.
 
     Overwrites the spectrum `a`: the column pass runs in place, and the row
-    pass runs only over `rows`.  The unscaled inverse is multiplied by
-    1 / (ny nx) in one product, the rounding of a whole-transform
-    normalization; numpy's default norm scales axis by axis and rounds
-    differently.
+    pass runs only over `rows`.
     """
-    fft.ifft(a, axis=0, norm="forward", out=a)
-    out = fft.irfft(a[rows], n=shape[1], axis=1, norm="forward")
-    out *= 1.0 / (shape[0] * shape[1])
-    return out
+    fft.ifft(a, axis=0, out=a)
+    return fft.irfft(a[rows], n=shape[1], axis=1)
 
 
 @dataclass
@@ -198,14 +190,7 @@ class Stencil:
         return flat, flat[:ny * nx].reshape(ny, nx)
 
     def sample(self, flat):
-        """The samples, of the shape of `index`, read from a frame.
-
-        The four node terms are summed in map_coordinates' grouping and
-        order, (v00 r0) c0 + (v01 r0) c1 + (v10 r1) c0 + (v11 r1) c1, which
-        makes the result bit-identical to it; the closing + 0.0 stands for
-        the +0.0 that map_coordinates starts its sum from, so a zero sample
-        is +0.0 there too.
-        """
+        """The samples, of the shape of `index`, read from a frame."""
         r1 = 1.0 - self.r0
         c1 = 1.0 - self.c0
         # every index is in range by construction; mode "clip" spares take
@@ -220,7 +205,6 @@ class Stencil:
             term *= row_w
             term *= col_w
             out += term
-        out += 0.0
         return out
 
 
@@ -404,13 +388,13 @@ def initial_density(kernel, w):
 
 
 def point_symmetric(kernel, w):
-    """Whether nu equals its 180-degree flip, w is centrosymmetric to 1e-12,
-    windows r-1-j and (r-1-j, r-1-i) have the negated vertex sets of j and
-    (j, i), and the masks and input boxes are exact mirror images."""
+    """Whether nu and w equal their 180-degree flips to 1e-12, windows r-1-j
+    and (r-1-j, r-1-i) have the negated vertex sets of j and (j, i), and the
+    masks and input boxes are exact mirror images."""
     spans = np.array([np.r_[b[0], kernel.masks.shape[1:] - b[1]] if b else [-1] * 4
                       for b in kernel.boxes])
     groups = [kernel.windows, [t for row in kernel.windows_ji for t in row]]
-    return bool(np.array_equal(kernel.nu, kernel.nu[::-1, ::-1])
+    return bool(np.abs(kernel.nu - kernel.nu[::-1, ::-1]).max() <= 1e-12
                 and np.abs(w - w[::-1]).max() <= 1e-12
                 and np.array_equal(kernel.masks[::-1], kernel.masks[:, ::-1, ::-1])
                 and np.array_equal(spans[::-1], np.roll(spans, 2, axis=1))
@@ -478,9 +462,6 @@ def _output_cells(kernel, j, transformed):
     """
     total = None
     for i in np.flatnonzero(kernel.nu[j]):
-        if kernel.blocks[j][i] is None:
-            raise ValueError(f"no kernel raster for transition ({j + 1},{i + 1}); "
-                             "rebuild the kernel with this weight matrix")
         if i not in transformed:
             continue
         term = kernel.spectrum(j, i) * transformed[i]

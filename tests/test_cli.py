@@ -14,44 +14,45 @@ from tests.conftest import TAU
 
 
 # sha256 of the files `solve --preset penrose-example1 --h 0.03125` writes,
-# as recorded with exact cell coverage and the point-reflection quotient on
+# as recorded with exact cell coverage, the point-reflection quotient,
+# erosion by meeting edge lines and numpy's default inverse FFT scaling on
 # numpy 2.4.6; the bytes follow the last bit of every float, so they hold
 # for one numpy build
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density_ch2.txt": "f0dd3306819f0555b9f997c8cf225de393319dccb353c1f9b8e7c488afdcfcf5",
-    "density_ch3.txt": "3ed85e533a603967b00ebb95655d0f199fd3b1e9da33bfb156b5c6c35e13b0b9",
+    "density_ch2.txt": "bb3e2337bdc6a46698a75035692af57ed7b47109f3859be2debbc7e423aa6405",
+    "density_ch3.txt": "c32c0bf71c5fbff1b47edc64d9c0b14872cd27600a82655469a496293e317596",
     "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density.csv": "bcfd0d19db2ee525c1db85abac64f2f274481993e2e46476b469e273cfe1f1bf",
-    "summary.txt": "f632e1bc1d286eb8153e58572ad8d7f272fb2d373cd818f7d2e24081b664db27",
+    "density.csv": "53f42286edc6134164baf753002650389deab59f532d2022e29b7a3dde9e9c5d",
+    "summary.txt": "7a84539d18ffaedb0049b650ead1ca4eea4a95ea0e33df337ffc41e2fd32d72a",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "92b21f7929fcb80280e83bb8e2a4a5f391fbcf96fe14c41c0d62ff47753aa507",
-    "density_ch2.txt": "73443426dd2363f22bd6e1bf9fcf1a1381f4ff6db6a3db029ace2c37c9ceefa0",
-    "density_ch3.txt": "54cf94c90f5672ccb4dd6b97a8f4c4a03d96dddb750941253bdcccecaf8696e3",
-    "density_ch4.txt": "918350855554a61df3cfceb1e6200217415bb576341a27354bf5bfcf2af88349",
-    "density.csv": "852d6dbac3220f5c05811b177811c49d4aaf772133a0ef0a0ea54d9cf0521434",
+    "density_ch1.txt": "89763afc549f91bbba11a2eaaf020b7a25e4ed610bfe6fb3a59d4b6256428367",
+    "density_ch2.txt": "de2b4e9d0375901c34527313af1e5c697437cd87a5e67bc3fd532ad719dc370c",
+    "density_ch3.txt": "94792daf418f9ff7819d2660517d8a657095dbc2652269b8530df083afdcee58",
+    "density_ch4.txt": "f7f060508acbb372f8b9536c62f69e24a90b9a1febd6d1c09fbcbde77e506dcb",
+    "density.csv": "34a6b8e739fec811220ece1346b96f2407a505fd2e1de578431b395997cd69e8",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "8d7a95a94fc3ee5a3d189eb1e126363e6a58f34256cfcfb59768ab951fc8ee09",
+    "summary.txt": "e950f493d84a5bd13e569d293d728ffabd76ebc81fc8a05724247087ecee6ca9",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
 # with gamma = 0.031, -0.047, recorded like SOLVE_EX1_SHA256; the shifted
 # windows are not point-symmetric, so this run takes the general solve
 SOLVE_EX2_GAMMA_SHA256 = {
-    "density_ch1.txt": "6a0009f76b1d08517ecc8abae52315f73c4788ab2cc9ded72e80565c3086a3a5",
-    "density_ch2.txt": "1164f0e5676009ec6c9eed3cd2a43a839bd4190a603f3539b5ce30f9a4e2b289",
-    "density_ch3.txt": "76f382e89d7a0423282552d10eb8b057d3e1f38e23ddd049edeadcaea5b61fc4",
-    "density_ch4.txt": "ba76148bebba8f8131413dfd849e92f6dd2d96b0250159d776b71e47bcffef73",
-    "density.csv": "f8e0ee36baf1204a71cfc4b86a1a17dcec6c38169b259dc9307881f91344e6a3",
+    "density_ch1.txt": "a7f53cc07a7da2b20823bab39a66d80e61dc513eb21cfdeb71b1a090054fbbf1",
+    "density_ch2.txt": "1d5b48132353f8087a1605ba1c5f4676036328f14ee0a169db30d471c5b0e965",
+    "density_ch3.txt": "874f2e0c3ac3350c31e0e646a3984809bc9091c9792bf7e36ea81047fdc73ab2",
+    "density_ch4.txt": "374a70d05c05877f151fed6ac8ffe64fdf20a32a025af0c5abee8d79cd5aaedb",
+    "density.csv": "e5b75ac38c276f203ec1be0c6d13cc2122cc41433ebcdb5a0bd47bae29e80493",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "78f925170837567f6fa76ea7162e11ca947ec98cfe9b1eb28e43e011ef7da5b5",
+    "summary.txt": "b35d74d7e0c3c285e9926a2779e7863cedaa8942b28f7d035b835168ca14f345",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
@@ -450,7 +451,7 @@ def test_solve_example2_pinned_bytes(tmp_path):
 
 
 def test_solve_example2_shifted_gamma_pinned_bytes(tmp_path):
-    # the general solve keeps its bytes
+    # the general solve is pinned too
     config = tmp_path / "gamma.cfg"
     config.write_text("gamma = 0.031, -0.047\n")
     out = tmp_path / "s2g"

@@ -280,3 +280,21 @@ def test_erode_collapses_to_a_point_and_to_empty(C, tx, ty, grow):
     us = c - np.random.default_rng(0).uniform(-0.01, 0.01, (200, 2))
     inside, _ = brute_erosion_membership(C, K, us, 0.0)
     assert not inside.any()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(C=convex_regions(0.3, 1.5), K=convex_regions(0.05, 1.0),
+       c_start=st.integers(0, 7), k_start=st.integers(0, 7), collapse=st.booleans())
+def test_erode_is_odd_under_negation(C, K, c_start, k_start, collapse):
+    # every vertex is the meeting point of its own two moved edge lines, so
+    # negating both regions negates the result exactly, whatever vertex
+    # either list starts at; a translate of C collapses it to a point
+    def negated(P, start):
+        return Region.polygon(np.roll(-P.vertices, start % len(P.vertices), axis=0))
+
+    if collapse:
+        K = translate(C, centroid(K))
+    E = erode(C, K)
+    N = erode(negated(C, c_start), negated(K, k_start))
+    assert N.kind == E.kind
+    assert {tuple(v) for v in N.vertices} == {tuple(-v) for v in E.vertices}
