@@ -96,8 +96,11 @@ def _cross(u, v):
 
 
 def _signed_area(verts):
-    x = verts[:, 0]
-    y = verts[:, 1]
+    """Shoelace area, measured from the first vertex so that a small polygon far
+    from the origin keeps its digits."""
+    d = verts - verts[0]
+    x = d[:, 0]
+    y = d[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
@@ -255,7 +258,7 @@ def erode(C, K):
     verts = _meet(np.roll(n, 1, axis=0), np.roll(d, 1), n, d, cross)  # on lines k - 1 and k
     feasible = (verts @ normals.T - offsets).max(axis=1) <= POINT_FEAS_TOL
     if (feasible.all() and (_crosses(n, np.roll(verts, -1, axis=0) - verts) > 0).all()
-            and _signed_area(verts - verts[0]) >= COLLAPSE_AREA):
+            and _signed_area(verts) >= COLLAPSE_AREA):
         return Region("polygon", verts)
     best = np.argmax(cross)
     if not feasible[best]:

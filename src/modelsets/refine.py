@@ -12,11 +12,12 @@ bounding box of each output channel's window mask, and one periodic FFT
 shape long enough that every linear convolution from an input box into its
 output hull fits without wrapping, and where on that shape each transition
 kernel sits.  The bilinear stencil that samples a box and the real FFT of a
-placed kernel are built the first time they are needed and then kept, so a
-run builds only what its channels reach (the fixed-point solve builds the
-spectra before its first step).  A step costs one stencil pass and one
-forward transform per non-zero input channel and one inverse transform per
-output channel, and the circular result equals the linear one on the mask.
+placed kernel, already weighted by nu_ji, are built the first time they are
+needed and then kept, so a run builds only what its channels reach (the
+fixed-point solve builds the spectra before its first step).  A step costs
+one stencil pass and one forward transform per non-zero input channel and
+one inverse transform per output channel, and the circular result equals
+the linear one on the mask.
 
 The step works on packed densities: one vector of the mask cells of the
 channels it carries.  The fixed-point solve keeps its whole state in that
@@ -24,7 +25,15 @@ form and builds a full grid only for its result.  When `point_symmetric`
 holds, f_{r-1-j}(u) = f_j(-u) and the solve carries only channels j <= r-1-j,
 making channel r-1-j the exact flip of channel j.  Flipping a box of b cells
 on a period of n turns X_k into conj(X_k) e^{-2 pi i k (b - 1) / n} per
-axis, so a mirrored input needs no stencil pass or transform.
+axis.  That phase is folded, conjugated, into the kernel spectrum a
+mirrored input meets, so such an input needs no stencil pass, transform or
+phased copy: its terms are products with the carried input's transform,
+summed and conjugated once.
+
+On a grid at least four times as wide as the coarsest level worth solving
+(_COARSE_CELLS cells a side), the solve first solves on the same box at
+2^k h and starts from that solution, interpolated onto the fine mask cells
+(nested iteration, Brandt 1977).
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
 _MIX_DEPTH = 2  # residual differences in each Anderson fit
 _GRID_PAD = 0.082
+_COARSE_CELLS = 100  # cells per axis of the coarsest grid a warm start solves on
 
 
 def make_centered_grid(half_extent, h):
@@ -93,6 +103,7 @@ class RefinementKernel:
     """Rasters, geometry and kernel spectra needed to apply the refinement operator."""
 
     grid: GridSpec
+    a_matrix: np.ndarray
     a_inv: np.ndarray
     detq_abs: float
     nu: np.ndarray
@@ -107,8 +118,8 @@ class RefinementKernel:
                             # box, the same cells in the periodic result)
     placements: list        # r x r slices of fft_shape that hold block (j, i), None
                             # where it takes no part in a step
-    spectra: list           # r x r rfft2 of the placed |det Q| h^2 blocks, None
-                            # until spectrum(j, i) first builds it
+    spectra: dict           # (j, i, mirrored) -> spectrum, as spectrum(j, i, mirrored)
+                            # first builds it
     windows: list           # the component and transition windows it rasterizes
     windows_ji: list
 
@@ -121,14 +132,23 @@ class RefinementKernel:
                                           tuple(hi - lo + 2))
         return self.stencils[i]
 
-    def spectrum(self, j, i):
-        """Spectrum (j, i), built on first use and kept."""
-        if self.spectra[j][i] is None:
+    def spectrum(self, j, i, mirrored=False):
+        """rfft2 of the placed nu_ji |det Q| h^2 block (j, i), built on first use and
+        kept.  With `mirrored`, its conjugate times the conjugated mirror phases of
+        box i: multiplied into the transform of input r-1-i and conjugated, that
+        gives the term of input i taken as the flip of input r-1-i."""
+        key = (j, i, mirrored)
+        if key not in self.spectra:
             padded = np.zeros(self.fft_shape)
             padded[self.placements[j][i]] = self.blocks[j][i].arr * \
-                (self.detq_abs * self.grid.h**2)
-            self.spectra[j][i] = fft.rfft2(padded)
-        return self.spectra[j][i]
+                (self.nu[j, i] * self.detq_abs * self.grid.h**2)
+            spectrum = fft.rfft2(padded)
+            if mirrored:
+                for factor in _mirror_phases(self.boxes[i], self.fft_shape):
+                    spectrum *= factor
+                np.conjugate(spectrum, out=spectrum)
+            self.spectra[key] = spectrum
+        return self.spectra[key]
 
 
 def next_fast_len(n):
@@ -142,6 +162,14 @@ def next_fast_len(n):
         if m == 1:
             return n
         n += 1
+
+
+def rfft2(a, shape):
+    """fft.rfft2(a, s=shape), with the row pass run only over the rows of `a`: the
+    rows that pad it to `shape` are zero, and so is their row transform."""
+    rows = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+    rows[:len(a)] = fft.rfft(a, n=shape[1], axis=1)
+    return fft.fft(rows, axis=0)  # not in place: that raised peak RSS by 5 MB
 
 
 def irfft2(a, shape, rows=slice(None)):
@@ -266,26 +294,41 @@ def _input_boxes(grid, a_inv, masks):
     """Per channel, the box of cells where f_i(A^-1 y) can be non-zero.
 
     A bilinear sample of a channel that vanishes off its mask is zero unless
-    one of the four stencil nodes around A^-1 y lies on the mask.  Returns
-    (lo, hi) per channel, or None when no cell qualifies.  The channel's
-    stencil samples the mask's bounding box padded by one zero cell on every
-    side, which holds every node that can be non-zero.
+    one of the four stencil nodes around A^-1 y lies on the mask, which puts
+    A^-1 y within a cell of the mask's bounding box.  Only the cells whose
+    centres lie within a cell of the image of that region under A are
+    tested.  Returns (lo, hi) per channel, or None when no cell qualifies.
+    The channel's stencil samples the mask's bounding box padded by one zero
+    cell on every side, which holds every node that can be non-zero.
     """
-    rows, cols = _contracted(grid, a_inv)
-    # lower-left stencil node, counted in a frame padded by one zero cell
-    a = np.floor(rows).astype(np.intp)
-    a += 1
-    b = np.floor(cols).astype(np.intp)
-    b += 1
-    on_grid = (a >= 0) & (a <= grid.ny) & (b >= 0) & (b <= grid.nx)
-    a[~on_grid] = 0
-    b[~on_grid] = 0
+    a_matrix = np.linalg.inv(a_inv)
+    origin = np.array(grid.origin)
     boxes = []
     for mask in masks:
-        pad = np.pad(mask, 1)
+        lo, hi = _box(mask)
+        # corners (x, y) of the mask's bounding box grown by a cell, mapped by A
+        corners = a_matrix @ (origin[:, None] + grid.h * np.array(
+            [[lo[1] - 1, lo[1] - 1, hi[1] + 1, hi[1] + 1],
+             [lo[0] - 1, hi[0] + 1, lo[0] - 1, hi[0] + 1]]))
+        first = np.maximum(np.floor((corners.min(axis=1) - origin) / grid.h) - 1, 0)
+        last = np.minimum(np.ceil((corners.max(axis=1) - origin) / grid.h) + 1,
+                          [grid.nx, grid.ny])
+        near_lo = first[::-1].astype(int)  # (row, col) of the first tested cell
+        rows, cols = _contracted(grid, a_inv, _slices(near_lo, last[::-1]))
+        # lower-left stencil node, counted from one cell before the mask's box
+        a = np.floor(rows).astype(np.intp)
+        a -= lo[0] - 1
+        b = np.floor(cols).astype(np.intp)
+        b -= lo[1] - 1
+        inside = (a >= 0) & (a <= hi[0] - lo[0]) & (b >= 0) & (b <= hi[1] - lo[1])
+        pad = np.pad(mask[_slices(lo, hi)], 1)
         near = pad[:-1, :-1] | pad[1:, :-1] | pad[:-1, 1:] | pad[1:, 1:]
-        touched = near[a, b] & on_grid
-        boxes.append(_box(touched) if touched.any() else None)
+        touched = near[np.where(inside, a, 0), np.where(inside, b, 0)] & inside
+        if touched.any():
+            t_lo, t_hi = _box(touched)
+            boxes.append((t_lo + near_lo, t_hi + near_lo))
+        else:
+            boxes.append(None)
     return boxes
 
 
@@ -372,11 +415,12 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
     a_inv = np.linalg.inv(a_matrix)
     boxes = _input_boxes(grid, a_inv, masks)
     fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, boxes)
-    return RefinementKernel(grid=grid, a_inv=a_inv, detq_abs=float(detq_abs), nu=nu,
-                            blocks=blocks, indicators=indicators, masks=masks,
-                            fft_shape=fft_shape, boxes=boxes, stencils=[None] * r,
-                            outputs=outputs, placements=placements, windows=windows,
-                            windows_ji=windows_ji, spectra=[[None] * r for _ in range(r)])
+    return RefinementKernel(grid=grid, a_matrix=a_matrix, a_inv=a_inv,
+                            detq_abs=float(detq_abs), nu=nu, blocks=blocks,
+                            indicators=indicators, masks=masks, fft_shape=fft_shape,
+                            boxes=boxes, stencils=[None] * r, outputs=outputs,
+                            placements=placements, windows=windows,
+                            windows_ji=windows_ji, spectra={})
 
 
 def initial_density(kernel, w):
@@ -422,7 +466,6 @@ class _Packing:
     kernel: RefinementKernel
     channels: list  # (channel, slice of the packed vector)
     mirrors: dict   # carried channel j < r-1-j -> r-1-j; their cells lead the vector
-    phases: dict    # per carried input in mirrors with a box, its _mirror_phases
 
     @classmethod
     def of(cls, kernel, live, quotient=False):
@@ -432,8 +475,7 @@ class _Packing:
         mirrors = {j: r - 1 - j for j in carried if quotient and j < r - 1 - j}
         return cls(kernel=kernel, channels=[(j, slice(ends[n], ends[n + 1]))
                                             for n, j in enumerate(carried)],
-                   mirrors=mirrors, phases={j: _mirror_phases(kernel.boxes[j], kernel.fft_shape)
-                                            for j in mirrors if kernel.boxes[j] is not None})
+                   mirrors=mirrors)
 
     def pack(self, values):
         return np.concatenate([values[j][self.kernel.masks[j]] for j, _ in self.channels])
@@ -453,24 +495,38 @@ class _Packing:
         return masses
 
 
-def _output_cells(kernel, j, transformed):
+def _live_spectra(kernel, j, inputs, mirrors):
+    """The kernel spectra output j reads, as (spectrum key, input) pairs: the
+    direct ones, (j, i) for each input i, and the mirrored ones, (j, r-1-i) for
+    each input i whose flip stands for input r-1-i (`mirrors` maps i to r-1-i)."""
+    direct = [((j, i, False), i) for i in inputs
+              if kernel.nu[j, i] != 0 and kernel.placements[j][i] is not None]
+    flipped = [((j, mirrors[i], True), i) for i in inputs if i in mirrors
+               and kernel.nu[j, mirrors[i]] != 0 and kernel.placements[j][mirrors[i]] is not None]
+    return direct, flipped
+
+
+def _output_cells(kernel, j, transformed, mirrors):
     """Output channel j on its mask cells, before clamping, or None if no input reaches it.
 
-    Sums nu_ji times kernel spectrum (j, i) times input spectrum i over the
-    transformed inputs and takes one inverse transform, over the rows of the
-    output box only.  A kernel spectrum not built yet is built here.
+    Sums the products of the nu-weighted kernel spectra with the input
+    spectra in one reused product buffer: first the mirrored inputs' terms,
+    conjugated once, then the direct ones.  One inverse transform over the
+    rows of the output box follows.  A kernel spectrum not built yet is
+    built here.
     """
-    total = None
-    for i in np.flatnonzero(kernel.nu[j]):
-        if i not in transformed:
-            continue
-        term = kernel.spectrum(j, i) * transformed[i]
-        term *= kernel.nu[j, i]
-        if total is None:
-            total = term
-        else:
-            total += term
-        del term  # at most one product is alive besides the sum
+    direct, flipped = _live_spectra(kernel, j, transformed, mirrors)
+    total = product = None
+    for terms in (flipped, direct):
+        for key, i in terms:
+            if total is None:
+                total = kernel.spectrum(*key) * transformed[i]
+            else:
+                product = np.multiply(kernel.spectrum(*key), transformed[i], out=product)
+                total += product
+        if terms is flipped and total is not None:
+            np.conjugate(total, out=total)
+    del product
     if total is None:
         return None
     box, (rows, cols) = kernel.outputs[j]
@@ -484,8 +540,8 @@ def _packed_step(x, masses, packing, conserve_mass=True):
 
     Input channels outside the packing are taken to be zero and output
     channels outside it are not formed, so the packing must be closed under
-    the weight matrix (nu_ji = 0 from a packed i to an unpacked j).  The
-    spectrum of a mirrored input r-1-i is that of input i, conjugated and phased.
+    the weight matrix (nu_ji = 0 from a packed i to an unpacked j).  A
+    mirrored input r-1-i is read through input i's transform.
     """
     kernel = packing.kernel
     h2 = kernel.grid.h**2
@@ -496,15 +552,11 @@ def _packed_step(x, masses, packing, conserve_mass=True):
         inside = kernel.masks[i][kernel.outputs[i][0]]
         flat, padded = Stencil.frame((inside.shape[0] + 2, inside.shape[1] + 2))
         padded[1:-1, 1:-1][inside] = x[cells]
-        transformed[i] = fft.rfft2(stencil.sample(flat), s=kernel.fft_shape)
-        if i in packing.phases:
-            partner = transformed[packing.mirrors[i]] = np.conjugate(transformed[i])
-            for factor in packing.phases[i]:
-                partner *= factor
+        transformed[i] = rfft2(stencil.sample(flat), kernel.fft_shape)
     target = kernel.nu @ masses
     out = np.zeros_like(x)
     for j, cells in packing.channels:
-        acc = _output_cells(kernel, j, transformed)
+        acc = _output_cells(kernel, j, transformed, packing.mirrors)
         if acc is None:
             continue
         np.maximum(acc, 0.0, out=acc)
@@ -566,6 +618,49 @@ def _mixing_weights(gram):
     return np.append(gamma, 1.0 - gamma.sum())
 
 
+def _coarse_grid(grid):
+    """The grid's box at 2^k h for the largest k that leaves at least _COARSE_CELLS
+    cells per axis, or None when that k is below 2."""
+    n = max(grid.nx, grid.ny)
+    k = int(np.log2(n / _COARSE_CELLS))
+    return make_centered_grid(n * grid.h / 2, grid.h * 2**k) if k >= 2 else None
+
+
+def _interpolation(points, nodes):
+    """Matrix of 1-D linear interpolation from equispaced `nodes` to `points`, 0 off them."""
+    t = (points - nodes[0]) / (nodes[1] - nodes[0])
+    rows = np.flatnonzero((t >= 0) & (t <= len(nodes) - 1))
+    lo = np.minimum(np.floor(t[rows]).astype(np.intp), len(nodes) - 2)
+    frac = t[rows] - lo
+    out = np.zeros((len(points), len(nodes)))
+    out[rows, lo] = 1.0 - frac
+    out[rows, lo + 1] = frac
+    return out
+
+
+def _prolong(density, packing):
+    """Bilinear samples of a coarser density at the packing's mask cells, channel by
+    channel: one 1-D interpolation per axis onto the mask's bounding box."""
+    kernel, coarse = packing.kernel, density.grid
+    parts = []
+    for j, _ in packing.channels:
+        rows, cols = kernel.outputs[j][0]
+        along_y = _interpolation(kernel.grid.y_centers()[rows], coarse.y_centers())
+        along_x = _interpolation(kernel.grid.x_centers()[cols], coarse.x_centers())
+        parts.append((along_y @ density.values[j] @ along_x.T)[kernel.masks[j][rows, cols]])
+    return np.concatenate(parts)
+
+
+def _project(x, packing, w):
+    """Clamp a packed density at zero and rescale each channel to its mass in w,
+    in place; returns the masses."""
+    np.maximum(x, 0.0, out=x)
+    masses = packing.masses(x)
+    for j, cells in packing.channels:
+        x[cells] *= w[j] / masses[j]
+    return packing.masses(x)
+
+
 def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
     """Iterate the refinement operator to its invariant density.
 
@@ -574,6 +669,12 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
     Requires w to be fixed by the weight matrix (spectral radius one).
     The kernel spectra the steps read are built before the first step, so
     they are not allocated among a step's temporaries.
+
+    When `_coarse_grid` gives a coarser level, the same problem is first
+    solved there, on the kernel's own box, before any spectrum of this
+    kernel is built; this solve starts from that density, interpolated
+    bilinearly onto the mask cells and rescaled to the masses w.  The
+    result's residuals are this level's only.
 
     The iterates are Anderson-mixed (Walker & Ni 2011): each next iterate
     combines the last _MIX_DEPTH + 1 step outputs with the affine weights
@@ -591,18 +692,28 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
     if np.max(np.abs(kernel.nu @ w - w)) > 1e-8:
         raise ValueError("the weight matrix does not fix w (its spectral "
                          "radius must be one)")
+    start = None
+    if (coarse_grid := _coarse_grid(kernel.grid)) is not None:
+        start = solve_fixed_point(build_kernel(kernel.windows, kernel.windows_ji, kernel.nu,
+                                               kernel.a_matrix, kernel.detq_abs, coarse_grid),
+                                  w, tol, maxit).density
     quotient = point_symmetric(kernel, w)
     if quotient:
         w = 0.5 * (w + w[::-1])
     packing = _Packing.of(kernel, np.flatnonzero(w > 0), quotient)
     paired = sum(int(kernel.masks[j].sum()) for j in packing.mirrors)
-    for j, _ in packing.channels:
-        for i in np.flatnonzero(w > 0):
-            if kernel.nu[j, i] != 0 and kernel.placements[j][i] is not None:
-                kernel.spectrum(j, i)
+    carried = [j for j, _ in packing.channels]
+    for j in carried:
+        for terms in _live_spectra(kernel, j, carried, packing.mirrors):
+            for key, _ in terms:
+                kernel.spectrum(*key)
     h2 = kernel.grid.h**2
-    x = np.concatenate([w[j] * kernel.indicators[j] for j, _ in packing.channels])
-    masses = packing.masses(x)
+    if start is None:
+        x = np.concatenate([w[j] * kernel.indicators[j] for j in carried])
+        masses = packing.masses(x)
+    else:
+        x = _prolong(start, packing)
+        masses = _project(x, packing, w)
     residuals = []
     mass_history = [masses]
     outputs, diffs, gram = [], [], np.zeros((0, 0))
@@ -629,11 +740,7 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
         x = alpha[0] * outputs[0]
         for a, g_k in zip(alpha[1:], outputs[1:]):
             x += a * g_k
-        np.maximum(x, 0.0, out=x)
-        masses = packing.masses(x)
-        for j, cells in packing.channels:
-            x[cells] *= w[j] / masses[j]
-        masses = packing.masses(x)
+        masses = _project(x, packing, w)
         if len(outputs) > _MIX_DEPTH:  # the oldest pair takes no part in the next fit
             del outputs[0], diffs[0]
             gram = gram[1:, 1:]
@@ -675,8 +782,9 @@ def _polygon_ft_table(polygons, kappas):
     sums = np.add.reduceat((k @ normals.T) * line, starts, axis=1)
     areas = np.array([area(P) for P in polygons])
     out[~small] = 1j * sums / (kn[~small] ** 2)[:, None] / areas
-    centroids = np.array([centroid(P) for P in polygons])
-    out[small] = np.exp(-1j * (kappas[small] @ centroids.T))
+    if small.any():
+        centroids = np.array([centroid(P) for P in polygons])
+        out[small] = np.exp(-1j * (kappas[small] @ centroids.T))
     return out
 
 
@@ -687,23 +795,36 @@ def fourier_product(windows_ji, nu, w, a_matrix, k):
     wavevector orbit k, A^T k, ... to the mass vector; the orbit stops before
     its first member shorter than _PRODUCT_TAIL, or after 10000 steps.
     """
+    return fourier_products(windows_ji, nu, w, a_matrix, [k])[0]
+
+
+def fourier_products(windows_ji, nu, w, a_matrix, ks):
+    """fourier_product at every wavevector of ks, shape (len(ks), r), with one
+    transform table over all of their orbits."""
     nu = np.asarray(nu, dtype=float)
     w = np.asarray(w, dtype=float)
     a_matrix = np.asarray(a_matrix, dtype=float)
-    r = len(w)
-    kappas = [np.asarray(k, dtype=float).reshape(2)]
-    while (np.hypot(*(step := a_matrix.T @ kappas[-1])) >= _PRODUCT_TAIL
-           and len(kappas) <= 10000):
-        kappas.append(step)
+    orbits = []
+    for k in np.asarray(ks, dtype=float).reshape(-1, 2):
+        kappas = [k]
+        while (np.hypot(*(step := a_matrix.T @ kappas[-1])) >= _PRODUCT_TAIL
+               and len(kappas) <= 10000):
+            kappas.append(step)
+        orbits.append(kappas)
     jj, ii = np.nonzero(nu)
     table = _polygon_ft_table([windows_ji[j][i] for j, i in zip(jj, ii)],
-                              np.array(kappas))
-    mats = np.zeros((len(kappas), r, r), dtype=complex)
+                              np.array([kappa for kappas in orbits for kappa in kappas]))
+    mats = np.zeros((len(table), len(w), len(w)), dtype=complex)
     mats[:, jj, ii] = nu[jj, ii] * table
-    acc = w.astype(complex)
-    for mat in mats[::-1]:
-        acc = mat @ acc
-    return acc
+    out = np.empty((len(orbits), len(w)), dtype=complex)
+    end = 0
+    for n, kappas in enumerate(orbits):
+        start, end = end, end + len(kappas)
+        acc = w.astype(complex)
+        for mat in mats[start:end][::-1]:
+            acc = mat @ acc
+        out[n] = acc
+    return out
 
 
 def grid_ft(density, ks):
@@ -734,12 +855,8 @@ def compare_solvers(density, windows_ji, nu, w, a_matrix, ks):
         raise ValueError("no wavevectors to compare the solvers at")
     w = np.asarray(w, dtype=float)
     via_grid = grid_ft(density, ks)
-    scale = np.abs(w).max()
-    worst = 0.0
-    for n, k in enumerate(ks):
-        via_product = fourier_product(windows_ji, nu, w, a_matrix, k)
-        worst = max(worst, float(np.abs(via_grid[:, n] - via_product).max() / scale))
-    return worst
+    via_product = fourier_products(windows_ji, nu, w, a_matrix, ks)
+    return float((np.abs(via_grid.T - via_product).max(axis=1) / np.abs(w).max()).max())
 
 
 def write_density(density, grid_files=None, csv_file=None):

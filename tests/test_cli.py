@@ -15,30 +15,31 @@ from tests.conftest import TAU
 
 # sha256 of the files `solve --preset penrose-example1 --h 0.03125` writes,
 # as recorded with exact cell coverage, the point-reflection quotient,
-# erosion by meeting edge lines and numpy's default inverse FFT scaling on
-# numpy 2.4.6; the bytes follow the last bit of every float, so they hold
-# for one numpy build
+# erosion by meeting edge lines, numpy's default inverse FFT scaling and
+# nu-weighted kernel spectra with the mirror phase folded in on numpy
+# 2.4.6; the bytes follow the last bit of every float, so they hold for one
+# numpy build
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density_ch2.txt": "bb3e2337bdc6a46698a75035692af57ed7b47109f3859be2debbc7e423aa6405",
-    "density_ch3.txt": "c32c0bf71c5fbff1b47edc64d9c0b14872cd27600a82655469a496293e317596",
+    "density_ch2.txt": "e30d9b0eb5e4d1aab9906ce48adc900aef78302339e8049348cb889fd8e7067d",
+    "density_ch3.txt": "fd9fedf51c6b03bdacc57ebe56050d3fe881b3b12740f3fe7073098c7cfc0291",
     "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density.csv": "53f42286edc6134164baf753002650389deab59f532d2022e29b7a3dde9e9c5d",
-    "summary.txt": "7a84539d18ffaedb0049b650ead1ca4eea4a95ea0e33df337ffc41e2fd32d72a",
+    "density.csv": "1db00c3589ae27015094d9dcd13457637648c06af2c63488fe26d17c94301041",
+    "summary.txt": "ac0f4f720dc0968ae1177bbed1211a0c2e4577ffecb3c56849a5f0b44f2039e1",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "89763afc549f91bbba11a2eaaf020b7a25e4ed610bfe6fb3a59d4b6256428367",
-    "density_ch2.txt": "de2b4e9d0375901c34527313af1e5c697437cd87a5e67bc3fd532ad719dc370c",
-    "density_ch3.txt": "94792daf418f9ff7819d2660517d8a657095dbc2652269b8530df083afdcee58",
-    "density_ch4.txt": "f7f060508acbb372f8b9536c62f69e24a90b9a1febd6d1c09fbcbde77e506dcb",
-    "density.csv": "34a6b8e739fec811220ece1346b96f2407a505fd2e1de578431b395997cd69e8",
+    "density_ch1.txt": "8aafd865187c0659fff025b5f01ef8fae36e9f02c27c960fd0174f6c2e6baa38",
+    "density_ch2.txt": "22968372ed8e05faeb8269d27ac439df6349cd894916e49844e55f6dda883205",
+    "density_ch3.txt": "c2dc5d0e57a6561fa63f1cafb9fb0c9d680e8d1cc8fb22986f4d4c9cdd3104c0",
+    "density_ch4.txt": "716316a7a38759be4b178a130bea844382fa85f1291a81e7faefec66c53ae592",
+    "density.csv": "f0f531a8ae6a0020072594fa1904d1fcba02144b1aed4ba8450c22faabe09129",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "e950f493d84a5bd13e569d293d728ffabd76ebc81fc8a05724247087ecee6ca9",
+    "summary.txt": "a122750482ea6ae43d7f4e4c43833613e7817711a1a17724fcb0a4963d244891",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes

@@ -163,6 +163,17 @@ def test_area_rigid_invariance():
     assert abs(area(rolled) - base) < 1e-12
 
 
+def test_small_polygon_keeps_its_area_away_from_the_origin():
+    # products of absolute coordinates would cancel: summed that way, the
+    # translated triangle read 7.11e-15 instead of 5.00e-15
+    legs = [(0.0, 0.0), (1e-7, 0.0), (0.0, 1e-7)]
+    at_origin = area(Region("polygon", np.array(legs)))
+    assert abs(at_origin - 5e-15) <= 1e-24
+    for shift in [(3.3, -2.9), (-40.0, 17.5)]:
+        moved = area(Region("polygon", np.array(legs) + shift))
+        assert abs(moved - at_origin) <= 1e-6 * at_origin, shift
+
+
 def test_contains():
     P = pentagon()
     assert contains(P, (0, 0))

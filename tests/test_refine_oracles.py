@@ -3,9 +3,11 @@
 The oracles are the former implementations: the refinement step as one
 `fftconvolve` per transition on the full grid, the plain fixed-point
 iteration, the kernel spectra all placed and transformed up front, the
-rasterizer that probes every cell of the bounding box, the per-value
-density writers, the scalar polygon transform, the per-entry Fourier
-matrix product and the per-wavevector grid transform.  The bilinear
+input-box test at every cell of the grid, the rasterizer that probes
+every cell of the bounding box, the per-value density writers, the scalar
+polygon transform, the per-entry Fourier matrix product and the
+per-wavevector grid transform.  The cold-started solve checks the warm
+start, and the bilinear stencil its prolongation.  The bilinear
 stencil and the inverse FFT are checked against the scipy routines they
 replaced to a few units in the last place, the forward FFT bit for bit.
 """
@@ -93,16 +95,35 @@ def oracle_solve(kernel, w, tol=1e-8, maxit=200):
     raise RuntimeError("oracle iteration did not reach tol")
 
 
+def oracle_input_boxes(grid, a_inv, masks):
+    """Per channel, the box of cells y whose stencil at A^-1 y has a node on the
+    mask, tested at every cell of the grid."""
+    rows, cols = refine._contracted(grid, a_inv)
+    # lower-left stencil node, counted in a frame padded by one zero cell
+    a = np.floor(rows).astype(np.intp) + 1
+    b = np.floor(cols).astype(np.intp) + 1
+    on_grid = (a >= 0) & (a <= grid.ny) & (b >= 0) & (b <= grid.nx)
+    a[~on_grid] = 0
+    b[~on_grid] = 0
+    boxes = []
+    for mask in masks:
+        pad = np.pad(mask, 1)
+        near = pad[:-1, :-1] | pad[1:, :-1] | pad[:-1, 1:] | pad[1:, 1:]
+        touched = near[a, b] & on_grid
+        boxes.append(refine._box(touched) if touched.any() else None)
+    return boxes
+
+
 def oracle_spectra(kernel):
     """FFT shape and every kernel spectrum, placed and transformed up front.
 
     The hull of output channel j covers its mask's bounding box and the
     linear-convolution support of every input box with its block; the shape
-    holds the longest hull, and each |det Q| h^2-scaled block is zero-padded
-    at its offset from the hull start.
+    holds the longest hull, and each nu_ji |det Q| h^2-scaled block is
+    zero-padded at its offset from the hull start.
     """
     grid, masks, blocks = kernel.grid, kernel.masks, kernel.blocks
-    input_boxes = refine._input_boxes(grid, kernel.a_inv, masks)
+    input_boxes = oracle_input_boxes(grid, kernel.a_inv, masks)
     r = len(masks)
     centre = np.array([(grid.ny - 1) // 2, (grid.nx - 1) // 2])
     hulls = []
@@ -126,14 +147,13 @@ def oracle_spectra(kernel):
             arr = blocks[j][i].arr
             padded = np.zeros(shape)
             padded[refine._slices(start - lo, start - lo + arr.shape)] = \
-                arr * (kernel.detq_abs * grid.h**2)
+                arr * (kernel.nu[j, i] * kernel.detq_abs * grid.h**2)
             spectra[j][i] = np.fft.rfft2(padded)
     return shape, spectra
 
 
 def built_spectra(kernel):
-    r = len(kernel.spectra)
-    return [(j, i) for j in range(r) for i in range(r) if kernel.spectra[j][i] is not None]
+    return sorted(kernel.spectra)
 
 
 def oracle_rasterize(P, grid, supersample=4):
@@ -362,14 +382,19 @@ def test_spectra_on_first_use_match_eager_oracle(request, spec, transitions, pol
                 got = kernel.spectrum(j, i)
                 assert got.tobytes() == want[j][i].tobytes(), (j, i)
                 assert kernel.spectrum(j, i) is got  # kept, not rebuilt
+                # met by input i taken as a flip: conjugated after the mirror phases
+                rows, cols = refine._mirror_phases(kernel.boxes[i], shape)
+                mirrored = np.conjugate(want[j][i] * rows * cols)
+                assert kernel.spectrum(j, i, True).tobytes() == mirrored.tobytes(), (j, i)
 
 
 def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions, nu_area,
                                                               pf_area):
     # example 1 carries mass only on channels 2 and 3 (1-based), and the
-    # point-reflection quotient forms channel 2 only, from inputs 2 and 3
+    # point-reflection quotient forms channel 2 only, from input 2 and from
+    # input 3 taken as the flip of input 2
     kernel = preset_kernel(spec, transitions, nu_area, 1 / 64)
-    live = [(1, 1), (1, 2)]
+    live = [(1, 1, False), (1, 2, True)]
     step = refine._packed_step
     at_steps = []
 
@@ -482,6 +507,119 @@ def test_point_symmetry_decision(spec, transitions, nu_area, pf_area, nu_explici
     assert not refine.point_symmetric(kernel, np.full(4, 0.25))
 
 
+def cold_start():
+    """No grid is wide enough for a coarse level, so every solve starts cold."""
+    return mock.patch.object(refine, "_COARSE_CELLS", 10**9)
+
+
+def counted_kernels():
+    """build_kernel recording the grid of every kernel it builds."""
+    grids, build = [], refine.build_kernel
+
+    def recorded(*args):
+        grids.append(args[-1])
+        return build(*args)
+
+    return grids, mock.patch.object(refine, "build_kernel", recorded)
+
+
+@pytest.mark.parametrize("example", [1, 2, "2-gamma"])
+def test_warm_start_matches_cold_start(request, spec, transitions, example):
+    if example == "2-gamma":
+        spec = scheme.penrose_scheme(gamma=0.031 - 0.047j)
+        transitions = scheme.transition_windows(spec)
+        nu = scheme.build_nu(spec, transitions, policy="explicit",
+                             matrix=request.getfixturevalue("nu_explicit"))
+        w = pfsolve.pf_eigen(nu).w
+    else:
+        policy = "area" if example == 1 else "explicit"
+        nu = request.getfixturevalue(f"nu_{policy}")
+        w = request.getfixturevalue(f"pf_{policy}").w
+    kernel = preset_kernel(spec, transitions, nu, 1 / 128)
+    assert refine.point_symmetric(kernel, w) == (example != "2-gamma")
+    grids, counting = counted_kernels()
+    with counting:
+        warm = solve_fixed_point(kernel, w)
+    with cold_start():
+        cold = solve_fixed_point(kernel, w)
+    assert [g.h for g in grids] == [1 / 32]
+    assert warm.iterations < cold.iterations
+    l1 = np.abs(warm.density.values - cold.density.values).sum() * kernel.grid.h**2
+    assert l1 <= 1e-8
+    assert np.abs(warm.density.masses - cold.density.masses).max() <= 1e-12
+
+
+@pytest.mark.parametrize("h, builds", [(1 / 32, 1), (1 / 64, 1), (1 / 128, 2)])
+def test_coarse_level_only_on_wide_grids(spec, transitions, nu_explicit, pf_explicit,
+                                         h, builds):
+    windows = [spec.shifted_window(i) for i in range(1, 5)]
+    grids, counting = counted_kernels()
+    with counting:
+        kernel = refine.build_kernel(windows, transitions, nu_explicit, spec.a_matrix(),
+                                     spec.detq_abs, refine.grid_for_windows(windows, h))
+        solve_fixed_point(kernel, pf_explicit.w)
+    assert len(grids) == builds
+    for coarse in grids[1:]:  # the fine grid's box, at h = 1/32
+        assert coarse.h == 1 / 32 and coarse.nx == coarse.ny
+        assert coarse.nx * coarse.h >= kernel.grid.nx * h
+
+
+def test_square_toy_warm_starts_on_its_own_box():
+    # AC10's 565-cell grid is 1.1 wide; a grid fitted to the window by
+    # grid_for_windows would be too small for the convolution supports
+    kernel, _ = toy_kernel(1 / 256)
+    assert kernel.grid.nx == 565
+    grids, counting = counted_kernels()
+    with counting:
+        warm = solve_fixed_point(kernel, [1.0])
+    (coarse,) = grids
+    assert coarse.h == 1 / 64 and coarse.nx == 143
+    with cold_start():
+        cold = solve_fixed_point(kernel, [1.0])
+    l1 = np.abs(warm.density.values - cold.density.values).sum() * kernel.grid.h**2
+    assert l1 <= 1e-8
+
+
+def test_prolongation_matches_bilinear_oracle(preset64):
+    # a coarse density on the kernel's box at 4h, sampled at the mask cells
+    kernel, _ = preset64
+    fine = kernel.grid
+    coarse = refine.make_centered_grid(fine.nx * fine.h / 2, 4 * fine.h)
+    values = np.random.default_rng(5).uniform(size=(4, coarse.ny, coarse.nx))
+    density = DensityGrid.from_values(coarse, values)
+    packing = refine._Packing.of(kernel, range(4))
+    X, Y = np.meshgrid(fine.x_centers(), fine.y_centers())
+    rows = (Y - coarse.origin[1]) / coarse.h - 0.5
+    cols = (X - coarse.origin[0]) / coarse.h - 0.5
+    want = packing.pack(np.array([refine.bilinear(v, rows, cols) for v in values]))
+    assert np.abs(refine._prolong(density, packing) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("h", [1 / 64, 1 / 60, 1 / 256])
+def test_input_boxes_match_whole_grid_oracle(request, spec, transitions, policy, h):
+    nu = request.getfixturevalue(f"nu_{policy}")
+    windows = [spec.shifted_window(i) for i in range(1, 5)]
+    grid = refine.grid_for_windows(windows, h)
+    masks = np.array([rasterize(w, grid) > 0 for w in windows])
+    a_inv = np.linalg.inv(spec.a_matrix())
+    for got, want in zip(refine._input_boxes(grid, a_inv, masks),
+                         oracle_input_boxes(grid, a_inv, masks)):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # masks whose preimage box is clipped by the grid, or is never reached
+    toy = refine.make_centered_grid(1.0, 1 / 16)
+    masks = np.zeros((3, toy.ny, toy.nx), dtype=bool)
+    masks[0, 2:-2, 2:-2] = True
+    masks[1, 10:14, 3:9] = True
+    masks[2, -3:, -3:] = True
+    for a_inv in (4.0 * np.eye(2), 0.25 * np.eye(2), np.array([[0.3, -1.7], [1.7, 0.3]])):
+        got = refine._input_boxes(toy, a_inv, masks)
+        want = oracle_input_boxes(toy, a_inv, masks)
+        assert [None if b is None else np.concatenate(b).tolist() for b in got] == \
+            [None if b is None else np.concatenate(b).tolist() for b in want]
+        assert any(b is None for b in want) == (a_inv[0, 0] == 0.25)
+
+
 @pytest.mark.parametrize("conserve_mass", [True, False])
 def test_step_matches_oracle_on_square_toy(conserve_mass):
     kernel, _ = toy_kernel(1 / 64)
@@ -499,6 +637,18 @@ def test_fourier_product_matches_oracle(spec, transitions, nu_area, pf_area,
             got = fourier_product(transitions, nu, pf.w, spec.a_matrix(), k)
             want = oracle_fourier_product(transitions, nu, pf.w, spec.a_matrix(), k)
             assert np.abs(got - want).max() <= 1e-12
+
+
+def test_fourier_products_match_one_at_a_time(spec, transitions, nu_area, pf_area):
+    # one table over every orbit gives each wavevector the bits of its own call
+    rng = np.random.default_rng(29)
+    ks = np.vstack([rng.uniform(-30, 30, size=(12, 2)), [(0.0, 0.0), (3e-7, -2e-7)]])
+    batched = refine.fourier_products(transitions, nu_area, pf_area.w, spec.a_matrix(), ks)
+    for k, got in zip(ks, batched):
+        want = oracle_fourier_product(transitions, nu_area, pf_area.w, spec.a_matrix(), k)
+        assert np.abs(got - want).max() <= 1e-12
+        assert got.tobytes() == fourier_product(transitions, nu_area, pf_area.w,
+                                                spec.a_matrix(), k).tobytes()
 
 
 def test_grid_ft_matches_oracle(solve1_128):
@@ -732,6 +882,8 @@ def assert_ffts_match_scipy(shape, rng):
     a = rng.standard_normal((max(1, shape[0] - 3), max(1, shape[1] - 2)))
     spectrum = np.fft.rfft2(a, s=shape)
     assert np.array_equal(spectrum, scipy.fft.rfft2(a, s=shape))
+    assert refine.rfft2(a, shape).tobytes() == spectrum.tobytes()
+    assert refine.rfft2(a[:1], shape).tobytes() == np.fft.rfft2(a[:1], s=shape).tobytes()
     spectrum *= rng.standard_normal(spectrum.shape)
     want = scipy.fft.irfft2(spectrum, s=shape)
     # numpy scales each axis pass and scipy the whole transform once, so the
