@@ -313,14 +313,16 @@ def _pipeline(cfg):
         yield trans, nu, pf
         if not pfsolve.check_pf1(pf, tol=1e-8):
             raise ValueError(f"spectral radius {pf.lambda_max} is not 1")
+        if not pf.simple:
+            raise ValueError("the Perron root is not simple, so the "
+                             "invariant density is not unique")
         stage = "kernel"
         windows = [cfg.spec.shifted_window(i) for i in range(1, cfg.spec.r + 1)]
         grid = refine.grid_for_windows(windows, cfg.h)
         kernel = refine.build_kernel(windows, trans, nu, cfg.spec.a_matrix(),
-                                     cfg.spec.detq_abs, grid)
+                                     cfg.spec.detq_abs, pf.w, grid)
         stage = "fixed point"
-        result = refine.solve_fixed_point(kernel, pf.w, tol=cfg.tol,
-                                          maxit=cfg.maxit)
+        result = refine.solve_fixed_point(kernel, tol=cfg.tol, maxit=cfg.maxit)
         yield result
         stage = "solver comparison"
         rng = default_rng(cfg.seed)

@@ -6,34 +6,36 @@ of two cell centers is again a cell-center offset, so the discrete
 convolution in the refinement step lands exactly on the grid and the
 point reflection u -> -u is an exact array flip.
 
-The refinement step is evaluated spectrally.  `build_kernel` fixes, once,
-the box of cells where each contracted input channel can be non-zero, the
-bounding box of each output channel's window mask, and one periodic FFT
-shape long enough that every linear convolution from an input box into its
-output hull fits without wrapping, and where on that shape each transition
-kernel sits.  The bilinear stencil that samples a box and the real FFT of a
-placed kernel, already weighted by nu_ji, are built the first time they are
-needed and then kept, so a run builds only what its channels reach (the
-fixed-point solve builds the spectra before its first step).  A step costs
-one stencil pass and one forward transform per non-zero input channel and
-one inverse transform per output channel, and the circular result equals
-the linear one on the mask.
+`build_kernel` builds what the fixed-point solve reads and nothing else.
+It takes the mass vector w: only channels with w_j > 0 carry mass.  When
+`point_symmetric` holds, f_{r-1-j}(u) = f_j(-u), and the solve carries only
+the live channels j <= r-1-j, so that channel r-1-j is the exact flip of
+channel j.  The kernel rasterizes the windows of the carried channels and
+the transitions (j, i) with j carried, i live and nu_ji != 0: on the first
+example 1 window and 2 blocks, on the second 2 windows and 6 blocks.  A
+mirrored channel's mask and input box are the flips of its partner's.
+
+The refinement step is evaluated spectrally.  The kernel fixes the box of
+cells where each contracted input channel can be non-zero, the bounding box
+of each carried output's window mask, one periodic FFT shape long enough
+that every linear convolution from an input box into its output hull fits
+without wrapping, the bilinear stencil that samples each carried input, and
+the real FFT of each placed block, already weighted by nu_ji.  A step costs
+one stencil pass and one forward transform per non-zero carried input and
+one inverse transform per carried output, and the circular result equals
+the linear one on the mask.  Flipping a box of b cells on a period of n
+turns X_k into conj(X_k) e^{-2 pi i k (b - 1) / n} per axis.  That phase is
+folded, conjugated, into the spectrum of each block a mirrored input meets,
+so such an input needs no stencil pass, transform or phased copy: its terms
+are products with the carried input's transform, summed and conjugated once.
 
 The step works on packed densities: one vector of the mask cells of the
-channels it carries.  The fixed-point solve keeps its whole state in that
-form and builds a full grid only for its result.  When `point_symmetric`
-holds, f_{r-1-j}(u) = f_j(-u) and the solve carries only channels j <= r-1-j,
-making channel r-1-j the exact flip of channel j.  Flipping a box of b cells
-on a period of n turns X_k into conj(X_k) e^{-2 pi i k (b - 1) / n} per
-axis.  That phase is folded, conjugated, into the kernel spectrum a
-mirrored input meets, so such an input needs no stencil pass, transform or
-phased copy: its terms are products with the carried input's transform,
-summed and conjugated once.
-
-On a grid at least four times as wide as the coarsest level worth solving
-(_COARSE_CELLS cells a side), the solve first solves on the same box at
-2^k h and starts from that solution, interpolated onto the fine mask cells
-(nested iteration, Brandt 1977).
+carried channels.  The fixed-point solve keeps its whole state in that form
+and builds a full grid only for its result.  On a grid at least four times
+as wide as the coarsest level worth solving (_COARSE_CELLS cells a side), the
+kernel also holds the same problem's kernel on its box at 2^k h, and the
+solve first solves there and starts from that solution, interpolated onto
+the fine mask cells (nested iteration, Brandt 1977).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ _PRODUCT_TAIL = 1e-8
 _MIX_DEPTH = 2  # residual differences in each Anderson fit
 _GRID_PAD = 0.082
 _COARSE_CELLS = 100  # cells per axis of the coarsest grid a warm start solves on
+_MIN_MASK_CELLS = 64  # fewest cells a carried window may meet: a grid that resolves it
 
 
 def make_centered_grid(half_extent, h):
@@ -100,55 +103,55 @@ class _Block:
 
 @dataclass
 class RefinementKernel:
-    """Rasters, geometry and kernel spectra needed to apply the refinement operator."""
+    """What the refinement step of one solve reads, on a shared grid.
+
+    Per-channel lists hold None, and `masks` no cell, for a channel the step
+    does not read.  A packed density is one float64 vector of the mask cells
+    of the carried channels, channel by channel, each in row-major order; it
+    unpacks with every other channel exactly zero, except that channel
+    mirrors[j] is the flip of channel j.
+    """
 
     grid: GridSpec
-    a_matrix: np.ndarray
     a_inv: np.ndarray
     detq_abs: float
     nu: np.ndarray
-    blocks: list          # r x r, _Block or None where nu vanishes
-    indicators: list        # per channel j: normalized window raster on the cells
-                            # of masks[j], in row-major order
-    masks: np.ndarray       # (r, ny, nx) bool, cells meeting each window
-    fft_shape: tuple        # common periodic shape of every spectrum
-    boxes: list             # per channel i: (lo, hi) of the cells f_i(A^-1 y) reaches, or None
-    stencils: list          # per box: its Stencil, None until stencil(i) builds it
-    outputs: list           # per channel j: (grid slices of the mask's bounding
+    w: np.ndarray           # masses the solve holds: w, averaged with its flip in the quotient
+    channels: list          # (carried channel j, its slice of a packed density), j increasing
+    mirrors: dict           # carried j < r-1-j -> r-1-j in the quotient; their cells lead
+    masks: np.ndarray       # (r, ny, nx) bool, cells meeting window j, for j carried or mirrored
+    indicators: list        # per carried channel j: normalized window raster on its mask
+                            # cells, in row-major order
+    blocks: list            # r x r: normalized raster of transition (j, i) for j carried,
+                            # i live and nu_ji != 0, cropped to its box; else None
+    boxes: list             # per live channel i: (lo, hi) of the cells f_i(A^-1 y) reaches,
+                            # or None
+    stencils: list          # per carried channel with a box: the Stencil that samples it
+    outputs: list           # per carried channel j: (grid slices of the mask's bounding
                             # box, the same cells in the periodic result)
-    placements: list        # r x r slices of fft_shape that hold block (j, i), None
-                            # where it takes no part in a step
-    spectra: dict           # (j, i, mirrored) -> spectrum, as spectrum(j, i, mirrored)
-                            # first builds it
-    windows: list           # the component and transition windows it rasterizes
-    windows_ji: list
+    fft_shape: tuple        # common periodic shape of every spectrum
+    spectra: list           # r x r: rfft2 of the placed nu_ji |det Q| h^2 block (j, i); for a
+                            # mirrored i, its conjugate times the conjugated mirror phases of
+                            # box i, which multiplied into the transform of input r-1-i and
+                            # conjugated gives the term of input i
+    coarse: RefinementKernel | None  # the same problem on the grid's box at 2^k h
 
-    def stencil(self, i):
-        """Stencil of input channel i, built on first use and kept; None without a box."""
-        if self.stencils[i] is None and self.boxes[i] is not None:
-            rows, cols = _contracted(self.grid, self.a_inv, _slices(*self.boxes[i]))
-            lo, hi = _box(self.masks[i])  # the frame's origin is one cell before lo
-            self.stencils[i] = Stencil.at(rows - (lo[0] - 1), cols - (lo[1] - 1),
-                                          tuple(hi - lo + 2))
-        return self.stencils[i]
+    def pack(self, values):
+        return np.concatenate([values[j][self.masks[j]] for j, _ in self.channels])
 
-    def spectrum(self, j, i, mirrored=False):
-        """rfft2 of the placed nu_ji |det Q| h^2 block (j, i), built on first use and
-        kept.  With `mirrored`, its conjugate times the conjugated mirror phases of
-        box i: multiplied into the transform of input r-1-i and conjugated, that
-        gives the term of input i taken as the flip of input r-1-i."""
-        key = (j, i, mirrored)
-        if key not in self.spectra:
-            padded = np.zeros(self.fft_shape)
-            padded[self.placements[j][i]] = self.blocks[j][i].arr * \
-                (self.nu[j, i] * self.detq_abs * self.grid.h**2)
-            spectrum = fft.rfft2(padded)
-            if mirrored:
-                for factor in _mirror_phases(self.boxes[i], self.fft_shape):
-                    spectrum *= factor
-                np.conjugate(spectrum, out=spectrum)
-            self.spectra[key] = spectrum
-        return self.spectra[key]
+    def unpack(self, x):
+        values = np.zeros(self.masks.shape)
+        for j, cells in self.channels:
+            values[j][self.masks[j]] = x[cells]
+            if j in self.mirrors:
+                values[self.mirrors[j]] = values[j][::-1, ::-1]
+        return DensityGrid.from_values(self.grid, values)
+
+    def masses(self, x):
+        masses = np.zeros(len(self.masks))
+        for j, cells in self.channels:
+            masses[j] = masses[self.mirrors.get(j, j)] = x[cells].sum() * self.grid.h**2
+        return masses
 
 
 def next_fast_len(n):
@@ -332,118 +335,47 @@ def _input_boxes(grid, a_inv, masks):
     return boxes
 
 
-def _spectral_plan(grid, masks, blocks, input_boxes):
-    """Periodic FFT shape, output boxes and kernel placements of the step.
+def _stencil(grid, a_inv, mask, box):
+    """The Stencil that samples a channel on `mask` at A^-1 y for the cells y of `box`."""
+    rows, cols = _contracted(grid, a_inv, _slices(*box))
+    lo, hi = _box(mask)  # the frame's origin is one cell before lo
+    return Stencil.at(rows - (lo[0] - 1), cols - (lo[1] - 1), tuple(hi - lo + 2))
 
-    The hull of output channel j covers its mask's bounding box and, for
-    every i with a block, the linear-convolution support of input box i with
-    block (j, i).  The shape holds the longest hull, so placing each block at
-    its offset from the hull start makes the circular convolution exact on
-    the hull.
+
+def _spectral_plan(grid, masks, blocks, boxes, carried):
+    """Periodic FFT shape, output boxes and block placements of the step.
+
+    The hull of carried output channel j covers its mask's bounding box and,
+    for every i with a block and an input box, the linear-convolution support
+    of input box i with block (j, i).  The shape holds the longest hull, so
+    placing each block at its offset from the hull start makes the circular
+    convolution exact on the hull.
     """
     r = len(masks)
     centre = np.array([(grid.ny - 1) // 2, (grid.nx - 1) // 2])
-    hulls = []
-    for j in range(r):
+    hulls = {}
+    for j in carried:
         box_lo, box_hi = _box(masks[j])
         lo, hi = box_lo, box_hi
         starts = {}
         for i in range(r):
-            if blocks[j][i] is None or input_boxes[i] is None:
+            if blocks[j][i] is None or boxes[i] is None:
                 continue
-            in_lo, in_hi = input_boxes[i]
+            in_lo, in_hi = boxes[i]
             offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - centre
             starts[i] = in_lo + offset
             lo = np.minimum(lo, starts[i])
             hi = np.maximum(hi, in_hi + offset + blocks[j][i].arr.shape - 1)
-        hulls.append((box_lo, box_hi, lo, hi, starts))
+        hulls[j] = (box_lo, box_hi, lo, hi, starts)
     shape = tuple(next_fast_len(int(n))
-                  for n in np.max([hi - lo for _, _, lo, hi, _ in hulls], axis=0))
+                  for n in np.max([hi - lo for _, _, lo, hi, _ in hulls.values()], axis=0))
     placements = [[None] * r for _ in range(r)]
-    outputs = []
-    for j, (box_lo, box_hi, lo, _, starts) in enumerate(hulls):
+    outputs = [None] * r
+    for j, (box_lo, box_hi, lo, _, starts) in hulls.items():
         for i, start in starts.items():
             placements[j][i] = _slices(start - lo, start - lo + blocks[j][i].arr.shape)
-        outputs.append((_slices(box_lo, box_hi), _slices(box_lo - lo, box_hi - lo)))
+        outputs[j] = (_slices(box_lo, box_hi), _slices(box_lo - lo, box_hi - lo))
     return shape, outputs, placements
-
-
-def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, grid):
-    """Rasterize window indicators and transition kernels on a shared grid.
-
-    Kernels are normalized by their discrete integral, so each one sums to
-    exactly one cell measure; entries with zero weight carry no raster.
-    Also fixes the input and output boxes of the spectral step and where
-    each |det Q|-scaled kernel sits on its FFT shape; the kernel's `stencil`
-    and `spectrum` build theirs on first use.  Raises when the grid cannot
-    hold a window or a convolution support, or when a positive weight sits
-    on a measure-zero window.
-    """
-    nu = np.asarray(nu, dtype=float)
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    r = len(windows)
-    if nu.shape != (r, r):
-        raise ValueError("nu shape does not match the window count")
-    det_a = abs(np.linalg.det(a_matrix))
-    if abs(det_a * detq_abs - 1.0) > 1e-9:
-        raise ValueError("determinant mismatch: |det A| * |det Q| must be 1")
-    if grid.nx % 2 == 0 or grid.ny % 2 == 0 or \
-            abs(grid.origin[0] + grid.nx * grid.h / 2) > 1e-9 or \
-            abs(grid.origin[1] + grid.ny * grid.h / 2) > 1e-9:
-        raise ValueError("kernel grid must be odd-sized and centered at the origin")
-    h2 = grid.h**2
-    indicators = []
-    masks = np.zeros((r, grid.ny, grid.nx), dtype=bool)
-    for j, w in enumerate(windows):
-        if not grid.covers(w):
-            raise ValueError(f"grid underflow: window {j + 1} exceeds the grid box")
-        cov = rasterize(w, grid)
-        masks[j] = cov > 0
-        indicators.append(cov[masks[j]] / (cov.sum() * h2))
-    blocks = [[None] * r for _ in range(r)]
-    for j in range(r):
-        for i in range(r):
-            if nu[j, i] == 0:
-                continue
-            trans = windows_ji[j][i]
-            if not trans.is_polygon:
-                raise ValueError(f"ghost transition ({j + 1},{i + 1}): positive "
-                                 "weight on a measure-zero window")
-            _check_support(grid, j + 1, i + 1, trans, linear_image(windows[i], a_matrix))
-            cov = rasterize(trans, grid)
-            blocks[j][i] = _crop(cov / (cov.sum() * h2))
-    a_inv = np.linalg.inv(a_matrix)
-    boxes = _input_boxes(grid, a_inv, masks)
-    fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, boxes)
-    return RefinementKernel(grid=grid, a_matrix=a_matrix, a_inv=a_inv,
-                            detq_abs=float(detq_abs), nu=nu, blocks=blocks,
-                            indicators=indicators, masks=masks, fft_shape=fft_shape,
-                            boxes=boxes, stencils=[None] * r, outputs=outputs,
-                            placements=placements, windows=windows,
-                            windows_ji=windows_ji, spectra={})
-
-
-def initial_density(kernel, w):
-    """Masses w spread uniformly over the component windows."""
-    w = np.asarray(w, dtype=float)
-    packing = _Packing.of(kernel, range(len(kernel.masks)))
-    return packing.unpack(np.concatenate([w[j] * kernel.indicators[j]
-                                          for j, _ in packing.channels]))
-
-
-def point_symmetric(kernel, w):
-    """Whether nu and w equal their 180-degree flips to 1e-12, windows r-1-j
-    and (r-1-j, r-1-i) have the negated vertex sets of j and (j, i), and the
-    masks and input boxes are exact mirror images."""
-    spans = np.array([np.r_[b[0], kernel.masks.shape[1:] - b[1]] if b else [-1] * 4
-                      for b in kernel.boxes])
-    groups = [kernel.windows, [t for row in kernel.windows_ji for t in row]]
-    return bool(np.abs(kernel.nu - kernel.nu[::-1, ::-1]).max() <= 1e-12
-                and np.abs(w - w[::-1]).max() <= 1e-12
-                and np.array_equal(kernel.masks[::-1], kernel.masks[:, ::-1, ::-1])
-                and np.array_equal(spans[::-1], np.roll(spans, 2, axis=1))
-                and all({tuple(v) for v in p.vertices} == {tuple(-v) for v in q.vertices}
-                        for g in groups for p, q in zip(g, g[::-1])))
 
 
 def _mirror_phases(box, shape):
@@ -454,75 +386,152 @@ def _mirror_phases(box, shape):
                  for k, b, n in zip((k0, k1), box[1] - box[0], shape))
 
 
-@dataclass
-class _Packing:
-    """Layout of a packed density: one float64 vector holding the mask cells
-    of the carried channels, channel by channel, each in row-major order.
+def point_symmetric(windows, windows_ji, nu, w):
+    """Whether nu and w equal their 180-degree flips to 1e-12 and windows r-1-j
+    and (r-1-j, r-1-i) have the negated vertex sets of j and (j, i).  On a grid
+    centered on a cell, their masks and input boxes are then mirror images."""
+    groups = [windows, [t for row in windows_ji for t in row]]
+    return bool(np.abs(nu - nu[::-1, ::-1]).max() <= 1e-12
+                and np.abs(w - w[::-1]).max() <= 1e-12
+                and all({tuple(v) for v in p.vertices} == {tuple(-v) for v in q.vertices}
+                        for g in groups for p, q in zip(g, g[::-1])))
 
-    Channels left out unpack as exact zeros, except that in the point-reflection
-    quotient channel mirrors[j] unpacks as the flip of channel j.
+
+def _coarse_grid(grid, cells):
+    """The grid's box at 2^k h for the largest k that leaves at least _COARSE_CELLS
+    cells per axis, or None when that k is below 2 or a window meeting `cells` cells
+    here could meet fewer than _MIN_MASK_CELLS there: a coarse cell meets at most
+    (2^k + 1)^2 fine ones."""
+    n = max(grid.nx, grid.ny)
+    k = int(np.log2(n / _COARSE_CELLS))
+    if k < 2 or cells < _MIN_MASK_CELLS * (2**k + 1)**2:
+        return None
+    return make_centered_grid(n * grid.h / 2, grid.h * 2**k)
+
+
+def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, grid):
+    """Rasterize and transform what the fixed-point solve for the masses w reads.
+
+    The live channels are those with w_j > 0; the carried ones are all of
+    them, or in the point-reflection quotient those with j <= r-1-j.  Window
+    and transition rasters are normalized by their discrete integral, so
+    each one sums to exactly one cell measure.  Raises when w is not fixed by
+    nu, when the grid cannot hold a window or a convolution support, when a
+    positive weight sits on a measure-zero window, or when a carried window
+    meets fewer than _MIN_MASK_CELLS cells.  The window and support checks
+    cover every window and every nu_ji != 0, carried or not.
     """
+    nu = np.asarray(nu, dtype=float)
+    a_matrix = np.asarray(a_matrix, dtype=float)
+    w = np.asarray(w, dtype=float)
+    r = len(windows)
+    if nu.shape != (r, r):
+        raise ValueError("nu shape does not match the window count")
+    det_a = abs(np.linalg.det(a_matrix))
+    if abs(det_a * detq_abs - 1.0) > 1e-9:
+        raise ValueError("determinant mismatch: |det A| * |det Q| must be 1")
+    if grid.nx % 2 == 0 or grid.ny % 2 == 0 or \
+            abs(grid.origin[0] + grid.nx * grid.h / 2) > 1e-9 or \
+            abs(grid.origin[1] + grid.ny * grid.h / 2) > 1e-9:
+        raise ValueError("kernel grid must be odd-sized and centered at the origin")
+    for j, window in enumerate(windows):
+        if not grid.covers(window):
+            raise ValueError(f"grid underflow: window {j + 1} exceeds the grid box")
+    for j, i in zip(*np.nonzero(nu)):
+        trans = windows_ji[j][i]
+        if not trans.is_polygon:
+            raise ValueError(f"ghost transition ({j + 1},{i + 1}): positive "
+                             "weight on a measure-zero window")
+        _check_support(grid, j + 1, i + 1, trans, linear_image(windows[i], a_matrix))
+    if np.max(np.abs(nu @ w - w)) > 1e-8:
+        raise ValueError("the weight matrix does not fix w (its spectral "
+                         "radius must be one)")
+    quotient = point_symmetric(windows, windows_ji, nu, w)
+    held = 0.5 * (w + w[::-1]) if quotient else w
+    live = held > 0
+    carried = [j for j in range(r) if live[j] and (j <= r - 1 - j or not quotient)]
+    mirrors = {j: r - 1 - j for j in carried if quotient and j < r - 1 - j}
+    h2 = grid.h**2
+    masks = np.zeros((r, grid.ny, grid.nx), dtype=bool)
+    indicators = [None] * r
+    cells = []
+    for j in carried:
+        cov = rasterize(windows[j], grid)
+        masks[j] = cov > 0
+        cells.append(int(masks[j].sum()))
+        if cells[-1] < _MIN_MASK_CELLS:
+            raise ValueError(f"unresolved grid: window {j + 1} meets {cells[-1]} cells, "
+                             f"fewer than {_MIN_MASK_CELLS}")
+        indicators[j] = cov[masks[j]] / (cov.sum() * h2)
+    blocks = [[None] * r for _ in range(r)]
+    for j in carried:
+        for i in np.flatnonzero(live & (nu[j] != 0)):
+            cov = rasterize(windows_ji[j][i], grid)
+            blocks[j][i] = _crop(cov / (cov.sum() * h2))
+    a_inv = np.linalg.inv(a_matrix)
+    boxes = [None] * r
+    stencils = [None] * r
+    for j, box in zip(carried, _input_boxes(grid, a_inv, [masks[j] for j in carried])):
+        boxes[j] = box
+        stencils[j] = None if box is None else _stencil(grid, a_inv, masks[j], box)
+    size = np.array([grid.ny, grid.nx])
+    for j, m in mirrors.items():
+        masks[m] = masks[j][::-1, ::-1]
+        boxes[m] = None if boxes[j] is None else (size - boxes[j][1], size - boxes[j][0])
+    fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, boxes, carried)
+    spectra = [[None] * r for _ in range(r)]
+    for j in carried:
+        for i, placement in enumerate(placements[j]):
+            if placement is None:
+                continue
+            padded = np.zeros(fft_shape)
+            padded[placement] = blocks[j][i].arr * (nu[j, i] * float(detq_abs) * h2)
+            spectra[j][i] = fft.rfft2(padded)
+            if i in mirrors.values():
+                for factor in _mirror_phases(boxes[i], fft_shape):
+                    spectra[j][i] *= factor
+                np.conjugate(spectra[j][i], out=spectra[j][i])
+    ends = np.cumsum([0] + cells).tolist()
+    coarse_grid = _coarse_grid(grid, min(cells))
+    return RefinementKernel(
+        grid=grid, a_inv=a_inv, detq_abs=float(detq_abs), nu=nu, w=held,
+        channels=[(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)],
+        mirrors=mirrors, masks=masks, indicators=indicators, blocks=blocks, boxes=boxes,
+        stencils=stencils, outputs=outputs, fft_shape=fft_shape, spectra=spectra,
+        coarse=None if coarse_grid is None else
+        build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, coarse_grid))
 
-    kernel: RefinementKernel
-    channels: list  # (channel, slice of the packed vector)
-    mirrors: dict   # carried channel j < r-1-j -> r-1-j; their cells lead the vector
 
-    @classmethod
-    def of(cls, kernel, live, quotient=False):
-        r = len(kernel.masks)
-        carried = [j for j in live if j <= r - 1 - j or not quotient]
-        ends = np.cumsum([0] + [int(kernel.masks[j].sum()) for j in carried]).tolist()
-        mirrors = {j: r - 1 - j for j in carried if quotient and j < r - 1 - j}
-        return cls(kernel=kernel, channels=[(j, slice(ends[n], ends[n + 1]))
-                                            for n, j in enumerate(carried)],
-                   mirrors=mirrors)
-
-    def pack(self, values):
-        return np.concatenate([values[j][self.kernel.masks[j]] for j, _ in self.channels])
-
-    def unpack(self, x):
-        values = np.zeros(self.kernel.masks.shape)
-        for j, cells in self.channels:
-            values[j][self.kernel.masks[j]] = x[cells]
-            if j in self.mirrors:
-                values[self.mirrors[j]] = values[j][::-1, ::-1]
-        return DensityGrid.from_values(self.kernel.grid, values)
-
-    def masses(self, x):
-        masses = np.zeros(len(self.kernel.masks))
-        for j, cells in self.channels:
-            masses[j] = masses[self.mirrors.get(j, j)] = x[cells].sum() * self.kernel.grid.h**2
-        return masses
+def _uniform(kernel):
+    """The masses w spread uniformly over the carried windows, packed."""
+    return np.concatenate([kernel.w[j] * kernel.indicators[j] for j, _ in kernel.channels])
 
 
-def _live_spectra(kernel, j, inputs, mirrors):
-    """The kernel spectra output j reads, as (spectrum key, input) pairs: the
-    direct ones, (j, i) for each input i, and the mirrored ones, (j, r-1-i) for
-    each input i whose flip stands for input r-1-i (`mirrors` maps i to r-1-i)."""
-    direct = [((j, i, False), i) for i in inputs
-              if kernel.nu[j, i] != 0 and kernel.placements[j][i] is not None]
-    flipped = [((j, mirrors[i], True), i) for i in inputs if i in mirrors
-               and kernel.nu[j, mirrors[i]] != 0 and kernel.placements[j][mirrors[i]] is not None]
-    return direct, flipped
+def initial_density(kernel):
+    """The masses w spread uniformly over the component windows."""
+    return kernel.unpack(_uniform(kernel))
 
 
-def _output_cells(kernel, j, transformed, mirrors):
+def _output_cells(kernel, j, transformed):
     """Output channel j on its mask cells, before clamping, or None if no input reaches it.
 
     Sums the products of the nu-weighted kernel spectra with the input
-    spectra in one reused product buffer: first the mirrored inputs' terms,
+    spectra in one reused product buffer: first the terms of the mirrored
+    inputs, each read through its carried partner's transform and
     conjugated once, then the direct ones.  One inverse transform over the
-    rows of the output box follows.  A kernel spectrum not built yet is
-    built here.
+    rows of the output box follows.
     """
-    direct, flipped = _live_spectra(kernel, j, transformed, mirrors)
+    spectra = kernel.spectra[j]
+    flipped = [(spectra[m], i) for i, m in kernel.mirrors.items()
+               if i in transformed and spectra[m] is not None]
+    direct = [(spectra[i], i) for i in transformed if spectra[i] is not None]
     total = product = None
     for terms in (flipped, direct):
-        for key, i in terms:
+        for spectrum, i in terms:
             if total is None:
-                total = kernel.spectrum(*key) * transformed[i]
+                total = spectrum * transformed[i]
             else:
-                product = np.multiply(kernel.spectrum(*key), transformed[i], out=product)
+                product = np.multiply(spectrum, transformed[i], out=product)
                 total += product
         if terms is flipped and total is not None:
             np.conjugate(total, out=total)
@@ -535,28 +544,27 @@ def _output_cells(kernel, j, transformed, mirrors):
     return values[:, cols][kernel.masks[j][box]]
 
 
-def _packed_step(x, masses, packing, conserve_mass=True):
+def _packed_step(x, masses, kernel, conserve_mass=True):
     """The refinement step on a packed density whose channel masses are given.
 
-    Input channels outside the packing are taken to be zero and output
-    channels outside it are not formed, so the packing must be closed under
-    the weight matrix (nu_ji = 0 from a packed i to an unpacked j).  A
+    Input channels the kernel does not carry are taken to be zero and output
+    channels it does not carry are not formed; the solve needs no more, since
+    w = nu w forces nu_ji = 0 from a live channel i into a dead channel j.  A
     mirrored input r-1-i is read through input i's transform.
     """
-    kernel = packing.kernel
     h2 = kernel.grid.h**2
     transformed = {}
-    for i, cells in packing.channels:
-        if not x[cells].any() or (stencil := kernel.stencil(i)) is None:
+    for i, cells in kernel.channels:
+        if not x[cells].any() or kernel.stencils[i] is None:
             continue
         inside = kernel.masks[i][kernel.outputs[i][0]]
         flat, padded = Stencil.frame((inside.shape[0] + 2, inside.shape[1] + 2))
         padded[1:-1, 1:-1][inside] = x[cells]
-        transformed[i] = rfft2(stencil.sample(flat), kernel.fft_shape)
+        transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape)
     target = kernel.nu @ masses
     out = np.zeros_like(x)
-    for j, cells in packing.channels:
-        acc = _output_cells(kernel, j, transformed, packing.mirrors)
+    for j, cells in kernel.channels:
+        acc = _output_cells(kernel, j, transformed)
         if acc is None:
             continue
         np.maximum(acc, 0.0, out=acc)
@@ -582,14 +590,14 @@ def apply_refinement(f, kernel, conserve_mass=True):
     fixed-point residual cannot fall below it.
 
     Channel i of f is taken to vanish off kernel.masks[i], as every density
-    the solver produces does; values outside the mask are ignored.  The
-    convolutions run as products of the kernel's spectra, each built the
-    first time a step reads it, with one transform per non-zero input
-    channel, and an all-zero channel is skipped.
+    the solver produces does; values outside the mask, and so every channel
+    the kernel does not read, are ignored.  The step forms the kernel's
+    carried channels, and its mirrored ones as their flips.  The
+    convolutions run as products of the kernel's spectra, with one transform
+    per non-zero input channel, and an all-zero channel is skipped.
     """
-    packing = _Packing.of(kernel, range(f.r))
-    return packing.unpack(_packed_step(packing.pack(f.values), f.masses, packing,
-                                       conserve_mass))
+    return kernel.unpack(_packed_step(kernel.pack(f.values), f.masses, kernel,
+                                      conserve_mass))
 
 
 @dataclass
@@ -618,14 +626,6 @@ def _mixing_weights(gram):
     return np.append(gamma, 1.0 - gamma.sum())
 
 
-def _coarse_grid(grid):
-    """The grid's box at 2^k h for the largest k that leaves at least _COARSE_CELLS
-    cells per axis, or None when that k is below 2."""
-    n = max(grid.nx, grid.ny)
-    k = int(np.log2(n / _COARSE_CELLS))
-    return make_centered_grid(n * grid.h / 2, grid.h * 2**k) if k >= 2 else None
-
-
 def _interpolation(points, nodes):
     """Matrix of 1-D linear interpolation from equispaced `nodes` to `points`, 0 off them."""
     t = (points - nodes[0]) / (nodes[1] - nodes[0])
@@ -638,12 +638,12 @@ def _interpolation(points, nodes):
     return out
 
 
-def _prolong(density, packing):
-    """Bilinear samples of a coarser density at the packing's mask cells, channel by
-    channel: one 1-D interpolation per axis onto the mask's bounding box."""
-    kernel, coarse = packing.kernel, density.grid
+def _prolong(density, kernel):
+    """Bilinear samples of a coarser density at the kernel's carried mask cells, packed:
+    one 1-D interpolation per axis onto each mask's bounding box."""
+    coarse = density.grid
     parts = []
-    for j, _ in packing.channels:
+    for j, _ in kernel.channels:
         rows, cols = kernel.outputs[j][0]
         along_y = _interpolation(kernel.grid.y_centers()[rows], coarse.y_centers())
         along_x = _interpolation(kernel.grid.x_centers()[cols], coarse.x_centers())
@@ -651,30 +651,26 @@ def _prolong(density, packing):
     return np.concatenate(parts)
 
 
-def _project(x, packing, w):
+def _project(x, kernel):
     """Clamp a packed density at zero and rescale each channel to its mass in w,
     in place; returns the masses."""
     np.maximum(x, 0.0, out=x)
-    masses = packing.masses(x)
-    for j, cells in packing.channels:
-        x[cells] *= w[j] / masses[j]
-    return packing.masses(x)
+    masses = kernel.masses(x)
+    for j, cells in kernel.channels:
+        x[cells] *= kernel.w[j] / masses[j]
+    return kernel.masses(x)
 
 
-def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
-    """Iterate the refinement operator to its invariant density.
+def solve_fixed_point(kernel, tol=1e-8, maxit=200):
+    """Iterate the refinement operator to the invariant density of the kernel's w.
 
     Starts from the window indicators carrying masses w and stops when the
     summed L1 change of all channels over one step drops below tol.
-    Requires w to be fixed by the weight matrix (spectral radius one).
-    The kernel spectra the steps read are built before the first step, so
-    they are not allocated among a step's temporaries.
 
-    When `_coarse_grid` gives a coarser level, the same problem is first
-    solved there, on the kernel's own box, before any spectrum of this
-    kernel is built; this solve starts from that density, interpolated
-    bilinearly onto the mask cells and rescaled to the masses w.  The
-    result's residuals are this level's only.
+    When the kernel holds a coarser level, the same problem is first solved
+    there; this solve starts from that density, interpolated bilinearly
+    onto the mask cells and rescaled to the masses w.  The result's
+    residuals are this level's only.
 
     The iterates are Anderson-mixed (Walker & Ni 2011): each next iterate
     combines the last _MIX_DEPTH + 1 step outputs with the affine weights
@@ -683,49 +679,32 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
     of the weight matrix in which mixing error would never decay.  When a
     step's residual rises the history is dropped and the next iterate is
     that step's output, the plain step (Toth & Kelley 2015).  The state is
-    packed over the mask cells of the channels with w_j > 0; w = nu w
-    forces nu_ji = 0 from those into every other channel, which stays
-    exactly zero.  When `point_symmetric` holds, w is averaged with its flip and
-    only channels j <= r-1-j are carried, a mirrored pair's cells counting twice.
+    packed over the mask cells of the kernel's carried channels; every other
+    channel stays exactly zero or, in the point-reflection quotient, the flip
+    of its partner, a mirrored pair's cells counting twice.
     """
-    w = np.asarray(w, dtype=float)
-    if np.max(np.abs(kernel.nu @ w - w)) > 1e-8:
-        raise ValueError("the weight matrix does not fix w (its spectral "
-                         "radius must be one)")
-    start = None
-    if (coarse_grid := _coarse_grid(kernel.grid)) is not None:
-        start = solve_fixed_point(build_kernel(kernel.windows, kernel.windows_ji, kernel.nu,
-                                               kernel.a_matrix, kernel.detq_abs, coarse_grid),
-                                  w, tol, maxit).density
-    quotient = point_symmetric(kernel, w)
-    if quotient:
-        w = 0.5 * (w + w[::-1])
-    packing = _Packing.of(kernel, np.flatnonzero(w > 0), quotient)
-    paired = sum(int(kernel.masks[j].sum()) for j in packing.mirrors)
-    carried = [j for j, _ in packing.channels]
-    for j in carried:
-        for terms in _live_spectra(kernel, j, carried, packing.mirrors):
-            for key, _ in terms:
-                kernel.spectrum(*key)
+    start = None if kernel.coarse is None else \
+        solve_fixed_point(kernel.coarse, tol, maxit).density
+    paired = sum(int(kernel.masks[j].sum()) for j in kernel.mirrors)
     h2 = kernel.grid.h**2
     if start is None:
-        x = np.concatenate([w[j] * kernel.indicators[j] for j in carried])
-        masses = packing.masses(x)
+        x = _uniform(kernel)
+        masses = kernel.masses(x)
     else:
-        x = _prolong(start, packing)
-        masses = _project(x, packing, w)
+        x = _prolong(start, kernel)
+        masses = _project(x, kernel)
     residuals = []
     mass_history = [masses]
     outputs, diffs, gram = [], [], np.zeros((0, 0))
     for _ in range(maxit):
-        g = _packed_step(x, masses, packing)
+        g = _packed_step(x, masses, kernel)
         diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
         resid = float((np.abs(diff).sum() + np.abs(diff[:paired]).sum()) * h2)
         residuals.append(resid)
-        mass_history.append(packing.masses(g))
+        mass_history.append(kernel.masses(g))
         if resid < tol:
             del outputs[:], diffs[:], x, diff  # freed before the full grid is built
-            return FixedPointResult(density=packing.unpack(g),
+            return FixedPointResult(density=kernel.unpack(g),
                                     residuals=np.array(residuals),
                                     mass_history=mass_history)
         if len(residuals) > 1 and resid > residuals[-2]:
@@ -740,7 +719,7 @@ def solve_fixed_point(kernel, w, tol=1e-8, maxit=200):
         x = alpha[0] * outputs[0]
         for a, g_k in zip(alpha[1:], outputs[1:]):
             x += a * g_k
-        masses = _project(x, packing, w)
+        masses = _project(x, kernel)
         if len(outputs) > _MIX_DEPTH:  # the oldest pair takes no part in the next fit
             del outputs[0], diffs[0]
             gram = gram[1:, 1:]

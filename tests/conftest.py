@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -43,12 +45,21 @@ def pf_explicit(nu_explicit):
     return pfsolve.pf_eigen(nu_explicit)
 
 
-def _solve(spec, transitions, nu, w, h):
+def general_path():
+    """The point-reflection decision patched off, so that a kernel built under
+    it carries every channel with w_j > 0."""
+    return mock.patch.object(refine, "point_symmetric", lambda windows, windows_ji, nu, w: False)
+
+
+def preset_kernel(spec, transitions, nu, w, h):
     windows = [spec.shifted_window(i) for i in range(1, spec.r + 1)]
     grid = refine.grid_for_windows(windows, h)
-    kernel = refine.build_kernel(windows, transitions, nu, spec.a_matrix(),
-                                 spec.detq_abs, grid)
-    return refine.solve_fixed_point(kernel, w)
+    return refine.build_kernel(windows, transitions, nu, spec.a_matrix(), spec.detq_abs,
+                               w, grid)
+
+
+def _solve(spec, transitions, nu, w, h):
+    return refine.solve_fixed_point(preset_kernel(spec, transitions, nu, w, h))
 
 
 @pytest.fixture(scope="session")

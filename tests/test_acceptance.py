@@ -6,14 +6,13 @@ the heavyweight solves are shared through fixtures.
 
 import math
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from modelsets import cli, refine, scheme, verify
 from modelsets.polygeom import Region, linear_image
-from tests.conftest import TAU, _solve
+from tests.conftest import TAU, _solve, general_path
 from tests.test_scheme import EXAMPLE1_NU, TABLE_SCALES, expected_region
 
 
@@ -32,7 +31,7 @@ def solve2_256(spec, transitions, nu_explicit, pf_explicit):
 def solve1_128_general(spec, transitions, nu_area, pf_area):
     # every channel solved on its own, so that the reflection error measures
     # the discretization instead of reading 0 from the point-reflection quotient
-    with mock.patch.object(refine, "point_symmetric", lambda kernel, w: False):
+    with general_path():
         return _solve(spec, transitions, nu_area, pf_area.w, 1.0 / 128)
 
 
@@ -168,8 +167,8 @@ def test_ac10_square_toy_oracle():
     transitions = [[linear_image(window, A)]]
     grid = refine.make_centered_grid(1.1, 1 / 256)
     kernel = refine.build_kernel([window], transitions, np.array([[1.0]]), A,
-                                 4.0, grid)
-    result = refine.solve_fixed_point(kernel, [1.0])
+                                 4.0, [1.0], grid)
+    result = refine.solve_fixed_point(kernel)
 
     def sinc_oracle(k, levels=60):
         val = 1.0

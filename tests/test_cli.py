@@ -348,6 +348,48 @@ def test_ghost_transition_fails_before_output(tmp_path, capsys):
     assert not out.exists() or not os.listdir(out)
 
 
+IDENTITY_NU = ("nu_policy = explicit\n"
+               "nu_row1 = 1 0 0 0\n"
+               "nu_row2 = 0 1 0 0\n"
+               "nu_row3 = 0 0 1 0\n"
+               "nu_row4 = 0 0 0 1\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_simple_perron_root_fails_before_output(tmp_path, capsys, command):
+    # with nu = I every mass vector is fixed, so no invariant density is unique
+    config = tmp_path / "identity.cfg"
+    config.write_text(IDENTITY_NU)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(config), "--out", str(out), "--h", "0.0625"]) == 2
+    err = capsys.readouterr().err
+    assert "failed at stage 'eigenpair'" in err and "not simple" in err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_nu_reports_a_non_simple_perron_root(tmp_path):
+    config = tmp_path / "identity.cfg"
+    config.write_text(IDENTITY_NU)
+    out = tmp_path / "out"
+    assert run(["nu", "--config", str(config), "--out", str(out)]) == 0
+    assert "simple = false\n" in (out / "pf.txt").read_text()
+
+
+@pytest.mark.parametrize("command, preset, h, window, cells", [
+    ("solve", "penrose-example1", "5", 2, 1),  # a 1 x 1 grid
+    ("verify", "penrose-example1", "5", 2, 1),
+    ("solve", "penrose-example2", "0.25", 1, 54),
+    ("verify", "penrose-example2", "1", 1, 9),
+])
+def test_unresolved_grid_fails_before_output(tmp_path, capsys, command, preset, h, window,
+                                             cells):
+    out = tmp_path / "out"
+    assert run([command, "--preset", preset, "--h", h, "--out", str(out)]) == 2
+    assert (f"failed at stage 'kernel': unresolved grid: window {window} meets {cells} "
+            f"cells, fewer than 64") in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_solve_example1_summary(tmp_path):
     out = tmp_path / "s1"
     assert run(["solve", "--preset", "penrose-example1", "--h", "0.03125",

@@ -10,7 +10,7 @@ from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
                               compare_solvers, fourier_product,
                               initial_density, make_centered_grid, polygon_ft,
                               solve_fixed_point)
-from tests.conftest import TAU
+from tests.conftest import TAU, general_path, preset_kernel
 
 
 def square_region(a=1.0):
@@ -23,7 +23,7 @@ def toy_kernel(h, half_extent=1.1):
     trans = [[refine.linear_image(window, 0.5 * np.eye(2))]]
     # erosion of the square by its half-scale copy is the half-scale square
     grid = make_centered_grid(half_extent, h)
-    return build_kernel([window], trans, np.array([[1.0]]), A, 4.0, grid), trans
+    return build_kernel([window], trans, np.array([[1.0]]), A, 4.0, [1.0], grid), trans
 
 
 def test_make_centered_grid():
@@ -35,34 +35,77 @@ def test_make_centered_grid():
     assert g.box()[0] <= -1.7 and g.box()[2] >= 1.7
 
 
-def test_kernel_normalization_and_masks(spec, transitions, nu_area):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine.grid_for_windows(windows, 1 / 64)
-    K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, grid)
-    h2 = grid.h**2
-    for j in range(4):
-        assert abs(K.indicators[j].sum() * h2 - 1.0) < 1e-12
-        for i in range(4):
-            if nu_area[j, i] > 0:
-                assert abs(K.blocks[j][i].arr.sum() * h2 - 1.0) < 1e-12
+def test_kernel_normalization_and_masks(spec, transitions, nu_area, pf_area, nu_explicit,
+                                       pf_explicit):
+    # every channel on the general path of example 2; in the quotient of
+    # example 1 only channel 2 (1-based) is carried and only 2 and 3 are live
+    with general_path():
+        general = preset_kernel(spec, transitions, nu_explicit, pf_explicit.w, 1 / 64)
+    quotient = preset_kernel(spec, transitions, nu_area, pf_area.w, 1 / 64)
+    for K, nu, carried, live in ((general, nu_explicit, [0, 1, 2, 3], [0, 1, 2, 3]),
+                                 (quotient, nu_area, [1], [1, 2])):
+        h2 = K.grid.h**2
+        assert [j for j, _ in K.channels] == carried
+        for j in range(4):
+            if j in carried:
+                assert abs(K.indicators[j].sum() * h2 - 1.0) < 1e-12
             else:
-                assert K.blocks[j][i] is None
+                assert K.indicators[j] is None
+            for i in range(4):
+                if j in carried and i in live and nu[j, i] > 0:
+                    assert abs(K.blocks[j][i].arr.sum() * h2 - 1.0) < 1e-12
+                else:
+                    assert K.blocks[j][i] is None
+    assert np.array_equal(quotient.masks[2], quotient.masks[1][::-1, ::-1])
+    assert not quotient.masks[0].any() and not quotient.masks[3].any()
 
 
-def test_kernel_validation(spec, transitions, nu_area):
+def test_kernel_validation(spec, transitions, nu_area, pf_area):
     windows = [spec.shifted_window(i) for i in range(1, 5)]
+    w = pf_area.w
     grid = refine.grid_for_windows(windows, 1 / 32)
     with pytest.raises(ValueError, match="determinant"):
-        build_kernel(windows, transitions, nu_area, spec.a_matrix(), 2.0, grid)
+        build_kernel(windows, transitions, nu_area, spec.a_matrix(), 2.0, w, grid)
     small = make_centered_grid(0.9, 1 / 32)
     with pytest.raises(ValueError, match="grid underflow"):
         build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, small)
+                     spec.detq_abs, w, small)
     uncentered = GridSpec(origin=(0.0, 0.0), h=1 / 32, nx=129, ny=129)
     with pytest.raises(ValueError, match="centered"):
         build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, uncentered)
+                     spec.detq_abs, w, uncentered)
+
+
+def test_ghost_transition_into_a_dead_channel_raises(spec, transitions, nu_area, pf_area):
+    # channel 1 (1-based) has w_1 = 0 and is never rasterized, yet a positive
+    # weight on an empty (1,1) window is still an error
+    ghost = [row[:] for row in transitions]
+    ghost[0][0] = Region.empty()
+    assert pf_area.w[0] == 0 and nu_area[0, 0] > 0
+    windows = [spec.shifted_window(i) for i in range(1, 5)]
+    with pytest.raises(ValueError, match=r"ghost transition \(1,1\)"):
+        build_kernel(windows, ghost, nu_area, spec.a_matrix(), spec.detq_abs, pf_area.w,
+                     refine.grid_for_windows(windows, 1 / 32))
+
+
+@pytest.mark.parametrize("policy, h, cells", [
+    ("area", 5.0, 1),  # a 1 x 1 grid
+    ("area", 1.0, 14),
+    ("explicit", 0.25, 54),
+])
+def test_unresolved_grid_rejected(request, spec, transitions, policy, h, cells):
+    nu = request.getfixturevalue(f"nu_{policy}")
+    w = request.getfixturevalue(f"pf_{policy}").w
+    with pytest.raises(ValueError, match=f"unresolved grid: window . meets {cells} cells, "
+                                         f"fewer than {refine._MIN_MASK_CELLS}"):
+        preset_kernel(spec, transitions, nu, w, h)
+
+
+def test_resolution_rule_counts_only_carried_windows(spec, transitions, nu_area, pf_area):
+    # at h = 1/4 window 1 (1-based) meets 54 cells, but example 1 carries only
+    # window 2, which meets 120
+    kernel = preset_kernel(spec, transitions, nu_area, pf_area.w, 0.25)
+    assert [j for j, _ in kernel.channels] == [1] and kernel.masks[1].sum() == 120
 
 
 def test_grid_underflow_names_the_pair():
@@ -72,7 +115,7 @@ def test_grid_underflow_names_the_pair():
     big_trans = [[square_region(1.0)]]  # support 1 + 0.5 exceeds the box
     with pytest.raises(ValueError, match=r"\(1,1\)"):
         build_kernel([window], big_trans, np.array([[1.0]]), 0.5 * np.eye(2),
-                     4.0, grid)
+                     4.0, [1.0], grid)
 
 
 def test_convolution_against_direct_sum():
@@ -80,7 +123,7 @@ def test_convolution_against_direct_sum():
     grid = make_centered_grid(0.7, 0.1)  # 15x15
     window = square_region(0.48)
     trans = Region.polygon([(-0.25, -0.1), (0.2, -0.25), (0.05, 0.25)])
-    K = build_kernel([window], [[trans]], np.array([[1.0]]), np.eye(2), 1.0, grid)
+    K = build_kernel([window], [[trans]], np.array([[1.0]]), np.eye(2), 1.0, [1.0], grid)
     rng = np.random.default_rng(31)
     g = np.where(K.masks[0], rng.uniform(size=(grid.ny, grid.nx)), 0.0)
     got = apply_refinement(DensityGrid.from_values(grid, g[None]), K,
@@ -105,7 +148,7 @@ def test_convolution_against_direct_sum():
 
 def test_single_application_tent_profile():
     K, _ = toy_kernel(1 / 64)
-    f0 = initial_density(K, [1.0])
+    f0 = initial_density(K)
     f1 = apply_refinement(f0, K)
     g = K.grid
     X, Y = np.meshgrid(g.x_centers(), g.y_centers())
@@ -120,11 +163,11 @@ def test_zero_in_zero_out():
     assert np.all(out.values == 0) and out.masses[0] == 0
 
 
-def test_linearity_and_positivity(spec, transitions, nu_area):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine.grid_for_windows(windows, 1 / 24)
-    K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, grid)
+def test_linearity_and_positivity(spec, transitions, nu_explicit, pf_explicit):
+    # example 2 on the general path, where the step forms all four channels
+    with general_path():
+        K = preset_kernel(spec, transitions, nu_explicit, pf_explicit.w, 1 / 24)
+    grid = K.grid
     rng = np.random.default_rng(5)
     shape = (4, grid.ny, grid.nx)
     f = DensityGrid.from_values(grid, rng.uniform(size=shape))
@@ -143,8 +186,8 @@ def test_mass_transport_raw_quadrature(spec, transitions, nu_area, pf_area):
     h = 1 / 64
     grid = refine.grid_for_windows(windows, h)
     K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, grid)
-    f = initial_density(K, pf_area.w)
+                     spec.detq_abs, pf_area.w, grid)
+    f = initial_density(K)
     for _ in range(3):
         f_next = apply_refinement(f, K, conserve_mass=False)
         assert np.abs(f_next.masses - nu_area @ f.masses).max() < 10 * h
@@ -152,28 +195,28 @@ def test_mass_transport_raw_quadrature(spec, transitions, nu_area, pf_area):
 
 
 def test_solver_requires_fixed_mass_vector(spec, transitions, nu_area):
+    # the kernel is built for the solve of one w, so it checks that w
     windows = [spec.shifted_window(i) for i in range(1, 5)]
     grid = refine.grid_for_windows(windows, 1 / 32)
-    K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, grid)
     with pytest.raises(ValueError, match="does not fix w"):
-        solve_fixed_point(K, np.array([0.25, 0.25, 0.25, 0.25]))
+        build_kernel(windows, transitions, nu_area, spec.a_matrix(),
+                     spec.detq_abs, np.array([0.25, 0.25, 0.25, 0.25]), grid)
 
 
 def test_solver_reports_iteration_exhaustion(spec, transitions, nu_area, pf_area):
     windows = [spec.shifted_window(i) for i in range(1, 5)]
     grid = refine.grid_for_windows(windows, 1 / 32)
     K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, grid)
+                     spec.detq_abs, pf_area.w, grid)
     with pytest.raises(RuntimeError, match="did not reach tol"):
-        solve_fixed_point(K, pf_area.w, maxit=3)
+        solve_fixed_point(K, maxit=3)
 
 
 def test_toy_solve_and_grid_consistency():
     results = {}
     for h in (1 / 32, 1 / 64, 1 / 128):
         K, _ = toy_kernel(h)
-        res = solve_fixed_point(K, [1.0])
+        res = solve_fixed_point(K)
         assert abs(res.density.masses[0] - 1.0) < 1e-12
         r = res.residuals
         assert all(r[k + 1] < r[k] for k in range(5, len(r) - 1))
@@ -238,8 +281,8 @@ def test_penrose_example1_coarse(spec, transitions, nu_area, pf_area):
     h = 1 / 32
     grid = refine.grid_for_windows(windows, h)
     K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, grid)
-    res = solve_fixed_point(K, pf_area.w)
+                     spec.detq_abs, pf_area.w, grid)
+    res = solve_fixed_point(K)
     dens = res.density
     assert dens.masses[0] <= 1e-9 and dens.masses[3] <= 1e-9
     assert np.abs(dens.values[1] - dens.values[2][::-1, ::-1]).max() < 3 * h
@@ -277,7 +320,7 @@ def test_support_stays_on_window_masks(spec, solve2_128):
 
 def test_compare_solvers_toy():
     K, trans = toy_kernel(1 / 128)
-    res = solve_fixed_point(K, [1.0])
+    res = solve_fixed_point(K)
     rng = np.random.default_rng(2)
     ks = rng.uniform(-5, 5, size=(10, 2))
     dev = compare_solvers(res.density, trans, np.array([[1.0]]),

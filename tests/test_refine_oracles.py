@@ -29,6 +29,7 @@ from modelsets.polygeom import (GridSpec, Region, _edge_normals, area, centroid,
 from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
                               fourier_product, initial_density, polygon_ft,
                               solve_fixed_point)
+from tests.conftest import general_path, preset_kernel
 from tests.test_refine import toy_kernel
 
 STEP_TOL = 1e-12
@@ -69,7 +70,9 @@ def oracle_step(f, kernel, conserve_mass=True):
     for j in range(f.r):
         acc = np.zeros((grid.ny, grid.nx))
         for i in range(f.r):
-            if nu[j, i] != 0:
+            # a block the kernel leaves out meets an input or an output
+            # channel whose mask holds no cell, so its term is zero
+            if nu[j, i] != 0 and kernel.blocks[j][i] is not None:
                 acc += nu[j, i] * convolve_block(kernel.blocks[j][i], resampled[i], grid)
         acc *= kernel.detq_abs
         np.maximum(acc, 0.0, out=acc)
@@ -82,9 +85,9 @@ def oracle_step(f, kernel, conserve_mass=True):
     return DensityGrid.from_values(grid, values)
 
 
-def oracle_solve(kernel, w, tol=1e-8, maxit=200):
+def oracle_solve(kernel, tol=1e-8, maxit=200):
     """The plain fixed-point loop: iterate the step until one moves less than tol."""
-    f = initial_density(kernel, w)
+    f = initial_density(kernel)
     h2 = kernel.grid.h**2
     for _ in range(maxit):
         f_next = apply_refinement(f, kernel)
@@ -117,10 +120,10 @@ def oracle_input_boxes(grid, a_inv, masks):
 def oracle_spectra(kernel):
     """FFT shape and every kernel spectrum, placed and transformed up front.
 
-    The hull of output channel j covers its mask's bounding box and the
-    linear-convolution support of every input box with its block; the shape
-    holds the longest hull, and each nu_ji |det Q| h^2-scaled block is
-    zero-padded at its offset from the hull start.
+    The hull of each output channel j with a block covers its mask's
+    bounding box and the linear-convolution support of every input box with
+    its block; the shape holds the longest hull, and each nu_ji |det Q|
+    h^2-scaled block is zero-padded at its offset from the hull start.
     """
     grid, masks, blocks = kernel.grid, kernel.masks, kernel.blocks
     input_boxes = oracle_input_boxes(grid, kernel.a_inv, masks)
@@ -128,6 +131,8 @@ def oracle_spectra(kernel):
     centre = np.array([(grid.ny - 1) // 2, (grid.nx - 1) // 2])
     hulls = []
     for j in range(r):
+        if all(b is None for b in blocks[j]):
+            continue
         lo, hi = refine._box(masks[j])
         starts = {}
         for i in range(r):
@@ -138,11 +143,11 @@ def oracle_spectra(kernel):
             starts[i] = in_lo + offset
             lo = np.minimum(lo, starts[i])
             hi = np.maximum(hi, in_hi + offset + blocks[j][i].arr.shape - 1)
-        hulls.append((lo, hi, starts))
+        hulls.append((j, lo, hi, starts))
     shape = tuple(refine.next_fast_len(int(n))
-                  for n in np.max([hi - lo for lo, hi, _ in hulls], axis=0))
+                  for n in np.max([hi - lo for _, lo, hi, _ in hulls], axis=0))
     spectra = [[None] * r for _ in range(r)]
-    for j, (lo, _, starts) in enumerate(hulls):
+    for j, lo, _, starts in hulls:
         for i, start in starts.items():
             arr = blocks[j][i].arr
             padded = np.zeros(shape)
@@ -153,7 +158,9 @@ def oracle_spectra(kernel):
 
 
 def built_spectra(kernel):
-    return sorted(kernel.spectra)
+    """(j, i, whether input i is a mirror) of every spectrum the kernel holds."""
+    return [(j, i, i in kernel.mirrors.values()) for j, row in enumerate(kernel.spectra)
+            for i, spectrum in enumerate(row) if spectrum is not None]
 
 
 def oracle_rasterize(P, grid, supersample=4):
@@ -264,30 +271,32 @@ def assert_steps_agree(f, kernel, conserve_mass):
     return got
 
 
-def preset_kernel(spec, transitions, nu, h):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine.grid_for_windows(windows, h)
-    return build_kernel(windows, transitions, nu, spec.a_matrix(), spec.detq_abs, grid)
-
-
 @pytest.fixture(scope="module", params=["area", "explicit"])
 def preset64(request, spec, transitions):
+    """The kernel as the solve builds it, the kernel on the general path, and w.
+
+    The step oracles read the general kernel: it forms every live channel
+    from its own input.  Example 1 has no positive w fixed by its weight
+    matrix, so there channels 1 and 4 (1-based) stay out of both kernels.
+    """
     nu = request.getfixturevalue(f"nu_{request.param}")
     w = request.getfixturevalue(f"pf_{request.param}").w
-    return preset_kernel(spec, transitions, nu, 1 / 64), w
+    with general_path():
+        general = preset_kernel(spec, transitions, nu, w, 1 / 64)
+    return preset_kernel(spec, transitions, nu, w, 1 / 64), general, w
 
 
 @pytest.mark.parametrize("conserve_mass", [True, False])
 def test_step_matches_oracle_on_presets(preset64, conserve_mass):
-    kernel, w = preset64
-    f = initial_density(kernel, w)
+    _, kernel, _ = preset64
+    f = initial_density(kernel)
     for _ in range(3):
         f = assert_steps_agree(f, kernel, conserve_mass)
 
 
 @pytest.mark.parametrize("conserve_mass", [True, False])
 def test_step_matches_oracle_on_random_masked_input(preset64, conserve_mass):
-    kernel, _ = preset64
+    _, kernel, _ = preset64
     rng = np.random.default_rng(8)
     raw = rng.uniform(size=kernel.masks.shape)
     masked = DensityGrid.from_values(kernel.grid, np.where(kernel.masks, raw, 0.0))
@@ -300,7 +309,7 @@ def test_step_matches_oracle_on_random_masked_input(preset64, conserve_mass):
 
 
 def test_step_matches_oracle_with_a_zero_channel(preset64):
-    kernel, _ = preset64
+    _, kernel, _ = preset64
     rng = np.random.default_rng(9)
     values = np.where(kernel.masks, rng.uniform(size=kernel.masks.shape), 0.0)
     values[2] = 0.0
@@ -308,10 +317,10 @@ def test_step_matches_oracle_with_a_zero_channel(preset64):
 
 
 def test_mixed_solve_beats_plain_iteration(preset64):
-    kernel, w = preset64
+    kernel, general, w = preset64
     h2 = kernel.grid.h**2
-    reference = oracle_solve(kernel, w, tol=1e-13)
-    plain = oracle_solve(kernel, w)
+    reference = oracle_solve(general, tol=1e-13)
+    plain = oracle_solve(general)
     step = refine._packed_step
     inputs = []
 
@@ -320,7 +329,7 @@ def test_mixed_solve_beats_plain_iteration(preset64):
         return step(x, masses, packing, conserve_mass)
 
     with mock.patch.object(refine, "_packed_step", recorded_step):
-        result = solve_fixed_point(kernel, w)
+        result = solve_fixed_point(kernel)
     assert result.iterations <= 12
     # every iterate is projected: non-negative, carrying the masses w
     for lowest, masses in inputs:
@@ -338,7 +347,7 @@ def test_mixed_solve_beats_plain_iteration(preset64):
 def test_rising_residual_resets_the_mixing_history(preset64):
     # reversing one channel's packed cells after the fifth step keeps its mass
     # but not its shape, so that step's residual rises above the one before
-    kernel, w = preset64
+    kernel, _, w = preset64
     calls, fits = [0], []
     step, weights = refine._packed_step, refine._mixing_weights
 
@@ -356,7 +365,7 @@ def test_rising_residual_resets_the_mixing_history(preset64):
 
     with mock.patch.object(refine, "_packed_step", perturbed_step), \
             mock.patch.object(refine, "_mixing_weights", recorded_weights):
-        result = solve_fixed_point(kernel, w)
+        result = solve_fixed_point(kernel)
     r = result.residuals
     # the fit restarts from one residual exactly where the residual rose
     assert [k for k, n in enumerate(fits) if n == 1] == \
@@ -368,24 +377,26 @@ def test_rising_residual_resets_the_mixing_history(preset64):
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 def test_spectra_on_first_use_match_eager_oracle(request, spec, transitions, policy):
-    # h = 1/60, not a power of two, so that h^2 rounds and so does the scaling
+    # h = 1/60, not a power of two, so that h^2 rounds and so does the scaling;
+    # the kernel of the solve, in the point-reflection quotient
     nu = request.getfixturevalue(f"nu_{policy}")
-    kernel = preset_kernel(spec, transitions, nu, 1 / 60)
-    assert built_spectra(kernel) == []
+    kernel = preset_kernel(spec, transitions, nu, request.getfixturevalue(f"pf_{policy}").w,
+                           1 / 60)
+    assert kernel.mirrors
     shape, want = oracle_spectra(kernel)
     assert kernel.fft_shape == shape
     for j in range(4):
         for i in range(4):
+            got = kernel.spectra[j][i]
             if want[j][i] is None:
-                assert kernel.placements[j][i] is None
-            else:
-                got = kernel.spectrum(j, i)
-                assert got.tobytes() == want[j][i].tobytes(), (j, i)
-                assert kernel.spectrum(j, i) is got  # kept, not rebuilt
+                assert got is None
+            elif i in kernel.mirrors.values():
                 # met by input i taken as a flip: conjugated after the mirror phases
                 rows, cols = refine._mirror_phases(kernel.boxes[i], shape)
                 mirrored = np.conjugate(want[j][i] * rows * cols)
-                assert kernel.spectrum(j, i, True).tobytes() == mirrored.tobytes(), (j, i)
+                assert got.tobytes() == mirrored.tobytes(), (j, i)
+            else:
+                assert got.tobytes() == want[j][i].tobytes(), (j, i)
 
 
 def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions, nu_area,
@@ -393,7 +404,7 @@ def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions,
     # example 1 carries mass only on channels 2 and 3 (1-based), and the
     # point-reflection quotient forms channel 2 only, from input 2 and from
     # input 3 taken as the flip of input 2
-    kernel = preset_kernel(spec, transitions, nu_area, 1 / 64)
+    kernel = preset_kernel(spec, transitions, nu_area, pf_area.w, 1 / 64)
     live = [(1, 1, False), (1, 2, True)]
     step = refine._packed_step
     at_steps = []
@@ -403,12 +414,52 @@ def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions,
         return step(*args, **kwargs)
 
     with mock.patch.object(refine, "_packed_step", recorded_step):
-        result = solve_fixed_point(kernel, pf_area.w)
+        result = solve_fixed_point(kernel)
     assert result.iterations == len(at_steps) > 1
     assert all(built == live for built in at_steps)
-    assert built_spectra(kernel) == live
     # channel 3 is sampled as the flip of channel 2, and 1 and 4 carry no mass
     assert [i for i, s in enumerate(kernel.stencils) if s is not None] == [1]
+    assert [(j, i) for j, row in enumerate(kernel.blocks) for i, b in enumerate(row)
+            if b is not None] == [(1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("policy, per_level", [("area", 3), ("explicit", 8)])
+@pytest.mark.parametrize("h, levels", [(1 / 64, 1), (1 / 128, 2)])
+def test_kernel_rasterizes_only_what_the_quotient_step_reads(request, spec, transitions,
+                                                             policy, per_level, h, levels):
+    # example 1: window 2 and blocks (2,2), (2,3); example 2: windows 1 and 2
+    # and blocks (1,1), (1,4) and (2,1) to (2,4), all 1-based; at h = 1/128
+    # the warm start's coarse level rasterizes as many again
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1].h)
+        return rasterize(*args)
+
+    with mock.patch.object(refine, "rasterize", counted):
+        kernel = preset_kernel(spec, transitions, request.getfixturevalue(f"nu_{policy}"),
+                               request.getfixturevalue(f"pf_{policy}").w, h)
+    assert len(calls) == per_level * levels
+    assert calls.count(h) == per_level
+    assert (kernel.coarse is not None) == (levels == 2)
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("h", [1 / 64, 1 / 60, 1 / 256])
+def test_mirrored_masks_and_boxes_match_general_path(request, spec, transitions, policy, h):
+    # the quotient takes mirrored masks and input boxes as flips of the carried
+    # ones, where the general path rasterizes and tests every live channel
+    nu = request.getfixturevalue(f"nu_{policy}")
+    w = request.getfixturevalue(f"pf_{policy}").w
+    quotient = preset_kernel(spec, transitions, nu, w, h)
+    with general_path():
+        general = preset_kernel(spec, transitions, nu, w, h)
+    assert quotient.mirrors == ({0: 3, 1: 2} if policy == "explicit" else {1: 2})
+    for j, m in quotient.mirrors.items():
+        assert np.array_equal(quotient.masks[m], np.flip(quotient.masks[j]))
+        assert np.array_equal(quotient.masks[m], general.masks[m])
+        for got, want in zip(quotient.boxes[m], general.boxes[m]):
+            assert np.array_equal(got, want)
 
 
 def oracle_stencil(kernel, i):
@@ -424,30 +475,27 @@ def oracle_stencil(kernel, i):
 
 
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60])
-def test_stencils_on_first_use_match_whole_grid_oracle(spec, transitions, nu_explicit, h):
-    kernel = preset_kernel(spec, transitions, nu_explicit, h)
-    assert kernel.stencils == [None] * 4
+def test_stencils_on_first_use_match_whole_grid_oracle(spec, transitions, nu_explicit,
+                                                       pf_explicit, h):
+    # example 2 on the general path, where every channel has a stencil
+    with general_path():
+        kernel = preset_kernel(spec, transitions, nu_explicit, pf_explicit.w, h)
     for i in range(4):
-        got, want = kernel.stencil(i), oracle_stencil(kernel, i)
+        got, want = kernel.stencils[i], oracle_stencil(kernel, i)
         for field in ("index", "r0", "c0"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (i, field)
-        assert got.width == want.width and kernel.stencil(i) is got  # kept, not rebuilt
-
-
-def general_path():
-    """The decision patched off, so the solve carries every channel."""
-    return mock.patch.object(refine, "point_symmetric", lambda kernel, w: False)
+        assert got.width == want.width
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 def test_quotient_solve_matches_general_solve(request, spec, transitions, policy):
     nu = request.getfixturevalue(f"nu_{policy}")
     w = request.getfixturevalue(f"pf_{policy}").w
-    kernel = preset_kernel(spec, transitions, nu, 1 / 64)
-    assert refine.point_symmetric(kernel, w)
-    quotient = solve_fixed_point(kernel, w)
+    kernel = preset_kernel(spec, transitions, nu, w, 1 / 64)
+    assert kernel.mirrors
+    quotient = solve_fixed_point(kernel)
     with general_path():
-        general = solve_fixed_point(kernel, w)
+        general = solve_fixed_point(preset_kernel(spec, transitions, nu, w, 1 / 64))
     got, want = quotient.density.values, general.density.values
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for j in range(4):
@@ -470,12 +518,13 @@ def test_quotient_with_a_self_mirrored_channel_matches_general_solve():
     trans = [[erode(wj, linear_image(wi, 0.5 * np.eye(2))) for wi in windows] for wj in windows]
     nu = np.array([[0.5, 0.25, 0.2], [0.3, 0.5, 0.3], [0.2, 0.25, 0.5]])
     w = pfsolve.pf_eigen(nu).w
-    kernel = build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0,
-                          refine.make_centered_grid(2.0, 1 / 32))
-    assert refine.point_symmetric(kernel, w)
-    quotient = solve_fixed_point(kernel, w)
+    grid = refine.make_centered_grid(2.0, 1 / 32)
+    kernel = build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0, w, grid)
+    assert kernel.mirrors == {0: 2} and [j for j, _ in kernel.channels] == [0, 1]
+    quotient = solve_fixed_point(kernel)
     with general_path():
-        general = solve_fixed_point(kernel, w)
+        general = solve_fixed_point(build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0,
+                                                 w, grid))
     got, want = quotient.density.values, general.density.values
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(got[2], got[0][::-1, ::-1])
@@ -485,8 +534,9 @@ def test_quotient_with_a_self_mirrored_channel_matches_general_solve():
 
 def test_point_symmetry_decision(spec, transitions, nu_area, pf_area, nu_explicit,
                                  pf_explicit):
+    windows = [spec.shifted_window(i) for i in range(1, 5)]
     for nu, pf in ((nu_area, pf_area), (nu_explicit, pf_explicit)):
-        assert refine.point_symmetric(preset_kernel(spec, transitions, nu, 1 / 16), pf.w)
+        assert refine.point_symmetric(windows, transitions, nu, pf.w)
     # every window moved by the same gamma: window 4 is no longer window 1 negated
     shifted = scheme.penrose_scheme(gamma=0.031 - 0.047j)
     # the components in another order: channels 1 and 2 (1-based) mirror each
@@ -498,13 +548,12 @@ def test_point_symmetry_decision(spec, transitions, nu_area, pf_area, nu_explici
     for other in (shifted, permuted):
         trans = scheme.transition_windows(other)
         nu = scheme.build_nu(other, trans)
-        kernel = preset_kernel(other, trans, nu, 1 / 16)
-        assert not refine.point_symmetric(kernel, pfsolve.pf_eigen(nu).w)
+        other_windows = [other.shifted_window(i) for i in range(1, 5)]
+        assert not refine.point_symmetric(other_windows, trans, nu, pfsolve.pf_eigen(nu).w)
     # an explicit nu that is not its own 180-degree flip, with a symmetric w
     lopsided = nu_explicit.copy()
     lopsided[2] = [0.1, 0.4, 0.4, 0.1]
-    kernel = preset_kernel(spec, transitions, lopsided, 1 / 16)
-    assert not refine.point_symmetric(kernel, np.full(4, 0.25))
+    assert not refine.point_symmetric(windows, transitions, lopsided, np.full(4, 0.25))
 
 
 def cold_start():
@@ -535,14 +584,14 @@ def test_warm_start_matches_cold_start(request, spec, transitions, example):
         policy = "area" if example == 1 else "explicit"
         nu = request.getfixturevalue(f"nu_{policy}")
         w = request.getfixturevalue(f"pf_{policy}").w
-    kernel = preset_kernel(spec, transitions, nu, 1 / 128)
-    assert refine.point_symmetric(kernel, w) == (example != "2-gamma")
     grids, counting = counted_kernels()
     with counting:
-        warm = solve_fixed_point(kernel, w)
+        kernel = preset_kernel(spec, transitions, nu, w, 1 / 128)
+    assert bool(kernel.mirrors) == (example != "2-gamma")
+    warm = solve_fixed_point(kernel)
     with cold_start():
-        cold = solve_fixed_point(kernel, w)
-    assert [g.h for g in grids] == [1 / 32]
+        cold = solve_fixed_point(preset_kernel(spec, transitions, nu, w, 1 / 128))
+    assert [g.h for g in grids] == [1 / 128, 1 / 32]
     assert warm.iterations < cold.iterations
     l1 = np.abs(warm.density.values - cold.density.values).sum() * kernel.grid.h**2
     assert l1 <= 1e-8
@@ -556,43 +605,51 @@ def test_coarse_level_only_on_wide_grids(spec, transitions, nu_explicit, pf_expl
     grids, counting = counted_kernels()
     with counting:
         kernel = refine.build_kernel(windows, transitions, nu_explicit, spec.a_matrix(),
-                                     spec.detq_abs, refine.grid_for_windows(windows, h))
-        solve_fixed_point(kernel, pf_explicit.w)
+                                     spec.detq_abs, pf_explicit.w,
+                                     refine.grid_for_windows(windows, h))
+        solve_fixed_point(kernel)
     assert len(grids) == builds
     for coarse in grids[1:]:  # the fine grid's box, at h = 1/32
         assert coarse.h == 1 / 32 and coarse.nx == coarse.ny
         assert coarse.nx * coarse.h >= kernel.grid.nx * h
 
 
+def test_coarse_level_keeps_every_carried_window_resolved():
+    # a coarse cell at 4h meets at most 5^2 fine cells, so a window of fewer
+    # than 25 * _MIN_MASK_CELLS fine cells could fall below the rule there
+    grid = refine.make_centered_grid(437 / 256, 1 / 128)
+    assert refine._coarse_grid(grid, 25 * refine._MIN_MASK_CELLS).h == 1 / 32
+    assert refine._coarse_grid(grid, 25 * refine._MIN_MASK_CELLS - 1) is None
+
+
 def test_square_toy_warm_starts_on_its_own_box():
     # AC10's 565-cell grid is 1.1 wide; a grid fitted to the window by
     # grid_for_windows would be too small for the convolution supports
-    kernel, _ = toy_kernel(1 / 256)
-    assert kernel.grid.nx == 565
     grids, counting = counted_kernels()
-    with counting:
-        warm = solve_fixed_point(kernel, [1.0])
+    with counting:  # records the coarse level, which build_kernel builds by its module name
+        kernel, _ = toy_kernel(1 / 256)
     (coarse,) = grids
-    assert coarse.h == 1 / 64 and coarse.nx == 143
+    assert kernel.grid.nx == 565 and coarse.h == 1 / 64 and coarse.nx == 143
+    warm = solve_fixed_point(kernel)
     with cold_start():
-        cold = solve_fixed_point(kernel, [1.0])
+        cold_kernel, _ = toy_kernel(1 / 256)
+    cold = solve_fixed_point(cold_kernel)
     l1 = np.abs(warm.density.values - cold.density.values).sum() * kernel.grid.h**2
     assert l1 <= 1e-8
 
 
 def test_prolongation_matches_bilinear_oracle(preset64):
     # a coarse density on the kernel's box at 4h, sampled at the mask cells
-    kernel, _ = preset64
+    _, kernel, _ = preset64
     fine = kernel.grid
     coarse = refine.make_centered_grid(fine.nx * fine.h / 2, 4 * fine.h)
     values = np.random.default_rng(5).uniform(size=(4, coarse.ny, coarse.nx))
     density = DensityGrid.from_values(coarse, values)
-    packing = refine._Packing.of(kernel, range(4))
     X, Y = np.meshgrid(fine.x_centers(), fine.y_centers())
     rows = (Y - coarse.origin[1]) / coarse.h - 0.5
     cols = (X - coarse.origin[0]) / coarse.h - 0.5
-    want = packing.pack(np.array([refine.bilinear(v, rows, cols) for v in values]))
-    assert np.abs(refine._prolong(density, packing) - want).max() <= 1e-14
+    want = kernel.pack(np.array([refine.bilinear(v, rows, cols) for v in values]))
+    assert np.abs(refine._prolong(density, kernel) - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
@@ -623,7 +680,7 @@ def test_input_boxes_match_whole_grid_oracle(request, spec, transitions, policy,
 @pytest.mark.parametrize("conserve_mass", [True, False])
 def test_step_matches_oracle_on_square_toy(conserve_mass):
     kernel, _ = toy_kernel(1 / 64)
-    f = initial_density(kernel, [1.0])
+    f = initial_density(kernel)
     for _ in range(3):
         f = assert_steps_agree(f, kernel, conserve_mass)
 
@@ -895,7 +952,7 @@ def assert_ffts_match_scipy(shape, rng):
 
 
 def test_ffts_match_scipy_on_kernel_shapes(preset64):
-    kernel, _ = preset64
+    kernel, _, _ = preset64
     assert_ffts_match_scipy(kernel.fft_shape, np.random.default_rng(0))
 
 
