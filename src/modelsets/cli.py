@@ -2,18 +2,19 @@
 
 Configuration is a flat key = value text file; the two bundled presets
 reproduce the worked four-component examples with one command.  Every
-command validates its whole configuration, computes all artifacts in
-memory, and only then writes files, so errors never leave partial output.
+command validates its configuration and computes its results, then writes
+its files under temporary names (the density text one row block at a time)
+and renames them into place once all are complete: a failure leaves no output.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import re
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from itertools import islice
 
@@ -40,6 +41,9 @@ PRESETS = {
 
 # density files written by solve: per-channel grids and one combined CSV
 OUTPUT_SELECTORS = ("grids", "csv")
+
+# largest window coordinate: polygon areas and edge tests multiply coordinate differences
+MAX_WINDOW_COORD = 1e150
 
 # per-component keys: window<k>, coset<k> and nu_row<k> for k = 1..r
 INDEXED_KEY = re.compile(r"(window|coset|nu_row)([1-9][0-9]*)")
@@ -158,7 +162,10 @@ def _parse_window(text, key):
     pts = [p for p in text.split(";") if p.strip()]
     if len(pts) < 3:
         raise ConfigError(f"{key} needs >= 3 vertices")
-    return Region.polygon([_parse_floats(p, 2, f"{key} vertex") for p in pts])
+    vertices = [_parse_floats(p, 2, f"{key} vertex") for p in pts]
+    if max(abs(v) for vertex in vertices for v in vertex) > MAX_WINDOW_COORD:
+        raise ConfigError(f"{key}: coordinates must be at most {MAX_WINDOW_COORD:g} in size")
+    return Region.polygon(vertices)
 
 
 def _inline_scheme(raw, path, gamma, boundary):
@@ -237,18 +244,48 @@ def build_config(args):
                      **{f.name: cfg[f.name] for f in fields(RunConfig) if f.name in KEYS})
 
 
-class _Chunks(list):
-    """Text kept as the list of the strings written to it, never joined into one."""
+def _failed(stage, exc):
+    """The error exc, labelled with the stage it stopped."""
+    reason = str(exc) or "out of memory"  # a bare MemoryError has no message
+    return RuntimeError(f"failed at stage '{stage}': {reason}")
 
-    write = list.append
+
+@contextmanager
+def _staged(outdir):
+    """Yield open(name) for files that appear in outdir together, once all are complete.
+
+    Each is written under a temporary name and renamed with os.replace at the
+    end; a failure removes them all and is labelled if it is I/O or memory.
+    """
+    opened = {}
+
+    def open_file(name):
+        opened[name] = open(os.path.join(outdir, f".{name}.{os.getpid()}.tmp"), "w")
+        return opened[name]
+
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        yield open_file
+        for fh in opened.values():
+            fh.close()
+        while opened:
+            name, fh = opened.popitem()
+            os.replace(fh.name, os.path.join(outdir, name))
+    except (OSError, MemoryError) as exc:
+        raise _failed("output", exc) from exc
+    finally:
+        for fh in opened.values():
+            with suppress(OSError):
+                fh.close()
+            with suppress(OSError):
+                os.remove(fh.name)
 
 
 def _write_all(outdir, files):
-    """Write each file's text, a string or a list of strings, under outdir."""
-    os.makedirs(outdir, exist_ok=True)
-    for name, text in files.items():
-        with open(os.path.join(outdir, name), "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+    """Write each file's text under outdir, all or none."""
+    with _staged(outdir) as open_file:
+        for name, text in files.items():
+            open_file(name).write(text)
 
 
 def _region_line(j, i, region):
@@ -331,32 +368,29 @@ def _pipeline(cfg):
         deviation = refine.compare_solvers(result.density, trans, nu, pf.w,
                                            cfg.spec.a_matrix(), ks)
     except (ValueError, RuntimeError, MemoryError) as exc:
-        reason = str(exc) or "out of memory"  # a bare MemoryError has no message
-        raise RuntimeError(f"failed at stage '{stage}': {reason}") from exc
+        raise _failed(stage, exc) from exc
     yield deviation
 
 
 def cmd_solve(cfg, outdir):
     (_, nu, pf), result, deviation = _pipeline(cfg)
     density = result.density
-    summary = io.StringIO()
-    summary.write(f"lambda = {fmt(pf.lambda_max)}\n")
-    summary.write(f"w = {' '.join(fmt(v) for v in pf.w)}\n")
-    summary.write(f"masses = {' '.join(fmt(v) for v in density.masses)}\n")
-    summary.write(f"iterations = {result.iterations}\n")
-    summary.write(f"residuals = {' '.join(fmt(v) for v in result.residuals)}\n")
-    summary.write(f"fourier_max_rel_dev = {fmt(deviation)}\n")
-    files = {"nu.txt": _nu_text(nu), "pf.txt": _pf_text(pf),
-             "summary.txt": summary.getvalue()}
+    summary = (f"lambda = {fmt(pf.lambda_max)}\n"
+               f"w = {' '.join(fmt(v) for v in pf.w)}\n"
+               f"masses = {' '.join(fmt(v) for v in density.masses)}\n"
+               f"iterations = {result.iterations}\n"
+               f"residuals = {' '.join(fmt(v) for v in result.residuals)}\n"
+               f"fourier_max_rel_dev = {fmt(deviation)}\n")
     selectors = cfg.outputs or OUTPUT_SELECTORS
-    grids = {j: _Chunks() for j in range(density.r)} if "grids" in selectors else {}
-    csv = _Chunks() if "csv" in selectors else None
-    refine.write_density(density, grids, csv)
-    for j, chunks in grids.items():
-        files[f"density_ch{j + 1}.txt"] = chunks
-    if csv is not None:
-        files["density.csv"] = csv
-    _write_all(outdir, files)
+    # the density text goes to disk one row block at a time, never held whole
+    with _staged(outdir) as open_file:
+        for name, text in [("nu.txt", _nu_text(nu)), ("pf.txt", _pf_text(pf)),
+                           ("summary.txt", summary)]:
+            open_file(name).write(text)
+        grids = ({j: open_file(f"density_ch{j + 1}.txt") for j in range(density.r)}
+                 if "grids" in selectors else {})
+        csv = open_file("density.csv") if "csv" in selectors else None
+        refine.write_density(density, grids, csv)
     return 0
 
 

@@ -41,6 +41,7 @@ the fine mask cells (nested iteration, Brandt 1977).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
 
 import numpy as np
 from numpy import fft
@@ -846,8 +847,8 @@ def write_density(density, grid_files=None, csv_file=None):
     x,y,f1,...,fr table for plotting.  Either may be None.  The pass walks
     row blocks of about `text.WRITE_CHUNK_VALUES` samples, formats each sample
     once and joins the same strings into every output that shows it.  When
-    channel r-1-j is channel j flipped, bit for bit, the text of channel j's
-    rows is kept and channel r-1-j reads it in reverse.
+    channel r-1-j is channel j flipped, bit for bit, channel j is formatted
+    once, whole, and channel r-1-j reads that text backwards.
     """
     g = density.grid
     grid_files = grid_files or {}
@@ -859,34 +860,35 @@ def write_density(density, grid_files=None, csv_file=None):
     if csv_file is not None:
         channels = range(density.r)
         csv_file.write("x,y," + ",".join(f"f{j + 1}" for j in channels) + "\n")
-        xs = text.format_samples(g.x_centers())
-        ys = text.format_samples(g.y_centers())
+        xs = [x + "," for x in text.format_samples(g.x_centers())]
+        ys = [y + "," for y in text.format_samples(g.y_centers())]
+        separators = [repeat(",")] * (len(channels) - 1) + [repeat("\n")]
     if not channels:
         return
-    values, rows = density.values, {}
+    values, n, mirrored = density.values, g.nx * g.ny, {}
     for j in channels:
         m = density.r - 1 - j
         if j < m and m in channels and values[m].tobytes() == values[j][::-1, ::-1].tobytes():
-            rows[j] = rows[m] = [" ".join(text.format_samples(row)) for row in values[j]]
+            mirrored[j] = mirrored[m] = text.format_samples(values[j])
     step = max(1, text.WRITE_CHUNK_VALUES // (g.nx * len(channels)))
     for iy in range(0, g.ny, step):
+        lo, hi = iy * g.nx, min(iy + step, g.ny) * g.nx
         samples = {}
         for j in channels:
-            if j not in rows:
+            if j not in mirrored:
                 samples[j] = text.format_samples(values[j, iy:iy + step])
             elif j < density.r - 1 - j:
-                samples[j] = " ".join(rows[j][iy:iy + step]).split(" ")
-            else:  # the rows of channel r-1-j in reverse, each read backwards
-                samples[j] = " ".join(rows[j][max(g.ny - iy - step, 0):g.ny - iy]).split(" ")[::-1]
+                samples[j] = mirrored[j][lo:hi]
+            else:  # channel r-1-j's samples, read backwards from the other end
+                samples[j] = mirrored[j][n - hi:n - lo][::-1]
         for j, fileobj in grid_files.items():
             s = samples[j]
             fileobj.write("\n".join([" ".join(s[k:k + g.nx])
                                      for k in range(0, len(s), g.nx)]) + "\n")
         if csv_file is not None:
-            block_ys = ys[iy:iy + step]
-            column_y = [y for y in block_ys for _ in range(g.nx)]
-            csv_file.write("\n".join(map(",".join, zip(xs * len(block_ys), column_y,
-                                                       *samples.values()))) + "\n")
+            column_y = chain.from_iterable(repeat(y, g.nx) for y in ys[iy:iy + step])
+            columns = chain.from_iterable(zip(samples.values(), separators))
+            csv_file.write("".join(chain.from_iterable(zip(cycle(xs), column_y, *columns))))
 
 
 def write_density_grid(density, channel, fileobj):

@@ -201,7 +201,11 @@ def _enumerate_module(radius_phys, radius_internal):
     r2_phys = radius_phys * radius_phys + 1e-9
     r2_int = radius_internal * radius_internal + 1e-9
     gram = E.T @ np.diag([1 / r2_phys, 1 / r2_phys, 1 / r2_int, 1 / r2_int]) @ E
-    U = np.linalg.cholesky(gram).T  # gram = U.T @ U, row k involves m_k..m_3
+    try:
+        U = np.linalg.cholesky(gram).T  # gram = U.T @ U, row k involves m_k..m_3
+    except np.linalg.LinAlgError:
+        raise ValueError(f"enumeration: internal radius {radius_internal:.6g} is too large "
+                         f"for physical radius {radius_phys:.6g}") from None
     # level by level from m3 down to m0, every prefix (m_{k+1}, .., m_3) is
     # expanded into its interval of admissible m_k; the budget and interval
     # slack keep the ellipsoid a superset of the disks despite rounding

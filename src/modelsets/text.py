@@ -29,9 +29,10 @@ def format_samples(values):
     NaN and the infinities included, goes through one `%.12g` template.
     """
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    out = np.full(flat.size, "0", dtype=object)
     live = flat.view(np.uint64) != 0
     n = int(np.count_nonzero(live))
-    if n:
-        out[live] = ("%.12g\0" * n % tuple(flat[live].tolist())).split("\0")[:-1]
+    if not n:
+        return ["0"] * flat.size
+    out = np.full(flat.size, "0", dtype=object)
+    out[live] = ("%.12g\0" * n % tuple(flat[live].tolist())).split("\0")[:-1]
     return out.tolist()

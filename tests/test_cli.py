@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from modelsets import cli, scheme
+from modelsets import cli, refine, scheme
 from tests.conftest import TAU
 
 
@@ -54,6 +56,21 @@ SOLVE_EX2_GAMMA_SHA256 = {
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
     "summary.txt": "b35d74d7e0c3c285e9926a2779e7863cedaa8942b28f7d035b835168ca14f345",
+}
+
+# sha256 of every file `solve --preset penrose-example2 --h 0.0078125` writes,
+# recorded like SOLVE_EX1_SHA256: a 437 x 437 grid written in 7 row blocks,
+# with two mirrored channel pairs, so block boundaries and the reversed
+# reading of a mirrored channel's text both show in the bytes
+SOLVE_EX2_H128_SHA256 = {
+    "density_ch1.txt": "dfe03f0a8afb87211ba78bc551c0e13989e3d8736a7a16a0cb3c06542ce998fb",
+    "density_ch2.txt": "be21789fc35b33091cda6ef755ba74bc258345abf5f530a30109e7c61632396a",
+    "density_ch3.txt": "d94f9de8c34ce25c91d5e0aa5b9dbb32a2154ebf817550f6bf331c9a09c5d0af",
+    "density_ch4.txt": "c0b4cdd186cfbc625a7acebed99d2f6e2c9a9c43a09ceec60279cfe6137dae8c",
+    "density.csv": "60d0bfdc1b5b8ec7d3f88b6254c173261f7fd4524c8ee52ab8f0c31bad5d7e0f",
+    "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
+    "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
+    "summary.txt": "f4f36a352ade5a831334873087013e65625d1daad3a271482fd37dda6b2bb114",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
@@ -447,6 +464,60 @@ def test_out_of_memory_fails_before_output(tmp_path, capsys, monkeypatch, comman
     assert not out.exists()
 
 
+def test_failure_mid_write_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # the CSV runs out of memory after its header and first row block, while
+    # every file is open under its temporary name; none of them, and no file
+    # of an earlier run, may be left behind or touched
+    write_density = refine.write_density
+    written = []
+
+    def fails_after_first_block(density, grid_files, csv_file):
+        def write(text):
+            if len(written) == 2:
+                raise MemoryError
+            written.append(csv_file.write(text))
+
+        write_density(density, grid_files, SimpleNamespace(write=write))
+
+    monkeypatch.setattr(refine, "write_density", fails_after_first_block)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.txt").write_text("from an earlier run\n")
+    assert run(["solve", "--preset", "penrose-example1", "--h", "0.015625",
+                "--out", str(out)]) == 2
+    assert "failed at stage 'output': out of memory" in capsys.readouterr().err
+    assert len(written) == 2 and written[1] > 0
+    assert os.listdir(out) == ["summary.txt"]
+    assert (out / "summary.txt").read_text() == "from an earlier run\n"
+
+
+def test_unwritable_output_fails_labelled(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert run(["windows", "--out", str(out)]) == 2
+    assert "failed at stage 'output'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    # the enumeration's Cholesky factor, from a search ellipsoid with an
+    # internal radius of 1e300, is not positive definite
+    ("points", "gamma = 1e300, 0\n", "error: enumeration: internal radius 1e+300"),
+    # the squares of these coordinates overflow in the polygon's own checks
+    ("windows", "scheme = inline\nwindow1 = 1e200,0; 2e200,0; 1e200,1e200\n",
+     "config error: {config}:2: window1: coordinates must be at most 1e+150 in size"),
+], ids=["huge-gamma", "huge-window"])
+def test_huge_numbers_fail_labelled_without_warnings(tmp_path, capsys, command, text,
+                                                     message):
+    config = tmp_path / "huge.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--s", "8", "--config", str(config), "--out", str(out)]) == 2
+    assert message.format(config=config) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):
     config = tmp_path / "short.cfg"
     config.write_text("maxit = 3\n")
@@ -502,6 +573,15 @@ def test_solve_example2_shifted_gamma_pinned_bytes(tmp_path):
                 "--h", "0.03125", "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == sorted(SOLVE_EX2_GAMMA_SHA256)
     for name, digest in SOLVE_EX2_GAMMA_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_solve_example2_pinned_bytes_at_full_size(tmp_path):
+    out = tmp_path / "s2"
+    assert run(["solve", "--preset", "penrose-example2", "--h", "0.0078125",
+                "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(SOLVE_EX2_H128_SHA256)
+    for name, digest in SOLVE_EX2_H128_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
