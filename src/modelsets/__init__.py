@@ -6,9 +6,8 @@ from .polygeom import (GridSpec, Region, area, contains, contains_many,
                        erode, linear_image, rasterize, support, translate)
 from .refine import (DensityGrid, FixedPointResult, RefinementKernel,
                      apply_refinement, build_kernel, compare_solvers,
-                     fourier_product, grid_for_windows, grid_ft,
-                     initial_density, make_centered_grid, polygon_ft,
-                     solve_fixed_point)
+                     fourier_product, grid_ft, initial_density,
+                     make_centered_grid, polygon_ft, solve_fixed_point)
 from .scheme import (PointSet, SchemeSpec, build_nu, check_selfsim_closure,
                      generate_all, penrose_scheme, points_csv_text,
                      transition_windows, translation_sets)

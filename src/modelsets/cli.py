@@ -220,6 +220,11 @@ def build_config(args):
                                      boundary_mode=cfg["boundary"])
     else:
         spec = _inline_scheme(raw, path, cfg["gamma"], cfg["boundary"])
+    for i, window in enumerate(spec.windows, start=1):  # a far shift rounds vertices together
+        before, after = area(window), area(spec.shifted_window(i))
+        if abs(after - before) > 1e-9 * before:
+            raise ConfigError(f"{at.get('gamma', '')}gamma: shifting window {i} by it "
+                              f"changes its area from {fmt(before)} to {fmt(after)}")
     for key, (_, lineno) in raw.items():
         if (key == "q" or key.startswith(("window", "coset"))) and cfg["scheme"] != "inline":
             raise ConfigError(f"{path}:{lineno}: {key!r} needs scheme = inline")
@@ -298,7 +303,10 @@ def _region_line(j, i, region):
 
 
 def cmd_windows(cfg, outdir):
-    trans = scheme.transition_windows(cfg.spec)
+    try:
+        trans = scheme.transition_windows(cfg.spec)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        raise _failed("transition windows", exc) from exc
     r = cfg.spec.r
     lines = [_region_line(j + 1, i + 1, trans[j][i])
              for j in range(r) for i in range(r)]
@@ -355,9 +363,8 @@ def _pipeline(cfg):
                              "invariant density is not unique")
         stage = "kernel"
         windows = [cfg.spec.shifted_window(i) for i in range(1, cfg.spec.r + 1)]
-        grid = refine.grid_for_windows(windows, cfg.h)
         kernel = refine.build_kernel(windows, trans, nu, cfg.spec.a_matrix(),
-                                     cfg.spec.detq_abs, pf.w, grid)
+                                     cfg.spec.detq_abs, pf.w, cfg.h)
         stage = "fixed point"
         result = refine.solve_fixed_point(kernel, tol=cfg.tol, maxit=cfg.maxit)
         yield result

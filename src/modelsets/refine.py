@@ -4,7 +4,10 @@ Densities live on one shared square grid with an odd number of cells per
 axis and a cell centered at the origin.  With that layout the difference
 of two cell centers is again a cell-center offset, so the discrete
 convolution in the refinement step lands exactly on the grid and the
-point reflection u -> -u is an exact array flip.
+point reflection u -> -u is an exact array flip.  `build_kernel` takes the
+cell size h; at every level of a solve the grid is the smallest such grid
+that covers, with a margin of _GRID_PAD, every window, every transition
+window with nu_ji != 0 and each support box bbox(T_ji) + bbox(A W_i).
 
 `build_kernel` builds what the fixed-point solve reads and nothing else.
 It takes the mass vector w: only channels with w_j > 0 carry mass.  When
@@ -33,9 +36,9 @@ The step works on packed densities: one vector of the mask cells of the
 carried channels.  The fixed-point solve keeps its whole state in that form
 and builds a full grid only for its result.  On a grid at least four times
 as wide as the coarsest level worth solving (_COARSE_CELLS cells a side), the
-kernel also holds the same problem's kernel on its box at 2^k h, and the
-solve first solves there and starts from that solution, interpolated onto
-the fine mask cells (nested iteration, Brandt 1977).
+kernel also holds the kernel of the same problem at 2^k h, and the solve
+first solves there and starts from that solution, interpolated onto the
+fine mask cells (nested iteration, Brandt 1977).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 from numpy import fft
 
 from . import text
-from .polygeom import GridSpec, area, centroid, linear_image, rasterize
+from .polygeom import GridSpec, area, centroid, rasterize
 
 FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
@@ -59,21 +62,21 @@ _MIN_MASK_CELLS = 64  # fewest cells a carried window may meet: a grid that reso
 
 def make_centered_grid(half_extent, h):
     """Odd-sized symmetric grid with a cell centered at the origin."""
-    if half_extent <= 0 or h <= 0:
-        raise ValueError("half_extent and h must be positive")
     m = int(np.ceil(half_extent / h - 0.5))
     n = 2 * m + 1
     o = -(m + 0.5) * h
     return GridSpec(origin=(o, o), h=h, nx=n, ny=n)
 
 
-def grid_for_windows(windows, h):
-    """Centered grid covering every window with a margin of _GRID_PAD."""
-    extent = 0.0
-    for w in windows:
-        if not w.is_empty:
-            extent = max(extent, float(np.abs(w.vertices).max()))
-    return make_centered_grid(extent + _GRID_PAD, h)
+def _kernel_grid(windows, windows_ji, nu, a_matrix, h):
+    """The smallest centered grid of cell h that covers, with a margin of
+    _GRID_PAD, every window, every transition window (j, i) with nu_ji != 0
+    and the bounding box of its convolution support, bbox(T_ji) + bbox(A W_i)."""
+    corners = [w.vertices for w in windows]
+    for j, i in zip(*np.nonzero(nu)):
+        t, image = windows_ji[j][i].vertices, windows[i].vertices @ a_matrix.T
+        corners += [t, t.min(axis=0) + image.min(axis=0), t.max(axis=0) + image.max(axis=0)]
+    return make_centered_grid(float(np.abs(np.vstack(corners)).max()) + _GRID_PAD, h)
 
 
 @dataclass
@@ -135,7 +138,7 @@ class RefinementKernel:
                             # mirrored i, its conjugate times the conjugated mirror phases of
                             # box i, which multiplied into the transform of input r-1-i and
                             # conjugated gives the term of input i
-    coarse: RefinementKernel | None  # the same problem on the grid's box at 2^k h
+    coarse: RefinementKernel | None  # the same problem at 2^k h
 
     def pack(self, values):
         return np.concatenate([values[j][self.masks[j]] for j, _ in self.channels])
@@ -247,20 +250,6 @@ def bilinear(values, rows, cols):
     return Stencil.at(rows, cols, values.shape).sample(flat)
 
 
-def _bbox(P):
-    v = P.vertices
-    return v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max()
-
-
-def _check_support(grid, j, i, trans, image):
-    x0, y0, x1, y1 = grid.box()
-    tx0, ty0, tx1, ty1 = _bbox(trans)
-    ix0, iy0, ix1, iy1 = _bbox(image)
-    if (tx0 + ix0 < x0 or ty0 + iy0 < y0 or tx1 + ix1 > x1 or ty1 + iy1 > y1):
-        raise ValueError(f"grid underflow: convolution support of transition "
-                         f"({j},{i}) exceeds the grid box")
-
-
 def _box(arr):
     """First and one-past-last (row, col) of the non-zero entries."""
     rows = np.flatnonzero(arr.any(axis=1))
@@ -294,53 +283,43 @@ def _contracted(grid, a_inv, box=(slice(None), slice(None))):
     return rows, cols
 
 
-def _input_boxes(grid, a_inv, masks):
-    """Per channel, the box of cells where f_i(A^-1 y) can be non-zero.
+def _input_stencil(grid, a_inv, mask):
+    """The box (lo, hi) of cells where f_i(A^-1 y) can be non-zero and the Stencil
+    that samples channel i at A^-1 y for the cells y of that box, or (None, None).
 
     A bilinear sample of a channel that vanishes off its mask is zero unless
     one of the four stencil nodes around A^-1 y lies on the mask, which puts
     A^-1 y within a cell of the mask's bounding box.  Only the cells whose
     centres lie within a cell of the image of that region under A are
-    tested.  Returns (lo, hi) per channel, or None when no cell qualifies.
-    The channel's stencil samples the mask's bounding box padded by one zero
-    cell on every side, which holds every node that can be non-zero.
+    tested, each through its stencil, which samples a frame: the mask's
+    bounding box padded by one zero cell on every side, holding every node
+    that can be non-zero.
     """
     a_matrix = np.linalg.inv(a_inv)
     origin = np.array(grid.origin)
-    boxes = []
-    for mask in masks:
-        lo, hi = _box(mask)
-        # corners (x, y) of the mask's bounding box grown by a cell, mapped by A
-        corners = a_matrix @ (origin[:, None] + grid.h * np.array(
-            [[lo[1] - 1, lo[1] - 1, hi[1] + 1, hi[1] + 1],
-             [lo[0] - 1, hi[0] + 1, lo[0] - 1, hi[0] + 1]]))
-        first = np.maximum(np.floor((corners.min(axis=1) - origin) / grid.h) - 1, 0)
-        last = np.minimum(np.ceil((corners.max(axis=1) - origin) / grid.h) + 1,
-                          [grid.nx, grid.ny])
-        near_lo = first[::-1].astype(int)  # (row, col) of the first tested cell
-        rows, cols = _contracted(grid, a_inv, _slices(near_lo, last[::-1]))
-        # lower-left stencil node, counted from one cell before the mask's box
-        a = np.floor(rows).astype(np.intp)
-        a -= lo[0] - 1
-        b = np.floor(cols).astype(np.intp)
-        b -= lo[1] - 1
-        inside = (a >= 0) & (a <= hi[0] - lo[0]) & (b >= 0) & (b <= hi[1] - lo[1])
-        pad = np.pad(mask[_slices(lo, hi)], 1)
-        near = pad[:-1, :-1] | pad[1:, :-1] | pad[:-1, 1:] | pad[1:, 1:]
-        touched = near[np.where(inside, a, 0), np.where(inside, b, 0)] & inside
-        if touched.any():
-            t_lo, t_hi = _box(touched)
-            boxes.append((t_lo + near_lo, t_hi + near_lo))
-        else:
-            boxes.append(None)
-    return boxes
-
-
-def _stencil(grid, a_inv, mask, box):
-    """The Stencil that samples a channel on `mask` at A^-1 y for the cells y of `box`."""
-    rows, cols = _contracted(grid, a_inv, _slices(*box))
-    lo, hi = _box(mask)  # the frame's origin is one cell before lo
-    return Stencil.at(rows - (lo[0] - 1), cols - (lo[1] - 1), tuple(hi - lo + 2))
+    lo, hi = _box(mask)
+    # corners (x, y) of the mask's bounding box grown by a cell, mapped by A
+    corners = a_matrix @ (origin[:, None] + grid.h * np.array(
+        [[lo[1] - 1, lo[1] - 1, hi[1] + 1, hi[1] + 1],
+         [lo[0] - 1, hi[0] + 1, lo[0] - 1, hi[0] + 1]]))
+    first = np.maximum(np.floor((corners.min(axis=1) - origin) / grid.h) - 1, 0)
+    last = np.minimum(np.ceil((corners.max(axis=1) - origin) / grid.h) + 1,
+                      [grid.nx, grid.ny])
+    near_lo = first[::-1].astype(int)  # (row, col) of the first tested cell
+    rows, cols = _contracted(grid, a_inv, _slices(near_lo, last[::-1]))
+    frame = tuple(hi - lo + 2)  # the frame's origin is one cell before lo
+    stencil = Stencil.at(rows - (lo[0] - 1), cols - (lo[1] - 1), frame)
+    # per frame cell, whether a stencil node there lies on the mask; the tail
+    # cell, where the positions off the frame point, reads False
+    pad = np.pad(mask[_slices(lo, hi)], (1, 2))
+    near = pad[:-1, :-1] | pad[1:, :-1] | pad[:-1, 1:] | pad[1:, 1:]
+    touched = np.append(near, False)[stencil.index]
+    if not touched.any():
+        return None, None
+    t_lo, t_hi = _box(touched)
+    box = _slices(t_lo, t_hi)
+    return (t_lo + near_lo, t_hi + near_lo), Stencil(
+        stencil.index[box], stencil.r0[box], stencil.c0[box], stencil.width)
 
 
 def _spectral_plan(grid, masks, blocks, boxes, carried):
@@ -398,29 +377,27 @@ def point_symmetric(windows, windows_ji, nu, w):
                         for g in groups for p, q in zip(g, g[::-1])))
 
 
-def _coarse_grid(grid, cells):
-    """The grid's box at 2^k h for the largest k that leaves at least _COARSE_CELLS
-    cells per axis, or None when that k is below 2 or a window meeting `cells` cells
-    here could meet fewer than _MIN_MASK_CELLS there: a coarse cell meets at most
-    (2^k + 1)^2 fine ones."""
-    n = max(grid.nx, grid.ny)
-    k = int(np.log2(n / _COARSE_CELLS))
+def _coarse_h(grid, cells):
+    """2^k h for the largest k that leaves at least _COARSE_CELLS cells per axis of
+    the grid's width, or None when that k is below 2 or a window meeting `cells`
+    cells here could meet fewer than _MIN_MASK_CELLS there: a coarse cell meets
+    at most (2^k + 1)^2 fine ones."""
+    k = int(np.log2(max(grid.nx, grid.ny) / _COARSE_CELLS))
     if k < 2 or cells < _MIN_MASK_CELLS * (2**k + 1)**2:
         return None
-    return make_centered_grid(n * grid.h / 2, grid.h * 2**k)
+    return grid.h * 2**k
 
 
-def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, grid):
-    """Rasterize and transform what the fixed-point solve for the masses w reads.
+def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, h):
+    """Rasterize and transform what the solve for the masses w reads, at cell size h.
 
-    The live channels are those with w_j > 0; the carried ones are all of
-    them, or in the point-reflection quotient those with j <= r-1-j.  Window
-    and transition rasters are normalized by their discrete integral, so
-    each one sums to exactly one cell measure.  Raises when w is not fixed by
-    nu, when the grid cannot hold a window or a convolution support, when a
-    positive weight sits on a measure-zero window, or when a carried window
-    meets fewer than _MIN_MASK_CELLS cells.  The window and support checks
-    cover every window and every nu_ji != 0, carried or not.
+    The grid is the one `_kernel_grid` sizes for h.  The live channels are
+    those with w_j > 0; the carried ones are all of them, or in the
+    point-reflection quotient those with j <= r-1-j.  Window and transition
+    rasters are normalized by their discrete integral, so each one sums to
+    exactly one cell measure.  Raises when w is not fixed by nu, when a
+    positive weight sits on a measure-zero window, carried or not, or when a
+    carried window meets fewer than _MIN_MASK_CELLS cells.
     """
     nu = np.asarray(nu, dtype=float)
     a_matrix = np.asarray(a_matrix, dtype=float)
@@ -431,19 +408,11 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, grid):
     det_a = abs(np.linalg.det(a_matrix))
     if abs(det_a * detq_abs - 1.0) > 1e-9:
         raise ValueError("determinant mismatch: |det A| * |det Q| must be 1")
-    if grid.nx % 2 == 0 or grid.ny % 2 == 0 or \
-            abs(grid.origin[0] + grid.nx * grid.h / 2) > 1e-9 or \
-            abs(grid.origin[1] + grid.ny * grid.h / 2) > 1e-9:
-        raise ValueError("kernel grid must be odd-sized and centered at the origin")
-    for j, window in enumerate(windows):
-        if not grid.covers(window):
-            raise ValueError(f"grid underflow: window {j + 1} exceeds the grid box")
     for j, i in zip(*np.nonzero(nu)):
-        trans = windows_ji[j][i]
-        if not trans.is_polygon:
+        if not windows_ji[j][i].is_polygon:
             raise ValueError(f"ghost transition ({j + 1},{i + 1}): positive "
                              "weight on a measure-zero window")
-        _check_support(grid, j + 1, i + 1, trans, linear_image(windows[i], a_matrix))
+    grid = _kernel_grid(windows, windows_ji, nu, a_matrix, h)
     if np.max(np.abs(nu @ w - w)) > 1e-8:
         raise ValueError("the weight matrix does not fix w (its spectral "
                          "radius must be one)")
@@ -472,9 +441,8 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, grid):
     a_inv = np.linalg.inv(a_matrix)
     boxes = [None] * r
     stencils = [None] * r
-    for j, box in zip(carried, _input_boxes(grid, a_inv, [masks[j] for j in carried])):
-        boxes[j] = box
-        stencils[j] = None if box is None else _stencil(grid, a_inv, masks[j], box)
+    for j in carried:
+        boxes[j], stencils[j] = _input_stencil(grid, a_inv, masks[j])
     size = np.array([grid.ny, grid.nx])
     for j, m in mirrors.items():
         masks[m] = masks[j][::-1, ::-1]
@@ -493,14 +461,14 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, grid):
                     spectra[j][i] *= factor
                 np.conjugate(spectra[j][i], out=spectra[j][i])
     ends = np.cumsum([0] + cells).tolist()
-    coarse_grid = _coarse_grid(grid, min(cells))
+    coarse_h = _coarse_h(grid, min(cells))
     return RefinementKernel(
         grid=grid, a_inv=a_inv, detq_abs=float(detq_abs), nu=nu, w=held,
         channels=[(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)],
         mirrors=mirrors, masks=masks, indicators=indicators, blocks=blocks, boxes=boxes,
         stencils=stencils, outputs=outputs, fft_shape=fft_shape, spectra=spectra,
-        coarse=None if coarse_grid is None else
-        build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, coarse_grid))
+        coarse=None if coarse_h is None else
+        build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, coarse_h))
 
 
 def _uniform(kernel):

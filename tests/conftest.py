@@ -53,9 +53,8 @@ def general_path():
 
 def preset_kernel(spec, transitions, nu, w, h):
     windows = [spec.shifted_window(i) for i in range(1, spec.r + 1)]
-    grid = refine.grid_for_windows(windows, h)
     return refine.build_kernel(windows, transitions, nu, spec.a_matrix(), spec.detq_abs,
-                               w, grid)
+                               w, h)
 
 
 def _solve(spec, transitions, nu, w, h):

@@ -165,9 +165,8 @@ def test_ac10_square_toy_oracle():
     window = Region.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
     A = 0.5 * np.eye(2)
     transitions = [[linear_image(window, A)]]
-    grid = refine.make_centered_grid(1.1, 1 / 256)
     kernel = refine.build_kernel([window], transitions, np.array([[1.0]]), A,
-                                 4.0, [1.0], grid)
+                                 4.0, [1.0], 1 / 256)
     result = refine.solve_fixed_point(kernel)
 
     def sinc_oracle(k, levels=60):

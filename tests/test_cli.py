@@ -61,16 +61,18 @@ SOLVE_EX2_GAMMA_SHA256 = {
 # sha256 of every file `solve --preset penrose-example2 --h 0.0078125` writes,
 # recorded like SOLVE_EX1_SHA256: a 437 x 437 grid written in 7 row blocks,
 # with two mirrored channel pairs, so block boundaries and the reversed
-# reading of a mirrored channel's text both show in the bytes
+# reading of a mirrored channel's text both show in the bytes; the warm
+# start's coarse level is 109 x 109 at h = 1/32, the smallest grid that
+# covers the windows, transitions and supports there
 SOLVE_EX2_H128_SHA256 = {
-    "density_ch1.txt": "dfe03f0a8afb87211ba78bc551c0e13989e3d8736a7a16a0cb3c06542ce998fb",
-    "density_ch2.txt": "be21789fc35b33091cda6ef755ba74bc258345abf5f530a30109e7c61632396a",
-    "density_ch3.txt": "d94f9de8c34ce25c91d5e0aa5b9dbb32a2154ebf817550f6bf331c9a09c5d0af",
-    "density_ch4.txt": "c0b4cdd186cfbc625a7acebed99d2f6e2c9a9c43a09ceec60279cfe6137dae8c",
-    "density.csv": "60d0bfdc1b5b8ec7d3f88b6254c173261f7fd4524c8ee52ab8f0c31bad5d7e0f",
+    "density_ch1.txt": "2bcf7c9ff5418b0c0a31fd877a2f0f8eae9821dc37b5c1fd347ba3a4f61f2d62",
+    "density_ch2.txt": "250de872ec0cedb6cd47e961ee5b7639d17d8ac4d6d26f8e5f2eba41d21fea3e",
+    "density_ch3.txt": "18ce28252d75cec3effcb1d06e0c7784e752f23b3128acd973a2e74c172ed34a",
+    "density_ch4.txt": "0a0d90a17abf0e5fe9090b856d4cf1a5412f8ff1315dafca03b5f70fb39e185a",
+    "density.csv": "48b00af4fe9e630c84f1b48dcd2935ff423043328ba085e51230cdd279ad5aec",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "f4f36a352ade5a831334873087013e65625d1daad3a271482fd37dda6b2bb114",
+    "summary.txt": "bfa877992f9ddebc541301d74316aac4fba925d5b33140c05a8fbbbbb8ae5653",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
@@ -449,7 +451,9 @@ def test_solve_output_selectors(tmp_path, selector, names):
     ("solve", "modelsets.refine.build_kernel", MemoryError(),
      "failed at stage 'kernel': out of memory"),
     ("points", "modelsets.scheme.generate_all", MemoryError(), "error: out of memory"),
-], ids=["kernel", "kernel-no-message", "points"])
+    ("windows", "modelsets.scheme.transition_windows", MemoryError(),
+     "failed at stage 'transition windows': out of memory"),
+], ids=["kernel", "kernel-no-message", "points", "windows"])
 def test_out_of_memory_fails_before_output(tmp_path, capsys, monkeypatch, command, target,
                                            error, message):
     # a stand-in for an allocation that fails: a real one of that size can
@@ -499,13 +503,17 @@ def test_unwritable_output_fails_labelled(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, text, message", [
-    # the enumeration's Cholesky factor, from a search ellipsoid with an
-    # internal radius of 1e300, is not positive definite
-    ("points", "gamma = 1e300, 0\n", "error: enumeration: internal radius 1e+300"),
+    # the shift rounds every vertex of window 1 to the same point (1e300 + x
+    # == 1e300), before any erosion or the enumeration's search ellipsoid of
+    # internal radius 1e300
+    *[(command, "gamma = 1e300, 0\n", "config error: {config}:1: gamma: shifting window 1 "
+       "by it changes its area from 2.37764129074 to 0\n")
+      for command in ("points", "windows", "nu", "solve", "verify")],
     # the squares of these coordinates overflow in the polygon's own checks
     ("windows", "scheme = inline\nwindow1 = 1e200,0; 2e200,0; 1e200,1e200\n",
      "config error: {config}:2: window1: coordinates must be at most 1e+150 in size"),
-], ids=["huge-gamma", "huge-window"])
+], ids=["huge-gamma", "huge-gamma-windows", "huge-gamma-nu", "huge-gamma-solve",
+        "huge-gamma-verify", "huge-window"])
 def test_huge_numbers_fail_labelled_without_warnings(tmp_path, capsys, command, text,
                                                      message):
     config = tmp_path / "huge.cfg"
@@ -514,8 +522,24 @@ def test_huge_numbers_fail_labelled_without_warnings(tmp_path, capsys, command, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run([command, "--s", "8", "--config", str(config), "--out", str(out)]) == 2
-    assert message.format(config=config) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message.format(config=config) in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["penrose-example1", "penrose-example2"])
+@pytest.mark.parametrize("gamma", ["2, 0", "3, -4"])
+def test_solve_with_a_far_gamma(tmp_path, preset, gamma):
+    # the transition windows sit near T_ji + (1 - a) gamma, about 1.618 |gamma|
+    # from the origin, outside a grid fitted to the windows alone
+    config = tmp_path / "gamma.cfg"
+    config.write_text(f"gamma = {gamma}\n")
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", preset, "--config", str(config), "--h", "0.03125",
+                "--out", str(out)]) == 0
+    summary = dict(line.split(" = ") for line in
+                   (out / "summary.txt").read_text().splitlines())
+    assert float(summary["fourier_max_rel_dev"]) <= 5e-3
 
 
 def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):

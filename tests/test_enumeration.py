@@ -6,6 +6,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from modelsets import scheme
@@ -167,6 +168,13 @@ def test_ellipsoid_holding_only_the_origin(spec, transitions):
     hits = sorted((j + 1, i + 1) for j in range(4) for i in range(4) if tsets[j][i])
     assert hits == [(1, 2), (2, 4), (3, 1), (4, 3)]
     assert all(tsets[j - 1][i - 1].coeffs.tolist() == [[0, 0, 0, 0]] for j, i in hits)
+
+
+def test_unfactorable_ellipsoid_names_its_radius(spec):
+    # the Cholesky factor of a search ellipsoid of internal radius 1e300 and
+    # physical radius 8 fails; the CLI rejects such a gamma before enumerating
+    with pytest.raises(ValueError, match=r"enumeration: internal radius 1e\+300 is too large"):
+        scheme.generate_all(scheme.penrose_scheme(gamma=1e300), 8.0)
 
 
 def test_points_csv_bytes_unchanged(points40):

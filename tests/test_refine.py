@@ -2,28 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
-from modelsets import refine
-from modelsets.polygeom import GridSpec, Region, rasterize
+from modelsets import pfsolve, refine, scheme
+from modelsets.polygeom import Region, linear_image, rasterize
 from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
                               compare_solvers, fourier_product,
                               initial_density, make_centered_grid, polygon_ft,
                               solve_fixed_point)
-from tests.conftest import TAU, general_path, preset_kernel
+from tests.conftest import EXAMPLE2_NU, TAU, general_path, preset_kernel
 
 
 def square_region(a=1.0):
     return Region.polygon([(-a, -a), (a, -a), (a, a), (-a, a)])
 
 
-def toy_kernel(h, half_extent=1.1):
+def toy_kernel(h):
     window = square_region()
     A = 0.5 * np.eye(2)
-    trans = [[refine.linear_image(window, 0.5 * np.eye(2))]]
+    trans = [[linear_image(window, 0.5 * np.eye(2))]]
     # erosion of the square by its half-scale copy is the half-scale square
-    grid = make_centered_grid(half_extent, h)
-    return build_kernel([window], trans, np.array([[1.0]]), A, 4.0, [1.0], grid), trans
+    return build_kernel([window], trans, np.array([[1.0]]), A, 4.0, [1.0], h), trans
 
 
 def test_make_centered_grid():
@@ -33,6 +33,42 @@ def test_make_centered_grid():
     # a cell center sits exactly at the origin
     assert abs(g.x_centers()[(g.nx - 1) // 2]) < 1e-15
     assert g.box()[0] <= -1.7 and g.box()[2] >= 1.7
+
+
+@pytest.mark.parametrize("h, cells", [(1 / 8, 29), (1 / 16, 55), (1 / 32, 109), (1 / 60, 205),
+                                      (1 / 64, 219), (1 / 128, 437), (1 / 256, 871)])
+def test_kernel_grid_at_gamma_zero_is_the_windows_centered_grid(spec, transitions, nu_area,
+                                                                nu_explicit, h, cells):
+    # at gamma = 0 the transition windows and supports lie within the windows'
+    # extent, so both presets keep the grid fitted to the windows alone
+    windows = [spec.shifted_window(i) for i in range(1, 5)]
+    extent = max(np.abs(w.vertices).max() for w in windows)
+    want = make_centered_grid(extent + refine._GRID_PAD, h)
+    assert want.nx == cells
+    for nu in (nu_area, nu_explicit):
+        assert refine._kernel_grid(windows, transitions, nu, spec.a_matrix(), h) == want
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gx=st.floats(-5, 5), gy=st.floats(-5, 5))
+def test_kernel_grid_covers_windows_transitions_and_supports(gx, gy):
+    shifted = scheme.penrose_scheme(gamma=complex(gx, gy))
+    windows = [shifted.shifted_window(i) for i in range(1, 5)]
+    trans = scheme.transition_windows(shifted)
+    for nu in (scheme.build_nu(shifted, trans),
+               scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU)):
+        kernel = build_kernel(windows, trans, nu, shifted.a_matrix(), shifted.detq_abs,
+                              pfsolve.pf_eigen(nu).w, 1 / 16)
+        grid = kernel.grid
+        assert all(grid.covers(w) for w in windows)
+        x0, y0, x1, y1 = grid.box()
+        for j, i in zip(*np.nonzero(nu)):
+            t = trans[j][i].vertices
+            image = linear_image(windows[i], shifted.a_matrix()).vertices
+            lo = t.min(axis=0) + image.min(axis=0)
+            hi = t.max(axis=0) + image.max(axis=0)
+            assert grid.covers(trans[j][i])
+            assert x0 <= lo[0] and y0 <= lo[1] and hi[0] <= x1 and hi[1] <= y1
 
 
 def test_kernel_normalization_and_masks(spec, transitions, nu_area, pf_area, nu_explicit,
@@ -62,18 +98,8 @@ def test_kernel_normalization_and_masks(spec, transitions, nu_area, pf_area, nu_
 
 def test_kernel_validation(spec, transitions, nu_area, pf_area):
     windows = [spec.shifted_window(i) for i in range(1, 5)]
-    w = pf_area.w
-    grid = refine.grid_for_windows(windows, 1 / 32)
     with pytest.raises(ValueError, match="determinant"):
-        build_kernel(windows, transitions, nu_area, spec.a_matrix(), 2.0, w, grid)
-    small = make_centered_grid(0.9, 1 / 32)
-    with pytest.raises(ValueError, match="grid underflow"):
-        build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, w, small)
-    uncentered = GridSpec(origin=(0.0, 0.0), h=1 / 32, nx=129, ny=129)
-    with pytest.raises(ValueError, match="centered"):
-        build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, w, uncentered)
+        build_kernel(windows, transitions, nu_area, spec.a_matrix(), 2.0, pf_area.w, 1 / 32)
 
 
 def test_ghost_transition_into_a_dead_channel_raises(spec, transitions, nu_area, pf_area):
@@ -85,7 +111,7 @@ def test_ghost_transition_into_a_dead_channel_raises(spec, transitions, nu_area,
     windows = [spec.shifted_window(i) for i in range(1, 5)]
     with pytest.raises(ValueError, match=r"ghost transition \(1,1\)"):
         build_kernel(windows, ghost, nu_area, spec.a_matrix(), spec.detq_abs, pf_area.w,
-                     refine.grid_for_windows(windows, 1 / 32))
+                     1 / 32)
 
 
 @pytest.mark.parametrize("policy, h, cells", [
@@ -108,22 +134,13 @@ def test_resolution_rule_counts_only_carried_windows(spec, transitions, nu_area,
     assert [j for j, _ in kernel.channels] == [1] and kernel.masks[1].sum() == 120
 
 
-def test_grid_underflow_names_the_pair():
-    window = square_region()
-    trans = [[refine.linear_image(window, 0.5 * np.eye(2))]]
-    grid = make_centered_grid(1.2, 1 / 16)
-    big_trans = [[square_region(1.0)]]  # support 1 + 0.5 exceeds the box
-    with pytest.raises(ValueError, match=r"\(1,1\)"):
-        build_kernel([window], big_trans, np.array([[1.0]]), 0.5 * np.eye(2),
-                     4.0, [1.0], grid)
-
-
 def test_convolution_against_direct_sum():
     # with A = I and |det Q| = 1 the unscaled step is one kernel convolution
-    grid = make_centered_grid(0.7, 0.1)  # 15x15
     window = square_region(0.48)
     trans = Region.polygon([(-0.25, -0.1), (0.2, -0.25), (0.05, 0.25)])
-    K = build_kernel([window], [[trans]], np.array([[1.0]]), np.eye(2), 1.0, [1.0], grid)
+    K = build_kernel([window], [[trans]], np.array([[1.0]]), np.eye(2), 1.0, [1.0], 0.1)
+    grid = K.grid
+    assert grid.nx == grid.ny == 17  # the support reaches 0.73 from the origin
     rng = np.random.default_rng(31)
     g = np.where(K.masks[0], rng.uniform(size=(grid.ny, grid.nx)), 0.0)
     got = apply_refinement(DensityGrid.from_values(grid, g[None]), K,
@@ -184,9 +201,8 @@ def test_mass_transport_raw_quadrature(spec, transitions, nu_area, pf_area):
     # without the conservation fix-up the transport identity holds to O(h)
     windows = [spec.shifted_window(i) for i in range(1, 5)]
     h = 1 / 64
-    grid = refine.grid_for_windows(windows, h)
     K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, pf_area.w, grid)
+                     spec.detq_abs, pf_area.w, h)
     f = initial_density(K)
     for _ in range(3):
         f_next = apply_refinement(f, K, conserve_mass=False)
@@ -197,17 +213,15 @@ def test_mass_transport_raw_quadrature(spec, transitions, nu_area, pf_area):
 def test_solver_requires_fixed_mass_vector(spec, transitions, nu_area):
     # the kernel is built for the solve of one w, so it checks that w
     windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine.grid_for_windows(windows, 1 / 32)
     with pytest.raises(ValueError, match="does not fix w"):
         build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, np.array([0.25, 0.25, 0.25, 0.25]), grid)
+                     spec.detq_abs, np.array([0.25, 0.25, 0.25, 0.25]), 1 / 32)
 
 
 def test_solver_reports_iteration_exhaustion(spec, transitions, nu_area, pf_area):
     windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine.grid_for_windows(windows, 1 / 32)
     K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, pf_area.w, grid)
+                     spec.detq_abs, pf_area.w, 1 / 32)
     with pytest.raises(RuntimeError, match="did not reach tol"):
         solve_fixed_point(K, maxit=3)
 
@@ -279,9 +293,9 @@ def test_fourier_product_l1_bound(spec, transitions, nu_area, pf_area):
 def test_penrose_example1_coarse(spec, transitions, nu_area, pf_area):
     windows = [spec.shifted_window(i) for i in range(1, 5)]
     h = 1 / 32
-    grid = refine.grid_for_windows(windows, h)
     K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, pf_area.w, grid)
+                     spec.detq_abs, pf_area.w, h)
+    grid = K.grid
     res = solve_fixed_point(K)
     dens = res.density
     assert dens.masses[0] <= 1e-9 and dens.masses[3] <= 1e-9

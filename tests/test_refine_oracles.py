@@ -518,13 +518,12 @@ def test_quotient_with_a_self_mirrored_channel_matches_general_solve():
     trans = [[erode(wj, linear_image(wi, 0.5 * np.eye(2))) for wi in windows] for wj in windows]
     nu = np.array([[0.5, 0.25, 0.2], [0.3, 0.5, 0.3], [0.2, 0.25, 0.5]])
     w = pfsolve.pf_eigen(nu).w
-    grid = refine.make_centered_grid(2.0, 1 / 32)
-    kernel = build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0, w, grid)
+    kernel = build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0, w, 1 / 32)
     assert kernel.mirrors == {0: 2} and [j for j, _ in kernel.channels] == [0, 1]
     quotient = solve_fixed_point(kernel)
     with general_path():
         general = solve_fixed_point(build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0,
-                                                 w, grid))
+                                                 w, 1 / 32))
     got, want = quotient.density.values, general.density.values
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(got[2], got[0][::-1, ::-1])
@@ -562,14 +561,14 @@ def cold_start():
 
 
 def counted_kernels():
-    """build_kernel recording the grid of every kernel it builds."""
-    grids, build = [], refine.build_kernel
+    """build_kernel recording the cell size of every kernel it builds."""
+    cells, build = [], refine.build_kernel
 
     def recorded(*args):
-        grids.append(args[-1])
+        cells.append(args[-1])
         return build(*args)
 
-    return grids, mock.patch.object(refine, "build_kernel", recorded)
+    return cells, mock.patch.object(refine, "build_kernel", recorded)
 
 
 @pytest.mark.parametrize("example", [1, 2, "2-gamma"])
@@ -584,14 +583,14 @@ def test_warm_start_matches_cold_start(request, spec, transitions, example):
         policy = "area" if example == 1 else "explicit"
         nu = request.getfixturevalue(f"nu_{policy}")
         w = request.getfixturevalue(f"pf_{policy}").w
-    grids, counting = counted_kernels()
+    cells, counting = counted_kernels()
     with counting:
         kernel = preset_kernel(spec, transitions, nu, w, 1 / 128)
     assert bool(kernel.mirrors) == (example != "2-gamma")
     warm = solve_fixed_point(kernel)
     with cold_start():
         cold = solve_fixed_point(preset_kernel(spec, transitions, nu, w, 1 / 128))
-    assert [g.h for g in grids] == [1 / 128, 1 / 32]
+    assert cells == [1 / 128, 1 / 32]
     assert warm.iterations < cold.iterations
     l1 = np.abs(warm.density.values - cold.density.values).sum() * kernel.grid.h**2
     assert l1 <= 1e-8
@@ -602,34 +601,34 @@ def test_warm_start_matches_cold_start(request, spec, transitions, example):
 def test_coarse_level_only_on_wide_grids(spec, transitions, nu_explicit, pf_explicit,
                                          h, builds):
     windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grids, counting = counted_kernels()
+    cells, counting = counted_kernels()
     with counting:
         kernel = refine.build_kernel(windows, transitions, nu_explicit, spec.a_matrix(),
-                                     spec.detq_abs, pf_explicit.w,
-                                     refine.grid_for_windows(windows, h))
+                                     spec.detq_abs, pf_explicit.w, h)
         solve_fixed_point(kernel)
-    assert len(grids) == builds
-    for coarse in grids[1:]:  # the fine grid's box, at h = 1/32
+    assert len(cells) == builds and (kernel.coarse is None) == (builds == 1)
+    if kernel.coarse is not None:  # the same rule at h = 1/32
+        coarse = kernel.coarse.grid
         assert coarse.h == 1 / 32 and coarse.nx == coarse.ny
-        assert coarse.nx * coarse.h >= kernel.grid.nx * h
+        assert all(coarse.covers(window) for window in windows)
 
 
 def test_coarse_level_keeps_every_carried_window_resolved():
     # a coarse cell at 4h meets at most 5^2 fine cells, so a window of fewer
     # than 25 * _MIN_MASK_CELLS fine cells could fall below the rule there
     grid = refine.make_centered_grid(437 / 256, 1 / 128)
-    assert refine._coarse_grid(grid, 25 * refine._MIN_MASK_CELLS).h == 1 / 32
-    assert refine._coarse_grid(grid, 25 * refine._MIN_MASK_CELLS - 1) is None
+    assert refine._coarse_h(grid, 25 * refine._MIN_MASK_CELLS) == 1 / 32
+    assert refine._coarse_h(grid, 25 * refine._MIN_MASK_CELLS - 1) is None
 
 
 def test_square_toy_warm_starts_on_its_own_box():
-    # AC10's 565-cell grid is 1.1 wide; a grid fitted to the window by
-    # grid_for_windows would be too small for the convolution supports
-    grids, counting = counted_kernels()
+    # AC10's grid covers the convolution supports, 1 from the origin like the
+    # window, with the 0.082 margin: 555 cells at h = 1/256 and 139 at 1/64
+    cells, counting = counted_kernels()
     with counting:  # records the coarse level, which build_kernel builds by its module name
         kernel, _ = toy_kernel(1 / 256)
-    (coarse,) = grids
-    assert kernel.grid.nx == 565 and coarse.h == 1 / 64 and coarse.nx == 143
+    assert cells == [1 / 64]
+    assert kernel.grid.nx == 555 and kernel.coarse.grid.nx == 139
     warm = solve_fixed_point(kernel)
     with cold_start():
         cold_kernel, _ = toy_kernel(1 / 256)
@@ -657,11 +656,11 @@ def test_prolongation_matches_bilinear_oracle(preset64):
 def test_input_boxes_match_whole_grid_oracle(request, spec, transitions, policy, h):
     nu = request.getfixturevalue(f"nu_{policy}")
     windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine.grid_for_windows(windows, h)
+    grid = refine._kernel_grid(windows, transitions, nu, spec.a_matrix(), h)
     masks = np.array([rasterize(w, grid) > 0 for w in windows])
     a_inv = np.linalg.inv(spec.a_matrix())
-    for got, want in zip(refine._input_boxes(grid, a_inv, masks),
-                         oracle_input_boxes(grid, a_inv, masks)):
+    for mask, want in zip(masks, oracle_input_boxes(grid, a_inv, masks)):
+        got, _ = refine._input_stencil(grid, a_inv, mask)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     # masks whose preimage box is clipped by the grid, or is never reached
     toy = refine.make_centered_grid(1.0, 1 / 16)
@@ -670,7 +669,7 @@ def test_input_boxes_match_whole_grid_oracle(request, spec, transitions, policy,
     masks[1, 10:14, 3:9] = True
     masks[2, -3:, -3:] = True
     for a_inv in (4.0 * np.eye(2), 0.25 * np.eye(2), np.array([[0.3, -1.7], [1.7, 0.3]])):
-        got = refine._input_boxes(toy, a_inv, masks)
+        got = [refine._input_stencil(toy, a_inv, mask)[0] for mask in masks]
         want = oracle_input_boxes(toy, a_inv, masks)
         assert [None if b is None else np.concatenate(b).tolist() for b in got] == \
             [None if b is None else np.concatenate(b).tolist() for b in want]
