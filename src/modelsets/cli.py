@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from itertools import islice
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import pfsolve, refine, scheme, verify
 from .cyclotomic import CycInt
@@ -369,7 +368,7 @@ def _pipeline(cfg):
         result = refine.solve_fixed_point(kernel, tol=cfg.tol, maxit=cfg.maxit)
         yield result
         stage = "solver comparison"
-        rng = default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
         ks = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
         ks = ks[np.hypot(ks[:, 0], ks[:, 1]) <= cfg.k_max][:cfg.k_count]
         deviation = refine.compare_solvers(result.density, trans, nu, pf.w,

@@ -289,22 +289,10 @@ class GridSpec:
     def y_centers(self):
         return self.origin[1] + (np.arange(self.ny) + 0.5) * self.h
 
-    def box(self):
-        return (self.origin[0], self.origin[1],
-                self.origin[0] + self.nx * self.h,
-                self.origin[1] + self.ny * self.h)
-
-    def covers(self, P):
-        if P.is_empty:
-            return True
-        x0, y0, x1, y1 = self.box()
-        v = P.vertices
-        return (v[:, 0].min() >= x0 and v[:, 0].max() <= x1
-                and v[:, 1].min() >= y0 and v[:, 1].max() <= y1)
-
 
 def rasterize(P, grid):
-    """Exact per-cell coverage fractions of a polygon on a grid.
+    """Exact per-cell coverage fractions of a polygon on its box of the grid's cells,
+    and the (row, col) of the box's first cell from the grid's, on or off the grid.
 
     Every edge is cut where it crosses a grid line.  Each piece adds its
     signed trapezoid area, measured to its cell's right side, to that cell
@@ -314,13 +302,9 @@ def rasterize(P, grid):
     """
     if not P.is_polygon:
         raise ValueError("measure-zero window: rasterization forbidden")
-    if not grid.covers(P):
-        raise ValueError("grid box must contain the rasterized window")
     a = (P.vertices - grid.origin) / grid.h
-    # the polygon's box of cells; a vertex on the grid's far side can round past it
     lo = np.floor(a.min(axis=0)).astype(np.int64)
-    hi = np.minimum(np.ceil(a.max(axis=0)).astype(np.int64), [grid.nx, grid.ny])
-    nx, ny = hi - lo
+    nx, ny = np.ceil(a.max(axis=0)).astype(np.int64) - lo
     a = a - lo  # grid units from the polygon's box: cell (ix, iy) is [ix, ix+1) x [iy, iy+1)
     b = np.roll(a, -1, axis=0)
     # cut points: the vertices, then every crossing of a grid line strictly
@@ -350,6 +334,4 @@ def rasterize(P, grid):
     cov = np.cumsum(acc, axis=1)[:, :-1]
     cov[np.abs(cov) <= SNAP_TOL] = 0.0
     cov[np.abs(cov - 1.0) <= SNAP_TOL] = 1.0
-    out = np.zeros((grid.ny, grid.nx))
-    out[lo[1]:hi[1], lo[0]:hi[0]] = cov
-    return out
+    return cov, (int(lo[1]), int(lo[0]))

@@ -1,13 +1,13 @@
 """Discretized invariant-density solve and its Fourier-side cross-check.
 
-Densities live on one shared square grid with an odd number of cells per
-axis and a cell centered at the origin.  With that layout the difference
-of two cell centers is again a cell-center offset, so the discrete
-convolution in the refinement step lands exactly on the grid and the
-point reflection u -> -u is an exact array flip.  `build_kernel` takes the
-cell size h; at every level of a solve the grid is the smallest such grid
-that covers, with a margin of _GRID_PAD, every window, every transition
-window with nu_ji != 0 and each support box bbox(T_ji) + bbox(A W_i).
+Densities live on one shared square grid whose cell centres lie on hZ^2,
+so the discrete convolution in the refinement step lands exactly on that
+lattice.  `build_kernel` takes h; at every level of a solve the grid only
+frames the windows (`_kernel_grid`).  Transition rasters and contracted
+inputs sit on the lattice where they fall, on or off the grid, by cell index
+from the grid's first cell, so the grid does not grow with the displacement
+gamma, whose transition windows lie near 1.618 gamma.  For a point-symmetric
+scheme the grid is centred on the origin and u -> -u is an exact array flip.
 
 `build_kernel` builds what the fixed-point solve reads and nothing else.
 It takes the mass vector w: only channels with w_j > 0 carry mass.  When
@@ -68,15 +68,14 @@ def make_centered_grid(half_extent, h):
     return GridSpec(origin=(o, o), h=h, nx=n, ny=n)
 
 
-def _kernel_grid(windows, windows_ji, nu, a_matrix, h):
-    """The smallest centered grid of cell h that covers, with a margin of
-    _GRID_PAD, every window, every transition window (j, i) with nu_ji != 0
-    and the bounding box of its convolution support, bbox(T_ji) + bbox(A W_i)."""
-    corners = [w.vertices for w in windows]
-    for j, i in zip(*np.nonzero(nu)):
-        t, image = windows_ji[j][i].vertices, windows[i].vertices @ a_matrix.T
-        corners += [t, t.min(axis=0) + image.min(axis=0), t.max(axis=0) + image.max(axis=0)]
-    return make_centered_grid(float(np.abs(np.vstack(corners)).max()) + _GRID_PAD, h)
+def _kernel_grid(windows, h):
+    """The smallest odd square grid of cell h that covers the windows with a margin
+    of _GRID_PAD, centred on the point of hZ^2 nearest the middle of their bounding
+    box, so that its cell centres lie on hZ^2."""
+    corners = np.vstack([w.vertices for w in windows])
+    centre = np.round(0.5 * (corners.min(axis=0) + corners.max(axis=0)) / h) * h
+    grid = make_centered_grid(float(np.abs(corners - centre).max()) + _GRID_PAD, h)
+    return GridSpec(origin=tuple((centre + grid.origin).tolist()), h=h, nx=grid.nx, ny=grid.ny)
 
 
 @dataclass
@@ -128,8 +127,8 @@ class RefinementKernel:
                             # cells, in row-major order
     blocks: list            # r x r: normalized raster of transition (j, i) for j carried,
                             # i live and nu_ji != 0, cropped to its box; else None
-    boxes: list             # per live channel i: (lo, hi) of the cells f_i(A^-1 y) reaches,
-                            # or None
+    boxes: list             # per live channel i: (lo, hi) of the cells, on or off the grid,
+                            # that f_i(A^-1 y) reaches, or None
     stencils: list          # per carried channel with a box: the Stencil that samples it
     outputs: list           # per carried channel j: (grid slices of the mask's bounding
                             # box, the same cells in the periodic result)
@@ -261,17 +260,17 @@ def _slices(lo, hi):
     return slice(int(lo[0]), int(hi[0])), slice(int(lo[1]), int(hi[1]))
 
 
-def _crop(raster):
+def _crop(raster, corner):
     lo, hi = _box(raster)
-    # a copy, so the block does not keep the whole raster alive
-    return _Block(arr=raster[_slices(lo, hi)].copy(), iy0=int(lo[0]), ix0=int(lo[1]))
+    return _Block(arr=raster[_slices(lo, hi)], iy0=corner[0] + int(lo[0]),
+                  ix0=corner[1] + int(lo[1]))
 
 
-def _contracted(grid, a_inv, box=(slice(None), slice(None))):
-    """Row and column, in cells, of A^-1 c at each cell center c of `box`, updated in
-    place: the roundings of (A^-1 c - origin) / h - 0.5 without full-size temporaries."""
-    x = grid.x_centers()[box[1]][None, :]
-    y = grid.y_centers()[box[0]][:, None]
+def _contracted(grid, a_inv, box):
+    """Row and column, in cells, of A^-1 c at each cell center c of `box`, on or off
+    the grid, updated in place: (A^-1 c - origin) / h - 0.5, no full-size temporaries."""
+    x = (grid.origin[0] + (np.arange(box[1].start, box[1].stop) + 0.5) * grid.h)[None, :]
+    y = (grid.origin[1] + (np.arange(box[0].start, box[0].stop) + 0.5) * grid.h)[:, None]
     rows = a_inv[1, 0] * x + a_inv[1, 1] * y
     rows -= grid.origin[1]
     rows /= grid.h
@@ -284,8 +283,9 @@ def _contracted(grid, a_inv, box=(slice(None), slice(None))):
 
 
 def _input_stencil(grid, a_inv, mask):
-    """The box (lo, hi) of cells where f_i(A^-1 y) can be non-zero and the Stencil
-    that samples channel i at A^-1 y for the cells y of that box, or (None, None).
+    """The box (lo, hi) of cells, on or off the grid, where f_i(A^-1 y) can be non-zero
+    and the Stencil that samples channel i at A^-1 y for the cells y of that box, or
+    (None, None).
 
     A bilinear sample of a channel that vanishes off its mask is zero unless
     one of the four stencil nodes around A^-1 y lies on the mask, which puts
@@ -302,9 +302,8 @@ def _input_stencil(grid, a_inv, mask):
     corners = a_matrix @ (origin[:, None] + grid.h * np.array(
         [[lo[1] - 1, lo[1] - 1, hi[1] + 1, hi[1] + 1],
          [lo[0] - 1, hi[0] + 1, lo[0] - 1, hi[0] + 1]]))
-    first = np.maximum(np.floor((corners.min(axis=1) - origin) / grid.h) - 1, 0)
-    last = np.minimum(np.ceil((corners.max(axis=1) - origin) / grid.h) + 1,
-                      [grid.nx, grid.ny])
+    first = np.floor((corners.min(axis=1) - origin) / grid.h) - 1
+    last = np.ceil((corners.max(axis=1) - origin) / grid.h) + 1
     near_lo = first[::-1].astype(int)  # (row, col) of the first tested cell
     rows, cols = _contracted(grid, a_inv, _slices(near_lo, last[::-1]))
     frame = tuple(hi - lo + 2)  # the frame's origin is one cell before lo
@@ -332,7 +331,7 @@ def _spectral_plan(grid, masks, blocks, boxes, carried):
     convolution exact on the hull.
     """
     r = len(masks)
-    centre = np.array([(grid.ny - 1) // 2, (grid.nx - 1) // 2])
+    centre = np.rint(-np.array(grid.origin[::-1]) / grid.h - 0.5).astype(int)  # the origin's cell
     hulls = {}
     for j in carried:
         box_lo, box_hi = _box(masks[j])
@@ -412,7 +411,7 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, h):
         if not windows_ji[j][i].is_polygon:
             raise ValueError(f"ghost transition ({j + 1},{i + 1}): positive "
                              "weight on a measure-zero window")
-    grid = _kernel_grid(windows, windows_ji, nu, a_matrix, h)
+    grid = _kernel_grid(windows, h)
     if np.max(np.abs(nu @ w - w)) > 1e-8:
         raise ValueError("the weight matrix does not fix w (its spectral "
                          "radius must be one)")
@@ -426,18 +425,19 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, h):
     indicators = [None] * r
     cells = []
     for j in carried:
-        cov = rasterize(windows[j], grid)
-        masks[j] = cov > 0
-        cells.append(int(masks[j].sum()))
+        cov, (row, col) = rasterize(windows[j], grid)
+        inside = cov > 0
+        masks[j][row:row + len(cov), col:col + cov.shape[1]] = inside
+        cells.append(int(inside.sum()))
         if cells[-1] < _MIN_MASK_CELLS:
             raise ValueError(f"unresolved grid: window {j + 1} meets {cells[-1]} cells, "
                              f"fewer than {_MIN_MASK_CELLS}")
-        indicators[j] = cov[masks[j]] / (cov.sum() * h2)
+        indicators[j] = cov[inside] / (cov.sum() * h2)
     blocks = [[None] * r for _ in range(r)]
     for j in carried:
         for i in np.flatnonzero(live & (nu[j] != 0)):
-            cov = rasterize(windows_ji[j][i], grid)
-            blocks[j][i] = _crop(cov / (cov.sum() * h2))
+            cov, corner = rasterize(windows_ji[j][i], grid)
+            blocks[j][i] = _crop(cov / (cov.sum() * h2), corner)
     a_inv = np.linalg.inv(a_matrix)
     boxes = [None] * r
     stencils = [None] * r
@@ -664,7 +664,7 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
         masses = _project(x, kernel)
     residuals = []
     mass_history = [masses]
-    outputs, diffs, gram = [], [], np.zeros((0, 0))
+    outputs, diffs = [], []
     for _ in range(maxit):
         g = _packed_step(x, masses, kernel)
         diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
@@ -677,21 +677,17 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
                                     residuals=np.array(residuals),
                                     mass_history=mass_history)
         if len(residuals) > 1 and resid > residuals[-2]:
-            outputs, diffs, gram = [], [], np.zeros((0, 0))
+            outputs, diffs = [], []
         outputs.append(g)
         diffs.append(diff)
-        grown = np.empty((len(diffs), len(diffs)))
-        grown[:-1, :-1] = gram
-        grown[-1] = grown[:, -1] = [d @ diff + d[:paired] @ diff[:paired] for d in diffs]
-        gram = grown
-        alpha = _mixing_weights(gram)
+        alpha = _mixing_weights(np.array([[d @ e + d[:paired] @ e[:paired] for e in diffs]
+                                          for d in diffs]))
         x = alpha[0] * outputs[0]
         for a, g_k in zip(alpha[1:], outputs[1:]):
             x += a * g_k
         masses = _project(x, kernel)
         if len(outputs) > _MIX_DEPTH:  # the oldest pair takes no part in the next fit
             del outputs[0], diffs[0]
-            gram = gram[1:, 1:]
     raise RuntimeError(f"fixed point iteration did not reach tol={tol} within "
                        f"{maxit} iterations (last residual {residuals[-1]:.3e})")
 
@@ -816,7 +812,7 @@ def write_density(density, grid_files=None, csv_file=None):
     row blocks of about `text.WRITE_CHUNK_VALUES` samples, formats each sample
     once and joins the same strings into every output that shows it.  When
     channel r-1-j is channel j flipped, bit for bit, channel j is formatted
-    once, whole, and channel r-1-j reads that text backwards.
+    once, a row block at a time, and channel r-1-j reads that text backwards.
     """
     g = density.grid
     grid_files = grid_files or {}
@@ -834,11 +830,12 @@ def write_density(density, grid_files=None, csv_file=None):
     if not channels:
         return
     values, n, mirrored = density.values, g.nx * g.ny, {}
+    step = max(1, text.WRITE_CHUNK_VALUES // (g.nx * len(channels)))
     for j in channels:
         m = density.r - 1 - j
         if j < m and m in channels and values[m].tobytes() == values[j][::-1, ::-1].tobytes():
-            mirrored[j] = mirrored[m] = text.format_samples(values[j])
-    step = max(1, text.WRITE_CHUNK_VALUES // (g.nx * len(channels)))
+            mirrored[j] = mirrored[m] = list(chain.from_iterable(
+                text.format_samples(values[j, iy:iy + step]) for iy in range(0, g.ny, step)))
     for iy in range(0, g.ny, step):
         lo, hi = iy * g.nx, min(iy + step, g.ny) * g.nx
         samples = {}

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .polygeom import area, contains_many
 from .refine import bilinear
@@ -95,7 +94,7 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0):
     pool = np.concatenate([p.internal for p in near])
     if not len(pool):
         raise InsufficientRadiusError("no sample points inside radius/q")
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     if len(pool) > samples:
         pick = rng.choice(len(pool), size=samples, replace=False)
         pool_comp, pool = pool_comp[pick], pool[pick]

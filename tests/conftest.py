@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modelsets import pfsolve, refine, scheme
+from modelsets.polygeom import rasterize
 
 EXAMPLE2_NU = 0.25 * np.array([
     [2, 0, 0, 2],
@@ -43,6 +44,15 @@ def pf_area(nu_area):
 @pytest.fixture(scope="session")
 def pf_explicit(nu_explicit):
     return pfsolve.pf_eigen(nu_explicit)
+
+
+def coverage(P, grid):
+    """rasterize's coverage of P placed on the whole grid, which must hold P's box."""
+    cov, (row, col) = rasterize(P, grid)
+    assert 0 <= row <= grid.ny - len(cov) and 0 <= col <= grid.nx - cov.shape[1]
+    out = np.zeros((grid.ny, grid.nx))
+    out[row:row + len(cov), col:col + cov.shape[1]] = cov
+    return out
 
 
 def general_path():

@@ -34,28 +34,28 @@ SOLVE_EX1_SHA256 = {
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "8aafd865187c0659fff025b5f01ef8fae36e9f02c27c960fd0174f6c2e6baa38",
-    "density_ch2.txt": "22968372ed8e05faeb8269d27ac439df6349cd894916e49844e55f6dda883205",
-    "density_ch3.txt": "c2dc5d0e57a6561fa63f1cafb9fb0c9d680e8d1cc8fb22986f4d4c9cdd3104c0",
-    "density_ch4.txt": "716316a7a38759be4b178a130bea844382fa85f1291a81e7faefec66c53ae592",
-    "density.csv": "f0f531a8ae6a0020072594fa1904d1fcba02144b1aed4ba8450c22faabe09129",
+    "density_ch1.txt": "a4a954eb872a5ec2a651ab0f1e463bf858a8192f895ee349417ce41f2f80b437",
+    "density_ch2.txt": "6083b5611dfc0b36ea3d09ca00173bbe1a8ff23ca8905b69f9a271aef59ff3b2",
+    "density_ch3.txt": "c8ff6df2fcdb65f1686bd1776840d7ed7af77c5f6925d6175761b7c2add09758",
+    "density_ch4.txt": "538da5a60efb1595be0a214d6c91053f445d372613301ed00a98b81998aaf13c",
+    "density.csv": "57e98bf0e89f07447965d1758a15f819abb889fb5c4686679aba7c2ffc658567",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "a122750482ea6ae43d7f4e4c43833613e7817711a1a17724fcb0a4963d244891",
+    "summary.txt": "bf2c7d314673d3a9336721573de3c4e4923397597c677ac9b1a27de419f20ddc",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
 # with gamma = 0.031, -0.047, recorded like SOLVE_EX1_SHA256; the shifted
 # windows are not point-symmetric, so this run takes the general solve
 SOLVE_EX2_GAMMA_SHA256 = {
-    "density_ch1.txt": "a7f53cc07a7da2b20823bab39a66d80e61dc513eb21cfdeb71b1a090054fbbf1",
-    "density_ch2.txt": "1d5b48132353f8087a1605ba1c5f4676036328f14ee0a169db30d471c5b0e965",
-    "density_ch3.txt": "874f2e0c3ac3350c31e0e646a3984809bc9091c9792bf7e36ea81047fdc73ab2",
-    "density_ch4.txt": "374a70d05c05877f151fed6ac8ffe64fdf20a32a025af0c5abee8d79cd5aaedb",
-    "density.csv": "e5b75ac38c276f203ec1be0c6d13cc2122cc41433ebcdb5a0bd47bae29e80493",
+    "density_ch1.txt": "cfe8ded8721391a9ee76d83ff8244fab435ce48f4f2d85cac40984935d944b90",
+    "density_ch2.txt": "62a50931f8a4430d5071edcd17f3d41e421411fe85a928ac106a24002b85ef09",
+    "density_ch3.txt": "6cce9e34eed76e25215a0283fc25b78e6ed088527ff0ce41c34191af90656686",
+    "density_ch4.txt": "bd2e4e666bddc869e7c37742261ae24c96fd5186b76ea2dad910c5f4836372fa",
+    "density.csv": "edc7a2a0098032a877335efc3af7be8db612226d0014f9999d08cecf375fd54a",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "b35d74d7e0c3c285e9926a2779e7863cedaa8942b28f7d035b835168ca14f345",
+    "summary.txt": "986e8f8979bed76698aad43000d23a0dc07f004f75f9a463b5db71a1e3017fab",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.0078125` writes,
@@ -63,16 +63,16 @@ SOLVE_EX2_GAMMA_SHA256 = {
 # with two mirrored channel pairs, so block boundaries and the reversed
 # reading of a mirrored channel's text both show in the bytes; the warm
 # start's coarse level is 109 x 109 at h = 1/32, the smallest grid that
-# covers the windows, transitions and supports there
+# frames the windows there
 SOLVE_EX2_H128_SHA256 = {
-    "density_ch1.txt": "2bcf7c9ff5418b0c0a31fd877a2f0f8eae9821dc37b5c1fd347ba3a4f61f2d62",
-    "density_ch2.txt": "250de872ec0cedb6cd47e961ee5b7639d17d8ac4d6d26f8e5f2eba41d21fea3e",
-    "density_ch3.txt": "18ce28252d75cec3effcb1d06e0c7784e752f23b3128acd973a2e74c172ed34a",
-    "density_ch4.txt": "0a0d90a17abf0e5fe9090b856d4cf1a5412f8ff1315dafca03b5f70fb39e185a",
-    "density.csv": "48b00af4fe9e630c84f1b48dcd2935ff423043328ba085e51230cdd279ad5aec",
+    "density_ch1.txt": "8b9f7c9dd46b6602c5856c873f2c14a2200d7fbdabb5132e3f54d302cdbd6fb8",
+    "density_ch2.txt": "6874829a83bbbc968e126f82a75209c1291cab3f8f1832282a1adc0606573454",
+    "density_ch3.txt": "d60616e27219ae03500772a8e8f77bb15fc6548466f21068efcea74615e3cdd3",
+    "density_ch4.txt": "c8f4d7eb3eaa1d906880112b5584d205a8a282b565edd4cc68f0b1700caa0859",
+    "density.csv": "fffa96c35c82e25d5ae7cce39667fdc719d1f27effcbcb8c633396dfafacf503",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "bfa877992f9ddebc541301d74316aac4fba925d5b33140c05a8fbbbbb8ae5653",
+    "summary.txt": "f80edc1f4f64c36dcc8f69011750254a4c15f75b3075d7af968d4e27e7bf1c33",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
@@ -314,10 +314,12 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, command, text, flags, line
 
 
 def test_cli_imports_no_scipy():
-    # scipy is a test dependency: the program's FFTs and resampling are numpy's
+    # scipy is a test dependency: the program's FFTs and resampling are numpy's;
+    # numpy.random loads only where a seeded draw is made, not for every command
     root = Path(__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, 'src'); import modelsets.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
     done = subprocess.run([sys.executable, "-c", code], cwd=root,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -528,10 +530,11 @@ def test_huge_numbers_fail_labelled_without_warnings(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize("preset", ["penrose-example1", "penrose-example2"])
-@pytest.mark.parametrize("gamma", ["2, 0", "3, -4"])
+@pytest.mark.parametrize("gamma", ["2, 0", "3, -4", "50, 0", "1000, 0", "-1000, 700"])
 def test_solve_with_a_far_gamma(tmp_path, preset, gamma):
     # the transition windows sit near T_ji + (1 - a) gamma, about 1.618 |gamma|
-    # from the origin, outside a grid fitted to the windows alone
+    # from the origin, off the grid; they are rasterized where they fall on its
+    # lattice, so the grid frames the windows alone, 109 cells a side at h = 1/32
     config = tmp_path / "gamma.cfg"
     config.write_text(f"gamma = {gamma}\n")
     out = tmp_path / "out"
@@ -540,6 +543,7 @@ def test_solve_with_a_far_gamma(tmp_path, preset, gamma):
     summary = dict(line.split(" = ") for line in
                    (out / "summary.txt").read_text().splitlines())
     assert float(summary["fourier_max_rel_dev"]) <= 5e-3
+    assert (out / "density_ch1.txt").read_text().splitlines()[2] == "# nx 109 ny 109"
 
 
 def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):

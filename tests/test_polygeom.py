@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from modelsets.polygeom import (GridSpec, Region, area, centroid, contains,
                                 contains_many, erode, linear_image, rasterize,
                                 support, translate)
+from tests.conftest import coverage
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -188,13 +189,13 @@ def test_contains():
 def test_rasterize_full_cover():
     grid = GridSpec(origin=(0.0, 0.0), h=0.25, nx=4, ny=4)
     square = Region.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    cov = rasterize(square, grid)
+    cov = coverage(square, grid)
     assert np.all(cov == 1.0)
 
 
 def test_rasterize_pentagon_area():
     grid = GridSpec(origin=(-1.1, -1.1), h=0.01, nx=220, ny=220)
-    cov = rasterize(pentagon(), grid)
+    cov = coverage(pentagon(), grid)
     assert abs(cov.sum() * grid.h**2 - area(pentagon())) < 0.005
     # a cell far outside the polygon stays zero
     assert cov[0, 0] == 0.0
@@ -204,8 +205,16 @@ def test_rasterize_rejects_degenerate():
     grid = GridSpec(origin=(-1.0, -1.0), h=0.1, nx=20, ny=20)
     with pytest.raises(ValueError, match="measure-zero"):
         rasterize(Region.single((0.0, 0.0)), grid)
-    with pytest.raises(ValueError, match="contain"):
-        rasterize(pentagon(5.0), grid)
+
+
+def test_rasterize_places_a_polygon_off_the_grid():
+    # the box of cells is counted from the grid's first cell, wherever it falls
+    grid = GridSpec(origin=(-1.0, -1.0), h=0.1, nx=20, ny=20)
+    P = pentagon(5.0)
+    cov, (row, col) = rasterize(P, grid)
+    assert row < 0 and col < 0
+    assert row + len(cov) > grid.ny and col + cov.shape[1] > grid.nx
+    assert abs(cov.sum() * grid.h**2 - area(P)) <= 1e-12 * area(P)
 
 
 def test_polygon_validation():

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
 from modelsets import pfsolve, refine, scheme
-from modelsets.polygeom import Region, linear_image, rasterize
+from modelsets.polygeom import Region, linear_image
 from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
                               compare_solvers, fourier_product,
                               initial_density, make_centered_grid, polygon_ft,
                               solve_fixed_point)
-from tests.conftest import EXAMPLE2_NU, TAU, general_path, preset_kernel
+from tests.conftest import EXAMPLE2_NU, TAU, coverage, general_path, preset_kernel
 
 
 def square_region(a=1.0):
@@ -32,43 +32,43 @@ def test_make_centered_grid():
     assert g.nx == 437
     # a cell center sits exactly at the origin
     assert abs(g.x_centers()[(g.nx - 1) // 2]) < 1e-15
-    assert g.box()[0] <= -1.7 and g.box()[2] >= 1.7
+    assert g.origin[0] <= -1.7 and g.origin[0] + g.nx * g.h >= 1.7
 
 
 @pytest.mark.parametrize("h, cells", [(1 / 8, 29), (1 / 16, 55), (1 / 32, 109), (1 / 60, 205),
                                       (1 / 64, 219), (1 / 128, 437), (1 / 256, 871)])
-def test_kernel_grid_at_gamma_zero_is_the_windows_centered_grid(spec, transitions, nu_area,
-                                                                nu_explicit, h, cells):
-    # at gamma = 0 the transition windows and supports lie within the windows'
-    # extent, so both presets keep the grid fitted to the windows alone
+def test_kernel_grid_at_gamma_zero_is_the_windows_centered_grid(spec, h, cells):
+    # at gamma = 0 the windows' bounding box is symmetric about the origin, so
+    # the grid is the centred grid fitted to the windows, bit for bit
     windows = [spec.shifted_window(i) for i in range(1, 5)]
     extent = max(np.abs(w.vertices).max() for w in windows)
     want = make_centered_grid(extent + refine._GRID_PAD, h)
     assert want.nx == cells
-    for nu in (nu_area, nu_explicit):
-        assert refine._kernel_grid(windows, transitions, nu, spec.a_matrix(), h) == want
+    assert refine._kernel_grid(windows, h) == want
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(gx=st.floats(-5, 5), gy=st.floats(-5, 5))
-def test_kernel_grid_covers_windows_transitions_and_supports(gx, gy):
+@given(gx=st.floats(-1000, 1000), gy=st.floats(-1000, 1000))
+def test_kernel_grid_frames_the_windows_at_any_gamma(spec, gx, gy):
+    # the transition windows lie near 1.618 gamma, off the grid; the grid only
+    # frames the windows, centred on the lattice point nearest their middle
+    h = 1 / 16
+    zero = refine._kernel_grid([spec.shifted_window(i) for i in range(1, 5)], h)
     shifted = scheme.penrose_scheme(gamma=complex(gx, gy))
     windows = [shifted.shifted_window(i) for i in range(1, 5)]
     trans = scheme.transition_windows(shifted)
     for nu in (scheme.build_nu(shifted, trans),
                scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU)):
         kernel = build_kernel(windows, trans, nu, shifted.a_matrix(), shifted.detq_abs,
-                              pfsolve.pf_eigen(nu).w, 1 / 16)
+                              pfsolve.pf_eigen(nu).w, h)
         grid = kernel.grid
-        assert all(grid.covers(w) for w in windows)
-        x0, y0, x1, y1 = grid.box()
-        for j, i in zip(*np.nonzero(nu)):
-            t = trans[j][i].vertices
-            image = linear_image(windows[i], shifted.a_matrix()).vertices
-            lo = t.min(axis=0) + image.min(axis=0)
-            hi = t.max(axis=0) + image.max(axis=0)
-            assert grid.covers(trans[j][i])
-            assert x0 <= lo[0] and y0 <= lo[1] and hi[0] <= x1 and hi[1] <= y1
+        assert grid == refine._kernel_grid(windows, h)
+        assert grid.nx == grid.ny and 0 <= grid.nx - zero.nx <= 2
+        corners = np.vstack([w.vertices for w in windows])
+        first = np.array(grid.origin)
+        margin = refine._GRID_PAD - 1e-9  # cell edges round at |gamma| ~ 1000
+        assert np.all(first + margin <= corners.min(axis=0))
+        assert np.all(corners.max(axis=0) <= first + grid.nx * h - margin)
 
 
 def test_kernel_normalization_and_masks(spec, transitions, nu_area, pf_area, nu_explicit,
@@ -140,7 +140,7 @@ def test_convolution_against_direct_sum():
     trans = Region.polygon([(-0.25, -0.1), (0.2, -0.25), (0.05, 0.25)])
     K = build_kernel([window], [[trans]], np.array([[1.0]]), np.eye(2), 1.0, [1.0], 0.1)
     grid = K.grid
-    assert grid.nx == grid.ny == 17  # the support reaches 0.73 from the origin
+    assert grid.nx == grid.ny == 13  # the window reaches 0.48 from the origin
     rng = np.random.default_rng(31)
     g = np.where(K.masks[0], rng.uniform(size=(grid.ny, grid.nx)), 0.0)
     got = apply_refinement(DensityGrid.from_values(grid, g[None]), K,
@@ -327,7 +327,7 @@ def test_support_stays_on_window_masks(spec, solve2_128):
     dens = solve2_128.density
     windows = [spec.shifted_window(i) for i in range(1, 5)]
     for j in range(4):
-        cov = rasterize(windows[j], dens.grid)
+        cov = coverage(windows[j], dens.grid)
         outside = cov == 0
         assert np.abs(dens.values[j][outside]).max() <= 1e-12
 

@@ -3,9 +3,9 @@
 The oracles are the former implementations: the refinement step as one
 `fftconvolve` per transition on the full grid, the plain fixed-point
 iteration, the kernel spectra all placed and transformed up front, the
-input-box test at every cell of the grid, the rasterizer that probes
-every cell of the bounding box, the per-value density writers, the scalar
-polygon transform, the per-entry Fourier matrix product and the
+input-box test at every cell of the grid and around it, the rasterizer
+that probes every cell of the bounding box, the per-value density writers,
+the scalar polygon transform, the per-entry Fourier matrix product and the
 per-wavevector grid transform.  The cold-started solve checks the warm
 start, and the bilinear stencil its prolongation.  The bilinear
 stencil and the inverse FFT are checked against the scipy routines they
@@ -29,15 +29,28 @@ from modelsets.polygeom import (GridSpec, Region, _edge_normals, area, centroid,
 from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
                               fourier_product, initial_density, polygon_ft,
                               solve_fixed_point)
-from tests.conftest import general_path, preset_kernel
+from tests.conftest import EXAMPLE2_NU, coverage, general_path, preset_kernel
 from tests.test_refine import toy_kernel
 
 STEP_TOL = 1e-12
 
 
-def resample_contracted(values, grid, a_inv):
-    """Samples of f(A^-1 y) at the cell centers, zero outside the grid."""
-    X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
+def contracted_canvas(grid, a_inv):
+    """First and one-past-last (row, col) of a box of cells of the grid's lattice,
+    on or off the grid, holding every cell y with A^-1 y on the grid."""
+    x0, y0 = grid.origin
+    x1, y1 = x0 + grid.nx * grid.h, y0 + grid.ny * grid.h
+    image = np.linalg.inv(a_inv) @ np.array([[x0, x0, x1, x1], [y0, y1, y0, y1]])
+    lo = np.floor((image.min(axis=1) - grid.origin) / grid.h).astype(int) - 1
+    hi = np.ceil((image.max(axis=1) - grid.origin) / grid.h).astype(int) + 1
+    return lo[::-1], hi[::-1]
+
+
+def resample_contracted(values, grid, a_inv, lo, hi):
+    """Samples of f(A^-1 y) at the centers y of the lattice cells lo to hi, zero
+    where A^-1 y falls off the grid."""
+    X, Y = np.meshgrid(grid.origin[0] + (np.arange(lo[1], hi[1]) + 0.5) * grid.h,
+                       grid.origin[1] + (np.arange(lo[0], hi[0]) + 0.5) * grid.h)
     px = a_inv[0, 0] * X + a_inv[0, 1] * Y
     py = a_inv[1, 0] * X + a_inv[1, 1] * Y
     rows = (py - grid.origin[1]) / grid.h - 0.5
@@ -46,11 +59,13 @@ def resample_contracted(values, grid, a_inv):
                            cval=0.0, prefilter=False)
 
 
-def convolve_block(block, g, grid):
-    """h^2-weighted discrete convolution of a cropped kernel with a full grid."""
+def convolve_block(block, g, g_lo, grid):
+    """h^2-weighted discrete convolution of a cropped kernel with samples on the
+    lattice cells from g_lo, on the grid."""
     full = fftconvolve(g, block.arr, mode="full")
-    sy = (grid.ny - 1) // 2 - block.iy0
-    sx = (grid.nx - 1) // 2 - block.ix0
+    # entry k of `full` falls on lattice cell g_lo + (iy0, ix0) - (the origin's cell) + k
+    origin_cell = np.rint(-np.array(grid.origin[::-1]) / grid.h - 0.5).astype(int)
+    sy, sx = origin_cell - g_lo - (block.iy0, block.ix0)
     out = np.zeros((grid.ny, grid.nx))
     y_lo, y_hi = max(0, -sy), min(grid.ny, full.shape[0] - sy)
     x_lo, x_hi = max(0, -sx), min(grid.nx, full.shape[1] - sx)
@@ -60,10 +75,12 @@ def convolve_block(block, g, grid):
 
 
 def oracle_step(f, kernel, conserve_mass=True):
-    """The refinement step with one full-grid fftconvolve per transition."""
+    """The refinement step with one fftconvolve per transition of the contracted
+    inputs, resampled on a box that holds A applied to the grid."""
     nu = kernel.nu
     grid = kernel.grid
-    resampled = [resample_contracted(f.values[i], grid, kernel.a_inv)
+    lo, hi = contracted_canvas(grid, kernel.a_inv)
+    resampled = [resample_contracted(f.values[i], grid, kernel.a_inv, lo, hi)
                  for i in range(f.r)]
     target = nu @ f.masses
     values = np.zeros_like(f.values)
@@ -73,7 +90,7 @@ def oracle_step(f, kernel, conserve_mass=True):
             # a block the kernel leaves out meets an input or an output
             # channel whose mask holds no cell, so its term is zero
             if nu[j, i] != 0 and kernel.blocks[j][i] is not None:
-                acc += nu[j, i] * convolve_block(kernel.blocks[j][i], resampled[i], grid)
+                acc += nu[j, i] * convolve_block(kernel.blocks[j][i], resampled[i], lo, grid)
         acc *= kernel.detq_abs
         np.maximum(acc, 0.0, out=acc)
         acc[~kernel.masks[j]] = 0.0
@@ -98,10 +115,12 @@ def oracle_solve(kernel, tol=1e-8, maxit=200):
     raise RuntimeError("oracle iteration did not reach tol")
 
 
-def oracle_input_boxes(grid, a_inv, masks):
+def oracle_input_boxes(grid, a_inv, masks, margin=0):
     """Per channel, the box of cells y whose stencil at A^-1 y has a node on the
-    mask, tested at every cell of the grid."""
-    rows, cols = refine._contracted(grid, a_inv)
+    mask, tested at every cell of the grid and of `margin` cells around it, and
+    counted from the grid's first cell."""
+    rows, cols = refine._contracted(grid, a_inv, (slice(-margin, grid.ny + margin),
+                                                  slice(-margin, grid.nx + margin)))
     # lower-left stencil node, counted in a frame padded by one zero cell
     a = np.floor(rows).astype(np.intp) + 1
     b = np.floor(cols).astype(np.intp) + 1
@@ -113,7 +132,8 @@ def oracle_input_boxes(grid, a_inv, masks):
         pad = np.pad(mask, 1)
         near = pad[:-1, :-1] | pad[1:, :-1] | pad[:-1, 1:] | pad[1:, 1:]
         touched = near[a, b] & on_grid
-        boxes.append(refine._box(touched) if touched.any() else None)
+        boxes.append(tuple(b - margin for b in refine._box(touched)) if touched.any()
+                     else None)
     return boxes
 
 
@@ -314,6 +334,33 @@ def test_step_matches_oracle_with_a_zero_channel(preset64):
     values = np.where(kernel.masks, rng.uniform(size=kernel.masks.shape), 0.0)
     values[2] = 0.0
     assert_steps_agree(DensityGrid.from_values(kernel.grid, values), kernel, True)
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("gamma", [complex(3, -4), complex(1000, 0)])
+def test_step_matches_oracle_at_a_far_gamma(policy, gamma):
+    # the grid frames the windows; the blocks and contracted inputs sit on its
+    # lattice off the grid, near 1.618 gamma and A (W_i + gamma)
+    shifted = scheme.penrose_scheme(gamma=gamma)
+    trans = scheme.transition_windows(shifted)
+    nu = (scheme.build_nu(shifted, trans) if policy == "area" else
+          scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU))
+    kernel = preset_kernel(shifted, trans, nu, pfsolve.pf_eigen(nu).w, 1 / 32)
+    grid = kernel.grid
+    for j, row in enumerate(kernel.blocks):
+        for i, block in enumerate(row):
+            if block is None:
+                continue
+            assert not (0 <= block.iy0 < grid.ny and 0 <= block.ix0 < grid.nx)
+            # placed where it falls: its weighted cell centre is the window's centroid
+            rows, cols = np.indices(block.arr.shape)
+            weights = block.arr / block.arr.sum()
+            cell = [(weights * (cols + block.ix0)).sum(), (weights * (rows + block.iy0)).sum()]
+            at = np.array(grid.origin) + (np.array(cell) + 0.5) * grid.h
+            assert np.abs(at - centroid(trans[j][i])).max() < grid.h / 4
+    f = initial_density(kernel)
+    for _ in range(3):
+        f = assert_steps_agree(f, kernel, True)
 
 
 def test_mixed_solve_beats_plain_iteration(preset64):
@@ -610,7 +657,7 @@ def test_coarse_level_only_on_wide_grids(spec, transitions, nu_explicit, pf_expl
     if kernel.coarse is not None:  # the same rule at h = 1/32
         coarse = kernel.coarse.grid
         assert coarse.h == 1 / 32 and coarse.nx == coarse.ny
-        assert all(coarse.covers(window) for window in windows)
+        assert coarse == refine._kernel_grid(windows, 1 / 32)
 
 
 def test_coarse_level_keeps_every_carried_window_resolved():
@@ -656,13 +703,13 @@ def test_prolongation_matches_bilinear_oracle(preset64):
 def test_input_boxes_match_whole_grid_oracle(request, spec, transitions, policy, h):
     nu = request.getfixturevalue(f"nu_{policy}")
     windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine._kernel_grid(windows, transitions, nu, spec.a_matrix(), h)
-    masks = np.array([rasterize(w, grid) > 0 for w in windows])
+    grid = refine._kernel_grid(windows, h)
+    masks = np.array([coverage(w, grid) > 0 for w in windows])
     a_inv = np.linalg.inv(spec.a_matrix())
     for mask, want in zip(masks, oracle_input_boxes(grid, a_inv, masks)):
         got, _ = refine._input_stencil(grid, a_inv, mask)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    # masks whose preimage box is clipped by the grid, or is never reached
+    # masks whose preimage box reaches off the grid, tested over 99 cells around it
     toy = refine.make_centered_grid(1.0, 1 / 16)
     masks = np.zeros((3, toy.ny, toy.nx), dtype=bool)
     masks[0, 2:-2, 2:-2] = True
@@ -670,10 +717,11 @@ def test_input_boxes_match_whole_grid_oracle(request, spec, transitions, policy,
     masks[2, -3:, -3:] = True
     for a_inv in (4.0 * np.eye(2), 0.25 * np.eye(2), np.array([[0.3, -1.7], [1.7, 0.3]])):
         got = [refine._input_stencil(toy, a_inv, mask)[0] for mask in masks]
-        want = oracle_input_boxes(toy, a_inv, masks)
-        assert [None if b is None else np.concatenate(b).tolist() for b in got] == \
-            [None if b is None else np.concatenate(b).tolist() for b in want]
-        assert any(b is None for b in want) == (a_inv[0, 0] == 0.25)
+        want = oracle_input_boxes(toy, a_inv, masks, margin=3 * toy.nx)
+        got, want = ([np.concatenate(b).tolist() for b in boxes] for boxes in (got, want))
+        assert got == want
+        assert all(-3 * toy.nx < min(b) and max(b) < 4 * toy.nx for b in want)
+        assert any(min(b) < 0 or max(b) > toy.nx for b in want) == (a_inv[0, 0] == 0.25)
 
 
 @pytest.mark.parametrize("conserve_mass", [True, False])
@@ -775,7 +823,7 @@ def grids(draw):
 def assert_exact_coverage(P, grid):
     """Coverage in [0, 1], within 1/64 of a 64^2-probe oracle in every cell,
     summing to the polygon's area, and positive wherever a probe is inside."""
-    cov = rasterize(P, grid)
+    cov = coverage(P, grid)
     probed = oracle_rasterize(P, grid, 64)
     assert cov.min() >= 0.0 and cov.max() <= 1.0
     assert np.abs(cov - probed).max() <= 1 / 64
@@ -897,6 +945,25 @@ def test_density_writer_formats_a_mirrored_channel_once(exact, chunk):
     oracle_write_density_csv(density, want)
     assert csv.getvalue() == want.getvalue()
     assert ("-0" in grids[2].getvalue().split()) != exact
+
+
+def test_density_writer_formats_a_chunk_at_a_time(solve2_128):
+    # 437^2 samples a channel, more than a chunk: a mirrored pair's shared text
+    # is formatted a row block at a time too, never the whole channel at once
+    density = solve2_128.density
+    assert density.grid.nx * density.grid.ny > text.WRITE_CHUNK_VALUES
+    formatted = []
+    format_samples = text.format_samples
+
+    def counted(array):
+        formatted.append(np.size(array))
+        return format_samples(array)
+
+    with mock.patch.object(text, "format_samples", counted):
+        refine.write_density(density, {j: io.StringIO() for j in range(4)}, io.StringIO())
+    assert max(formatted) <= text.WRITE_CHUNK_VALUES
+    # the coordinates, then channels 1 and 2 (1-based) whose flips are 4 and 3
+    assert sum(formatted) == 2 * 437 + 2 * 437**2
 
 
 def coordinates(n):
