@@ -4,7 +4,7 @@ from .cyclotomic import ONE, TAU, XI, ZERO, CoefficientOverflow, CycInt
 from .pfsolve import PfResult, check_pf1, pf_eigen
 from .polygeom import (GridSpec, Region, area, contains, contains_many,
                        erode, linear_image, rasterize, support, translate)
-from .refine import (DensityGrid, FixedPointResult, RefinementKernel,
+from .refine import (DensityGrid, FixedPointResult, Problem, RefinementKernel,
                      apply_refinement, build_kernel, compare_solvers,
                      fourier_product, grid_ft, initial_density,
                      make_centered_grid, polygon_ft, solve_fixed_point)

@@ -361,9 +361,9 @@ def _pipeline(cfg):
             raise ValueError("the Perron root is not simple, so the "
                              "invariant density is not unique")
         stage = "kernel"
-        windows = [cfg.spec.shifted_window(i) for i in range(1, cfg.spec.r + 1)]
-        kernel = refine.build_kernel(windows, trans, nu, cfg.spec.a_matrix(),
-                                     cfg.spec.detq_abs, pf.w, cfg.h)
+        problem = refine.Problem([cfg.spec.shifted_window(i) for i in range(1, cfg.spec.r + 1)],
+                                 trans, nu, pf.w, cfg.spec.a_matrix(), cfg.spec.detq_abs)
+        kernel = refine.build_kernel(problem, cfg.h)
         stage = "fixed point"
         result = refine.solve_fixed_point(kernel, tol=cfg.tol, maxit=cfg.maxit)
         yield result
@@ -371,8 +371,7 @@ def _pipeline(cfg):
         rng = np.random.default_rng(cfg.seed)
         ks = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
         ks = ks[np.hypot(ks[:, 0], ks[:, 1]) <= cfg.k_max][:cfg.k_count]
-        deviation = refine.compare_solvers(result.density, trans, nu, pf.w,
-                                           cfg.spec.a_matrix(), ks)
+        deviation = refine.compare_solvers(result.density, problem, ks)
     except (ValueError, RuntimeError, MemoryError) as exc:
         raise _failed(stage, exc) from exc
     yield deviation

@@ -1,22 +1,26 @@
 """Discretized invariant-density solve and its Fourier-side cross-check.
 
-Densities live on one shared square grid whose cell centres lie on hZ^2,
-so the discrete convolution in the refinement step lands exactly on that
-lattice.  `build_kernel` takes h; at every level of a solve the grid only
-frames the windows (`_kernel_grid`).  Transition rasters and contracted
-inputs sit on the lattice where they fall, on or off the grid, by cell index
-from the grid's first cell, so the grid does not grow with the displacement
-gamma, whose transition windows lie near 1.618 gamma.  For a point-symmetric
-scheme the grid is centred on the origin and u -> -u is an exact array flip.
+`build_kernel(problem, h)`, `compare_solvers(density, problem, ks)`,
+`fourier_products(problem, ks)` and `point_symmetric(problem)` read one
+`Problem`, whose checks run once, when it is made.
+
+Densities live on one shared square grid whose cell centres lie on hZ^2, so
+the discrete convolution in the refinement step lands exactly on that
+lattice.  At every level of a solve the grid only frames the windows
+(`_kernel_grid`).  Transition rasters and contracted inputs sit on the
+lattice where they fall, on or off the grid, by cell index from the grid's
+first cell, so the grid does not grow with the displacement gamma, whose
+transition windows lie near 1.618 gamma.  For a point-symmetric scheme the
+grid is centred on the origin and u -> -u is an exact array flip.
 
 `build_kernel` builds what the fixed-point solve reads and nothing else.
-It takes the mass vector w: only channels with w_j > 0 carry mass.  When
-`point_symmetric` holds, f_{r-1-j}(u) = f_j(-u), and the solve carries only
-the live channels j <= r-1-j, so that channel r-1-j is the exact flip of
-channel j.  The kernel rasterizes the windows of the carried channels and
-the transitions (j, i) with j carried, i live and nu_ji != 0: on the first
-example 1 window and 2 blocks, on the second 2 windows and 6 blocks.  A
-mirrored channel's mask and input box are the flips of its partner's.
+Only channels with w_j > 0 carry mass.  When `point_symmetric` holds,
+f_{r-1-j}(u) = f_j(-u), and the solve carries only the live channels
+j <= r-1-j, so that channel r-1-j is the exact flip of channel j.  The
+kernel rasterizes the windows of the carried channels and the transitions
+(j, i) with j carried, i live and nu_ji != 0: on the first example 1 window
+and 2 blocks, on the second 2 windows and 6 blocks.  A mirrored channel's
+mask and input box are the flips of its partner's.
 
 The refinement step is evaluated spectrally.  The kernel fixes the box of
 cells where each contracted input channel can be non-zero, the bounding box
@@ -97,6 +101,36 @@ class DensityGrid:
         return self.values.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """The refinement operator's data: shifted windows W_j, transition windows W_ji,
+    weights nu, masses w, internal contraction A and |det Q|.  Raises unless nu is
+    r x r, |det A| |det Q| = 1, every positive weight sits on a polygon and nu w = w."""
+
+    windows: list
+    windows_ji: list
+    nu: np.ndarray
+    w: np.ndarray
+    a_matrix: np.ndarray
+    detq_abs: float
+
+    def __post_init__(self):
+        for name in ("nu", "w", "a_matrix"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.nu.shape != (len(self.windows),) * 2:
+            raise ValueError("nu shape does not match the window count")
+        product = abs(np.linalg.det(self.a_matrix)) * self.detq_abs
+        if abs(product - 1.0) > 1e-9:
+            raise ValueError(f"determinant mismatch: |det A| * |det Q| = {product:.6g}, "
+                             "not 1; q must be a unit")
+        for j, i in zip(*np.nonzero(self.nu)):
+            if not self.windows_ji[j][i].is_polygon:
+                raise ValueError(f"ghost transition ({j + 1},{i + 1}): positive "
+                                 "weight on a measure-zero window")
+        if np.max(np.abs(self.nu @ self.w - self.w)) > 1e-8:
+            raise ValueError("the weight matrix does not fix w (its spectral radius must be one)")
+
+
 @dataclass
 class _Block:
     arr: np.ndarray
@@ -116,9 +150,7 @@ class RefinementKernel:
     """
 
     grid: GridSpec
-    a_inv: np.ndarray
-    detq_abs: float
-    nu: np.ndarray
+    problem: Problem
     w: np.ndarray           # masses the solve holds: w, averaged with its flip in the quotient
     channels: list          # (carried channel j, its slice of a packed density), j increasing
     mirrors: dict           # carried j < r-1-j -> r-1-j in the quotient; their cells lead
@@ -365,13 +397,13 @@ def _mirror_phases(box, shape):
                  for k, b, n in zip((k0, k1), box[1] - box[0], shape))
 
 
-def point_symmetric(windows, windows_ji, nu, w):
+def point_symmetric(problem):
     """Whether nu and w equal their 180-degree flips to 1e-12 and windows r-1-j
     and (r-1-j, r-1-i) have the negated vertex sets of j and (j, i).  On a grid
     centered on a cell, their masks and input boxes are then mirror images."""
-    groups = [windows, [t for row in windows_ji for t in row]]
-    return bool(np.abs(nu - nu[::-1, ::-1]).max() <= 1e-12
-                and np.abs(w - w[::-1]).max() <= 1e-12
+    groups = [problem.windows, [t for row in problem.windows_ji for t in row]]
+    return bool(np.abs(problem.nu - problem.nu[::-1, ::-1]).max() <= 1e-12
+                and np.abs(problem.w - problem.w[::-1]).max() <= 1e-12
                 and all({tuple(v) for v in p.vertices} == {tuple(-v) for v in q.vertices}
                         for g in groups for p, q in zip(g, g[::-1])))
 
@@ -387,35 +419,20 @@ def _coarse_h(grid, cells):
     return grid.h * 2**k
 
 
-def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, h):
-    """Rasterize and transform what the solve for the masses w reads, at cell size h.
+def build_kernel(problem, h):
+    """Rasterize and transform what the solve of a Problem reads, at cell size h.
 
     The grid is the one `_kernel_grid` sizes for h.  The live channels are
     those with w_j > 0; the carried ones are all of them, or in the
     point-reflection quotient those with j <= r-1-j.  Window and transition
     rasters are normalized by their discrete integral, so each one sums to
-    exactly one cell measure.  Raises when w is not fixed by nu, when a
-    positive weight sits on a measure-zero window, carried or not, or when a
-    carried window meets fewer than _MIN_MASK_CELLS cells.
+    exactly one cell measure.  Raises when a carried window meets fewer than
+    _MIN_MASK_CELLS cells.  A coarser level is built from the same problem.
     """
-    nu = np.asarray(nu, dtype=float)
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    w = np.asarray(w, dtype=float)
+    windows, windows_ji, nu, w = problem.windows, problem.windows_ji, problem.nu, problem.w
     r = len(windows)
-    if nu.shape != (r, r):
-        raise ValueError("nu shape does not match the window count")
-    det_a = abs(np.linalg.det(a_matrix))
-    if abs(det_a * detq_abs - 1.0) > 1e-9:
-        raise ValueError("determinant mismatch: |det A| * |det Q| must be 1")
-    for j, i in zip(*np.nonzero(nu)):
-        if not windows_ji[j][i].is_polygon:
-            raise ValueError(f"ghost transition ({j + 1},{i + 1}): positive "
-                             "weight on a measure-zero window")
     grid = _kernel_grid(windows, h)
-    if np.max(np.abs(nu @ w - w)) > 1e-8:
-        raise ValueError("the weight matrix does not fix w (its spectral "
-                         "radius must be one)")
-    quotient = point_symmetric(windows, windows_ji, nu, w)
+    quotient = point_symmetric(problem)
     held = 0.5 * (w + w[::-1]) if quotient else w
     live = held > 0
     carried = [j for j in range(r) if live[j] and (j <= r - 1 - j or not quotient)]
@@ -438,7 +455,7 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, h):
         for i in np.flatnonzero(live & (nu[j] != 0)):
             cov, corner = rasterize(windows_ji[j][i], grid)
             blocks[j][i] = _crop(cov / (cov.sum() * h2), corner)
-    a_inv = np.linalg.inv(a_matrix)
+    a_inv = np.linalg.inv(problem.a_matrix)
     boxes = [None] * r
     stencils = [None] * r
     for j in carried:
@@ -454,7 +471,7 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, h):
             if placement is None:
                 continue
             padded = np.zeros(fft_shape)
-            padded[placement] = blocks[j][i].arr * (nu[j, i] * float(detq_abs) * h2)
+            padded[placement] = blocks[j][i].arr * (nu[j, i] * problem.detq_abs * h2)
             spectra[j][i] = fft.rfft2(padded)
             if i in mirrors.values():
                 for factor in _mirror_phases(boxes[i], fft_shape):
@@ -463,12 +480,11 @@ def build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, h):
     ends = np.cumsum([0] + cells).tolist()
     coarse_h = _coarse_h(grid, min(cells))
     return RefinementKernel(
-        grid=grid, a_inv=a_inv, detq_abs=float(detq_abs), nu=nu, w=held,
+        grid=grid, problem=problem, w=held,
         channels=[(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)],
         mirrors=mirrors, masks=masks, indicators=indicators, blocks=blocks, boxes=boxes,
         stencils=stencils, outputs=outputs, fft_shape=fft_shape, spectra=spectra,
-        coarse=None if coarse_h is None else
-        build_kernel(windows, windows_ji, nu, a_matrix, detq_abs, w, coarse_h))
+        coarse=None if coarse_h is None else build_kernel(problem, coarse_h))
 
 
 def _uniform(kernel):
@@ -530,7 +546,7 @@ def _packed_step(x, masses, kernel, conserve_mass=True):
         flat, padded = Stencil.frame((inside.shape[0] + 2, inside.shape[1] + 2))
         padded[1:-1, 1:-1][inside] = x[cells]
         transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape)
-    target = kernel.nu @ masses
+    target = kernel.problem.nu @ masses
     out = np.zeros_like(x)
     for j, cells in kernel.channels:
         acc = _output_cells(kernel, j, transformed)
@@ -732,22 +748,20 @@ def _polygon_ft_table(polygons, kappas):
     return out
 
 
-def fourier_product(windows_ji, nu, w, a_matrix, k):
+def fourier_product(problem, k):
     """Truncated infinite matrix product for the density transform at k.
 
     Applies the weighted window-transform matrices along the contracted
     wavevector orbit k, A^T k, ... to the mass vector; the orbit stops before
     its first member shorter than _PRODUCT_TAIL, or after 10000 steps.
     """
-    return fourier_products(windows_ji, nu, w, a_matrix, [k])[0]
+    return fourier_products(problem, [k])[0]
 
 
-def fourier_products(windows_ji, nu, w, a_matrix, ks):
+def fourier_products(problem, ks):
     """fourier_product at every wavevector of ks, shape (len(ks), r), with one
     transform table over all of their orbits."""
-    nu = np.asarray(nu, dtype=float)
-    w = np.asarray(w, dtype=float)
-    a_matrix = np.asarray(a_matrix, dtype=float)
+    nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
     orbits = []
     for k in np.asarray(ks, dtype=float).reshape(-1, 2):
         kappas = [k]
@@ -756,7 +770,7 @@ def fourier_products(windows_ji, nu, w, a_matrix, ks):
             kappas.append(step)
         orbits.append(kappas)
     jj, ii = np.nonzero(nu)
-    table = _polygon_ft_table([windows_ji[j][i] for j, i in zip(jj, ii)],
+    table = _polygon_ft_table([problem.windows_ji[j][i] for j, i in zip(jj, ii)],
                               np.array([kappa for kappas in orbits for kappa in kappas]))
     mats = np.zeros((len(table), len(w), len(w)), dtype=complex)
     mats[:, jj, ii] = nu[jj, ii] * table
@@ -788,7 +802,7 @@ def grid_ft(density, ks):
     return out
 
 
-def compare_solvers(density, windows_ji, nu, w, a_matrix, ks):
+def compare_solvers(density, problem, ks):
     """Largest deviation between the grid transform and the matrix product.
 
     Deviation is measured relative to the largest channel mass; returns the
@@ -797,10 +811,8 @@ def compare_solvers(density, windows_ji, nu, w, a_matrix, ks):
     ks = np.asarray(ks, dtype=float).reshape(-1, 2)
     if not len(ks):
         raise ValueError("no wavevectors to compare the solvers at")
-    w = np.asarray(w, dtype=float)
-    via_grid = grid_ft(density, ks)
-    via_product = fourier_products(windows_ji, nu, w, a_matrix, ks)
-    return float((np.abs(via_grid.T - via_product).max(axis=1) / np.abs(w).max()).max())
+    deviation = np.abs(grid_ft(density, ks).T - fourier_products(problem, ks)).max(axis=1)
+    return float((deviation / np.abs(problem.w).max()).max())
 
 
 def write_density(density, grid_files=None, csv_file=None):

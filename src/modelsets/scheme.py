@@ -26,6 +26,7 @@ POLICY_EXPLICIT = "explicit"
 
 POINTS_CSV_HEADER = "component,m0,m1,m2,m3,phys_re,phys_im,int_re,int_im"
 _POINTS_CSV_ROW = "%d,%d,%d,%d,%d,%.12g,%.12g,%.12g,%.12g\n"
+MAX_CANDIDATES = 2**22  # per enumeration level; each candidate costs about 160 B
 
 
 def _complex_matrix(c):
@@ -188,14 +189,14 @@ def build_nu(spec, windows_ji, policy=POLICY_AREA, matrix=None):
 def _enumerate_module(radius_phys, radius_internal):
     """All module points with |x| <= radius_phys and |x*| <= radius_internal.
 
-    Fincke-Pohst enumeration (Math. Comp. 44, 1985) of the coefficient
-    vectors in the ellipsoid |x|^2 / radius_phys^2 + |x*|^2 /
-    radius_internal^2 <= 2, which contains the product of the two disks.
-    The Cholesky factor of the ellipsoid's Gram matrix bounds each
-    coefficient to an interval given the ones after it, so the work is
-    proportional to the number of points found, not to a coefficient box.
-    The two disk filters are then applied exactly.  Returns coefficients
-    (n, 4) int64, physical and internal images as complex arrays.
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) of the coefficient vectors
+    in the ellipsoid |x|^2 / radius_phys^2 + |x*|^2 / radius_internal^2 <= 2,
+    which contains the product of the two disks.  The Cholesky factor of the
+    ellipsoid's Gram matrix bounds each coefficient to an interval given the
+    ones after it, so the work is proportional to the number of points found,
+    not to a coefficient box.  The two disk filters are then applied exactly.
+    Returns coefficients (n, 4) int64, physical and internal images as complex
+    arrays.  Raises before a level would hold more than MAX_CANDIDATES candidates.
     """
     E = embedding_matrix()
     r2_phys = radius_phys * radius_phys + 1e-9
@@ -217,6 +218,9 @@ def _enumerate_module(radius_phys, radius_internal):
         lo = np.ceil(center - half - 1e-9).astype(np.int64)
         hi = np.floor(center + half + 1e-9).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
+        if (total := int(counts.sum())) > MAX_CANDIDATES:
+            raise ValueError(f"enumeration: {total} candidate points at radii {radius_phys:.6g} "
+                             f"and {radius_internal:.6g} exceed the limit of {MAX_CANDIDATES}")
         parent = np.repeat(np.arange(len(coeffs)), counts)
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         m = lo[parent] + np.arange(len(parent)) - starts

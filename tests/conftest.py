@@ -58,27 +58,34 @@ def coverage(P, grid):
 def general_path():
     """The point-reflection decision patched off, so that a kernel built under
     it carries every channel with w_j > 0."""
-    return mock.patch.object(refine, "point_symmetric", lambda windows, windows_ji, nu, w: False)
+    return mock.patch.object(refine, "point_symmetric", lambda problem: False)
 
 
-def preset_kernel(spec, transitions, nu, w, h):
+def scheme_problem(spec, transitions, nu):
+    """The refinement problem of a scheme, for the Perron vector of nu."""
     windows = [spec.shifted_window(i) for i in range(1, spec.r + 1)]
-    return refine.build_kernel(windows, transitions, nu, spec.a_matrix(), spec.detq_abs,
-                               w, h)
-
-
-def _solve(spec, transitions, nu, w, h):
-    return refine.solve_fixed_point(preset_kernel(spec, transitions, nu, w, h))
+    return refine.Problem(windows, transitions, nu, pfsolve.pf_eigen(nu).w, spec.a_matrix(),
+                          spec.detq_abs)
 
 
 @pytest.fixture(scope="session")
-def solve1_128(spec, transitions, nu_area, pf_area):
-    return _solve(spec, transitions, nu_area, pf_area.w, 1.0 / 128)
+def problem_area(spec, transitions, nu_area):
+    return scheme_problem(spec, transitions, nu_area)
 
 
 @pytest.fixture(scope="session")
-def solve2_128(spec, transitions, nu_explicit, pf_explicit):
-    return _solve(spec, transitions, nu_explicit, pf_explicit.w, 1.0 / 128)
+def problem_explicit(spec, transitions, nu_explicit):
+    return scheme_problem(spec, transitions, nu_explicit)
+
+
+@pytest.fixture(scope="session")
+def solve1_128(problem_area):
+    return refine.solve_fixed_point(refine.build_kernel(problem_area, 1.0 / 128))
+
+
+@pytest.fixture(scope="session")
+def solve2_128(problem_explicit):
+    return refine.solve_fixed_point(refine.build_kernel(problem_explicit, 1.0 / 128))
 
 
 @pytest.fixture(scope="session")

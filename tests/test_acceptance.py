@@ -12,7 +12,7 @@ import pytest
 
 from modelsets import cli, refine, scheme, verify
 from modelsets.polygeom import Region, linear_image
-from tests.conftest import TAU, _solve, general_path
+from tests.conftest import TAU, general_path
 from tests.test_scheme import EXAMPLE1_NU, TABLE_SCALES, expected_region
 
 
@@ -23,16 +23,16 @@ def criterion(number, name, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def solve2_256(spec, transitions, nu_explicit, pf_explicit):
-    return _solve(spec, transitions, nu_explicit, pf_explicit.w, 1 / 256)
+def solve2_256(problem_explicit):
+    return refine.solve_fixed_point(refine.build_kernel(problem_explicit, 1 / 256))
 
 
 @pytest.fixture(scope="module")
-def solve1_128_general(spec, transitions, nu_area, pf_area):
+def solve1_128_general(problem_area):
     # every channel solved on its own, so that the reflection error measures
     # the discretization instead of reading 0 from the point-reflection quotient
     with general_path():
-        return _solve(spec, transitions, nu_area, pf_area.w, 1.0 / 128)
+        return refine.solve_fixed_point(refine.build_kernel(problem_area, 1.0 / 128))
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +111,10 @@ def test_ac5_masses_and_transport(solve1_128, solve2_128, pf_area, pf_explicit,
               f" (10h = {10 * h:.2e})")
 
 
-def test_ac6_solver_cross_validation(spec, transitions, nu_explicit, pf_explicit,
-                                     solve2_128, solve2_256, sample_wavevectors):
-    dev_128 = refine.compare_solvers(solve2_128.density, transitions, nu_explicit,
-                                     pf_explicit.w, spec.a_matrix(),
-                                     sample_wavevectors)
-    dev_256 = refine.compare_solvers(solve2_256.density, transitions, nu_explicit,
-                                     pf_explicit.w, spec.a_matrix(),
-                                     sample_wavevectors)
+def test_ac6_solver_cross_validation(problem_explicit, solve2_128, solve2_256,
+                                     sample_wavevectors):
+    dev_128 = refine.compare_solvers(solve2_128.density, problem_explicit, sample_wavevectors)
+    dev_256 = refine.compare_solvers(solve2_256.density, problem_explicit, sample_wavevectors)
     criterion(6, "solver cross-validation",
               dev_128 <= 5e-2 and dev_256 <= 2.5e-2,
               f"relative deviation {dev_128:.2e} at h=1/128, {dev_256:.2e} at h=1/256")
@@ -165,8 +161,8 @@ def test_ac10_square_toy_oracle():
     window = Region.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
     A = 0.5 * np.eye(2)
     transitions = [[linear_image(window, A)]]
-    kernel = refine.build_kernel([window], transitions, np.array([[1.0]]), A,
-                                 4.0, [1.0], 1 / 256)
+    kernel = refine.build_kernel(refine.Problem([window], transitions, [[1.0]], [1.0], A, 4.0),
+                                 1 / 256)
     result = refine.solve_fixed_point(kernel)
 
     def sinc_oracle(k, levels=60):
@@ -183,8 +179,7 @@ def test_ac10_square_toy_oracle():
     worst_grid = 0.0
     for n, k in enumerate(ks):
         oracle = sinc_oracle(k)
-        product = refine.fourier_product(transitions, np.array([[1.0]]),
-                                         np.array([1.0]), A, k)[0]
+        product = refine.fourier_product(kernel.problem, k)[0]
         worst_product = max(worst_product, abs(product - oracle))
         worst_grid = max(worst_grid, abs(via_grid[0, n] - oracle))
     converged = result.residuals[-1] < 1e-8

@@ -1,17 +1,22 @@
 import hashlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modelsets import cli, refine, scheme
+from modelsets.cyclotomic import CycInt
 from tests.conftest import TAU
 
 
@@ -544,6 +549,54 @@ def test_solve_with_a_far_gamma(tmp_path, preset, gamma):
                    (out / "summary.txt").read_text().splitlines())
     assert float(summary["fourier_max_rel_dev"]) <= 5e-3
     assert (out / "density_ch1.txt").read_text().splitlines()[2] == "# nx 109 ny 109"
+
+
+@pytest.mark.parametrize("command, flags", [("points", []), ("verify", ["--h", "0.03125"])],
+                         ids=["points", "verify"])
+def test_far_gamma_enumeration_is_refused(tmp_path, capsys, command, flags):
+    # the internal disk of the enumeration reaches the windows 50 away, so its
+    # ellipsoid holds about 7.5M candidates; it stops before allocating them
+    config = tmp_path / "far.cfg"
+    config.write_text("gamma = 50, 0\n")
+    out = tmp_path / "out"
+    assert run([command, "--s", "20", "--config", str(config), "--out", str(out)] + flags) == 2
+    assert re.fullmatch(r"error: enumeration: \d+ candidate points at radii 20 and 51.618 "
+                        rf"exceed the limit of {scheme.MAX_CANDIDATES}\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def inline_penrose(q):
+    """The Penrose windows and cosets as an inline scheme with multiplier q."""
+    lines = ["scheme = inline", f"q = {' '.join(map(str, q))}"]
+    for k, window in enumerate(scheme.penrose_scheme().windows, start=1):
+        # plain floats: a numpy scalar's repr does not parse
+        vertices = "; ".join(f"{float(x)!r}, {float(y)!r}" for x, y in window.vertices)
+        lines += [f"window{k} = {vertices}", f"coset{k} = {k} 0 0 0"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(q=st.tuples(*[st.integers(-3, 3)] * 4))
+@example(q=(0, 0, -1, -1))  # tau, the Penrose multiplier
+@example(q=(-3, -3, -1, 1))  # norm 11: passes every stage before the kernel
+def test_inline_q_solves_only_for_a_unit(q):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "q.cfg", Path(tmp) / "out"
+        config.write_text(inline_penrose(q))
+        with redirect_stderr(io.StringIO()) as err:
+            code = run(["solve", "--config", str(config), "--h", "0.03125", "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith(("config error:", "error:"))
+            assert err.getvalue().count("\n") == 1 and not out.exists()
+    unit = round(abs(np.linalg.det(CycInt(*q).mult_matrix()))) == 1
+    assert unit or code == 2
+    if q == (0, 0, -1, -1):
+        assert code == 0
+    if q == (-3, -3, -1, 1):
+        assert err.getvalue() == ("error: failed at stage 'kernel': determinant mismatch: "
+                                  "|det A| * |det Q| = 11, not 1; q must be a unit\n")
 
 
 def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):

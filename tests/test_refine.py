@@ -1,17 +1,20 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
-from modelsets import pfsolve, refine, scheme
+from modelsets import refine, scheme
+from modelsets.cyclotomic import CycInt
 from modelsets.polygeom import Region, linear_image
-from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
+from modelsets.refine import (DensityGrid, Problem, apply_refinement, build_kernel,
                               compare_solvers, fourier_product,
                               initial_density, make_centered_grid, polygon_ft,
                               solve_fixed_point)
-from tests.conftest import EXAMPLE2_NU, TAU, coverage, general_path, preset_kernel
+from tests.conftest import EXAMPLE2_NU, coverage, general_path, scheme_problem
 
 
 def square_region(a=1.0):
@@ -23,7 +26,7 @@ def toy_kernel(h):
     A = 0.5 * np.eye(2)
     trans = [[linear_image(window, 0.5 * np.eye(2))]]
     # erosion of the square by its half-scale copy is the half-scale square
-    return build_kernel([window], trans, np.array([[1.0]]), A, 4.0, [1.0], h), trans
+    return build_kernel(Problem([window], trans, [[1.0]], [1.0], A, 4.0), h)
 
 
 def test_make_centered_grid():
@@ -59,9 +62,7 @@ def test_kernel_grid_frames_the_windows_at_any_gamma(spec, gx, gy):
     trans = scheme.transition_windows(shifted)
     for nu in (scheme.build_nu(shifted, trans),
                scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU)):
-        kernel = build_kernel(windows, trans, nu, shifted.a_matrix(), shifted.detq_abs,
-                              pfsolve.pf_eigen(nu).w, h)
-        grid = kernel.grid
+        grid = build_kernel(scheme_problem(shifted, trans, nu), h).grid
         assert grid == refine._kernel_grid(windows, h)
         assert grid.nx == grid.ny and 0 <= grid.nx - zero.nx <= 2
         corners = np.vstack([w.vertices for w in windows])
@@ -71,15 +72,14 @@ def test_kernel_grid_frames_the_windows_at_any_gamma(spec, gx, gy):
         assert np.all(corners.max(axis=0) <= first + grid.nx * h - margin)
 
 
-def test_kernel_normalization_and_masks(spec, transitions, nu_area, pf_area, nu_explicit,
-                                       pf_explicit):
+def test_kernel_normalization_and_masks(problem_area, problem_explicit):
     # every channel on the general path of example 2; in the quotient of
     # example 1 only channel 2 (1-based) is carried and only 2 and 3 are live
     with general_path():
-        general = preset_kernel(spec, transitions, nu_explicit, pf_explicit.w, 1 / 64)
-    quotient = preset_kernel(spec, transitions, nu_area, pf_area.w, 1 / 64)
-    for K, nu, carried, live in ((general, nu_explicit, [0, 1, 2, 3], [0, 1, 2, 3]),
-                                 (quotient, nu_area, [1], [1, 2])):
+        general = build_kernel(problem_explicit, 1 / 64)
+    quotient = build_kernel(problem_area, 1 / 64)
+    for K, carried, live in ((general, [0, 1, 2, 3], [0, 1, 2, 3]), (quotient, [1], [1, 2])):
+        nu = K.problem.nu
         h2 = K.grid.h**2
         assert [j for j, _ in K.channels] == carried
         for j in range(4):
@@ -96,22 +96,43 @@ def test_kernel_normalization_and_masks(spec, transitions, nu_area, pf_area, nu_
     assert not quotient.masks[0].any() and not quotient.masks[3].any()
 
 
-def test_kernel_validation(spec, transitions, nu_area, pf_area):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    with pytest.raises(ValueError, match="determinant"):
-        build_kernel(windows, transitions, nu_area, spec.a_matrix(), 2.0, pf_area.w, 1 / 32)
+def test_kernel_validation(spec, problem_area):
+    with pytest.raises(ValueError, match=r"determinant mismatch: \|det A\| \* \|det Q\| = "
+                                         "0.763932, not 1; q must be a unit"):
+        dataclasses.replace(problem_area, detq_abs=2.0)
+    # q = -3 - 3 xi - xi^2 + xi^3 has norm 11: its transition windows, area
+    # weights and Perron pair pass, and only the determinant check rejects it
+    non_unit = scheme.SchemeSpec(windows=spec.windows, coset_reps=spec.coset_reps,
+                                 q_mult=CycInt(-3, -3, -1, 1))
+    trans = scheme.transition_windows(non_unit)
+    with pytest.raises(ValueError, match=r"\|det A\| \* \|det Q\| = 11, not 1"):
+        scheme_problem(non_unit, trans, scheme.build_nu(non_unit, trans))
 
 
-def test_ghost_transition_into_a_dead_channel_raises(spec, transitions, nu_area, pf_area):
+def test_ghost_transition_into_a_dead_channel_raises(problem_area):
     # channel 1 (1-based) has w_1 = 0 and is never rasterized, yet a positive
     # weight on an empty (1,1) window is still an error
-    ghost = [row[:] for row in transitions]
+    ghost = [row[:] for row in problem_area.windows_ji]
     ghost[0][0] = Region.empty()
-    assert pf_area.w[0] == 0 and nu_area[0, 0] > 0
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
+    assert problem_area.w[0] == 0 and problem_area.nu[0, 0] > 0
     with pytest.raises(ValueError, match=r"ghost transition \(1,1\)"):
-        build_kernel(windows, ghost, nu_area, spec.a_matrix(), spec.detq_abs, pf_area.w,
-                     1 / 32)
+        dataclasses.replace(problem_area, windows_ji=ghost)
+
+
+def test_one_problem_serves_every_level(problem_explicit):
+    # the checks run once, when the problem is made, not once per grid level
+    calls, post_init = [], Problem.__post_init__
+
+    def counted(problem):
+        calls.append(problem)
+        post_init(problem)
+
+    with mock.patch.object(Problem, "__post_init__", counted):
+        problem = dataclasses.replace(problem_explicit)
+        kernel = build_kernel(problem, 1 / 128)
+        solve_fixed_point(kernel)
+    assert kernel.coarse is not None and kernel.coarse.problem is kernel.problem is problem
+    assert calls == [problem]
 
 
 @pytest.mark.parametrize("policy, h, cells", [
@@ -119,18 +140,16 @@ def test_ghost_transition_into_a_dead_channel_raises(spec, transitions, nu_area,
     ("area", 1.0, 14),
     ("explicit", 0.25, 54),
 ])
-def test_unresolved_grid_rejected(request, spec, transitions, policy, h, cells):
-    nu = request.getfixturevalue(f"nu_{policy}")
-    w = request.getfixturevalue(f"pf_{policy}").w
+def test_unresolved_grid_rejected(request, policy, h, cells):
     with pytest.raises(ValueError, match=f"unresolved grid: window . meets {cells} cells, "
                                          f"fewer than {refine._MIN_MASK_CELLS}"):
-        preset_kernel(spec, transitions, nu, w, h)
+        build_kernel(request.getfixturevalue(f"problem_{policy}"), h)
 
 
-def test_resolution_rule_counts_only_carried_windows(spec, transitions, nu_area, pf_area):
+def test_resolution_rule_counts_only_carried_windows(problem_area):
     # at h = 1/4 window 1 (1-based) meets 54 cells, but example 1 carries only
     # window 2, which meets 120
-    kernel = preset_kernel(spec, transitions, nu_area, pf_area.w, 0.25)
+    kernel = build_kernel(problem_area, 0.25)
     assert [j for j, _ in kernel.channels] == [1] and kernel.masks[1].sum() == 120
 
 
@@ -138,7 +157,7 @@ def test_convolution_against_direct_sum():
     # with A = I and |det Q| = 1 the unscaled step is one kernel convolution
     window = square_region(0.48)
     trans = Region.polygon([(-0.25, -0.1), (0.2, -0.25), (0.05, 0.25)])
-    K = build_kernel([window], [[trans]], np.array([[1.0]]), np.eye(2), 1.0, [1.0], 0.1)
+    K = build_kernel(Problem([window], [[trans]], [[1.0]], [1.0], np.eye(2), 1.0), 0.1)
     grid = K.grid
     assert grid.nx == grid.ny == 13  # the window reaches 0.48 from the origin
     rng = np.random.default_rng(31)
@@ -164,7 +183,7 @@ def test_convolution_against_direct_sum():
 
 
 def test_single_application_tent_profile():
-    K, _ = toy_kernel(1 / 64)
+    K = toy_kernel(1 / 64)
     f0 = initial_density(K)
     f1 = apply_refinement(f0, K)
     g = K.grid
@@ -174,16 +193,16 @@ def test_single_application_tent_profile():
 
 
 def test_zero_in_zero_out():
-    K, _ = toy_kernel(1 / 32)
+    K = toy_kernel(1 / 32)
     zero = DensityGrid.from_values(K.grid, np.zeros((1, K.grid.ny, K.grid.nx)))
     out = apply_refinement(zero, K)
     assert np.all(out.values == 0) and out.masses[0] == 0
 
 
-def test_linearity_and_positivity(spec, transitions, nu_explicit, pf_explicit):
+def test_linearity_and_positivity(problem_explicit):
     # example 2 on the general path, where the step forms all four channels
     with general_path():
-        K = preset_kernel(spec, transitions, nu_explicit, pf_explicit.w, 1 / 24)
+        K = build_kernel(problem_explicit, 1 / 24)
     grid = K.grid
     rng = np.random.default_rng(5)
     shape = (4, grid.ny, grid.nx)
@@ -197,31 +216,25 @@ def test_linearity_and_positivity(spec, transitions, nu_explicit, pf_explicit):
     assert np.all(rf.values >= 0)
 
 
-def test_mass_transport_raw_quadrature(spec, transitions, nu_area, pf_area):
+def test_mass_transport_raw_quadrature(problem_area):
     # without the conservation fix-up the transport identity holds to O(h)
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
     h = 1 / 64
-    K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, pf_area.w, h)
+    K = build_kernel(problem_area, h)
     f = initial_density(K)
     for _ in range(3):
         f_next = apply_refinement(f, K, conserve_mass=False)
-        assert np.abs(f_next.masses - nu_area @ f.masses).max() < 10 * h
+        assert np.abs(f_next.masses - problem_area.nu @ f.masses).max() < 10 * h
         f = f_next
 
 
-def test_solver_requires_fixed_mass_vector(spec, transitions, nu_area):
-    # the kernel is built for the solve of one w, so it checks that w
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
+def test_solver_requires_fixed_mass_vector(problem_area):
+    # the problem is that of the solve for one w, so it checks that w
     with pytest.raises(ValueError, match="does not fix w"):
-        build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, np.array([0.25, 0.25, 0.25, 0.25]), 1 / 32)
+        dataclasses.replace(problem_area, w=np.full(4, 0.25))
 
 
-def test_solver_reports_iteration_exhaustion(spec, transitions, nu_area, pf_area):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, pf_area.w, 1 / 32)
+def test_solver_reports_iteration_exhaustion(problem_area):
+    K = build_kernel(problem_area, 1 / 32)
     with pytest.raises(RuntimeError, match="did not reach tol"):
         solve_fixed_point(K, maxit=3)
 
@@ -229,8 +242,7 @@ def test_solver_reports_iteration_exhaustion(spec, transitions, nu_area, pf_area
 def test_toy_solve_and_grid_consistency():
     results = {}
     for h in (1 / 32, 1 / 64, 1 / 128):
-        K, _ = toy_kernel(h)
-        res = solve_fixed_point(K)
+        res = solve_fixed_point(toy_kernel(h))
         assert abs(res.density.masses[0] - 1.0) < 1e-12
         r = res.residuals
         assert all(r[k + 1] < r[k] for k in range(5, len(r) - 1))
@@ -276,25 +288,23 @@ def test_polygon_ft_sinc_oracle():
         assert abs(polygon_ft(rect, k) - oracle) < 1e-10
 
 
-def test_fourier_product_fixes_w(spec, transitions, nu_area, pf_area):
-    out = fourier_product(transitions, nu_area, pf_area.w, spec.a_matrix(), (0, 0))
-    assert np.abs(out - pf_area.w).max() < 1e-12
+def test_fourier_product_fixes_w(problem_area):
+    out = fourier_product(problem_area, (0, 0))
+    assert np.abs(out - problem_area.w).max() < 1e-12
     assert np.abs(out - np.array([0, 0.5, 0.5, 0])).max() < 1e-10
 
 
-def test_fourier_product_l1_bound(spec, transitions, nu_area, pf_area):
+def test_fourier_product_l1_bound(problem_area):
     rng = np.random.default_rng(19)
     for _ in range(20):
         k = rng.uniform(-15, 15, size=2)
-        out = fourier_product(transitions, nu_area, pf_area.w, spec.a_matrix(), k)
+        out = fourier_product(problem_area, k)
         assert np.abs(out).sum() <= 1.0 + 1e-9
 
 
-def test_penrose_example1_coarse(spec, transitions, nu_area, pf_area):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
+def test_penrose_example1_coarse(problem_area):
     h = 1 / 32
-    K = build_kernel(windows, transitions, nu_area, spec.a_matrix(),
-                     spec.detq_abs, pf_area.w, h)
+    K = build_kernel(problem_area, h)
     grid = K.grid
     res = solve_fixed_point(K)
     dens = res.density
@@ -333,20 +343,16 @@ def test_support_stays_on_window_masks(spec, solve2_128):
 
 
 def test_compare_solvers_toy():
-    K, trans = toy_kernel(1 / 128)
+    K = toy_kernel(1 / 128)
     res = solve_fixed_point(K)
     rng = np.random.default_rng(2)
     ks = rng.uniform(-5, 5, size=(10, 2))
-    dev = compare_solvers(res.density, trans, np.array([[1.0]]),
-                          np.array([1.0]), 0.5 * np.eye(2), ks)
-    assert dev < 1e-3
+    assert compare_solvers(res.density, K.problem, ks) < 1e-3
     # at k = 0 the comparison collapses to the mass residual
-    dev0 = compare_solvers(res.density, trans, np.array([[1.0]]),
-                           np.array([1.0]), 0.5 * np.eye(2), [(0.0, 0.0)])
+    dev0 = compare_solvers(res.density, K.problem, [(0.0, 0.0)])
     assert abs(dev0 - abs(res.density.masses[0] - 1.0)) < 1e-12
     with pytest.raises(ValueError, match="no wavevectors"):
-        compare_solvers(res.density, trans, np.array([[1.0]]), np.array([1.0]),
-                        0.5 * np.eye(2), np.zeros((0, 2)))
+        compare_solvers(res.density, K.problem, np.zeros((0, 2)))
 
 
 def test_write_density_grid_format(tmp_path):

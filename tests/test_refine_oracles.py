@@ -12,6 +12,7 @@ stencil and the inverse FFT are checked against the scipy routines they
 replaced to a few units in the last place, the forward FFT bit for bit.
 """
 
+import dataclasses
 import io
 from unittest import mock
 
@@ -26,10 +27,10 @@ from scipy.signal import fftconvolve
 from modelsets import pfsolve, refine, scheme, text
 from modelsets.polygeom import (GridSpec, Region, _edge_normals, area, centroid, erode,
                                 linear_image, rasterize, translate)
-from modelsets.refine import (DensityGrid, apply_refinement, build_kernel,
+from modelsets.refine import (DensityGrid, Problem, apply_refinement, build_kernel,
                               fourier_product, initial_density, polygon_ft,
                               solve_fixed_point)
-from tests.conftest import EXAMPLE2_NU, coverage, general_path, preset_kernel
+from tests.conftest import EXAMPLE2_NU, coverage, general_path, scheme_problem
 from tests.test_refine import toy_kernel
 
 STEP_TOL = 1e-12
@@ -77,11 +78,11 @@ def convolve_block(block, g, g_lo, grid):
 def oracle_step(f, kernel, conserve_mass=True):
     """The refinement step with one fftconvolve per transition of the contracted
     inputs, resampled on a box that holds A applied to the grid."""
-    nu = kernel.nu
+    nu = kernel.problem.nu
     grid = kernel.grid
-    lo, hi = contracted_canvas(grid, kernel.a_inv)
-    resampled = [resample_contracted(f.values[i], grid, kernel.a_inv, lo, hi)
-                 for i in range(f.r)]
+    a_inv = np.linalg.inv(kernel.problem.a_matrix)
+    lo, hi = contracted_canvas(grid, a_inv)
+    resampled = [resample_contracted(f.values[i], grid, a_inv, lo, hi) for i in range(f.r)]
     target = nu @ f.masses
     values = np.zeros_like(f.values)
     for j in range(f.r):
@@ -91,7 +92,7 @@ def oracle_step(f, kernel, conserve_mass=True):
             # channel whose mask holds no cell, so its term is zero
             if nu[j, i] != 0 and kernel.blocks[j][i] is not None:
                 acc += nu[j, i] * convolve_block(kernel.blocks[j][i], resampled[i], lo, grid)
-        acc *= kernel.detq_abs
+        acc *= kernel.problem.detq_abs
         np.maximum(acc, 0.0, out=acc)
         acc[~kernel.masks[j]] = 0.0
         if conserve_mass:
@@ -146,7 +147,7 @@ def oracle_spectra(kernel):
     h^2-scaled block is zero-padded at its offset from the hull start.
     """
     grid, masks, blocks = kernel.grid, kernel.masks, kernel.blocks
-    input_boxes = oracle_input_boxes(grid, kernel.a_inv, masks)
+    input_boxes = oracle_input_boxes(grid, np.linalg.inv(kernel.problem.a_matrix), masks)
     r = len(masks)
     centre = np.array([(grid.ny - 1) // 2, (grid.nx - 1) // 2])
     hulls = []
@@ -172,7 +173,7 @@ def oracle_spectra(kernel):
             arr = blocks[j][i].arr
             padded = np.zeros(shape)
             padded[refine._slices(start - lo, start - lo + arr.shape)] = \
-                arr * (kernel.nu[j, i] * kernel.detq_abs * grid.h**2)
+                arr * (kernel.problem.nu[j, i] * kernel.problem.detq_abs * grid.h**2)
             spectra[j][i] = np.fft.rfft2(padded)
     return shape, spectra
 
@@ -252,7 +253,8 @@ def oracle_polygon_ft(P, k):
     return complex(1j * np.dot(normals @ k, line) / (kn * kn) / area(P))
 
 
-def oracle_fourier_product(windows_ji, nu, w, a_matrix, k):
+def oracle_fourier_product(problem, k):
+    nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
     kappa = np.asarray(k, dtype=float).reshape(2)
     depth = 0
     while np.hypot(*(a_matrix.T @ kappa)) >= refine._PRODUCT_TAIL and depth < 10000:
@@ -265,7 +267,7 @@ def oracle_fourier_product(windows_ji, nu, w, a_matrix, k):
     for kappa in reversed(kappas):
         mat = np.zeros((len(w), len(w)), dtype=complex)
         for j, i in zip(*np.nonzero(nu)):
-            mat[j, i] = nu[j, i] * oracle_polygon_ft(windows_ji[j][i], kappa)
+            mat[j, i] = nu[j, i] * oracle_polygon_ft(problem.windows_ji[j][i], kappa)
         acc = mat @ acc
     return acc
 
@@ -292,18 +294,17 @@ def assert_steps_agree(f, kernel, conserve_mass):
 
 
 @pytest.fixture(scope="module", params=["area", "explicit"])
-def preset64(request, spec, transitions):
+def preset64(request):
     """The kernel as the solve builds it, the kernel on the general path, and w.
 
     The step oracles read the general kernel: it forms every live channel
     from its own input.  Example 1 has no positive w fixed by its weight
     matrix, so there channels 1 and 4 (1-based) stay out of both kernels.
     """
-    nu = request.getfixturevalue(f"nu_{request.param}")
-    w = request.getfixturevalue(f"pf_{request.param}").w
+    problem = request.getfixturevalue(f"problem_{request.param}")
     with general_path():
-        general = preset_kernel(spec, transitions, nu, w, 1 / 64)
-    return preset_kernel(spec, transitions, nu, w, 1 / 64), general, w
+        general = build_kernel(problem, 1 / 64)
+    return build_kernel(problem, 1 / 64), general, problem.w
 
 
 @pytest.mark.parametrize("conserve_mass", [True, False])
@@ -345,7 +346,7 @@ def test_step_matches_oracle_at_a_far_gamma(policy, gamma):
     trans = scheme.transition_windows(shifted)
     nu = (scheme.build_nu(shifted, trans) if policy == "area" else
           scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU))
-    kernel = preset_kernel(shifted, trans, nu, pfsolve.pf_eigen(nu).w, 1 / 32)
+    kernel = build_kernel(scheme_problem(shifted, trans, nu), 1 / 32)
     grid = kernel.grid
     for j, row in enumerate(kernel.blocks):
         for i, block in enumerate(row):
@@ -388,7 +389,7 @@ def test_mixed_solve_beats_plain_iteration(preset64):
     hist = result.mass_history
     assert len(hist) == result.iterations + 1
     for m, m_next in zip(hist, hist[1:]):
-        assert np.abs(m_next - kernel.nu @ m).max() <= 1e-12
+        assert np.abs(m_next - kernel.problem.nu @ m).max() <= 1e-12
 
 
 def test_rising_residual_resets_the_mixing_history(preset64):
@@ -423,12 +424,10 @@ def test_rising_residual_resets_the_mixing_history(preset64):
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
-def test_spectra_on_first_use_match_eager_oracle(request, spec, transitions, policy):
+def test_spectra_on_first_use_match_eager_oracle(request, policy):
     # h = 1/60, not a power of two, so that h^2 rounds and so does the scaling;
     # the kernel of the solve, in the point-reflection quotient
-    nu = request.getfixturevalue(f"nu_{policy}")
-    kernel = preset_kernel(spec, transitions, nu, request.getfixturevalue(f"pf_{policy}").w,
-                           1 / 60)
+    kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), 1 / 60)
     assert kernel.mirrors
     shape, want = oracle_spectra(kernel)
     assert kernel.fft_shape == shape
@@ -446,12 +445,11 @@ def test_spectra_on_first_use_match_eager_oracle(request, spec, transitions, pol
                 assert got.tobytes() == want[j][i].tobytes(), (j, i)
 
 
-def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions, nu_area,
-                                                              pf_area):
+def test_solve_builds_only_live_spectra_before_its_first_step(problem_area):
     # example 1 carries mass only on channels 2 and 3 (1-based), and the
     # point-reflection quotient forms channel 2 only, from input 2 and from
     # input 3 taken as the flip of input 2
-    kernel = preset_kernel(spec, transitions, nu_area, pf_area.w, 1 / 64)
+    kernel = build_kernel(problem_area, 1 / 64)
     live = [(1, 1, False), (1, 2, True)]
     step = refine._packed_step
     at_steps = []
@@ -472,8 +470,8 @@ def test_solve_builds_only_live_spectra_before_its_first_step(spec, transitions,
 
 @pytest.mark.parametrize("policy, per_level", [("area", 3), ("explicit", 8)])
 @pytest.mark.parametrize("h, levels", [(1 / 64, 1), (1 / 128, 2)])
-def test_kernel_rasterizes_only_what_the_quotient_step_reads(request, spec, transitions,
-                                                             policy, per_level, h, levels):
+def test_kernel_rasterizes_only_what_the_quotient_step_reads(request, policy, per_level, h,
+                                                             levels):
     # example 1: window 2 and blocks (2,2), (2,3); example 2: windows 1 and 2
     # and blocks (1,1), (1,4) and (2,1) to (2,4), all 1-based; at h = 1/128
     # the warm start's coarse level rasterizes as many again
@@ -484,8 +482,7 @@ def test_kernel_rasterizes_only_what_the_quotient_step_reads(request, spec, tran
         return rasterize(*args)
 
     with mock.patch.object(refine, "rasterize", counted):
-        kernel = preset_kernel(spec, transitions, request.getfixturevalue(f"nu_{policy}"),
-                               request.getfixturevalue(f"pf_{policy}").w, h)
+        kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), h)
     assert len(calls) == per_level * levels
     assert calls.count(h) == per_level
     assert (kernel.coarse is not None) == (levels == 2)
@@ -493,14 +490,13 @@ def test_kernel_rasterizes_only_what_the_quotient_step_reads(request, spec, tran
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60, 1 / 256])
-def test_mirrored_masks_and_boxes_match_general_path(request, spec, transitions, policy, h):
+def test_mirrored_masks_and_boxes_match_general_path(request, policy, h):
     # the quotient takes mirrored masks and input boxes as flips of the carried
     # ones, where the general path rasterizes and tests every live channel
-    nu = request.getfixturevalue(f"nu_{policy}")
-    w = request.getfixturevalue(f"pf_{policy}").w
-    quotient = preset_kernel(spec, transitions, nu, w, h)
+    problem = request.getfixturevalue(f"problem_{policy}")
+    quotient = build_kernel(problem, h)
     with general_path():
-        general = preset_kernel(spec, transitions, nu, w, h)
+        general = build_kernel(problem, h)
     assert quotient.mirrors == ({0: 3, 1: 2} if policy == "explicit" else {1: 2})
     for j, m in quotient.mirrors.items():
         assert np.array_equal(quotient.masks[m], np.flip(quotient.masks[j]))
@@ -511,7 +507,7 @@ def test_mirrored_masks_and_boxes_match_general_path(request, spec, transitions,
 
 def oracle_stencil(kernel, i):
     """The stencil of input box i cut from positions computed on the whole grid."""
-    grid, a_inv = kernel.grid, kernel.a_inv
+    grid, a_inv = kernel.grid, np.linalg.inv(kernel.problem.a_matrix)
     X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
     rows = (a_inv[1, 0] * X + a_inv[1, 1] * Y - grid.origin[1]) / grid.h - 0.5
     cols = (a_inv[0, 0] * X + a_inv[0, 1] * Y - grid.origin[0]) / grid.h - 0.5
@@ -522,11 +518,10 @@ def oracle_stencil(kernel, i):
 
 
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60])
-def test_stencils_on_first_use_match_whole_grid_oracle(spec, transitions, nu_explicit,
-                                                       pf_explicit, h):
+def test_stencils_on_first_use_match_whole_grid_oracle(problem_explicit, h):
     # example 2 on the general path, where every channel has a stencil
     with general_path():
-        kernel = preset_kernel(spec, transitions, nu_explicit, pf_explicit.w, h)
+        kernel = build_kernel(problem_explicit, h)
     for i in range(4):
         got, want = kernel.stencils[i], oracle_stencil(kernel, i)
         for field in ("index", "r0", "c0"):
@@ -535,14 +530,13 @@ def test_stencils_on_first_use_match_whole_grid_oracle(spec, transitions, nu_exp
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
-def test_quotient_solve_matches_general_solve(request, spec, transitions, policy):
-    nu = request.getfixturevalue(f"nu_{policy}")
-    w = request.getfixturevalue(f"pf_{policy}").w
-    kernel = preset_kernel(spec, transitions, nu, w, 1 / 64)
+def test_quotient_solve_matches_general_solve(request, policy):
+    problem = request.getfixturevalue(f"problem_{policy}")
+    kernel = build_kernel(problem, 1 / 64)
     assert kernel.mirrors
     quotient = solve_fixed_point(kernel)
     with general_path():
-        general = solve_fixed_point(preset_kernel(spec, transitions, nu, w, 1 / 64))
+        general = solve_fixed_point(build_kernel(problem, 1 / 64))
     got, want = quotient.density.values, general.density.values
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     for j in range(4):
@@ -564,13 +558,12 @@ def test_quotient_with_a_self_mirrored_channel_matches_general_solve():
     windows = [rect(1, 0.5, (0.25, 0.125)), rect(0.75, 0.75), rect(1, 0.5, (-0.25, -0.125))]
     trans = [[erode(wj, linear_image(wi, 0.5 * np.eye(2))) for wi in windows] for wj in windows]
     nu = np.array([[0.5, 0.25, 0.2], [0.3, 0.5, 0.3], [0.2, 0.25, 0.5]])
-    w = pfsolve.pf_eigen(nu).w
-    kernel = build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0, w, 1 / 32)
+    problem = Problem(windows, trans, nu, pfsolve.pf_eigen(nu).w, 0.5 * np.eye(2), 4.0)
+    kernel = build_kernel(problem, 1 / 32)
     assert kernel.mirrors == {0: 2} and [j for j, _ in kernel.channels] == [0, 1]
     quotient = solve_fixed_point(kernel)
     with general_path():
-        general = solve_fixed_point(build_kernel(windows, trans, nu, 0.5 * np.eye(2), 4.0,
-                                                 w, 1 / 32))
+        general = solve_fixed_point(build_kernel(problem, 1 / 32))
     got, want = quotient.density.values, general.density.values
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(got[2], got[0][::-1, ::-1])
@@ -578,11 +571,8 @@ def test_quotient_with_a_self_mirrored_channel_matches_general_solve():
     assert np.abs(quotient.residuals - general.residuals).max() <= 1e-12
 
 
-def test_point_symmetry_decision(spec, transitions, nu_area, pf_area, nu_explicit,
-                                 pf_explicit):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    for nu, pf in ((nu_area, pf_area), (nu_explicit, pf_explicit)):
-        assert refine.point_symmetric(windows, transitions, nu, pf.w)
+def test_point_symmetry_decision(spec, problem_area, problem_explicit):
+    assert refine.point_symmetric(problem_area) and refine.point_symmetric(problem_explicit)
     # every window moved by the same gamma: window 4 is no longer window 1 negated
     shifted = scheme.penrose_scheme(gamma=0.031 - 0.047j)
     # the components in another order: channels 1 and 2 (1-based) mirror each
@@ -593,13 +583,13 @@ def test_point_symmetry_decision(spec, transitions, nu_area, pf_area, nu_explici
                                  q_mult=spec.q_mult)
     for other in (shifted, permuted):
         trans = scheme.transition_windows(other)
-        nu = scheme.build_nu(other, trans)
-        other_windows = [other.shifted_window(i) for i in range(1, 5)]
-        assert not refine.point_symmetric(other_windows, trans, nu, pfsolve.pf_eigen(nu).w)
+        assert not refine.point_symmetric(scheme_problem(other, trans,
+                                                         scheme.build_nu(other, trans)))
     # an explicit nu that is not its own 180-degree flip, with a symmetric w
-    lopsided = nu_explicit.copy()
+    lopsided = problem_explicit.nu.copy()
     lopsided[2] = [0.1, 0.4, 0.4, 0.1]
-    assert not refine.point_symmetric(windows, transitions, lopsided, np.full(4, 0.25))
+    assert not refine.point_symmetric(dataclasses.replace(problem_explicit, nu=lopsided,
+                                                          w=np.full(4, 0.25)))
 
 
 def cold_start():
@@ -619,24 +609,21 @@ def counted_kernels():
 
 
 @pytest.mark.parametrize("example", [1, 2, "2-gamma"])
-def test_warm_start_matches_cold_start(request, spec, transitions, example):
+def test_warm_start_matches_cold_start(request, example):
     if example == "2-gamma":
         spec = scheme.penrose_scheme(gamma=0.031 - 0.047j)
         transitions = scheme.transition_windows(spec)
-        nu = scheme.build_nu(spec, transitions, policy="explicit",
-                             matrix=request.getfixturevalue("nu_explicit"))
-        w = pfsolve.pf_eigen(nu).w
+        problem = scheme_problem(spec, transitions, scheme.build_nu(
+            spec, transitions, policy="explicit", matrix=EXAMPLE2_NU))
     else:
-        policy = "area" if example == 1 else "explicit"
-        nu = request.getfixturevalue(f"nu_{policy}")
-        w = request.getfixturevalue(f"pf_{policy}").w
+        problem = request.getfixturevalue(f"problem_{'area' if example == 1 else 'explicit'}")
     cells, counting = counted_kernels()
     with counting:
-        kernel = preset_kernel(spec, transitions, nu, w, 1 / 128)
+        kernel = refine.build_kernel(problem, 1 / 128)
     assert bool(kernel.mirrors) == (example != "2-gamma")
     warm = solve_fixed_point(kernel)
     with cold_start():
-        cold = solve_fixed_point(preset_kernel(spec, transitions, nu, w, 1 / 128))
+        cold = solve_fixed_point(build_kernel(problem, 1 / 128))
     assert cells == [1 / 128, 1 / 32]
     assert warm.iterations < cold.iterations
     l1 = np.abs(warm.density.values - cold.density.values).sum() * kernel.grid.h**2
@@ -645,19 +632,16 @@ def test_warm_start_matches_cold_start(request, spec, transitions, example):
 
 
 @pytest.mark.parametrize("h, builds", [(1 / 32, 1), (1 / 64, 1), (1 / 128, 2)])
-def test_coarse_level_only_on_wide_grids(spec, transitions, nu_explicit, pf_explicit,
-                                         h, builds):
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
+def test_coarse_level_only_on_wide_grids(problem_explicit, h, builds):
     cells, counting = counted_kernels()
     with counting:
-        kernel = refine.build_kernel(windows, transitions, nu_explicit, spec.a_matrix(),
-                                     spec.detq_abs, pf_explicit.w, h)
+        kernel = refine.build_kernel(problem_explicit, h)
         solve_fixed_point(kernel)
     assert len(cells) == builds and (kernel.coarse is None) == (builds == 1)
     if kernel.coarse is not None:  # the same rule at h = 1/32
         coarse = kernel.coarse.grid
         assert coarse.h == 1 / 32 and coarse.nx == coarse.ny
-        assert coarse == refine._kernel_grid(windows, 1 / 32)
+        assert coarse == refine._kernel_grid(problem_explicit.windows, 1 / 32)
 
 
 def test_coarse_level_keeps_every_carried_window_resolved():
@@ -673,12 +657,12 @@ def test_square_toy_warm_starts_on_its_own_box():
     # window, with the 0.082 margin: 555 cells at h = 1/256 and 139 at 1/64
     cells, counting = counted_kernels()
     with counting:  # records the coarse level, which build_kernel builds by its module name
-        kernel, _ = toy_kernel(1 / 256)
+        kernel = toy_kernel(1 / 256)
     assert cells == [1 / 64]
     assert kernel.grid.nx == 555 and kernel.coarse.grid.nx == 139
     warm = solve_fixed_point(kernel)
     with cold_start():
-        cold_kernel, _ = toy_kernel(1 / 256)
+        cold_kernel = toy_kernel(1 / 256)
     cold = solve_fixed_point(cold_kernel)
     l1 = np.abs(warm.density.values - cold.density.values).sum() * kernel.grid.h**2
     assert l1 <= 1e-8
@@ -700,12 +684,11 @@ def test_prolongation_matches_bilinear_oracle(preset64):
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60, 1 / 256])
-def test_input_boxes_match_whole_grid_oracle(request, spec, transitions, policy, h):
-    nu = request.getfixturevalue(f"nu_{policy}")
-    windows = [spec.shifted_window(i) for i in range(1, 5)]
-    grid = refine._kernel_grid(windows, h)
-    masks = np.array([coverage(w, grid) > 0 for w in windows])
-    a_inv = np.linalg.inv(spec.a_matrix())
+def test_input_boxes_match_whole_grid_oracle(request, policy, h):
+    problem = request.getfixturevalue(f"problem_{policy}")
+    grid = refine._kernel_grid(problem.windows, h)
+    masks = np.array([coverage(w, grid) > 0 for w in problem.windows])
+    a_inv = np.linalg.inv(problem.a_matrix)
     for mask, want in zip(masks, oracle_input_boxes(grid, a_inv, masks)):
         got, _ = refine._input_stencil(grid, a_inv, mask)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -726,33 +709,29 @@ def test_input_boxes_match_whole_grid_oracle(request, spec, transitions, policy,
 
 @pytest.mark.parametrize("conserve_mass", [True, False])
 def test_step_matches_oracle_on_square_toy(conserve_mass):
-    kernel, _ = toy_kernel(1 / 64)
+    kernel = toy_kernel(1 / 64)
     f = initial_density(kernel)
     for _ in range(3):
         f = assert_steps_agree(f, kernel, conserve_mass)
 
 
-def test_fourier_product_matches_oracle(spec, transitions, nu_area, pf_area,
-                                        nu_explicit, pf_explicit):
+def test_fourier_product_matches_oracle(problem_area, problem_explicit):
     rng = np.random.default_rng(23)
     ks = np.vstack([rng.uniform(-30, 30, size=(20, 2)), [(0.0, 0.0), (3e-7, -2e-7)]])
-    for nu, pf in ((nu_area, pf_area), (nu_explicit, pf_explicit)):
+    for problem in (problem_area, problem_explicit):
         for k in ks:
-            got = fourier_product(transitions, nu, pf.w, spec.a_matrix(), k)
-            want = oracle_fourier_product(transitions, nu, pf.w, spec.a_matrix(), k)
-            assert np.abs(got - want).max() <= 1e-12
+            got = fourier_product(problem, k)
+            assert np.abs(got - oracle_fourier_product(problem, k)).max() <= 1e-12
 
 
-def test_fourier_products_match_one_at_a_time(spec, transitions, nu_area, pf_area):
+def test_fourier_products_match_one_at_a_time(problem_area):
     # one table over every orbit gives each wavevector the bits of its own call
     rng = np.random.default_rng(29)
     ks = np.vstack([rng.uniform(-30, 30, size=(12, 2)), [(0.0, 0.0), (3e-7, -2e-7)]])
-    batched = refine.fourier_products(transitions, nu_area, pf_area.w, spec.a_matrix(), ks)
+    batched = refine.fourier_products(problem_area, ks)
     for k, got in zip(ks, batched):
-        want = oracle_fourier_product(transitions, nu_area, pf_area.w, spec.a_matrix(), k)
-        assert np.abs(got - want).max() <= 1e-12
-        assert got.tobytes() == fourier_product(transitions, nu_area, pf_area.w,
-                                                spec.a_matrix(), k).tobytes()
+        assert np.abs(got - oracle_fourier_product(problem_area, k)).max() <= 1e-12
+        assert got.tobytes() == fourier_product(problem_area, k).tobytes()
 
 
 def test_grid_ft_matches_oracle(solve1_128):

@@ -5,12 +5,12 @@ import pytest
 
 from modelsets import refine, scheme, verify
 from modelsets.polygeom import Region, contains_many, linear_image
-from tests.conftest import TAU, _solve
+from tests.conftest import TAU
 
 
 @pytest.fixture(scope="module")
-def coarse_solution(spec, transitions, nu_explicit, pf_explicit):
-    return _solve(spec, transitions, nu_explicit, pf_explicit.w, 1 / 64).density
+def coarse_solution(problem_explicit):
+    return refine.solve_fixed_point(refine.build_kernel(problem_explicit, 1 / 64)).density
 
 
 @pytest.fixture(scope="module")
