@@ -2,9 +2,11 @@
 
 Configuration is a flat key = value text file; the two bundled presets
 reproduce the worked four-component examples with one command.  Every
-command validates its configuration and computes its results, then writes
-its files under temporary names (the density text one row block at a time)
-and renames them into place once all are complete: a failure leaves no output.
+command validates its configuration, then runs its work as named stages
+(`_stage`) and writes its files under temporary names (the density text one
+row block at a time), renaming them into place once all are complete.  A
+bad configuration exits 2 with `config error: <path>...`, a failed stage
+with `error: failed at stage '<name>': ...`; either leaves no output.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import re
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from itertools import islice
 
 import numpy as np
 
@@ -52,6 +53,10 @@ class ConfigError(ValueError):
     pass
 
 
+class StageError(Exception):
+    """A failure labelled with the stage it stopped; not caught by an enclosing stage."""
+
+
 @dataclass
 class RunConfig:
     spec: scheme.SchemeSpec
@@ -71,22 +76,27 @@ class RunConfig:
 
 def parse_config_file(path):
     """Flat key = value lines; '#' starts a comment."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # a decode error has no strerror
+        raise ConfigError(f"{path}: cannot read: {reason}") from None
     raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: {key!r} is set twice "
-                                  f"(first on line {raw[key][1]})")
-            raw[key] = (value.strip(), lineno)
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = stripped.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is set twice "
+                              f"(first on line {raw[key][1]})")
+        raw[key] = (value.strip(), lineno)
     return raw
 
 
@@ -125,6 +135,8 @@ def _one_of(*names):
 
 POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)  # NaN fails every comparison
 NON_NEGATIVE = ("non-negative and finite", lambda v: 0 <= v < math.inf)
+# the polygon transforms square a wavevector's modulus, so k_max stays where that is finite
+UP_TO_1E150 = ("positive and at most 1e+150", lambda v: 0 < v <= 1e150)
 
 # every plain key: its default, the parser of its text, and the rule its
 # value must meet as (description, test), or None
@@ -141,7 +153,7 @@ KEYS = {
     "id2_samples": (100, int, POSITIVE),
     "seed": (0, int, NON_NEGATIVE),
     "k_count": (25, int, POSITIVE),
-    "k_max": (10.0, float, POSITIVE),
+    "k_max": (10.0, float, UP_TO_1E150),
     "outputs": (None, _parse_outputs, None),
 }
 
@@ -153,7 +165,7 @@ def _located(raw, path, key, parse):
         return parse(value)
     except ConfigError as exc:
         raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    except ValueError as exc:  # from float, int or Region.polygon
+    except (ValueError, OverflowError) as exc:  # from float, int, Region.polygon or CycInt
         raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
 
 
@@ -176,14 +188,21 @@ def _inline_scheme(raw, path, gamma, boundary):
                                 lambda text: _parse_window(text, f"window{idx}")))
         if f"coset{idx}" not in raw:
             raise ConfigError(f"{path}: missing coset{idx}")
-        reps.append(CycInt(*_located(raw, path, f"coset{idx}",
-                                     lambda text: _parse_ints(text, 4, f"coset{idx}"))))
+        reps.append(_located(raw, path, f"coset{idx}",
+                             lambda text: CycInt(*_parse_ints(text, 4, f"coset{idx}"))))
+        if reps[-1].rho() in [z.rho() for z in reps[:-1]]:  # SchemeSpec's rule, located
+            raise ConfigError(f"{path}:{raw[f'coset{idx}'][1]}: coset{idx}: residue "
+                              f"{reps[-1].rho()} repeats an earlier coset's; "
+                              "coset representatives must have distinct residues")
         idx += 1
     if not windows:
         raise ConfigError(f"{path}: inline scheme needs window1, window2, ...")
     if "q" not in raw:
         raise ConfigError(f"{path}: inline scheme needs q = m0,m1,m2,m3")
-    q = CycInt(*_located(raw, path, "q", lambda text: _parse_ints(text, 4, "q")))
+    q = _located(raw, path, "q", lambda text: CycInt(*_parse_ints(text, 4, "q")))
+    if abs(q.internal()) >= 1.0:  # SchemeSpec's rule, located
+        raise ConfigError(f"{path}:{raw['q'][1]}: q: the internal image of the similarity "
+                          f"must be contractive, got modulus {fmt(abs(q.internal()))}")
     return scheme.SchemeSpec(windows=windows, coset_reps=reps, q_mult=q,
                              gamma=complex(*gamma), boundary_mode=boundary)
 
@@ -248,10 +267,14 @@ def build_config(args):
                      **{f.name: cfg[f.name] for f in fields(RunConfig) if f.name in KEYS})
 
 
-def _failed(stage, exc):
-    """The error exc, labelled with the stage it stopped."""
-    reason = str(exc) or "out of memory"  # a bare MemoryError has no message
-    return RuntimeError(f"failed at stage '{stage}': {reason}")
+@contextmanager
+def _stage(name):
+    """Label a ValueError, RuntimeError, MemoryError or OSError raised inside with name."""
+    try:
+        yield
+    except (ValueError, RuntimeError, MemoryError, OSError) as exc:
+        reason = str(exc) or "out of memory"  # a bare MemoryError has no message
+        raise StageError(f"failed at stage '{name}': {reason}") from exc
 
 
 @contextmanager
@@ -259,7 +282,7 @@ def _staged(outdir):
     """Yield open(name) for files that appear in outdir together, once all are complete.
 
     Each is written under a temporary name and renamed with os.replace at the
-    end; a failure removes them all and is labelled if it is I/O or memory.
+    end, all in stage 'output'; a failure removes them all.
     """
     opened = {}
 
@@ -268,28 +291,20 @@ def _staged(outdir):
         return opened[name]
 
     try:
-        os.makedirs(outdir, exist_ok=True)
-        yield open_file
-        for fh in opened.values():
-            fh.close()
-        while opened:
-            name, fh = opened.popitem()
-            os.replace(fh.name, os.path.join(outdir, name))
-    except (OSError, MemoryError) as exc:
-        raise _failed("output", exc) from exc
+        with _stage("output"):
+            os.makedirs(outdir, exist_ok=True)
+            yield open_file
+            for fh in opened.values():
+                fh.close()
+            while opened:
+                name, fh = opened.popitem()
+                os.replace(fh.name, os.path.join(outdir, name))
     finally:
         for fh in opened.values():
             with suppress(OSError):
                 fh.close()
             with suppress(OSError):
                 os.remove(fh.name)
-
-
-def _write_all(outdir, files):
-    """Write each file's text under outdir, all or none."""
-    with _staged(outdir) as open_file:
-        for name, text in files.items():
-            open_file(name).write(text)
 
 
 def _region_line(j, i, region):
@@ -302,96 +317,88 @@ def _region_line(j, i, region):
 
 
 def cmd_windows(cfg, outdir):
-    try:
+    with _stage("transition windows"):
         trans = scheme.transition_windows(cfg.spec)
-    except (ValueError, RuntimeError, MemoryError) as exc:
-        raise _failed("transition windows", exc) from exc
     r = cfg.spec.r
-    lines = [_region_line(j + 1, i + 1, trans[j][i])
-             for j in range(r) for i in range(r)]
-    areas = ["\t".join(fmt(area(trans[j][i])) for i in range(r)) for j in range(r)]
-    _write_all(outdir, {
-        "windows.txt": "\n".join(lines) + "\n",
-        "areas.txt": "\n".join(areas) + "\n",
-    })
+    with _staged(outdir) as open_file:
+        open_file("windows.txt").write("\n".join(
+            _region_line(j + 1, i + 1, trans[j][i]) for j in range(r) for i in range(r)) + "\n")
+        open_file("areas.txt").write("\n".join(
+            "\t".join(fmt(area(trans[j][i])) for i in range(r)) for j in range(r)) + "\n")
     return 0
 
 
 def cmd_points(cfg, outdir):
-    points = scheme.generate_all(cfg.spec, cfg.s)
-    _write_all(outdir, {"points.csv": scheme.points_csv_text(points)})
+    with _stage("enumeration"):
+        points = scheme.generate_all(cfg.spec, cfg.s)
+    with _staged(outdir) as open_file:
+        open_file("points.csv").write(scheme.points_csv_text(points))
     return 0
 
 
-def _nu_text(nu):
-    return "\n".join("\t".join(fmt(v) for v in row) for row in nu) + "\n"
+def _write_eigenpair(open_file, nu, pf):
+    """nu.txt, the weight matrix, and pf.txt, its Perron-Frobenius pair."""
+    open_file("nu.txt").write("\n".join("\t".join(fmt(v) for v in row) for row in nu) + "\n")
+    open_file("pf.txt").write(f"lambda = {fmt(pf.lambda_max)}\n"
+                              f"w = {' '.join(fmt(v) for v in pf.w)}\n"
+                              f"gap = {fmt(pf.gap)}\n"
+                              f"simple = {'true' if pf.simple else 'false'}\n")
 
 
-def _pf_text(pf):
-    return (f"lambda = {fmt(pf.lambda_max)}\n"
-            f"w = {' '.join(fmt(v) for v in pf.w)}\n"
-            f"gap = {fmt(pf.gap)}\n"
-            f"simple = {'true' if pf.simple else 'false'}\n")
-
-
-def cmd_nu(cfg, outdir):
-    _, nu, pf = next(_pipeline(cfg))
-    _write_all(outdir, {"nu.txt": _nu_text(nu), "pf.txt": _pf_text(pf)})
-    return 0
-
-
-def _pipeline(cfg):
-    """Yield (trans, nu, pf), the fixed-point result, then the Fourier deviation.
-
-    Each command takes only the items it reads, so `nu` runs no solve and
-    `verify` no Fourier cross-check.  A failure is labelled with its stage.
-    """
-    stage = "transition windows"
-    try:
+def _eigenpair(cfg):
+    """The transition windows, the weight matrix and its Perron-Frobenius pair."""
+    with _stage("transition windows"):
         trans = scheme.transition_windows(cfg.spec)
-        stage = "weight matrix"
-        nu = scheme.build_nu(cfg.spec, trans, policy=cfg.nu_policy,
-                             matrix=cfg.nu_matrix)
-        stage = "eigenpair"
+    with _stage("weight matrix"):
+        nu = scheme.build_nu(cfg.spec, trans, policy=cfg.nu_policy, matrix=cfg.nu_matrix)
+    with _stage("eigenpair"):
         pf = pfsolve.pf_eigen(nu)
-        yield trans, nu, pf
+    return trans, nu, pf
+
+
+def _solve(cfg, trans, nu, pf):
+    """The refinement problem and its fixed point; the kernel is freed on return."""
+    with _stage("eigenpair"):
         if not pfsolve.check_pf1(pf, tol=1e-8):
             raise ValueError(f"spectral radius {pf.lambda_max} is not 1")
         if not pf.simple:
             raise ValueError("the Perron root is not simple, so the "
                              "invariant density is not unique")
-        stage = "kernel"
+    with _stage("kernel"):
         problem = refine.Problem([cfg.spec.shifted_window(i) for i in range(1, cfg.spec.r + 1)],
                                  trans, nu, pf.w, cfg.spec.a_matrix(), cfg.spec.detq_abs)
         kernel = refine.build_kernel(problem, cfg.h)
-        stage = "fixed point"
-        result = refine.solve_fixed_point(kernel, tol=cfg.tol, maxit=cfg.maxit)
-        yield result
-        stage = "solver comparison"
-        rng = np.random.default_rng(cfg.seed)
-        ks = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
-        ks = ks[np.hypot(ks[:, 0], ks[:, 1]) <= cfg.k_max][:cfg.k_count]
-        deviation = refine.compare_solvers(result.density, problem, ks)
-    except (ValueError, RuntimeError, MemoryError) as exc:
-        raise _failed(stage, exc) from exc
-    yield deviation
+    with _stage("fixed point"):
+        return problem, refine.solve_fixed_point(kernel, tol=cfg.tol, maxit=cfg.maxit)
+
+
+def cmd_nu(cfg, outdir):
+    _, nu, pf = _eigenpair(cfg)
+    with _staged(outdir) as open_file:
+        _write_eigenpair(open_file, nu, pf)
+    return 0
 
 
 def cmd_solve(cfg, outdir):
-    (_, nu, pf), result, deviation = _pipeline(cfg)
+    trans, nu, pf = _eigenpair(cfg)
+    problem, result = _solve(cfg, trans, nu, pf)
     density = result.density
-    summary = (f"lambda = {fmt(pf.lambda_max)}\n"
-               f"w = {' '.join(fmt(v) for v in pf.w)}\n"
-               f"masses = {' '.join(fmt(v) for v in density.masses)}\n"
-               f"iterations = {result.iterations}\n"
-               f"residuals = {' '.join(fmt(v) for v in result.residuals)}\n"
-               f"fourier_max_rel_dev = {fmt(deviation)}\n")
+    with _stage("solver comparison"):
+        rng = np.random.default_rng(cfg.seed)
+        ks = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
+        ks = ks[np.hypot(ks[:, 0], ks[:, 1]) <= cfg.k_max][:cfg.k_count]
+        deviation = refine.compare_solvers(density, problem, ks)
     selectors = cfg.outputs or OUTPUT_SELECTORS
     # the density text goes to disk one row block at a time, never held whole
     with _staged(outdir) as open_file:
-        for name, text in [("nu.txt", _nu_text(nu)), ("pf.txt", _pf_text(pf)),
-                           ("summary.txt", summary)]:
-            open_file(name).write(text)
+        _write_eigenpair(open_file, nu, pf)
+        open_file("summary.txt").write(
+            f"lambda = {fmt(pf.lambda_max)}\n"
+            f"w = {' '.join(fmt(v) for v in pf.w)}\n"
+            f"masses = {' '.join(fmt(v) for v in density.masses)}\n"
+            f"iterations = {result.iterations}\n"
+            f"residuals = {' '.join(fmt(v) for v in result.residuals)}\n"
+            f"fourier_max_rel_dev = {fmt(deviation)}\n")
         grids = ({j: open_file(f"density_ch{j + 1}.txt") for j in range(density.r)}
                  if "grids" in selectors else {})
         csv = open_file("density.csv") if "csv" in selectors else None
@@ -400,53 +407,55 @@ def cmd_solve(cfg, outdir):
 
 
 def cmd_verify(cfg, outdir):
-    # the pipeline is dropped after its second item, and the kernel with it
-    (trans, nu, pf), result = islice(_pipeline(cfg), 2)
-    density = result.density
-    # one patch out to the larger radius; each check cuts it with PointSet.within
-    radius = max(cfg.s, cfg.closure_s)
-    patch = scheme.generate_all(cfg.spec, radius)
-    tsets = scheme.translation_sets(cfg.spec, trans, radius)
-    points = [p.within(cfg.s) for p in patch]
-    lines = []
-    # star images equidistribute: component-1 sub-window at the contraction scale
-    contraction = abs(cfg.spec.a_internal)
-    sub = translate(linear_image(cfg.spec.windows[0], contraction * np.eye(2)),
-                    (cfg.spec.gamma.real, cfg.spec.gamma.imag))
-    if points[0]:
-        _, _, dev = verify.weyl_test(points[0], cfg.spec.shifted_window(1), sub)
-        lines.append(verify.ReportLine("WEYL.comp1_deviation", dev,
-                                       5.0 / np.sqrt(len(points[0]))))
-    else:
-        lines.append(verify.ReportLine("WEYL.comp1_deviation", "no-points", 0.0))
-    try:
-        rep = verify.check_id2(cfg.spec, density, nu, points, tsets, cfg.s,
-                               samples=cfg.id2_samples, seed=cfg.seed)
-        lines.append(verify.ReportLine("ID2.mean_residual", rep.mean_residual, 0.05))
-    except verify.InsufficientRadiusError:
-        lines.append(verify.ReportLine("ID2.mean_residual", "insufficient-radius", 0.05))
-    id3 = verify.id3_values(cfg.spec, density, points)
-    lines.append(verify.ReportLine("ID3.max_deviation",
-                                   float(np.abs(id3 - pf.w).max()), 0.05))
-    dens = verify.density_estimate(points, [cfg.s])
-    areas = np.array([area(cfg.spec.shifted_window(j))
-                      for j in range(1, cfg.spec.r + 1)])
-    ratio_dev = 0.0
-    for j in range(cfg.spec.r):
-        for i in range(cfg.spec.r):
-            if dens[i, 0] > 0:
-                measured = dens[j, 0] / dens[i, 0]
-                expected = areas[j] / areas[i]
-                ratio_dev = max(ratio_dev, abs(measured / expected - 1.0))
-    lines.append(verify.ReportLine("DENSITY.ratio_max_reldev", ratio_dev, 0.05))
-    closure = scheme.check_selfsim_closure(
-        cfg.spec, patch, [[t.within(cfg.closure_s) for t in row] for row in tsets],
-        cfg.closure_s)
-    lines.append(verify.ReportLine("CLOSURE.violations",
-                                   len(closure.violations), 0))
-    report = verify.render_report(lines)
-    sys.stdout.write(report)
-    _write_all(outdir, {"report.txt": report})
+    trans, nu, pf = _eigenpair(cfg)
+    density = _solve(cfg, trans, nu, pf)[1].density
+    with _stage("enumeration"):
+        # one patch out to the larger radius; each check cuts it with PointSet.within
+        radius = max(cfg.s, cfg.closure_s)
+        patch = scheme.generate_all(cfg.spec, radius)
+        tsets = scheme.translation_sets(cfg.spec, trans, radius)
+        points = [p.within(cfg.s) for p in patch]
+    with _stage("verification"):
+        lines = []
+        # star images equidistribute: component-1 sub-window at the contraction scale
+        contraction = abs(cfg.spec.a_internal)
+        sub = translate(linear_image(cfg.spec.windows[0], contraction * np.eye(2)),
+                        (cfg.spec.gamma.real, cfg.spec.gamma.imag))
+        if points[0]:
+            _, _, dev = verify.weyl_test(points[0], cfg.spec.shifted_window(1), sub)
+            lines.append(verify.ReportLine("WEYL.comp1_deviation", dev,
+                                           5.0 / np.sqrt(len(points[0]))))
+        else:
+            lines.append(verify.ReportLine("WEYL.comp1_deviation", "no-points", 0.0))
+        try:
+            rep = verify.check_id2(cfg.spec, density, nu, points, tsets, cfg.s,
+                                   samples=cfg.id2_samples, seed=cfg.seed)
+            lines.append(verify.ReportLine("ID2.mean_residual", rep.mean_residual, 0.05))
+        except verify.InsufficientRadiusError:
+            lines.append(verify.ReportLine("ID2.mean_residual", "insufficient-radius", 0.05))
+        id3 = verify.id3_values(cfg.spec, density, points)
+        lines.append(verify.ReportLine("ID3.max_deviation",
+                                       float(np.abs(id3 - pf.w).max()), 0.05))
+        dens = verify.density_estimate(points, [cfg.s])
+        areas = np.array([area(cfg.spec.shifted_window(j))
+                          for j in range(1, cfg.spec.r + 1)])
+        ratio_dev = 0.0
+        for j in range(cfg.spec.r):
+            for i in range(cfg.spec.r):
+                if dens[i, 0] > 0:
+                    measured = dens[j, 0] / dens[i, 0]
+                    expected = areas[j] / areas[i]
+                    ratio_dev = max(ratio_dev, abs(measured / expected - 1.0))
+        lines.append(verify.ReportLine("DENSITY.ratio_max_reldev", ratio_dev, 0.05))
+        closure = scheme.check_selfsim_closure(
+            cfg.spec, patch, [[t.within(cfg.closure_s) for t in row] for row in tsets],
+            cfg.closure_s)
+        lines.append(verify.ReportLine("CLOSURE.violations",
+                                       len(closure.violations), 0))
+        report = verify.render_report(lines)
+    with _staged(outdir) as open_file:
+        sys.stdout.write(report)
+        open_file("report.txt").write(report)
     return 0 if all(line.passed for line in lines) else 1
 
 
@@ -468,14 +477,12 @@ def main(argv=None):
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
-        return args.fn(cfg, args.out)
+        return args.fn(build_config(args), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+    except StageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

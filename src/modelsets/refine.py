@@ -66,7 +66,7 @@ _MIN_MASK_CELLS = 64  # fewest cells a carried window may meet: a grid that reso
 
 def make_centered_grid(half_extent, h):
     """Odd-sized symmetric grid with a cell centered at the origin."""
-    m = int(np.ceil(half_extent / h - 0.5))
+    m = int(np.ceil(min(half_extent / h, 2.0**63) - 0.5))  # finite even for a subnormal h
     n = 2 * m + 1
     o = -(m + 0.5) * h
     return GridSpec(origin=(o, o), h=h, nx=n, ny=n)
@@ -437,7 +437,7 @@ def build_kernel(problem, h):
     live = held > 0
     carried = [j for j in range(r) if live[j] and (j <= r - 1 - j or not quotient)]
     mirrors = {j: r - 1 - j for j in carried if quotient and j < r - 1 - j}
-    h2 = grid.h**2
+    h2 = grid.h * grid.h  # inf at h = 1e300, where ** raises OverflowError
     masks = np.zeros((r, grid.ny, grid.nx), dtype=bool)
     indicators = [None] * r
     cells = []

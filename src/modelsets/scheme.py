@@ -205,7 +205,7 @@ def _enumerate_module(radius_phys, radius_internal):
     try:
         U = np.linalg.cholesky(gram).T  # gram = U.T @ U, row k involves m_k..m_3
     except np.linalg.LinAlgError:
-        raise ValueError(f"enumeration: internal radius {radius_internal:.6g} is too large "
+        raise ValueError(f"internal radius {radius_internal:.6g} is too large "
                          f"for physical radius {radius_phys:.6g}") from None
     # level by level from m3 down to m0, every prefix (m_{k+1}, .., m_3) is
     # expanded into its interval of admissible m_k; the budget and interval
@@ -219,7 +219,7 @@ def _enumerate_module(radius_phys, radius_internal):
         hi = np.floor(center + half + 1e-9).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
         if (total := int(counts.sum())) > MAX_CANDIDATES:
-            raise ValueError(f"enumeration: {total} candidate points at radii {radius_phys:.6g} "
+            raise ValueError(f"{total} candidate points at radii {radius_phys:.6g} "
                              f"and {radius_internal:.6g} exceed the limit of {MAX_CANDIDATES}")
         parent = np.repeat(np.arange(len(coeffs)), counts)
         starts = np.repeat(np.cumsum(counts) - counts, counts)

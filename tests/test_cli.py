@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -263,6 +263,15 @@ BAD_CONFIGS = [
      "q needs 4 numbers"),
     ("nu_policy = explicit\nnu_row1 = 0.5 0 0 0.5\nnu_row2 = 0.5 0.5 -0.5 0.5\n", 3,
      "nu_row2: weights must be non-negative"),
+    ("scheme = inline\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1e19 0 0 0\n", 3,
+     "bad value for coset1: coefficient 10000000000000000000 exceeds the 64-bit range"),
+    # SchemeSpec's own checks, located: the later of two cosets with one residue, and q
+    ("scheme = inline\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1 0 0 0\nwindow2 = 0,0;1,0;0,1\n"
+     "coset2 = 0 1 0 0\nq = 0 0 -1 -1\n", 5, "coset2: residue 1 repeats an earlier coset's"),
+    ("scheme = inline\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1 0 0 0\nq = 2 0 0 0\n", 4,
+     "q: the internal image of the similarity must be contractive, got modulus 2"),
+    # the polygon transforms square the wavevector modulus
+    ("k_max = 1e151\n", 1, "at most 1e+150, got 1e+151"),
 ]
 
 
@@ -286,7 +295,7 @@ NONFINITE_CONFIGS = [
     pytest.param("points", "gamma = nan, 0\n", [], 1, "gamma: numbers must be finite",
                  id="gamma-nan"),
     pytest.param("solve", "k_max = inf\n", [], 1,
-                 "k_max must be positive and finite, got inf", id="k_max-inf"),
+                 "k_max must be positive and at most 1e+150, got inf", id="k_max-inf"),
     pytest.param("solve", "tol = inf\n", [], 1, "tol must be positive and finite, got inf",
                  id="tol-inf"),
     pytest.param("solve", "s = nan\n", [], 1, "s must be positive and finite, got nan",
@@ -316,6 +325,22 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, command, text, flags, line
     assert err.startswith("config error:") and message in err
     assert (f"bad.cfg:{line}: " in err) if line else ("bad.cfg" not in err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("make, reason", [
+    (None, "No such file or directory"),
+    (Path.mkdir, "Is a directory"),
+    (lambda path: path.write_bytes(b"s = 8\n\xff\n"), "codec can't decode byte 0xff"),
+], ids=["missing", "directory", "undecodable"])
+def test_unreadable_config_fails_labelled(tmp_path, capsys, make, reason):
+    config = tmp_path / "c.cfg"
+    if make:
+        make(config)
+    out = tmp_path / "out"
+    assert run(["points", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: cannot read: ") and reason in err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_cli_imports_no_scipy():
@@ -457,10 +482,20 @@ def test_solve_output_selectors(tmp_path, selector, names):
      "failed at stage 'kernel': Unable to allocate 3.36 TiB for an array"),
     ("solve", "modelsets.refine.build_kernel", MemoryError(),
      "failed at stage 'kernel': out of memory"),
-    ("points", "modelsets.scheme.generate_all", MemoryError(), "error: out of memory"),
+    ("points", "modelsets.scheme.generate_all", MemoryError(),
+     "failed at stage 'enumeration': out of memory"),
     ("windows", "modelsets.scheme.transition_windows", MemoryError(),
      "failed at stage 'transition windows': out of memory"),
-], ids=["kernel", "kernel-no-message", "points", "windows"])
+    ("nu", "modelsets.pfsolve.pf_eigen", MemoryError(),
+     "failed at stage 'eigenpair': out of memory"),
+    ("solve", "modelsets.refine.compare_solvers", MemoryError(),
+     "failed at stage 'solver comparison': out of memory"),
+    ("verify", "modelsets.scheme.translation_sets", MemoryError(),
+     "failed at stage 'enumeration': out of memory"),
+    ("verify", "modelsets.verify.id3_values", MemoryError(),
+     "failed at stage 'verification': out of memory"),
+], ids=["kernel", "kernel-no-message", "points", "windows", "nu", "solver-comparison",
+        "verify-enumeration", "verification"])
 def test_out_of_memory_fails_before_output(tmp_path, capsys, monkeypatch, command, target,
                                            error, message):
     # a stand-in for an allocation that fails: a real one of that size can
@@ -470,8 +505,9 @@ def test_out_of_memory_fails_before_output(tmp_path, capsys, monkeypatch, comman
 
     monkeypatch.setattr(target, exhausted)
     out = tmp_path / "out"
-    assert run([command, "--preset", "penrose-example1", "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    assert run([command, "--preset", "penrose-example1", "--h", "0.03125",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -560,8 +596,8 @@ def test_far_gamma_enumeration_is_refused(tmp_path, capsys, command, flags):
     config.write_text("gamma = 50, 0\n")
     out = tmp_path / "out"
     assert run([command, "--s", "20", "--config", str(config), "--out", str(out)] + flags) == 2
-    assert re.fullmatch(r"error: enumeration: \d+ candidate points at radii 20 and 51.618 "
-                        rf"exceed the limit of {scheme.MAX_CANDIDATES}\n",
+    assert re.fullmatch(r"error: failed at stage 'enumeration': \d+ candidate points at radii "
+                        rf"20 and 51.618 exceed the limit of {scheme.MAX_CANDIDATES}\n",
                         capsys.readouterr().err)
     assert not out.exists()
 
@@ -576,27 +612,116 @@ def inline_penrose(q):
     return "\n".join(lines) + "\n"
 
 
+STAGES = ("transition windows", "weight matrix", "eigenpair", "kernel", "fixed point",
+          "solver comparison", "enumeration", "verification", "output")
+
+
+def run_quiet(args):
+    """cli.main(args) with stdout dropped and stderr captured: (exit code, stderr text)."""
+    with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+        code = run(args)
+    return code, err.getvalue()
+
+
+def assert_one_labelled_line(err, config):
+    # a config error names the file, and its line where the value has one; a
+    # failure after the configuration names its stage
+    stages = "|".join(map(re.escape, STAGES))
+    assert re.fullmatch(rf"config error: {re.escape(str(config))}(:\d+)?: .+\n"
+                        rf"|error: failed at stage '({stages})': .+\n", err), err
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(q=st.tuples(*[st.integers(-3, 3)] * 4))
 @example(q=(0, 0, -1, -1))  # tau, the Penrose multiplier
 @example(q=(-3, -3, -1, 1))  # norm 11: passes every stage before the kernel
+@example(q=(2, 0, 0, 0))  # not contractive: SchemeSpec's check, once unlabelled
 def test_inline_q_solves_only_for_a_unit(q):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "q.cfg", Path(tmp) / "out"
         config.write_text(inline_penrose(q))
-        with redirect_stderr(io.StringIO()) as err:
-            code = run(["solve", "--config", str(config), "--h", "0.03125", "--out", str(out)])
+        code, err = run_quiet(["solve", "--config", str(config), "--h", "0.03125",
+                               "--out", str(out)])
         assert code in (0, 2)
         if code == 2:
-            assert err.getvalue().startswith(("config error:", "error:"))
-            assert err.getvalue().count("\n") == 1 and not out.exists()
+            assert_one_labelled_line(err, config)
+            assert not out.exists()
+        if q == (2, 0, 0, 0):
+            assert err == (f"config error: {config}:2: q: the internal image of the "
+                           "similarity must be contractive, got modulus 2\n")
     unit = round(abs(np.linalg.det(CycInt(*q).mult_matrix()))) == 1
     assert unit or code == 2
     if q == (0, 0, -1, -1):
         assert code == 0
     if q == (-3, -3, -1, 1):
-        assert err.getvalue() == ("error: failed at stage 'kernel': determinant mismatch: "
-                                  "|det A| * |det Q| = 11, not 1; q must be a unit\n")
+        assert err == ("error: failed at stage 'kernel': determinant mismatch: "
+                       "|det A| * |det Q| = 11, not 1; q must be a unit\n")
+
+
+# values of each key in cli.KEYS that the contract property draws from: its
+# default and boundaries, and ones that fail a stage (h = 5 leaves a window
+# unresolved, maxit = 1 stops the solve short); ANY_VALUES then puts tiny,
+# subnormal, huge, non-finite or non-numeric text into one key.  The work
+# sizes stay small so a run is cheap: s and closure_s at most 8 (or so large
+# that enumeration refuses at once), h at least 1/32 (or so small that the
+# grid is refused before it is allocated), and no large maxit or k_count
+OWN_VALUES = {
+    "scheme": ["penrose", "inline"],
+    "nu_policy": [scheme.POLICY_AREA, scheme.POLICY_EXPLICIT],
+    "gamma": ["0, 0", "0.031, -0.047", "2, -3", "-1e3, 1e3", "1e-300, 0"],
+    "boundary": ["closed", "open"],
+    "s": ["8", "3", "1"],
+    "h": ["0.03125", "0.0625", "5", "1e300"],
+    "tol": ["1e-8", "1e-3", "1e300"],
+    "maxit": ["1", "200"],
+    "closure_s": ["5", "1", "8"],
+    "id2_samples": ["1", "100", "1000000000000"],
+    "seed": ["0", "1", "18446744073709551616"],
+    "k_count": ["1", "25"],
+    "k_max": ["10", "1e-300", "1e150"],
+    "outputs": ["grids", "csv", "grids, csv"],
+}
+ANY_VALUES = ["0", "-1", "1e-300", "5e-324", "1e308", "nan", "inf", "-inf", "x", "1, 2", ""]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(command=st.sampled_from(["windows", "points", "nu", "solve", "verify"]),
+       preset=st.sampled_from([None, *sorted(cli.PRESETS)]),
+       config=st.fixed_dictionaries({}, optional={key: st.sampled_from(values)
+                                                  for key, values in OWN_VALUES.items()}),
+       bad=st.none() | st.tuples(st.sampled_from(sorted(cli.KEYS)), st.sampled_from(ANY_VALUES)))
+# an OverflowError traceback drawing the Fourier wavevectors, and from 1e154
+# an overflow warning squaring them, until k_max was held to 1e150
+@example(command="solve", preset=None, config={}, bad=("k_max", "1e308"))
+# an OverflowError traceback sizing the grid, as h / extent is infinite
+@example(command="solve", preset=None, config={}, bad=("h", "5e-324"))
+# the far-gamma verify: the solve passes, and enumeration refuses the
+# 34M-candidate ellipsoid around the windows 1000 away
+@example(command="verify", preset="penrose-example2", config={"gamma": "1e3, 0"}, bad=None)
+def test_cli_contract(command, preset, config, bad):
+    # exit 0, 1 (a verify FAIL) or 2; exit 2 prints one labelled line and
+    # writes nothing; any other run writes the same bytes twice
+    if bad:
+        config = {**config, bad[0]: bad[1]}
+    flags = ["--preset", preset] if preset else []
+    flags += [] if "s" in config else ["--s", "8"]
+    flags += [] if "h" in config else ["--h", "0.03125"]
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        for attempt in range(2):
+            out = Path(tmp) / f"out{attempt}"
+            code, err = run_quiet([command, "--config", str(path), "--out", str(out)] + flags)
+            assert code in (0, 1, 2) and (code != 1 or command == "verify")
+            if code == 2:  # and so on the first run, as the second repeats it
+                assert attempt == 0
+                assert_one_labelled_line(err, path)
+                assert not out.exists()
+                return
+            assert err == ""
+            written.append({name: (out / name).read_bytes() for name in os.listdir(out)})
+    assert written[0] == written[1] and written[0]
 
 
 def test_solve_maxit_exhaustion_fails_before_output(tmp_path, capsys):

@@ -173,7 +173,8 @@ def test_ellipsoid_holding_only_the_origin(spec, transitions):
 def test_unfactorable_ellipsoid_names_its_radius(spec):
     # the Cholesky factor of a search ellipsoid of internal radius 1e300 and
     # physical radius 8 fails; the CLI rejects such a gamma before enumerating
-    with pytest.raises(ValueError, match=r"enumeration: internal radius 1e\+300 is too large"):
+    with pytest.raises(ValueError, match=r"^internal radius 1e\+300 is too large "
+                                         r"for physical radius 8$"):
         scheme.generate_all(scheme.penrose_scheme(gamma=1e300), 8.0)
 
 

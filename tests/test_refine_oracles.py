@@ -682,13 +682,12 @@ def test_prolongation_matches_bilinear_oracle(preset64):
     assert np.abs(refine._prolong(density, kernel) - want).max() <= 1e-14
 
 
-@pytest.mark.parametrize("policy", ["area", "explicit"])
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60, 1 / 256])
-def test_input_boxes_match_whole_grid_oracle(request, policy, h):
-    problem = request.getfixturevalue(f"problem_{policy}")
-    grid = refine._kernel_grid(problem.windows, h)
-    masks = np.array([coverage(w, grid) > 0 for w in problem.windows])
-    a_inv = np.linalg.inv(problem.a_matrix)
+def test_input_boxes_match_whole_grid_oracle(problem_area, h):
+    # the boxes follow the windows, the grid and A alone, none of which reads the weights
+    grid = refine._kernel_grid(problem_area.windows, h)
+    masks = np.array([coverage(w, grid) > 0 for w in problem_area.windows])
+    a_inv = np.linalg.inv(problem_area.a_matrix)
     for mask, want in zip(masks, oracle_input_boxes(grid, a_inv, masks)):
         got, _ = refine._input_stencil(grid, a_inv, mask)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
