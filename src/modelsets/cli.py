@@ -1,12 +1,14 @@
 """Command line front end: configuration, pipeline orchestration, exports.
 
-Configuration is a flat key = value text file; the two bundled presets
-reproduce the worked four-component examples with one command.  Every
-command validates its configuration, then runs its work as named stages
-(`_stage`) and writes its files under temporary names (the density text one
-row block at a time), renaming them into place once all are complete.  A
-bad configuration exits 2 with `config error: <path>...`, a failed stage
-with `error: failed at stage '<name>': ...`; either leaves no output.
+One parser reads a command from `COMMANDS` and the options all five share,
+in any order.  Configuration is a flat key = value text file; the two
+bundled presets reproduce the worked four-component examples with one
+command.  Every command validates its configuration, then runs its work as
+named stages (`_stage`) and writes its files under temporary names (the
+density text one row block at a time), renaming them into place once all
+are complete.  A bad configuration exits 2 with `config error: <path>...`,
+a failed stage with `error: failed at stage '<name>': ...`; either leaves
+no output.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,23 +57,6 @@ class ConfigError(ValueError):
 
 class StageError(Exception):
     """A failure labelled with the stage it stopped; not caught by an enclosing stage."""
-
-
-@dataclass
-class RunConfig:
-    spec: scheme.SchemeSpec
-    nu_policy: str
-    nu_matrix: object
-    s: float
-    h: float
-    tol: float
-    maxit: int
-    closure_s: float
-    id2_samples: int
-    seed: int
-    k_count: int
-    k_max: float
-    outputs: object = None
 
 
 def parse_config_file(path):
@@ -208,8 +193,8 @@ def _inline_scheme(raw, path, gamma, boundary):
 
 
 def build_config(args):
-    """Merge defaults, preset, config file, and command-line overrides."""
-    cfg = {key: default for key, (default, _, _) in KEYS.items()}
+    """Each KEYS value, spec and nu_matrix, from defaults, preset, config file and flags."""
+    cfg = {key: default for key, (default, _, _) in KEYS.items()} | {"nu_matrix": None}
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}; "
@@ -249,9 +234,8 @@ def build_config(args):
         match = INDEXED_KEY.fullmatch(key)
         if match and int(match[2]) > spec.r:
             raise ConfigError(f"{path}:{lineno}: {key!r} is outside components 1..{spec.r}")
-    nu_matrix = cfg.get("nu_matrix")
     if any(key.startswith("nu_row") for key in raw):
-        nu_matrix = []
+        cfg["nu_matrix"] = []
         for j in range(1, spec.r + 1):
             key = f"nu_row{j}"
             if key not in raw:
@@ -259,12 +243,11 @@ def build_config(args):
             row = _located(raw, path, key, lambda text: _parse_floats(text, spec.r, key))
             if min(row) < 0:
                 raise ConfigError(f"{at[key]}{key}: weights must be non-negative")
-            nu_matrix.append(row)
-    if cfg["nu_policy"] == scheme.POLICY_EXPLICIT and nu_matrix is None:
+            cfg["nu_matrix"].append(row)
+    if cfg["nu_policy"] == scheme.POLICY_EXPLICIT and cfg["nu_matrix"] is None:
         raise ConfigError(f"{at.get('nu_policy', '')}explicit policy needs nu_row1..r "
                           "(or a preset)")
-    return RunConfig(spec=spec, nu_matrix=nu_matrix,
-                     **{f.name: cfg[f.name] for f in fields(RunConfig) if f.name in KEYS})
+    return SimpleNamespace(**cfg, spec=spec)
 
 
 @contextmanager
@@ -384,10 +367,11 @@ def cmd_solve(cfg, outdir):
     problem, result = _solve(cfg, trans, nu, pf)
     density = result.density
     with _stage("solver comparison"):
-        rng = np.random.default_rng(cfg.seed)
-        ks = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
-        ks = ks[np.hypot(ks[:, 0], ks[:, 1]) <= cfg.k_max][:cfg.k_count]
-        deviation = refine.compare_solvers(density, problem, ks)
+        rng, ks = np.random.default_rng(cfg.seed), np.empty((0, 2))
+        while len(ks) < cfg.k_count:  # batches of 4 k_count from the square, kept in the disk
+            batch = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
+            ks = np.concatenate([ks, batch[np.hypot(batch[:, 0], batch[:, 1]) <= cfg.k_max]])
+        deviation = refine.compare_solvers(density, problem, ks[:cfg.k_count])
     selectors = cfg.outputs or OUTPUT_SELECTORS
     # the density text goes to disk one row block at a time, never held whole
     with _staged(outdir) as open_file:
@@ -459,25 +443,24 @@ def cmd_verify(cfg, outdir):
     return 0 if all(line.passed for line in lines) else 1
 
 
+COMMANDS = {"windows": cmd_windows, "points": cmd_points, "nu": cmd_nu,
+            "solve": cmd_solve, "verify": cmd_verify}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="modelsets",
         description="Multi-component cut-and-project sets and invariant densities")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [("windows", cmd_windows), ("points", cmd_points),
-                     ("nu", cmd_nu), ("solve", cmd_solve), ("verify", cmd_verify)]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--preset", default=None,
-                       help=f"one of: {', '.join(sorted(PRESETS))}")
-        p.add_argument("--s", type=float, default=None, help="physical radius")
-        p.add_argument("--h", type=float, default=None, help="grid cell size")
-        p.add_argument("--tol", type=float, default=None, help="fixed-point tolerance")
-        p.set_defaults(fn=fn)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="flat key=value config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--preset", default=None, help=f"one of: {', '.join(sorted(PRESETS))}")
+    parser.add_argument("--s", type=float, default=None, help="physical radius")
+    parser.add_argument("--h", type=float, default=None, help="grid cell size")
+    parser.add_argument("--tol", type=float, default=None, help="fixed-point tolerance")
     args = parser.parse_args(argv)
     try:
-        return args.fn(build_config(args), args.out)
+        return COMMANDS[args.command](build_config(args), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
     except StageError as exc:

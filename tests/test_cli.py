@@ -146,6 +146,41 @@ def test_points_row_count_matches_oracle(tmp_path):
     assert len(lines) - 1 == sum(ORACLE_COUNTS_S10)
 
 
+def test_options_may_come_before_the_command(tmp_path):
+    # one parser reads the command and the options in any order
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run(["--s", "10", "points", "--out", str(before)]) == 0
+    assert run(["points", "--s", "10", "--out", str(after)]) == 0
+    assert (before / "points.csv").read_bytes() == (after / "points.csv").read_bytes()
+
+
+def test_help_lists_the_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "{windows,points,nu,solve,verify}" in capsys.readouterr().out
+
+
+def test_unknown_command_exits_2_with_usage(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["frobnicate", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modelsets ")
+    assert "argument command: invalid choice: 'frobnicate'" in err
+    assert not out.exists()
+
+
+def test_build_config_returns_every_key():
+    args = SimpleNamespace(config=None, preset="penrose-example2", s=12.0, h=None, tol=None)
+    cfg = cli.build_config(args)
+    assert set(vars(cfg)) == set(cli.KEYS) | {"spec", "nu_matrix"}
+    assert cfg.s == 12.0 and cfg.h == cli.KEYS["h"][0]
+    assert cfg.nu_policy == scheme.POLICY_EXPLICIT and cfg.nu_matrix == cli.EXAMPLE2_MATRIX
+    assert cfg.spec.r == 4
+
+
 def test_nu_command_presets(tmp_path):
     out1 = tmp_path / "n1"
     assert run(["nu", "--preset", "penrose-example1", "--out", str(out1)]) == 0
@@ -474,6 +509,19 @@ def test_solve_output_selectors(tmp_path, selector, names):
     for name in names + ["summary.txt"]:
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == SOLVE_EX1_SHA256[name], name
+
+
+def test_solve_draws_wavevectors_until_k_count_lie_in_the_disk(tmp_path):
+    # seed 126's first batch of 4 k_count = 4 points misses the disk of radius
+    # k_max = 10, so the draw goes on to a second batch
+    first = np.random.default_rng(126).uniform(-10, 10, size=(4, 2))
+    assert (np.hypot(first[:, 0], first[:, 1]) > 10).all()
+    config = tmp_path / "k1.cfg"
+    config.write_text("seed = 126\nk_count = 1\n")
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", "penrose-example2", "--config", str(config),
+                "--h", "0.03125", "--out", str(out)]) == 0
+    assert "fourier_max_rel_dev = " in (out / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("command,target,error,message", [
