@@ -107,6 +107,8 @@ def _parse_ints(text, count, what):
 
 def _parse_outputs(text):
     selectors = [p.strip() for p in text.split(",") if p.strip()]
+    if not selectors:
+        raise ConfigError(f"outputs needs at least one of {', '.join(OUTPUT_SELECTORS)}")
     for sel in selectors:
         if sel not in OUTPUT_SELECTORS:
             raise ConfigError(f"unknown output selector {sel!r}; "
@@ -139,7 +141,7 @@ KEYS = {
     "seed": (0, int, NON_NEGATIVE),
     "k_count": (25, int, POSITIVE),
     "k_max": (10.0, float, UP_TO_1E150),
-    "outputs": (None, _parse_outputs, None),
+    "outputs": (OUTPUT_SELECTORS, _parse_outputs, None),
 }
 
 
@@ -372,7 +374,6 @@ def cmd_solve(cfg, outdir):
             batch = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
             ks = np.concatenate([ks, batch[np.hypot(batch[:, 0], batch[:, 1]) <= cfg.k_max]])
         deviation = refine.compare_solvers(density, problem, ks[:cfg.k_count])
-    selectors = cfg.outputs or OUTPUT_SELECTORS
     # the density text goes to disk one row block at a time, never held whole
     with _staged(outdir) as open_file:
         _write_eigenpair(open_file, nu, pf)
@@ -384,8 +385,8 @@ def cmd_solve(cfg, outdir):
             f"residuals = {' '.join(fmt(v) for v in result.residuals)}\n"
             f"fourier_max_rel_dev = {fmt(deviation)}\n")
         grids = ({j: open_file(f"density_ch{j + 1}.txt") for j in range(density.r)}
-                 if "grids" in selectors else {})
-        csv = open_file("density.csv") if "csv" in selectors else None
+                 if "grids" in cfg.outputs else {})
+        csv = open_file("density.csv") if "csv" in cfg.outputs else None
         refine.write_density(density, grids, csv)
     return 0
 

@@ -1,7 +1,7 @@
 """Discretized invariant-density solve and its Fourier-side cross-check.
 
 `build_kernel(problem, h)`, `compare_solvers(density, problem, ks)`,
-`fourier_products(problem, ks)` and `point_symmetric(problem)` read one
+`fourier_product(problem, ks)` and `point_symmetric(problem)` read one
 `Problem`, whose checks run once, when it is made.
 
 Densities live on one shared square grid whose cell centres lie on hZ^2, so
@@ -36,13 +36,14 @@ folded, conjugated, into the spectrum of each block a mirrored input meets,
 so such an input needs no stencil pass, transform or phased copy: its terms
 are products with the carried input's transform, summed and conjugated once.
 
-The step works on packed densities: one vector of the mask cells of the
-carried channels.  The fixed-point solve keeps its whole state in that form
-and builds a full grid only for its result.  On a grid at least four times
-as wide as the coarsest level worth solving (_COARSE_CELLS cells a side), the
-kernel also holds the kernel of the same problem at 2^k h, and the solve
-first solves there and starts from that solution, interpolated onto the
-fine mask cells (nested iteration, Brandt 1977).
+The step, `apply_refinement`, and the start, `initial_density`, work on
+packed densities: one vector of the mask cells of the carried channels.
+The fixed-point solve keeps its whole state in that form and builds a full
+grid only for its result.  On a grid at least four times as wide as the
+coarsest level worth solving (_COARSE_CELLS cells a side), the kernel also
+holds the kernel of the same problem at 2^k h, and the solve first solves
+there and starts from that solution, interpolated onto the fine mask cells
+(nested iteration, Brandt 1977).
 """
 
 from __future__ import annotations
@@ -487,14 +488,9 @@ def build_kernel(problem, h):
         coarse=None if coarse_h is None else build_kernel(problem, coarse_h))
 
 
-def _uniform(kernel):
+def initial_density(kernel):
     """The masses w spread uniformly over the carried windows, packed."""
     return np.concatenate([kernel.w[j] * kernel.indicators[j] for j, _ in kernel.channels])
-
-
-def initial_density(kernel):
-    """The masses w spread uniformly over the component windows."""
-    return kernel.unpack(_uniform(kernel))
 
 
 def _output_cells(kernel, j, transformed):
@@ -529,13 +525,24 @@ def _output_cells(kernel, j, transformed):
     return values[:, cols][kernel.masks[j][box]]
 
 
-def _packed_step(x, masses, kernel, conserve_mass=True):
-    """The refinement step on a packed density whose channel masses are given.
+def apply_refinement(x, kernel, conserve_mass=True):
+    """One application of the matrix refinement operator to a packed density.
+
+    Each input channel is resampled through the inverse contraction with
+    bilinear interpolation, convolved with the weighted transition kernels,
+    scaled by |det Q|, clamped at zero, and restricted to the cells meeting
+    its component window.  By default every output channel is rescaled by a
+    1 + O(h^2) factor so the discrete masses satisfy the exact transport
+    identity m' = nu m, with m = kernel.masses(x); without that correction the
+    discrete operator's spectral radius drifts off one by the quadrature
+    error and the fixed-point residual cannot fall below it.
 
     Input channels the kernel does not carry are taken to be zero and output
     channels it does not carry are not formed; the solve needs no more, since
     w = nu w forces nu_ji = 0 from a live channel i into a dead channel j.  A
-    mirrored input r-1-i is read through input i's transform.
+    mirrored input r-1-i is read through input i's transform.  The
+    convolutions run as products of the kernel's spectra, with one transform
+    per non-zero input channel, and an all-zero channel is skipped.
     """
     h2 = kernel.grid.h**2
     transformed = {}
@@ -546,7 +553,7 @@ def _packed_step(x, masses, kernel, conserve_mass=True):
         flat, padded = Stencil.frame((inside.shape[0] + 2, inside.shape[1] + 2))
         padded[1:-1, 1:-1][inside] = x[cells]
         transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape)
-    target = kernel.problem.nu @ masses
+    target = kernel.problem.nu @ kernel.masses(x)
     out = np.zeros_like(x)
     for j, cells in kernel.channels:
         acc = _output_cells(kernel, j, transformed)
@@ -560,29 +567,6 @@ def _packed_step(x, masses, kernel, conserve_mass=True):
         out[cells] = acc
         del acc  # freed before the next channel's products
     return out
-
-
-def apply_refinement(f, kernel, conserve_mass=True):
-    """One application of the matrix refinement operator.
-
-    Each input channel is resampled through the inverse contraction with
-    bilinear interpolation, convolved with the weighted transition kernels,
-    scaled by |det Q|, clamped at zero, and restricted to the cells meeting
-    its component window.  By default every output channel is rescaled by a
-    1 + O(h^2) factor so the discrete masses satisfy the exact transport
-    identity m' = nu m; without that correction the discrete operator's
-    spectral radius drifts off one by the quadrature error and the
-    fixed-point residual cannot fall below it.
-
-    Channel i of f is taken to vanish off kernel.masks[i], as every density
-    the solver produces does; values outside the mask, and so every channel
-    the kernel does not read, are ignored.  The step forms the kernel's
-    carried channels, and its mirrored ones as their flips.  The
-    convolutions run as products of the kernel's spectra, with one transform
-    per non-zero input channel, and an all-zero channel is skipped.
-    """
-    return kernel.unpack(_packed_step(kernel.pack(f.values), f.masses, kernel,
-                                      conserve_mass))
 
 
 @dataclass
@@ -604,8 +588,6 @@ def _mixing_weights(gram):
     the small normal system well scaled as the residuals shrink.
     """
     n = len(gram) - 1
-    if n == 0:
-        return np.ones(1)
     normal = gram[n, n] - gram[n, :n][None, :] - gram[:n, n][:, None] + gram[:n, :n]
     gamma = np.linalg.lstsq(normal, gram[n, n] - gram[:n, n], rcond=None)[0]
     return np.append(gamma, 1.0 - gamma.sum())
@@ -638,12 +620,11 @@ def _prolong(density, kernel):
 
 def _project(x, kernel):
     """Clamp a packed density at zero and rescale each channel to its mass in w,
-    in place; returns the masses."""
+    in place."""
     np.maximum(x, 0.0, out=x)
     masses = kernel.masses(x)
     for j, cells in kernel.channels:
         x[cells] *= kernel.w[j] / masses[j]
-    return kernel.masses(x)
 
 
 def solve_fixed_point(kernel, tol=1e-8, maxit=200):
@@ -673,16 +654,15 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
     paired = sum(int(kernel.masks[j].sum()) for j in kernel.mirrors)
     h2 = kernel.grid.h**2
     if start is None:
-        x = _uniform(kernel)
-        masses = kernel.masses(x)
+        x = initial_density(kernel)
     else:
         x = _prolong(start, kernel)
-        masses = _project(x, kernel)
+        _project(x, kernel)
     residuals = []
-    mass_history = [masses]
+    mass_history = [kernel.masses(x)]
     outputs, diffs = [], []
     for _ in range(maxit):
-        g = _packed_step(x, masses, kernel)
+        g = apply_refinement(x, kernel)
         diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
         resid = float((np.abs(diff).sum() + np.abs(diff[:paired]).sum()) * h2)
         residuals.append(resid)
@@ -701,20 +681,16 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
         x = alpha[0] * outputs[0]
         for a, g_k in zip(alpha[1:], outputs[1:]):
             x += a * g_k
-        masses = _project(x, kernel)
+        _project(x, kernel)
         if len(outputs) > _MIX_DEPTH:  # the oldest pair takes no part in the next fit
             del outputs[0], diffs[0]
     raise RuntimeError(f"fixed point iteration did not reach tol={tol} within "
                        f"{maxit} iterations (last residual {residuals[-1]:.3e})")
 
 
-def polygon_ft(P, k):
-    """Fourier transform of the normalized polygon indicator at wavevector k."""
-    return complex(_polygon_ft_table([P], np.asarray(k, dtype=float).reshape(1, 2))[0, 0])
-
-
-def _polygon_ft_table(polygons, kappas):
-    """polygon_ft of every polygon at every wavevector, shape (kappas, polygons).
+def polygon_ft(polygons, kappas):
+    """Fourier transform of each normalized polygon indicator at each wavevector of
+    the (n, 2) array kappas, shape (n, len(polygons)).
 
     Uses the exact boundary (divergence-theorem) edge sum over all edges of
     all polygons at once, with the stable sinc evaluation for nearly
@@ -748,19 +724,15 @@ def _polygon_ft_table(polygons, kappas):
     return out
 
 
-def fourier_product(problem, k):
-    """Truncated infinite matrix product for the density transform at k.
+def fourier_product(problem, ks):
+    """Truncated infinite matrix product for the density transform at each
+    wavevector k of ks, shape (len(ks), r).
 
     Applies the weighted window-transform matrices along the contracted
     wavevector orbit k, A^T k, ... to the mass vector; the orbit stops before
-    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.
+    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.  One
+    transform table covers all of the orbits.
     """
-    return fourier_products(problem, [k])[0]
-
-
-def fourier_products(problem, ks):
-    """fourier_product at every wavevector of ks, shape (len(ks), r), with one
-    transform table over all of their orbits."""
     nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
     orbits = []
     for k in np.asarray(ks, dtype=float).reshape(-1, 2):
@@ -770,8 +742,8 @@ def fourier_products(problem, ks):
             kappas.append(step)
         orbits.append(kappas)
     jj, ii = np.nonzero(nu)
-    table = _polygon_ft_table([problem.windows_ji[j][i] for j, i in zip(jj, ii)],
-                              np.array([kappa for kappas in orbits for kappa in kappas]))
+    table = polygon_ft([problem.windows_ji[j][i] for j, i in zip(jj, ii)],
+                       np.array([kappa for kappas in orbits for kappa in kappas]))
     mats = np.zeros((len(table), len(w), len(w)), dtype=complex)
     mats[:, jj, ii] = nu[jj, ii] * table
     out = np.empty((len(orbits), len(w)), dtype=complex)
@@ -811,7 +783,7 @@ def compare_solvers(density, problem, ks):
     ks = np.asarray(ks, dtype=float).reshape(-1, 2)
     if not len(ks):
         raise ValueError("no wavevectors to compare the solvers at")
-    deviation = np.abs(grid_ft(density, ks).T - fourier_products(problem, ks)).max(axis=1)
+    deviation = np.abs(grid_ft(density, ks).T - fourier_product(problem, ks)).max(axis=1)
     return float((deviation / np.abs(problem.w).max()).max())
 
 

@@ -55,6 +55,12 @@ def coverage(P, grid):
     return out
 
 
+def step(f, kernel, conserve_mass=True):
+    """refine.apply_refinement on a DensityGrid: its values packed over the kernel's
+    masks, stepped, and unpacked."""
+    return kernel.unpack(refine.apply_refinement(kernel.pack(f.values), kernel, conserve_mass))
+
+
 def general_path():
     """The point-reflection decision patched off, so that a kernel built under
     it carries every channel with w_j > 0."""

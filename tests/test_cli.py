@@ -280,6 +280,7 @@ BAD_CONFIGS = [
     ("nu_policy = explicit\n", 1, "explicit"),
     ("nu_row1 = 1 0 0 0\n", None, "nu_row2"),
     ("seed = -1\n", 1, "seed must be non-negative"),
+    ("s = 8\noutputs =\n", 2, "outputs needs at least one of grids, csv"),
     # keys that would otherwise be accepted and never read: the key and its line
     ("s = 40\nwindowz = 1\n", 2, "bad.cfg:2: unknown key 'windowz'"),
     ("coset_shift = 2\n", 1, "bad.cfg:1: unknown key 'coset_shift'"),
@@ -730,25 +731,36 @@ OWN_VALUES = {
     "outputs": ["grids", "csv", "grids, csv"],
 }
 ANY_VALUES = ["0", "-1", "1e-300", "5e-324", "1e308", "nan", "inf", "-inf", "x", "1, 2", ""]
+# texts of one nu_row<j> line under nu_policy = explicit: a row of example 2,
+# four 0.25s, a negative entry and a row of the wrong length
+NU_ROWS = ["0.5 0 0 0.5", "0.25 0.25 0.25 0.25", "0.5 0.5 -0.5 0.5", "0.5 0.5 0.5"]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=80, deadline=None)
 @given(command=st.sampled_from(["windows", "points", "nu", "solve", "verify"]),
        preset=st.sampled_from([None, *sorted(cli.PRESETS)]),
        config=st.fixed_dictionaries({}, optional={key: st.sampled_from(values)
                                                   for key, values in OWN_VALUES.items()}),
+       nu_rows=st.none() | st.lists(st.sampled_from(NU_ROWS), min_size=4, max_size=4),
        bad=st.none() | st.tuples(st.sampled_from(sorted(cli.KEYS)), st.sampled_from(ANY_VALUES)))
 # an OverflowError traceback drawing the Fourier wavevectors, and from 1e154
 # an overflow warning squaring them, until k_max was held to 1e150
-@example(command="solve", preset=None, config={}, bad=("k_max", "1e308"))
+@example(command="solve", preset=None, config={}, nu_rows=None, bad=("k_max", "1e308"))
 # an OverflowError traceback sizing the grid, as h / extent is infinite
-@example(command="solve", preset=None, config={}, bad=("h", "5e-324"))
+@example(command="solve", preset=None, config={}, nu_rows=None, bad=("h", "5e-324"))
 # the far-gamma verify: the solve passes, and enumeration refuses the
 # 34M-candidate ellipsoid around the windows 1000 away
-@example(command="verify", preset="penrose-example2", config={"gamma": "1e3, 0"}, bad=None)
-def test_cli_contract(command, preset, config, bad):
+@example(command="verify", preset="penrose-example2", config={"gamma": "1e3, 0"},
+         nu_rows=None, bad=None)
+# example 2's weights given row by row instead of by its preset
+@example(command="solve", preset=None, config={}, nu_rows=[NU_ROWS[0], NU_ROWS[1], NU_ROWS[1],
+                                                         NU_ROWS[0]], bad=None)
+def test_cli_contract(command, preset, config, nu_rows, bad):
     # exit 0, 1 (a verify FAIL) or 2; exit 2 prints one labelled line and
     # writes nothing; any other run writes the same bytes twice
+    if nu_rows:
+        config = {**config, "nu_policy": scheme.POLICY_EXPLICIT,
+                  **{f"nu_row{j}": row for j, row in enumerate(nu_rows, start=1)}}
     if bad:
         config = {**config, bad[0]: bad[1]}
     flags = ["--preset", preset] if preset else []
@@ -878,6 +890,25 @@ def test_verify_enumerates_one_patch(tmp_path, monkeypatch, flags, code, radius)
     assert run(["verify", "--preset", "penrose-example2", "--h", "0.03125",
                 "--out", str(tmp_path / "v")] + flags) == code
     assert radii == [radius, radius]
+
+
+def test_solve_reaches_the_refinement_operations_by_name(tmp_path, monkeypatch):
+    # the solve and its Fourier check call refine's public names, so a wrapper
+    # of those names (as the benchmark's tracer installs) sees every call; at
+    # this h the kernel has no coarse level, so each step is a fine one
+    calls = dict.fromkeys(["apply_refinement", "fourier_product", "polygon_ft"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(refine, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(refine, name, counted)
+    out = tmp_path / "s1"
+    assert run(["solve", "--preset", "penrose-example1", "--h", "0.03125",
+                "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    iterations = int(re.search(r"^iterations = (\d+)$", summary, re.M)[1])
+    assert calls == {"apply_refinement": iterations, "fourier_product": 1, "polygon_ft": 1}
 
 
 def test_verify_runs_no_fourier_check(tmp_path, monkeypatch):

@@ -10,11 +10,10 @@ from scipy.ndimage import map_coordinates
 from modelsets import refine, scheme
 from modelsets.cyclotomic import CycInt
 from modelsets.polygeom import Region, linear_image
-from modelsets.refine import (DensityGrid, Problem, apply_refinement, build_kernel,
-                              compare_solvers, fourier_product,
-                              initial_density, make_centered_grid, polygon_ft,
-                              solve_fixed_point)
-from tests.conftest import EXAMPLE2_NU, coverage, general_path, scheme_problem
+from modelsets.refine import (DensityGrid, Problem, build_kernel, compare_solvers,
+                              fourier_product, initial_density, make_centered_grid,
+                              polygon_ft, solve_fixed_point)
+from tests.conftest import EXAMPLE2_NU, coverage, general_path, scheme_problem, step
 
 
 def square_region(a=1.0):
@@ -162,8 +161,7 @@ def test_convolution_against_direct_sum():
     assert grid.nx == grid.ny == 13  # the window reaches 0.48 from the origin
     rng = np.random.default_rng(31)
     g = np.where(K.masks[0], rng.uniform(size=(grid.ny, grid.nx)), 0.0)
-    got = apply_refinement(DensityGrid.from_values(grid, g[None]), K,
-                           conserve_mass=False).values[0]
+    got = step(DensityGrid.from_values(grid, g[None]), K, conserve_mass=False).values[0]
     block = K.blocks[0][0]
     my, mx = (grid.ny - 1) // 2, (grid.nx - 1) // 2
     want = np.zeros_like(g)
@@ -184,8 +182,7 @@ def test_convolution_against_direct_sum():
 
 def test_single_application_tent_profile():
     K = toy_kernel(1 / 64)
-    f0 = initial_density(K)
-    f1 = apply_refinement(f0, K)
+    f1 = step(K.unpack(initial_density(K)), K)
     g = K.grid
     X, Y = np.meshgrid(g.x_centers(), g.y_centers())
     tent = np.maximum(0, 1 - np.abs(X)) * np.maximum(0, 1 - np.abs(Y))
@@ -195,7 +192,7 @@ def test_single_application_tent_profile():
 def test_zero_in_zero_out():
     K = toy_kernel(1 / 32)
     zero = DensityGrid.from_values(K.grid, np.zeros((1, K.grid.ny, K.grid.nx)))
-    out = apply_refinement(zero, K)
+    out = step(zero, K)
     assert np.all(out.values == 0) and out.masses[0] == 0
 
 
@@ -209,9 +206,9 @@ def test_linearity_and_positivity(problem_explicit):
     f = DensityGrid.from_values(grid, rng.uniform(size=shape))
     g = DensityGrid.from_values(grid, rng.uniform(size=shape))
     combo = DensityGrid.from_values(grid, 0.6 * f.values + 1.7 * g.values)
-    lhs = apply_refinement(combo, K, conserve_mass=False)
-    rf = apply_refinement(f, K, conserve_mass=False)
-    rg = apply_refinement(g, K, conserve_mass=False)
+    lhs = step(combo, K, conserve_mass=False)
+    rf = step(f, K, conserve_mass=False)
+    rg = step(g, K, conserve_mass=False)
     assert np.abs(lhs.values - 0.6 * rf.values - 1.7 * rg.values).max() < 1e-10
     assert np.all(rf.values >= 0)
 
@@ -220,9 +217,9 @@ def test_mass_transport_raw_quadrature(problem_area):
     # without the conservation fix-up the transport identity holds to O(h)
     h = 1 / 64
     K = build_kernel(problem_area, h)
-    f = initial_density(K)
+    f = K.unpack(initial_density(K))
     for _ in range(3):
-        f_next = apply_refinement(f, K, conserve_mass=False)
+        f_next = step(f, K, conserve_mass=False)
         assert np.abs(f_next.masses - problem_area.nu @ f.masses).max() < 10 * h
         f = f_next
 
@@ -264,15 +261,13 @@ def test_toy_solve_and_grid_consistency():
 
 def test_polygon_ft_basics():
     sq = Region.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert abs(polygon_ft(sq, (0, 0)) - 1.0) < 1e-12
-    val = polygon_ft(sq, (math.pi, 0))
-    assert abs(abs(val) - 2 / math.pi) < 1e-12
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        k = rng.uniform(-8, 8, size=2)
-        assert abs(polygon_ft(sq, -k) - np.conj(polygon_ft(sq, k))) < 1e-12
+    at_zero, at_pi = polygon_ft([sq], np.array([(0.0, 0.0), (math.pi, 0.0)]))[:, 0]
+    assert abs(at_zero - 1.0) < 1e-12
+    assert abs(abs(at_pi) - 2 / math.pi) < 1e-12
+    ks = np.random.default_rng(3).uniform(-8, 8, size=(20, 2))
+    assert np.abs(polygon_ft([sq], -ks) - np.conj(polygon_ft([sq], ks))).max() < 1e-12
     with pytest.raises(ValueError):
-        polygon_ft(Region.single((0, 0)), (1.0, 0.0))
+        polygon_ft([Region.single((0, 0))], np.array([(1.0, 0.0)]))
 
 
 def test_polygon_ft_sinc_oracle():
@@ -280,26 +275,21 @@ def test_polygon_ft_sinc_oracle():
     a, b = 0.8, 0.45
     center = np.array([0.3, -0.2])
     rect = Region.polygon(center + np.array([(-a, -b), (a, -b), (a, b), (-a, b)]))
-    rng = np.random.default_rng(41)
-    for _ in range(30):
-        k = rng.uniform(-9, 9, size=2)
-        oracle = (np.sinc(k[0] * a / np.pi) * np.sinc(k[1] * b / np.pi)
-                  * np.exp(-1j * (k @ center)))
-        assert abs(polygon_ft(rect, k) - oracle) < 1e-10
+    ks = np.random.default_rng(41).uniform(-9, 9, size=(30, 2))
+    oracle = (np.sinc(ks[:, 0] * a / np.pi) * np.sinc(ks[:, 1] * b / np.pi)
+              * np.exp(-1j * (ks @ center)))
+    assert np.abs(polygon_ft([rect], ks)[:, 0] - oracle).max() < 1e-10
 
 
 def test_fourier_product_fixes_w(problem_area):
-    out = fourier_product(problem_area, (0, 0))
+    out = fourier_product(problem_area, [(0, 0)])[0]
     assert np.abs(out - problem_area.w).max() < 1e-12
     assert np.abs(out - np.array([0, 0.5, 0.5, 0])).max() < 1e-10
 
 
 def test_fourier_product_l1_bound(problem_area):
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        k = rng.uniform(-15, 15, size=2)
-        out = fourier_product(problem_area, k)
-        assert np.abs(out).sum() <= 1.0 + 1e-9
+    ks = np.random.default_rng(19).uniform(-15, 15, size=(20, 2))
+    assert np.abs(fourier_product(problem_area, ks)).sum(axis=1).max() <= 1.0 + 1e-9
 
 
 def test_penrose_example1_coarse(problem_area):

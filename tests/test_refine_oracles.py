@@ -27,10 +27,9 @@ from scipy.signal import fftconvolve
 from modelsets import pfsolve, refine, scheme, text
 from modelsets.polygeom import (GridSpec, Region, _edge_normals, area, centroid, erode,
                                 linear_image, rasterize, translate)
-from modelsets.refine import (DensityGrid, Problem, apply_refinement, build_kernel,
-                              fourier_product, initial_density, polygon_ft,
-                              solve_fixed_point)
-from tests.conftest import EXAMPLE2_NU, coverage, general_path, scheme_problem
+from modelsets.refine import (DensityGrid, Problem, build_kernel, fourier_product,
+                              initial_density, polygon_ft, solve_fixed_point)
+from tests.conftest import EXAMPLE2_NU, coverage, general_path, scheme_problem, step
 from tests.test_refine import toy_kernel
 
 STEP_TOL = 1e-12
@@ -105,10 +104,10 @@ def oracle_step(f, kernel, conserve_mass=True):
 
 def oracle_solve(kernel, tol=1e-8, maxit=200):
     """The plain fixed-point loop: iterate the step until one moves less than tol."""
-    f = initial_density(kernel)
+    f = kernel.unpack(initial_density(kernel))
     h2 = kernel.grid.h**2
     for _ in range(maxit):
-        f_next = apply_refinement(f, kernel)
+        f_next = step(f, kernel)
         resid = float(np.abs(f_next.values - f.values).sum() * h2)
         f = f_next
         if resid < tol:
@@ -286,7 +285,7 @@ def oracle_grid_ft(density, ks):
 
 
 def assert_steps_agree(f, kernel, conserve_mass):
-    got = apply_refinement(f, kernel, conserve_mass=conserve_mass)
+    got = step(f, kernel, conserve_mass=conserve_mass)
     want = oracle_step(f, kernel, conserve_mass=conserve_mass)
     assert np.abs(got.values - want.values).max() <= STEP_TOL
     assert np.abs(got.masses - want.masses).max() <= STEP_TOL
@@ -310,7 +309,7 @@ def preset64(request):
 @pytest.mark.parametrize("conserve_mass", [True, False])
 def test_step_matches_oracle_on_presets(preset64, conserve_mass):
     _, kernel, _ = preset64
-    f = initial_density(kernel)
+    f = kernel.unpack(initial_density(kernel))
     for _ in range(3):
         f = assert_steps_agree(f, kernel, conserve_mass)
 
@@ -324,7 +323,7 @@ def test_step_matches_oracle_on_random_masked_input(preset64, conserve_mass):
     assert_steps_agree(masked, kernel, conserve_mass)
     # values off the masks are outside the step's domain and are ignored
     unmasked = DensityGrid.from_values(kernel.grid, raw)
-    got = apply_refinement(unmasked, kernel, conserve_mass=False)
+    got = step(unmasked, kernel, conserve_mass=False)
     want = oracle_step(masked, kernel, conserve_mass=False)
     assert np.abs(got.values - want.values).max() <= STEP_TOL
 
@@ -359,7 +358,7 @@ def test_step_matches_oracle_at_a_far_gamma(policy, gamma):
             cell = [(weights * (cols + block.ix0)).sum(), (weights * (rows + block.iy0)).sum()]
             at = np.array(grid.origin) + (np.array(cell) + 0.5) * grid.h
             assert np.abs(at - centroid(trans[j][i])).max() < grid.h / 4
-    f = initial_density(kernel)
+    f = kernel.unpack(initial_density(kernel))
     for _ in range(3):
         f = assert_steps_agree(f, kernel, True)
 
@@ -369,14 +368,14 @@ def test_mixed_solve_beats_plain_iteration(preset64):
     h2 = kernel.grid.h**2
     reference = oracle_solve(general, tol=1e-13)
     plain = oracle_solve(general)
-    step = refine._packed_step
+    apply = refine.apply_refinement
     inputs = []
 
-    def recorded_step(x, masses, packing, conserve_mass=True):
+    def recorded_step(x, packing, conserve_mass=True):
         inputs.append((x.min(), packing.masses(x)))
-        return step(x, masses, packing, conserve_mass)
+        return apply(x, packing, conserve_mass)
 
-    with mock.patch.object(refine, "_packed_step", recorded_step):
+    with mock.patch.object(refine, "apply_refinement", recorded_step):
         result = solve_fixed_point(kernel)
     assert result.iterations <= 12
     # every iterate is projected: non-negative, carrying the masses w
@@ -397,10 +396,10 @@ def test_rising_residual_resets_the_mixing_history(preset64):
     # but not its shape, so that step's residual rises above the one before
     kernel, _, w = preset64
     calls, fits = [0], []
-    step, weights = refine._packed_step, refine._mixing_weights
+    apply, weights = refine.apply_refinement, refine._mixing_weights
 
-    def perturbed_step(x, masses, packing, conserve_mass=True):
-        out = step(x, masses, packing, conserve_mass)
+    def perturbed_step(x, packing, conserve_mass=True):
+        out = apply(x, packing, conserve_mass)
         calls[0] += 1
         if calls[0] == 5:
             cells = packing.channels[0][1]
@@ -411,7 +410,7 @@ def test_rising_residual_resets_the_mixing_history(preset64):
         fits.append(len(gram))
         return weights(gram)
 
-    with mock.patch.object(refine, "_packed_step", perturbed_step), \
+    with mock.patch.object(refine, "apply_refinement", perturbed_step), \
             mock.patch.object(refine, "_mixing_weights", recorded_weights):
         result = solve_fixed_point(kernel)
     r = result.residuals
@@ -451,14 +450,14 @@ def test_solve_builds_only_live_spectra_before_its_first_step(problem_area):
     # input 3 taken as the flip of input 2
     kernel = build_kernel(problem_area, 1 / 64)
     live = [(1, 1, False), (1, 2, True)]
-    step = refine._packed_step
+    apply = refine.apply_refinement
     at_steps = []
 
     def recorded_step(*args, **kwargs):
         at_steps.append(built_spectra(kernel))
-        return step(*args, **kwargs)
+        return apply(*args, **kwargs)
 
-    with mock.patch.object(refine, "_packed_step", recorded_step):
+    with mock.patch.object(refine, "apply_refinement", recorded_step):
         result = solve_fixed_point(kernel)
     assert result.iterations == len(at_steps) > 1
     assert all(built == live for built in at_steps)
@@ -709,7 +708,7 @@ def test_input_boxes_match_whole_grid_oracle(problem_area, h):
 @pytest.mark.parametrize("conserve_mass", [True, False])
 def test_step_matches_oracle_on_square_toy(conserve_mass):
     kernel = toy_kernel(1 / 64)
-    f = initial_density(kernel)
+    f = kernel.unpack(initial_density(kernel))
     for _ in range(3):
         f = assert_steps_agree(f, kernel, conserve_mass)
 
@@ -719,7 +718,7 @@ def test_fourier_product_matches_oracle(problem_area, problem_explicit):
     ks = np.vstack([rng.uniform(-30, 30, size=(20, 2)), [(0.0, 0.0), (3e-7, -2e-7)]])
     for problem in (problem_area, problem_explicit):
         for k in ks:
-            got = fourier_product(problem, k)
+            got = fourier_product(problem, [k])[0]
             assert np.abs(got - oracle_fourier_product(problem, k)).max() <= 1e-12
 
 
@@ -727,10 +726,11 @@ def test_fourier_products_match_one_at_a_time(problem_area):
     # one table over every orbit gives each wavevector the bits of its own call
     rng = np.random.default_rng(29)
     ks = np.vstack([rng.uniform(-30, 30, size=(12, 2)), [(0.0, 0.0), (3e-7, -2e-7)]])
-    batched = refine.fourier_products(problem_area, ks)
+    batched = fourier_product(problem_area, ks)
+    assert batched.shape == (len(ks), 4)
     for k, got in zip(ks, batched):
         assert np.abs(got - oracle_fourier_product(problem_area, k)).max() <= 1e-12
-        assert got.tobytes() == fourier_product(problem_area, k).tobytes()
+        assert got.tobytes() == fourier_product(problem_area, [k])[0].tobytes()
 
 
 def test_grid_ft_matches_oracle(solve1_128):
@@ -755,12 +755,12 @@ def test_polygon_ft_table_matches_scalar(transitions):
     # agree to 1e-12 only from |k| ~ 1e-3 on; below FT_SMALL_K both expand
     kappas = np.vstack([rng.uniform(-50, 50, size=(30, 2)),
                         [(0.0, 0.0), (5e-7, 1e-7), (2e-3, -1e-3)]])
-    table = refine._polygon_ft_table(polygons, kappas)
+    table = polygon_ft(polygons, kappas)
     for n, kappa in enumerate(kappas):
         for p, P in enumerate(polygons):
             assert abs(table[n, p] - oracle_polygon_ft(P, kappa)) <= 1e-12
     with pytest.raises(ValueError, match="polygon"):
-        refine._polygon_ft_table([Region.single((0.0, 0.0))], kappas)
+        polygon_ft([Region.single((0.0, 0.0))], kappas)
 
 
 @st.composite
@@ -784,9 +784,10 @@ def convex_polygons(draw):
 def test_polygon_ft_matches_oracle(P, kn, angle):
     # the edge sums cancel to about eps * perimeter / (|k| area), so |k| starts
     # at 0.5; below FT_SMALL_K both take the centroid expansion
-    for k in [(kn * np.cos(angle), kn * np.sin(angle)), (0.0, 0.0),
-              (0.6 * refine.FT_SMALL_K, -0.7 * refine.FT_SMALL_K)]:
-        assert abs(polygon_ft(P, k) - oracle_polygon_ft(P, k)) <= 1e-12
+    ks = np.array([(kn * np.cos(angle), kn * np.sin(angle)), (0.0, 0.0),
+                   (0.6 * refine.FT_SMALL_K, -0.7 * refine.FT_SMALL_K)])
+    for k, got in zip(ks, polygon_ft([P], ks)[:, 0]):
+        assert abs(got - oracle_polygon_ft(P, k)) <= 1e-12
 
 
 @st.composite
