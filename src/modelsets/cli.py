@@ -374,7 +374,8 @@ def cmd_solve(cfg, outdir):
             batch = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
             ks = np.concatenate([ks, batch[np.hypot(batch[:, 0], batch[:, 1]) <= cfg.k_max]])
         deviation = refine.compare_solvers(density, problem, ks[:cfg.k_count])
-    # the density text goes to disk one row block at a time, never held whole
+    # the density text goes to disk a row block at a time; at most the rows up to
+    # the centre are held, when the rows past it replay them
     with _staged(outdir) as open_file:
         _write_eigenpair(open_file, nu, pf)
         open_file("summary.txt").write(

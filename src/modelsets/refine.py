@@ -1,8 +1,9 @@
 """Discretized invariant-density solve and its Fourier-side cross-check.
 
 `build_kernel(problem, h)`, `compare_solvers(density, problem, ks)`,
-`fourier_product(problem, ks)` and `point_symmetric(problem)` read one
-`Problem`, whose checks run once, when it is made.
+`fourier_product(problem, ks)`, `point_symmetric(problem)` and
+`mirror_symmetric(problem)` read one `Problem`, whose checks run once, when
+it is made.
 
 Densities live on one shared square grid whose cell centres lie on hZ^2, so
 the discrete convolution in the refinement step lands exactly on that
@@ -21,6 +22,16 @@ kernel rasterizes the windows of the carried channels and the transitions
 (j, i) with j carried, i live and nu_ji != 0: on the first example 1 window
 and 2 blocks, on the second 2 windows and 6 blocks.  A mirrored channel's
 mask and input box are the flips of its partner's.
+
+When `mirror_symmetric` holds, as on the presets at any real gamma, each
+channel is its own image under (x, y) -> (x, -y), and the grid, centred on
+y = 0, makes that flip a row reversal.  The kernel then takes each carried
+window raster, mask and input box from the rows up to the centre row and
+their flips.  The step samples each input and runs the forward transform's
+row pass over those rows only, and the inverse transform's row pass only
+over the output rows up to the centre; the other rows are copies.  So every
+step output, every mixed iterate and the solved density are their own row
+flips bit for bit, with no averaging pass.
 
 The refinement step is evaluated spectrally.  The kernel fixes the box of
 cells where each contracted input channel can be non-zero, the bounding box
@@ -49,7 +60,7 @@ there and starts from that solution, interpolated onto the fine mask cells
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle, repeat
+from itertools import chain, repeat
 
 import numpy as np
 from numpy import fft
@@ -153,6 +164,7 @@ class RefinementKernel:
     grid: GridSpec
     problem: Problem
     w: np.ndarray           # masses the solve holds: w, averaged with its flip in the quotient
+    centre: int | None      # the grid row of y = 0 in the row-mirror quotient, else None
     channels: list          # (carried channel j, its slice of a packed density), j increasing
     mirrors: dict           # carried j < r-1-j -> r-1-j in the quotient; their cells lead
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting window j, for j carried or mirrored
@@ -203,22 +215,33 @@ def next_fast_len(n):
         n += 1
 
 
-def rfft2(a, shape):
+def rfft2(a, shape, mirrored=False):
     """fft.rfft2(a, s=shape), with the row pass run only over the rows of `a`: the
-    rows that pad it to `shape` are zero, and so is their row transform."""
+    rows that pad it to `shape` are zero, and so is their row transform.  When
+    `mirrored`, `a` holds the rows up to its centre row, and the rows after it,
+    the flips of those before, are copies of their transforms."""
     rows = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
     rows[:len(a)] = fft.rfft(a, n=shape[1], axis=1)
+    if mirrored:
+        rows[len(a):2 * len(a) - 1] = rows[:len(a) - 1][::-1]
     return fft.fft(rows, axis=0)  # not in place: that raised peak RSS by 5 MB
 
 
-def irfft2(a, shape, rows=slice(None)):
+def irfft2(a, shape, rows=slice(None), mirrored=False):
     """Rows `rows` (by default all) of the inverse of fft.rfft2 on `shape`.
 
     Overwrites the spectrum `a`: the column pass runs in place, and the row
-    pass runs only over `rows`.
+    pass runs only over `rows`, or when `mirrored` only over the first half
+    of them and their centre row, the rest being copies of those.
     """
     fft.ifft(a, axis=0, out=a)
-    return fft.irfft(a[rows], n=shape[1], axis=1)
+    if not mirrored:
+        return fft.irfft(a[rows], n=shape[1], axis=1)
+    out = np.empty((rows.stop - rows.start, shape[1]))
+    half = (len(out) + 1) // 2
+    fft.irfft(a[rows.start:rows.start + half], n=shape[1], axis=1, out=out[:half])
+    out[half:] = out[:half - 1][::-1]
+    return out
 
 
 @dataclass
@@ -315,7 +338,7 @@ def _contracted(grid, a_inv, box):
     return rows, cols
 
 
-def _input_stencil(grid, a_inv, mask):
+def _input_stencil(grid, a_inv, mask, centre=None):
     """The box (lo, hi) of cells, on or off the grid, where f_i(A^-1 y) can be non-zero
     and the Stencil that samples channel i at A^-1 y for the cells y of that box, or
     (None, None).
@@ -326,7 +349,8 @@ def _input_stencil(grid, a_inv, mask):
     centres lie within a cell of the image of that region under A are
     tested, each through its stencil, which samples a frame: the mask's
     bounding box padded by one zero cell on every side, holding every node
-    that can be non-zero.
+    that can be non-zero.  With a `centre` row, only the rows up to it are
+    tested and sampled, and the box holds their flips about it too.
     """
     a_matrix = np.linalg.inv(a_inv)
     origin = np.array(grid.origin)
@@ -338,7 +362,10 @@ def _input_stencil(grid, a_inv, mask):
     first = np.floor((corners.min(axis=1) - origin) / grid.h) - 1
     last = np.ceil((corners.max(axis=1) - origin) / grid.h) + 1
     near_lo = first[::-1].astype(int)  # (row, col) of the first tested cell
-    rows, cols = _contracted(grid, a_inv, _slices(near_lo, last[::-1]))
+    near_hi = last[::-1].astype(int)
+    if centre is not None:
+        near_hi[0] = centre + 1
+    rows, cols = _contracted(grid, a_inv, _slices(near_lo, near_hi))
     frame = tuple(hi - lo + 2)  # the frame's origin is one cell before lo
     stencil = Stencil.at(rows - (lo[0] - 1), cols - (lo[1] - 1), frame)
     # per frame cell, whether a stencil node there lies on the mask; the tail
@@ -349,8 +376,13 @@ def _input_stencil(grid, a_inv, mask):
     if not touched.any():
         return None, None
     t_lo, t_hi = _box(touched)
+    if centre is not None:  # every row up to the centre, and their flips beyond it
+        t_hi[0] = len(touched)
     box = _slices(t_lo, t_hi)
-    return (t_lo + near_lo, t_hi + near_lo), Stencil(
+    t_lo, t_hi = t_lo + near_lo, t_hi + near_lo
+    if centre is not None:
+        t_hi[0] = 2 * centre + 1 - t_lo[0]
+    return (t_lo, t_hi), Stencil(
         stencil.index[box], stencil.r0[box], stencil.c0[box], stencil.width)
 
 
@@ -409,6 +441,23 @@ def point_symmetric(problem):
                         for g in groups for p, q in zip(g, g[::-1])))
 
 
+def mirror_symmetric(problem):
+    """Whether every window and transition window matches its image under (x, y) ->
+    (x, -y) to 1e-12 and A is diagonal to 1e-12.  On a grid centred on y = 0
+    their masks and input boxes are then row flips of themselves."""
+    a = problem.a_matrix
+    regions = chain(problem.windows, chain.from_iterable(problem.windows_ji))
+    return bool(abs(a[0, 1]) <= 1e-12 and abs(a[1, 0]) <= 1e-12
+                and all(_matches_row_flip(p.vertices) for p in regions))
+
+
+def _matches_row_flip(vertices):
+    """Whether each vertex lies within 1e-12 of a flipped one, and each flipped one
+    within 1e-12 of a vertex."""
+    gaps = np.abs(vertices[:, None] - vertices[None] * (1.0, -1.0)).max(axis=2, initial=0.0)
+    return not len(vertices) or max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-12
+
+
 def _coarse_h(grid, cells):
     """2^k h for the largest k that leaves at least _COARSE_CELLS cells per axis of
     the grid's width, or None when that k is below 2 or a window meeting `cells`
@@ -434,6 +483,9 @@ def build_kernel(problem, h):
     r = len(windows)
     grid = _kernel_grid(windows, h)
     quotient = point_symmetric(problem)
+    centre = grid.ny // 2  # the row of y = 0 in the row-mirror quotient, else None
+    if not (mirror_symmetric(problem) and grid.origin[1] + (centre + 0.5) * grid.h == 0):
+        centre = None
     held = 0.5 * (w + w[::-1]) if quotient else w
     live = held > 0
     carried = [j for j in range(r) if live[j] and (j <= r - 1 - j or not quotient)]
@@ -444,6 +496,8 @@ def build_kernel(problem, h):
     cells = []
     for j in carried:
         cov, (row, col) = rasterize(windows[j], grid)
+        if centre is not None:  # the rows up to the centre, then their flips
+            cov = np.concatenate([cov[:centre + 1 - row], cov[:centre - row][::-1]])
         inside = cov > 0
         masks[j][row:row + len(cov), col:col + cov.shape[1]] = inside
         cells.append(int(inside.sum()))
@@ -460,7 +514,7 @@ def build_kernel(problem, h):
     boxes = [None] * r
     stencils = [None] * r
     for j in carried:
-        boxes[j], stencils[j] = _input_stencil(grid, a_inv, masks[j])
+        boxes[j], stencils[j] = _input_stencil(grid, a_inv, masks[j], centre)
     size = np.array([grid.ny, grid.nx])
     for j, m in mirrors.items():
         masks[m] = masks[j][::-1, ::-1]
@@ -481,7 +535,7 @@ def build_kernel(problem, h):
     ends = np.cumsum([0] + cells).tolist()
     coarse_h = _coarse_h(grid, min(cells))
     return RefinementKernel(
-        grid=grid, problem=problem, w=held,
+        grid=grid, problem=problem, w=held, centre=centre,
         channels=[(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)],
         mirrors=mirrors, masks=masks, indicators=indicators, blocks=blocks, boxes=boxes,
         stencils=stencils, outputs=outputs, fft_shape=fft_shape, spectra=spectra,
@@ -520,7 +574,7 @@ def _output_cells(kernel, j, transformed):
     if total is None:
         return None
     box, (rows, cols) = kernel.outputs[j]
-    values = irfft2(total, kernel.fft_shape, rows)
+    values = irfft2(total, kernel.fft_shape, rows, kernel.centre is not None)
     del total  # freed before the mask cells are gathered
     return values[:, cols][kernel.masks[j][box]]
 
@@ -552,7 +606,8 @@ def apply_refinement(x, kernel, conserve_mass=True):
         inside = kernel.masks[i][kernel.outputs[i][0]]
         flat, padded = Stencil.frame((inside.shape[0] + 2, inside.shape[1] + 2))
         padded[1:-1, 1:-1][inside] = x[cells]
-        transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape)
+        transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape,
+                               kernel.centre is not None)
     target = kernel.problem.nu @ kernel.masses(x)
     out = np.zeros_like(x)
     for j, cells in kernel.channels:
@@ -794,9 +849,14 @@ def write_density(density, grid_files=None, csv_file=None):
     samples, y increasing row by row; `csv_file` takes all channels as a flat
     x,y,f1,...,fr table for plotting.  Either may be None.  The pass walks
     row blocks of about `text.WRITE_CHUNK_VALUES` samples, formats each sample
-    once and joins the same strings into every output that shows it.  When
-    channel r-1-j is channel j flipped, bit for bit, channel j is formatted
-    once, a row block at a time, and channel r-1-j reads that text backwards.
+    once and joins the same strings into every output that shows it.  Bit for
+    bit comparisons decide three savings.  When channel r-1-j is channel j
+    flipped, channel j is formatted once and r-1-j reads that text backwards.
+    A channel of +0.0 only is never formatted: its grid rows are one string
+    and its CSV field a literal.  When every written channel is its own row
+    flip, only the rows up to the centre are formatted; their grid lines and
+    CSV rows, the y field a placeholder there, are kept and written again for
+    the rows past it.
     """
     g = density.grid
     grid_files = grid_files or {}
@@ -804,40 +864,74 @@ def write_density(density, grid_files=None, csv_file=None):
         fileobj.write(f"# origin {text.fmt(g.origin[0])} {text.fmt(g.origin[1])}\n")
         fileobj.write(f"# h {text.fmt(g.h)}\n")
         fileobj.write(f"# nx {g.nx} ny {g.ny}\n")
-    channels = sorted(grid_files)
-    if csv_file is not None:
-        channels = range(density.r)
-        csv_file.write("x,y," + ",".join(f"f{j + 1}" for j in channels) + "\n")
-        xs = [x + "," for x in text.format_samples(g.x_centers())]
-        ys = [y + "," for y in text.format_samples(g.y_centers())]
-        separators = [repeat(",")] * (len(channels) - 1) + [repeat("\n")]
+    channels = range(density.r) if csv_file is not None else sorted(grid_files)
     if not channels:
         return
-    values, n, mirrored = density.values, g.nx * g.ny, {}
-    step = max(1, text.WRITE_CHUNK_VALUES // (g.nx * len(channels)))
-    for j in channels:
-        m = density.r - 1 - j
-        if j < m and m in channels and values[m].tobytes() == values[j][::-1, ::-1].tobytes():
-            mirrored[j] = mirrored[m] = list(chain.from_iterable(
-                text.format_samples(values[j, iy:iy + step]) for iy in range(0, g.ny, step)))
-    for iy in range(0, g.ny, step):
-        lo, hi = iy * g.nx, min(iy + step, g.ny) * g.nx
-        samples = {}
+    values, nx, ny, r = density.values, g.nx, g.ny, density.r
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    zero = {j for j in channels if not bits[j].any()}
+    flipped = {r - 1 - j: j for j in channels if j < r - 1 - j and r - 1 - j in channels
+               and j not in zero and np.array_equal(bits[r - 1 - j], bits[j][::-1, ::-1])}
+    mirror = all(np.array_equal(bits[j], bits[j][::-1]) for j in channels)
+    rows = (ny + 1) // 2 if mirror else ny
+    step = max(1, text.WRITE_CHUNK_VALUES // (nx * len(channels)))
+
+    def formatted(j, lo, hi):
+        s = text.format_samples(values[j, lo:hi])
+        return [s[k:k + nx] for k in range(0, len(s), nx)]
+
+    # channel r-1-j's rows in a block are channel j's rows at the other end,
+    # each reversed: under the row mirror these are j's rows in the block,
+    # else j's rows are all formatted ahead, a block at a time, and held
+    held = {} if mirror else {j: list(chain.from_iterable(
+        formatted(j, lo, lo + step) for lo in range(0, ny, step))) for j in flipped.values()}
+    zero_line = " ".join(["0"] * nx)
+    xs, ys, layout = [], [], []
+    if csv_file is not None:
+        csv_file.write("x,y," + ",".join(f"f{j + 1}" for j in channels) + "\n")
+        xs = [x + "," for x in text.format_samples(g.x_centers())]
+        ys = text.format_samples(g.y_centers())
+        # a CSV row template: x, "\0" standing for y, then the channels' fields
+        # or, for a zero channel, literal text
+        literal = "\0,"
         for j in channels:
-            if j not in mirrored:
-                samples[j] = text.format_samples(values[j, iy:iy + step])
-            elif j < density.r - 1 - j:
-                samples[j] = mirrored[j][lo:hi]
-            else:  # channel r-1-j's samples, read backwards from the other end
-                samples[j] = mirrored[j][n - hi:n - lo][::-1]
+            separator = "," if j < r - 1 else "\n"
+            if j in zero:
+                literal += "0" + separator
+            else:
+                layout += [literal, j]
+                literal = separator
+        layout.append(literal)
+    held_lines, held_rows = {j: [] for j in grid_files}, []
+
+    def emit(lines, templates, y_text):
         for j, fileobj in grid_files.items():
-            s = samples[j]
-            fileobj.write("\n".join([" ".join(s[k:k + g.nx])
-                                     for k in range(0, len(s), g.nx)]) + "\n")
+            fileobj.write("\n".join(lines[j]) + "\n")
         if csv_file is not None:
-            column_y = chain.from_iterable(repeat(y, g.nx) for y in ys[iy:iy + step])
-            columns = chain.from_iterable(zip(samples.values(), separators))
-            csv_file.write("".join(chain.from_iterable(zip(cycle(xs), column_y, *columns))))
+            csv_file.write("".join([t.replace("\0", y) for t, y in zip(templates, y_text)]))
+
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        samples = {j: held[j][lo:hi] if j in held else formatted(j, lo, hi)
+                   for j in channels if j not in zero and j not in flipped}
+        for m, j in flipped.items():
+            source = samples[j] if mirror else held[j][ny - hi:ny - lo][::-1]
+            samples[m] = [row[::-1] for row in source]
+        lines = {j: [zero_line] * (hi - lo) if j in zero else [" ".join(row) for row in samples[j]]
+                 for j in grid_files}
+        templates = [] if csv_file is None else [
+            "".join(chain.from_iterable(zip(xs, *[repeat(p) if isinstance(p, str) else samples[p][k]
+                                                  for p in layout])))
+            for k in range(hi - lo)]
+        emit(lines, templates, ys[lo:hi])
+        if mirror:
+            for j in grid_files:
+                held_lines[j] += lines[j]
+            held_rows += templates
+    for lo in range(rows, ny, step):  # row iy past the centre is row ny-1-iy again
+        hi = min(lo + step, ny)
+        emit({j: held_lines[j][ny - hi:ny - lo][::-1] for j in grid_files},
+             held_rows[ny - hi:ny - lo][::-1], ys[lo:hi])
 
 
 def write_density_grid(density, channel, fileobj):

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -61,10 +62,19 @@ def step(f, kernel, conserve_mass=True):
     return kernel.unpack(refine.apply_refinement(kernel.pack(f.values), kernel, conserve_mass))
 
 
-def general_path():
+def no_point_reflection():
     """The point-reflection decision patched off, so that a kernel built under
     it carries every channel with w_j > 0."""
     return mock.patch.object(refine, "point_symmetric", lambda problem: False)
+
+
+@contextmanager
+def general_path():
+    """Both quotient decisions patched off: a kernel built under them carries
+    every channel with w_j > 0 and steps every row of it."""
+    with no_point_reflection(), mock.patch.object(refine, "mirror_symmetric",
+                                                  lambda problem: False):
+        yield
 
 
 def scheme_problem(spec, transitions, nu):

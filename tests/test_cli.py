@@ -21,32 +21,32 @@ from tests.conftest import TAU
 
 
 # sha256 of the files `solve --preset penrose-example1 --h 0.03125` writes,
-# as recorded with exact cell coverage, the point-reflection quotient,
-# erosion by meeting edge lines, numpy's default inverse FFT scaling and
+# as recorded with exact cell coverage, the point-reflection and row-mirror
+# quotients, erosion by meeting edge lines, numpy's default inverse FFT scaling and
 # nu-weighted kernel spectra with the mirror phase folded in on numpy
 # 2.4.6; the bytes follow the last bit of every float, so they hold for one
 # numpy build
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density_ch2.txt": "e30d9b0eb5e4d1aab9906ce48adc900aef78302339e8049348cb889fd8e7067d",
-    "density_ch3.txt": "fd9fedf51c6b03bdacc57ebe56050d3fe881b3b12740f3fe7073098c7cfc0291",
+    "density_ch2.txt": "57b9acebbd0c9d9ea154cbeb17e23352d0abc75629c2ae0b01e9b43aba24513a",
+    "density_ch3.txt": "5401095263f48e7f141a5cafd6140bd1e81c047895a790ee10dd0f8326442682",
     "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density.csv": "1db00c3589ae27015094d9dcd13457637648c06af2c63488fe26d17c94301041",
-    "summary.txt": "ac0f4f720dc0968ae1177bbed1211a0c2e4577ffecb3c56849a5f0b44f2039e1",
+    "density.csv": "9d05ee9f5c8863a18da6edf9b66a397a67c6d27290e9e9a614da29047794350e",
+    "summary.txt": "bc24278044a19ceb809884bbb6d41ab27735836a11b8be787306a64638515545",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "a4a954eb872a5ec2a651ab0f1e463bf858a8192f895ee349417ce41f2f80b437",
-    "density_ch2.txt": "6083b5611dfc0b36ea3d09ca00173bbe1a8ff23ca8905b69f9a271aef59ff3b2",
-    "density_ch3.txt": "c8ff6df2fcdb65f1686bd1776840d7ed7af77c5f6925d6175761b7c2add09758",
-    "density_ch4.txt": "538da5a60efb1595be0a214d6c91053f445d372613301ed00a98b81998aaf13c",
-    "density.csv": "57e98bf0e89f07447965d1758a15f819abb889fb5c4686679aba7c2ffc658567",
+    "density_ch1.txt": "36cdf0acad29ff11f38b45c729ebd36a0ffc69383d87d49e4a747a79813bee60",
+    "density_ch2.txt": "d26f9ee48c83de94667482f358ee26d6c2642e015976edd69ca3f3586cf501cc",
+    "density_ch3.txt": "7da555384992328a5fa6203d55d8b068d10a0a8a671d4a01a6b83943bbe459c0",
+    "density_ch4.txt": "4f8f998bf8ff774c86c929bd4305f2fb00212926866de90dde0bd0d40fee6dbe",
+    "density.csv": "81f46382d02cf4b7ea56ab83360f04b8fc336aaf0be88427dad3fc1efde62046",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "bf2c7d314673d3a9336721573de3c4e4923397597c677ac9b1a27de419f20ddc",
+    "summary.txt": "71aa77cea9b01d34f9ea3d84f7b0bfba3e8d1b8c59fc47a74818ff7f79aa6fdf",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
@@ -70,14 +70,14 @@ SOLVE_EX2_GAMMA_SHA256 = {
 # start's coarse level is 109 x 109 at h = 1/32, the smallest grid that
 # frames the windows there
 SOLVE_EX2_H128_SHA256 = {
-    "density_ch1.txt": "8b9f7c9dd46b6602c5856c873f2c14a2200d7fbdabb5132e3f54d302cdbd6fb8",
-    "density_ch2.txt": "6874829a83bbbc968e126f82a75209c1291cab3f8f1832282a1adc0606573454",
-    "density_ch3.txt": "d60616e27219ae03500772a8e8f77bb15fc6548466f21068efcea74615e3cdd3",
-    "density_ch4.txt": "c8f4d7eb3eaa1d906880112b5584d205a8a282b565edd4cc68f0b1700caa0859",
-    "density.csv": "fffa96c35c82e25d5ae7cce39667fdc719d1f27effcbcb8c633396dfafacf503",
+    "density_ch1.txt": "5bb93c2d19fff47b411af8bedc44bee732b35d457c3aaed3259b6fe81a22f6ae",
+    "density_ch2.txt": "60a7fdf7ab3c4f6f3c8c39ad16d4be036a4d05d18833d64fd2efdb545a5381b4",
+    "density_ch3.txt": "049a9ef0e217775b45d195e0388560a46c75396e3709310866af525ddbd0298b",
+    "density_ch4.txt": "f1bbf4b939cba80c67e3df4b2ba23d0d4a9ee0efc4c80abbfbeebf5c3e1f0af5",
+    "density.csv": "e4192dc4dd9f8490b778688a01f2af2fca83fc931aadf81749e8b13830fba9c3",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "f80edc1f4f64c36dcc8f69011750254a4c15f75b3075d7af968d4e27e7bf1c33",
+    "summary.txt": "2cf5ca98980c0e1145dea782a68f662a62be1b5625c3953e24e92a1835236be5",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`

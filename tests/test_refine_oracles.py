@@ -29,7 +29,8 @@ from modelsets.polygeom import (GridSpec, Region, _edge_normals, area, centroid,
                                 linear_image, rasterize, translate)
 from modelsets.refine import (DensityGrid, Problem, build_kernel, fourier_product,
                               initial_density, polygon_ft, solve_fixed_point)
-from tests.conftest import EXAMPLE2_NU, coverage, general_path, scheme_problem, step
+from tests.conftest import (EXAMPLE2_NU, coverage, general_path, no_point_reflection,
+                            scheme_problem, step)
 from tests.test_refine import toy_kernel
 
 STEP_TOL = 1e-12
@@ -336,16 +337,23 @@ def test_step_matches_oracle_with_a_zero_channel(preset64):
     assert_steps_agree(DensityGrid.from_values(kernel.grid, values), kernel, True)
 
 
+def shifted_problem(policy, gamma):
+    """The problem of example 1 ("area") or 2 ("explicit") with windows moved by gamma."""
+    shifted = scheme.penrose_scheme(gamma=gamma)
+    trans = scheme.transition_windows(shifted)
+    nu = (scheme.build_nu(shifted, trans) if policy == "area" else
+          scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU))
+    return scheme_problem(shifted, trans, nu)
+
+
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 @pytest.mark.parametrize("gamma", [complex(3, -4), complex(1000, 0)])
 def test_step_matches_oracle_at_a_far_gamma(policy, gamma):
     # the grid frames the windows; the blocks and contracted inputs sit on its
     # lattice off the grid, near 1.618 gamma and A (W_i + gamma)
-    shifted = scheme.penrose_scheme(gamma=gamma)
-    trans = scheme.transition_windows(shifted)
-    nu = (scheme.build_nu(shifted, trans) if policy == "area" else
-          scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU))
-    kernel = build_kernel(scheme_problem(shifted, trans, nu), 1 / 32)
+    problem = shifted_problem(policy, gamma)
+    trans = problem.windows_ji
+    kernel = build_kernel(problem, 1 / 32)
     grid = kernel.grid
     for j, row in enumerate(kernel.blocks):
         for i, block in enumerate(row):
@@ -361,6 +369,55 @@ def test_step_matches_oracle_at_a_far_gamma(policy, gamma):
     f = kernel.unpack(initial_density(kernel))
     for _ in range(3):
         f = assert_steps_agree(f, kernel, True)
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("gamma", [0, 0.3])
+def test_half_row_step_matches_oracle(policy, gamma):
+    # at a real gamma the step samples, transforms and inverts only the rows up
+    # to y = 0 and copies the rest, so its outputs are their own row flips bit
+    # for bit; at gamma = 0 the point reflection is patched off, so that the
+    # oracle forms every channel from its own input
+    problem = shifted_problem(policy, gamma)
+    assert refine.mirror_symmetric(problem)
+    with no_point_reflection():
+        kernel = build_kernel(problem, 1 / 64)
+    assert kernel.centre == kernel.grid.ny // 2 and not kernel.mirrors
+    f = kernel.unpack(initial_density(kernel))
+    for _ in range(3):
+        assert all(v.tobytes() == v[::-1].tobytes() for v in f.values)
+        got, want = step(f, kernel), oracle_step(f, kernel)
+        assert np.abs(got.values - want.values).max() <= 1e-14 * np.abs(want.values).max()
+        f = got
+    # so are the Anderson-mixed iterates and the solved density, with the
+    # point reflection too at gamma = 0
+    solved = solve_fixed_point(build_kernel(problem, 1 / 64)).density.values
+    assert all(v.tobytes() == v[::-1].tobytes() for v in solved)
+
+
+def test_row_mirror_decision(spec, problem_area):
+    assert refine.mirror_symmetric(problem_area)
+    # windows moved off the real axis
+    assert not refine.mirror_symmetric(shifted_problem("area", complex(0.031, -0.047)))
+    # an inline scheme: the pentagons turned by 10 degrees, still point-symmetric
+    # but no longer their own row flips, so the solve takes the point reflection only
+    c, s = np.cos(np.pi / 18), np.sin(np.pi / 18)
+    turned = scheme.SchemeSpec(windows=[linear_image(w, np.array([[c, -s], [s, c]]))
+                                        for w in spec.windows],
+                               coset_reps=spec.coset_reps, q_mult=spec.q_mult)
+    trans = scheme.transition_windows(turned)
+    problem = scheme_problem(turned, trans, scheme.build_nu(turned, trans))
+    assert not refine.mirror_symmetric(problem) and refine.point_symmetric(problem)
+    kernel = build_kernel(problem, 1 / 32)
+    assert kernel.centre is None and kernel.mirrors
+    # a window moved along y by more than the tolerance, or a turned A
+    for moved, decided in [(1e-13, True), (1e-9, False)]:
+        windows = list(problem_area.windows)
+        windows[1] = translate(windows[1], (0.0, moved))
+        assert refine.mirror_symmetric(dataclasses.replace(problem_area,
+                                                           windows=windows)) == decided
+    assert not refine.mirror_symmetric(dataclasses.replace(
+        problem_area, a_matrix=np.array([[c, -s], [s, c]]) @ problem_area.a_matrix))
 
 
 def test_mixed_solve_beats_plain_iteration(preset64):
@@ -852,12 +909,29 @@ DENSITY_VALUES = st.one_of(st.just(0.0), st.just(-0.0), st.just(5e-324), st.just
                            st.sampled_from([np.inf, -np.inf, np.nan]))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data(), r=st.integers(1, 4), nx=st.integers(1, 9), ny=st.integers(1, 9),
        h=st.floats(1e-3, 2.0), ox=st.floats(-5, 5), oy=st.floats(-5, 5),
        chunk=st.integers(1, 60))
 def test_density_writers_match_oracle(data, r, nx, ny, h, ox, oy, chunk):
     values = data.draw(arrays(np.float64, (r, ny, nx), elements=DENSITY_VALUES))
+    # the writer's savings: channels of +0.0 only, every channel its own row
+    # flip, channel r-1-j as channel j flipped, alone or broken by one -0.0
+    # against a +0.0 or by one ulp
+    values[data.draw(st.lists(st.integers(0, r - 1), unique=True))] = 0.0
+    rows = data.draw(st.sampled_from([None, "mirror", "-0", "ulp"]))
+    if rows is not None:
+        values[:, (ny + 1) // 2:] = values[:, :ny // 2][:, ::-1]
+    if data.draw(st.booleans()):
+        for j in range(r // 2):
+            values[r - 1 - j] = values[j][::-1, ::-1]
+    if rows in ("-0", "ulp") and ny > 1:
+        j, iy, ix = data.draw(st.tuples(st.integers(0, r - 1), st.integers(0, ny // 2 - 1),
+                                        st.integers(0, nx - 1)))
+        if rows == "-0":
+            values[j, iy, ix], values[j, ny - 1 - iy, ix] = 0.0, -0.0
+        else:
+            values[j, iy, ix:ix + 1].view(np.uint64)[0] ^= 1
     density = DensityGrid(grid=GridSpec(origin=(ox, oy), h=h, nx=nx, ny=ny),
                           values=values, masses=np.zeros(r))
     channels = data.draw(st.lists(st.integers(0, r - 1), unique=True))
@@ -887,21 +961,11 @@ def test_density_writers_match_oracle(data, r, nx, ny, h, ox, oy, chunk):
             assert got.getvalue() == want_grids[j].getvalue()
 
 
-@pytest.mark.parametrize("chunk", [11, 60, 10**6])  # 1, 3 (the last block short) or 7 rows
-@pytest.mark.parametrize("exact", [True, False])
-def test_density_writer_formats_a_mirrored_channel_once(exact, chunk):
-    # channels 4 and 3 (1-based) are channels 1 and 2 flipped; unless `exact`,
-    # one sample of channel 3 is -0.0 where channel 2 has +0.0, which compares
-    # equal but prints "-0", so channel 3 must be formatted on its own
-    rng = np.random.default_rng(4)
-    values = rng.uniform(size=(4, 7, 5))
-    values[1, 2, 3] = 0.0
-    values[3] = values[0][::-1, ::-1]
-    values[2] = values[1][::-1, ::-1]
-    if not exact:
-        values[2, 4, 1] = -0.0
+def assert_formats(values, chunk, count):
+    """write_density of a 5 x 7 grid matches the oracle writers after formatting
+    `count` values, coordinates included."""
     density = DensityGrid(grid=GridSpec(origin=(-0.3, -0.4), h=0.1, nx=5, ny=7),
-                          values=values, masses=np.zeros(4))
+                          values=values, masses=np.zeros(len(values)))
     formatted = []
     format_samples = text.format_samples
 
@@ -909,21 +973,71 @@ def test_density_writer_formats_a_mirrored_channel_once(exact, chunk):
         formatted.append(np.size(array))
         return format_samples(array)
 
-    grids = {j: io.StringIO() for j in range(4)}
+    grids = {j: io.StringIO() for j in range(len(values))}
     csv = io.StringIO()
     with mock.patch.object(text, "WRITE_CHUNK_VALUES", chunk), \
             mock.patch.object(text, "format_samples", counted):
         refine.write_density(density, grids, csv)
-    # the coordinates, then the samples of two channels, or three without the flip
-    assert sum(formatted) == 5 + 7 + (2 if exact else 3) * 35
-    for j in range(4):
+    assert sum(formatted) == count
+    for j in grids:
         want = io.StringIO()
         oracle_write_density_grid(density, j, want)
         assert grids[j].getvalue() == want.getvalue()
     want = io.StringIO()
     oracle_write_density_csv(density, want)
     assert csv.getvalue() == want.getvalue()
+    return grids
+
+
+def row_mirrored_channels():
+    """Four random channels, each its own row flip, 4 and 3 (1-based) the point
+    reflections of 1 and 2, and +0.0 at two cells of channel 2 and so of 3."""
+    values = np.random.default_rng(4).uniform(size=(4, 7, 5))
+    values[:, 4:] = values[:, 2::-1]
+    values[1, 2, 3] = values[1, 4, 3] = 0.0
+    values[3] = values[0][::-1, ::-1]
+    values[2] = values[1][::-1, ::-1]
+    return values
+
+
+@pytest.mark.parametrize("chunk", [11, 60, 10**6])  # 1, 3 (the last block short) or 7 rows
+@pytest.mark.parametrize("exact", [True, False])
+def test_density_writer_formats_a_mirrored_channel_once(exact, chunk):
+    # channels 4 and 3 (1-based) are channels 1 and 2 flipped; unless `exact`,
+    # one sample of channel 3 is -0.0 where channel 2 has +0.0, which compares
+    # equal but prints "-0", so channel 3 must be formatted on its own; no
+    # channel is its own row flip, so every row is formatted
+    rng = np.random.default_rng(4)
+    values = rng.uniform(size=(4, 7, 5))
+    values[1, 2, 3] = 0.0
+    values[3] = values[0][::-1, ::-1]
+    values[2] = values[1][::-1, ::-1]
+    if not exact:
+        values[2, 4, 1] = -0.0
+    grids = assert_formats(values, chunk, 5 + 7 + (2 if exact else 3) * 35)
     assert ("-0" in grids[2].getvalue().split()) != exact
+
+
+@pytest.mark.parametrize("chunk", [11, 60, 10**6])  # 1, 3 (the last block short) or 4 rows
+@pytest.mark.parametrize("exact", [True, False])
+def test_density_writer_formats_rows_up_to_the_centre_once(exact, chunk):
+    # as above, with every channel its own row flip, so only the 4 rows up to
+    # the centre are formatted; unless `exact`, channel 3 holds -0.0 at both
+    # cells where channel 2 has +0.0, which keeps its row flip
+    values = row_mirrored_channels()
+    if not exact:
+        values[2, 2, 1] = values[2, 4, 1] = -0.0
+    grids = assert_formats(values, chunk, 5 + 7 + (2 if exact else 3) * 4 * 5)
+    assert ("-0" in grids[2].getvalue().split()) != exact
+
+
+@pytest.mark.parametrize("chunk", [11, 60, 10**6])
+def test_density_writer_formats_every_row_without_a_row_mirror(chunk):
+    # one -0.0 against a +0.0 breaks channel 3's row flip and its point
+    # reflection of channel 2, so every row of three channels is formatted
+    values = row_mirrored_channels()
+    values[2, 4, 1] = -0.0
+    assert_formats(values, chunk, 5 + 7 + 3 * 7 * 5)
 
 
 def test_density_writer_formats_a_chunk_at_a_time(solve2_128):
@@ -941,8 +1055,9 @@ def test_density_writer_formats_a_chunk_at_a_time(solve2_128):
     with mock.patch.object(text, "format_samples", counted):
         refine.write_density(density, {j: io.StringIO() for j in range(4)}, io.StringIO())
     assert max(formatted) <= text.WRITE_CHUNK_VALUES
-    # the coordinates, then channels 1 and 2 (1-based) whose flips are 4 and 3
-    assert sum(formatted) == 2 * 437 + 2 * 437**2
+    # the coordinates, then channels 1 and 2 (1-based), whose flips are 4 and 3,
+    # over the rows up to the centre row, whose flips are the rows past it
+    assert sum(formatted) == 2 * 437 + 2 * 219 * 437
 
 
 def coordinates(n):
