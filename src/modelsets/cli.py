@@ -25,7 +25,7 @@ import numpy as np
 
 from . import pfsolve, refine, scheme, verify
 from .cyclotomic import CycInt
-from .polygeom import Region, area, linear_image, translate
+from .polygeom import Region, area
 from .text import fmt
 
 EXAMPLE2_MATRIX = [
@@ -396,48 +396,13 @@ def cmd_verify(cfg, outdir):
     trans, nu, pf = _eigenpair(cfg)
     density = _solve(cfg, trans, nu, pf)[1].density
     with _stage("enumeration"):
-        # one patch out to the larger radius; each check cuts it with PointSet.within
+        # one patch out to the larger radius, which the checks cut to s and closure_s
         radius = max(cfg.s, cfg.closure_s)
         patch = scheme.generate_all(cfg.spec, radius)
         tsets = scheme.translation_sets(cfg.spec, trans, radius)
-        points = [p.within(cfg.s) for p in patch]
     with _stage("verification"):
-        lines = []
-        # star images equidistribute: component-1 sub-window at the contraction scale
-        contraction = abs(cfg.spec.a_internal)
-        sub = translate(linear_image(cfg.spec.windows[0], contraction * np.eye(2)),
-                        (cfg.spec.gamma.real, cfg.spec.gamma.imag))
-        if points[0]:
-            _, _, dev = verify.weyl_test(points[0], cfg.spec.shifted_window(1), sub)
-            lines.append(verify.ReportLine("WEYL.comp1_deviation", dev,
-                                           5.0 / np.sqrt(len(points[0]))))
-        else:
-            lines.append(verify.ReportLine("WEYL.comp1_deviation", "no-points", 0.0))
-        try:
-            rep = verify.check_id2(cfg.spec, density, nu, points, tsets, cfg.s,
-                                   samples=cfg.id2_samples, seed=cfg.seed)
-            lines.append(verify.ReportLine("ID2.mean_residual", rep.mean_residual, 0.05))
-        except verify.InsufficientRadiusError:
-            lines.append(verify.ReportLine("ID2.mean_residual", "insufficient-radius", 0.05))
-        id3 = verify.id3_values(cfg.spec, density, points)
-        lines.append(verify.ReportLine("ID3.max_deviation",
-                                       float(np.abs(id3 - pf.w).max()), 0.05))
-        dens = verify.density_estimate(points, [cfg.s])
-        areas = np.array([area(cfg.spec.shifted_window(j))
-                          for j in range(1, cfg.spec.r + 1)])
-        ratio_dev = 0.0
-        for j in range(cfg.spec.r):
-            for i in range(cfg.spec.r):
-                if dens[i, 0] > 0:
-                    measured = dens[j, 0] / dens[i, 0]
-                    expected = areas[j] / areas[i]
-                    ratio_dev = max(ratio_dev, abs(measured / expected - 1.0))
-        lines.append(verify.ReportLine("DENSITY.ratio_max_reldev", ratio_dev, 0.05))
-        closure = scheme.check_selfsim_closure(
-            cfg.spec, patch, [[t.within(cfg.closure_s) for t in row] for row in tsets],
-            cfg.closure_s)
-        lines.append(verify.ReportLine("CLOSURE.violations",
-                                       len(closure.violations), 0))
+        lines = verify.report(cfg.spec, density, nu, pf.w, patch, tsets, cfg.s,
+                              cfg.closure_s, cfg.id2_samples, cfg.seed)
         report = verify.render_report(lines)
     with _staged(outdir) as open_file:
         sys.stdout.write(report)

@@ -98,11 +98,6 @@ class CycInt:
             out = out * self
         return out
 
-    def star(self):
-        """Galois conjugate (xi -> xi^2), reduced to the canonical basis."""
-        m0, m1, m2, m3 = self.coeffs
-        return CycInt(m0 - m2, m3 - m2, m1 - m2, -m2)
-
     def rho(self):
         """Coset residue: sum of coefficients mod 5, in [0, 5)."""
         return sum(self.coeffs) % 5

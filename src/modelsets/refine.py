@@ -7,54 +7,19 @@ it is made.
 
 Densities live on one shared square grid whose cell centres lie on hZ^2, so
 the discrete convolution in the refinement step lands exactly on that
-lattice.  At every level of a solve the grid only frames the windows
-(`_kernel_grid`).  Transition rasters and contracted inputs sit on the
-lattice where they fall, on or off the grid, by cell index from the grid's
-first cell, so the grid does not grow with the displacement gamma, whose
-transition windows lie near 1.618 gamma.  For a point-symmetric scheme the
-grid is centred on the origin and u -> -u is an exact array flip.
+lattice.  The grid only frames the windows (`_kernel_grid`).  Transition
+rasters and contracted inputs sit on the lattice where they fall, on or off
+the grid, so the grid does not grow with the displacement gamma, whose
+transition windows lie near 1.618 gamma.
 
-`build_kernel` builds what the fixed-point solve reads and nothing else.
-Only channels with w_j > 0 carry mass.  When `point_symmetric` holds,
-f_{r-1-j}(u) = f_j(-u), and the solve carries only the live channels
-j <= r-1-j, so that channel r-1-j is the exact flip of channel j.  The
-kernel rasterizes the windows of the carried channels and the transitions
-(j, i) with j carried, i live and nu_ji != 0: on the first example 1 window
-and 2 blocks, on the second 2 windows and 6 blocks.  A mirrored channel's
-mask and input box are the flips of its partner's.
-
-When `mirror_symmetric` holds, as on the presets at any real gamma, each
-channel is its own image under (x, y) -> (x, -y), and the grid, centred on
-y = 0, makes that flip a row reversal.  The kernel then takes each carried
-window raster, mask and input box from the rows up to the centre row and
-their flips.  The step samples each input and runs the forward transform's
-row pass over those rows only, and the inverse transform's row pass only
-over the output rows up to the centre; the other rows are copies.  So every
-step output, every mixed iterate and the solved density are their own row
-flips bit for bit, with no averaging pass.
-
-The refinement step is evaluated spectrally.  The kernel fixes the box of
-cells where each contracted input channel can be non-zero, the bounding box
-of each carried output's window mask, one periodic FFT shape long enough
-that every linear convolution from an input box into its output hull fits
-without wrapping, the bilinear stencil that samples each carried input, and
-the real FFT of each placed block, already weighted by nu_ji.  A step costs
-one stencil pass and one forward transform per non-zero carried input and
-one inverse transform per carried output, and the circular result equals
-the linear one on the mask.  Flipping a box of b cells on a period of n
-turns X_k into conj(X_k) e^{-2 pi i k (b - 1) / n} per axis.  That phase is
-folded, conjugated, into the spectrum of each block a mirrored input meets,
-so such an input needs no stencil pass, transform or phased copy: its terms
-are products with the carried input's transform, summed and conjugated once.
-
-The step, `apply_refinement`, and the start, `initial_density`, work on
-packed densities: one vector of the mask cells of the carried channels.
-The fixed-point solve keeps its whole state in that form and builds a full
-grid only for its result.  On a grid at least four times as wide as the
-coarsest level worth solving (_COARSE_CELLS cells a side), the kernel also
-holds the kernel of the same problem at 2^k h, and the solve first solves
-there and starts from that solution, interpolated onto the fine mask cells
-(nested iteration, Brandt 1977).
+`build_kernel` builds what the fixed-point solve reads and nothing else, and
+the solve keeps its state packed over the kernel's mask cells
+(`RefinementKernel`).  Two exact symmetries shrink that state.  Under
+`point_symmetric` only the channels j <= r-1-j are carried.  Under
+`mirror_symmetric`, as on the presets at any real gamma, only the rows up to
+y = 0 are stepped, so every step output, every mixed iterate and the solved
+density are their own row flips bit for bit, with no averaging pass.  The
+step, `apply_refinement`, runs as products of the kernel's spectra.
 """
 
 from __future__ import annotations
@@ -184,9 +149,6 @@ class RefinementKernel:
                             # conjugated gives the term of input i
     coarse: RefinementKernel | None  # the same problem at 2^k h
 
-    def pack(self, values):
-        return np.concatenate([values[j][self.masks[j]] for j, _ in self.channels])
-
     def unpack(self, x):
         values = np.zeros(self.masks.shape)
         for j, cells in self.channels:
@@ -227,8 +189,8 @@ def rfft2(a, shape, mirrored=False):
     return fft.fft(rows, axis=0)  # not in place: that raised peak RSS by 5 MB
 
 
-def irfft2(a, shape, rows=slice(None), mirrored=False):
-    """Rows `rows` (by default all) of the inverse of fft.rfft2 on `shape`.
+def irfft2(a, shape, rows, mirrored=False):
+    """Rows `rows`, a slice with bounds, of the inverse of fft.rfft2 on `shape`.
 
     Overwrites the spectrum `a`: the column pass runs in place, and the row
     pass runs only over `rows`, or when `mirrored` only over the first half
@@ -690,8 +652,8 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
 
     When the kernel holds a coarser level, the same problem is first solved
     there; this solve starts from that density, interpolated bilinearly
-    onto the mask cells and rescaled to the masses w.  The result's
-    residuals are this level's only.
+    onto the mask cells and rescaled to the masses w (nested iteration,
+    Brandt 1977).  The result's residuals are this level's only.
 
     The iterates are Anderson-mixed (Walker & Ni 2011): each next iterate
     combines the last _MIX_DEPTH + 1 step outputs with the affine weights
@@ -850,13 +812,14 @@ def write_density(density, grid_files=None, csv_file=None):
     x,y,f1,...,fr table for plotting.  Either may be None.  The pass walks
     row blocks of about `text.WRITE_CHUNK_VALUES` samples, formats each sample
     once and joins the same strings into every output that shows it.  Bit for
-    bit comparisons decide three savings.  When channel r-1-j is channel j
-    flipped, channel j is formatted once and r-1-j reads that text backwards.
-    A channel of +0.0 only is never formatted: its grid rows are one string
-    and its CSV field a literal.  When every written channel is its own row
-    flip, only the rows up to the centre are formatted; their grid lines and
-    CSV rows, the y field a placeholder there, are kept and written again for
-    the rows past it.
+    bit comparisons decide three savings.  A channel of +0.0 only is never
+    formatted: its grid rows are one string and its CSV field a literal.  When
+    every written channel is its own row flip, only the rows up to the centre
+    are formatted; their grid lines and CSV rows, the y field a placeholder
+    there, are kept and written again for the rows past it.  Under that row
+    mirror, when channel r-1-j is also channel j flipped, channel j is
+    formatted once and r-1-j reads that text backwards; without the mirror,
+    both channels of such a pair are formatted.
     """
     g = density.grid
     grid_files = grid_files or {}
@@ -870,9 +833,10 @@ def write_density(density, grid_files=None, csv_file=None):
     values, nx, ny, r = density.values, g.nx, g.ny, density.r
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     zero = {j for j in channels if not bits[j].any()}
-    flipped = {r - 1 - j: j for j in channels if j < r - 1 - j and r - 1 - j in channels
-               and j not in zero and np.array_equal(bits[r - 1 - j], bits[j][::-1, ::-1])}
     mirror = all(np.array_equal(bits[j], bits[j][::-1]) for j in channels)
+    flipped = {r - 1 - j: j for j in channels if mirror and j < r - 1 - j
+               and r - 1 - j in channels and j not in zero
+               and np.array_equal(bits[r - 1 - j], bits[j][::-1, ::-1])}
     rows = (ny + 1) // 2 if mirror else ny
     step = max(1, text.WRITE_CHUNK_VALUES // (nx * len(channels)))
 
@@ -880,11 +844,6 @@ def write_density(density, grid_files=None, csv_file=None):
         s = text.format_samples(values[j, lo:hi])
         return [s[k:k + nx] for k in range(0, len(s), nx)]
 
-    # channel r-1-j's rows in a block are channel j's rows at the other end,
-    # each reversed: under the row mirror these are j's rows in the block,
-    # else j's rows are all formatted ahead, a block at a time, and held
-    held = {} if mirror else {j: list(chain.from_iterable(
-        formatted(j, lo, lo + step) for lo in range(0, ny, step))) for j in flipped.values()}
     zero_line = " ".join(["0"] * nx)
     xs, ys, layout = [], [], []
     if csv_file is not None:
@@ -912,11 +871,12 @@ def write_density(density, grid_files=None, csv_file=None):
 
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        samples = {j: held[j][lo:hi] if j in held else formatted(j, lo, hi)
-                   for j in channels if j not in zero and j not in flipped}
+        samples = {j: formatted(j, lo, hi) for j in channels
+                   if j not in zero and j not in flipped}
+        # channel m's rows are channel j's rows at the other end, each reversed,
+        # and under the row mirror those are j's rows in this block
         for m, j in flipped.items():
-            source = samples[j] if mirror else held[j][ny - hi:ny - lo][::-1]
-            samples[m] = [row[::-1] for row in source]
+            samples[m] = [row[::-1] for row in samples[j]]
         lines = {j: [zero_line] * (hi - lo) if j in zero else [" ".join(row) for row in samples[j]]
                  for j in grid_files}
         templates = [] if csv_file is None else [

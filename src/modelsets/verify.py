@@ -5,7 +5,8 @@ its internal image.  These checks confirm, on finite patches, that the
 weights behave as the infinite-volume theory predicts: star images
 equidistribute over the windows, the pointwise averaged self-similarity
 equation holds, per-point sums reproduce the channel masses, and the
-point-set densities scale with window areas.
+point-set densities scale with window areas.  `report` runs all five checks
+of the `verify` command and returns their lines, each with its bound.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polygeom import area, contains_many
+from . import scheme
+from .polygeom import area, contains_many, linear_image, translate
 from .refine import bilinear
 from .text import fmt
 
@@ -68,7 +70,6 @@ def point_weights(spec, density, internal, component):
 @dataclass
 class Id2Report:
     mean_residual: float
-    max_residual: float
     samples: int
 
 
@@ -118,9 +119,7 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0):
     rhs *= spec.detq_abs
     floor = ID2_SCALE_FLOOR * max(density.values.max(), 1e-300)
     residuals = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-    return Id2Report(mean_residual=float(residuals.mean()),
-                     max_residual=float(residuals.max()),
-                     samples=len(residuals))
+    return Id2Report(mean_residual=float(residuals.mean()), samples=len(residuals))
 
 
 def id3_values(spec, density, points):
@@ -139,20 +138,10 @@ def id3_values(spec, density, points):
     return out
 
 
-def density_estimate(points, s_list):
-    """Per-component point densities #Lambda_s / (pi s^2) for each radius.
-
-    Returns an (r, len(s_list)) array; the points must be enumerated out to
-    at least max(s_list).
-    """
-    s_list = list(s_list)
-    if sorted(s_list) != s_list:
-        raise ValueError("radii must be increasing")
-    out = np.zeros((len(points), len(s_list)))
-    for j, comp in enumerate(points):
-        for n, s in enumerate(s_list):
-            out[j, n] = len(comp.within(s)) / (np.pi * s * s)
-    return out
+def density_estimate(points, s):
+    """Per-component point densities #Lambda_s / (pi s^2), shape (r,); the points
+    must be enumerated out to at least s."""
+    return np.array([len(comp.within(s)) for comp in points]) / (np.pi * s * s)
 
 
 @dataclass
@@ -174,3 +163,42 @@ def render_report(lines):
         verdict = "PASS" if line.passed else "FAIL"
         out.append(f"{line.name} {fmt(line.value)} <= {fmt(line.bound)} {verdict}")
     return "\n".join(out) + "\n"
+
+
+def report(spec, density, nu, w, patch, tsets, s, closure_s, id2_samples, seed):
+    """The WEYL, ID2, ID3, DENSITY and CLOSURE lines of `verify`.
+
+    `patch` and `tsets` reach max(s, closure_s).  Every check but CLOSURE
+    reads the points cut to s; CLOSURE reads the whole patch and the
+    translations cut to closure_s.  A check with nothing to measure reports
+    why, `no-points` or `insufficient-radius`, and fails.
+    """
+    points = [p.within(s) for p in patch]
+    # star images equidistribute: component-1 sub-window at the contraction scale
+    sub = translate(linear_image(spec.windows[0], abs(spec.a_internal) * np.eye(2)),
+                    (spec.gamma.real, spec.gamma.imag))
+    weyl = ReportLine("WEYL.comp1_deviation", "no-points", 0.0)
+    if points[0]:
+        weyl = ReportLine("WEYL.comp1_deviation",
+                          weyl_test(points[0], spec.shifted_window(1), sub)[2],
+                          5.0 / np.sqrt(len(points[0])))
+    try:
+        id2 = check_id2(spec, density, nu, points, tsets, s, samples=id2_samples,
+                        seed=seed).mean_residual
+    except InsufficientRadiusError:
+        id2 = "insufficient-radius"
+    id3 = float(np.abs(id3_values(spec, density, points) - w).max())
+    # each density ratio d_j / d_i with d_i > 0 against the area ratio
+    dens = density_estimate(points, s)
+    areas = np.array([area(spec.shifted_window(j)) for j in range(1, spec.r + 1)])
+    live = dens > 0
+    ratio_dev = "no-points"
+    if live.any():
+        ratio_dev = float(np.abs(dens[:, None] / dens[live] / (areas[:, None] / areas[live])
+                                 - 1.0).max())
+    closure = scheme.check_selfsim_closure(
+        spec, patch, [[t.within(closure_s) for t in row] for row in tsets], closure_s)
+    return [weyl, ReportLine("ID2.mean_residual", id2, 0.05),
+            ReportLine("ID3.max_deviation", id3, 0.05),
+            ReportLine("DENSITY.ratio_max_reldev", ratio_dev, 0.05),
+            ReportLine("CLOSURE.violations", len(closure.violations), 0)]

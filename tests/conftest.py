@@ -56,10 +56,16 @@ def coverage(P, grid):
     return out
 
 
+def pack(kernel, values):
+    """A packed density of the kernel: the inverse of kernel.unpack on the cells
+    of its carried channels."""
+    return np.concatenate([values[j][kernel.masks[j]] for j, _ in kernel.channels])
+
+
 def step(f, kernel, conserve_mass=True):
     """refine.apply_refinement on a DensityGrid: its values packed over the kernel's
     masks, stepped, and unpacked."""
-    return kernel.unpack(refine.apply_refinement(kernel.pack(f.values), kernel, conserve_mass))
+    return kernel.unpack(refine.apply_refinement(pack(kernel, f.values), kernel, conserve_mass))
 
 
 def no_point_reflection():

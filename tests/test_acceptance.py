@@ -138,9 +138,9 @@ def test_ac8_equidistribution_and_density(spec, points40):
     sub = linear_image(spec.windows[0], np.eye(2) / TAU)
     _, _, dev = verify.weyl_test(points40[0], spec.windows[0], sub)
     weyl_bound = 5 / math.sqrt(len(points40[0]))
-    dens = verify.density_estimate(points40, [40.0])
-    r31 = dens[2, 0] / dens[0, 0]
-    r23 = dens[1, 0] / dens[2, 0]
+    dens = verify.density_estimate(points40, 40.0)
+    r31 = dens[2] / dens[0]
+    r23 = dens[1] / dens[2]
     ok = (dev <= weyl_bound and abs(r31 / TAU**2 - 1) <= 0.05
           and abs(r23 - 1) <= 0.05)
     criterion(8, "equidistribution and densities", ok,

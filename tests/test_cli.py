@@ -944,6 +944,18 @@ def test_verify_insufficient_radius(tmp_path, capsys):
     assert capsys.readouterr().out.count("\n") >= 4
 
 
+@pytest.mark.parametrize("s", ["0.3", "0.6"])
+def test_verify_no_points(tmp_path, s):
+    # no component has a point within s, so WEYL and DENSITY have nothing to
+    # measure and fail, as ID2 does without translations
+    out = tmp_path / "v"
+    assert run(["verify", "--preset", "penrose-example2", "--s", s, "--h", "0.03125",
+                "--out", str(out)]) == 1
+    report = (out / "report.txt").read_text()
+    assert "WEYL.comp1_deviation no-points <= 0 FAIL" in report
+    assert "DENSITY.ratio_max_reldev no-points <= 0.05 FAIL" in report
+
+
 def test_unknown_output_selector_rejected(tmp_path, capsys):
     config = tmp_path / "typo.cfg"
     config.write_text("outputs = grid\n")

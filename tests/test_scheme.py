@@ -369,8 +369,8 @@ def test_build_transition_data(spec):
 
 def test_density_ratio_converges_with_radius(points40):
     from modelsets.verify import density_estimate
-    d = density_estimate(points40, [10.0, 20.0, 40.0])
-    deviations = [abs(d[2, n] / d[0, n] - TAU**2) for n in range(3)]
+    d = [density_estimate(points40, s) for s in (10.0, 20.0, 40.0)]
+    deviations = [abs(dens[2] / dens[0] - TAU**2) for dens in d]
     assert deviations[0] > deviations[1] > deviations[2]
     assert deviations[2] < 0.05 * TAU**2
 

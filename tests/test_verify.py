@@ -48,12 +48,11 @@ def test_weyl_rejects_empty_points(spec):
 
 
 def test_density_estimate_ratios(points20):
-    d = verify.density_estimate(points20, [10.0, 20.0])
-    assert np.all(d > 0)
-    assert abs(d[1, 1] / d[2, 1] - 1.0) < 1e-12  # congruent windows
-    assert abs(d[2, 1] / d[0, 1] - TAU**2) < 0.1 * TAU**2
-    with pytest.raises(ValueError, match="increasing"):
-        verify.density_estimate(points20, [20.0, 10.0])
+    d = verify.density_estimate(points20, 20.0)
+    assert d.shape == (4,) and np.all(d > 0)
+    assert abs(d[1] / d[2] - 1.0) < 1e-12  # congruent windows
+    assert abs(d[2] / d[0] - TAU**2) < 0.1 * TAU**2
+    assert np.all(verify.density_estimate(points20, 10.0) > 0)
 
 
 def test_density_estimate_counts_the_patch_enumerated_at_s(spec):
@@ -61,7 +60,7 @@ def test_density_estimate_counts_the_patch_enumerated_at_s(spec):
     # sides of the circle; DENSITY must count the very points WEYL and ID3 use
     s = 6.854101966249685
     points = scheme.generate_all(spec, s)
-    counts = verify.density_estimate(points, [s])[:, 0] * (np.pi * s * s)
+    counts = verify.density_estimate(points, s) * (np.pi * s * s)
     assert np.rint(counts).tolist() == [len(p) for p in points]
 
 
@@ -73,7 +72,8 @@ def test_id2_residual_small(spec, coarse_solution, nu_explicit, points20, tsets2
 
 
 def id2_oracle(spec, density, nu, points, tsets, radius, samples, seed, scale_floor=0.05):
-    """The per-sample loop that check_id2 batches: one preimage set per sample and i."""
+    """The per-sample loop that check_id2 batches: one preimage set per sample and i.
+    Returns the mean residual and the sample count."""
     nu = np.asarray(nu, dtype=float)
     a_inv = 1.0 / spec.a_internal
     pool = [(j, u) for j, p in enumerate(points, start=1)
@@ -97,8 +97,7 @@ def id2_oracle(spec, density, nu, points, tsets, radius, samples, seed, scale_fl
             rhs += nu[j - 1, i - 1] * vals.mean()
         rhs *= spec.detq_abs
         residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor))
-    residuals = np.array(residuals)
-    return float(residuals.mean()), float(residuals.max()), len(residuals)
+    return float(np.mean(residuals)), len(residuals)
 
 
 @pytest.mark.parametrize("radius,samples,seed", [(20.0, 100, 0), (12.0, 10**4, 3)])
@@ -108,7 +107,7 @@ def test_id2_matches_per_sample_oracle(spec, coarse_solution, nu_explicit, point
                            samples=samples, seed=seed)
     expected = id2_oracle(spec, coarse_solution, nu_explicit, points20, tsets20, radius,
                           samples, seed)
-    assert (rep.mean_residual, rep.max_residual, rep.samples) == expected
+    assert (rep.mean_residual, rep.samples) == expected
 
 
 def test_id2_zero_density_gives_zero_residual(spec, coarse_solution, nu_explicit,
@@ -117,7 +116,7 @@ def test_id2_zero_density_gives_zero_residual(spec, coarse_solution, nu_explicit
         coarse_solution.grid, np.zeros_like(coarse_solution.values))
     rep = verify.check_id2(spec, zero, nu_explicit, points20, tsets20, 20.0,
                            samples=50, seed=1)
-    assert rep.mean_residual == 0.0 and rep.max_residual == 0.0
+    assert rep.mean_residual == 0.0  # a mean of non-negative residuals
 
 
 def test_id2_insufficient_radius(spec, coarse_solution, nu_explicit, points20, tsets20):
