@@ -17,9 +17,9 @@ the solve keeps its state packed over the kernel's mask cells
 (`RefinementKernel`).  Two exact symmetries shrink that state.  Under
 `point_symmetric` only the channels j <= r-1-j are carried.  Under
 `mirror_symmetric`, as on the presets at any real gamma, only the rows up to
-y = 0 are stepped, so every step output, every mixed iterate and the solved
-density are their own row flips bit for bit, with no averaging pass.  The
-step, `apply_refinement`, runs as products of the kernel's spectra.
+y = 0 are held and stepped, so the solved density is its own row flip bit
+for bit, with no averaging pass.  The step, `apply_refinement`, runs as
+products of the kernel's spectra.
 """
 
 from __future__ import annotations
@@ -121,9 +121,11 @@ class RefinementKernel:
 
     Per-channel lists hold None, and `masks` no cell, for a channel the step
     does not read.  A packed density is one float64 vector of the mask cells
-    of the carried channels, channel by channel, each in row-major order; it
-    unpacks with every other channel exactly zero, except that channel
-    mirrors[j] is the flip of channel j.
+    of the carried channels, channel by channel, each in row-major order.
+    Under the row mirror a channel holds only its cells in rows up to the
+    centre, the centre row last, and each cell before the centre row stands
+    for its row flip too.  It unpacks with every other channel exactly zero,
+    except that channel mirrors[j] is the flip of channel j.
     """
 
     grid: GridSpec
@@ -132,16 +134,22 @@ class RefinementKernel:
     centre: int | None      # the grid row of y = 0 in the row-mirror quotient, else None
     channels: list          # (carried channel j, its slice of a packed density), j increasing
     mirrors: dict           # carried j < r-1-j -> r-1-j in the quotient; their cells lead
+    below: dict             # carried j -> the slice of its cells before the centre row,
+                            # empty without the row mirror
+    scale: int              # 2 when every carried channel is mirrored, else 1
+    doubled: list           # slices of a packed density: a sum over every cell it stands
+                            # for is scale times its plain sum plus one more per slice
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting window j, for j carried or mirrored
-    indicators: list        # per carried channel j: normalized window raster on its mask
-                            # cells, in row-major order
+    indicators: list        # per carried channel j: normalized window raster on its packed
+                            # cells
     blocks: list            # r x r: normalized raster of transition (j, i) for j carried,
                             # i live and nu_ji != 0, cropped to its box; else None
     boxes: list             # per live channel i: (lo, hi) of the cells, on or off the grid,
                             # that f_i(A^-1 y) reaches, or None
     stencils: list          # per carried channel with a box: the Stencil that samples it
     outputs: list           # per carried channel j: (grid slices of the mask's bounding
-                            # box, the same cells in the periodic result)
+                            # box, up to the centre row under the row mirror, the same
+                            # cells in the periodic result)
     fft_shape: tuple        # common periodic shape of every spectrum
     spectra: list           # r x r: rfft2 of the placed nu_ji |det Q| h^2 block (j, i); for a
                             # mirrored i, its conjugate times the conjugated mirror phases of
@@ -152,7 +160,10 @@ class RefinementKernel:
     def unpack(self, x):
         values = np.zeros(self.masks.shape)
         for j, cells in self.channels:
-            values[j][self.masks[j]] = x[cells]
+            box = self.outputs[j][0]
+            values[j][box][self.masks[j][box]] = x[cells]
+            if self.centre is not None:
+                values[j][self.centre + 1:] = values[j][:self.centre][::-1]
             if j in self.mirrors:
                 values[self.mirrors[j]] = values[j][::-1, ::-1]
         return DensityGrid.from_values(self.grid, values)
@@ -160,8 +171,15 @@ class RefinementKernel:
     def masses(self, x):
         masses = np.zeros(len(self.masks))
         for j, cells in self.channels:
-            masses[j] = masses[self.mirrors.get(j, j)] = x[cells].sum() * self.grid.h**2
+            masses[j] = masses[self.mirrors.get(j, j)] = \
+                (x[cells].sum() + x[self.below[j]].sum()) * self.grid.h**2
         return masses
+
+    def total(self, v, u=None):
+        """The sum of packed v, or the inner product of packed v and u, over every
+        cell of the density they stand for."""
+        part = (lambda s: v[s].sum()) if u is None else (lambda s: v[s] @ u[s])
+        return self.scale * (part(slice(None)) + sum(map(part, self.doubled)))
 
 
 def next_fast_len(n):
@@ -177,33 +195,31 @@ def next_fast_len(n):
         n += 1
 
 
-def rfft2(a, shape, mirrored=False):
-    """fft.rfft2(a, s=shape), with the row pass run only over the rows of `a`: the
-    rows that pad it to `shape` are zero, and so is their row transform.  When
-    `mirrored`, `a` holds the rows up to its centre row, and the rows after it,
-    the flips of those before, are copies of their transforms."""
-    rows = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
-    rows[:len(a)] = fft.rfft(a, n=shape[1], axis=1)
+def rfft2(a, shape, mirrored=False, out=None):
+    """fft.rfft2(a, s=shape), into `out` when given, with the row pass run only
+    over the rows of `a`: the rows that pad it to `shape` are zero, and so is
+    their row transform.  When `mirrored`, `a` holds the rows up to its centre
+    row, and the rows after it, the flips of those before, are copies of their
+    transforms.  The column pass runs in place."""
+    if out is None:
+        out = np.empty((shape[0], shape[1] // 2 + 1), dtype=complex)
+    n = len(a)
+    fft.rfft(a, n=shape[1], axis=1, out=out[:n])
     if mirrored:
-        rows[len(a):2 * len(a) - 1] = rows[:len(a) - 1][::-1]
-    return fft.fft(rows, axis=0)  # not in place: that raised peak RSS by 5 MB
+        out[n:2 * n - 1] = out[:n - 1][::-1]
+        n = 2 * n - 1
+    out[n:] = 0
+    return fft.fft(out, axis=0, out=out)
 
 
-def irfft2(a, shape, rows, mirrored=False):
+def irfft2(a, shape, rows):
     """Rows `rows`, a slice with bounds, of the inverse of fft.rfft2 on `shape`.
 
     Overwrites the spectrum `a`: the column pass runs in place, and the row
-    pass runs only over `rows`, or when `mirrored` only over the first half
-    of them and their centre row, the rest being copies of those.
+    pass runs only over `rows`.
     """
     fft.ifft(a, axis=0, out=a)
-    if not mirrored:
-        return fft.irfft(a[rows], n=shape[1], axis=1)
-    out = np.empty((rows.stop - rows.start, shape[1]))
-    half = (len(out) + 1) // 2
-    fft.irfft(a[rows.start:rows.start + half], n=shape[1], axis=1, out=out[:half])
-    out[half:] = out[:half - 1][::-1]
-    return out
+    return fft.irfft(a[rows], n=shape[1], axis=1)
 
 
 @dataclass
@@ -223,7 +239,7 @@ class Stencil:
     index: np.ndarray  # int32
     r0: np.ndarray
     c0: np.ndarray
-    width: int  # nx, the frame's row stride
+    shape: tuple  # (ny, nx); nx is the frame's row stride
 
     @classmethod
     def at(cls, rows, cols, shape):
@@ -232,12 +248,11 @@ class Stencil:
         lo_c = np.floor(cols)
         inside = (rows >= 0) & (rows <= ny - 1) & (cols >= 0) & (cols <= nx - 1)
         index = np.where(inside, lo_r * nx + lo_c, ny * nx).astype(np.int32)
-        return cls(index=index, r0=1.0 - (rows - lo_r), c0=1.0 - (cols - lo_c), width=nx)
+        return cls(index=index, r0=1.0 - (rows - lo_r), c0=1.0 - (cols - lo_c), shape=shape)
 
-    @staticmethod
-    def frame(shape):
-        """A zero frame for an array of `shape`, and that array as a view of it."""
-        ny, nx = shape
+    def frame(self):
+        """A zero frame, and the sampled array as a view of it."""
+        ny, nx = self.shape
         flat = np.zeros(ny * nx + nx + 2)
         return flat, flat[:ny * nx].reshape(ny, nx)
 
@@ -251,8 +266,8 @@ class Stencil:
         out *= self.r0
         out *= self.c0
         term = np.empty_like(out)
-        for shift, row_w, col_w in ((1, self.r0, c1), (self.width, r1, self.c0),
-                                    (self.width + 1, r1, c1)):
+        nx = self.shape[1]
+        for shift, row_w, col_w in ((1, self.r0, c1), (nx, r1, self.c0), (nx + 1, r1, c1)):
             np.take(flat[shift:], self.index, out=term, mode="clip")
             term *= row_w
             term *= col_w
@@ -262,9 +277,10 @@ class Stencil:
 
 def bilinear(values, rows, cols):
     """Order-1 samples of a 2-D array at fractional (row, col) positions, 0 off it."""
-    flat, view = Stencil.frame(values.shape)
+    stencil = Stencil.at(rows, cols, values.shape)
+    flat, view = stencil.frame()
     view[...] = values
-    return Stencil.at(rows, cols, values.shape).sample(flat)
+    return stencil.sample(flat)
 
 
 def _box(arr):
@@ -345,20 +361,21 @@ def _input_stencil(grid, a_inv, mask, centre=None):
     if centre is not None:
         t_hi[0] = 2 * centre + 1 - t_lo[0]
     return (t_lo, t_hi), Stencil(
-        stencil.index[box], stencil.r0[box], stencil.c0[box], stencil.width)
+        stencil.index[box], stencil.r0[box], stencil.c0[box], stencil.shape)
 
 
-def _spectral_plan(grid, masks, blocks, boxes, carried):
+def _spectral_plan(grid, masks, blocks, boxes, carried, centre):
     """Periodic FFT shape, output boxes and block placements of the step.
 
     The hull of carried output channel j covers its mask's bounding box and,
     for every i with a block and an input box, the linear-convolution support
     of input box i with block (j, i).  The shape holds the longest hull, so
     placing each block at its offset from the hull start makes the circular
-    convolution exact on the hull.
+    convolution exact on the hull.  The output boxes end at the `centre` row,
+    if one is given.
     """
     r = len(masks)
-    centre = np.rint(-np.array(grid.origin[::-1]) / grid.h - 0.5).astype(int)  # the origin's cell
+    origin = np.rint(-np.array(grid.origin[::-1]) / grid.h - 0.5).astype(int)  # the origin's cell
     hulls = {}
     for j in carried:
         box_lo, box_hi = _box(masks[j])
@@ -368,7 +385,7 @@ def _spectral_plan(grid, masks, blocks, boxes, carried):
             if blocks[j][i] is None or boxes[i] is None:
                 continue
             in_lo, in_hi = boxes[i]
-            offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - centre
+            offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - origin
             starts[i] = in_lo + offset
             lo = np.minimum(lo, starts[i])
             hi = np.maximum(hi, in_hi + offset + blocks[j][i].arr.shape - 1)
@@ -380,6 +397,8 @@ def _spectral_plan(grid, masks, blocks, boxes, carried):
     for j, (box_lo, box_hi, lo, _, starts) in hulls.items():
         for i, start in starts.items():
             placements[j][i] = _slices(start - lo, start - lo + blocks[j][i].arr.shape)
+        if centre is not None:
+            box_hi = np.array([centre + 1, box_hi[1]])
         outputs[j] = (_slices(box_lo, box_hi), _slices(box_lo - lo, box_hi - lo))
     return shape, outputs, placements
 
@@ -458,15 +477,17 @@ def build_kernel(problem, h):
     cells = []
     for j in carried:
         cov, (row, col) = rasterize(windows[j], grid)
+        top = cov  # the rows a packed density holds
         if centre is not None:  # the rows up to the centre, then their flips
-            cov = np.concatenate([cov[:centre + 1 - row], cov[:centre - row][::-1]])
+            top = cov[:centre + 1 - row]
+            cov = np.concatenate([top, top[:-1][::-1]])
         inside = cov > 0
         masks[j][row:row + len(cov), col:col + cov.shape[1]] = inside
         cells.append(int(inside.sum()))
         if cells[-1] < _MIN_MASK_CELLS:
             raise ValueError(f"unresolved grid: window {j + 1} meets {cells[-1]} cells, "
                              f"fewer than {_MIN_MASK_CELLS}")
-        indicators[j] = cov[inside] / (cov.sum() * h2)
+        indicators[j] = top[top > 0] / (cov.sum() * h2)
     blocks = [[None] * r for _ in range(r)]
     for j in carried:
         for i in np.flatnonzero(live & (nu[j] != 0)):
@@ -481,7 +502,7 @@ def build_kernel(problem, h):
     for j, m in mirrors.items():
         masks[m] = masks[j][::-1, ::-1]
         boxes[m] = None if boxes[j] is None else (size - boxes[j][1], size - boxes[j][0])
-    fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, boxes, carried)
+    fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, boxes, carried, centre)
     spectra = [[None] * r for _ in range(r)]
     for j in carried:
         for i, placement in enumerate(placements[j]):
@@ -494,12 +515,21 @@ def build_kernel(problem, h):
                 for factor in _mirror_phases(boxes[i], fft_shape):
                     spectra[j][i] *= factor
                 np.conjugate(spectra[j][i], out=spectra[j][i])
-    ends = np.cumsum([0] + cells).tolist()
+    ends = np.cumsum([0] + [len(indicators[j]) for j in carried]).tolist()
+    channels = [(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)]
+    below = {j: slice(c.start, c.start if centre is None else c.stop - int(masks[j][centre].sum()))
+             for j, c in channels}
+    # a cell counts once, twice in a mirrored channel, and twice that before
+    # the centre row
+    paired = ends[len(mirrors)]  # the mirrored channels lead
+    scale = 2 if paired == ends[-1] else 1
+    doubled = [slice(0, paired)] + [below[j] for j in mirrors] if scale == 1 else []
+    doubled = [s for s in doubled + list(below.values()) if s.stop > s.start]
     coarse_h = _coarse_h(grid, min(cells))
     return RefinementKernel(
-        grid=grid, problem=problem, w=held, centre=centre,
-        channels=[(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)],
-        mirrors=mirrors, masks=masks, indicators=indicators, blocks=blocks, boxes=boxes,
+        grid=grid, problem=problem, w=held, centre=centre, channels=channels,
+        mirrors=mirrors, below=below, scale=scale, doubled=doubled,
+        masks=masks, indicators=indicators, blocks=blocks, boxes=boxes,
         stencils=stencils, outputs=outputs, fft_shape=fft_shape, spectra=spectra,
         coarse=None if coarse_h is None else build_kernel(problem, coarse_h))
 
@@ -509,39 +539,49 @@ def initial_density(kernel):
     return np.concatenate([kernel.w[j] * kernel.indicators[j] for j, _ in kernel.channels])
 
 
-def _output_cells(kernel, j, transformed):
-    """Output channel j on its mask cells, before clamping, or None if no input reaches it.
+def _step_buffers(kernel):
+    """The arrays every step of one solve reuses: per carried input with a
+    stencil, its zero frame with the sampled array's view, and its spectrum;
+    then a product sum and one product.  The spectra share one allocation,
+    which the C allocator maps on its own and returns to the system when the
+    solve drops it, before the density is unpacked; separate ones stayed
+    resident and raised the peak RSS."""
+    frames = {i: kernel.stencils[i].frame() for i, _ in kernel.channels
+              if kernel.stencils[i] is not None}
+    spectra = np.empty((len(frames) + 2, kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1),
+                       dtype=complex)
+    return frames, dict(zip(frames, spectra)), spectra[-2], spectra[-1]
+
+
+def _output_cells(kernel, j, transformed, sums, out):
+    """Output channel j on its packed cells, before clamping, written into `out`,
+    which is left as it is if no input reaches the channel.
 
     Sums the products of the nu-weighted kernel spectra with the input
-    spectra in one reused product buffer: first the terms of the mirrored
-    inputs, each read through its carried partner's transform and
-    conjugated once, then the direct ones.  One inverse transform over the
-    rows of the output box follows.
+    spectra into the first of the buffers `sums`, each product made in the
+    second: first the terms of the mirrored inputs, each read through its
+    carried partner's transform and conjugated once, then the direct ones.
+    One inverse transform over the rows of the output box follows.
     """
     spectra = kernel.spectra[j]
     flipped = [(spectra[m], i) for i, m in kernel.mirrors.items()
                if i in transformed and spectra[m] is not None]
     direct = [(spectra[i], i) for i in transformed if spectra[i] is not None]
-    total = product = None
+    total = None
     for terms in (flipped, direct):
         for spectrum, i in terms:
             if total is None:
-                total = spectrum * transformed[i]
+                total = np.multiply(spectrum, transformed[i], out=sums[0])
             else:
-                product = np.multiply(spectrum, transformed[i], out=product)
-                total += product
+                total += np.multiply(spectrum, transformed[i], out=sums[1])
         if terms is flipped and total is not None:
             np.conjugate(total, out=total)
-    del product
-    if total is None:
-        return None
-    box, (rows, cols) = kernel.outputs[j]
-    values = irfft2(total, kernel.fft_shape, rows, kernel.centre is not None)
-    del total  # freed before the mask cells are gathered
-    return values[:, cols][kernel.masks[j][box]]
+    if total is not None:
+        box, (rows, cols) = kernel.outputs[j]
+        out[:] = irfft2(total, kernel.fft_shape, rows)[:, cols][kernel.masks[j][box]]
 
 
-def apply_refinement(x, kernel, conserve_mass=True):
+def apply_refinement(x, kernel, conserve_mass=True, buffers=None):
     """One application of the matrix refinement operator to a packed density.
 
     Each input channel is resampled through the inverse contraction with
@@ -558,31 +598,29 @@ def apply_refinement(x, kernel, conserve_mass=True):
     w = nu w forces nu_ji = 0 from a live channel i into a dead channel j.  A
     mirrored input r-1-i is read through input i's transform.  The
     convolutions run as products of the kernel's spectra, with one transform
-    per non-zero input channel, and an all-zero channel is skipped.
+    per non-zero input channel, and an all-zero channel is skipped.  The
+    frames and spectra are written into `buffers`, which the solve makes once
+    for all its steps, or into new ones.
     """
-    h2 = kernel.grid.h**2
+    frames, spectra, *sums = buffers or _step_buffers(kernel)
     transformed = {}
     for i, cells in kernel.channels:
-        if not x[cells].any() or kernel.stencils[i] is None:
+        if not x[cells].any() or i not in frames:
             continue
+        flat, padded = frames[i]
         inside = kernel.masks[i][kernel.outputs[i][0]]
-        flat, padded = Stencil.frame((inside.shape[0] + 2, inside.shape[1] + 2))
-        padded[1:-1, 1:-1][inside] = x[cells]
+        padded[1:len(inside) + 1, 1:-1][inside] = x[cells]
+        if kernel.centre is not None:
+            padded[len(inside) + 1:-1] = padded[1:len(inside)][::-1]
         transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape,
-                               kernel.centre is not None)
-    target = kernel.problem.nu @ kernel.masses(x)
+                               kernel.centre is not None, out=spectra[i])
     out = np.zeros_like(x)
     for j, cells in kernel.channels:
-        acc = _output_cells(kernel, j, transformed)
-        if acc is None:
-            continue
-        np.maximum(acc, 0.0, out=acc)
-        if conserve_mass:
-            raw = acc.sum() * h2
-            if raw > 0 and target[j] > 0:
-                acc *= target[j] / raw
-        out[cells] = acc
-        del acc  # freed before the next channel's products
+        _output_cells(kernel, j, transformed, sums, out[cells])
+    if conserve_mass:
+        _rescale(out, kernel, kernel.problem.nu @ kernel.masses(x))
+    else:
+        np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -635,13 +673,14 @@ def _prolong(density, kernel):
     return np.concatenate(parts)
 
 
-def _project(x, kernel):
-    """Clamp a packed density at zero and rescale each channel to its mass in w,
-    in place."""
+def _rescale(x, kernel, masses):
+    """Clamp a packed density at zero and rescale each channel of positive mass to
+    its positive mass in `masses`, in place."""
     np.maximum(x, 0.0, out=x)
-    masses = kernel.masses(x)
+    held = kernel.masses(x)
     for j, cells in kernel.channels:
-        x[cells] *= kernel.w[j] / masses[j]
+        if held[j] > 0 and masses[j] > 0:
+            x[cells] *= masses[j] / held[j]
 
 
 def solve_fixed_point(kernel, tol=1e-8, maxit=200):
@@ -662,45 +701,49 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
     of the weight matrix in which mixing error would never decay.  When a
     step's residual rises the history is dropped and the next iterate is
     that step's output, the plain step (Toth & Kelley 2015).  The state is
-    packed over the mask cells of the kernel's carried channels; every other
-    channel stays exactly zero or, in the point-reflection quotient, the flip
-    of its partner, a mirrored pair's cells counting twice.
+    packed over the kernel's carried channels, and its sums and inner
+    products count every cell it stands for (`RefinementKernel.total`); every
+    other channel stays exactly zero or, in the point-reflection quotient,
+    the flip of its partner.  The inner products of the stored residuals are
+    kept from step to step, so each step forms only those of its own.
     """
     start = None if kernel.coarse is None else \
         solve_fixed_point(kernel.coarse, tol, maxit).density
-    paired = sum(int(kernel.masks[j].sum()) for j in kernel.mirrors)
     h2 = kernel.grid.h**2
     if start is None:
         x = initial_density(kernel)
     else:
         x = _prolong(start, kernel)
-        _project(x, kernel)
+        _rescale(x, kernel, kernel.w)
+    buffers = _step_buffers(kernel)
     residuals = []
     mass_history = [kernel.masses(x)]
-    outputs, diffs = [], []
+    outputs, diffs, gram = [], [], np.zeros((0, 0))
     for _ in range(maxit):
-        g = apply_refinement(x, kernel)
+        g = apply_refinement(x, kernel, buffers=buffers)
         diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
-        resid = float((np.abs(diff).sum() + np.abs(diff[:paired]).sum()) * h2)
+        resid = float(kernel.total(np.abs(diff)) * h2)
         residuals.append(resid)
         mass_history.append(kernel.masses(g))
         if resid < tol:
-            del outputs[:], diffs[:], x, diff  # freed before the full grid is built
+            del outputs[:], diffs[:], x, diff, buffers  # freed before the full grid is built
             return FixedPointResult(density=kernel.unpack(g),
                                     residuals=np.array(residuals),
                                     mass_history=mass_history)
         if len(residuals) > 1 and resid > residuals[-2]:
-            outputs, diffs = [], []
+            outputs, diffs, gram = [], [], gram[:0, :0]
         outputs.append(g)
         diffs.append(diff)
-        alpha = _mixing_weights(np.array([[d @ e + d[:paired] @ e[:paired] for e in diffs]
-                                          for d in diffs]))
+        gram = np.pad(gram, (0, 1))
+        gram[-1] = gram[:, -1] = [kernel.total(diff, e) for e in diffs]
+        alpha = _mixing_weights(gram)
         x = alpha[0] * outputs[0]
         for a, g_k in zip(alpha[1:], outputs[1:]):
             x += a * g_k
-        _project(x, kernel)
+        _rescale(x, kernel, kernel.w)
         if len(outputs) > _MIX_DEPTH:  # the oldest pair takes no part in the next fit
             del outputs[0], diffs[0]
+            gram = gram[1:, 1:]
     raise RuntimeError(f"fixed point iteration did not reach tol={tol} within "
                        f"{maxit} iterations (last residual {residuals[-1]:.3e})")
 

@@ -187,7 +187,9 @@ def report(spec, density, nu, w, patch, tsets, s, closure_s, id2_samples, seed):
                         seed=seed).mean_residual
     except InsufficientRadiusError:
         id2 = "insufficient-radius"
-    id3 = float(np.abs(id3_values(spec, density, points) - w).max())
+    id3 = "no-points"
+    if all(p for p, w_j in zip(points, w) if w_j > 0):
+        id3 = float(np.abs(id3_values(spec, density, points) - w).max())
     # each density ratio d_j / d_i with d_i > 0 against the area ratio
     dens = density_estimate(points, s)
     areas = np.array([area(spec.shifted_window(j)) for j in range(1, spec.r + 1)])

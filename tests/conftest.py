@@ -58,8 +58,11 @@ def coverage(P, grid):
 
 def pack(kernel, values):
     """A packed density of the kernel: the inverse of kernel.unpack on the cells
-    of its carried channels."""
-    return np.concatenate([values[j][kernel.masks[j]] for j, _ in kernel.channels])
+    of its carried channels, in their output boxes, which end at the centre row
+    under the row mirror."""
+    boxes = [kernel.outputs[j][0] for j, _ in kernel.channels]
+    return np.concatenate([values[j][box][kernel.masks[j][box]]
+                           for (j, _), box in zip(kernel.channels, boxes)])
 
 
 def step(f, kernel, conserve_mass=True):

@@ -22,31 +22,32 @@ from tests.conftest import TAU
 
 # sha256 of the files `solve --preset penrose-example1 --h 0.03125` writes,
 # as recorded with exact cell coverage, the point-reflection and row-mirror
-# quotients, erosion by meeting edge lines, numpy's default inverse FFT scaling and
-# nu-weighted kernel spectra with the mirror phase folded in on numpy
-# 2.4.6; the bytes follow the last bit of every float, so they hold for one
-# numpy build
+# quotients, a solver state of the rows up to y = 0 whose sums count each
+# row before it twice, erosion by meeting edge lines, numpy's default inverse
+# FFT scaling and nu-weighted kernel spectra with the mirror phase folded in
+# on numpy 2.4.6; the bytes follow the last bit of every float, so they hold
+# for one numpy build
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density_ch2.txt": "57b9acebbd0c9d9ea154cbeb17e23352d0abc75629c2ae0b01e9b43aba24513a",
-    "density_ch3.txt": "5401095263f48e7f141a5cafd6140bd1e81c047895a790ee10dd0f8326442682",
+    "density_ch2.txt": "0498819552b0a06592447d435515205ce1405c8234d0cc1530631f331aeaa19b",
+    "density_ch3.txt": "6e6253110922b5e21d7041ec3f2ee4eb90ee4a253eaa640c2ff7a03b2e739eb4",
     "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density.csv": "9d05ee9f5c8863a18da6edf9b66a397a67c6d27290e9e9a614da29047794350e",
-    "summary.txt": "bc24278044a19ceb809884bbb6d41ab27735836a11b8be787306a64638515545",
+    "density.csv": "275ceae54fa7bbf03ac79574bded96f0cf97ffdfc292305c437a9b1991350599",
+    "summary.txt": "08416437453f69bf8aaf7f88d7797bbea691bdb67a326c0ec32d38d3634bea45",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "36cdf0acad29ff11f38b45c729ebd36a0ffc69383d87d49e4a747a79813bee60",
-    "density_ch2.txt": "d26f9ee48c83de94667482f358ee26d6c2642e015976edd69ca3f3586cf501cc",
-    "density_ch3.txt": "7da555384992328a5fa6203d55d8b068d10a0a8a671d4a01a6b83943bbe459c0",
-    "density_ch4.txt": "4f8f998bf8ff774c86c929bd4305f2fb00212926866de90dde0bd0d40fee6dbe",
-    "density.csv": "81f46382d02cf4b7ea56ab83360f04b8fc336aaf0be88427dad3fc1efde62046",
+    "density_ch1.txt": "efd1515f13f9fe13460c68cae4e82f58c24ac8f9d60442b6274d0f5fce0daa87",
+    "density_ch2.txt": "4eac34bf1ad772634653c13c6e4e5b762855d602e7f4bba42617d586a1a102ca",
+    "density_ch3.txt": "9da950a7575ccfdd03825d65f8e2e68ec0a7719431145fc58a49197738473cc7",
+    "density_ch4.txt": "31b699fd25b4fee97567645cea26d61cecb7d85d6ae14386b32711c44b846ecf",
+    "density.csv": "d77d91a18274b038bcfbc7efd8e4e6a325bf6385a6386a0f56fc416940d7efac",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "71aa77cea9b01d34f9ea3d84f7b0bfba3e8d1b8c59fc47a74818ff7f79aa6fdf",
+    "summary.txt": "a5a10ecc906938df07ec0875d558b6362dd0bf508e91441e6804b2db4449805e",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
@@ -70,14 +71,14 @@ SOLVE_EX2_GAMMA_SHA256 = {
 # start's coarse level is 109 x 109 at h = 1/32, the smallest grid that
 # frames the windows there
 SOLVE_EX2_H128_SHA256 = {
-    "density_ch1.txt": "5bb93c2d19fff47b411af8bedc44bee732b35d457c3aaed3259b6fe81a22f6ae",
-    "density_ch2.txt": "60a7fdf7ab3c4f6f3c8c39ad16d4be036a4d05d18833d64fd2efdb545a5381b4",
-    "density_ch3.txt": "049a9ef0e217775b45d195e0388560a46c75396e3709310866af525ddbd0298b",
-    "density_ch4.txt": "f1bbf4b939cba80c67e3df4b2ba23d0d4a9ee0efc4c80abbfbeebf5c3e1f0af5",
-    "density.csv": "e4192dc4dd9f8490b778688a01f2af2fca83fc931aadf81749e8b13830fba9c3",
+    "density_ch1.txt": "36864e9c10a3a4b38929a7356e0a9b0364435fa894492f9302cb5bff882070cb",
+    "density_ch2.txt": "16c8e7deeedbb1fe8aef9c110179ed927807572239ae29ef477146a0ae838548",
+    "density_ch3.txt": "a34c8e738ad6ca81d002fd3005bcb5e724722c4eb0a3bcd265520710b2ddffbb",
+    "density_ch4.txt": "ed950bc9ac2e91cb3c7ff4832385475e74158bd774da033c943f6ecddbf771e2",
+    "density.csv": "8fa7b9b705df037e59e9335fe7f53f939bd166fa68e3e116b85e7a3bd14229e1",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "2cf5ca98980c0e1145dea782a68f662a62be1b5625c3953e24e92a1835236be5",
+    "summary.txt": "cb602a22d28fa0c6d6b0138a90f762ee3aa5a44f8d8a68c7b4879ad81f09dbd0",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
@@ -946,13 +947,14 @@ def test_verify_insufficient_radius(tmp_path, capsys):
 
 @pytest.mark.parametrize("s", ["0.3", "0.6"])
 def test_verify_no_points(tmp_path, s):
-    # no component has a point within s, so WEYL and DENSITY have nothing to
-    # measure and fail, as ID2 does without translations
+    # no component has a point within s, so WEYL, ID3 and DENSITY have
+    # nothing to measure and fail, as ID2 does without translations
     out = tmp_path / "v"
     assert run(["verify", "--preset", "penrose-example2", "--s", s, "--h", "0.03125",
                 "--out", str(out)]) == 1
     report = (out / "report.txt").read_text()
     assert "WEYL.comp1_deviation no-points <= 0 FAIL" in report
+    assert "ID3.max_deviation no-points <= 0.05 FAIL" in report
     assert "DENSITY.ratio_max_reldev no-points <= 0.05 FAIL" in report
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,8 +83,9 @@ def test_kernel_normalization_and_masks(problem_area, problem_explicit):
         h2 = K.grid.h**2
         assert [j for j, _ in K.channels] == carried
         for j in range(4):
-            if j in carried:
-                assert abs(K.indicators[j].sum() * h2 - 1.0) < 1e-12
+            if j in carried:  # the cells before the centre row count twice
+                held, below = K.indicators[j], K.below[j].stop - K.below[j].start
+                assert abs((held.sum() + held[:below].sum()) * h2 - 1.0) < 1e-12
             else:
                 assert K.indicators[j] is None
             for i in range(4):
@@ -330,6 +332,21 @@ def test_support_stays_on_window_masks(spec, solve2_128):
         cov = coverage(windows[j], dens.grid)
         outside = cov == 0
         assert np.abs(dens.values[j][outside]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("policy, bound_mib", [("area", 9.0), ("explicit", 11.5)])
+def test_solve_peak_memory(request, policy, bound_mib):
+    # the peak of the memory numpy allocates while the h = 1/128 solve runs,
+    # its coarse level included: the half-row state and its Anderson
+    # history, one set of step buffers, and the unpacked density
+    kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), 1 / 128)
+    tracemalloc.start()
+    try:
+        solve_fixed_point(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def test_compare_solvers_toy():
