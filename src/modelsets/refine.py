@@ -18,8 +18,9 @@ the solve keeps its state packed over the kernel's mask cells
 `point_symmetric` only the channels j <= r-1-j are carried.  Under
 `mirror_symmetric`, as on the presets at any real gamma, only the rows up to
 y = 0 are held and stepped, so the solved density is its own row flip bit
-for bit, with no averaging pass.  The step, `apply_refinement`, runs as
-products of the kernel's spectra.
+for bit, with no averaging pass.  The step, `apply_refinement`, is the bare
+operator, run as products of the kernel's spectra; only the solve clamps
+and rescales.
 """
 
 from __future__ import annotations
@@ -133,12 +134,9 @@ class RefinementKernel:
     w: np.ndarray           # masses the solve holds: w, averaged with its flip in the quotient
     centre: int | None      # the grid row of y = 0 in the row-mirror quotient, else None
     channels: list          # (carried channel j, its slice of a packed density), j increasing
-    mirrors: dict           # carried j < r-1-j -> r-1-j in the quotient; their cells lead
+    mirrors: dict           # carried j < r-1-j -> r-1-j in the quotient
     below: dict             # carried j -> the slice of its cells before the centre row,
                             # empty without the row mirror
-    scale: int              # 2 when every carried channel is mirrored, else 1
-    doubled: list           # slices of a packed density: a sum over every cell it stands
-                            # for is scale times its plain sum plus one more per slice
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting window j, for j carried or mirrored
     indicators: list        # per carried channel j: normalized window raster on its packed
                             # cells
@@ -168,18 +166,16 @@ class RefinementKernel:
                 values[self.mirrors[j]] = values[j][::-1, ::-1]
         return DensityGrid.from_values(self.grid, values)
 
-    def masses(self, x):
+    def masses(self, v, u=None):
+        """Per channel, the integral of packed v, or of v u, over every cell it
+        stands for: a cell before the centre row counts twice, and channel
+        mirrors[j] reads the value of channel j."""
+        part = (lambda s: v[s].sum()) if u is None else (lambda s: v[s] @ u[s])
         masses = np.zeros(len(self.masks))
         for j, cells in self.channels:
             masses[j] = masses[self.mirrors.get(j, j)] = \
-                (x[cells].sum() + x[self.below[j]].sum()) * self.grid.h**2
+                (part(cells) + part(self.below[j])) * self.grid.h**2
         return masses
-
-    def total(self, v, u=None):
-        """The sum of packed v, or the inner product of packed v and u, over every
-        cell of the density they stand for."""
-        part = (lambda s: v[s].sum()) if u is None else (lambda s: v[s] @ u[s])
-        return self.scale * (part(slice(None)) + sum(map(part, self.doubled)))
 
 
 def next_fast_len(n):
@@ -519,18 +515,11 @@ def build_kernel(problem, h):
     channels = [(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)]
     below = {j: slice(c.start, c.start if centre is None else c.stop - int(masks[j][centre].sum()))
              for j, c in channels}
-    # a cell counts once, twice in a mirrored channel, and twice that before
-    # the centre row
-    paired = ends[len(mirrors)]  # the mirrored channels lead
-    scale = 2 if paired == ends[-1] else 1
-    doubled = [slice(0, paired)] + [below[j] for j in mirrors] if scale == 1 else []
-    doubled = [s for s in doubled + list(below.values()) if s.stop > s.start]
     coarse_h = _coarse_h(grid, min(cells))
     return RefinementKernel(
         grid=grid, problem=problem, w=held, centre=centre, channels=channels,
-        mirrors=mirrors, below=below, scale=scale, doubled=doubled,
-        masks=masks, indicators=indicators, blocks=blocks, boxes=boxes,
-        stencils=stencils, outputs=outputs, fft_shape=fft_shape, spectra=spectra,
+        mirrors=mirrors, below=below, masks=masks, indicators=indicators, blocks=blocks,
+        boxes=boxes, stencils=stencils, outputs=outputs, fft_shape=fft_shape, spectra=spectra,
         coarse=None if coarse_h is None else build_kernel(problem, coarse_h))
 
 
@@ -554,8 +543,8 @@ def _step_buffers(kernel):
 
 
 def _output_cells(kernel, j, transformed, sums, out):
-    """Output channel j on its packed cells, before clamping, written into `out`,
-    which is left as it is if no input reaches the channel.
+    """Output channel j on its packed cells, written into `out`, which is left
+    as it is if no input reaches the channel.
 
     Sums the products of the nu-weighted kernel spectra with the input
     spectra into the first of the buffers `sums`, each product made in the
@@ -581,17 +570,13 @@ def _output_cells(kernel, j, transformed, sums, out):
         out[:] = irfft2(total, kernel.fft_shape, rows)[:, cols][kernel.masks[j][box]]
 
 
-def apply_refinement(x, kernel, conserve_mass=True, buffers=None):
-    """One application of the matrix refinement operator to a packed density.
+def apply_refinement(x, kernel, buffers=None):
+    """One application of the discretized matrix refinement operator, linear and
+    positive, to a packed density, neither clamped nor rescaled.
 
     Each input channel is resampled through the inverse contraction with
     bilinear interpolation, convolved with the weighted transition kernels,
-    scaled by |det Q|, clamped at zero, and restricted to the cells meeting
-    its component window.  By default every output channel is rescaled by a
-    1 + O(h^2) factor so the discrete masses satisfy the exact transport
-    identity m' = nu m, with m = kernel.masses(x); without that correction the
-    discrete operator's spectral radius drifts off one by the quadrature
-    error and the fixed-point residual cannot fall below it.
+    scaled by |det Q| and restricted to the cells meeting its window.
 
     Input channels the kernel does not carry are taken to be zero and output
     channels it does not carry are not formed; the solve needs no more, since
@@ -617,10 +602,6 @@ def apply_refinement(x, kernel, conserve_mass=True, buffers=None):
     out = np.zeros_like(x)
     for j, cells in kernel.channels:
         _output_cells(kernel, j, transformed, sums, out[cells])
-    if conserve_mass:
-        _rescale(out, kernel, kernel.problem.nu @ kernel.masses(x))
-    else:
-        np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -674,8 +655,8 @@ def _prolong(density, kernel):
 
 
 def _rescale(x, kernel, masses):
-    """Clamp a packed density at zero and rescale each channel of positive mass to
-    its positive mass in `masses`, in place."""
+    """The solve's projection, in place: clamp a packed density at zero and rescale
+    each channel of positive mass to its positive mass in `masses`."""
     np.maximum(x, 0.0, out=x)
     held = kernel.masses(x)
     for j, cells in kernel.channels:
@@ -688,6 +669,11 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
 
     Starts from the window indicators carrying masses w and stops when the
     summed L1 change of all channels over one step drops below tol.
+
+    Each step's output is clamped at zero and rescaled by a 1 + O(h^2) factor
+    per channel to the exact transport m' = nu m (`_rescale`); unprojected, the
+    discrete operator's spectral radius drifts off one by the quadrature
+    error and the residual cannot fall below it.
 
     When the kernel holds a coarser level, the same problem is first solved
     there; this solve starts from that density, interpolated bilinearly
@@ -702,14 +688,13 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
     step's residual rises the history is dropped and the next iterate is
     that step's output, the plain step (Toth & Kelley 2015).  The state is
     packed over the kernel's carried channels, and its sums and inner
-    products count every cell it stands for (`RefinementKernel.total`); every
+    products count every cell it stands for (`RefinementKernel.masses`); every
     other channel stays exactly zero or, in the point-reflection quotient,
     the flip of its partner.  The inner products of the stored residuals are
     kept from step to step, so each step forms only those of its own.
     """
     start = None if kernel.coarse is None else \
         solve_fixed_point(kernel.coarse, tol, maxit).density
-    h2 = kernel.grid.h**2
     if start is None:
         x = initial_density(kernel)
     else:
@@ -721,8 +706,9 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
     outputs, diffs, gram = [], [], np.zeros((0, 0))
     for _ in range(maxit):
         g = apply_refinement(x, kernel, buffers=buffers)
+        _rescale(g, kernel, kernel.problem.nu @ kernel.masses(x))
         diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
-        resid = float(kernel.total(np.abs(diff)) * h2)
+        resid = float(kernel.masses(np.abs(diff)).sum())
         residuals.append(resid)
         mass_history.append(kernel.masses(g))
         if resid < tol:
@@ -735,7 +721,7 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
         outputs.append(g)
         diffs.append(diff)
         gram = np.pad(gram, (0, 1))
-        gram[-1] = gram[:, -1] = [kernel.total(diff, e) for e in diffs]
+        gram[-1] = gram[:, -1] = [kernel.masses(diff, e).sum() for e in diffs]
         alpha = _mixing_weights(gram)
         x = alpha[0] * outputs[0]
         for a, g_k in zip(alpha[1:], outputs[1:]):

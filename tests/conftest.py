@@ -67,8 +67,13 @@ def pack(kernel, values):
 
 def step(f, kernel, conserve_mass=True):
     """refine.apply_refinement on a DensityGrid: its values packed over the kernel's
-    masks, stepped, and unpacked."""
-    return kernel.unpack(refine.apply_refinement(pack(kernel, f.values), kernel, conserve_mass))
+    masks, stepped and unpacked; with `conserve_mass`, the output is projected as
+    the solve projects it, clamped at zero and rescaled to the masses nu m."""
+    x = pack(kernel, f.values)
+    out = refine.apply_refinement(x, kernel)
+    if conserve_mass:
+        refine._rescale(out, kernel, kernel.problem.nu @ kernel.masses(x))
+    return kernel.unpack(out)
 
 
 def no_point_reflection():

@@ -22,11 +22,11 @@ from tests.conftest import TAU
 
 # sha256 of the files `solve --preset penrose-example1 --h 0.03125` writes,
 # as recorded with exact cell coverage, the point-reflection and row-mirror
-# quotients, a solver state of the rows up to y = 0 whose sums count each
-# row before it twice, erosion by meeting edge lines, numpy's default inverse
-# FFT scaling and nu-weighted kernel spectra with the mirror phase folded in
-# on numpy 2.4.6; the bytes follow the last bit of every float, so they hold
-# for one numpy build
+# quotients, a solver state of the rows up to y = 0 whose sums run channel
+# by channel and count each row before it twice, erosion by meeting edge
+# lines, numpy's default inverse FFT scaling and nu-weighted kernel spectra
+# with the mirror phase folded in on numpy 2.4.6; the bytes follow the last
+# bit of every float, so they hold for one numpy build
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
     "density_ch2.txt": "0498819552b0a06592447d435515205ce1405c8234d0cc1530631f331aeaa19b",
@@ -40,28 +40,28 @@ SOLVE_EX1_SHA256 = {
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "efd1515f13f9fe13460c68cae4e82f58c24ac8f9d60442b6274d0f5fce0daa87",
-    "density_ch2.txt": "4eac34bf1ad772634653c13c6e4e5b762855d602e7f4bba42617d586a1a102ca",
-    "density_ch3.txt": "9da950a7575ccfdd03825d65f8e2e68ec0a7719431145fc58a49197738473cc7",
-    "density_ch4.txt": "31b699fd25b4fee97567645cea26d61cecb7d85d6ae14386b32711c44b846ecf",
-    "density.csv": "d77d91a18274b038bcfbc7efd8e4e6a325bf6385a6386a0f56fc416940d7efac",
+    "density_ch1.txt": "06f6d8b25f0ea9ec04502f59a89c21a1b91632623f32e553473e38a52886e56e",
+    "density_ch2.txt": "b7dba8f029a4aa4513c22bacef4c7d66c6bb24e8b04dfe6c790c31b134854d85",
+    "density_ch3.txt": "6e36f30cda0a1fc08bb8bebc76b5292ffbd5ed3b03faceb7d5830276b84256d1",
+    "density_ch4.txt": "461732a33aad517014716d8f29f42a60ff2ee6ad0b689471154ea33dc9a97b4f",
+    "density.csv": "356a0ea0ceb64a6ce06540ac9e64ec3f7bf1ca3e7ab07e6b60e08e5fc703e526",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "a5a10ecc906938df07ec0875d558b6362dd0bf508e91441e6804b2db4449805e",
+    "summary.txt": "c07c064d15e1f33ea5fe809f2054c9c1c30efc9a553df2634d31cffb4378b62a",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
 # with gamma = 0.031, -0.047, recorded like SOLVE_EX1_SHA256; the shifted
 # windows are not point-symmetric, so this run takes the general solve
 SOLVE_EX2_GAMMA_SHA256 = {
-    "density_ch1.txt": "cfe8ded8721391a9ee76d83ff8244fab435ce48f4f2d85cac40984935d944b90",
-    "density_ch2.txt": "62a50931f8a4430d5071edcd17f3d41e421411fe85a928ac106a24002b85ef09",
-    "density_ch3.txt": "6cce9e34eed76e25215a0283fc25b78e6ed088527ff0ce41c34191af90656686",
-    "density_ch4.txt": "bd2e4e666bddc869e7c37742261ae24c96fd5186b76ea2dad910c5f4836372fa",
-    "density.csv": "edc7a2a0098032a877335efc3af7be8db612226d0014f9999d08cecf375fd54a",
+    "density_ch1.txt": "b94c72f9280aae12fd5f2cb1623e55261cae72a9f72a540d23f0e345b4f116e3",
+    "density_ch2.txt": "077b25375771d88fcc64e97178f1c7c5b1aa83d7a7c22661e95bc8ce60059576",
+    "density_ch3.txt": "243ab46b8f1c7b8e08f65f0a0608e325cd94300ddb575534972fddc19472be60",
+    "density_ch4.txt": "07cd2cc25897944270bfdcfb1ed16f0c61374adb5ee558bb4a10a079711bd881",
+    "density.csv": "5eede5d3e6f23508dbef26b5cd1a1db9a216a8e96cf8b18a528fea4cc83123d4",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "986e8f8979bed76698aad43000d23a0dc07f004f75f9a463b5db71a1e3017fab",
+    "summary.txt": "6371335050dd32115902e3e502744337aa3f79c05ce86ba3ccf424de7c7e8349",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.0078125` writes,
@@ -71,14 +71,14 @@ SOLVE_EX2_GAMMA_SHA256 = {
 # start's coarse level is 109 x 109 at h = 1/32, the smallest grid that
 # frames the windows there
 SOLVE_EX2_H128_SHA256 = {
-    "density_ch1.txt": "36864e9c10a3a4b38929a7356e0a9b0364435fa894492f9302cb5bff882070cb",
-    "density_ch2.txt": "16c8e7deeedbb1fe8aef9c110179ed927807572239ae29ef477146a0ae838548",
-    "density_ch3.txt": "a34c8e738ad6ca81d002fd3005bcb5e724722c4eb0a3bcd265520710b2ddffbb",
-    "density_ch4.txt": "ed950bc9ac2e91cb3c7ff4832385475e74158bd774da033c943f6ecddbf771e2",
-    "density.csv": "8fa7b9b705df037e59e9335fe7f53f939bd166fa68e3e116b85e7a3bd14229e1",
+    "density_ch1.txt": "c58d0d9d4bd604e2f4e91d32bf8aac2eaa9453032c8c2625b096657c09d6dce4",
+    "density_ch2.txt": "2f9a21e41cae5b2e82ae91696b0009fd0ea9c4e8ade508d8aa1c060f3d621b16",
+    "density_ch3.txt": "4234a1ecae60db30dcf2bcd221ba688c7eadb23a29e868f41cc5895228857740",
+    "density_ch4.txt": "f9f383c8cd5bc4f7cc1200d66f20b9fdeaf5956df9c96f63cc05d212ed46637e",
+    "density.csv": "ef022ea3e4b24c2e3253360df152780d5cdb915da8bcc389a832288e90ffda3d",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "cb602a22d28fa0c6d6b0138a90f762ee3aa5a44f8d8a68c7b4879ad81f09dbd0",
+    "summary.txt": "a1db8bada1398643fe21da7c9370d5c243cedda7c685e4c9844d009af89fd12a",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`

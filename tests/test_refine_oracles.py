@@ -12,6 +12,7 @@ stencil and the inverse FFT are checked against the scipy routines they
 replaced to a few units in the last place, the forward FFT bit for bit.
 """
 
+import contextlib
 import dataclasses
 import io
 from unittest import mock
@@ -77,7 +78,8 @@ def convolve_block(block, g, g_lo, grid):
 
 def oracle_step(f, kernel, conserve_mass=True):
     """The refinement step with one fftconvolve per transition of the contracted
-    inputs, resampled on a box that holds A applied to the grid."""
+    inputs, resampled on a box that holds A applied to the grid; with
+    `conserve_mass`, clamped at zero and rescaled to the masses nu m."""
     nu = kernel.problem.nu
     grid = kernel.grid
     a_inv = np.linalg.inv(kernel.problem.a_matrix)
@@ -93,9 +95,9 @@ def oracle_step(f, kernel, conserve_mass=True):
             if nu[j, i] != 0 and kernel.blocks[j][i] is not None:
                 acc += nu[j, i] * convolve_block(kernel.blocks[j][i], resampled[i], lo, grid)
         acc *= kernel.problem.detq_abs
-        np.maximum(acc, 0.0, out=acc)
         acc[~kernel.masks[j]] = 0.0
         if conserve_mass:
+            np.maximum(acc, 0.0, out=acc)
             raw = acc.sum() * grid.h**2
             if raw > 0 and target[j] > 0:
                 acc *= target[j] / raw
@@ -428,9 +430,9 @@ def test_mixed_solve_beats_plain_iteration(preset64):
     apply = refine.apply_refinement
     inputs = []
 
-    def recorded_step(x, packing, conserve_mass=True, buffers=None):
+    def recorded_step(x, packing, buffers=None):
         inputs.append((x.min(), packing.masses(x)))
-        return apply(x, packing, conserve_mass, buffers)
+        return apply(x, packing, buffers)
 
     with mock.patch.object(refine, "apply_refinement", recorded_step):
         result = solve_fixed_point(kernel)
@@ -456,8 +458,8 @@ def test_rising_residual_resets_the_mixing_history(preset64):
     calls, fits = [0], []
     apply, weights = refine.apply_refinement, refine._mixing_weights
 
-    def perturbed_step(x, packing, conserve_mass=True, buffers=None):
-        out = apply(x, packing, conserve_mass, buffers)
+    def perturbed_step(x, packing, buffers=None):
+        out = apply(x, packing, buffers)
         calls[0] += 1
         if calls[0] == 5:
             cells = packing.below[packing.channels[0][0]]
@@ -633,6 +635,30 @@ def test_half_row_solve_matches_general_solve(policy, gamma):
     assert np.abs(quotient.residuals - general.residuals).max() <= 1e-14
     for m, m_general in zip(quotient.mass_history, general.mass_history):
         assert np.abs(m - m_general).max() <= 1e-14
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("gamma, row_mirror, point_reflection", [
+    (0, True, True), (0.3, True, False), (0, False, True),
+    (complex(0.031, -0.047), False, False)])
+def test_masses_count_every_cell_a_packed_state_stands_for(policy, gamma, row_mirror,
+                                                           point_reflection):
+    # a packed cell before the centre row stands for its row flip too, and a
+    # carried channel for its point-mirrored partner; on each of the four
+    # paths the reduction matches the unpacked density's sums, the signed
+    # inner product relative to the integral of |v u|
+    problem = shifted_problem(policy, gamma)
+    with mock.patch.object(refine, "mirror_symmetric", lambda problem: False) \
+            if not row_mirror else contextlib.nullcontext():
+        kernel = build_kernel(problem, 1 / 64)
+    assert (kernel.centre is not None, bool(kernel.mirrors)) == (row_mirror, point_reflection)
+    rng = np.random.default_rng(13)
+    n = kernel.channels[-1][1].stop
+    v, u = rng.uniform(size=n), rng.uniform(-1, 1, size=n)
+    fv, fu = kernel.unpack(v), kernel.unpack(u)
+    assert np.abs(kernel.masses(v) - fv.masses).max() <= 1e-13 * fv.masses.max()
+    product = fv.values * fu.values * kernel.grid.h**2
+    assert abs(kernel.masses(v, u).sum() - product.sum()) <= 1e-13 * np.abs(product).sum()
 
 
 def test_quotient_with_a_self_mirrored_channel_matches_general_solve():
