@@ -49,12 +49,9 @@ class Region:
         if len(verts) < 3:
             raise ValueError("polygon degenerates after removing duplicates")
         scale = max(1.0, np.abs(verts).max())
-        for i in range(len(verts)):
-            a = verts[i - 1]
-            b = verts[i]
-            c = verts[(i + 1) % len(verts)]
-            if _cross(b - a, c - b) <= COLLINEAR_TOL * scale * scale:
-                raise ValueError("polygon is not strictly convex")
+        turns = _crosses(verts - np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0) - verts)
+        if (turns <= COLLINEAR_TOL * scale * scale).any():
+            raise ValueError("polygon is not strictly convex")
         if _signed_area(verts) <= 0:
             raise ValueError("polygon has non-positive area")
         return cls("polygon", verts)
@@ -91,8 +88,8 @@ class Region:
         return f"Region.polygon(<{len(self.vertices)} vertices>)"
 
 
-def _cross(u, v):
-    return float(u[0] * v[1] - u[1] * v[0])
+def _crosses(u, v):
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def _signed_area(verts):
@@ -116,14 +113,9 @@ def _clean_vertices(verts):
     verts = np.array(out)
     if len(verts) < 3:
         return verts
-    keep = []
-    for i in range(len(verts)):
-        a = verts[i - 1]
-        b = verts[i]
-        c = verts[(i + 1) % len(verts)]
-        if abs(_cross(c - a, b - a)) > COLLINEAR_TOL * scale * scale:
-            keep.append(i)
-    return verts[keep]
+    before = np.roll(verts, 1, axis=0)
+    spans = _crosses(np.roll(verts, -1, axis=0) - before, verts - before)
+    return verts[np.abs(spans) > COLLINEAR_TOL * scale * scale]
 
 
 def _edge_normals(P):
@@ -158,8 +150,7 @@ def centroid(P):
         raise ValueError("centroid of an empty region")
     v = P.vertices
     w = np.roll(v, -1, axis=0)
-    cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-    return (v + w).T @ cross / (6.0 * _signed_area(v))
+    return (v + w).T @ _crosses(v, w) / (6.0 * _signed_area(v))
 
 
 def translate(P, t):
@@ -209,10 +200,6 @@ def _meet(na, da, nb, db, cross):
     given cross = na x nb != 0; negating na and nb negates them exactly."""
     return np.column_stack([da * nb[:, 1] - db * na[:, 1],
                             db * na[:, 0] - da * nb[:, 0]]) / cross[:, None]
-
-
-def _crosses(u, v):
-    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
 def erode(C, K):

@@ -504,9 +504,9 @@ def build_kernel(problem, h):
         for i, placement in enumerate(placements[j]):
             if placement is None:
                 continue
-            padded = np.zeros(fft_shape)
-            padded[placement] = blocks[j][i].arr * (nu[j, i] * problem.detq_abs * h2)
-            spectra[j][i] = fft.rfft2(padded)
+            rows = np.zeros((placement[0].stop, fft_shape[1]))
+            rows[placement] = blocks[j][i].arr * (nu[j, i] * problem.detq_abs * h2)
+            spectra[j][i] = rfft2(rows, fft_shape)
             if i in mirrors.values():
                 for factor in _mirror_phases(boxes[i], fft_shape):
                     spectra[j][i] *= factor
@@ -776,31 +776,30 @@ def fourier_product(problem, ks):
 
     Applies the weighted window-transform matrices along the contracted
     wavevector orbit k, A^T k, ... to the mass vector; the orbit stops before
-    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.  One
-    transform table covers all of the orbits.
+    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.  All
+    orbits advance together: one transform table covers their members, an
+    identity stands past each orbit's end, and one batched product runs per
+    orbit position.
     """
     nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
-    orbits = []
-    for k in np.asarray(ks, dtype=float).reshape(-1, 2):
-        kappas = [k]
-        while (np.hypot(*(step := a_matrix.T @ kappas[-1])) >= _PRODUCT_TAIL
-               and len(kappas) <= 10000):
-            kappas.append(step)
-        orbits.append(kappas)
+    kappas = [np.asarray(ks, dtype=float).reshape(-1, 2)]
+    while len(kappas) <= 10000 and \
+            (np.hypot(*(step := kappas[-1] @ a_matrix).T) >= _PRODUCT_TAIL).any():
+        kappas.append(step)
+    orbits = np.stack(kappas, axis=1)  # (len(ks), orbit position, 2)
+    live = np.hypot(orbits[..., 0], orbits[..., 1]) >= _PRODUCT_TAIL
+    live[:, 0] = True
+    live = np.logical_and.accumulate(live, axis=1)  # each orbit ends at its first short member
     jj, ii = np.nonzero(nu)
-    table = polygon_ft([problem.windows_ji[j][i] for j, i in zip(jj, ii)],
-                       np.array([kappa for kappas in orbits for kappa in kappas]))
-    mats = np.zeros((len(table), len(w), len(w)), dtype=complex)
-    mats[:, jj, ii] = nu[jj, ii] * table
-    out = np.empty((len(orbits), len(w)), dtype=complex)
-    end = 0
-    for n, kappas in enumerate(orbits):
-        start, end = end, end + len(kappas)
-        acc = w.astype(complex)
-        for mat in mats[start:end][::-1]:
-            acc = mat @ acc
-        out[n] = acc
-    return out
+    table = polygon_ft([problem.windows_ji[j][i] for j, i in zip(jj, ii)], orbits[live])
+    mats = np.zeros((*live.shape, len(w), len(w)), dtype=complex)
+    mats[~live] = np.eye(len(w))
+    orbit, position = np.nonzero(live)
+    mats[orbit[:, None], position[:, None], jj, ii] = nu[jj, ii] * table
+    acc = w.astype(complex)[:, None]  # broadcast over the orbits by the first product
+    for mat in mats.swapaxes(0, 1)[::-1]:
+        acc = mat @ acc
+    return acc[..., 0]
 
 
 def grid_ft(density, ks):

@@ -31,8 +31,6 @@ def format_samples(values):
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     live = flat.view(np.uint64) != 0
     n = int(np.count_nonzero(live))
-    if not n:
-        return ["0"] * flat.size
     out = np.full(flat.size, "0", dtype=object)
     out[live] = ("%.12g\0" * n % tuple(flat[live].tolist())).split("\0")[:-1]
     return out.tolist()

@@ -203,4 +203,5 @@ def report(spec, density, nu, w, patch, tsets, s, closure_s, id2_samples, seed):
     return [weyl, ReportLine("ID2.mean_residual", id2, 0.05),
             ReportLine("ID3.max_deviation", id3, 0.05),
             ReportLine("DENSITY.ratio_max_reldev", ratio_dev, 0.05),
-            ReportLine("CLOSURE.violations", len(closure.violations), 0)]
+            ReportLine("CLOSURE.violations",
+                       len(closure.violations) if closure.checked else "no-points", 0)]

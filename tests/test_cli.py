@@ -958,6 +958,23 @@ def test_verify_no_points(tmp_path, s):
     assert "DENSITY.ratio_max_reldev no-points <= 0.05 FAIL" in report
 
 
+def test_verify_empty_closure(tmp_path, capsys):
+    # no point of the patch lies within closure_s = 0.5, so CLOSURE checks no
+    # map and fails with the reason, while the four checks read at s = 40
+    # give the verdicts of the default run
+    config = tmp_path / "closure.cfg"
+    config.write_text("closure_s = 0.5\n")
+    out = tmp_path / "v"
+    assert run(["verify", "--preset", "penrose-example2", "--h", "0.03125",
+                "--config", str(config), "--out", str(out)]) == 1
+    report = (out / "report.txt").read_text()
+    assert report in capsys.readouterr().out
+    assert report.splitlines()[-1] == "CLOSURE.violations no-points <= 0 FAIL"
+    verify_example2_report(tmp_path / "default")
+    default = (tmp_path / "default" / "report.txt").read_text()
+    assert report.splitlines()[:-1] == default.splitlines()[:-1]
+
+
 def test_unknown_output_selector_rejected(tmp_path, capsys):
     config = tmp_path / "typo.cfg"
     config.write_text("outputs = grid\n")

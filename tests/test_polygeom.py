@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from modelsets.polygeom import (GridSpec, Region, area, centroid, contains,
-                                contains_many, erode, linear_image, rasterize,
-                                support, translate)
+from modelsets.polygeom import (COLLINEAR_TOL, GridSpec, Region, _clean_vertices,
+                                _signed_area, area, centroid, contains, contains_many,
+                                erode, linear_image, rasterize, support, translate)
 from tests.conftest import coverage
 
 TAU = (1 + math.sqrt(5)) / 2
@@ -318,3 +318,87 @@ def test_erode_is_odd_under_negation(C, K, c_start, k_start, collapse):
     N = erode(negated(C, c_start), negated(K, k_start))
     assert N.kind == E.kind
     assert {tuple(v) for v in N.vertices} == {tuple(-v) for v in E.vertices}
+
+
+def scalar_cross(u, v):
+    return float(u[0] * v[1] - u[1] * v[0])
+
+
+def oracle_clean_vertices(verts):
+    """The former scalar _clean_vertices: near-duplicates merged, then each
+    vertex kept when it lies off the line of its neighbours, one at a time."""
+    scale = max(1.0, np.abs(verts).max())
+    out = []
+    for v in verts:
+        if not out or np.hypot(*(v - out[-1])) > 1e-12 * scale:
+            out.append(v)
+    if len(out) > 1 and np.hypot(*(out[0] - out[-1])) <= 1e-12 * scale:
+        out.pop()
+    verts = np.array(out)
+    if len(verts) < 3:
+        return verts
+    keep = []
+    for i in range(len(verts)):
+        a = verts[i - 1]
+        b = verts[i]
+        c = verts[(i + 1) % len(verts)]
+        if abs(scalar_cross(c - a, b - a)) > COLLINEAR_TOL * scale * scale:
+            keep.append(i)
+    return verts[keep]
+
+
+def oracle_strictly_convex(verts):
+    """The former scalar convexity loop of Region.polygon: every turn of the CCW
+    vertices is a left turn by more than the tolerance."""
+    scale = max(1.0, np.abs(verts).max())
+    for i in range(len(verts)):
+        a = verts[i - 1]
+        b = verts[i]
+        c = verts[(i + 1) % len(verts)]
+        if scalar_cross(b - a, c - b) <= COLLINEAR_TOL * scale * scale:
+            return False
+    return True
+
+
+@st.composite
+def near_degenerate_polygons(draw):
+    """Vertices on an ellipse, in either orientation, with points added a few
+    tolerances off the line of an edge (near-collinear, on either side) or
+    from one of its ends (near-duplicate)."""
+    n = draw(st.integers(3, 7))
+    gaps = np.array(draw(st.lists(st.floats(1, 3), min_size=n, max_size=n)))
+    angles = draw(st.floats(0, 2 * np.pi)) + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    rx, ry = draw(st.floats(0.05, 1.5)), draw(st.floats(0.05, 1.5))
+    center = np.array([draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))])
+    verts = list(np.column_stack([rx * np.cos(angles), ry * np.sin(angles)]) + center)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(verts) - 1))
+        a, c = verts[k], verts[(k + 1) % len(verts)]
+        scale = max(1.0, np.abs(verts).max())
+        chord = c - a
+        length = np.hypot(*chord)
+        if length > 0 and draw(st.booleans()):
+            offset = draw(st.floats(-3, 3)) * COLLINEAR_TOL * scale * scale / length
+            p = a + draw(st.floats(0.1, 0.9)) * chord + offset * np.array([-chord[1], chord[0]]) / length
+        else:
+            turn = draw(st.floats(0, 2 * np.pi))
+            p = a + draw(st.floats(0, 3)) * 1e-12 * scale * np.array([np.cos(turn), np.sin(turn)])
+        verts.insert(k + 1, p)
+    verts = np.array(verts)
+    return verts[::-1] if draw(st.booleans()) else verts
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(verts=near_degenerate_polygons())
+def test_polygon_cleaning_and_convexity_match_scalar_oracles(verts):
+    ccw = verts[::-1] if _signed_area(verts) < 0 else verts
+    cleaned = _clean_vertices(ccw)
+    want = oracle_clean_vertices(ccw)
+    assert cleaned.shape == want.shape and np.array_equal(cleaned, want)
+    accepted = len(want) >= 3 and oracle_strictly_convex(want) and _signed_area(want) > 0
+    try:
+        P = Region.polygon(verts)
+    except ValueError:
+        assert not accepted
+    else:
+        assert accepted and np.array_equal(P.vertices, want)

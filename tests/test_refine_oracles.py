@@ -5,11 +5,12 @@ The oracles are the former implementations: the refinement step as one
 iteration, the kernel spectra all placed and transformed up front, the
 input-box test at every cell of the grid and around it, the rasterizer
 that probes every cell of the bounding box, the per-value density writers,
-the scalar polygon transform, the per-entry Fourier matrix product and the
-per-wavevector grid transform.  The cold-started solve checks the warm
-start, and the bilinear stencil its prolongation.  The bilinear
-stencil and the inverse FFT are checked against the scipy routines they
-replaced to a few units in the last place, the forward FFT bit for bit.
+the scalar polygon transform, the per-entry Fourier matrix product, its
+walk one orbit at a time and the per-wavevector grid transform.  The
+cold-started solve checks the warm start, and the bilinear stencil its
+prolongation.  The bilinear stencil and the inverse FFT are checked
+against the scipy routines they replaced to a few units in the last
+place, the forward FFT bit for bit.
 """
 
 import contextlib
@@ -272,6 +273,34 @@ def oracle_fourier_product(problem, k):
             mat[j, i] = nu[j, i] * oracle_polygon_ft(problem.windows_ji[j][i], kappa)
         acc = mat @ acc
     return acc
+
+
+def oracle_orbit_walk(problem, ks):
+    """The former fourier_product: each orbit grown by its own loop, one transform
+    table over the members of every orbit, and each orbit's product read from
+    it through start and end offsets."""
+    nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
+    orbits = []
+    for k in np.asarray(ks, dtype=float).reshape(-1, 2):
+        kappas = [k]
+        while (np.hypot(*(step := a_matrix.T @ kappas[-1])) >= refine._PRODUCT_TAIL
+               and len(kappas) <= 10000):
+            kappas.append(step)
+        orbits.append(kappas)
+    jj, ii = np.nonzero(nu)
+    table = polygon_ft([problem.windows_ji[j][i] for j, i in zip(jj, ii)],
+                       np.array([kappa for kappas in orbits for kappa in kappas]))
+    mats = np.zeros((len(table), len(w), len(w)), dtype=complex)
+    mats[:, jj, ii] = nu[jj, ii] * table
+    out = np.empty((len(orbits), len(w)), dtype=complex)
+    end = 0
+    for n, kappas in enumerate(orbits):
+        start, end = end, end + len(kappas)
+        acc = w.astype(complex)
+        for mat in mats[start:end][::-1]:
+            acc = mat @ acc
+        out[n] = acc
+    return out
 
 
 def oracle_grid_ft(density, ks):
@@ -845,6 +874,29 @@ def test_fourier_products_match_one_at_a_time(problem_area):
     for k, got in zip(ks, batched):
         assert np.abs(got - oracle_fourier_product(problem_area, k)).max() <= 1e-12
         assert got.tobytes() == fourier_product(problem_area, [k])[0].tobytes()
+
+
+def test_fourier_product_matches_the_orbit_walk_under_a_non_normal_contraction(problem_area):
+    # A = [[l, 5], [0, l]], l^2 = |det A| of the preset, so |det A| |det Q| = 1:
+    # an orbit grows for a few steps before it contracts, and for k0 =
+    # (x, -5 x / l), x = 1e-8, A^T k0 = (l x, ~0) falls below the tail while
+    # (A^T)^2 k0 = (l^2 x, 5 l x) lies above it, so the orbit of k0 ends after
+    # k0 alone
+    lam = np.sqrt(abs(np.linalg.det(problem_area.a_matrix)))
+    problem = dataclasses.replace(problem_area, a_matrix=np.array([[lam, 5.0], [0.0, lam]]))
+    step = problem.a_matrix.T
+    k0 = np.array([1e-8, -5e-8 / lam])
+    assert np.hypot(*(step @ k0)) < refine._PRODUCT_TAIL <= np.hypot(*(step @ step @ k0))
+    assert np.hypot(*(step @ (1.0, 0.0))) > 1
+    rng = np.random.default_rng(37)
+    turns = rng.uniform(0, 2 * np.pi, 6)
+    ks = np.vstack([[k0, (0.0, 0.0), (1e-9, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                    rng.uniform(-10, 10, size=(8, 2)),
+                    1e3 * np.column_stack([np.cos(turns), np.sin(turns)])])
+    got = fourier_product(problem, ks)
+    assert got.tobytes() == oracle_orbit_walk(problem, ks).tobytes()
+    for k, row in zip(ks, got):
+        assert np.abs(row - oracle_fourier_product(problem, k)).max() <= 1e-12
 
 
 def test_grid_ft_matches_oracle(solve1_128):
