@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import re
 import sys
 from contextlib import contextmanager, suppress
@@ -369,9 +370,11 @@ def cmd_solve(cfg, outdir):
     problem, result = _solve(cfg, trans, nu, pf)
     density = result.density
     with _stage("solver comparison"):
-        rng, ks = np.random.default_rng(cfg.seed), np.empty((0, 2))
+        rng, ks = random.Random(cfg.seed), np.empty((0, 2))
         while len(ks) < cfg.k_count:  # batches of 4 k_count from the square, kept in the disk
-            batch = rng.uniform(-cfg.k_max, cfg.k_max, size=(4 * cfg.k_count, 2))
+            # 53 random bits per coordinate: a uniform draw from [0, 1), then [-k_max, k_max)
+            unit = (np.frombuffer(rng.randbytes(64 * cfg.k_count), "<u8") >> 11) * 2.0**-53
+            batch = cfg.k_max * (2.0 * unit.reshape(-1, 2) - 1.0)
             ks = np.concatenate([ks, batch[np.hypot(batch[:, 0], batch[:, 1]) <= cfg.k_max]])
         deviation = refine.compare_solvers(density, problem, ks[:cfg.k_count])
     # the density text goes to disk a row block at a time; at most the rows up to

@@ -191,8 +191,12 @@ def contains_many(P, pts, eps=DEFAULT_EPS):
         d = np.hypot(pts[:, 0] - P.point[0], pts[:, 1] - P.point[1])
         return d <= eps
     normals, offsets = _edge_normals(P)
-    dist = pts @ normals.T - offsets
-    return dist.max(axis=1) <= eps
+    dist = pts @ normals.T
+    dist -= offsets
+    inside = dist[:, 0] <= eps  # a NaN row fails every edge
+    for column in dist.T[1:]:
+        inside &= column <= eps
+    return inside
 
 
 def _meet(na, da, nb, db, cross):
@@ -315,10 +319,10 @@ def rasterize(P, grid):
     ix, iy = np.clip(np.floor(mid).astype(np.int64), 0, [nx - 1, ny - 1]).T
     frac = mid[:, 0] - ix
     dy = p[:, 1] - q[:, 1]  # positive on the left side of a CCW polygon
-    acc = np.zeros((ny, nx + 1))
-    np.add.at(acc, (iy, ix), dy * (1.0 - frac))
-    np.add.at(acc, (iy, ix + 1), dy * frac)
-    cov = np.cumsum(acc, axis=1)[:, :-1]
+    cell = iy * (nx + 1) + ix
+    acc = np.bincount(np.concatenate([cell, cell + 1]),
+                      np.concatenate([dy * (1.0 - frac), dy * frac]), minlength=ny * (nx + 1))
+    cov = np.cumsum(acc.reshape(ny, nx + 1), axis=1)[:, :-1]
     cov[np.abs(cov) <= SNAP_TOL] = 0.0
     cov[np.abs(cov - 1.0) <= SNAP_TOL] = 1.0
     return cov, (int(lo[1]), int(lo[0]))

@@ -36,6 +36,7 @@ from .polygeom import GridSpec, area, centroid, rasterize
 
 FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
+_PRODUCT_CHUNK = 64  # wavevectors per batched orbit product
 _MIX_DEPTH = 2  # residual differences in each Anderson fit
 _GRID_PAD = 0.082
 _COARSE_CELLS = 100  # cells per axis of the coarsest grid a warm start solves on
@@ -776,13 +777,20 @@ def fourier_product(problem, ks):
 
     Applies the weighted window-transform matrices along the contracted
     wavevector orbit k, A^T k, ... to the mass vector; the orbit stops before
-    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.  All
-    orbits advance together: one transform table covers their members, an
-    identity stands past each orbit's end, and one batched product runs per
-    orbit position.
+    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.  The
+    wavevectors go _PRODUCT_CHUNK at a time, so the memory held does not grow
+    with their count.  Within a chunk all orbits advance together: one
+    transform table covers their members, an identity stands past each
+    orbit's end, and one batched product runs per orbit position.
     """
+    ks = np.asarray(ks, dtype=float).reshape(-1, 2)
+    starts = range(0, max(len(ks), 1), _PRODUCT_CHUNK)  # no wavevector: one empty chunk
+    return np.concatenate([_orbit_product(problem, ks[lo:lo + _PRODUCT_CHUNK]) for lo in starts])
+
+
+def _orbit_product(problem, ks):
     nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
-    kappas = [np.asarray(ks, dtype=float).reshape(-1, 2)]
+    kappas = [ks]
     while len(kappas) <= 10000 and \
             (np.hypot(*(step := kappas[-1] @ a_matrix).T) >= _PRODUCT_TAIL).any():
         kappas.append(step)

@@ -11,6 +11,7 @@ of the `verify` command and returns their lines, each with its bound.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,12 @@ def sample_density(density, channel, pts):
 def point_weights(spec, density, internal, component):
     """Density weights at internal images (a complex array): the channel sampled there.
 
-    Images outside the component window carry weight zero.
+    Images outside the component window carry weight zero and are not sampled.
     """
     pts = _xy(internal)
-    vals = sample_density(density, component, pts)
     inside = contains_many(spec.shifted_window(component), pts)
-    vals[~inside] = 0.0
+    vals = np.zeros(len(pts))
+    vals[inside] = sample_density(density, component, pts[inside])
     return vals
 
 
@@ -95,27 +96,31 @@ def check_id2(spec, density, nu, points, tsets, radius, samples=100, seed=0):
     pool = np.concatenate([p.internal for p in near])
     if not len(pool):
         raise InsufficientRadiusError("no sample points inside radius/q")
-    rng = np.random.default_rng(seed)
     if len(pool) > samples:
-        pick = rng.choice(len(pool), size=samples, replace=False)
+        pick = random.Random(seed).sample(range(len(pool)), samples)
         pool_comp, pool = pool_comp[pick], pool[pick]
+    translations = {}
+    for j, i in zip(*np.nonzero(nu)):  # row-major, so the first empty pair is the one named
+        translations[j, i] = tsets[j][i].within(radius).internal
+        if not len(translations[j, i]):
+            raise InsufficientRadiusError(
+                f"insufficient radius: translation set ({j + 1},{i + 1}) "
+                f"is empty at radius {radius}")
+    mine = [pool_comp == j for j in range(spec.r)]
     lhs = np.zeros(len(pool))
     rhs = np.zeros(len(pool))
     for j in range(spec.r):
-        mine = pool_comp == j
-        lhs[mine] = point_weights(spec, density, pool[mine], j + 1)
-        for i in range(spec.r):
-            if nu[j, i] == 0:
-                continue
-            t = tsets[j][i].within(radius).internal
-            if not len(t):
-                raise InsufficientRadiusError(
-                    f"insufficient radius: translation set ({j + 1},{i + 1}) "
-                    f"is empty at radius {radius}")
-            # every (sample, translation) preimage at once; one row per sample
-            eta = (pool[mine][:, None] - t[None, :]) * a_inv
-            vals = point_weights(spec, density, eta.ravel(), i + 1)
-            rhs[mine] += nu[j, i] * vals.reshape(eta.shape).mean(axis=1)
+        lhs[mine[j]] = point_weights(spec, density, pool[mine[j]], j + 1)
+    for i in range(spec.r):
+        sources = np.flatnonzero(nu[:, i])
+        if not len(sources):
+            continue
+        # every (sample, translation) preimage into channel i at once; one row per sample
+        etas = [(pool[mine[j]][:, None] - translations[j, i][None, :]) * a_inv for j in sources]
+        vals = point_weights(spec, density, np.concatenate([eta.ravel() for eta in etas]), i + 1)
+        parts = np.split(vals, np.cumsum([eta.size for eta in etas])[:-1])
+        for j, eta, part in zip(sources, etas, parts):
+            rhs[mine[j]] += nu[j, i] * part.reshape(eta.shape).mean(axis=1)
     rhs *= spec.detq_abs
     floor = ID2_SCALE_FLOOR * max(density.values.max(), 1e-300)
     residuals = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,15 +26,16 @@ from tests.conftest import TAU
 # quotients, a solver state of the rows up to y = 0 whose sums run channel
 # by channel and count each row before it twice, erosion by meeting edge
 # lines, numpy's default inverse FFT scaling and nu-weighted kernel spectra
-# with the mirror phase folded in on numpy 2.4.6; the bytes follow the last
-# bit of every float, so they hold for one numpy build
+# with the mirror phase folded in on numpy 2.4.6, and the Fourier
+# wavevectors drawn from random.Random(seed); the bytes follow the last bit
+# of every float, so they hold for one numpy build
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
     "density_ch2.txt": "0498819552b0a06592447d435515205ce1405c8234d0cc1530631f331aeaa19b",
     "density_ch3.txt": "6e6253110922b5e21d7041ec3f2ee4eb90ee4a253eaa640c2ff7a03b2e739eb4",
     "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
     "density.csv": "275ceae54fa7bbf03ac79574bded96f0cf97ffdfc292305c437a9b1991350599",
-    "summary.txt": "08416437453f69bf8aaf7f88d7797bbea691bdb67a326c0ec32d38d3634bea45",
+    "summary.txt": "ffd0e005b008f99dc9ab4c90d9151c0a319fa9600ae9213fece5c4620999a507",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
@@ -47,7 +49,7 @@ SOLVE_EX2_SHA256 = {
     "density.csv": "356a0ea0ceb64a6ce06540ac9e64ec3f7bf1ca3e7ab07e6b60e08e5fc703e526",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "c07c064d15e1f33ea5fe809f2054c9c1c30efc9a553df2634d31cffb4378b62a",
+    "summary.txt": "0aa9f9620b94bc6f22888091f38a59c4bc38c9b400fa3d290192533343be18e1",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
@@ -61,7 +63,7 @@ SOLVE_EX2_GAMMA_SHA256 = {
     "density.csv": "5eede5d3e6f23508dbef26b5cd1a1db9a216a8e96cf8b18a528fea4cc83123d4",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "6371335050dd32115902e3e502744337aa3f79c05ce86ba3ccf424de7c7e8349",
+    "summary.txt": "34841fe0f7dfb7aa18efc12ef40f4edddb80915b0eb5563f58fc5b575cacd941",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.0078125` writes,
@@ -78,12 +80,13 @@ SOLVE_EX2_H128_SHA256 = {
     "density.csv": "ef022ea3e4b24c2e3253360df152780d5cdb915da8bcc389a832288e90ffda3d",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "a1db8bada1398643fe21da7c9370d5c243cedda7c685e4c9844d009af89fd12a",
+    "summary.txt": "28cbd133934d36fef63e587eb4bdae895611dcfc7e902e815e97b963512af0fb",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
-# writes, recorded like SOLVE_EX1_SHA256
-VERIFY_EX2_REPORT_SHA256 = "5671f25cae32e7f8981a3db655f2f7eba949b3cced5263d45fc94ac25f26432f"
+# writes, recorded like SOLVE_EX1_SHA256, with the ID2 sample drawn by
+# random.Random(seed).sample
+VERIFY_EX2_REPORT_SHA256 = "2897ef057683baab203c89c22b959cdf54a73a1a5241b023322ad6200f4cbae1"
 
 # sha256 of that report.txt under other settings, recorded like
 # SOLVE_EX1_SHA256, with the exit code: (flags, config text, exit, digest).
@@ -96,9 +99,9 @@ VERIFY_EX2_VARIANT_SHA256 = {
     "s4.9": (["--s", "4.9"], None, 1,
              "f7fb41f4bd58e4d7e8d4e7eb650bc172f745b1d3de13e02117660d4422b19a25"),
     "gamma": ([], "gamma = 0.031, -0.047\n", 0,
-              "22dc8094761230e9119a73bc63c43971e6a5bbac4f59dbfb5c84bf0bc0e737ae"),
+              "5876504ec4d740c9da4eebb3695ee852dacdc4f5797a4d648448db228868703c"),
     "open": ([], "boundary = open\n", 0,
-             "2d2730982ede5602250ddd1ce176cbfa2a85273affaaffd127624bf2ef813e76"),
+             "a6c0a114a120dab3a8a533484bee7c714d70bcb91bd9b1fad84bdb52d844952c"),
 }
 
 
@@ -382,7 +385,7 @@ def test_unreadable_config_fails_labelled(tmp_path, capsys, make, reason):
 
 def test_cli_imports_no_scipy():
     # scipy is a test dependency: the program's FFTs and resampling are numpy's;
-    # numpy.random loads only where a seeded draw is made, not for every command
+    # numpy.random is not loaded either: both seeded draws take random.Random
     root = Path(__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, 'src'); import modelsets.cli; "
             "print(sorted(m for m in sys.modules "
@@ -393,6 +396,28 @@ def test_cli_imports_no_scipy():
     assert done.stdout.strip() == "[]"
     for path in sorted((root / "src").rglob("*.py")):
         assert "scipy" not in path.read_text(), path
+
+
+def test_seeded_commands_load_no_numpy_random(tmp_path):
+    # both seeded draws take random.Random(seed): solve and verify leave
+    # numpy.random unloaded, and a second process with the same seed writes
+    # the same summary and report
+    root = Path(__file__).resolve().parents[1]
+    texts = []
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        code = ("import sys; sys.path.insert(0, 'src'); from modelsets import cli; "
+                f"out = {str(run_dir)!r}; "
+                "assert cli.main(['solve', '--preset', 'penrose-example2', '--h', '0.03125', "
+                "'--out', out]) == 0; "
+                "assert cli.main(['verify', '--preset', 'penrose-example2', '--h', '0.03125', "
+                "'--out', out]) == 0; "
+                "print('numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+        texts.append([(run_dir / name).read_bytes() for name in ("summary.txt", "report.txt")])
+    assert texts[0] == texts[1]
 
 
 def test_tracer_installs():
@@ -513,17 +538,33 @@ def test_solve_output_selectors(tmp_path, selector, names):
         assert digest == SOLVE_EX1_SHA256[name], name
 
 
-def test_solve_draws_wavevectors_until_k_count_lie_in_the_disk(tmp_path):
-    # seed 126's first batch of 4 k_count = 4 points misses the disk of radius
-    # k_max = 10, so the draw goes on to a second batch
-    first = np.random.default_rng(126).uniform(-10, 10, size=(4, 2))
+def test_solve_draws_wavevectors_until_k_count_lie_in_the_disk(tmp_path, monkeypatch):
+    # seed 55's first batch of 4 k_count = 4 points misses the disk of radius
+    # k_max = 10, so the draw goes on to a second batch and takes its first
+    # point in the disk; each coordinate is 53 bits of random.Random(seed)
+    rng = random.Random(55)
+
+    def batch():
+        unit = (np.frombuffer(rng.randbytes(64), "<u8") >> 11) * 2.0**-53
+        return 10 * (2 * unit.reshape(4, 2) - 1)
+
+    first, second = batch(), batch()
     assert (np.hypot(first[:, 0], first[:, 1]) > 10).all()
+    drawn, compare_solvers = [], refine.compare_solvers
+
+    def compare(density, problem, ks):
+        drawn.append(ks)
+        return compare_solvers(density, problem, ks)
+
+    monkeypatch.setattr(refine, "compare_solvers", compare)
     config = tmp_path / "k1.cfg"
-    config.write_text("seed = 126\nk_count = 1\n")
+    config.write_text("seed = 55\nk_count = 1\n")
     out = tmp_path / "out"
     assert run(["solve", "--preset", "penrose-example2", "--config", str(config),
                 "--h", "0.03125", "--out", str(out)]) == 0
     assert "fourier_max_rel_dev = " in (out / "summary.txt").read_text()
+    inside = second[np.hypot(second[:, 0], second[:, 1]) <= 10]
+    assert drawn[0].tobytes() == inside[:1].tobytes()
 
 
 @pytest.mark.parametrize("command,target,error,message", [

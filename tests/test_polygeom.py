@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from modelsets.polygeom import (COLLINEAR_TOL, GridSpec, Region, _clean_vertices,
+from modelsets.polygeom import (COLLINEAR_TOL, GridSpec, Region, _clean_vertices, _edge_normals,
                                 _signed_area, area, centroid, contains, contains_many,
                                 erode, linear_image, rasterize, support, translate)
 from tests.conftest import coverage
@@ -402,3 +402,35 @@ def test_polygon_cleaning_and_convexity_match_scalar_oracles(verts):
         assert not accepted
     else:
         assert accepted and np.array_equal(P.vertices, want)
+
+
+def oracle_contains_many(P, pts, eps):
+    """The former polygon test of contains_many: each row's largest signed edge
+    distance against eps, one max-reduction over the edges."""
+    normals, offsets = _edge_normals(P)
+    return (pts @ normals.T - offsets).max(axis=1) <= eps
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(P=convex_regions(1e-3, 10.0),
+       ts=st.lists(st.floats(-0.5, 1.5), max_size=6),
+       eps=st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 5e-13, -5e-13, 1e-9, -1e-9, 0.5, -0.5]),
+       nan_rows=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_contains_many_matches_the_max_reduction(P, ts, eps, nan_rows, seed):
+    # points on every edge line, within 1e-12 of it on either side, and around
+    # the polygon's box; rows with a NaN coordinate, placed anywhere
+    verts = P.vertices
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / np.hypot(*edges.T)[:, None]
+    rows = [verts + t * edges + s * normals for t in ts for s in (0.0, 1e-12, -1e-12)]
+    rng = np.random.default_rng(seed)
+    rows.append(rng.uniform(verts.min(axis=0) - 0.1, verts.max(axis=0) + 0.1, (20, 2)))
+    pts = np.concatenate(rows)
+    for x_nan, y_nan in nan_rows:
+        row = rng.integers(0, len(pts) + 1)
+        pts = np.insert(pts, row, [np.nan if x_nan else 0.0, np.nan if y_nan else 0.0], axis=0)
+    got = contains_many(P, pts, eps)
+    assert got.dtype == bool and np.array_equal(got, oracle_contains_many(P, pts, eps))
+    empty = contains_many(P, np.zeros((0, 2)), eps)
+    assert empty.shape == (0,) and empty.dtype == bool

@@ -299,6 +299,29 @@ def test_fourier_product_l1_bound(problem_area):
     assert np.abs(fourier_product(problem_area, ks)).sum(axis=1).max() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+def test_fourier_product_chunks_bound_its_memory(request, monkeypatch, policy):
+    # the wavevectors go a fixed chunk at a time: the chunks give the bits of
+    # one call over them all, and eight chunks peak about where one does
+    problem = request.getfixturevalue(f"problem_{policy}")
+    chunk = refine._PRODUCT_CHUNK
+    rng = np.random.default_rng(43)
+    turns = rng.uniform(0, 2 * np.pi, 8 * chunk)
+    ks = rng.uniform(500, 1000, 8 * chunk)[:, None] * np.column_stack([np.cos(turns),
+                                                                      np.sin(turns)])
+    peaks = []
+    for part in (ks[:chunk], ks):
+        tracemalloc.start()
+        try:
+            chunked = fourier_product(problem, part)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    monkeypatch.setattr(refine, "_PRODUCT_CHUNK", len(ks))
+    assert chunked.tobytes() == fourier_product(problem, ks).tobytes()
+    assert peaks[1] <= 1.3 * peaks[0]
+
+
 def test_penrose_example1_coarse(problem_area):
     h = 1 / 32
     K = build_kernel(problem_area, h)

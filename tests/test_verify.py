@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -78,9 +79,8 @@ def id2_oracle(spec, density, nu, points, tsets, radius, samples, seed, scale_fl
     a_inv = 1.0 / spec.a_internal
     pool = [(j, u) for j, p in enumerate(points, start=1)
             for x, u in zip(p.phys, p.internal) if abs(x) <= radius / abs(spec.q_phys)]
-    rng = np.random.default_rng(seed)
     if len(pool) > samples:
-        pool = [pool[k] for k in rng.choice(len(pool), size=samples, replace=False)]
+        pool = [pool[k] for k in random.Random(seed).sample(range(len(pool)), samples)]
     floor = scale_floor * max(density.values.max(), 1e-300)
     residuals = []
     for j, u in pool:
