@@ -41,6 +41,10 @@ _MIX_DEPTH = 2  # residual differences in each Anderson fit
 _GRID_PAD = 0.082
 _COARSE_CELLS = 100  # cells per axis of the coarsest grid a warm start solves on
 _MIN_MASK_CELLS = 64  # fewest cells a carried window may meet: a grid that resolves it
+_SUM_ROWS = 64  # spectrum rows per block of a product summed into an output's spectrum
+# cells of a kernel grid; at h = 1/512 (1741 x 1741) a solve peaked at 61 B (example 1)
+# and 115 B (example 2) of RSS per cell on an x86-64 VM: about 480 MB at the limit
+MAX_GRID_CELLS = 2**22
 
 
 def make_centered_grid(half_extent, h):
@@ -209,14 +213,19 @@ def rfft2(a, shape, mirrored=False, out=None):
     return fft.fft(out, axis=0, out=out)
 
 
-def irfft2(a, shape, rows):
-    """Rows `rows`, a slice with bounds, of the inverse of fft.rfft2 on `shape`.
+def irfft2(a, shape, rows, block):
+    """Rows `rows`, a slice with bounds, of the inverse of fft.rfft2 on `shape`,
+    made len(block) rows at a time in the real array `block`: yields the
+    offset in `rows` of each block's first row and the block's rows.
 
     Overwrites the spectrum `a`: the column pass runs in place, and the row
     pass runs only over `rows`.
     """
     fft.ifft(a, axis=0, out=a)
-    return fft.irfft(a[rows], n=shape[1], axis=1)
+    for lo in range(rows.start, rows.stop, len(block)):
+        hi = min(lo + len(block), rows.stop)
+        yield lo - rows.start, fft.irfft(a[lo:hi], n=shape[1], axis=1,
+                                         out=block[:hi - lo, :shape[1]])
 
 
 @dataclass
@@ -231,12 +240,15 @@ class Stencil:
     a position outside [0, ny - 1] x [0, nx - 1] samples 0: its index is the
     first tail cell, so all four of its nodes are zero.  A position on the
     last row or column reads its other node, of weight 0, from the tail.
+    The array may be the rows from `first` on of a larger one whose other
+    rows no sample reads (`_input_stencil`).
     """
 
     index: np.ndarray  # int32
     r0: np.ndarray
     c0: np.ndarray
     shape: tuple  # (ny, nx); nx is the frame's row stride
+    first: int = 0  # the row of the larger array that the frame's first row holds
 
     @classmethod
     def at(cls, rows, cols, shape):
@@ -247,10 +259,17 @@ class Stencil:
         index = np.where(inside, lo_r * nx + lo_c, ny * nx).astype(np.int32)
         return cls(index=index, r0=1.0 - (rows - lo_r), c0=1.0 - (cols - lo_c), shape=shape)
 
-    def frame(self):
-        """A zero frame, and the sampled array as a view of it."""
+    @property
+    def size(self):
+        """The cells of a frame."""
         ny, nx = self.shape
-        flat = np.zeros(ny * nx + nx + 2)
+        return ny * nx + nx + 2
+
+    def frame(self, flat=None):
+        """A zero frame, or `flat`, zeros of the frame's size, and the sampled
+        array as a view of it."""
+        ny, nx = self.shape
+        flat = np.zeros(self.size) if flat is None else flat
         return flat, flat[:ny * nx].reshape(ny, nx)
 
     def sample(self, flat):
@@ -325,7 +344,9 @@ def _input_stencil(grid, a_inv, mask, centre=None):
     tested, each through its stencil, which samples a frame: the mask's
     bounding box padded by one zero cell on every side, holding every node
     that can be non-zero.  With a `centre` row, only the rows up to it are
-    tested and sampled, and the box holds their flips about it too.
+    tested and sampled, and the box holds their flips about it too.  The
+    frame is then cut to the rows the kept samples read: from the first row
+    of their lower nodes to the row after the last, which may be the tail.
     """
     a_matrix = np.linalg.inv(a_inv)
     origin = np.array(grid.origin)
@@ -357,8 +378,14 @@ def _input_stencil(grid, a_inv, mask, centre=None):
     t_lo, t_hi = t_lo + near_lo, t_hi + near_lo
     if centre is not None:
         t_hi[0] = 2 * centre + 1 - t_lo[0]
-    return (t_lo, t_hi), Stencil(
-        stencil.index[box], stencil.r0[box], stencil.c0[box], stencil.shape)
+    ny, nx = map(int, frame)
+    index = stencil.index[box]
+    tail = index == ny * nx
+    first = int(index[~tail].min()) // nx
+    stop = min(int(index[~tail].max()) // nx + 2, ny)
+    index = np.where(tail, (stop - first) * nx, index - first * nx).astype(np.int32)
+    return (t_lo, t_hi), Stencil(index, stencil.r0[box], stencil.c0[box], (stop - first, nx),
+                                 first)
 
 
 def _spectral_plan(grid, masks, blocks, boxes, carried, centre):
@@ -454,12 +481,17 @@ def build_kernel(problem, h):
     those with w_j > 0; the carried ones are all of them, or in the
     point-reflection quotient those with j <= r-1-j.  Window and transition
     rasters are normalized by their discrete integral, so each one sums to
-    exactly one cell measure.  Raises when a carried window meets fewer than
-    _MIN_MASK_CELLS cells.  A coarser level is built from the same problem.
+    exactly one cell measure.  Raises, before it allocates anything of the
+    grid's size, when the grid has more than MAX_GRID_CELLS cells, and when a
+    carried window meets fewer than _MIN_MASK_CELLS cells.  A coarser level
+    is built from the same problem.
     """
     windows, windows_ji, nu, w = problem.windows, problem.windows_ji, problem.nu, problem.w
     r = len(windows)
     grid = _kernel_grid(windows, h)
+    if grid.nx * grid.ny > MAX_GRID_CELLS:
+        raise ValueError(f"a grid of {grid.nx} x {grid.ny} cells at h = {h:.6g} exceeds "
+                         f"the limit of {MAX_GRID_CELLS} cells")
     quotient = point_symmetric(problem)
     centre = grid.ny // 2  # the row of y = 0 in the row-mirror quotient, else None
     if not (mirror_symmetric(problem) and grid.origin[1] + (centre + 0.5) * grid.h == 0):
@@ -529,18 +561,71 @@ def initial_density(kernel):
     return np.concatenate([kernel.w[j] * kernel.indicators[j] for j, _ in kernel.channels])
 
 
+def _row_starts(mask):
+    """Per row of a 2-D mask, the count of its cells before that row, then the total."""
+    return np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+
+
+def _frame_fills(kernel, i, cells):
+    """(frame rows, mask cells, packed cells) triples that copy carried input i,
+    packed in `cells`, into the rows of its frame that its stencil reads.
+
+    Frame row k holds grid row lo - 1 + first + k, for the first row lo of
+    the mask's box.  The rows the packed state holds come in order; under
+    the row mirror, the rows past the centre are the held rows before it,
+    read in reverse row order through a view of the frame rows that runs
+    backwards.
+    """
+    stencil = kernel.stencils[i]
+    box = kernel.outputs[i][0]
+    inside = kernel.masks[i][box]  # the held rows of the mask's box
+    starts = cells.start + _row_starts(inside)
+    lo = box[0].start
+    top = lo - 1 + stencil.first  # the grid row of frame row 0
+    end = top + stencil.shape[0]
+    fills = []
+    g0, g1 = max(lo, top), min(box[0].stop, end)
+    if g0 < g1:
+        fills.append((slice(g0 - top, g1 - top), inside[g0 - lo:g1 - lo],
+                      slice(starts[g0 - lo], starts[g1 - lo])))
+    if kernel.centre is not None:  # grid row g past the centre holds row 2 centre - g
+        c = kernel.centre
+        g0, g1 = max(c + 1, top), min(2 * c + 1 - lo, end)
+        if g0 < g1:
+            m0, m1 = 2 * c + 1 - g1 - lo, 2 * c + 1 - g0 - lo
+            backwards = slice(g1 - 1 - top, None if g0 == top else g0 - 1 - top, -1)
+            fills.append((backwards, inside[m0:m1], slice(starts[m0], starts[m1])))
+    return fills
+
+
 def _step_buffers(kernel):
     """The arrays every step of one solve reuses: per carried input with a
-    stencil, its zero frame with the sampled array's view, and its spectrum;
-    then a product sum and one product.  The spectra share one allocation,
-    which the C allocator maps on its own and returns to the system when the
-    solve drops it, before the density is unpacked; separate ones stayed
-    resident and raised the peak RSS."""
-    frames = {i: kernel.stencils[i].frame() for i, _ in kernel.channels
-              if kernel.stencils[i] is not None}
-    spectra = np.empty((len(frames) + 2, kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1),
-                       dtype=complex)
-    return frames, dict(zip(frames, spectra)), spectra[-2], spectra[-1]
+    stencil, its zero frame with the sampled array's view and the fills that
+    copy the packed input into it (`_frame_fills`), and its spectrum; then a
+    product sum and a block of _SUM_ROWS rows of one product.  All are views
+    of one zeroed allocation, which the C allocator maps on its own and
+    returns to the system when the solve drops it, before the density is
+    unpacked; separate ones stayed resident and raised the peak RSS."""
+    stencils = {i: (kernel.stencils[i], cells) for i, cells in kernel.channels
+                if kernel.stencils[i] is not None}
+    rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
+    shapes = [(rows, cols)] * (len(stencils) + 1) + [(min(_SUM_ROWS, rows), cols)]
+    sizes = [2 * n * m for n, m in shapes] + [s.size for s, _ in stencils.values()]
+    # the complex views first, so each starts on a 16-byte boundary
+    parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+    *spectra, total, block = [p.view(complex).reshape(shape) for p, shape in zip(parts, shapes)]
+    frames = {i: (*s.frame(flat), _frame_fills(kernel, i, cells))
+              for (i, (s, cells)), flat in zip(stencils.items(), parts[len(shapes):])}
+    return frames, dict(zip(frames, spectra)), total, block
+
+
+def _add_product(total, a, b, block):
+    """total += a * b, made one block of len(block) rows at a time in `block`:
+    the same sums as through a full-size product."""
+    n = len(block)
+    for lo in range(0, len(total), n):
+        rows = slice(lo, lo + n)
+        total[rows] += np.multiply(a[rows], b[rows], out=block[:len(total[rows])])
 
 
 def _output_cells(kernel, j, transformed, sums, out):
@@ -548,10 +633,12 @@ def _output_cells(kernel, j, transformed, sums, out):
     as it is if no input reaches the channel.
 
     Sums the products of the nu-weighted kernel spectra with the input
-    spectra into the first of the buffers `sums`, each product made in the
-    second: first the terms of the mirrored inputs, each read through its
-    carried partner's transform and conjugated once, then the direct ones.
-    One inverse transform over the rows of the output box follows.
+    spectra into the first of the buffers `sums`, the first product written
+    there and each further one added a row block at a time through the
+    second (`_add_product`): first the terms of the mirrored inputs, each
+    read through its carried partner's transform and conjugated once, then
+    the direct ones.  One inverse transform over the rows of the output box
+    follows, its row pass made a block at a time in the second buffer.
     """
     spectra = kernel.spectra[j]
     flipped = [(spectra[m], i) for i, m in kernel.mirrors.items()
@@ -563,12 +650,16 @@ def _output_cells(kernel, j, transformed, sums, out):
             if total is None:
                 total = np.multiply(spectrum, transformed[i], out=sums[0])
             else:
-                total += np.multiply(spectrum, transformed[i], out=sums[1])
+                _add_product(total, spectrum, transformed[i], sums[1])
         if terms is flipped and total is not None:
             np.conjugate(total, out=total)
     if total is not None:
         box, (rows, cols) = kernel.outputs[j]
-        out[:] = irfft2(total, kernel.fft_shape, rows)[:, cols][kernel.masks[j][box]]
+        inside = kernel.masks[j][box]
+        starts = _row_starts(inside)
+        for lo, part in irfft2(total, kernel.fft_shape, rows, sums[1].view(float)):
+            hi = lo + len(part)
+            out[starts[lo]:starts[hi]] = part[:, cols][inside[lo:hi]]
 
 
 def apply_refinement(x, kernel, buffers=None):
@@ -584,20 +675,19 @@ def apply_refinement(x, kernel, buffers=None):
     w = nu w forces nu_ji = 0 from a live channel i into a dead channel j.  A
     mirrored input r-1-i is read through input i's transform.  The
     convolutions run as products of the kernel's spectra, with one transform
-    per non-zero input channel, and an all-zero channel is skipped.  The
-    frames and spectra are written into `buffers`, which the solve makes once
-    for all its steps, or into new ones.
+    per non-zero input channel, and an all-zero channel is skipped.  Each
+    input is copied from the packed state straight into the frame rows its
+    stencil reads.  The frames and spectra are written into `buffers`, which
+    the solve makes once for all its steps, or into new ones.
     """
     frames, spectra, *sums = buffers or _step_buffers(kernel)
     transformed = {}
     for i, cells in kernel.channels:
         if not x[cells].any() or i not in frames:
             continue
-        flat, padded = frames[i]
-        inside = kernel.masks[i][kernel.outputs[i][0]]
-        padded[1:len(inside) + 1, 1:-1][inside] = x[cells]
-        if kernel.centre is not None:
-            padded[len(inside) + 1:-1] = padded[1:len(inside)][::-1]
+        flat, padded, fills = frames[i]
+        for rows, inside, part in fills:
+            padded[rows, 1:-1][inside] = x[part]
         transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape,
                                kernel.centre is not None, out=spectra[i])
     out = np.zeros_like(x)

@@ -27,6 +27,7 @@ POLICY_EXPLICIT = "explicit"
 POINTS_CSV_HEADER = "component,m0,m1,m2,m3,phys_re,phys_im,int_re,int_im"
 _POINTS_CSV_ROW = "%d,%d,%d,%d,%d,%.12g,%.12g,%.12g,%.12g\n"
 MAX_CANDIDATES = 2**22  # per enumeration level; each candidate costs about 160 B
+_CLOSURE_PAIRS = 2**16  # (x, v) pairs per chunk of the closure check; each costs about 125 B
 
 
 def _complex_matrix(c):
@@ -307,8 +308,9 @@ def check_selfsim_closure(spec, points, tsets, radius):
     to component j; membership is decided exactly on coefficients plus the
     window test.  Points landing within the boundary tolerance are counted
     separately rather than as violations.  Each (j, i) pair is one int64
-    pass over all (x, v); CoefficientOverflow is raised before any product
-    or sum that could leave the 64-bit range.
+    pass over all (x, v), made max(1, _CLOSURE_PAIRS // |v|) points x at a
+    time, so that its memory does not grow with the patch; CoefficientOverflow
+    is raised before any product or sum that could leave the 64-bit range.
     """
     report = ClosureReport(checked=0)
     qmat = spec.q_mult.mult_matrix()
@@ -324,18 +326,20 @@ def check_selfsim_closure(spec, points, tsets, radius):
             _check_int64(q_norm, x)
             qx = x @ qmat.T
             _check_int64(1, qx, v)
-            y = (qx[:, None, :] + v[None, :, :]).reshape(-1, 4)
-            report.checked += len(y)
-            residue_ok = (y % 5).sum(axis=1) % 5 == spec.coset_reps[j].rho()
-            yf = y.astype(float)
-            # summed term by term, as the scalar star embedding does
-            u = np.column_stack([sum(yf[:, k] * row[k] for k in range(4)) for row in star])
             window = spec.shifted_window(j + 1)
-            inner = contains_many(window, u, -DEFAULT_EPS)
-            outer = contains_many(window, u, DEFAULT_EPS)
-            report.boundary_hits += int(np.count_nonzero(residue_ok & ~inner & outer))
-            rows = np.flatnonzero(~residue_ok | ~(inner | outer))
-            bad += [(a, j, b) for a, b in zip(*np.divmod(rows, len(v)))]
+            step = max(1, _CLOSURE_PAIRS // len(v))
+            for lo in range(0, len(x), step):
+                y = (qx[lo:lo + step, None, :] + v[None, :, :]).reshape(-1, 4)
+                report.checked += len(y)
+                residue_ok = (y % 5).sum(axis=1) % 5 == spec.coset_reps[j].rho()
+                yf = y.astype(float)
+                # summed term by term, as the scalar star embedding does
+                u = np.column_stack([sum(yf[:, k] * row[k] for k in range(4)) for row in star])
+                inner = contains_many(window, u, -DEFAULT_EPS)
+                outer = contains_many(window, u, DEFAULT_EPS)
+                report.boundary_hits += int(np.count_nonzero(residue_ok & ~inner & outer))
+                rows = np.flatnonzero(~residue_ok | ~(inner | outer))
+                bad += [(lo + a, j, b) for a, b in zip(*np.divmod(rows, len(v)))]
         for a, j, b in sorted(bad):
             report.violations.append((i + 1, j + 1, tuple(x[a].tolist()),
                                       tuple(tsets[j][i].coeffs[b].tolist())))

@@ -693,6 +693,17 @@ def test_far_gamma_enumeration_is_refused(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+def test_fine_grid_is_refused_before_allocation(tmp_path, capsys):
+    # under memory overcommit the 4.31 GiB of masks at h = 1e-4 could be
+    # granted and the process killed later with no message
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", "penrose-example1", "--h", "1e-4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: failed at stage 'kernel': a grid of 34001 x 34001 cells at h = 0.0001 "
+        f"exceeds the limit of {refine.MAX_GRID_CELLS} cells\n")
+    assert not out.exists()
+
+
 def inline_penrose(q):
     """The Penrose windows and cosets as an inline scheme with multiplier q."""
     lines = ["scheme = inline", f"q = {' '.join(map(str, q))}"]

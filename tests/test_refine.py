@@ -147,6 +147,33 @@ def test_unresolved_grid_rejected(request, policy, h, cells):
         build_kernel(request.getfixturevalue(f"problem_{policy}"), h)
 
 
+@pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047), complex(1000, 0)])
+def test_grid_limit_admits_every_h_in_use(gamma):
+    # the finest h the tests, pins, CI and the benchmark solve at is 1/256, and
+    # the scaling runs of the solve reach 1/512; the next halving is refused
+    windows = scheme.penrose_scheme(gamma=gamma).windows
+    for h in (1 / 32, 1 / 128, 1 / 256, 1 / 512):
+        grid = refine._kernel_grid(windows, h)
+        assert grid.nx * grid.ny <= refine.MAX_GRID_CELLS
+    grid = refine._kernel_grid(windows, 1 / 1024)
+    assert grid.nx * grid.ny > refine.MAX_GRID_CELLS
+
+
+def test_grid_limit_refuses_before_allocating(problem_area):
+    # h = 1e-4 frames the windows in 34001 x 34001 cells, whose masks alone
+    # would take 4.31 GiB; the refusal allocates next to nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            build_kernel(problem_area, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == ("a grid of 34001 x 34001 cells at h = 0.0001 exceeds the "
+                                  f"limit of {refine.MAX_GRID_CELLS} cells")
+    assert peak < 2**20
+
+
 def test_resolution_rule_counts_only_carried_windows(problem_area):
     # at h = 1/4 window 1 (1-based) meets 54 cells, but example 1 carries only
     # window 2, which meets 120
@@ -367,6 +394,21 @@ def test_solve_peak_memory(request, policy, bound_mib):
     # the peak of the memory numpy allocates while the h = 1/128 solve runs,
     # its coarse level included: the half-row state and its Anderson
     # history, one set of step buffers, and the unpacked density
+    kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), 1 / 128)
+    tracemalloc.start()
+    try:
+        solve_fixed_point(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize("policy, bound_mib", [("area", 7.6), ("explicit", 10.0)])
+def test_fine_step_peak_memory(request, policy, bound_mib):
+    # the peak test_solve_peak_memory bounds, now that no step holds a
+    # full-size product spectrum or frame rows its stencils do not read: it
+    # reads 6.99 and 9.26 MiB, and 8.39 and 11.04 MiB with both
     kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), 1 / 128)
     tracemalloc.start()
     try:

@@ -6,7 +6,9 @@ iteration, the kernel spectra all placed and transformed up front, the
 input-box test at every cell of the grid and around it, the rasterizer
 that probes every cell of the bounding box, the per-value density writers,
 the scalar polygon transform, the per-entry Fourier matrix product, its
-walk one orbit at a time and the per-wavevector grid transform.  The
+walk one orbit at a time and the per-wavevector grid transform.  The step
+on full frames with full-size products checks, bit for bit, the one that
+sums its products in row blocks and reads only the frame rows it samples.  The
 cold-started solve checks the warm start, and the bilinear stencil its
 prolongation.  The bilinear stencil and the inverse FFT are checked
 against the scipy routines they replaced to a few units in the last
@@ -594,27 +596,125 @@ def test_mirrored_masks_and_boxes_match_general_path(request, policy, h):
 
 
 def oracle_stencil(kernel, i):
-    """The stencil of input box i cut from positions computed on the whole grid."""
+    """The stencil of input box i cut from positions computed on the whole grid,
+    on the whole frame of the mask's box; under the row mirror, the stencil of
+    the box's rows up to the centre."""
     grid, a_inv = kernel.grid, np.linalg.inv(kernel.problem.a_matrix)
     X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
     rows = (a_inv[1, 0] * X + a_inv[1, 1] * Y - grid.origin[1]) / grid.h - 0.5
     cols = (a_inv[0, 0] * X + a_inv[0, 1] * Y - grid.origin[0]) / grid.h - 0.5
     box = refine._slices(*kernel.boxes[i])
+    if kernel.centre is not None:
+        box = (slice(box[0].start, kernel.centre + 1), box[1])
     lo, hi = refine._box(kernel.masks[i])
     return refine.Stencil.at(rows[box] - (lo[0] - 1), cols[box] - (lo[1] - 1),
                              tuple(hi - lo + 2))
 
 
+def oracle_apply(x, kernel):
+    """The step with full frames and full-size products: each input's frame holds
+    its mask's whole box, filled from the packed state with its rows past the
+    centre copied from those before it, and each term of an output is made
+    whole in a second full-size spectrum before it is added."""
+    stencils = {i: oracle_stencil(kernel, i) for i, _ in kernel.channels
+                if kernel.stencils[i] is not None}
+    shape = kernel.fft_shape
+    transformed = {}
+    for i, cells in kernel.channels:
+        if not x[cells].any() or i not in stencils:
+            continue
+        flat, padded = stencils[i].frame()
+        inside = kernel.masks[i][kernel.outputs[i][0]]
+        padded[1:len(inside) + 1, 1:-1][inside] = x[cells]
+        if kernel.centre is not None:
+            padded[len(inside) + 1:-1] = padded[1:len(inside)][::-1]
+        transformed[i] = refine.rfft2(stencils[i].sample(flat), shape, kernel.centre is not None)
+    out = np.zeros_like(x)
+    sums = np.empty((2, shape[0], shape[1] // 2 + 1), dtype=complex)
+    for j, cells in kernel.channels:
+        spectra = kernel.spectra[j]
+        flipped = [(spectra[m], i) for i, m in kernel.mirrors.items()
+                   if i in transformed and spectra[m] is not None]
+        direct = [(spectra[i], i) for i in transformed if spectra[i] is not None]
+        total = None
+        for terms in (flipped, direct):
+            for spectrum, i in terms:
+                if total is None:
+                    total = np.multiply(spectrum, transformed[i], out=sums[0])
+                else:
+                    total += np.multiply(spectrum, transformed[i], out=sums[1])
+            if terms is flipped and total is not None:
+                np.conjugate(total, out=total)
+        if total is not None:
+            box, (rows, cols) = kernel.outputs[j]
+            np.fft.ifft(total, axis=0, out=total)
+            whole = np.fft.irfft(total[rows], n=shape[1], axis=1)
+            out[cells] = whole[:, cols][kernel.masks[j][box]]
+    return out
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047)])
+def test_step_is_bit_equal_to_full_frame_oracle(policy, gamma):
+    # products summed a row block at a time and frames cut to the rows their
+    # stencils read take the same values in the same order; on the fine and
+    # the coarse kernel, both quotients at gamma = 0, the row mirror alone at
+    # (0.3, 0) and neither at the generic gamma
+    kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
+    assert kernel.coarse is not None and kernel.coarse.coarse is None
+    assert (kernel.centre is not None) == (gamma != complex(0.031, -0.047))
+    rng = np.random.default_rng(12)
+    for level in (kernel, kernel.coarse):
+        buffers = refine._step_buffers(level)
+        x = initial_density(level)
+        for _ in range(3):
+            want = oracle_apply(x, level)
+            assert refine.apply_refinement(x, level).tobytes() == want.tobytes()
+            # the solve's buffers, written by the steps before, give the same bytes
+            assert refine.apply_refinement(x, level, buffers).tobytes() == want.tobytes()
+            x = rng.uniform(size=x.shape)
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047)])
+def test_step_buffers_hold_only_what_the_step_reads(policy, gamma):
+    kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
+    frames, spectra, total, block = refine._step_buffers(kernel)
+    rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
+    # a spectrum per transformed input and the sum: no full-size product,
+    # whose terms are made in a block of rows
+    assert list(spectra) == list(frames)
+    assert all(s.shape == (rows, cols) for s in [*spectra.values(), total])
+    assert block.shape == (refine._SUM_ROWS, cols) and rows > refine._SUM_ROWS
+    for i, (flat, view, _) in frames.items():
+        stencil = kernel.stencils[i]
+        ny, nx = stencil.shape
+        tapped = stencil.index[stencil.index < ny * nx] // nx
+        # the frame starts at the first tapped row and holds at most one row
+        # past the last, then the tail
+        assert tapped.min() == 0 and ny <= tapped.max() + 2
+        assert flat.size == ny * nx + nx + 2 and view.shape == (ny, nx)
+        lo, hi = refine._box(kernel.masks[i])
+        assert stencil.first + ny <= hi[0] - lo[0] + 2  # within the mask's padded box
+        if kernel.centre is not None:  # about the half past the centre
+            assert ny <= (hi[0] - lo[0]) // 2 + 3 and stencil.first > 0
+
+
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60])
 def test_stencils_on_first_use_match_whole_grid_oracle(problem_explicit, h):
     # example 2 on the general path, where every channel has a stencil
+    # the kernel's frame is cut to the rows its samples read, `first` rows into
+    # the oracle's, which holds the mask's whole padded box
     with general_path():
         kernel = build_kernel(problem_explicit, h)
     for i in range(4):
         got, want = kernel.stencils[i], oracle_stencil(kernel, i)
-        for field in ("index", "r0", "c0"):
+        (ny, nx), whole = got.shape, want.shape[0] * want.shape[1]
+        index = np.where(got.index == ny * nx, whole, got.index + got.first * nx)
+        assert index.astype(np.int32).tobytes() == want.index.tobytes(), i
+        for field in ("r0", "c0"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (i, field)
-        assert got.shape == want.shape
+        assert nx == want.shape[1] and got.first + ny <= want.shape[0]
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
@@ -1205,6 +1305,16 @@ def test_next_fast_len_matches_scipy():
         assert refine.next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
+def inverse_rows(spectrum, shape, rows, block_rows):
+    """refine.irfft2's row blocks of `rows`, joined, made in a block wider than a row
+    as the step's is; each block's offset is checked against the rows before it."""
+    parts = []
+    for offset, part in refine.irfft2(spectrum, shape, rows, np.empty((block_rows, shape[1] + 2))):
+        assert offset == sum(map(len, parts)) and len(part) <= block_rows
+        parts.append(part.copy())
+    return np.concatenate(parts)
+
+
 def assert_ffts_match_scipy(shape, rng):
     a = rng.standard_normal((max(1, shape[0] - 3), max(1, shape[1] - 2)))
     spectrum = np.fft.rfft2(a, s=shape)
@@ -1217,8 +1327,8 @@ def assert_ffts_match_scipy(shape, rng):
     # inverse agrees to a few units in the last place of its largest value
     tol = 8 * np.finfo(float).eps * np.abs(want).max()
     rows = slice(shape[0] // 3, shape[0] - shape[0] // 4)
-    assert np.abs(refine.irfft2(spectrum.copy(), shape, rows) - want[rows]).max() <= tol
-    assert np.abs(refine.irfft2(spectrum, shape, slice(0, shape[0])) - want).max() <= tol
+    assert np.abs(inverse_rows(spectrum.copy(), shape, rows, 7) - want[rows]).max() <= tol
+    assert np.abs(inverse_rows(spectrum, shape, slice(0, shape[0]), 64) - want).max() <= tol
 
 
 def test_ffts_match_scipy_on_kernel_shapes(preset64):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,6 +295,9 @@ def assert_closure_matches_oracle(spec, points, tsets, radius):
     report = scheme.check_selfsim_closure(spec, points, tsets, radius)
     got = (report.checked, report.violations, report.boundary_hits)
     assert got == closure_oracle(spec, points, tsets, radius)
+    # again in chunks of at most 7 pairs, or one point x where |v| > 7
+    with mock.patch.object(scheme, "_CLOSURE_PAIRS", 7):
+        assert scheme.check_selfsim_closure(spec, points, tsets, radius) == report
     return got
 
 
