@@ -1,11 +1,12 @@
-"""Exact arithmetic in the ring of integers of the fifth cyclotomic field.
+"""Elements of the ring of integers of the fifth cyclotomic field.
 
 Elements are integer combinations of the basis {1, xi, xi^2, xi^3} with
-xi = exp(2*pi*i/5); every product is reduced back to that basis via
-1 + xi + xi^2 + xi^3 + xi^4 = 0, so two elements are equal iff their
-coefficient tuples are equal.  Two complex embeddings matter here: the
-identity one ("physical") and its composition with the Galois map
-xi -> xi^2 ("internal").
+xi = exp(2*pi*i/5), reduced via 1 + xi + xi^2 + xi^3 + xi^4 = 0, so two
+elements are equal iff their coefficient tuples are equal.  Products go
+through the integer matrix of multiplication (the regular representation,
+Cohen, GTM 138, 4.2), and the coset residue is a ring map onto Z/5.  Two
+complex embeddings matter here: the identity one ("physical") and its
+composition with the Galois map xi -> xi^2 ("internal").
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ _COEFF_LIMIT = 2**63
 
 _PHYS_BASIS = tuple(cmath.exp(2j * cmath.pi * j / 5) for j in range(4))
 _STAR_BASIS = tuple(cmath.exp(4j * cmath.pi * j / 5) for j in range(4))
+
+# multiplication by xi: xi^k -> xi^(k+1), and xi^3 -> xi^4 = -1 - xi - xi^2 - xi^3
+_XI = np.array([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]])
+_XI_POWERS = [np.linalg.matrix_power(_XI, k).tolist() for k in range(4)]  # Python ints
 
 
 class CoefficientOverflow(OverflowError):
@@ -44,59 +49,12 @@ class CycInt:
         return f"CycInt{self.coeffs}"
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = CycInt(other)
         if not isinstance(other, CycInt):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CycInt(other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return CycInt(*(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycInt(*(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycInt(other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return CycInt(*(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt(*(other * a for a in self.coeffs))
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        c = [0] * 7
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                c[i + j] += a * b
-        # xi^5 = 1, xi^6 = xi, then xi^4 = -(1 + xi + xi^2 + xi^3)
-        c[0] += c[5]
-        c[1] += c[6]
-        return CycInt(c[0] - c[4], c[1] - c[4], c[2] - c[4], c[3] - c[4])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        out = CycInt(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def rho(self):
         """Coset residue: sum of coefficients mod 5, in [0, 5)."""
@@ -111,22 +69,18 @@ class CycInt:
         return sum(m * b for m, b in zip(self.coeffs, _STAR_BASIS))
 
     def mult_matrix(self):
-        """4x4 int64 matrix M of multiplication by self: M @ b.coeffs == (self * b).coeffs."""
-        cols = [(self * CycInt(*unit)).coeffs for unit in np.eye(4, dtype=np.int64)]
+        """4x4 int64 matrix M = sum_k m_k X^k, X that of multiplication by xi, so that
+        M @ b are the coefficients of self times b; formed in Python ints and
+        range-checked column by column."""
+        cols = [_checked([sum(m * p[row][col] for m, p in zip(self.coeffs, _XI_POWERS))
+                          for row in range(4)]) for col in range(4)]
         return np.array(cols, dtype=np.int64).T
 
 
-ZERO = CycInt(0)
-ONE = CycInt(1)
-XI = CycInt(0, 1)
 # golden ratio: tau = -xi^2 - xi^3 = 2*cos(36 deg)
 TAU = CycInt(0, 0, -1, -1)
 
 
 def embedding_matrix():
     """4x4 real matrix sending coefficients to (Re x, Im x, Re x*, Im x*)."""
-    cols = []
-    for j in range(4):
-        cols.append([_PHYS_BASIS[j].real, _PHYS_BASIS[j].imag,
-                     _STAR_BASIS[j].real, _STAR_BASIS[j].imag])
-    return np.array(cols).T
+    return np.array([[p.real, p.imag, s.real, s.imag] for p, s in zip(_PHYS_BASIS, _STAR_BASIS)]).T

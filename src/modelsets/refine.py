@@ -144,7 +144,7 @@ class RefinementKernel:
                             # empty without the row mirror
     masks: np.ndarray       # (r, ny, nx) bool, cells meeting window j, for j carried or mirrored
     indicators: list        # per carried channel j: normalized window raster on its packed
-                            # cells
+                            # cells, on a level without `coarse` (the only one that reads it)
     blocks: list            # r x r: normalized raster of transition (j, i) for j carried,
                             # i live and nu_ji != 0, cropped to its box; else None
     boxes: list             # per live channel i: (lo, hi) of the cells, on or off the grid,
@@ -484,7 +484,7 @@ def build_kernel(problem, h):
     exactly one cell measure.  Raises, before it allocates anything of the
     grid's size, when the grid has more than MAX_GRID_CELLS cells, and when a
     carried window meets fewer than _MIN_MASK_CELLS cells.  A coarser level
-    is built from the same problem.
+    is built from the same problem, and a level that has one keeps no indicators.
     """
     windows, windows_ji, nu, w = problem.windows, problem.windows_ji, problem.nu, problem.w
     r = len(windows)
@@ -517,6 +517,10 @@ def build_kernel(problem, h):
             raise ValueError(f"unresolved grid: window {j + 1} meets {cells[-1]} cells, "
                              f"fewer than {_MIN_MASK_CELLS}")
         indicators[j] = top[top > 0] / (cov.sum() * h2)
+    ends = np.cumsum([0] + [len(indicators[j]) for j in carried]).tolist()
+    coarse_h = _coarse_h(grid, min(cells))
+    if coarse_h is not None:  # the solve starts from the coarse level's density
+        indicators = [None] * r
     blocks = [[None] * r for _ in range(r)]
     for j in carried:
         for i in np.flatnonzero(live & (nu[j] != 0)):
@@ -544,11 +548,9 @@ def build_kernel(problem, h):
                 for factor in _mirror_phases(boxes[i], fft_shape):
                     spectra[j][i] *= factor
                 np.conjugate(spectra[j][i], out=spectra[j][i])
-    ends = np.cumsum([0] + [len(indicators[j]) for j in carried]).tolist()
     channels = [(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)]
     below = {j: slice(c.start, c.start if centre is None else c.stop - int(masks[j][centre].sum()))
              for j, c in channels}
-    coarse_h = _coarse_h(grid, min(cells))
     return RefinementKernel(
         grid=grid, problem=problem, w=held, centre=centre, channels=channels,
         mirrors=mirrors, below=below, masks=masks, indicators=indicators, blocks=blocks,
@@ -557,7 +559,7 @@ def build_kernel(problem, h):
 
 
 def initial_density(kernel):
-    """The masses w spread uniformly over the carried windows, packed."""
+    """The masses w spread uniformly over the carried windows, packed (no coarse level)."""
     return np.concatenate([kernel.w[j] * kernel.indicators[j] for j, _ in kernel.channels])
 
 

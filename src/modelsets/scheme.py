@@ -118,7 +118,8 @@ def penrose_scheme(gamma=0j, boundary_mode="closed"):
     negated / golden-scaled copies; component i selects the coset with
     residue i and the similarity is multiplication by the golden ratio.
     """
-    xi_powers = [(CycInt(0, 1) ** k).physical() for k in range(5)]
+    # xi^0..xi^3 are the basis vectors and xi^4 = -1 - xi - xi^2 - xi^3
+    xi_powers = [CycInt(*c).physical() for c in [*np.eye(4, dtype=int), (-1, -1, -1, -1)]]
     P = Region.polygon([(z.real, z.imag) for z in xi_powers])
     tau = TAU.physical().real
     windows = [
@@ -277,7 +278,9 @@ def translation_sets(spec, windows_ji, radius):
     the transition window (j, i); empty windows give empty sets.
     """
     r = spec.r
-    targets = [((spec.coset_reps[j] - spec.q_mult * spec.coset_reps[i]).rho(), windows_ji[j][i])
+    rho = [z.rho() for z in spec.coset_reps]
+    # rho is a ring map onto Z/5: rho(z_j - Q z_i) = rho(z_j) - rho(Q) rho(z_i) mod 5
+    targets = [((rho[j] - spec.q_mult.rho() * rho[i]) % 5, windows_ji[j][i])
                for j in range(r) for i in range(r)]
     # transition windows are closed whatever the boundary mode of the components
     found = _select(targets, radius, DEFAULT_EPS)

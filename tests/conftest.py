@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modelsets import pfsolve, refine, scheme
+from modelsets.cyclotomic import CycInt
 from modelsets.polygeom import rasterize
 
 EXAMPLE2_NU = 0.25 * np.array([
@@ -15,6 +16,51 @@ EXAMPLE2_NU = 0.25 * np.array([
 ], dtype=float)
 
 TAU = (1 + np.sqrt(5)) / 2
+
+
+class OracleCycInt(CycInt):
+    """A CycInt with the ring operations as scalar loops over coefficients: the
+    oracle for the program's matrix form of the product, and the arithmetic of
+    the scalar closure and enumeration oracles.  The other operand of +, - and
+    * may be any CycInt."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return OracleCycInt(*(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return OracleCycInt(*(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        return OracleCycInt(*(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other):
+        c = [0] * 7
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                c[i + j] += a * b
+        # xi^5 = 1, xi^6 = xi, then xi^4 = -(1 + xi + xi^2 + xi^3)
+        c[0] += c[5]
+        c[1] += c[6]
+        return OracleCycInt(c[0] - c[4], c[1] - c[4], c[2] - c[4], c[3] - c[4])
+
+    def __pow__(self, n):
+        out = OracleCycInt(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def oracle_matrix(self):
+        """The multiplication matrix as columns self * (unit vector), each one
+        range-checked as it is formed."""
+        cols = [(self * OracleCycInt(*unit)).coeffs for unit in np.eye(4, dtype=np.int64)]
+        return np.array(cols, dtype=np.int64).T
+
+
+def oracle(z):
+    """z as an OracleCycInt, from a CycInt or a coefficient sequence."""
+    return OracleCycInt(*getattr(z, "coeffs", z))
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from modelsets import scheme
 from modelsets.cyclotomic import CycInt, embedding_matrix
 from modelsets.polygeom import contains_many
+from tests.conftest import oracle
 
 # sha256 of points_csv_text(generate_all(...)) as written by the box sweep,
 # recorded on numpy 2.4.6
@@ -71,8 +72,8 @@ def oracle_generate_all(spec, radius):
 def oracle_translation_sets(spec, windows_ji, radius):
     r = spec.r
     keys = [(j, i) for j in range(r) for i in range(r) if not windows_ji[j][i].is_empty]
-    targets = [((spec.coset_reps[j] - spec.q_mult * spec.coset_reps[i]).rho(), windows_ji[j][i])
-               for j, i in keys]
+    targets = [((oracle(spec.coset_reps[j]) - oracle(spec.q_mult) * spec.coset_reps[i]).rho(),
+                windows_ji[j][i]) for j, i in keys]
     out = [[[] for _ in range(r)] for _ in range(r)]
     for (j, i), found in zip(keys, oracle_select(targets, radius, abs(spec.eps))):
         out[j][i] = found

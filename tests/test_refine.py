@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -95,6 +96,25 @@ def test_kernel_normalization_and_masks(problem_area, problem_explicit):
                     assert K.blocks[j][i] is None
     assert np.array_equal(quotient.masks[2], quotient.masks[1][::-1, ::-1])
     assert not quotient.masks[0].any() and not quotient.masks[3].any()
+
+
+# sha256 of initial_density(build_kernel(problem, 1/128).coarse), as built
+# when every level kept its indicators, recorded on numpy 2.4.6
+COARSE_START_SHA256 = {
+    "area": "fed45ddccb0a1ccbbc1805dba42a37235a60f1058dc2a05ea8ce0c76294b246c",
+    "explicit": "01fab6fab9f5abd00cc255305425a951d1804aff403edd543c223be833ec1687",
+}
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+def test_warm_started_level_keeps_no_indicators(request, policy):
+    # the h = 1/128 level starts from its coarse level's density, so only the
+    # coarse level, which starts from its indicators, keeps them
+    kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), 1 / 128)
+    assert kernel.coarse is not None and kernel.coarse.coarse is None
+    assert kernel.indicators == [None] * 4
+    x = refine.initial_density(kernel.coarse)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == COARSE_START_SHA256[policy]
 
 
 def test_kernel_validation(spec, problem_area):

@@ -666,7 +666,10 @@ def test_step_is_bit_equal_to_full_frame_oracle(policy, gamma):
     rng = np.random.default_rng(12)
     for level in (kernel, kernel.coarse):
         buffers = refine._step_buffers(level)
-        x = initial_density(level)
+        # the fine level keeps no indicators; it starts, as in the solve, from
+        # a coarse density prolonged, here the coarse level's start
+        x = initial_density(level) if level.coarse is None else \
+            refine._prolong(level.coarse.unpack(initial_density(level.coarse)), level)
         for _ in range(3):
             want = oracle_apply(x, level)
             assert refine.apply_refinement(x, level).tobytes() == want.tobytes()

@@ -1,15 +1,19 @@
+import hashlib
+import itertools
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from modelsets import scheme
+from modelsets import cli, scheme
 from modelsets.cyclotomic import CoefficientOverflow, CycInt, TAU as TAU_CYC
 from modelsets.pfsolve import pf_eigen
 from modelsets.polygeom import Region, area, contains, contains_many, linear_image
-from tests.conftest import EXAMPLE2_NU, TAU
+from tests.conftest import EXAMPLE2_NU, TAU, OracleCycInt, oracle
 
 # frozen by the brute-force enumeration oracle below (run at s = 10)
 ORACLE_COUNTS_S10 = (70, 155, 155, 70)
@@ -233,6 +237,62 @@ def test_translation_sets(spec, transitions):
     assert np.all(np.abs(t.phys) <= 10 + 1e-9)
 
 
+def translation_residues(spec):
+    """The residue of each (j, i) target, row by row, that translation_sets selects by."""
+    with mock.patch.object(scheme, "_select", side_effect=lambda targets, radius, eps:
+                           [point_set([])] * len(targets)) as select:
+        scheme.translation_sets(spec, [[None] * spec.r] * spec.r, 1.0)
+    return [residue for residue, _ in select.call_args.args[0]]
+
+
+def oracle_residues(spec):
+    """rho(z_j - Q z_i) of every (j, i), row by row, with Q z_i formed as a product."""
+    q = oracle(spec.q_mult)
+    return [(oracle(zj) - q * zi).rho() for zj in spec.coset_reps for zi in spec.coset_reps]
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_translation_residues_match_oracle(preset):
+    args = SimpleNamespace(config=None, preset=preset, s=None, h=None, tol=None)
+    spec = cli.build_config(args).spec
+    assert translation_residues(spec) == oracle_residues(spec)
+
+
+CONTRACTIVE_Q = [q for q in itertools.product(range(-3, 4), repeat=4)
+                 if abs(CycInt(*q).internal()) < 1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(reps=st.lists(st.tuples(*[st.integers(-10**15, 10**15)] * 4), min_size=1, max_size=5),
+       residues=st.permutations(range(5)), q=st.sampled_from(CONTRACTIVE_Q))
+def test_translation_residues_match_oracle_inline(reps, residues, q):
+    # inline cosets, each m0 moved onto a residue of its own
+    cosets = [CycInt(m[0] + (t - sum(m)) % 5, *m[1:]) for m, t in zip(reps, residues)]
+    window = scheme.penrose_scheme().windows[0]
+    spec = scheme.SchemeSpec(windows=[window] * len(cosets), coset_reps=cosets,
+                             q_mult=CycInt(*q))
+    assert translation_residues(spec) == oracle_residues(spec)
+
+
+# sha256 of penrose_scheme().windows[k].vertices with the pentagon's corners
+# taken as the products xi**k, recorded on numpy 2.4.6
+WINDOW_VERTICES_SHA256 = [
+    "d3f7bcf3442f77c9be851e9d01510b87564718e23d7ce6639555489f3590c623",
+    "98b53ca0fd18faf913c62228f2af04f404706aeac1af6f0b92da7e962da25bbd",
+    "52655e7663a0f61456b6e5bc529626bb200b4cc009c630523f38e4fd9793b924",
+    "dd64843ef84bb07149d2e1f70e8ad91e8a2f3805f08c47c57f446d66ee6fac03",
+]
+
+
+def test_penrose_window_vertices_unchanged(spec):
+    for window, digest in zip(spec.windows, WINDOW_VERTICES_SHA256, strict=True):
+        assert hashlib.sha256(window.vertices.tobytes()).hexdigest() == digest
+    xi = OracleCycInt(0, 1)
+    corners = [(xi**k).physical() for k in range(5)]
+    P = Region.polygon([(z.real, z.imag) for z in corners])
+    assert P.vertices.tobytes() == spec.windows[0].vertices.tobytes()
+
+
 def test_selfsim_closure_small_patch(spec, transitions):
     points = scheme.generate_all(spec, 3.0)
     tsets = scheme.translation_sets(spec, transitions, 3.0)
@@ -243,7 +303,7 @@ def test_selfsim_closure_small_patch(spec, transitions):
 
 def test_closure_single_point(spec, transitions):
     # tau * 1 lands in component 3: rho(tau) = 3 and tau* = -1/tau inside tau*P
-    y = spec.q_mult * CycInt(1)
+    y = oracle(spec.q_mult) * OracleCycInt(1)
     assert y.rho() == 3
     u = y.internal()
     assert contains(spec.windows[2], (u.real, u.imag))
@@ -264,19 +324,20 @@ def point_set(rows):
 
 
 def closure_oracle(spec, points, tsets, radius):
-    """The scalar closure check: one CycInt product and window test per (x, v)."""
+    """The scalar closure check: one OracleCycInt product and window test per (x, v)."""
     checked, violations, boundary_hits = 0, [], 0
     eps = abs(spec.eps)
+    q = oracle(spec.q_mult)
     for i in range(1, spec.r + 1):
         for m, phys in zip(points[i - 1].coeffs.tolist(), points[i - 1].phys):
             if abs(phys) > radius:
                 continue
-            x = CycInt(*m)
+            x = OracleCycInt(*m)
             for j in range(1, spec.r + 1):
                 window = spec.shifted_window(j)
                 for n in tsets[j - 1][i - 1].coeffs.tolist():
                     v = CycInt(*n)
-                    y = spec.q_mult * x + v
+                    y = q * x + v
                     checked += 1
                     if y.rho() != spec.coset_reps[j - 1].rho():
                         violations.append((i, j, x.coeffs, v.coeffs))
