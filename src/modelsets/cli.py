@@ -45,6 +45,9 @@ PRESETS = {
 # density files written by solve: per-channel grids and one combined CSV
 OUTPUT_SELECTORS = ("grids", "csv")
 
+# most wavevectors drawn in one randbytes call: 1 MiB of bytes
+_DRAW_POINTS = 2**16
+
 # largest window coordinate: polygon areas and edge tests multiply coordinate differences
 MAX_WINDOW_COORD = 1e150
 
@@ -365,18 +368,33 @@ def cmd_nu(cfg, outdir):
     return 0
 
 
+def _draw_wavevectors(seed, k_count, k_max):
+    """The first k_count points drawn from random.Random(seed) uniformly in the
+    square [-k_max, k_max)^2 that lie in the disk of radius k_max.
+
+    Each coordinate is 53 random bits, a uniform draw from [0, 1) mapped to
+    [-k_max, k_max).  The stream is read min(4 k_count, _DRAW_POINTS) points
+    per randbytes call, which splits it into the same bytes at every whole
+    16-byte point, so the draw holds a bounded batch whatever k_count is.
+    """
+    rng, ks, kept = random.Random(seed), np.empty((k_count, 2)), 0
+    while kept < k_count:
+        bits = rng.randbytes(16 * min(4 * k_count, _DRAW_POINTS))
+        unit = (np.frombuffer(bits, "<u8") >> 11) * 2.0**-53
+        batch = k_max * (2.0 * unit.reshape(-1, 2) - 1.0)
+        inside = batch[np.hypot(batch[:, 0], batch[:, 1]) <= k_max][:k_count - kept]
+        ks[kept:kept + len(inside)] = inside
+        kept += len(inside)
+    return ks
+
+
 def cmd_solve(cfg, outdir):
     trans, nu, pf = _eigenpair(cfg)
     problem, result = _solve(cfg, trans, nu, pf)
     density = result.density
     with _stage("solver comparison"):
-        rng, ks = random.Random(cfg.seed), np.empty((0, 2))
-        while len(ks) < cfg.k_count:  # batches of 4 k_count from the square, kept in the disk
-            # 53 random bits per coordinate: a uniform draw from [0, 1), then [-k_max, k_max)
-            unit = (np.frombuffer(rng.randbytes(64 * cfg.k_count), "<u8") >> 11) * 2.0**-53
-            batch = cfg.k_max * (2.0 * unit.reshape(-1, 2) - 1.0)
-            ks = np.concatenate([ks, batch[np.hypot(batch[:, 0], batch[:, 1]) <= cfg.k_max]])
-        deviation = refine.compare_solvers(density, problem, ks[:cfg.k_count])
+        ks = _draw_wavevectors(cfg.seed, cfg.k_count, cfg.k_max)
+        deviation = refine.compare_solvers(density, problem, ks)
     # the density text goes to disk a row block at a time; at most the rows up to
     # the centre are held, when the rows past it replay them
     with _staged(outdir) as open_file:

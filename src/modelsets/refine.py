@@ -132,6 +132,13 @@ class RefinementKernel:
     centre, the centre row last, and each cell before the centre row stands
     for its row flip too.  It unpacks with every other channel exactly zero,
     except that channel mirrors[j] is the flip of channel j.
+
+    A kernel serves one solve, which releases what it has finished with:
+    `solve_fixed_point` sets `blocks` to None before its first step,
+    `coarse` once that level's density has seeded this one, and `spectra`
+    and `stencils` once it has converged, before it unpacks the density.
+    Only `build_kernel` reads the blocks; they stay a field for a caller
+    that counts them when it returns.
     """
 
     grid: GridSpec
@@ -490,7 +497,9 @@ def build_kernel(problem, h):
     r = len(windows)
     grid = _kernel_grid(windows, h)
     if grid.nx * grid.ny > MAX_GRID_CELLS:
-        raise ValueError(f"a grid of {grid.nx} x {grid.ny} cells at h = {h:.6g} exceeds "
+        # a side past 2^64 cells is make_centered_grid's clamp, not the grid's size
+        size = f"{grid.nx} x {grid.ny}" if grid.nx <= 2**64 else "more than 2^64 x 2^64"
+        raise ValueError(f"a grid of {size} cells at h = {h:.6g} exceeds "
                          f"the limit of {MAX_GRID_CELLS} cells")
     quotient = point_symmetric(problem)
     centre = grid.ny // 2  # the row of y = 0 in the row-mirror quotient, else None
@@ -601,67 +610,91 @@ def _frame_fills(kernel, i, cells):
 
 
 def _step_buffers(kernel):
-    """The arrays every step of one solve reuses: per carried input with a
-    stencil, its zero frame with the sampled array's view and the fills that
-    copy the packed input into it (`_frame_fills`), and its spectrum; then a
-    product sum and a block of _SUM_ROWS rows of one product.  All are views
-    of one zeroed allocation, which the C allocator maps on its own and
-    returns to the system when the solve drops it, before the density is
-    unpacked; separate ones stayed resident and raised the peak RSS."""
+    """The arrays every step of one solve reuses, and its output plan.
+
+    Per carried input i with a stencil: its zero frame with the sampled
+    array's view and the fills that copy the packed input into it
+    (`_frame_fills`), and its spectrum, `spectra[i]`.  Then two blocks of
+    _SUM_ROWS spectrum rows, in which an output's products are summed.
+
+    The plan lists (j, d) for each carried output j that reads an input, in
+    the order the step forms them.  Output j stores its sum, a finished block
+    at a time, in `spectra[d]`, where its inverse transform then runs, so d
+    must be an input that no later output reads.  The next output is the
+    first, in channel order, that has such an input, and d the first of
+    them.  When no pending output has one, the first pending output takes
+    d = None, a spare full-size spectrum made only then.  On the presets at
+    gamma = 0 every output finds an input; without the point-reflection
+    quotient, as at any other gamma, one takes the spare.
+
+    All are views of one zeroed allocation, which the C allocator maps on
+    its own and returns to the system when the solve drops it, before the
+    density is unpacked; separate ones stayed resident and raised the peak
+    RSS.
+    """
     stencils = {i: (kernel.stencils[i], cells) for i, cells in kernel.channels
                 if kernel.stencils[i] is not None}
+    # the inputs output j reads: directly, or as the flip of input mirrors[i]
+    reads = {j: {i for i in stencils if kernel.spectra[j][i] is not None
+                 or kernel.spectra[j][kernel.mirrors.get(i, i)] is not None}
+             for j, _ in kernel.channels}
+    pending, plan = [j for j, read in reads.items() if read], []
+    while pending:
+        free = {j: [i for i in stencils if not any(i in reads[k] for k in pending if k != j)]
+                for j in pending}
+        j = next((j for j in pending if free[j]), pending[0])
+        plan.append((j, (free[j] + [None])[0]))
+        pending.remove(j)
+    keys = list(stencils) + [None] * any(d is None for _, d in plan)
     rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
-    shapes = [(rows, cols)] * (len(stencils) + 1) + [(min(_SUM_ROWS, rows), cols)]
+    shapes = [(rows, cols)] * len(keys) + [(min(_SUM_ROWS, rows), cols)] * 2
     sizes = [2 * n * m for n, m in shapes] + [s.size for s, _ in stencils.values()]
     # the complex views first, so each starts on a 16-byte boundary
     parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
-    *spectra, total, block = [p.view(complex).reshape(shape) for p, shape in zip(parts, shapes)]
+    *spectra, block, term = [p.view(complex).reshape(shape) for p, shape in zip(parts, shapes)]
     frames = {i: (*s.frame(flat), _frame_fills(kernel, i, cells))
               for (i, (s, cells)), flat in zip(stencils.items(), parts[len(shapes):])}
-    return frames, dict(zip(frames, spectra)), total, block
+    return frames, dict(zip(keys, spectra)), plan, (block, term)
 
 
-def _add_product(total, a, b, block):
-    """total += a * b, made one block of len(block) rows at a time in `block`:
-    the same sums as through a full-size product."""
-    n = len(block)
-    for lo in range(0, len(total), n):
-        rows = slice(lo, lo + n)
-        total[rows] += np.multiply(a[rows], b[rows], out=block[:len(total[rows])])
-
-
-def _output_cells(kernel, j, transformed, sums, out):
+def _output_cells(kernel, j, transformed, total, blocks, out):
     """Output channel j on its packed cells, written into `out`, which is left
     as it is if no input reaches the channel.
 
     Sums the products of the nu-weighted kernel spectra with the input
-    spectra into the first of the buffers `sums`, the first product written
-    there and each further one added a row block at a time through the
-    second (`_add_product`): first the terms of the mirrored inputs, each
-    read through its carried partner's transform and conjugated once, then
-    the direct ones.  One inverse transform over the rows of the output box
-    follows, its row pass made a block at a time in the second buffer.
+    spectra one block of rows at a time in the first of `blocks`: first the
+    terms of the mirrored inputs, each read through its carried partner's
+    transform, the sum conjugated after the last of them, then the direct
+    ones, each term past the first made in the second block and added.  Each
+    finished block is stored in those rows of the full-size spectrum `total`,
+    which may be an input spectrum this output has read up to them.  One
+    inverse transform of `total` over the rows of the output box follows, in
+    place, its row pass made a block at a time in the second block.
     """
     spectra = kernel.spectra[j]
     flipped = [(spectra[m], i) for i, m in kernel.mirrors.items()
                if i in transformed and spectra[m] is not None]
-    direct = [(spectra[i], i) for i in transformed if spectra[i] is not None]
-    total = None
-    for terms in (flipped, direct):
-        for spectrum, i in terms:
-            if total is None:
-                total = np.multiply(spectrum, transformed[i], out=sums[0])
+    terms = flipped + [(spectra[i], i) for i in transformed if spectra[i] is not None]
+    if not terms:
+        return
+    block, term = blocks
+    for lo in range(0, len(total), len(block)):
+        rows = slice(lo, lo + len(block))
+        acc = block[:len(total[rows])]
+        for n, (spectrum, i) in enumerate(terms):
+            if n == 0:
+                np.multiply(spectrum[rows], transformed[i][rows], out=acc)
             else:
-                _add_product(total, spectrum, transformed[i], sums[1])
-        if terms is flipped and total is not None:
-            np.conjugate(total, out=total)
-    if total is not None:
-        box, (rows, cols) = kernel.outputs[j]
-        inside = kernel.masks[j][box]
-        starts = _row_starts(inside)
-        for lo, part in irfft2(total, kernel.fft_shape, rows, sums[1].view(float)):
-            hi = lo + len(part)
-            out[starts[lo]:starts[hi]] = part[:, cols][inside[lo:hi]]
+                acc += np.multiply(spectrum[rows], transformed[i][rows], out=term[:len(acc)])
+            if n == len(flipped) - 1:
+                np.conjugate(acc, out=acc)
+        total[rows] = acc
+    box, (rows, cols) = kernel.outputs[j]
+    inside = kernel.masks[j][box]
+    starts = _row_starts(inside)
+    for lo, part in irfft2(total, kernel.fft_shape, rows, term.view(float)):
+        hi = lo + len(part)
+        out[starts[lo]:starts[hi]] = part[:, cols][inside[lo:hi]]
 
 
 def apply_refinement(x, kernel, buffers=None):
@@ -680,9 +713,10 @@ def apply_refinement(x, kernel, buffers=None):
     per non-zero input channel, and an all-zero channel is skipped.  Each
     input is copied from the packed state straight into the frame rows its
     stencil reads.  The frames and spectra are written into `buffers`, which
-    the solve makes once for all its steps, or into new ones.
+    the solve makes once for all its steps, or into new ones, and the
+    outputs are formed in the order of their plan (`_step_buffers`).
     """
-    frames, spectra, *sums = buffers or _step_buffers(kernel)
+    frames, spectra, plan, blocks = buffers or _step_buffers(kernel)
     transformed = {}
     for i, cells in kernel.channels:
         if not x[cells].any() or i not in frames:
@@ -693,8 +727,9 @@ def apply_refinement(x, kernel, buffers=None):
         transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape,
                                kernel.centre is not None, out=spectra[i])
     out = np.zeros_like(x)
-    for j, cells in kernel.channels:
-        _output_cells(kernel, j, transformed, sums, out[cells])
+    cells = dict(kernel.channels)
+    for j, d in plan:
+        _output_cells(kernel, j, transformed, spectra[d], blocks, out[cells[j]])
     return out
 
 
@@ -785,13 +820,20 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
     other channel stays exactly zero or, in the point-reflection quotient,
     the flip of its partner.  The inner products of the stored residuals are
     kept from step to step, so each step forms only those of its own.
+
+    The kernel serves this solve alone: the solve drops its `blocks` before
+    the first step, its `coarse` level once that level's density has seeded
+    this one, and its `spectra` and `stencils` once it has converged, before
+    the density grid is built.  A kernel already solved raises ValueError.
     """
-    start = None if kernel.coarse is None else \
-        solve_fixed_point(kernel.coarse, tol, maxit).density
-    if start is None:
+    if kernel.blocks is None:
+        raise ValueError("the kernel has served its solve; build another")
+    kernel.blocks = None  # only build_kernel reads them
+    if kernel.coarse is None:
         x = initial_density(kernel)
     else:
-        x = _prolong(start, kernel)
+        x = _prolong(solve_fixed_point(kernel.coarse, tol, maxit).density, kernel)
+        kernel.coarse = None
         _rescale(x, kernel, kernel.w)
     buffers = _step_buffers(kernel)
     residuals = []
@@ -806,6 +848,7 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
         mass_history.append(kernel.masses(g))
         if resid < tol:
             del outputs[:], diffs[:], x, diff, buffers  # freed before the full grid is built
+            kernel.spectra = kernel.stencils = None
             return FixedPointResult(density=kernel.unpack(g),
                                     residuals=np.array(residuals),
                                     mass_history=mass_history)

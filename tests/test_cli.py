@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -567,6 +568,32 @@ def test_solve_draws_wavevectors_until_k_count_lie_in_the_disk(tmp_path, monkeyp
     assert drawn[0].tobytes() == inside[:1].tobytes()
 
 
+def oracle_wavevectors(seed, k_count, k_max):
+    """The draw as one loop: whole batches of 4 k_count points from one
+    randbytes call each, kept in the disk, until k_count lie in it."""
+    rng, ks = random.Random(seed), np.empty((0, 2))
+    while len(ks) < k_count:
+        unit = (np.frombuffer(rng.randbytes(64 * k_count), "<u8") >> 11) * 2.0**-53
+        batch = k_max * (2.0 * unit.reshape(-1, 2) - 1.0)
+        ks = np.concatenate([ks, batch[np.hypot(batch[:, 0], batch[:, 1]) <= k_max]])
+    return ks[:k_count]
+
+
+@pytest.mark.parametrize("draw_points", [None, 7])
+@pytest.mark.parametrize("seed", [0, 1, 55, 2**40 + 3])
+@pytest.mark.parametrize("k_count", [1, 7, 50, 5000, 20000])
+def test_wavevector_draw_matches_whole_batch_oracle(monkeypatch, draw_points, seed, k_count):
+    # at most _DRAW_POINTS whole points per randbytes call read the same bits
+    # as whole batches of 4 k_count: with the constant as it is (None), only
+    # k_count 20000 splits its batches, and with 7 every k_count does
+    if draw_points is not None:
+        monkeypatch.setattr(cli, "_DRAW_POINTS", draw_points)
+    k_max = 1e150 if seed == 1 else 10.0
+    got = cli._draw_wavevectors(seed, k_count, k_max)
+    assert got.shape == (k_count, 2)
+    assert got.tobytes() == oracle_wavevectors(seed, k_count, k_max).tobytes()
+
+
 @pytest.mark.parametrize("command,target,error,message", [
     ("solve", "modelsets.refine.build_kernel",
      MemoryError("Unable to allocate 3.36 TiB for an array"),
@@ -702,6 +729,39 @@ def test_fine_grid_is_refused_before_allocation(tmp_path, capsys):
         "error: failed at stage 'kernel': a grid of 34001 x 34001 cells at h = 0.0001 "
         f"exceeds the limit of {refine.MAX_GRID_CELLS} cells\n")
     assert not out.exists()
+
+
+def test_grid_past_the_side_clamp_is_refused_without_the_clamp(tmp_path, capsys):
+    # at h = 1e-300 the grid is about 3.4e300 cells a side, past the 2^64 + 1
+    # to which make_centered_grid clamps it; the message names no clamped size
+    out = tmp_path / "out"
+    assert run(["solve", "--preset", "penrose-example1", "--h", "1e-300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: failed at stage 'kernel': a grid of more than 2^64 x 2^64 cells at "
+                   f"h = 1e-300 exceeds the limit of {refine.MAX_GRID_CELLS} cells\n")
+    assert str(2**64 + 1) not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, bound_mib", [("penrose-example1", 9.5),
+                                               ("penrose-example2", 17.0)])
+def test_solve_stage_peak_memory(preset, bound_mib):
+    # the tracemalloc peak of build, solve and unpack as verify runs them at
+    # h = 1/128: 11.16 and 19.59 MiB while the kernel kept its spectra,
+    # stencils, blocks and coarse level through the unpack and each step held
+    # a full-size product sum, 10.31 and 17.85 MiB once the solve released
+    # them, and 8.95 and 16.50 MiB once each sum also overwrote a finished
+    # input spectrum
+    cfg = cli.build_config(SimpleNamespace(preset=preset, config=None, s=None, h=1 / 128,
+                                           tol=None))
+    trans, nu, pf = cli._eigenpair(cfg)
+    tracemalloc.start()
+    try:
+        cli._solve(cfg, trans, nu, pf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def inline_penrose(q):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -12,9 +13,9 @@ from scipy.ndimage import map_coordinates
 from modelsets import refine, scheme
 from modelsets.cyclotomic import CycInt
 from modelsets.polygeom import Region, linear_image
-from modelsets.refine import (DensityGrid, Problem, build_kernel, compare_solvers,
-                              fourier_product, initial_density, make_centered_grid,
-                              polygon_ft, solve_fixed_point)
+from modelsets.refine import (DensityGrid, Problem, RefinementKernel, build_kernel,
+                              compare_solvers, fourier_product, initial_density,
+                              make_centered_grid, polygon_ft, solve_fixed_point)
 from tests.conftest import EXAMPLE2_NU, coverage, general_path, pack, scheme_problem, step
 
 
@@ -151,8 +152,9 @@ def test_one_problem_serves_every_level(problem_explicit):
     with mock.patch.object(Problem, "__post_init__", counted):
         problem = dataclasses.replace(problem_explicit)
         kernel = build_kernel(problem, 1 / 128)
+        # read before the solve, which releases the coarse level
+        assert kernel.coarse is not None and kernel.coarse.problem is kernel.problem is problem
         solve_fixed_point(kernel)
-    assert kernel.coarse is not None and kernel.coarse.problem is kernel.problem is problem
     assert calls == [problem]
 
 
@@ -437,6 +439,36 @@ def test_fine_step_peak_memory(request, policy, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+def test_solve_releases_the_kernel_before_the_density_grid(request, policy):
+    # a kernel serves one solve: when the solve starts to build its density
+    # grid, the fine kernel's spectra, stencils, block rasters and coarse
+    # level are gone
+    kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), 1 / 128)
+    blocks = [b for row in kernel.blocks for b in row if b is not None]
+    held = {
+        "spectra": [weakref.ref(a) for row in kernel.spectra for a in row if a is not None],
+        "stencils": [weakref.ref(s) for s in kernel.stencils if s is not None],
+        "blocks": [weakref.ref(a) for b in blocks for a in (b, b.arr, b.arr.base)],
+        "coarse": [weakref.ref(kernel.coarse)],
+    }
+    del blocks
+    assert all(refs and all(ref() is not None for ref in refs) for refs in held.values())
+    alive, unpack = {}, RefinementKernel.unpack
+
+    def recorded(level, x):
+        if level is kernel:
+            alive.update({name: sum(ref() is not None for ref in refs)
+                          for name, refs in held.items()})
+        return unpack(level, x)
+
+    with mock.patch.object(RefinementKernel, "unpack", recorded):
+        solve_fixed_point(kernel)
+    assert alive == dict.fromkeys(held, 0)
+    with pytest.raises(ValueError, match="the kernel has served its solve"):
+        solve_fixed_point(kernel)
 
 
 def test_compare_solvers_toy():

@@ -18,6 +18,7 @@ place, the forward FFT bit for bit.
 import contextlib
 import dataclasses
 import io
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -454,7 +455,8 @@ def test_row_mirror_decision(spec, problem_area):
 
 
 def test_mixed_solve_beats_plain_iteration(preset64):
-    kernel, general, w = preset64
+    _, general, w = preset64
+    kernel = build_kernel(general.problem, 1 / 64)  # a kernel serves one solve
     h2 = kernel.grid.h**2
     reference = oracle_solve(general, tol=1e-13)
     plain = oracle_solve(general)
@@ -485,7 +487,8 @@ def test_rising_residual_resets_the_mixing_history(preset64):
     # reversing one channel's packed cells before the centre row, which all
     # count twice, after the fifth step keeps its mass but not its shape, so
     # that step's residual rises above the one before
-    kernel, _, w = preset64
+    _, general, w = preset64
+    kernel = build_kernel(general.problem, 1 / 64)  # a kernel serves one solve
     calls, fits = [0], []
     apply, weights = refine.apply_refinement, refine._mixing_weights
 
@@ -541,6 +544,11 @@ def test_solve_builds_only_live_spectra_before_its_first_step(problem_area):
     # input 3 taken as the flip of input 2
     kernel = build_kernel(problem_area, 1 / 64)
     live = [(1, 1, False), (1, 2, True)]
+    # channel 3 is sampled as the flip of channel 2, and 1 and 4 carry no mass;
+    # read before the solve, which releases the stencils and blocks
+    assert [i for i, s in enumerate(kernel.stencils) if s is not None] == [1]
+    assert [(j, i) for j, row in enumerate(kernel.blocks) for i, b in enumerate(row)
+            if b is not None] == [(1, 1), (1, 2)]
     apply = refine.apply_refinement
     at_steps = []
 
@@ -552,10 +560,6 @@ def test_solve_builds_only_live_spectra_before_its_first_step(problem_area):
         result = solve_fixed_point(kernel)
     assert result.iterations == len(at_steps) > 1
     assert all(built == live for built in at_steps)
-    # channel 3 is sampled as the flip of channel 2, and 1 and 4 carry no mass
-    assert [i for i, s in enumerate(kernel.stencils) if s is not None] == [1]
-    assert [(j, i) for j, row in enumerate(kernel.blocks) for i, b in enumerate(row)
-            if b is not None] == [(1, 1), (1, 2)]
 
 
 @pytest.mark.parametrize("policy, per_level", [("area", 3), ("explicit", 8)])
@@ -682,13 +686,15 @@ def test_step_is_bit_equal_to_full_frame_oracle(policy, gamma):
 @pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047)])
 def test_step_buffers_hold_only_what_the_step_reads(policy, gamma):
     kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
-    frames, spectra, total, block = refine._step_buffers(kernel)
+    frames, spectra, plan, blocks = refine._step_buffers(kernel)
     rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
-    # a spectrum per transformed input and the sum: no full-size product,
-    # whose terms are made in a block of rows
-    assert list(spectra) == list(frames)
-    assert all(s.shape == (rows, cols) for s in [*spectra.values(), total])
-    assert block.shape == (refine._SUM_ROWS, cols) and rows > refine._SUM_ROWS
+    # a spectrum per transformed input, and a spare sum only where the plan
+    # takes one: no full-size product, whose terms are summed in two blocks
+    # of rows
+    spare = any(d is None for _, d in plan)
+    assert list(spectra) == list(frames) + [None] * spare
+    assert all(s.shape == (rows, cols) for s in spectra.values())
+    assert all(b.shape == (refine._SUM_ROWS, cols) for b in blocks) and rows > refine._SUM_ROWS
     for i, (flat, view, _) in frames.items():
         stencil = kernel.stencils[i]
         ny, nx = stencil.shape
@@ -701,6 +707,40 @@ def test_step_buffers_hold_only_what_the_step_reads(policy, gamma):
         assert stencil.first + ny <= hi[0] - lo[0] + 2  # within the mask's padded box
         if kernel.centre is not None:  # about the half past the centre
             assert ny <= (hi[0] - lo[0]) // 2 + 3 and stencil.first > 0
+
+
+def input_reads(kernel):
+    """Per carried output j, the transformed inputs its terms read: input i
+    directly, or as the flip of input mirrors[i]."""
+    transformed = [i for i, _ in kernel.channels if kernel.stencils[i] is not None]
+    return {j: {i for i in transformed
+                if kernel.spectra[j][i] is not None
+                or (i in kernel.mirrors and kernel.spectra[j][kernel.mirrors[i]] is not None)}
+            for j, _ in kernel.channels}
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("gamma, path", [(0, "quotient"), (0, "general"), (0.3, "quotient"),
+                                         (complex(0.031, -0.047), "quotient")])
+def test_step_plan_overwrites_only_finished_inputs(policy, gamma, path):
+    # each output's sum overwrites an input spectrum that no later output
+    # reads, and a spare sum is made exactly when no order of the outputs
+    # finds every one such an input
+    with general_path() if path == "general" else contextlib.nullcontext():
+        kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
+    _, spectra, plan, _ = refine._step_buffers(kernel)
+    reads = input_reads(kernel)
+    assert sorted(j for j, _ in plan) == [j for j, read in reads.items() if read]
+    for k, (j, d) in enumerate(plan):
+        assert d in spectra
+        assert d is None or all(d not in reads[later] for later, _ in plan[k + 1:])
+    inputs = [i for i in spectra if i is not None]
+    needed = not any(all(set(inputs) - set().union(*(reads[later] for later in order[n + 1:]))
+                         for n in range(len(order)))
+                     for order in itertools.permutations(j for j, _ in plan))
+    assert (None in spectra) == needed
+    # the presets' quotient at gamma = 0 needs no spare; every other path does
+    assert needed == (gamma != 0 or path == "general")
 
 
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60])
@@ -881,12 +921,13 @@ def test_coarse_level_only_on_wide_grids(problem_explicit, h, builds):
     cells, counting = counted_kernels()
     with counting:
         kernel = refine.build_kernel(problem_explicit, h)
+        # read before the solve, which releases the coarse level
+        coarse = kernel.coarse
         solve_fixed_point(kernel)
-    assert len(cells) == builds and (kernel.coarse is None) == (builds == 1)
-    if kernel.coarse is not None:  # the same rule at h = 1/32
-        coarse = kernel.coarse.grid
-        assert coarse.h == 1 / 32 and coarse.nx == coarse.ny
-        assert coarse == refine._kernel_grid(problem_explicit.windows, 1 / 32)
+    assert len(cells) == builds and (coarse is None) == (builds == 1)
+    if coarse is not None:  # the same rule at h = 1/32
+        assert coarse.grid.h == 1 / 32 and coarse.grid.nx == coarse.grid.ny
+        assert coarse.grid == refine._kernel_grid(problem_explicit.windows, 1 / 32)
 
 
 def test_coarse_level_keeps_every_carried_window_resolved():
