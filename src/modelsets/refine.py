@@ -41,7 +41,7 @@ _MIX_DEPTH = 2  # residual differences in each Anderson fit
 _GRID_PAD = 0.082
 _COARSE_CELLS = 100  # cells per axis of the coarsest grid a warm start solves on
 _MIN_MASK_CELLS = 64  # fewest cells a carried window may meet: a grid that resolves it
-_SUM_ROWS = 64  # spectrum rows per block of a product summed into an output's spectrum
+_SUM_ROWS = 64  # spectrum rows that the step's blocks of output sums and a term share
 # cells of a kernel grid; at h = 1/512 (1741 x 1741) a solve peaked at 61 B (example 1)
 # and 115 B (example 2) of RSS per cell on an x86-64 VM: about 480 MB at the limit
 MAX_GRID_CELLS = 2**22
@@ -610,91 +610,34 @@ def _frame_fills(kernel, i, cells):
 
 
 def _step_buffers(kernel):
-    """The arrays every step of one solve reuses, and its output plan.
+    """The arrays every step of one solve reuses.
 
     Per carried input i with a stencil: its zero frame with the sampled
     array's view and the fills that copy the packed input into it
-    (`_frame_fills`), and its spectrum, `spectra[i]`.  Then two blocks of
-    _SUM_ROWS spectrum rows, in which an output's products are summed.
-
-    The plan lists (j, d) for each carried output j that reads an input, in
-    the order the step forms them.  Output j stores its sum, a finished block
-    at a time, in `spectra[d]`, where its inverse transform then runs, so d
-    must be an input that no later output reads.  The next output is the
-    first, in channel order, that has such an input, and d the first of
-    them.  When no pending output has one, the first pending output takes
-    d = None, a spare full-size spectrum made only then.  On the presets at
-    gamma = 0 every output finds an input; without the point-reflection
-    quotient, as at any other gamma, one takes the spare.
+    (`_frame_fills`).  Per carried channel j that is such an input or an
+    output that reads one: its spectrum, `spectra[j]`, which holds input j's
+    transform, then output j's sum and inverse transform.  Then the blocks,
+    one per output and one for a term, _SUM_ROWS spectrum rows together.
 
     All are views of one zeroed allocation, which the C allocator maps on
     its own and returns to the system when the solve drops it, before the
     density is unpacked; separate ones stayed resident and raised the peak
     RSS.
     """
-    stencils = {i: (kernel.stencils[i], cells) for i, cells in kernel.channels
-                if kernel.stencils[i] is not None}
-    # the inputs output j reads: directly, or as the flip of input mirrors[i]
-    reads = {j: {i for i in stencils if kernel.spectra[j][i] is not None
-                 or kernel.spectra[j][kernel.mirrors.get(i, i)] is not None}
-             for j, _ in kernel.channels}
-    pending, plan = [j for j, read in reads.items() if read], []
-    while pending:
-        free = {j: [i for i in stencils if not any(i in reads[k] for k in pending if k != j)]
-                for j in pending}
-        j = next((j for j in pending if free[j]), pending[0])
-        plan.append((j, (free[j] + [None])[0]))
-        pending.remove(j)
-    keys = list(stencils) + [None] * any(d is None for _, d in plan)
+    inputs = {i: cells for i, cells in kernel.channels if kernel.stencils[i] is not None}
+    # a kernel spectrum (j, i) exists only where input i, or its flip, has a stencil
+    outputs = {j for j, _ in kernel.channels if any(s is not None for s in kernel.spectra[j])}
+    keys = [j for j, _ in kernel.channels if j in inputs or j in outputs]
     rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
-    shapes = [(rows, cols)] * len(keys) + [(min(_SUM_ROWS, rows), cols)] * 2
-    sizes = [2 * n * m for n, m in shapes] + [s.size for s, _ in stencils.values()]
+    block = max(1, _SUM_ROWS // (len(outputs) + 1))
+    shapes = [(rows, cols)] * len(keys) + [(len(outputs) + 1, block, cols)]
+    sizes = [2 * int(np.prod(s)) for s in shapes] + [kernel.stencils[i].size for i in inputs]
     # the complex views first, so each starts on a 16-byte boundary
     parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
-    *spectra, block, term = [p.view(complex).reshape(shape) for p, shape in zip(parts, shapes)]
-    frames = {i: (*s.frame(flat), _frame_fills(kernel, i, cells))
-              for (i, (s, cells)), flat in zip(stencils.items(), parts[len(shapes):])}
-    return frames, dict(zip(keys, spectra)), plan, (block, term)
-
-
-def _output_cells(kernel, j, transformed, total, blocks, out):
-    """Output channel j on its packed cells, written into `out`, which is left
-    as it is if no input reaches the channel.
-
-    Sums the products of the nu-weighted kernel spectra with the input
-    spectra one block of rows at a time in the first of `blocks`: first the
-    terms of the mirrored inputs, each read through its carried partner's
-    transform, the sum conjugated after the last of them, then the direct
-    ones, each term past the first made in the second block and added.  Each
-    finished block is stored in those rows of the full-size spectrum `total`,
-    which may be an input spectrum this output has read up to them.  One
-    inverse transform of `total` over the rows of the output box follows, in
-    place, its row pass made a block at a time in the second block.
-    """
-    spectra = kernel.spectra[j]
-    flipped = [(spectra[m], i) for i, m in kernel.mirrors.items()
-               if i in transformed and spectra[m] is not None]
-    terms = flipped + [(spectra[i], i) for i in transformed if spectra[i] is not None]
-    if not terms:
-        return
-    block, term = blocks
-    for lo in range(0, len(total), len(block)):
-        rows = slice(lo, lo + len(block))
-        acc = block[:len(total[rows])]
-        for n, (spectrum, i) in enumerate(terms):
-            if n == 0:
-                np.multiply(spectrum[rows], transformed[i][rows], out=acc)
-            else:
-                acc += np.multiply(spectrum[rows], transformed[i][rows], out=term[:len(acc)])
-            if n == len(flipped) - 1:
-                np.conjugate(acc, out=acc)
-        total[rows] = acc
-    box, (rows, cols) = kernel.outputs[j]
-    inside = kernel.masks[j][box]
-    starts = _row_starts(inside)
-    for lo, part in irfft2(total, kernel.fft_shape, rows, term.view(float)):
-        hi = lo + len(part)
-        out[starts[lo]:starts[hi]] = part[:, cols][inside[lo:hi]]
+    *spectra, blocks = [p.view(complex).reshape(shape) for p, shape in zip(parts, shapes)]
+    frames = {i: (*kernel.stencils[i].frame(flat), _frame_fills(kernel, i, cells))
+              for (i, cells), flat in zip(inputs.items(), parts[len(shapes):])}
+    return frames, dict(zip(keys, spectra)), blocks
 
 
 def apply_refinement(x, kernel, buffers=None):
@@ -712,11 +655,19 @@ def apply_refinement(x, kernel, buffers=None):
     convolutions run as products of the kernel's spectra, with one transform
     per non-zero input channel, and an all-zero channel is skipped.  Each
     input is copied from the packed state straight into the frame rows its
-    stencil reads.  The frames and spectra are written into `buffers`, which
-    the solve makes once for all its steps, or into new ones, and the
-    outputs are formed in the order of their plan (`_step_buffers`).
+    stencil reads.
+
+    One pass over the spectrum rows, a block of rows at a time, sums each
+    output's products in a block of its own: first the terms of the mirrored
+    inputs, the sum conjugated after the last of them, then the direct ones,
+    each term past the first made in the term block and added.  Once every
+    output has formed a block, and so read those rows of every input, output
+    j's block is stored in `spectra[j]`.  The inverse transform of each
+    output then runs there over the rows of its box, in place, its row pass
+    made in the blocks.  The buffers are the solve's, made once for all its
+    steps, or new ones (`_step_buffers`).
     """
-    frames, spectra, plan, blocks = buffers or _step_buffers(kernel)
+    frames, spectra, blocks = buffers or _step_buffers(kernel)
     transformed = {}
     for i, cells in kernel.channels:
         if not x[cells].any() or i not in frames:
@@ -726,10 +677,39 @@ def apply_refinement(x, kernel, buffers=None):
             padded[rows, 1:-1][inside] = x[part]
         transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape,
                                kernel.centre is not None, out=spectra[i])
+    sums = {}  # output j: its terms (kernel spectrum, input) and how many are mirrored
+    for j, _ in kernel.channels:
+        row = kernel.spectra[j]
+        flipped = [(row[m], i) for i, m in kernel.mirrors.items()
+                   if i in transformed and row[m] is not None]
+        terms = flipped + [(row[i], i) for i in transformed if row[i] is not None]
+        if terms:
+            sums[j] = terms, len(flipped)
+    *acc, term = blocks
+    size = kernel.fft_shape[0]
+    for lo in range(0, size, len(term)):
+        rows, n = slice(lo, lo + len(term)), min(len(term), size - lo)
+        for (terms, mirrored), block in zip(sums.values(), acc):
+            block = block[:n]
+            for k, (spectrum, i) in enumerate(terms):
+                if k == 0:
+                    np.multiply(spectrum[rows], transformed[i][rows], out=block)
+                else:
+                    block += np.multiply(spectrum[rows], transformed[i][rows], out=term[:n])
+                if k == mirrored - 1:
+                    np.conjugate(block, out=block)
+        for j, block in zip(sums, acc):
+            spectra[j][rows] = block[:n]
     out = np.zeros_like(x)
     cells = dict(kernel.channels)
-    for j, d in plan:
-        _output_cells(kernel, j, transformed, spectra[d], blocks, out[cells[j]])
+    whole = blocks.view(float).reshape(-1, 2 * blocks.shape[2])  # real rows of the row pass
+    for j in sums:
+        box, (rows, cols) = kernel.outputs[j]
+        inside = kernel.masks[j][box]
+        starts = cells[j].start + _row_starts(inside)
+        for lo, part in irfft2(spectra[j], kernel.fft_shape, rows, whole):
+            hi = lo + len(part)
+            out[starts[lo]:starts[hi]] = part[:, cols][inside[lo:hi]]
     return out
 
 

@@ -321,6 +321,9 @@ def check_selfsim_closure(spec, points, tsets, radius):
     star = embedding_matrix()[2:]
     for i in range(spec.r):
         x = points[i].within(radius).coeffs
+        # rho is a ring map onto Z/5, so rho(Q x + v) = rho(Q) rho(x) + rho(v) mod 5; each
+        # coefficient is reduced mod 5 before the sum, which then cannot overflow
+        rho_qx = spec.q_mult.rho() * (x % 5).sum(axis=1)
         bad = []  # (x row, j, v row) of every violation, sorted into the scalar loop's order
         for j in range(spec.r):
             v = tsets[j][i].coeffs
@@ -330,11 +333,12 @@ def check_selfsim_closure(spec, points, tsets, radius):
             qx = x @ qmat.T
             _check_int64(1, qx, v)
             window = spec.shifted_window(j + 1)
+            rho_v = (v % 5).sum(axis=1) - spec.coset_reps[j].rho()
             step = max(1, _CLOSURE_PAIRS // len(v))
             for lo in range(0, len(x), step):
                 y = (qx[lo:lo + step, None, :] + v[None, :, :]).reshape(-1, 4)
                 report.checked += len(y)
-                residue_ok = (y % 5).sum(axis=1) % 5 == spec.coset_reps[j].rho()
+                residue_ok = (rho_qx[lo:lo + step, None] + rho_v).ravel() % 5 == 0
                 yf = y.astype(float)
                 # summed term by term, as the scalar star embedding does
                 u = np.column_stack([sum(yf[:, k] * row[k] for k in range(4)) for row in star])

@@ -441,6 +441,25 @@ def test_fine_step_peak_memory(request, policy, bound_mib):
     assert peak <= bound_mib * 2**20
 
 
+def test_solve_peak_memory_off_both_quotients():
+    # example 2 at a generic gamma, where neither quotient applies and every
+    # output sums into its own input spectrum: it reads 25.46 MiB, and
+    # 26.84 MiB with a spare full-size sum for the output no order of the
+    # outputs could give a finished input
+    shifted = scheme.penrose_scheme(gamma=complex(0.031, -0.047))
+    trans = scheme.transition_windows(shifted)
+    nu = scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU)
+    kernel = build_kernel(scheme_problem(shifted, trans, nu), 1 / 128)
+    assert kernel.centre is None and not kernel.mirrors
+    tracemalloc.start()
+    try:
+        solve_fixed_point(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26.2 * 2**20
+
+
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 def test_solve_releases_the_kernel_before_the_density_grid(request, policy):
     # a kernel serves one solve: when the solve starts to build its density

@@ -18,7 +18,6 @@ place, the forward FFT bit for bit.
 import contextlib
 import dataclasses
 import io
-import itertools
 from unittest import mock
 
 import numpy as np
@@ -682,20 +681,38 @@ def test_step_is_bit_equal_to_full_frame_oracle(policy, gamma):
             x = rng.uniform(size=x.shape)
 
 
+def input_reads(kernel):
+    """Per carried output j, the transformed inputs its terms read: input i
+    directly, or as the flip of input mirrors[i]."""
+    transformed = [i for i, _ in kernel.channels if kernel.stencils[i] is not None]
+    return {j: {i for i in transformed
+                if kernel.spectra[j][i] is not None
+                or (i in kernel.mirrors and kernel.spectra[j][kernel.mirrors[i]] is not None)}
+            for j, _ in kernel.channels}
+
+
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 @pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047)])
 def test_step_buffers_hold_only_what_the_step_reads(policy, gamma):
     kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
-    frames, spectra, plan, blocks = refine._step_buffers(kernel)
+    frames, spectra, blocks = refine._step_buffers(kernel)
     rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
-    # a spectrum per transformed input, and a spare sum only where the plan
-    # takes one: no full-size product, whose terms are summed in two blocks
-    # of rows
-    spare = any(d is None for _, d in plan)
-    assert list(spectra) == list(frames) + [None] * spare
+    # a spectrum per transformed input, which then takes that channel's
+    # output sum: no spare sum and no full-size product; a block per output
+    # that reads an input and one term block share _SUM_ROWS rows
+    outputs = [j for j, read in input_reads(kernel).items() if read]
+    assert list(spectra) == list(frames)
     assert all(s.shape == (rows, cols) for s in spectra.values())
-    assert all(b.shape == (refine._SUM_ROWS, cols) for b in blocks) and rows > refine._SUM_ROWS
+    assert blocks.shape == (len(outputs) + 1, refine._SUM_ROWS // (len(outputs) + 1), cols)
+    assert rows > refine._SUM_ROWS
+    # one allocation of the frames, the spectra and the blocks; the step that
+    # planned its outputs held the same frames and spectra, a spare sum on
+    # some paths, and two blocks of _SUM_ROWS rows
+    frame_bytes = sum(flat.nbytes for flat, _, _ in frames.values())
+    assert blocks.base.nbytes == frame_bytes + len(spectra) * rows * cols * 16 + blocks.nbytes
+    assert blocks.nbytes <= refine._SUM_ROWS * cols * 16
     for i, (flat, view, _) in frames.items():
+        assert flat.base is blocks.base and spectra[i].base is blocks.base
         stencil = kernel.stencils[i]
         ny, nx = stencil.shape
         tapped = stencil.index[stencil.index < ny * nx] // nx
@@ -709,38 +726,61 @@ def test_step_buffers_hold_only_what_the_step_reads(policy, gamma):
             assert ny <= (hi[0] - lo[0]) // 2 + 3 and stencil.first > 0
 
 
-def input_reads(kernel):
-    """Per carried output j, the transformed inputs its terms read: input i
-    directly, or as the flip of input mirrors[i]."""
-    transformed = [i for i, _ in kernel.channels if kernel.stencils[i] is not None]
-    return {j: {i for i in transformed
-                if kernel.spectra[j][i] is not None
-                or (i in kernel.mirrors and kernel.spectra[j][kernel.mirrors[i]] is not None)}
-            for j, _ in kernel.channels}
+def recorded_inverses(x, kernel, buffers):
+    """The step's output and the spectra its inverse transforms ran on, in order."""
+    inverted, irfft2 = [], refine.irfft2
+
+    def recorded(a, *args):
+        inverted.append(a)
+        return irfft2(a, *args)
+
+    with mock.patch.object(refine, "irfft2", recorded):
+        return refine.apply_refinement(x, kernel, buffers), inverted
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
-@pytest.mark.parametrize("gamma, path", [(0, "quotient"), (0, "general"), (0.3, "quotient"),
-                                         (complex(0.031, -0.047), "quotient")])
-def test_step_plan_overwrites_only_finished_inputs(policy, gamma, path):
-    # each output's sum overwrites an input spectrum that no later output
-    # reads, and a spare sum is made exactly when no order of the outputs
-    # finds every one such an input
+@pytest.mark.parametrize("path", ["quotient", "general"])
+@pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047)])
+def test_outputs_sum_into_their_own_spectra(policy, gamma, path):
+    # every output that reads an input sums into, and inverts in, its own
+    # channel's input spectrum, spectra[j]: each block is stored only once
+    # every output has formed it, so no order of the outputs is needed and no
+    # path takes a spare sum
     with general_path() if path == "general" else contextlib.nullcontext():
         kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
-    _, spectra, plan, _ = refine._step_buffers(kernel)
-    reads = input_reads(kernel)
-    assert sorted(j for j, _ in plan) == [j for j, read in reads.items() if read]
-    for k, (j, d) in enumerate(plan):
-        assert d in spectra
-        assert d is None or all(d not in reads[later] for later, _ in plan[k + 1:])
-    inputs = [i for i in spectra if i is not None]
-    needed = not any(all(set(inputs) - set().union(*(reads[later] for later in order[n + 1:]))
-                         for n in range(len(order)))
-                     for order in itertools.permutations(j for j, _ in plan))
-    assert (None in spectra) == needed
-    # the presets' quotient at gamma = 0 needs no spare; every other path does
-    assert needed == (gamma != 0 or path == "general")
+    buffers = refine._step_buffers(kernel)
+    frames, spectra, _ = buffers
+    outputs = [j for j, read in input_reads(kernel).items() if read]
+    assert outputs and list(spectra) == list(frames)
+    x = np.random.default_rng(14).uniform(size=kernel.channels[-1][1].stop)
+    got, inverted = recorded_inverses(x, kernel, buffers)
+    assert len(inverted) == len(outputs)
+    assert all(a is spectra[j] for a, j in zip(inverted, outputs))
+    assert got.tobytes() == oracle_apply(x, kernel).tobytes()
+
+
+def test_step_gives_an_output_without_a_stencil_a_spectrum():
+    # A = I / 100 maps every lattice point y to 100 y, which meets the far
+    # window 2 (1-based) nowhere, so channel 2 is carried, has no stencil and
+    # no input spectrum, yet its output reads input 1; the buffers hold a
+    # spectrum for it, which only its output sum takes
+    def square(c):
+        return translate(Region.polygon([(-0.25, -0.25), (0.25, -0.25), (0.25, 0.25),
+                                         (-0.25, 0.25)]), c)
+
+    near, far = square((0.0, 0.0)), square((1.5, 0.0))
+    problem = Problem([near, far], [[near, near], [far, far]], [[1.0, 0.0], [1.0, 0.0]],
+                      [1.0, 1.0], 0.01 * np.eye(2), 1e4)
+    kernel = build_kernel(problem, 1 / 32)
+    assert [j for j, _ in kernel.channels] == [0, 1] and kernel.stencils[1] is None
+    buffers = refine._step_buffers(kernel)
+    frames, spectra, _ = buffers
+    assert list(frames) == [0] and list(spectra) == [0, 1]
+    x = initial_density(kernel)
+    got, inverted = recorded_inverses(x, kernel, buffers)
+    assert len(inverted) == 2 and inverted[1] is spectra[1] and got[kernel.channels[1][1]].any()
+    assert got.tobytes() == oracle_apply(x, kernel).tobytes()
+    assert_steps_agree(kernel.unpack(x), kernel, False)
 
 
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60])

@@ -388,6 +388,20 @@ def test_closure_planted_violations(spec, transitions):
     assert {(i, j) for i, j, _, _ in violations} == {(1, 1), (1, 3)}
 
 
+def test_closure_planted_patch_point(spec, transitions):
+    # x's residue is taken apart from v's: a patch point moved by 1 breaks its
+    # own residue, so it violates under every j with a translation, alone
+    points = scheme.generate_all(spec, 5.0)
+    tsets = scheme.translation_sets(spec, transitions, 5.0)
+    rows = points[0].coeffs
+    planted = rows[0] + [1, 0, 0, 0]
+    points[0] = point_set(np.vstack([rows, planted]))
+    _, violations, _ = assert_closure_matches_oracle(spec, points, tsets, 5.0)
+    assert {(i, j, x) for i, j, x, _ in violations} == \
+        {(1, j + 1, tuple(planted.tolist())) for j in range(4) if len(tsets[j][0].coeffs)}
+    assert len(violations) == sum(len(tsets[j][0].coeffs) for j in range(4))
+
+
 @pytest.mark.parametrize("x,v", [
     ([0, 2**62, 2**62, 0], [0, 0, 0, 0]),    # Q x leaves int64
     ([1, 0, 0, 0], [0, 0, 1 - 2**63, 0]),    # Q x + v leaves int64
