@@ -183,20 +183,26 @@ def contains(P, u, eps=DEFAULT_EPS):
     return bool(contains_many(P, np.asarray(u, dtype=float).reshape(1, 2), eps)[0])
 
 
-def contains_many(P, pts, eps=DEFAULT_EPS):
+def margin(P, pts):
+    """Per point, the largest signed distance past an edge line of the polygon, at
+    most 0 on the closed region and NaN for a row with a NaN; for a single-point
+    region the distance to its point, and +inf for the empty region."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     if P.is_empty:
-        return np.zeros(len(pts), dtype=bool)
+        return np.full(len(pts), np.inf)
     if P.is_point:
-        d = np.hypot(pts[:, 0] - P.point[0], pts[:, 1] - P.point[1])
-        return d <= eps
+        return np.hypot(pts[:, 0] - P.point[0], pts[:, 1] - P.point[1])
     normals, offsets = _edge_normals(P)
     dist = pts @ normals.T
     dist -= offsets
-    inside = dist[:, 0] <= eps  # a NaN row fails every edge
+    out = dist[:, 0].copy()
     for column in dist.T[1:]:
-        inside &= column <= eps
-    return inside
+        np.maximum(out, column, out=out)  # propagates a NaN
+    return out
+
+
+def contains_many(P, pts, eps=DEFAULT_EPS):
+    return margin(P, pts) <= eps
 
 
 def _meet(na, da, nb, db, cross):

@@ -157,6 +157,7 @@ class RefinementKernel:
     boxes: list             # per live channel i: (lo, hi) of the cells, on or off the grid,
                             # that f_i(A^-1 y) reaches, or None
     stencils: list          # per carried channel with a box: the Stencil that samples it
+                            # from a packed density
     outputs: list           # per carried channel j: (grid slices of the mask's bounding
                             # box, up to the centre row under the row mirror, the same
                             # cells in the periodic result)
@@ -237,61 +238,54 @@ def irfft2(a, shape, rows, block):
 
 @dataclass
 class Stencil:
-    """Bilinear samples of an (ny, nx) array at fixed fractional positions.
+    """Bilinear samples, at fixed fractional positions on an (ny, nx) array, of a
+    state vector that holds the array's cells.
 
-    Sampling reads a frame: the array flattened, followed by nx + 2 zero
-    cells.  `index` is the flat frame index of each sample's lower-left node
-    (row floor(row), column floor(col)) and `r0`, `c0` are the weights
-    1 - (row - floor(row)) and 1 - (col - floor(col)) of the lower row and
-    column.  As in order-1 map_coordinates with mode "constant" and cval 0,
-    a position outside [0, ny - 1] x [0, nx - 1] samples 0: its index is the
-    first tail cell, so all four of its nodes are zero.  A position on the
-    last row or column reads its other node, of weight 0, from the tail.
-    The array may be the rows from `first` on of a larger one whose other
-    rows no sample reads (`_input_stencil`).
+    `index` holds per sample the state positions of its four nodes: the
+    lower-left one (row floor(row), column floor(col)), the next column, the
+    next row and both; a node the state does not hold reads its zero tail.
+    `r0` and `c0` are the weights 1 - (row - floor(row)) and 1 - (col -
+    floor(col)) of the lower row and column.  As in order-1 map_coordinates
+    with mode "constant" and cval 0, a position outside [0, ny - 1] x [0, nx - 1]
+    samples 0, all four of its nodes the tail, and a position on the last row
+    or column reads its other node, of weight 0, from the tail.
     """
 
-    index: np.ndarray  # int32
+    # int32 (4, ...): distinct residues mod 5 cap r at 5, and a packed state of at most
+    # 5 MAX_GRID_CELLS cells stays below 2^31
+    index: np.ndarray
     r0: np.ndarray
     c0: np.ndarray
-    shape: tuple  # (ny, nx); nx is the frame's row stride
-    first: int = 0  # the row of the larger array that the frame's first row holds
 
     @classmethod
-    def at(cls, rows, cols, shape):
-        ny, nx = shape
+    def at(cls, rows, cols, positions, tail):
+        """The stencil of the positions on an array whose cell (k, l) the state
+        holds at positions[k, l], or at `tail` for a cell it does not hold."""
+        ny, nx = positions.shape
         lo_r = np.floor(rows)
         lo_c = np.floor(cols)
         inside = (rows >= 0) & (rows <= ny - 1) & (cols >= 0) & (cols <= nx - 1)
-        index = np.where(inside, lo_r * nx + lo_c, ny * nx).astype(np.int32)
-        return cls(index=index, r0=1.0 - (rows - lo_r), c0=1.0 - (cols - lo_c), shape=shape)
+        # two rows and columns of tail: the nodes past the last row or column,
+        # and from (ny, nx) on those of every position outside
+        nodes = np.pad(positions, (0, 2), constant_values=tail).ravel()
+        first = np.where(inside, lo_r * (nx + 2) + lo_c, ny * (nx + 2) + nx).astype(np.int32)
+        index = np.empty((4, *first.shape), dtype=np.int32)
+        for k, shift in enumerate((0, 1, nx + 2, nx + 3)):
+            np.take(nodes, first + shift, out=index[k])
+        return cls(index=index, r0=1.0 - (rows - lo_r), c0=1.0 - (cols - lo_c))
 
-    @property
-    def size(self):
-        """The cells of a frame."""
-        ny, nx = self.shape
-        return ny * nx + nx + 2
-
-    def frame(self, flat=None):
-        """A zero frame, or `flat`, zeros of the frame's size, and the sampled
-        array as a view of it."""
-        ny, nx = self.shape
-        flat = np.zeros(self.size) if flat is None else flat
-        return flat, flat[:ny * nx].reshape(ny, nx)
-
-    def sample(self, flat):
-        """The samples, of the shape of `index`, read from a frame."""
+    def sample(self, state):
+        """The samples, of the shape of a node's index, read from the state."""
         r1 = 1.0 - self.r0
         c1 = 1.0 - self.c0
         # every index is in range by construction; mode "clip" spares take
         # the buffered copy of `out` that its checking mode makes
-        out = np.take(flat, self.index, mode="clip")
+        out = np.take(state, self.index[0], mode="clip")
         out *= self.r0
         out *= self.c0
         term = np.empty_like(out)
-        nx = self.shape[1]
-        for shift, row_w, col_w in ((1, self.r0, c1), (nx, r1, self.c0), (nx + 1, r1, c1)):
-            np.take(flat[shift:], self.index, out=term, mode="clip")
+        for nodes, row_w, col_w in zip(self.index[1:], (self.r0, r1, r1), (c1, self.c0, c1)):
+            np.take(state, nodes, out=term, mode="clip")
             term *= row_w
             term *= col_w
             out += term
@@ -300,10 +294,9 @@ class Stencil:
 
 def bilinear(values, rows, cols):
     """Order-1 samples of a 2-D array at fractional (row, col) positions, 0 off it."""
-    stencil = Stencil.at(rows, cols, values.shape)
-    flat, view = stencil.frame()
-    view[...] = values
-    return stencil.sample(flat)
+    ny, nx = values.shape
+    positions = np.arange(ny * nx, dtype=np.int32).reshape(ny, nx)
+    return Stencil.at(rows, cols, positions, ny * nx).sample(np.append(values, 0.0))
 
 
 def _box(arr):
@@ -339,21 +332,24 @@ def _contracted(grid, a_inv, box):
     return rows, cols
 
 
-def _input_stencil(grid, a_inv, mask, centre=None):
+def _input_stencil(grid, a_inv, mask, start, tail, centre=None):
     """The box (lo, hi) of cells, on or off the grid, where f_i(A^-1 y) can be non-zero
     and the Stencil that samples channel i at A^-1 y for the cells y of that box, or
     (None, None).
+
+    The stencil reads the packed state, whose mask cells of channel i start at
+    `start` and whose zero tail is at `tail`.  Its array is the mask's
+    bounding box padded by one cell on every side: a mask cell is held at its
+    packed position, every other cell at the tail.  With a `centre` row the
+    rows past it are held at the positions of their flips about it.
 
     A bilinear sample of a channel that vanishes off its mask is zero unless
     one of the four stencil nodes around A^-1 y lies on the mask, which puts
     A^-1 y within a cell of the mask's bounding box.  Only the cells whose
     centres lie within a cell of the image of that region under A are
-    tested, each through its stencil, which samples a frame: the mask's
-    bounding box padded by one zero cell on every side, holding every node
-    that can be non-zero.  With a `centre` row, only the rows up to it are
-    tested and sampled, and the box holds their flips about it too.  The
-    frame is then cut to the rows the kept samples read: from the first row
-    of their lower nodes to the row after the last, which may be the tail.
+    tested, each through its stencil, and the box is that of the cells with
+    a node off the tail.  With a `centre` row, only the rows up to it are
+    tested and sampled, and the box holds their flips about it too.
     """
     a_matrix = np.linalg.inv(a_inv)
     origin = np.array(grid.origin)
@@ -369,13 +365,14 @@ def _input_stencil(grid, a_inv, mask, centre=None):
     if centre is not None:
         near_hi[0] = centre + 1
     rows, cols = _contracted(grid, a_inv, _slices(near_lo, near_hi))
-    frame = tuple(hi - lo + 2)  # the frame's origin is one cell before lo
-    stencil = Stencil.at(rows - (lo[0] - 1), cols - (lo[1] - 1), frame)
-    # per frame cell, whether a stencil node there lies on the mask; the tail
-    # cell, where the positions off the frame point, reads False
-    pad = np.pad(mask[_slices(lo, hi)], (1, 2))
-    near = pad[:-1, :-1] | pad[1:, :-1] | pad[:-1, 1:] | pad[1:, 1:]
-    touched = np.append(near, False)[stencil.index]
+    # the mask's box padded by a cell, its origin one cell before lo, and its held rows
+    positions = np.full(tuple(hi - lo + 2), tail, dtype=np.int32)
+    held = mask[lo[0]:hi[0] if centre is None else centre + 1, lo[1]:hi[1]]
+    positions[1:len(held) + 1, 1:-1][held] = np.arange(start, start + np.count_nonzero(held))
+    if centre is not None:  # grid row centre + k is held as row centre - k
+        positions[len(held) + 1:] = positions[:len(held)][::-1]
+    stencil = Stencil.at(rows - (lo[0] - 1), cols - (lo[1] - 1), positions, tail)
+    touched = (stencil.index != tail).any(axis=0)
     if not touched.any():
         return None, None
     t_lo, t_hi = _box(touched)
@@ -385,14 +382,8 @@ def _input_stencil(grid, a_inv, mask, centre=None):
     t_lo, t_hi = t_lo + near_lo, t_hi + near_lo
     if centre is not None:
         t_hi[0] = 2 * centre + 1 - t_lo[0]
-    ny, nx = map(int, frame)
-    index = stencil.index[box]
-    tail = index == ny * nx
-    first = int(index[~tail].min()) // nx
-    stop = min(int(index[~tail].max()) // nx + 2, ny)
-    index = np.where(tail, (stop - first) * nx, index - first * nx).astype(np.int32)
-    return (t_lo, t_hi), Stencil(index, stencil.r0[box], stencil.c0[box], (stop - first, nx),
-                                 first)
+    return (t_lo, t_hi), Stencil(stencil.index[(slice(None), *box)], stencil.r0[box],
+                                 stencil.c0[box])
 
 
 def _spectral_plan(grid, masks, blocks, boxes, carried, centre):
@@ -527,6 +518,7 @@ def build_kernel(problem, h):
                              f"fewer than {_MIN_MASK_CELLS}")
         indicators[j] = top[top > 0] / (cov.sum() * h2)
     ends = np.cumsum([0] + [len(indicators[j]) for j in carried]).tolist()
+    channels = [(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)]
     coarse_h = _coarse_h(grid, min(cells))
     if coarse_h is not None:  # the solve starts from the coarse level's density
         indicators = [None] * r
@@ -538,8 +530,9 @@ def build_kernel(problem, h):
     a_inv = np.linalg.inv(problem.a_matrix)
     boxes = [None] * r
     stencils = [None] * r
-    for j in carried:
-        boxes[j], stencils[j] = _input_stencil(grid, a_inv, masks[j], centre)
+    for j, cells in channels:
+        boxes[j], stencils[j] = _input_stencil(grid, a_inv, masks[j], cells.start, ends[-1],
+                                               centre)
     size = np.array([grid.ny, grid.nx])
     for j, m in mirrors.items():
         masks[m] = masks[j][::-1, ::-1]
@@ -557,7 +550,6 @@ def build_kernel(problem, h):
                 for factor in _mirror_phases(boxes[i], fft_shape):
                     spectra[j][i] *= factor
                 np.conjugate(spectra[j][i], out=spectra[j][i])
-    channels = [(j, slice(ends[n], ends[n + 1])) for n, j in enumerate(carried)]
     below = {j: slice(c.start, c.start if centre is None else c.stop - int(masks[j][centre].sum()))
              for j, c in channels}
     return RefinementKernel(
@@ -572,72 +564,32 @@ def initial_density(kernel):
     return np.concatenate([kernel.w[j] * kernel.indicators[j] for j, _ in kernel.channels])
 
 
-def _row_starts(mask):
-    """Per row of a 2-D mask, the count of its cells before that row, then the total."""
-    return np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
-
-
-def _frame_fills(kernel, i, cells):
-    """(frame rows, mask cells, packed cells) triples that copy carried input i,
-    packed in `cells`, into the rows of its frame that its stencil reads.
-
-    Frame row k holds grid row lo - 1 + first + k, for the first row lo of
-    the mask's box.  The rows the packed state holds come in order; under
-    the row mirror, the rows past the centre are the held rows before it,
-    read in reverse row order through a view of the frame rows that runs
-    backwards.
-    """
-    stencil = kernel.stencils[i]
-    box = kernel.outputs[i][0]
-    inside = kernel.masks[i][box]  # the held rows of the mask's box
-    starts = cells.start + _row_starts(inside)
-    lo = box[0].start
-    top = lo - 1 + stencil.first  # the grid row of frame row 0
-    end = top + stencil.shape[0]
-    fills = []
-    g0, g1 = max(lo, top), min(box[0].stop, end)
-    if g0 < g1:
-        fills.append((slice(g0 - top, g1 - top), inside[g0 - lo:g1 - lo],
-                      slice(starts[g0 - lo], starts[g1 - lo])))
-    if kernel.centre is not None:  # grid row g past the centre holds row 2 centre - g
-        c = kernel.centre
-        g0, g1 = max(c + 1, top), min(2 * c + 1 - lo, end)
-        if g0 < g1:
-            m0, m1 = 2 * c + 1 - g1 - lo, 2 * c + 1 - g0 - lo
-            backwards = slice(g1 - 1 - top, None if g0 == top else g0 - 1 - top, -1)
-            fills.append((backwards, inside[m0:m1], slice(starts[m0], starts[m1])))
-    return fills
-
-
 def _step_buffers(kernel):
     """The arrays every step of one solve reuses.
 
-    Per carried input i with a stencil: its zero frame with the sampled
-    array's view and the fills that copy the packed input into it
-    (`_frame_fills`).  Per carried channel j that is such an input or an
-    output that reads one: its spectrum, `spectra[j]`, which holds input j's
-    transform, then output j's sum and inverse transform.  Then the blocks,
-    one per output and one for a term, _SUM_ROWS spectrum rows together.
+    The state: a packed density followed by one zero cell, the tail that the
+    stencils read for a node off their mask.  Per carried channel j that is
+    an input with a stencil or an output that reads one: its spectrum,
+    `spectra[j]`, which holds input j's transform, then output j's sum and
+    inverse transform.  Then the blocks, one per output and one for a term,
+    _SUM_ROWS spectrum rows together.
 
     All are views of one zeroed allocation, which the C allocator maps on
     its own and returns to the system when the solve drops it, before the
     density is unpacked; separate ones stayed resident and raised the peak
     RSS.
     """
-    inputs = {i: cells for i, cells in kernel.channels if kernel.stencils[i] is not None}
     # a kernel spectrum (j, i) exists only where input i, or its flip, has a stencil
     outputs = {j for j, _ in kernel.channels if any(s is not None for s in kernel.spectra[j])}
-    keys = [j for j, _ in kernel.channels if j in inputs or j in outputs]
+    keys = [j for j, _ in kernel.channels if kernel.stencils[j] is not None or j in outputs]
     rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
     block = max(1, _SUM_ROWS // (len(outputs) + 1))
     shapes = [(rows, cols)] * len(keys) + [(len(outputs) + 1, block, cols)]
-    sizes = [2 * int(np.prod(s)) for s in shapes] + [kernel.stencils[i].size for i in inputs]
+    sizes = [2 * int(np.prod(s)) for s in shapes] + [kernel.channels[-1][1].stop + 1]
     # the complex views first, so each starts on a 16-byte boundary
-    parts = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+    *parts, state = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
     *spectra, blocks = [p.view(complex).reshape(shape) for p, shape in zip(parts, shapes)]
-    frames = {i: (*kernel.stencils[i].frame(flat), _frame_fills(kernel, i, cells))
-              for (i, cells), flat in zip(inputs.items(), parts[len(shapes):])}
-    return frames, dict(zip(keys, spectra)), blocks
+    return state, dict(zip(keys, spectra)), blocks
 
 
 def apply_refinement(x, kernel, buffers=None):
@@ -653,9 +605,9 @@ def apply_refinement(x, kernel, buffers=None):
     w = nu w forces nu_ji = 0 from a live channel i into a dead channel j.  A
     mirrored input r-1-i is read through input i's transform.  The
     convolutions run as products of the kernel's spectra, with one transform
-    per non-zero input channel, and an all-zero channel is skipped.  Each
-    input is copied from the packed state straight into the frame rows its
-    stencil reads.
+    per non-zero input channel, and an all-zero channel is skipped.  Every
+    input's stencil samples the packed state, copied once into the buffers'
+    state ahead of its zero tail.
 
     One pass over the spectrum rows, a block of rows at a time, sums each
     output's products in a block of its own: first the terms of the mirrored
@@ -667,15 +619,13 @@ def apply_refinement(x, kernel, buffers=None):
     made in the blocks.  The buffers are the solve's, made once for all its
     steps, or new ones (`_step_buffers`).
     """
-    frames, spectra, blocks = buffers or _step_buffers(kernel)
+    state, spectra, blocks = buffers or _step_buffers(kernel)
+    state[:-1] = x
     transformed = {}
     for i, cells in kernel.channels:
-        if not x[cells].any() or i not in frames:
+        if not x[cells].any() or kernel.stencils[i] is None:
             continue
-        flat, padded, fills = frames[i]
-        for rows, inside, part in fills:
-            padded[rows, 1:-1][inside] = x[part]
-        transformed[i] = rfft2(kernel.stencils[i].sample(flat), kernel.fft_shape,
+        transformed[i] = rfft2(kernel.stencils[i].sample(state), kernel.fft_shape,
                                kernel.centre is not None, out=spectra[i])
     sums = {}  # output j: its terms (kernel spectrum, input) and how many are mirrored
     for j, _ in kernel.channels:
@@ -706,7 +656,7 @@ def apply_refinement(x, kernel, buffers=None):
     for j in sums:
         box, (rows, cols) = kernel.outputs[j]
         inside = kernel.masks[j][box]
-        starts = cells[j].start + _row_starts(inside)
+        starts = cells[j].start + np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
         for lo, part in irfft2(spectra[j], kernel.fft_shape, rows, whole):
             hi = lo + len(part)
             out[starts[lo]:starts[hi]] = part[:, cols][inside[lo:hi]]

@@ -18,7 +18,7 @@ import numpy as np
 from .cyclotomic import TAU, CoefficientOverflow, CycInt, embedding_matrix
 # contains is unused here but stays importable: perfbench/tracer.py wraps scheme.contains
 from .polygeom import (DEFAULT_EPS, Region, area, contains, contains_many, erode,
-                       linear_image, translate)
+                       linear_image, margin, translate)
 from .text import write_rows
 
 POLICY_AREA = "area-markov"
@@ -342,8 +342,8 @@ def check_selfsim_closure(spec, points, tsets, radius):
                 yf = y.astype(float)
                 # summed term by term, as the scalar star embedding does
                 u = np.column_stack([sum(yf[:, k] * row[k] for k in range(4)) for row in star])
-                inner = contains_many(window, u, -DEFAULT_EPS)
-                outer = contains_many(window, u, DEFAULT_EPS)
+                m = margin(window, u)
+                inner, outer = m <= -DEFAULT_EPS, m <= DEFAULT_EPS
                 report.boundary_hits += int(np.count_nonzero(residue_ok & ~inner & outer))
                 rows = np.flatnonzero(~residue_ok | ~(inner | outer))
                 bad += [(lo + a, j, b) for a, b in zip(*np.divmod(rows, len(v)))]

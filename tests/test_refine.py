@@ -518,6 +518,72 @@ def test_fourier_deviation_converges_at_second_order(request, policy):
     assert math.log2(coarse / fine) >= 1.8
 
 
+def arnoldi_eigenvalues(kernel, steps=40, seed=0):
+    """Ritz values of `steps` Arnoldi steps of the bare refinement step from a
+    random start, largest modulus first, in the inner product of packed states
+    that counts every cell they stand for (`RefinementKernel.masses`)."""
+    buffers = refine._step_buffers(kernel)
+
+    def dot(v, u):
+        return kernel.masses(v, u).sum()
+
+    v = np.random.default_rng(seed).uniform(size=kernel.channels[-1][1].stop)
+    basis = [v / np.sqrt(dot(v, v))]
+    hessenberg = np.zeros((steps + 1, steps))
+    for k in range(steps):
+        w = refine.apply_refinement(basis[k], kernel, buffers)
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            for n, b in enumerate(basis):
+                c = dot(w, b)
+                hessenberg[n, k] += c
+                w -= c * b
+        hessenberg[k + 1, k] = np.sqrt(dot(w, w))
+        basis.append(w / hessenberg[k + 1, k])
+    values = np.linalg.eigvals(hessenberg[:steps, :steps])
+    return values[np.argsort(-np.abs(values), kind="stable")]
+
+
+GENERIC = complex(0.031, -0.047)
+
+
+# each bound is two to four times the figure measured: 4.9e-5, 1.6e-6, 2.2e-5 and
+# 6.3e-6 on the presets at h = 1/64, and 9.4e-8 at h = 1/64 and 1.1e-10 at h = 1/128
+# for q = xi tau = (1, 1, 1, 0) on their windows; the generic xi tau case runs at
+# h = 1/128, where A transposed in the contraction reads 1.9e-8 (2.6e-8 against
+# 1.2e-8 at 1/64)
+@pytest.mark.parametrize("policy, gamma, q, h, bound", [
+    pytest.param("area", 0, None, 1 / 64, 1e-4, id="ex1-0"),
+    pytest.param("area", GENERIC, None, 1 / 64, 4e-6, id="ex1-generic"),
+    pytest.param("explicit", 0, None, 1 / 64, 5e-5, id="ex2-0"),
+    pytest.param("explicit", GENERIC, None, 1 / 64, 1.5e-5, id="ex2-generic"),
+    pytest.param("area", 0, (1, 1, 1, 0), 1 / 64, 2e-7, id="xi-tau-0"),
+    pytest.param("area", GENERIC, (1, 1, 1, 0), 1 / 128, 4e-10, id="xi-tau-generic"),
+])
+def test_refinement_spectrum_matches_the_moment_eigenvalues(policy, gamma, q, h, bound):
+    # in Fourier form the operator reads (Tf)^(k) = M(k) f^(A^T k), so it is
+    # block-triangular on moments, degree by degree: the degree-n block is nu
+    # on the live channels times the n-th symmetric power of A, with
+    # eigenvalues mu a^p conj(a)^(n-p) (Cavaretta, Dahmen & Micchelli,
+    # Stationary Subdivision, 1991); a quotient keeps the modes even under its
+    # symmetry.  Each of the 8 leading eigenvalues, the Perron value 1 first,
+    # lies within the bound of a predicted one
+    spec = scheme.penrose_scheme(gamma=gamma)
+    if q is not None:  # A rotates by 36 degrees and scales by 1/tau
+        spec = dataclasses.replace(spec, q_mult=CycInt(*q))
+    trans = scheme.transition_windows(spec)
+    nu = (scheme.build_nu(spec, trans) if policy == "area" else
+          scheme.build_nu(spec, trans, policy="explicit", matrix=EXAMPLE2_NU))
+    problem = scheme_problem(spec, trans, nu)
+    live = problem.w > 0
+    a, conj = np.linalg.eigvals(problem.a_matrix)
+    predicted = np.array([mu * a**p * conj**(n - p)
+                          for mu in np.linalg.eigvals(problem.nu[np.ix_(live, live)])
+                          for n in range(13) for p in range(n + 1)])
+    leading = arnoldi_eigenvalues(build_kernel(problem, h))[:8]
+    assert abs(leading[0] - 1) <= bound
+    assert np.abs(leading[:, None] - predicted).min(axis=1).max() <= bound
+
+
 def test_write_density_grid_format(tmp_path):
     grid = make_centered_grid(0.3, 0.1)
     dens = DensityGrid.from_values(grid, np.ones((1, grid.ny, grid.nx)))

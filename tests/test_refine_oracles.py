@@ -7,12 +7,12 @@ input-box test at every cell of the grid and around it, the rasterizer
 that probes every cell of the bounding box, the per-value density writers,
 the scalar polygon transform, the per-entry Fourier matrix product, its
 walk one orbit at a time and the per-wavevector grid transform.  The step
-on full frames with full-size products checks, bit for bit, the one that
-sums its products in row blocks and reads only the frame rows it samples.  The
-cold-started solve checks the warm start, and the bilinear stencil its
-prolongation.  The bilinear stencil and the inverse FFT are checked
-against the scipy routines they replaced to a few units in the last
-place, the forward FFT bit for bit.
+that samples each input's whole padded box through `bilinear` and makes
+full-size products checks, bit for bit, the one that samples the packed
+state and sums its products in row blocks.  The cold-started solve checks
+the warm start, and the bilinear stencil its prolongation.  The bilinear
+stencil and the inverse FFT are checked against the scipy routines they
+replaced to a few units in the last place, the forward FFT bit for bit.
 """
 
 import contextlib
@@ -598,10 +598,11 @@ def test_mirrored_masks_and_boxes_match_general_path(request, policy, h):
             assert np.array_equal(got, want)
 
 
-def oracle_stencil(kernel, i):
-    """The stencil of input box i cut from positions computed on the whole grid,
-    on the whole frame of the mask's box; under the row mirror, the stencil of
-    the box's rows up to the centre."""
+def oracle_samples(x, kernel, i):
+    """Input i's samples at positions computed on the whole grid for the cells of its
+    box, read by `bilinear` from the mask's whole box padded by a zero cell, filled
+    from the packed state x with its rows past the centre copied from those before
+    it; under the row mirror, the samples of the box's rows up to the centre."""
     grid, a_inv = kernel.grid, np.linalg.inv(kernel.problem.a_matrix)
     X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
     rows = (a_inv[1, 0] * X + a_inv[1, 1] * Y - grid.origin[1]) / grid.h - 0.5
@@ -610,28 +611,25 @@ def oracle_stencil(kernel, i):
     if kernel.centre is not None:
         box = (slice(box[0].start, kernel.centre + 1), box[1])
     lo, hi = refine._box(kernel.masks[i])
-    return refine.Stencil.at(rows[box] - (lo[0] - 1), cols[box] - (lo[1] - 1),
-                             tuple(hi - lo + 2))
+    padded = np.zeros(tuple(hi - lo + 2))
+    inside = kernel.masks[i][kernel.outputs[i][0]]
+    padded[1:len(inside) + 1, 1:-1][inside] = x[dict(kernel.channels)[i]]
+    if kernel.centre is not None:
+        padded[len(inside) + 1:-1] = padded[1:len(inside)][::-1]
+    return refine.bilinear(padded, rows[box] - (lo[0] - 1), cols[box] - (lo[1] - 1))
 
 
 def oracle_apply(x, kernel):
-    """The step with full frames and full-size products: each input's frame holds
-    its mask's whole box, filled from the packed state with its rows past the
-    centre copied from those before it, and each term of an output is made
-    whole in a second full-size spectrum before it is added."""
-    stencils = {i: oracle_stencil(kernel, i) for i, _ in kernel.channels
-                if kernel.stencils[i] is not None}
+    """The step with full frames and full-size products: each input is sampled
+    from its mask's whole padded box (`oracle_samples`), and each term of an
+    output is made whole in a second full-size spectrum before it is added."""
     shape = kernel.fft_shape
     transformed = {}
     for i, cells in kernel.channels:
-        if not x[cells].any() or i not in stencils:
+        if not x[cells].any() or kernel.stencils[i] is None:
             continue
-        flat, padded = stencils[i].frame()
-        inside = kernel.masks[i][kernel.outputs[i][0]]
-        padded[1:len(inside) + 1, 1:-1][inside] = x[cells]
-        if kernel.centre is not None:
-            padded[len(inside) + 1:-1] = padded[1:len(inside)][::-1]
-        transformed[i] = refine.rfft2(stencils[i].sample(flat), shape, kernel.centre is not None)
+        transformed[i] = refine.rfft2(oracle_samples(x, kernel, i), shape,
+                                      kernel.centre is not None)
     out = np.zeros_like(x)
     sums = np.empty((2, shape[0], shape[1] // 2 + 1), dtype=complex)
     for j, cells in kernel.channels:
@@ -659,8 +657,8 @@ def oracle_apply(x, kernel):
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 @pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047)])
 def test_step_is_bit_equal_to_full_frame_oracle(policy, gamma):
-    # products summed a row block at a time and frames cut to the rows their
-    # stencils read take the same values in the same order; on the fine and
+    # products summed a row block at a time and stencils that read the packed
+    # state take the same values in the same order; on the fine and
     # the coarse kernel, both quotients at gamma = 0, the row mirror alone at
     # (0.3, 0) and neither at the generic gamma
     kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
@@ -695,35 +693,38 @@ def input_reads(kernel):
 @pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047)])
 def test_step_buffers_hold_only_what_the_step_reads(policy, gamma):
     kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
-    frames, spectra, blocks = refine._step_buffers(kernel)
+    state, spectra, blocks = refine._step_buffers(kernel)
     rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
     # a spectrum per transformed input, which then takes that channel's
     # output sum: no spare sum and no full-size product; a block per output
     # that reads an input and one term block share _SUM_ROWS rows
+    inputs = [i for i, _ in kernel.channels if kernel.stencils[i] is not None]
     outputs = [j for j, read in input_reads(kernel).items() if read]
-    assert list(spectra) == list(frames)
+    assert list(spectra) == inputs
     assert all(s.shape == (rows, cols) for s in spectra.values())
     assert blocks.shape == (len(outputs) + 1, refine._SUM_ROWS // (len(outputs) + 1), cols)
     assert rows > refine._SUM_ROWS
-    # one allocation of the frames, the spectra and the blocks; the step that
-    # planned its outputs held the same frames and spectra, a spare sum on
-    # some paths, and two blocks of _SUM_ROWS rows
-    frame_bytes = sum(flat.nbytes for flat, _, _ in frames.values())
-    assert blocks.base.nbytes == frame_bytes + len(spectra) * rows * cols * 16 + blocks.nbytes
+    # one allocation of the state, the spectra and the blocks, and no input
+    # frame: the state is a packed density and its zero tail; the step that
+    # planned its outputs held a spare sum on some paths and two blocks of
+    # _SUM_ROWS rows
+    size = kernel.channels[-1][1].stop
+    assert state.shape == (size + 1,) and not state.any()
+    assert state.base is blocks.base and all(s.base is blocks.base for s in spectra.values())
+    assert blocks.base.nbytes == state.nbytes + len(spectra) * rows * cols * 16 + blocks.nbytes
     assert blocks.nbytes <= refine._SUM_ROWS * cols * 16
-    for i, (flat, view, _) in frames.items():
-        assert flat.base is blocks.base and spectra[i].base is blocks.base
-        stencil = kernel.stencils[i]
-        ny, nx = stencil.shape
-        tapped = stencil.index[stencil.index < ny * nx] // nx
-        # the frame starts at the first tapped row and holds at most one row
-        # past the last, then the tail
-        assert tapped.min() == 0 and ny <= tapped.max() + 2
-        assert flat.size == ny * nx + nx + 2 and view.shape == (ny, nx)
-        lo, hi = refine._box(kernel.masks[i])
-        assert stencil.first + ny <= hi[0] - lo[0] + 2  # within the mask's padded box
-        if kernel.centre is not None:  # about the half past the centre
-            assert ny <= (hi[0] - lo[0]) // 2 + 3 and stencil.first > 0
+    # each sample's four nodes read its own channel's cells or the tail, and
+    # under the row mirror only the box's rows up to the centre are sampled
+    for i, cells in kernel.channels:
+        if kernel.stencils[i] is None:
+            continue
+        stencil, (lo, hi) = kernel.stencils[i], kernel.boxes[i]
+        if kernel.centre is not None:
+            hi = np.array([kernel.centre + 1, hi[1]])
+        assert stencil.r0.shape == stencil.c0.shape == tuple(hi - lo)
+        assert stencil.index.dtype == np.int32 and stencil.index.shape == (4, *(hi - lo))
+        index = stencil.index
+        assert (((index >= cells.start) & (index < cells.stop)) | (index == size)).all()
 
 
 def recorded_inverses(x, kernel, buffers):
@@ -749,9 +750,10 @@ def test_outputs_sum_into_their_own_spectra(policy, gamma, path):
     with general_path() if path == "general" else contextlib.nullcontext():
         kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
     buffers = refine._step_buffers(kernel)
-    frames, spectra, _ = buffers
+    _, spectra, _ = buffers
     outputs = [j for j, read in input_reads(kernel).items() if read]
-    assert outputs and list(spectra) == list(frames)
+    assert outputs and list(spectra) == [i for i, _ in kernel.channels
+                                         if kernel.stencils[i] is not None]
     x = np.random.default_rng(14).uniform(size=kernel.channels[-1][1].stop)
     got, inverted = recorded_inverses(x, kernel, buffers)
     assert len(inverted) == len(outputs)
@@ -774,8 +776,8 @@ def test_step_gives_an_output_without_a_stencil_a_spectrum():
     kernel = build_kernel(problem, 1 / 32)
     assert [j for j, _ in kernel.channels] == [0, 1] and kernel.stencils[1] is None
     buffers = refine._step_buffers(kernel)
-    frames, spectra, _ = buffers
-    assert list(frames) == [0] and list(spectra) == [0, 1]
+    _, spectra, _ = buffers
+    assert kernel.stencils[0] is not None and list(spectra) == [0, 1]
     x = initial_density(kernel)
     got, inverted = recorded_inverses(x, kernel, buffers)
     assert len(inverted) == 2 and inverted[1] is spectra[1] and got[kernel.channels[1][1]].any()
@@ -784,20 +786,18 @@ def test_step_gives_an_output_without_a_stencil_a_spectrum():
 
 
 @pytest.mark.parametrize("h", [1 / 64, 1 / 60])
-def test_stencils_on_first_use_match_whole_grid_oracle(problem_explicit, h):
-    # example 2 on the general path, where every channel has a stencil
-    # the kernel's frame is cut to the rows its samples read, `first` rows into
-    # the oracle's, which holds the mask's whole padded box
+def test_stencil_samples_match_whole_grid_oracle(problem_explicit, h):
+    # example 2 on the general path, where every channel has a stencil: the
+    # kernel's stencil reads a random packed state, the oracle its mask's whole
+    # padded box filled from that state through `bilinear`, at positions
+    # computed on the whole grid
     with general_path():
         kernel = build_kernel(problem_explicit, h)
+    x = np.random.default_rng(16).uniform(size=kernel.channels[-1][1].stop)
+    state = np.append(x, 0.0)
     for i in range(4):
-        got, want = kernel.stencils[i], oracle_stencil(kernel, i)
-        (ny, nx), whole = got.shape, want.shape[0] * want.shape[1]
-        index = np.where(got.index == ny * nx, whole, got.index + got.first * nx)
-        assert index.astype(np.int32).tobytes() == want.index.tobytes(), i
-        for field in ("r0", "c0"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (i, field)
-        assert nx == want.shape[1] and got.first + ny <= want.shape[0]
+        got = kernel.stencils[i].sample(state)
+        assert got.tobytes() == oracle_samples(x, kernel, i).tobytes(), i
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
@@ -1015,7 +1015,7 @@ def test_input_boxes_match_whole_grid_oracle(problem_area, h):
     masks = np.array([coverage(w, grid) > 0 for w in problem_area.windows])
     a_inv = np.linalg.inv(problem_area.a_matrix)
     for mask, want in zip(masks, oracle_input_boxes(grid, a_inv, masks)):
-        got, _ = refine._input_stencil(grid, a_inv, mask)
+        got, _ = refine._input_stencil(grid, a_inv, mask, 0, int(mask.sum()))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     # masks whose preimage box reaches off the grid, tested over 99 cells around it
     toy = refine.make_centered_grid(1.0, 1 / 16)
@@ -1024,7 +1024,7 @@ def test_input_boxes_match_whole_grid_oracle(problem_area, h):
     masks[1, 10:14, 3:9] = True
     masks[2, -3:, -3:] = True
     for a_inv in (4.0 * np.eye(2), 0.25 * np.eye(2), np.array([[0.3, -1.7], [1.7, 0.3]])):
-        got = [refine._input_stencil(toy, a_inv, mask)[0] for mask in masks]
+        got = [refine._input_stencil(toy, a_inv, mask, 0, int(mask.sum()))[0] for mask in masks]
         want = oracle_input_boxes(toy, a_inv, masks, margin=3 * toy.nx)
         got, want = ([np.concatenate(b).tolist() for b in boxes] for boxes in (got, want))
         assert got == want
