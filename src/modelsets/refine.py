@@ -162,10 +162,16 @@ class RefinementKernel:
                             # box, up to the centre row under the row mirror, the same
                             # cells in the periodic result)
     fft_shape: tuple        # common periodic shape of every spectrum
-    spectra: list           # r x r: rfft2 of the placed nu_ji |det Q| h^2 block (j, i); for a
-                            # mirrored i, its conjugate times the conjugated mirror phases of
-                            # box i, which multiplied into the transform of input r-1-i and
-                            # conjugated gives the term of input i
+    spectra: list           # r x r: the rows a step forms (`_held_rows`) of the rfft2 of the
+                            # placed nu_ji |det Q| h^2 block (j, i); for a mirrored i, their
+                            # conjugate times the conjugated mirror phases of box i, which
+                            # multiplied into the transform of input r-1-i and conjugated
+                            # gives the term of input i; views of one allocation
+    phases: list            # per carried output j: the column e^{-2 pi i (2 c_j k mod n) / n}
+                            # over the rows k of the period n past the held ones, where c_j
+                            # is the row of y = 0 in its periodic result, which that row flips
+                            # about: row n-k of its sum times it is row k; empty without the
+                            # row mirror
     coarse: RefinementKernel | None  # the same problem at 2^k h
 
     def unpack(self, x):
@@ -258,21 +264,30 @@ class Stencil:
     c0: np.ndarray
 
     @classmethod
-    def at(cls, rows, cols, positions, tail):
-        """The stencil of the positions on an array whose cell (k, l) the state
-        holds at positions[k, l], or at `tail` for a cell it does not hold."""
-        ny, nx = positions.shape
+    def padded(cls, rows, cols, shape):
+        """The stencil of the positions on an array of `shape` whose state is the
+        array padded by two rows and columns of zeros after its last ones, and
+        flattened: the nodes past the last row or column, and from (ny, nx) on
+        those of every position outside, read the padding."""
+        ny, nx = shape
         lo_r = np.floor(rows)
         lo_c = np.floor(cols)
         inside = (rows >= 0) & (rows <= ny - 1) & (cols >= 0) & (cols <= nx - 1)
-        # two rows and columns of tail: the nodes past the last row or column,
-        # and from (ny, nx) on those of every position outside
-        nodes = np.pad(positions, (0, 2), constant_values=tail).ravel()
         first = np.where(inside, lo_r * (nx + 2) + lo_c, ny * (nx + 2) + nx).astype(np.int32)
         index = np.empty((4, *first.shape), dtype=np.int32)
         for k, shift in enumerate((0, 1, nx + 2, nx + 3)):
-            np.take(nodes, first + shift, out=index[k])
+            np.add(first, shift, out=index[k])
         return cls(index=index, r0=1.0 - (rows - lo_r), c0=1.0 - (cols - lo_c))
+
+    @classmethod
+    def at(cls, rows, cols, positions, tail):
+        """The stencil of the positions on an array whose cell (k, l) the state
+        holds at positions[k, l], or at `tail` for a cell it does not hold."""
+        stencil = cls.padded(rows, cols, positions.shape)
+        nodes = np.pad(positions, (0, 2), constant_values=tail).ravel()
+        for index in stencil.index:  # each padded position to the state's
+            np.take(nodes, index, out=index)
+        return stencil
 
     def sample(self, state):
         """The samples, of the shape of a node's index, read from the state."""
@@ -294,9 +309,8 @@ class Stencil:
 
 def bilinear(values, rows, cols):
     """Order-1 samples of a 2-D array at fractional (row, col) positions, 0 off it."""
-    ny, nx = values.shape
-    positions = np.arange(ny * nx, dtype=np.int32).reshape(ny, nx)
-    return Stencil.at(rows, cols, positions, ny * nx).sample(np.append(values, 0.0))
+    state = np.pad(np.asarray(values, dtype=float), (0, 2)).ravel()
+    return Stencil.padded(rows, cols, values.shape).sample(state)
 
 
 def _box(arr):
@@ -425,12 +439,24 @@ def _spectral_plan(grid, masks, blocks, boxes, carried, centre):
     return shape, outputs, placements
 
 
-def _mirror_phases(box, shape):
+def _phase(k, shift, n):
+    """e^{-2 pi i k shift / n}, the integer product reduced mod n: the factor that
+    shifts a transform on a period of n by `shift`."""
+    return np.exp(-2j * np.pi * (k * shift % n) / n)
+
+
+def _held_rows(n, centre):
+    """How many rows of a period of n a step forms of a spectrum: under the row
+    mirror, whose outputs are row flips, those up to n // 2, from which the
+    later ones follow; else all n."""
+    return n if centre is None else n // 2 + 1
+
+
+def _mirror_phases(box, shape, rows):
     """Row and column factors e^{-2 pi i k (b - 1) / n} of the rfft2 of a box of
-    b cells per axis flipped on a period of n, the integer products reduced mod n."""
-    k0, k1 = np.arange(shape[0])[:, None], np.arange(shape[1] // 2 + 1)
-    return tuple(np.exp(-2j * np.pi * (k * (b - 1) % n) / n)
-                 for k, b, n in zip((k0, k1), box[1] - box[0], shape))
+    b cells per axis flipped on a period of n, for its first `rows` rows."""
+    k0, k1 = np.arange(rows)[:, None], np.arange(shape[1] // 2 + 1)
+    return tuple(_phase(k, b - 1, n) for k, b, n in zip((k0, k1), box[1] - box[0], shape))
 
 
 def point_symmetric(problem):
@@ -483,6 +509,10 @@ def build_kernel(problem, h):
     grid's size, when the grid has more than MAX_GRID_CELLS cells, and when a
     carried window meets fewer than _MIN_MASK_CELLS cells.  A coarser level
     is built from the same problem, and a level that has one keeps no indicators.
+    Under the row mirror every output of a step is its own row flip about its
+    row of y = 0, so the kernel keeps only the spectrum rows up to n // 2 that
+    a step forms (`_kernel_spectra`) and, per output, the phases that give
+    the later rows of its sum from those (`RefinementKernel.phases`).
     """
     windows, windows_ji, nu, w = problem.windows, problem.windows_ji, problem.nu, problem.w
     r = len(windows)
@@ -538,25 +568,50 @@ def build_kernel(problem, h):
         masks[m] = masks[j][::-1, ::-1]
         boxes[m] = None if boxes[j] is None else (size - boxes[j][1], size - boxes[j][0])
     fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, boxes, carried, centre)
-    spectra = [[None] * r for _ in range(r)]
-    for j in carried:
-        for i, placement in enumerate(placements[j]):
-            if placement is None:
-                continue
-            rows = np.zeros((placement[0].stop, fft_shape[1]))
-            rows[placement] = blocks[j][i].arr * (nu[j, i] * problem.detq_abs * h2)
-            spectra[j][i] = rfft2(rows, fft_shape)
-            if i in mirrors.values():
-                for factor in _mirror_phases(boxes[i], fft_shape):
-                    spectra[j][i] *= factor
-                np.conjugate(spectra[j][i], out=spectra[j][i])
+    n, spectrum_rows = fft_shape[0], _held_rows(fft_shape[0], centre)
+    phases = [None] * r
+    for j in carried:  # outputs[j][1][0].stop - 1: the row of y = 0 in the periodic result
+        phases[j] = _phase(np.arange(spectrum_rows, n)[:, None],
+                           2 * (outputs[j][1][0].stop - 1), n)
     below = {j: slice(c.start, c.start if centre is None else c.stop - int(masks[j][centre].sum()))
              for j, c in channels}
     return RefinementKernel(
         grid=grid, problem=problem, w=held, centre=centre, channels=channels,
         mirrors=mirrors, below=below, masks=masks, indicators=indicators, blocks=blocks,
-        boxes=boxes, stencils=stencils, outputs=outputs, fft_shape=fft_shape, spectra=spectra,
-        coarse=None if coarse_h is None else build_kernel(problem, coarse_h))
+        boxes=boxes, stencils=stencils, outputs=outputs, fft_shape=fft_shape,
+        spectra=_kernel_spectra(problem, grid, blocks, boxes, placements, mirrors, fft_shape,
+                                spectrum_rows),
+        phases=phases, coarse=None if coarse_h is None else build_kernel(problem, coarse_h))
+
+
+def _kernel_spectra(problem, grid, blocks, boxes, placements, mirrors, shape, held):
+    """The kernel's spectra (`RefinementKernel.spectra`): the first `held` rows of
+    each, views of one zeroed allocation, which the C allocator maps on its own
+    and returns to the system when the solve drops them.  Each block is
+    transformed straight into its rows when they are all of the period, else in
+    one full-size scratch spectrum, which is freed before the coarse level is
+    built."""
+    r = len(blocks)
+    keys = [(j, i) for j in range(r) for i in range(r) if placements[j][i] is not None]
+    cols = shape[1] // 2 + 1
+    slots = np.zeros(2 * len(keys) * held * cols).view(complex).reshape(len(keys), held, cols)
+    scratch = np.empty((shape[0], cols), dtype=complex) if held < shape[0] else None
+    h2 = grid.h * grid.h
+    spectra = [[None] * r for _ in range(r)]
+    for (j, i), slot in zip(keys, slots):
+        placement = placements[j][i]
+        rows = np.zeros((placement[0].stop, shape[1]))
+        rows[placement] = blocks[j][i].arr * (problem.nu[j, i] * problem.detq_abs * h2)
+        if scratch is None:
+            rfft2(rows, shape, out=slot)
+        else:
+            slot[:] = rfft2(rows, shape, out=scratch)[:held]
+        if i in mirrors.values():
+            for factor in _mirror_phases(boxes[i], shape, held):
+                slot *= factor
+            np.conjugate(slot, out=slot)
+        spectra[j][i] = slot
+    return spectra
 
 
 def initial_density(kernel):
@@ -609,15 +664,20 @@ def apply_refinement(x, kernel, buffers=None):
     input's stencil samples the packed state, copied once into the buffers'
     state ahead of its zero tail.
 
-    One pass over the spectrum rows, a block of rows at a time, sums each
-    output's products in a block of its own: first the terms of the mirrored
-    inputs, the sum conjugated after the last of them, then the direct ones,
-    each term past the first made in the term block and added.  Once every
-    output has formed a block, and so read those rows of every input, output
-    j's block is stored in `spectra[j]`.  The inverse transform of each
-    output then runs there over the rows of its box, in place, its row pass
-    made in the blocks.  The buffers are the solve's, made once for all its
-    steps, or new ones (`_step_buffers`).
+    One pass over the spectrum rows the kernel holds (`_held_rows`), a block
+    of rows at a time, sums each output's products in a block of its own:
+    first the terms of the mirrored inputs, the sum conjugated after the last
+    of them, then the direct ones, each term past the first made in the term
+    block and added.  Once every output has formed a block, and so read those
+    rows of every input, output j's block is stored in `spectra[j]`.  Under
+    the row mirror the pass ends at row n // 2, and output j's row k past it
+    is then its row n - k times `kernel.phases[j]`, by the symmetric
+    convolution theorem (Martucci 1994): its periodic result is its own row
+    flip about its row of y = 0.  Without the mirror the pass covers every
+    row and nothing is filled.  The inverse transform of each output then
+    runs in `spectra[j]` over the rows of its box, in place, its row pass made
+    in the blocks.  The buffers are the solve's, made once for all its steps,
+    or new ones (`_step_buffers`).
     """
     state, spectra, blocks = buffers or _step_buffers(kernel)
     state[:-1] = x
@@ -637,8 +697,10 @@ def apply_refinement(x, kernel, buffers=None):
             sums[j] = terms, len(flipped)
     *acc, term = blocks
     size = kernel.fft_shape[0]
-    for lo in range(0, size, len(term)):
-        rows, n = slice(lo, lo + len(term)), min(len(term), size - lo)
+    held = _held_rows(size, kernel.centre)
+    for lo in range(0, held, len(term)):
+        rows = slice(lo, min(lo + len(term), held))
+        n = rows.stop - lo
         for (terms, mirrored), block in zip(sums.values(), acc):
             block = block[:n]
             for k, (spectrum, i) in enumerate(terms):
@@ -654,6 +716,8 @@ def apply_refinement(x, kernel, buffers=None):
     cells = dict(kernel.channels)
     whole = blocks.view(float).reshape(-1, 2 * blocks.shape[2])  # real rows of the row pass
     for j in sums:
+        # the rows past the held ones, from rows size - held down to 1
+        np.multiply(spectra[j][size - held:0:-1], kernel.phases[j], out=spectra[j][held:])
         box, (rows, cols) = kernel.outputs[j]
         inside = kernel.masks[j][box]
         starts = cells[j].start + np.concatenate([[0], np.cumsum(inside.sum(axis=1))])

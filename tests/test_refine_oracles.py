@@ -8,8 +8,11 @@ that probes every cell of the bounding box, the per-value density writers,
 the scalar polygon transform, the per-entry Fourier matrix product, its
 walk one orbit at a time and the per-wavevector grid transform.  The step
 that samples each input's whole padded box through `bilinear` and makes
-full-size products checks, bit for bit, the one that samples the packed
-state and sums its products in row blocks.  The cold-started solve checks
+whole-array products checks, bit for bit, the one that samples the packed
+state and sums its products in row blocks; with the eager oracle's whole
+spectra it makes every product row, which checks to 1e-13 the step that
+sums only the rows up to n // 2 under the row mirror and fills the rest by
+a phase.  The cold-started solve checks
 the warm start, and the bilinear stencil its prolongation.  The bilinear
 stencil and the inverse FFT are checked against the scipy routines they
 replaced to a few units in the last place, the forward FFT bit for bit.
@@ -154,7 +157,7 @@ def oracle_spectra(kernel):
     grid, masks, blocks = kernel.grid, kernel.masks, kernel.blocks
     input_boxes = oracle_input_boxes(grid, np.linalg.inv(kernel.problem.a_matrix), masks)
     r = len(masks)
-    centre = np.array([(grid.ny - 1) // 2, (grid.nx - 1) // 2])
+    origin_cell = np.rint(-np.array(grid.origin[::-1]) / grid.h - 0.5).astype(int)
     hulls = []
     for j in range(r):
         if all(b is None for b in blocks[j]):
@@ -165,7 +168,7 @@ def oracle_spectra(kernel):
             if blocks[j][i] is None or input_boxes[i] is None:
                 continue
             in_lo, in_hi = input_boxes[i]
-            offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - centre
+            offset = np.array([blocks[j][i].iy0, blocks[j][i].ix0]) - origin_cell
             starts[i] = in_lo + offset
             lo = np.minimum(lo, starts[i])
             hi = np.maximum(hi, in_hi + offset + blocks[j][i].arr.shape - 1)
@@ -180,6 +183,19 @@ def oracle_spectra(kernel):
             padded[refine._slices(start - lo, start - lo + arr.shape)] = \
                 arr * (kernel.problem.nu[j, i] * kernel.problem.detq_abs * grid.h**2)
             spectra[j][i] = np.fft.rfft2(padded)
+    return shape, spectra
+
+
+def eager_spectra(kernel):
+    """FFT shape and every kernel spectrum whole, as `oracle_spectra` makes it; one
+    met by a mirrored input i, taken as a flip, times the mirror phases of box i
+    and then conjugated."""
+    shape, spectra = oracle_spectra(kernel)
+    for row in spectra:
+        for i, spectrum in enumerate(row):
+            if spectrum is not None and i in kernel.mirrors.values():
+                rows, cols = refine._mirror_phases(kernel.boxes[i], shape, shape[0])
+                row[i] = np.conjugate(spectrum * rows * cols)
     return shape, spectra
 
 
@@ -515,26 +531,43 @@ def test_rising_residual_resets_the_mixing_history(preset64):
     assert np.all(result.density.values[w == 0] == 0.0)
 
 
+def assert_spectra_match_eager_oracle(kernel):
+    """The kernel's spectra are the eager oracle's rows up to n // 2 under the row
+    mirror, and all its rows without it, bit for bit, views of one allocation."""
+    shape, want = eager_spectra(kernel)
+    assert kernel.fft_shape == shape
+    rows = shape[0] if kernel.centre is None else shape[0] // 2 + 1
+    held = []
+    for j, row in enumerate(want):
+        for i, spectrum in enumerate(row):
+            got = kernel.spectra[j][i]
+            if spectrum is None:
+                assert got is None
+                continue
+            assert got.shape == (rows, shape[1] // 2 + 1)
+            assert got.tobytes() == spectrum[:rows].tobytes(), (j, i)
+            held.append(got)
+    assert all(s.base is held[0].base for s in held)
+    assert held[0].base.nbytes == sum(s.nbytes for s in held)
+
+
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 def test_spectra_on_first_use_match_eager_oracle(request, policy):
     # h = 1/60, not a power of two, so that h^2 rounds and so does the scaling;
-    # the kernel of the solve, in the point-reflection quotient
+    # the kernel of the solve, in the point-reflection quotient and under the
+    # row mirror, which holds the rows up to n // 2
     kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), 1 / 60)
-    assert kernel.mirrors
-    shape, want = oracle_spectra(kernel)
-    assert kernel.fft_shape == shape
-    for j in range(4):
-        for i in range(4):
-            got = kernel.spectra[j][i]
-            if want[j][i] is None:
-                assert got is None
-            elif i in kernel.mirrors.values():
-                # met by input i taken as a flip: conjugated after the mirror phases
-                rows, cols = refine._mirror_phases(kernel.boxes[i], shape)
-                mirrored = np.conjugate(want[j][i] * rows * cols)
-                assert got.tobytes() == mirrored.tobytes(), (j, i)
-            else:
-                assert got.tobytes() == want[j][i].tobytes(), (j, i)
+    assert kernel.mirrors and kernel.centre is not None
+    assert_spectra_match_eager_oracle(kernel)
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+def test_spectra_off_the_row_mirror_match_eager_oracle(request, policy):
+    # the general path holds every row of every spectrum it forms
+    with general_path():
+        kernel = build_kernel(request.getfixturevalue(f"problem_{policy}"), 1 / 60)
+    assert not kernel.mirrors and kernel.centre is None
+    assert_spectra_match_eager_oracle(kernel)
 
 
 def test_solve_builds_only_live_spectra_before_its_first_step(problem_area):
@@ -619,11 +652,15 @@ def oracle_samples(x, kernel, i):
     return refine.bilinear(padded, rows[box] - (lo[0] - 1), cols[box] - (lo[1] - 1))
 
 
-def oracle_apply(x, kernel):
-    """The step with full frames and full-size products: each input is sampled
+def oracle_apply(x, kernel, spectra=None):
+    """The step with full frames and whole-array products: each input is sampled
     from its mask's whole padded box (`oracle_samples`), and each term of an
-    output is made whole in a second full-size spectrum before it is added."""
+    output is made whole over the rows of the kernel's spectra, or of
+    `spectra` in their place, in a second spectrum before it is added.  Past
+    those rows, row k of an output's sum is row n - k times the phase of a row
+    flip about the output's row of y = 0 in its periodic result."""
     shape = kernel.fft_shape
+    spectra = kernel.spectra if spectra is None else spectra
     transformed = {}
     for i, cells in kernel.channels:
         if not x[cells].any() or kernel.stencils[i] is None:
@@ -633,25 +670,52 @@ def oracle_apply(x, kernel):
     out = np.zeros_like(x)
     sums = np.empty((2, shape[0], shape[1] // 2 + 1), dtype=complex)
     for j, cells in kernel.channels:
-        spectra = kernel.spectra[j]
-        flipped = [(spectra[m], i) for i, m in kernel.mirrors.items()
-                   if i in transformed and spectra[m] is not None]
-        direct = [(spectra[i], i) for i in transformed if spectra[i] is not None]
+        row = spectra[j]
+        flipped = [(row[m], i) for i, m in kernel.mirrors.items()
+                   if i in transformed and row[m] is not None]
+        direct = [(row[i], i) for i in transformed if row[i] is not None]
         total = None
         for terms in (flipped, direct):
             for spectrum, i in terms:
+                held = len(spectrum)
                 if total is None:
-                    total = np.multiply(spectrum, transformed[i], out=sums[0])
+                    total = np.multiply(spectrum, transformed[i][:held], out=sums[0][:held])
                 else:
-                    total += np.multiply(spectrum, transformed[i], out=sums[1])
+                    total += np.multiply(spectrum, transformed[i][:held], out=sums[1][:held])
             if terms is flipped and total is not None:
                 np.conjugate(total, out=total)
         if total is not None:
             box, (rows, cols) = kernel.outputs[j]
-            np.fft.ifft(total, axis=0, out=total)
-            whole = np.fft.irfft(total[rows], n=shape[1], axis=1)
+            n, centre, k = shape[0], rows.stop - 1, np.arange(len(total), shape[0])
+            phase = np.exp(-2j * np.pi * (k * 2 * centre % n) / n)
+            sums[0][k] = sums[0][n - k] * phase[:, None]
+            np.fft.ifft(sums[0], axis=0, out=sums[0])
+            whole = np.fft.irfft(sums[0][rows], n=shape[1], axis=1)
             out[cells] = whole[:, cols][kernel.masks[j][box]]
     return out
+
+
+@pytest.mark.parametrize("policy", ["area", "explicit"])
+@pytest.mark.parametrize("gamma", [0, 0.3])
+@pytest.mark.parametrize("h", [1 / 128, 1 / 40, 1 / 72])
+def test_step_matches_full_row_products(policy, gamma, h):
+    # the step forms each output's sum on the rows up to n // 2 and fills the
+    # others by a phase, where it once made every product row: with the eager
+    # oracle's whole spectra the full-row products agree to 1e-13 of the
+    # largest value (8.4e-16 measured); on the fine and the coarse level at
+    # h = 1/128, and at odd n (125 and 225) at h = 1/40 and 1/72
+    kernel = build_kernel(shifted_problem(policy, gamma), h)
+    levels = [kernel] if kernel.coarse is None else [kernel, kernel.coarse]
+    assert len(levels) == (2 if h == 1 / 128 else 1)
+    rng = np.random.default_rng(17)
+    for level in levels:
+        n = level.fft_shape[0]
+        assert level.centre is not None and n % 2 == (h != 1 / 128)
+        _, full = eager_spectra(level)
+        x = rng.uniform(size=level.channels[-1][1].stop)
+        got = refine.apply_refinement(x, level)
+        want = oracle_apply(x, level, full)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
