@@ -167,11 +167,6 @@ class RefinementKernel:
                             # conjugate times the conjugated mirror phases of box i, which
                             # multiplied into the transform of input r-1-i and conjugated
                             # gives the term of input i; views of one allocation
-    phases: list            # per carried output j: the column e^{-2 pi i (2 c_j k mod n) / n}
-                            # over the rows k of the period n past the held ones, where c_j
-                            # is the row of y = 0 in its periodic result, which that row flips
-                            # about: row n-k of its sum times it is row k; empty without the
-                            # row mirror
     coarse: RefinementKernel | None  # the same problem at 2^k h
 
     def unpack(self, x):
@@ -511,8 +506,7 @@ def build_kernel(problem, h):
     is built from the same problem, and a level that has one keeps no indicators.
     Under the row mirror every output of a step is its own row flip about its
     row of y = 0, so the kernel keeps only the spectrum rows up to n // 2 that
-    a step forms (`_kernel_spectra`) and, per output, the phases that give
-    the later rows of its sum from those (`RefinementKernel.phases`).
+    a step forms (`_kernel_spectra`).
     """
     windows, windows_ji, nu, w = problem.windows, problem.windows_ji, problem.nu, problem.w
     r = len(windows)
@@ -568,11 +562,6 @@ def build_kernel(problem, h):
         masks[m] = masks[j][::-1, ::-1]
         boxes[m] = None if boxes[j] is None else (size - boxes[j][1], size - boxes[j][0])
     fft_shape, outputs, placements = _spectral_plan(grid, masks, blocks, boxes, carried, centre)
-    n, spectrum_rows = fft_shape[0], _held_rows(fft_shape[0], centre)
-    phases = [None] * r
-    for j in carried:  # outputs[j][1][0].stop - 1: the row of y = 0 in the periodic result
-        phases[j] = _phase(np.arange(spectrum_rows, n)[:, None],
-                           2 * (outputs[j][1][0].stop - 1), n)
     below = {j: slice(c.start, c.start if centre is None else c.stop - int(masks[j][centre].sum()))
              for j, c in channels}
     return RefinementKernel(
@@ -580,32 +569,28 @@ def build_kernel(problem, h):
         mirrors=mirrors, below=below, masks=masks, indicators=indicators, blocks=blocks,
         boxes=boxes, stencils=stencils, outputs=outputs, fft_shape=fft_shape,
         spectra=_kernel_spectra(problem, grid, blocks, boxes, placements, mirrors, fft_shape,
-                                spectrum_rows),
-        phases=phases, coarse=None if coarse_h is None else build_kernel(problem, coarse_h))
+                                _held_rows(fft_shape[0], centre)),
+        coarse=None if coarse_h is None else build_kernel(problem, coarse_h))
 
 
 def _kernel_spectra(problem, grid, blocks, boxes, placements, mirrors, shape, held):
     """The kernel's spectra (`RefinementKernel.spectra`): the first `held` rows of
     each, views of one zeroed allocation, which the C allocator maps on its own
-    and returns to the system when the solve drops them.  Each block is
-    transformed straight into its rows when they are all of the period, else in
-    one full-size scratch spectrum, which is freed before the coarse level is
-    built."""
+    and returns to the system when the solve drops them.  Each block, its rows
+    as wide as its placement, is transformed in one full-size scratch spectrum,
+    which is freed before the coarse level is built."""
     r = len(blocks)
     keys = [(j, i) for j in range(r) for i in range(r) if placements[j][i] is not None]
     cols = shape[1] // 2 + 1
     slots = np.zeros(2 * len(keys) * held * cols).view(complex).reshape(len(keys), held, cols)
-    scratch = np.empty((shape[0], cols), dtype=complex) if held < shape[0] else None
+    scratch = np.empty((shape[0], cols), dtype=complex)
     h2 = grid.h * grid.h
     spectra = [[None] * r for _ in range(r)]
     for (j, i), slot in zip(keys, slots):
         placement = placements[j][i]
-        rows = np.zeros((placement[0].stop, shape[1]))
+        rows = np.zeros((placement[0].stop, placement[1].stop))
         rows[placement] = blocks[j][i].arr * (problem.nu[j, i] * problem.detq_abs * h2)
-        if scratch is None:
-            rfft2(rows, shape, out=slot)
-        else:
-            slot[:] = rfft2(rows, shape, out=scratch)[:held]
+        slot[:] = rfft2(rows, shape, out=scratch)[:held]
         if i in mirrors.values():
             for factor in _mirror_phases(boxes[i], shape, held):
                 slot *= factor
@@ -671,13 +656,13 @@ def apply_refinement(x, kernel, buffers=None):
     block and added.  Once every output has formed a block, and so read those
     rows of every input, output j's block is stored in `spectra[j]`.  Under
     the row mirror the pass ends at row n // 2, and output j's row k past it
-    is then its row n - k times `kernel.phases[j]`, by the symmetric
-    convolution theorem (Martucci 1994): its periodic result is its own row
-    flip about its row of y = 0.  Without the mirror the pass covers every
-    row and nothing is filled.  The inverse transform of each output then
-    runs in `spectra[j]` over the rows of its box, in place, its row pass made
-    in the blocks.  The buffers are the solve's, made once for all its steps,
-    or new ones (`_step_buffers`).
+    is then its row n - k times e^{-2 pi i (2 c k mod n) / n}, by the
+    symmetric convolution theorem (Martucci 1994): its periodic result is its
+    own row flip about its row c of y = 0, the last row of its box.  Without
+    the mirror the pass covers every row and nothing is filled.  The inverse
+    transform of each output then runs in `spectra[j]` over the rows of its
+    box, in place, its row pass made in the blocks.  The buffers are the
+    solve's, made once for all its steps, or new ones (`_step_buffers`).
     """
     state, spectra, blocks = buffers or _step_buffers(kernel)
     state[:-1] = x
@@ -716,9 +701,11 @@ def apply_refinement(x, kernel, buffers=None):
     cells = dict(kernel.channels)
     whole = blocks.view(float).reshape(-1, 2 * blocks.shape[2])  # real rows of the row pass
     for j in sums:
-        # the rows past the held ones, from rows size - held down to 1
-        np.multiply(spectra[j][size - held:0:-1], kernel.phases[j], out=spectra[j][held:])
         box, (rows, cols) = kernel.outputs[j]
+        # the rows past the held ones, from rows size - held down to 1
+        np.multiply(spectra[j][size - held:0:-1],
+                    _phase(np.arange(held, size)[:, None], 2 * (rows.stop - 1), size),
+                    out=spectra[j][held:])
         inside = kernel.masks[j][box]
         starts = cells[j].start + np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
         for lo, part in irfft2(spectra[j], kernel.fft_shape, rows, whole):

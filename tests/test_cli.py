@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -742,6 +743,46 @@ def test_grid_past_the_side_clamp_is_refused_without_the_clamp(tmp_path, capsys)
                    f"h = 1e-300 exceeds the limit of {refine.MAX_GRID_CELLS} cells\n")
     assert str(2**64 + 1) not in err
     assert not out.exists()
+
+
+CHILD_ADDRESS_SPACE = 3 * 2**29  # 1.5 GiB, room for numpy and OpenBLAS to load
+
+
+def limited_address_space():
+    # runs in the child between fork and exec, so the limit holds for it alone
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE,) * 2)
+
+
+@pytest.mark.parametrize("args, config, code, err, files", [
+    (["solve", "--preset", "penrose-example1", "--h", "1e-4"], None, 2,
+     "error: failed at stage 'kernel': a grid of 34001 x 34001 cells at h = 0.0001 "
+     f"exceeds the limit of {refine.MAX_GRID_CELLS} cells\n", set()),
+    (["points", "--s", "8"], "gamma = 300, 0\n", 2,
+     "error: failed at stage 'enumeration': 41119901 candidate points at radii 8 and "
+     f"301.618 exceed the limit of {scheme.MAX_CANDIDATES}\n", set()),
+    # 100 wavevectors are two chunks of the Fourier product's 64
+    (["solve", "--preset", "penrose-example1", "--h", "0.03125"],
+     "k_count = 100\nk_max = 1e150\n", 0, "",
+     {*(f"density_ch{j}.txt" for j in range(1, 5)), "density.csv", "nu.txt", "pf.txt",
+      "summary.txt"}),
+], ids=["fine-h", "far-gamma", "wavevector-chunks"])
+def test_size_table_rows_under_an_address_space_limit(tmp_path, args, config, code, err,
+                                                      files):
+    # rows of the size table, each in a child whose address space is capped: a
+    # refused size exits 2 with its stage and writes nothing, and an admitted
+    # one runs to the end within the cap
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "row.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "row.cfg")]
+    code_text = ("import sys; sys.path.insert(0, 'src'); from modelsets import cli; "
+                 f"sys.exit(cli.main({args + ['--out', str(out)]!r}))")
+    done = subprocess.run([sys.executable, "-c", code_text], cwd=root, capture_output=True,
+                          text=True, preexec_fn=limited_address_space,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert (done.returncode, done.stderr) == (code, err)
+    assert set(os.listdir(out) if out.exists() else ()) == files
 
 
 @pytest.mark.parametrize("preset, bound_mib", [("penrose-example1", 9.5),
