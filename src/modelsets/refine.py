@@ -180,15 +180,14 @@ class RefinementKernel:
                 values[self.mirrors[j]] = values[j][::-1, ::-1]
         return DensityGrid.from_values(self.grid, values)
 
-    def masses(self, v, u=None):
-        """Per channel, the integral of packed v, or of v u, over every cell it
-        stands for: a cell before the centre row counts twice, and channel
-        mirrors[j] reads the value of channel j."""
-        part = (lambda s: v[s].sum()) if u is None else (lambda s: v[s] @ u[s])
+    def masses(self, v):
+        """Per channel, the integral of packed v over every cell it stands for: a
+        cell before the centre row counts twice, and channel mirrors[j] reads the
+        value of channel j."""
         masses = np.zeros(len(self.masks))
         for j, cells in self.channels:
             masses[j] = masses[self.mirrors.get(j, j)] = \
-                (part(cells) + part(self.below[j])) * self.grid.h**2
+                (v[cells].sum() + v[self.below[j]].sum()) * self.grid.h**2
         return masses
 
 
@@ -730,36 +729,42 @@ def _mixing_weights(gram):
 
     `gram` holds the inner products of the stored residuals, newest last.
     The fit runs over the differences from the newest residual, which keeps
-    the small normal system well scaled as the residuals shrink.
+    the small normal system well scaled as the residuals shrink.  Its least-norm
+    solution, for n <= _MIX_DEPTH = 2, is formed elementwise: by Cramer's rule when
+    the normal matrix is well conditioned, else as normal rhs / trace^2 (exact at rank <= 1).
     """
     n = len(gram) - 1
     normal = gram[n, n] - gram[n, :n][None, :] - gram[:n, n][:, None] + gram[:n, :n]
-    gamma = np.linalg.lstsq(normal, gram[n, n] - gram[:n, n], rcond=None)[0]
+    trace = normal.trace()
+    det = normal[0, 0] * normal[1, 1] - normal[0, 1] * normal[1, 0] if n == 2 else 0.0
+    if det > 4 * np.finfo(float).eps * trace**2:
+        inverse = np.array([[normal[1, 1], -normal[0, 1]], [-normal[1, 0], normal[0, 0]]]) / det
+    else:
+        inverse = normal / trace**2 if trace > 0 else np.zeros_like(normal)
+    gamma = (inverse * (gram[n, n] - gram[:n, n])).sum(axis=1)
     return np.append(gamma, 1.0 - gamma.sum())
 
 
-def _interpolation(points, nodes):
-    """Matrix of 1-D linear interpolation from equispaced `nodes` to `points`, 0 off them."""
+def _two_tap(values, points, nodes):
+    """Rows of `values` at `points`, linear between equispaced `nodes`: each point reads
+    its two neighbouring nodes, weighted by its fractional offset, and is 0 off them."""
     t = (points - nodes[0]) / (nodes[1] - nodes[0])
-    rows = np.flatnonzero((t >= 0) & (t <= len(nodes) - 1))
-    lo = np.minimum(np.floor(t[rows]).astype(np.intp), len(nodes) - 2)
-    frac = t[rows] - lo
-    out = np.zeros((len(points), len(nodes)))
-    out[rows, lo] = 1.0 - frac
-    out[rows, lo + 1] = frac
-    return out
+    lo = np.clip(np.floor(t), 0, len(nodes) - 2).astype(np.intp)
+    frac = (t - lo)[:, None]
+    on = ((t >= 0) & (t <= len(nodes) - 1))[:, None]
+    return np.where(on, (1.0 - frac) * values[lo] + frac * values[lo + 1], 0.0)
 
 
 def _prolong(density, kernel):
     """Bilinear samples of a coarser density at the kernel's carried mask cells, packed:
-    one 1-D interpolation per axis onto each mask's bounding box."""
+    two-tap reads per axis onto each mask's bounding box."""
     coarse = density.grid
     parts = []
     for j, _ in kernel.channels:
         rows, cols = kernel.outputs[j][0]
-        along_y = _interpolation(kernel.grid.y_centers()[rows], coarse.y_centers())
-        along_x = _interpolation(kernel.grid.x_centers()[cols], coarse.x_centers())
-        parts.append((along_y @ density.values[j] @ along_x.T)[kernel.masks[j][rows, cols]])
+        along_y = _two_tap(density.values[j], kernel.grid.y_centers()[rows], coarse.y_centers())
+        both = _two_tap(along_y.T, kernel.grid.x_centers()[cols], coarse.x_centers()).T
+        parts.append(both[kernel.masks[j][rows, cols]])
     return np.concatenate(parts)
 
 
@@ -838,7 +843,7 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
         outputs.append(g)
         diffs.append(diff)
         gram = np.pad(gram, (0, 1))
-        gram[-1] = gram[:, -1] = [kernel.masses(diff, e).sum() for e in diffs]
+        gram[-1] = gram[:, -1] = [kernel.masses(diff * e).sum() for e in diffs]
         alpha = _mixing_weights(gram)
         x = alpha[0] * outputs[0]
         for a, g_k in zip(alpha[1:], outputs[1:]):

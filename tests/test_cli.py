@@ -29,44 +29,46 @@ from tests.conftest import TAU
 # by channel and count each row before it twice, erosion by meeting edge
 # lines, numpy's default inverse FFT scaling and nu-weighted kernel spectra
 # with the mirror phase folded in, each output's sum formed on the spectrum
-# rows up to n // 2 under the row mirror, on numpy 2.4.6, and the Fourier
+# rows up to n // 2 under the row mirror, the Anderson fit and the warm
+# start's prolongation formed elementwise, on numpy 2.4.6, and the Fourier
 # wavevectors drawn from random.Random(seed); the bytes follow the last bit
-# of every float, so they hold for one numpy build
+# of every float, so they hold for one numpy build on CPUs with AVX2 and
+# FMA3, whatever OpenBLAS's thread count or kernel
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density_ch2.txt": "d51dfb3aab33865944ee050be709d3ee30fcdcc90a1157c799abb38ea0d49376",
-    "density_ch3.txt": "5431fac35baa5f28e786fcc07654bfd170ac19b44b7803709aa9e5027df13158",
+    "density_ch2.txt": "7f39f69761104c639e53278b2e35105d78da12a29d7ce3d5cb1e0f7ff266a141",
+    "density_ch3.txt": "bb4fb6a1e087f69ed3c588ebf47bea769af45f330c2bae2f7e707faae8de59cd",
     "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density.csv": "374eabaa8e5eacd465ad0f702cbb8c677865f16f0d8c2337589ecfa5ddad29ee",
-    "summary.txt": "af0e4d87d51a085bfb5172493adf680df77591fbe99edcbabd6752c8fbbfd133",
+    "density.csv": "af114bed6c36daf13d8deb05ae4cc0997f26377d01f0e36ce86c2fd0b4e5882f",
+    "summary.txt": "d18b499febe3cbe4b2e49dac569928dece6ac8d392288e001908c04b39bd583c",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "c1642d94d39d13278e2a47fd976f988d09f9505514a62103d3c76a7958b25c39",
-    "density_ch2.txt": "9b74e4a7432dd6be6b3593ea867b09269e7eb81148b3b8b34261212b13195406",
-    "density_ch3.txt": "ac24684584c5abd02a2ff39157877744b00453cc8858e5a133f7bbddf9145c35",
-    "density_ch4.txt": "54f3dcb77a937b857609d5c37588e286e0185cce115e5f1c454b3bafd06300a6",
-    "density.csv": "5ea15eb4eaacb3d09fbf9538572b0636f98e6567f6022e0fea3ea7bf2bffe582",
+    "density_ch1.txt": "87884a7853caa62e07b192b7818f92f98648adf9605bf94d77f407e79d24ef1b",
+    "density_ch2.txt": "d9c176c20ac4110186528bf168f073138f0b18d132337b71b7cff01ca850a433",
+    "density_ch3.txt": "42ac3e5b391387612b05f852e392797be4cc01fc6461aba5683e6bf9367cd05d",
+    "density_ch4.txt": "d7f62421e29f81155a8c94390113cc0ad7e1c10aa860d768f77f8fdc60778a63",
+    "density.csv": "ef860bcbbed38351e5fde69c7c5ab80b0d602ea3ad41f042835df72afda39be0",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "b6564a5b5459da7dbf7e6c11e64f21d1143e8d69c5aba626eeee71b774dc6f1c",
+    "summary.txt": "007ff36d6cfe9c3d1a6acde1ec5010634c543ad8ea888d169527c276ad803ced",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
 # with gamma = 0.031, -0.047, recorded like SOLVE_EX1_SHA256; the shifted
 # windows are not point-symmetric, so this run takes the general solve
 SOLVE_EX2_GAMMA_SHA256 = {
-    "density_ch1.txt": "b94c72f9280aae12fd5f2cb1623e55261cae72a9f72a540d23f0e345b4f116e3",
-    "density_ch2.txt": "077b25375771d88fcc64e97178f1c7c5b1aa83d7a7c22661e95bc8ce60059576",
-    "density_ch3.txt": "243ab46b8f1c7b8e08f65f0a0608e325cd94300ddb575534972fddc19472be60",
-    "density_ch4.txt": "07cd2cc25897944270bfdcfb1ed16f0c61374adb5ee558bb4a10a079711bd881",
-    "density.csv": "5eede5d3e6f23508dbef26b5cd1a1db9a216a8e96cf8b18a528fea4cc83123d4",
+    "density_ch1.txt": "4d9c9a8d040035e59618929e306874f98a7e83eb342ddfe7b777819f3e88eafe",
+    "density_ch2.txt": "84a101539d8eee6b9724bb58135349951b5d7115a69676d9b1af7d2885a625f4",
+    "density_ch3.txt": "3280febe8dff5a71b53b35dd252255894dfa03f38f36f3c2ce956e87ba7b3fb7",
+    "density_ch4.txt": "ae7c5b0df65c805393a957c7491523ba178fc02683a7a76837df8c5d0328c4bf",
+    "density.csv": "247e5a7862ffb9c98f476e40a79764a6d1f98a6d827f11193f4e8ab577975642",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "34841fe0f7dfb7aa18efc12ef40f4edddb80915b0eb5563f58fc5b575cacd941",
+    "summary.txt": "ac57a2e8c23c5f094f4e3bea4c3cde23e717c6fad849f918c3ce92633dbb27c1",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.0078125` writes,
@@ -76,14 +78,14 @@ SOLVE_EX2_GAMMA_SHA256 = {
 # start's coarse level is 109 x 109 at h = 1/32, the smallest grid that
 # frames the windows there
 SOLVE_EX2_H128_SHA256 = {
-    "density_ch1.txt": "584ce1a4c47e9830f34d401cd4f8866b7dec61013029d1bdee7d872a7e77f188",
-    "density_ch2.txt": "aa0502dc63e95f5a09011401c0f66636cd61ca10ffa5ef58fc3c115b5a012911",
-    "density_ch3.txt": "6127629043130a8c50370a726cfbc972f370517dc3acabfe6b540454df135097",
-    "density_ch4.txt": "03c69dd8d9e09865cef1e614dc62c7d881b963e42fda9aed2e71e129fdca36cd",
-    "density.csv": "af216b68eb703e7e723af4c37b15e148e6f633d3a55876116d593fe4bbe89ba6",
+    "density_ch1.txt": "f31ed77eebb45660f6dd90e0b0a894fd23ff928278d554b0868da59b3c3cd302",
+    "density_ch2.txt": "e01bacb0b14e82c6d556693b97099751b3e7c4e0186732109b67a2441cff8a04",
+    "density_ch3.txt": "07881e2fd4745e939b8e3eade53038ec4e6a40f5e007b25b8c1788be5a6f3534",
+    "density_ch4.txt": "95f83816802d3daf7f203d68b9d813f436d08a1b6ce5957cb5f3e0605098691e",
+    "density.csv": "dd02a075bd36ee34fdf107d97771831097dfc09b7874e4a3dd6eb0a1c1ac7e83",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "c6d50fcfc1cc2d2ac81dd60d8335178ed1428b4820154fe35cbf8319382420d8",
+    "summary.txt": "13395c93074116a974ef1ad5244eeb5452e7e7e969e258ea32697cf14f0ad318",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
@@ -1018,6 +1020,73 @@ def test_solve_example2_pinned_bytes_at_full_size(tmp_path):
     assert sorted(os.listdir(out)) == sorted(SOLVE_EX2_H128_SHA256)
     for name, digest in SOLVE_EX2_H128_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_solve_bytes_hold_across_blas_threads_and_kernels(tmp_path):
+    # the solve's sums and samples reach no BLAS or LAPACK routine, so one
+    # configuration writes the same bytes at one and two OpenBLAS threads
+    # and, where numpy reports AVX2 and FMA3, under OpenBLAS's Haswell kernel,
+    # the one it picks on a CPU without AVX-512; each run is a child, since
+    # OpenBLAS reads these settings when it loads
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+    envs = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+    if features.get("AVX2") and features.get("FMA3"):
+        envs.append({"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell"})
+    root = Path(__file__).resolve().parents[1]
+    written = []
+    for n, env in enumerate(envs):
+        out = tmp_path / str(n)
+        code = ("import sys; sys.path.insert(0, 'src'); from modelsets import cli; sys.exit("
+                f"cli.main(['solve', '--preset', 'penrose-example2', '--h', '0.0078125', "
+                f"'--out', {str(out)!r}]))")
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                              text=True, env={**os.environ, **env})
+        assert (done.returncode, done.stderr) == (0, ""), env
+        written.append({name: (out / name).read_bytes() for name in os.listdir(out)})
+    assert sorted(written[0]) == sorted(SOLVE_EX2_H128_SHA256)
+    for env, files in zip(envs[1:], written[1:]):
+        moved = sorted(name for name in files.keys() | written[0].keys()
+                       if files.get(name) != written[0].get(name))
+        assert moved == [], env
+
+
+def nu_rows(matrix):
+    return "".join(f"nu_row{j} = {' '.join(map(str, row))}\n"
+                   for j, row in enumerate(matrix, start=1))
+
+
+# configurations refused before any output, each with its whole message: a
+# config error names the file, and its line where the value has one; a stage
+# error names the stage.  The radius 1.5 (example 2's weights times 1.5) reads
+# the same last digit under OpenBLAS's SkylakeX, Haswell and Sandybridge
+# kernels; 1.2 reads 1.1999999999999997 under the first and 1.2000000000000002
+# under the other two
+INLINE_WINDOW = "scheme = inline\nwindow1 = 0,0;1,0;0,1\n"
+REFUSALS = [
+    pytest.param(" = 5\n", "config error: {path}:1: empty key", id="empty-key"),
+    pytest.param("scheme = inline\nq = 0 0 -1 -1\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1.5 0 0 0\n",
+                 "config error: {path}:4: coset1: expected integers, got '1.5 0 0 0'",
+                 id="coset-not-integer"),
+    pytest.param(INLINE_WINDOW, "config error: {path}: missing coset1", id="missing-coset"),
+    pytest.param(INLINE_WINDOW + "coset1 = 1 0 0 0\n",
+                 "config error: {path}: inline scheme needs q = m0,m1,m2,m3", id="missing-q"),
+    pytest.param(nu_rows(cli.EXAMPLE2_MATRIX),
+                 "error: failed at stage 'weight matrix': matrix argument is only for the "
+                 "explicit policy", id="matrix-under-area-policy"),
+    pytest.param("nu_policy = explicit\n" + nu_rows(1.5 * np.array(cli.EXAMPLE2_MATRIX)),
+                 "error: failed at stage 'eigenpair': spectral radius 1.4999999999999996 is not 1",
+                 id="radius-not-one"),
+]
+
+
+@pytest.mark.parametrize("text, message", REFUSALS)
+def test_refusal_messages(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run(["solve", "--config", str(config), "--h", "0.03125", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message.format(path=config) + "\n"
+    assert not out.exists()
 
 
 def verify_example2_report(out):

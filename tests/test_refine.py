@@ -537,7 +537,7 @@ def arnoldi_eigenvalues(kernel, steps=40, seed=0):
     buffers = refine._step_buffers(kernel)
 
     def dot(v, u):
-        return kernel.masses(v, u).sum()
+        return kernel.masses(v * u).sum()
 
     v = np.random.default_rng(seed).uniform(size=kernel.channels[-1][1].stop)
     basis = [v / np.sqrt(dot(v, v))]

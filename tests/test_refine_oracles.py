@@ -934,7 +934,7 @@ def test_masses_count_every_cell_a_packed_state_stands_for(policy, gamma, row_mi
     fv, fu = kernel.unpack(v), kernel.unpack(u)
     assert np.abs(kernel.masses(v) - fv.masses).max() <= 1e-13 * fv.masses.max()
     product = fv.values * fu.values * kernel.grid.h**2
-    assert abs(kernel.masses(v, u).sum() - product.sum()) <= 1e-13 * np.abs(product).sum()
+    assert abs(kernel.masses(v * u).sum() - product.sum()) <= 1e-13 * np.abs(product).sum()
 
 
 def test_quotient_with_a_self_mirrored_channel_matches_general_solve():
