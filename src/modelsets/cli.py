@@ -349,7 +349,7 @@ def _solve(cfg, trans, nu, pf):
     """The refinement problem and its fixed point; the kernel is freed on return."""
     with _stage("eigenpair"):
         if not pfsolve.check_pf1(pf, tol=1e-8):
-            raise ValueError(f"spectral radius {pf.lambda_max} is not 1")
+            raise ValueError(f"spectral radius {fmt(pf.lambda_max)} is not 1")
         if not pf.simple:
             raise ValueError("the Perron root is not simple, so the "
                              "invariant density is not unique")

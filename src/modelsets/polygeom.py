@@ -88,6 +88,13 @@ class Region:
         return f"Region.polygon(<{len(self.vertices)} vertices>)"
 
 
+def dot(u, v):
+    """Planar inner products over the last axis, broadcast: u_x v_x + u_y v_y, the one
+    route of every 2-term product here, formed elementwise so that no BLAS kernel
+    rounds it."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
 def _crosses(u, v):
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
@@ -96,9 +103,7 @@ def _signed_area(verts):
     """Shoelace area, measured from the first vertex so that a small polygon far
     from the origin keeps its digits."""
     d = verts - verts[0]
-    x = d[:, 0]
-    y = d[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return 0.5 * float(_crosses(d, np.roll(d, -1, axis=0)).sum())
 
 
 def _clean_vertices(verts):
@@ -124,7 +129,7 @@ def _edge_normals(P):
     t = np.roll(verts, -1, axis=0) - verts
     lengths = np.hypot(t[:, 0], t[:, 1])
     normals = np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]
-    offsets = np.einsum("ij,ij->i", normals, verts)
+    offsets = dot(normals, verts)
     return normals, offsets
 
 
@@ -133,7 +138,7 @@ def support(P, n):
     if P.is_empty:
         raise ValueError("empty support")
     n = np.asarray(n, dtype=float).reshape(2)
-    return float((P.vertices @ n).max())
+    return float(dot(P.vertices, n).max())
 
 
 def area(P):
@@ -150,7 +155,7 @@ def centroid(P):
         raise ValueError("centroid of an empty region")
     v = P.vertices
     w = np.roll(v, -1, axis=0)
-    return (v + w).T @ _crosses(v, w) / (6.0 * _signed_area(v))
+    return ((v + w) * _crosses(v, w)[:, None]).sum(axis=0) / (6.0 * _signed_area(v))
 
 
 def translate(P, t):
@@ -168,10 +173,10 @@ def linear_image(P, M):
     if P.is_empty:
         return Region.empty()
     if P.is_point:
-        return Region.single(M @ P.vertices[0])
+        return Region.single(dot(M, P.vertices[0]))
     if abs(np.linalg.det(M)) < 1e-15:
         raise ValueError("singular matrix in linear_image")
-    return Region.polygon(P.vertices @ M.T)
+    return Region.polygon(dot(P.vertices[:, None], M))
 
 
 def contains(P, u, eps=DEFAULT_EPS):
@@ -193,11 +198,9 @@ def margin(P, pts):
     if P.is_point:
         return np.hypot(pts[:, 0] - P.point[0], pts[:, 1] - P.point[1])
     normals, offsets = _edge_normals(P)
-    dist = pts @ normals.T
-    dist -= offsets
-    out = dist[:, 0].copy()
-    for column in dist.T[1:]:
-        np.maximum(out, column, out=out)  # propagates a NaN
+    out = dot(pts, normals[0]) - offsets[0]
+    for n, d in zip(normals[1:], offsets[1:]):  # one edge at a time: no (points, edges) array
+        np.maximum(out, dot(pts, n) - d, out=out)  # propagates a NaN
     return out
 
 
@@ -245,7 +248,7 @@ def erode(C, K):
         cross = _crosses(normals[a], normals[b])
         apart = cross > COLLINEAR_TOL
         p = _meet(normals[a], offsets[a], normals[b], offsets[b], np.where(apart, cross, 1.0))
-        slack = np.where(apart, offsets[keep] - np.einsum("ij,ij->i", normals[keep], p), -np.inf)
+        slack = np.where(apart, offsets[keep] - dot(normals[keep], p), -np.inf)
         k = np.lexsort((offsets[keep], slack))[-1]  # most slack, ties to the outermost
         if slack[k] < -POINT_FEAS_TOL:
             break
@@ -253,7 +256,7 @@ def erode(C, K):
     n, d = normals[keep], offsets[keep]
     cross = _crosses(np.roll(n, 1, axis=0), n)
     verts = _meet(np.roll(n, 1, axis=0), np.roll(d, 1), n, d, cross)  # on lines k - 1 and k
-    feasible = (verts @ normals.T - offsets).max(axis=1) <= POINT_FEAS_TOL
+    feasible = (dot(verts[:, None], normals) - offsets).max(axis=1) <= POINT_FEAS_TOL
     if (feasible.all() and (_crosses(n, np.roll(verts, -1, axis=0) - verts) > 0).all()
             and _signed_area(verts) >= COLLAPSE_AREA):
         return Region("polygon", verts)

@@ -32,7 +32,7 @@ import numpy as np
 from numpy import fft
 
 from . import text
-from .polygeom import GridSpec, area, centroid, rasterize
+from .polygeom import GridSpec, area, centroid, dot, rasterize
 
 FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
@@ -827,7 +827,7 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
     outputs, diffs, gram = [], [], np.zeros((0, 0))
     for _ in range(maxit):
         g = apply_refinement(x, kernel, buffers=buffers)
-        _rescale(g, kernel, kernel.problem.nu @ kernel.masses(x))
+        _rescale(g, kernel, (kernel.problem.nu * kernel.masses(x)).sum(axis=1))
         diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
         resid = float(kernel.masses(np.abs(diff)).sum())
         residuals.append(resid)
@@ -880,15 +880,14 @@ def polygon_ft(polygons, kappas):
     mid = 0.5 * (v + w)
     kn = np.hypot(kappas[:, 0], kappas[:, 1])
     small = kn < FT_SMALL_K
-    k = kappas[~small]
-    line = lengths * np.sinc((k @ tangents.T) * lengths / (2 * np.pi)) \
-        * np.exp(-1j * (k @ mid.T))
-    sums = np.add.reduceat((k @ normals.T) * line, starts, axis=1)
+    k = kappas[~small, None]  # (wavevector, edge) products by broadcasting
+    line = lengths * np.sinc(dot(k, tangents) * lengths / (2 * np.pi)) * np.exp(-1j * dot(k, mid))
+    sums = np.add.reduceat(dot(k, normals) * line, starts, axis=1)
     areas = np.array([area(P) for P in polygons])
     out[~small] = 1j * sums / (kn[~small] ** 2)[:, None] / areas
     if small.any():
         centroids = np.array([centroid(P) for P in polygons])
-        out[small] = np.exp(-1j * (kappas[small] @ centroids.T))
+        out[small] = np.exp(-1j * dot(kappas[small, None], centroids))
     return out
 
 
@@ -913,7 +912,7 @@ def _orbit_product(problem, ks):
     nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
     kappas = [ks]
     while len(kappas) <= 10000 and \
-            (np.hypot(*(step := kappas[-1] @ a_matrix).T) >= _PRODUCT_TAIL).any():
+            (np.hypot(*(step := dot(kappas[-1][:, None], a_matrix.T)).T) >= _PRODUCT_TAIL).any():
         kappas.append(step)
     orbits = np.stack(kappas, axis=1)  # (len(ks), orbit position, 2)
     live = np.hypot(orbits[..., 0], orbits[..., 1]) >= _PRODUCT_TAIL
@@ -925,10 +924,10 @@ def _orbit_product(problem, ks):
     mats[~live] = np.eye(len(w))
     orbit, position = np.nonzero(live)
     mats[orbit[:, None], position[:, None], jj, ii] = nu[jj, ii] * table
-    acc = w.astype(complex)[:, None]  # broadcast over the orbits by the first product
+    acc = w.astype(complex)  # broadcast over the orbits by the first product
     for mat in mats.swapaxes(0, 1)[::-1]:
-        acc = mat @ acc
-    return acc[..., 0]
+        acc = (mat * acc[..., None, :]).sum(axis=-1)
+    return acc
 
 
 def grid_ft(density, ks):

@@ -188,6 +188,14 @@ def build_nu(spec, windows_ji, policy=POLICY_AREA, matrix=None):
     raise ValueError(f"unknown weighting policy {policy!r}")
 
 
+def _embed(coeffs, rows):
+    """Each row's image of the (n, 4) integer coefficients, summed term by term in the
+    order m0..m3, as the scalar embeddings of CycInt do; the coefficients go to
+    float once, one contiguous column per term."""
+    cols = coeffs.T.astype(float, order="C")
+    return [sum(cols[k] * row[k] for k in range(4)) for row in rows]
+
+
 def _enumerate_module(radius_phys, radius_internal):
     """All module points with |x| <= radius_phys and |x*| <= radius_internal.
 
@@ -215,7 +223,7 @@ def _enumerate_module(radius_phys, radius_internal):
     coeffs = np.zeros((1, 0), dtype=np.int64)
     budget = np.array([2.0 + 1e-6])
     for k in range(3, -1, -1):
-        center = -(coeffs @ U[k, k + 1:]) / U[k, k]
+        center = -(coeffs * U[k, k + 1:]).sum(axis=1) / U[k, k]
         half = np.sqrt(np.maximum(budget, 0.0)) / U[k, k]
         lo = np.ceil(center - half - 1e-9).astype(np.int64)
         hi = np.floor(center + half + 1e-9).astype(np.int64)
@@ -228,9 +236,7 @@ def _enumerate_module(radius_phys, radius_internal):
         m = lo[parent] + np.arange(len(parent)) - starts
         budget = budget[parent] - (U[k, k] * (m - center[parent])) ** 2
         coeffs = np.column_stack([m, coeffs[parent]])
-    # same operation order as a per-m0 sweep, so the printed digits are stable
-    tail_f = coeffs[:, 1:].astype(float)
-    x, y, u, v = (tail_f @ E[c, 1:] + coeffs[:, 0] * E[c, 0] for c in range(4))
+    x, y, u, v = _embed(coeffs, E)
     keep = (x * x + y * y <= r2_phys) & (u * u + v * v <= r2_int)
     return coeffs[keep], x[keep] + 1j * y[keep], u[keep] + 1j * v[keep]
 
@@ -339,9 +345,7 @@ def check_selfsim_closure(spec, points, tsets, radius):
                 y = (qx[lo:lo + step, None, :] + v[None, :, :]).reshape(-1, 4)
                 report.checked += len(y)
                 residue_ok = (rho_qx[lo:lo + step, None] + rho_v).ravel() % 5 == 0
-                yf = y.astype(float)
-                # summed term by term, as the scalar star embedding does
-                u = np.column_stack([sum(yf[:, k] * row[k] for k in range(4)) for row in star])
+                u = np.column_stack(_embed(y, star))
                 m = margin(window, u)
                 inner, outer = m <= -DEFAULT_EPS, m <= DEFAULT_EPS
                 report.boundary_hits += int(np.count_nonzero(residue_ok & ~inner & outer))

@@ -29,46 +29,47 @@ from tests.conftest import TAU
 # by channel and count each row before it twice, erosion by meeting edge
 # lines, numpy's default inverse FFT scaling and nu-weighted kernel spectra
 # with the mirror phase folded in, each output's sum formed on the spectrum
-# rows up to n // 2 under the row mirror, the Anderson fit and the warm
-# start's prolongation formed elementwise, on numpy 2.4.6, and the Fourier
-# wavevectors drawn from random.Random(seed); the bytes follow the last bit
-# of every float, so they hold for one numpy build on CPUs with AVX2 and
-# FMA3, whatever OpenBLAS's thread count or kernel
+# rows up to n // 2 under the row mirror, the Anderson fit, the warm
+# start's prolongation, the transport nu m, the window geometry's planar
+# products and the Fourier product's formed elementwise, on numpy 2.4.6,
+# and the Fourier wavevectors drawn from random.Random(seed); the bytes
+# follow the last bit of every float, so they hold for one numpy build on
+# CPUs with AVX2 and FMA3, whatever OpenBLAS's thread count or kernel
 SOLVE_EX1_SHA256 = {
     "density_ch1.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density_ch2.txt": "7f39f69761104c639e53278b2e35105d78da12a29d7ce3d5cb1e0f7ff266a141",
-    "density_ch3.txt": "bb4fb6a1e087f69ed3c588ebf47bea769af45f330c2bae2f7e707faae8de59cd",
+    "density_ch2.txt": "512685608b374fcdf72cfb6e28abd6e63bd1005bf6df08aa96297dc4ecc4671d",
+    "density_ch3.txt": "a7e7d06355aa00815490a13b9a7ee3cf072a36dead1d1d3dab76dec57750f28f",
     "density_ch4.txt": "4d8eeefa78f63fe3b5430edbf15690eabeffab227d41a3d058aaec6744e011ea",
-    "density.csv": "af114bed6c36daf13d8deb05ae4cc0997f26377d01f0e36ce86c2fd0b4e5882f",
-    "summary.txt": "d18b499febe3cbe4b2e49dac569928dece6ac8d392288e001908c04b39bd583c",
+    "density.csv": "0788f70f9cbc23748bce5271b84918c532c2cc046cf14f2942dab02ba112398f",
+    "summary.txt": "d22488c77b3f128d549db77ffff81ca04d5582a5e8eddd34f5f09b0812835282",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes,
 # recorded like SOLVE_EX1_SHA256; here every channel and every kernel
 # spectrum is live
 SOLVE_EX2_SHA256 = {
-    "density_ch1.txt": "87884a7853caa62e07b192b7818f92f98648adf9605bf94d77f407e79d24ef1b",
-    "density_ch2.txt": "d9c176c20ac4110186528bf168f073138f0b18d132337b71b7cff01ca850a433",
-    "density_ch3.txt": "42ac3e5b391387612b05f852e392797be4cc01fc6461aba5683e6bf9367cd05d",
-    "density_ch4.txt": "d7f62421e29f81155a8c94390113cc0ad7e1c10aa860d768f77f8fdc60778a63",
-    "density.csv": "ef860bcbbed38351e5fde69c7c5ab80b0d602ea3ad41f042835df72afda39be0",
+    "density_ch1.txt": "3aae805ff1b37eed5a95627780076d22f8924093f0417829f938feb132025903",
+    "density_ch2.txt": "387584f4696d49286fc7e7405d3e69b7c2a9006498e5cf15e00ba9b1e9f6c814",
+    "density_ch3.txt": "7b9c2f4bf49daffda742754738774c5022b115ccd757d3897a9a8d93c292cece",
+    "density_ch4.txt": "13b9739ba5c9b8e38a36b7ce50eb4029e0c3e33af8c179f1f0d2b5bb9687084e",
+    "density.csv": "67241041193ef260ab8d80cf3aa0c183ffe8bc03c79ef987fc064808b3fc65cc",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "007ff36d6cfe9c3d1a6acde1ec5010634c543ad8ea888d169527c276ad803ced",
+    "summary.txt": "1901bec5f68072afac30743ca4c10a069d25067914a13063f43eb966d70c6336",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.03125` writes
 # with gamma = 0.031, -0.047, recorded like SOLVE_EX1_SHA256; the shifted
 # windows are not point-symmetric, so this run takes the general solve
 SOLVE_EX2_GAMMA_SHA256 = {
-    "density_ch1.txt": "4d9c9a8d040035e59618929e306874f98a7e83eb342ddfe7b777819f3e88eafe",
-    "density_ch2.txt": "84a101539d8eee6b9724bb58135349951b5d7115a69676d9b1af7d2885a625f4",
-    "density_ch3.txt": "3280febe8dff5a71b53b35dd252255894dfa03f38f36f3c2ce956e87ba7b3fb7",
-    "density_ch4.txt": "ae7c5b0df65c805393a957c7491523ba178fc02683a7a76837df8c5d0328c4bf",
-    "density.csv": "247e5a7862ffb9c98f476e40a79764a6d1f98a6d827f11193f4e8ab577975642",
+    "density_ch1.txt": "adae01e77e341bd330ec2d0e5fe32947c42b80ac45849dbc215746a29633f11e",
+    "density_ch2.txt": "3dbe1e5a872d6bb322b9b0cb0ed4d67993ea52c6636e2a59c54b424751788d23",
+    "density_ch3.txt": "d412a831426aa4e0b40f40f0100723819db9f7827516eb7da5c78a7cf9d31ba0",
+    "density_ch4.txt": "dd9e08e1eb9cd5260d629bf7dab73762523e8cc99e0b5f8f4ffd01e08024b694",
+    "density.csv": "b259a0355a957579a8a572075a655f6054ea16060ab5d12d8b8d742e4358b867",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "ac57a2e8c23c5f094f4e3bea4c3cde23e717c6fad849f918c3ce92633dbb27c1",
+    "summary.txt": "738026464dd088ddd297e4f9ac530069c7c4339ca13fd5d0fa649f9dfb1b9f08",
 }
 
 # sha256 of every file `solve --preset penrose-example2 --h 0.0078125` writes,
@@ -78,14 +79,14 @@ SOLVE_EX2_GAMMA_SHA256 = {
 # start's coarse level is 109 x 109 at h = 1/32, the smallest grid that
 # frames the windows there
 SOLVE_EX2_H128_SHA256 = {
-    "density_ch1.txt": "f31ed77eebb45660f6dd90e0b0a894fd23ff928278d554b0868da59b3c3cd302",
-    "density_ch2.txt": "e01bacb0b14e82c6d556693b97099751b3e7c4e0186732109b67a2441cff8a04",
-    "density_ch3.txt": "07881e2fd4745e939b8e3eade53038ec4e6a40f5e007b25b8c1788be5a6f3534",
-    "density_ch4.txt": "95f83816802d3daf7f203d68b9d813f436d08a1b6ce5957cb5f3e0605098691e",
-    "density.csv": "dd02a075bd36ee34fdf107d97771831097dfc09b7874e4a3dd6eb0a1c1ac7e83",
+    "density_ch1.txt": "6781e4472f5d825fc55754a7c8917c6bd7bd8176233433efc27d608f0db290b9",
+    "density_ch2.txt": "b06e3bbcef9e354741587a87a96e232f974a605fa7ccc2c55f1a0cae198307d6",
+    "density_ch3.txt": "79096eab0983bd2120d804e8d59a509ef449771580426af62c1b8833d43e8a6d",
+    "density_ch4.txt": "2540232835e52247582695602078e8e508c5d358feb0a59c27ff48ce12445948",
+    "density.csv": "43c7177f1532dcdb3895d21260d4b1dca909fa799af40f511fd6fbbe7ce3496e",
     "nu.txt": "85b263f1597f87502c52596e17f1c2b253602279b4a68346422131513cdc7695",
     "pf.txt": "78bd480a57b062d9be03b2e7672f0c0754dcc787e899b2eff52b6306a38857ba",
-    "summary.txt": "13395c93074116a974ef1ad5244eeb5452e7e7e969e258ea32697cf14f0ad318",
+    "summary.txt": "50cfa8d4092ba76530a8278a210d822a3e50b2307b7f78b5a6f24cd85d09d084",
 }
 
 # sha256 of the report.txt `verify --preset penrose-example2 --h 0.03125`
@@ -1023,30 +1024,46 @@ def test_solve_example2_pinned_bytes_at_full_size(tmp_path):
 
 
 def test_solve_bytes_hold_across_blas_threads_and_kernels(tmp_path):
-    # the solve's sums and samples reach no BLAS or LAPACK routine, so one
-    # configuration writes the same bytes at one and two OpenBLAS threads
-    # and, where numpy reports AVX2 and FMA3, under OpenBLAS's Haswell kernel,
-    # the one it picks on a CPU without AVX-512; each run is a child, since
+    # the solve's sums and samples, the window geometry, the Fourier product
+    # and the enumeration's embedding are formed elementwise, and what still
+    # reaches BLAS or LAPACK (the 4x4 eigensolve, the grid transform) moves
+    # no written byte, so one configuration writes the same bytes at one and
+    # two OpenBLAS threads and under each OpenBLAS kernel the CPU runs:
+    # SkylakeX where numpy reports AVX-512, Haswell where it reports AVX2 and
+    # FMA3 (the kernel OpenBLAS picks without AVX-512) and Sandybridge where
+    # it reports AVX (no FMA).  Each child sets its kernel itself, so an
+    # inherited OPENBLAS_CORETYPE cannot decide it, and runs a solve,
+    # `windows` and `points` at a generic gamma; each run is a child, since
     # OpenBLAS reads these settings when it loads
     from numpy._core._multiarray_umath import __cpu_features__ as features
-    envs = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
-    if features.get("AVX2") and features.get("FMA3"):
-        envs.append({"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell"})
+    needs = {"SkylakeX": ("AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ", "AVX512VL"),
+             "Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",)}
+    kernels = [k for k, flags in needs.items() if all(features.get(f) for f in flags)]
+    base = {n: v for n, v in os.environ.items() if n != "OPENBLAS_CORETYPE"}
+    pick = {"OPENBLAS_CORETYPE": kernels[0]} if kernels else {}  # none: OpenBLAS's own pick
+    envs = [{**pick, "OPENBLAS_NUM_THREADS": "1"}, {**pick, "OPENBLAS_NUM_THREADS": "2"}]
+    envs += [{"OPENBLAS_CORETYPE": k, "OPENBLAS_NUM_THREADS": "1"} for k in kernels[1:]]
+    gamma = tmp_path / "gamma.cfg"
+    gamma.write_text("gamma = 0.031, -0.047\n")
+    commands = {"solve": ["solve", "--preset", "penrose-example2", "--h", "0.0078125"],
+                "windows": ["windows"], "points": ["points", "--s", "20", "--config", str(gamma)]}
     root = Path(__file__).resolve().parents[1]
     written = []
     for n, env in enumerate(envs):
-        out = tmp_path / str(n)
-        code = ("import sys; sys.path.insert(0, 'src'); from modelsets import cli; sys.exit("
-                f"cli.main(['solve', '--preset', 'penrose-example2', '--h', '0.0078125', "
-                f"'--out', {str(out)!r}]))")
+        runs = [args + ["--out", str(tmp_path / str(n) / name)] for name, args in commands.items()]
+        code = ("import sys; sys.path.insert(0, 'src'); from modelsets import cli; "
+                f"sys.exit(max([cli.main(args) for args in {runs!r}]))")
         done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
-                              text=True, env={**os.environ, **env})
+                              text=True, env={**base, **env})
         assert (done.returncode, done.stderr) == (0, ""), env
-        written.append({name: (out / name).read_bytes() for name in os.listdir(out)})
-    assert sorted(written[0]) == sorted(SOLVE_EX2_H128_SHA256)
+        written.append({(name, f): (tmp_path / str(n) / name / f).read_bytes()
+                        for name in commands for f in os.listdir(tmp_path / str(n) / name)})
+    assert sorted(f for name, f in written[0] if name == "solve") == sorted(SOLVE_EX2_H128_SHA256)
+    assert sorted(f for name, f in written[0] if name != "solve") == \
+        ["areas.txt", "points.csv", "windows.txt"]
     for env, files in zip(envs[1:], written[1:]):
-        moved = sorted(name for name in files.keys() | written[0].keys()
-                       if files.get(name) != written[0].get(name))
+        moved = sorted(key for key in files.keys() | written[0].keys()
+                       if files.get(key) != written[0].get(key))
         assert moved == [], env
 
 
@@ -1057,10 +1074,9 @@ def nu_rows(matrix):
 
 # configurations refused before any output, each with its whole message: a
 # config error names the file, and its line where the value has one; a stage
-# error names the stage.  The radius 1.5 (example 2's weights times 1.5) reads
-# the same last digit under OpenBLAS's SkylakeX, Haswell and Sandybridge
-# kernels; 1.2 reads 1.1999999999999997 under the first and 1.2000000000000002
-# under the other two
+# error names the stage.  The spectral radius (example 2's weights times 1.5)
+# is printed as `%.12g`, so its text is the same under every OpenBLAS kernel,
+# though the last bit of LAPACK's eigenvalue is not
 INLINE_WINDOW = "scheme = inline\nwindow1 = 0,0;1,0;0,1\n"
 REFUSALS = [
     pytest.param(" = 5\n", "config error: {path}:1: empty key", id="empty-key"),
@@ -1074,7 +1090,7 @@ REFUSALS = [
                  "error: failed at stage 'weight matrix': matrix argument is only for the "
                  "explicit policy", id="matrix-under-area-policy"),
     pytest.param("nu_policy = explicit\n" + nu_rows(1.5 * np.array(cli.EXAMPLE2_MATRIX)),
-                 "error: failed at stage 'eigenpair': spectral radius 1.4999999999999996 is not 1",
+                 "error: failed at stage 'eigenpair': spectral radius 1.5 is not 1",
                  id="radius-not-one"),
 ]
 

@@ -15,10 +15,11 @@ from modelsets.polygeom import contains_many
 from tests.conftest import oracle
 
 # sha256 of points_csv_text(generate_all(...)) as written by the box sweep,
-# recorded on numpy 2.4.6
+# each image summed term by term in the order m0..m3 and the windows'
+# products formed elementwise, recorded on numpy 2.4.6
 POINTS_CSV_SHA256 = {
-    (40.0, 0j): "6bd566d81c78d6c01d7fc7961b2966f8007c7f8388828acb9d1002007538654a",
-    (20.0, 0.031 - 0.047j): "c041b1986734af0079a0bf27e8bd359940d7b68b905eee87dbf229e0fc3737d1",
+    (40.0, 0j): "08df465f370ab96266892f2a581e4e545b4b191702a5fbc485b1401476e1193c",
+    (20.0, 0.031 - 0.047j): "2b83d7e1571fdbe75bb8a101204a776600685fd2aeef7cb276ca5448c23f2d70",
 }
 
 
@@ -30,15 +31,16 @@ def box_bound(radius_phys, radius_internal):
 
 
 def box_sweep(radius_phys, radius_internal):
-    """Every coefficient vector of the box, filtered by both embeddings, per m0."""
+    """Every coefficient vector of the box, filtered by both embeddings, per m0; each
+    image is summed term by term in the order m0..m3, as the scalar embeddings are."""
     E = embedding_matrix()
     bound = box_bound(radius_phys, radius_internal)
     rng = np.arange(-bound, bound + 1)
     g1, g2, g3 = np.meshgrid(rng, rng, rng, indexing="ij")
     tail = np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
-    base = [tail.astype(float) @ E[c, 1:] for c in range(4)]
+    terms = [[tail[:, k - 1] * E[c, k] for k in range(1, 4)] for c in range(4)]
     for m0 in rng:
-        x, y, u, v = (base[c] + m0 * E[c, 0] for c in range(4))
+        x, y, u, v = (m0 * E[c, 0] + t1 + t2 + t3 for c, (t1, t2, t3) in enumerate(terms))
         mask = ((x * x + y * y <= radius_phys**2 + 1e-9)
                 & (u * u + v * v <= radius_internal**2 + 1e-9))
         for k in np.flatnonzero(mask):

@@ -406,9 +406,12 @@ def test_polygon_cleaning_and_convexity_match_scalar_oracles(verts):
 
 def oracle_contains_many(P, pts, eps):
     """The former polygon test of contains_many: each row's largest signed edge
-    distance against eps, one max-reduction over the edges."""
+    distance against eps, one max-reduction over the edges; each distance is
+    x n_x + y n_y formed elementwise, as polygeom forms it, so that no BLAS
+    kernel rounds it."""
     normals, offsets = _edge_normals(P)
-    return (pts @ normals.T - offsets).max(axis=1) <= eps
+    dist = pts[:, None, 0] * normals[:, 0] + pts[:, None, 1] * normals[:, 1]
+    return (dist - offsets).max(axis=1) <= eps
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

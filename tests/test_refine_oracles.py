@@ -296,13 +296,15 @@ def oracle_fourier_product(problem, k):
 def oracle_orbit_walk(problem, ks):
     """The former fourier_product: each orbit grown by its own loop, one transform
     table over the members of every orbit, and each orbit's product read from
-    it through start and end offsets."""
+    it through start and end offsets.  The orbit step and each matrix-vector
+    product are formed elementwise, as refine forms them, so that no BLAS
+    kernel rounds them."""
     nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
     orbits = []
     for k in np.asarray(ks, dtype=float).reshape(-1, 2):
         kappas = [k]
-        while (np.hypot(*(step := a_matrix.T @ kappas[-1])) >= refine._PRODUCT_TAIL
-               and len(kappas) <= 10000):
+        while (np.hypot(*(step := kappas[-1][0] * a_matrix[0] + kappas[-1][1] * a_matrix[1]))
+               >= refine._PRODUCT_TAIL and len(kappas) <= 10000):
             kappas.append(step)
         orbits.append(kappas)
     jj, ii = np.nonzero(nu)
@@ -316,7 +318,7 @@ def oracle_orbit_walk(problem, ks):
         start, end = end, end + len(kappas)
         acc = w.astype(complex)
         for mat in mats[start:end][::-1]:
-            acc = mat @ acc
+            acc = (mat * acc).sum(axis=1)
         out[n] = acc
     return out
 

@@ -275,12 +275,13 @@ def test_translation_residues_match_oracle_inline(reps, residues, q):
 
 
 # sha256 of penrose_scheme().windows[k].vertices with the pentagon's corners
-# taken as the products xi**k, recorded on numpy 2.4.6
+# taken as the products xi**k and its scaled copies' vertices formed
+# elementwise, recorded on numpy 2.4.6
 WINDOW_VERTICES_SHA256 = [
     "d3f7bcf3442f77c9be851e9d01510b87564718e23d7ce6639555489f3590c623",
-    "98b53ca0fd18faf913c62228f2af04f404706aeac1af6f0b92da7e962da25bbd",
+    "a27628388a4c4cbd3b1183e2e0377eec3f051fb67dd7df8cba1c05485b1f5f6f",
     "52655e7663a0f61456b6e5bc529626bb200b4cc009c630523f38e4fd9793b924",
-    "dd64843ef84bb07149d2e1f70e8ad91e8a2f3805f08c47c57f446d66ee6fac03",
+    "b5babb832118de7edb679b7df329183a84563cb6796075c397c193a2fa394288",
 ]
 
 
