@@ -133,7 +133,7 @@ UP_TO_1E150 = ("positive and at most 1e+150", lambda v: 0 < v <= 1e150)
 # value must meet as (description, test), or None
 KEYS = {
     "scheme": ("penrose", str, _one_of("penrose", "inline")),
-    "nu_policy": (scheme.POLICY_AREA, str, _one_of(scheme.POLICY_AREA, scheme.POLICY_EXPLICIT)),
+    "nu_policy": ("area-markov", str, _one_of("area-markov", "explicit")),
     "gamma": ((0.0, 0.0), lambda text: tuple(_parse_floats(text, 2, "gamma")), None),
     "boundary": ("closed", str, _one_of("closed", "open")),
     "s": (40.0, float, POSITIVE),
@@ -199,7 +199,8 @@ def _inline_scheme(raw, path, gamma, boundary):
 
 
 def build_config(args):
-    """Each KEYS value, spec and nu_matrix, from defaults, preset, config file and flags."""
+    """Each KEYS value, spec and nu_matrix, from defaults, preset, config file and flags;
+    nu_matrix, from nu_row<j> or the preset, is None unless nu_policy = explicit."""
     cfg = {key: default for key, (default, _, _) in KEYS.items()} | {"nu_matrix": None}
     if args.preset:
         if args.preset not in PRESETS:
@@ -250,7 +251,11 @@ def build_config(args):
             if min(row) < 0:
                 raise ConfigError(f"{at[key]}{key}: weights must be non-negative")
             cfg["nu_matrix"].append(row)
-    if cfg["nu_policy"] == scheme.POLICY_EXPLICIT and cfg["nu_matrix"] is None:
+        if cfg["nu_policy"] != "explicit":
+            raise ConfigError(f"{at['nu_row1']}'nu_row1' needs nu_policy = explicit")
+    if cfg["nu_policy"] != "explicit":
+        cfg["nu_matrix"] = None
+    elif cfg["nu_matrix"] is None:
         raise ConfigError(f"{at.get('nu_policy', '')}explicit policy needs nu_row1..r "
                           "(or a preset)")
     return SimpleNamespace(**cfg, spec=spec)
@@ -339,7 +344,7 @@ def _eigenpair(cfg):
     with _stage("transition windows"):
         trans = scheme.transition_windows(cfg.spec)
     with _stage("weight matrix"):
-        nu = scheme.build_nu(cfg.spec, trans, policy=cfg.nu_policy, matrix=cfg.nu_matrix)
+        nu = scheme.build_nu(cfg.spec, trans, cfg.nu_matrix)
     with _stage("eigenpair"):
         pf = pfsolve.pf_eigen(nu)
     return trans, nu, pf

@@ -6,7 +6,8 @@ elements are equal iff their coefficient tuples are equal.  Products go
 through the integer matrix of multiplication (the regular representation,
 Cohen, GTM 138, 4.2), and the coset residue is a ring map onto Z/5.  Two
 complex embeddings matter here: the identity one ("physical") and its
-composition with the Galois map xi -> xi^2 ("internal").
+composition with the Galois map xi -> xi^2 ("internal"); `embed` is the one
+map from coefficients to both.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import numpy as np
 # coefficients kept in signed-64-bit range; enumeration never needs more
 _COEFF_LIMIT = 2**63
 
-_PHYS_BASIS = tuple(cmath.exp(2j * cmath.pi * j / 5) for j in range(4))
-_STAR_BASIS = tuple(cmath.exp(4j * cmath.pi * j / 5) for j in range(4))
+# rows Re x, Im x, Re x*, Im x* of the basis element xi^k in column k
+EMBEDDING = np.array([[f(cmath.exp(2j * cmath.pi * g * k / 5)) for k in range(4)]
+                      for g in (1, 2) for f in (lambda z: z.real, lambda z: z.imag)])
+EMBEDDING.flags.writeable = False  # shared by every caller, as embed's default rows
 
 # multiplication by xi: xi^k -> xi^(k+1), and xi^3 -> xi^4 = -1 - xi - xi^2 - xi^3
 _XI = np.array([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]])
@@ -62,11 +65,11 @@ class CycInt:
 
     def physical(self):
         """Complex value of the element under the identity embedding."""
-        return sum(m * b for m, b in zip(self.coeffs, _PHYS_BASIS))
+        return complex(*embed(self.coeffs, EMBEDDING[:2]))
 
     def internal(self):
         """Complex value of the Galois conjugate (the star image)."""
-        return sum(m * b for m, b in zip(self.coeffs, _STAR_BASIS))
+        return complex(*embed(self.coeffs, EMBEDDING[2:]))
 
     def mult_matrix(self):
         """4x4 int64 matrix M = sum_k m_k X^k, X that of multiplication by xi, so that
@@ -81,6 +84,9 @@ class CycInt:
 TAU = CycInt(0, 0, -1, -1)
 
 
-def embedding_matrix():
-    """4x4 real matrix sending coefficients to (Re x, Im x, Re x*, Im x*)."""
-    return np.array([[p.real, p.imag, s.real, s.imag] for p, s in zip(_PHYS_BASIS, _STAR_BASIS)]).T
+def embed(coeffs, rows=EMBEDDING):
+    """Each row's image of the (n, 4) integer coefficients, or of one 4-vector, summed
+    term by term in the order m0..m3; the coefficients go to float once, one contiguous
+    column per term, so a vector's image has the same bits alone as in any batch."""
+    cols = np.asarray(coeffs).T.astype(float, order="C")
+    return [sum(cols[k] * row[k] for k in range(4)) for row in rows]

@@ -15,24 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import TAU, CoefficientOverflow, CycInt, embedding_matrix
+from .cyclotomic import EMBEDDING, TAU, CoefficientOverflow, CycInt, embed
 # contains is unused here but stays importable: perfbench/tracer.py wraps scheme.contains
 from .polygeom import (DEFAULT_EPS, Region, area, contains, contains_many, erode,
                        linear_image, margin, translate)
 from .text import write_rows
 
-POLICY_AREA = "area-markov"
-POLICY_EXPLICIT = "explicit"
-
 POINTS_CSV_HEADER = "component,m0,m1,m2,m3,phys_re,phys_im,int_re,int_im"
 _POINTS_CSV_ROW = "%d,%d,%d,%d,%d,%.12g,%.12g,%.12g,%.12g\n"
 MAX_CANDIDATES = 2**22  # per enumeration level; each candidate costs about 160 B
 _CLOSURE_PAIRS = 2**16  # (x, v) pairs per chunk of the closure check; each costs about 125 B
-
-
-def _complex_matrix(c):
-    """2x2 real matrix of multiplication by the complex number c."""
-    return np.array([[c.real, -c.imag], [c.imag, c.real]])
 
 
 @dataclass
@@ -73,7 +65,9 @@ class SchemeSpec:
         return self.q_mult.internal()
 
     def a_matrix(self):
-        return _complex_matrix(self.a_internal)
+        """2x2 real matrix of multiplication by the internal image of Q."""
+        a = self.a_internal
+        return np.array([[a.real, -a.imag], [a.imag, a.real]])
 
     @property
     def detq_abs(self):
@@ -118,10 +112,10 @@ def penrose_scheme(gamma=0j, boundary_mode="closed"):
     negated / golden-scaled copies; component i selects the coset with
     residue i and the similarity is multiplication by the golden ratio.
     """
-    # xi^0..xi^3 are the basis vectors and xi^4 = -1 - xi - xi^2 - xi^3
-    xi_powers = [CycInt(*c).physical() for c in [*np.eye(4, dtype=int), (-1, -1, -1, -1)]]
-    P = Region.polygon([(z.real, z.imag) for z in xi_powers])
-    tau = TAU.physical().real
+    # xi^0..xi^3 are the basis vectors, xi^4 = -1 - xi - xi^2 - xi^3, then tau
+    x, y = embed([*np.eye(4, dtype=np.int64), (-1, -1, -1, -1), TAU.coeffs], EMBEDDING[:2])
+    P = Region.polygon(np.column_stack([x[:5], y[:5]]))
+    tau = x[5]
     windows = [
         P,
         linear_image(P, -tau * np.eye(2)),
@@ -150,50 +144,38 @@ def transition_windows(spec):
     return out
 
 
-def build_nu(spec, windows_ji, policy=POLICY_AREA, matrix=None):
+def build_nu(spec, windows_ji, matrix=None):
     """Transition weight matrix for the given transition-window table.
 
-    The area policy weights each transition window by its linear scale
-    (the square root of its area) and normalizes every source column to
+    Without a matrix, each transition window is weighted by its linear scale
+    (the square root of its area) and every source column is normalized to
     sum to one, which reproduces the Markov weighting of the worked
-    four-component example.  Explicit matrices are validated: they must be
-    non-negative and must not put weight on a measure-zero window (such a
-    normalized indicator would degenerate to a point mass).
+    four-component example.  A given (explicit) matrix is validated: it must
+    be r x r, non-negative and must not put weight on a measure-zero window
+    (such a normalized indicator would degenerate to a point mass).
     """
     r = spec.r
     areas = np.array([[area(windows_ji[j][i]) for i in range(r)] for j in range(r)])
-    if policy == POLICY_AREA:
-        if matrix is not None:
-            raise ValueError("matrix argument is only for the explicit policy")
+    if matrix is None:
         weights = np.sqrt(areas)
         colsums = weights.sum(axis=0)
         if np.any(colsums <= 0):
             bad = int(np.argmin(colsums)) + 1
             raise ValueError(f"column {bad} has no positive-area transition window")
         return weights / colsums
-    if policy == POLICY_EXPLICIT:
-        nu = np.asarray(matrix, dtype=float)
-        if nu.shape != (r, r):
-            raise ValueError(f"explicit matrix must be {r}x{r}")
-        if np.any(nu < 0):
-            raise ValueError("explicit matrix must be non-negative")
-        ghost = (nu > 0) & (areas == 0)
-        if np.any(ghost):
-            j, i = [int(v) + 1 for v in np.argwhere(ghost)[0]]
-            raise ValueError(f"ghost transition ({j},{i}): positive weight on a "
-                             "measure-zero window")
-        nu = nu.copy()
-        nu[areas == 0] = 0.0
-        return nu
-    raise ValueError(f"unknown weighting policy {policy!r}")
-
-
-def _embed(coeffs, rows):
-    """Each row's image of the (n, 4) integer coefficients, summed term by term in the
-    order m0..m3, as the scalar embeddings of CycInt do; the coefficients go to
-    float once, one contiguous column per term."""
-    cols = coeffs.T.astype(float, order="C")
-    return [sum(cols[k] * row[k] for k in range(4)) for row in rows]
+    nu = np.asarray(matrix, dtype=float)
+    if nu.shape != (r, r):
+        raise ValueError(f"explicit matrix must be {r}x{r}")
+    if np.any(nu < 0):
+        raise ValueError("explicit matrix must be non-negative")
+    ghost = (nu > 0) & (areas == 0)
+    if np.any(ghost):
+        j, i = [int(v) + 1 for v in np.argwhere(ghost)[0]]
+        raise ValueError(f"ghost transition ({j},{i}): positive weight on a "
+                         "measure-zero window")
+    nu = nu.copy()
+    nu[areas == 0] = 0.0
+    return nu
 
 
 def _enumerate_module(radius_phys, radius_internal):
@@ -208,10 +190,9 @@ def _enumerate_module(radius_phys, radius_internal):
     Returns coefficients (n, 4) int64, physical and internal images as complex
     arrays.  Raises before a level would hold more than MAX_CANDIDATES candidates.
     """
-    E = embedding_matrix()
     r2_phys = radius_phys * radius_phys + 1e-9
     r2_int = radius_internal * radius_internal + 1e-9
-    gram = E.T @ np.diag([1 / r2_phys, 1 / r2_phys, 1 / r2_int, 1 / r2_int]) @ E
+    gram = EMBEDDING.T @ np.diag([1 / r2_phys, 1 / r2_phys, 1 / r2_int, 1 / r2_int]) @ EMBEDDING
     try:
         U = np.linalg.cholesky(gram).T  # gram = U.T @ U, row k involves m_k..m_3
     except np.linalg.LinAlgError:
@@ -236,7 +217,7 @@ def _enumerate_module(radius_phys, radius_internal):
         m = lo[parent] + np.arange(len(parent)) - starts
         budget = budget[parent] - (U[k, k] * (m - center[parent])) ** 2
         coeffs = np.column_stack([m, coeffs[parent]])
-    x, y, u, v = _embed(coeffs, E)
+    x, y, u, v = embed(coeffs)
     keep = (x * x + y * y <= r2_phys) & (u * u + v * v <= r2_int)
     return coeffs[keep], x[keep] + 1j * y[keep], u[keep] + 1j * v[keep]
 
@@ -324,7 +305,6 @@ def check_selfsim_closure(spec, points, tsets, radius):
     report = ClosureReport(checked=0)
     qmat = spec.q_mult.mult_matrix()
     q_norm = max(sum(map(abs, row)) for row in qmat.tolist())
-    star = embedding_matrix()[2:]
     for i in range(spec.r):
         x = points[i].within(radius).coeffs
         # rho is a ring map onto Z/5, so rho(Q x + v) = rho(Q) rho(x) + rho(v) mod 5; each
@@ -345,7 +325,7 @@ def check_selfsim_closure(spec, points, tsets, radius):
                 y = (qx[lo:lo + step, None, :] + v[None, :, :]).reshape(-1, 4)
                 report.checked += len(y)
                 residue_ok = (rho_qx[lo:lo + step, None] + rho_v).ravel() % 5 == 0
-                u = np.column_stack(_embed(y, star))
+                u = np.column_stack(embed(y, EMBEDDING[2:]))
                 m = margin(window, u)
                 inner, outer = m <= -DEFAULT_EPS, m <= DEFAULT_EPS
                 report.boundary_hits += int(np.count_nonzero(residue_ok & ~inner & outer))

@@ -80,7 +80,7 @@ def nu_area(spec, transitions):
 
 @pytest.fixture(scope="session")
 def nu_explicit(spec, transitions):
-    return scheme.build_nu(spec, transitions, policy="explicit", matrix=EXAMPLE2_NU)
+    return scheme.build_nu(spec, transitions, matrix=EXAMPLE2_NU)
 
 
 @pytest.fixture(scope="session")

@@ -187,7 +187,7 @@ def test_build_config_returns_every_key():
     cfg = cli.build_config(args)
     assert set(vars(cfg)) == set(cli.KEYS) | {"spec", "nu_matrix"}
     assert cfg.s == 12.0 and cfg.h == cli.KEYS["h"][0]
-    assert cfg.nu_policy == scheme.POLICY_EXPLICIT and cfg.nu_matrix == cli.EXAMPLE2_MATRIX
+    assert cfg.nu_policy == "explicit" and cfg.nu_matrix == cli.EXAMPLE2_MATRIX
     assert cfg.spec.r == 4
 
 
@@ -208,6 +208,30 @@ def test_nu_command_presets(tmp_path):
     assert "w = 0.25 0.25 0.25 0.25\n" in (out2 / "pf.txt").read_text()
 
 
+def test_area_policy_overrides_a_preset_matrix(tmp_path):
+    # the file's policy decides the weights, so example 2 weighted by area is example 1
+    config = tmp_path / "area.cfg"
+    config.write_text("nu_policy = area-markov\n")
+    out1, out2 = tmp_path / "ex1", tmp_path / "ex2"
+    assert run(["nu", "--preset", "penrose-example1", "--out", str(out1)]) == 0
+    assert run(["nu", "--preset", "penrose-example2", "--config", str(config),
+                "--out", str(out2)]) == 0
+    for name in ("nu.txt", "pf.txt"):
+        assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["windows", "points", "nu", "solve", "verify"])
+def test_nu_rows_need_the_explicit_policy(tmp_path, capsys, command):
+    # rows that no policy reads are refused by every command, not ignored by some
+    config = tmp_path / "rows.cfg"
+    config.write_text("".join(f"nu_row{j} = 0.25 0.25 0.25 0.25\n" for j in range(1, 5)))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {config}:1: 'nu_row1' needs nu_policy = explicit\n"
+    assert not out.exists()
+
+
 def test_explicit_matrix_via_config(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -223,34 +247,21 @@ def test_explicit_matrix_via_config(tmp_path):
 
 
 def test_inline_scheme_config(tmp_path):
-    # component-1 pentagon plus its index-matched copies, spelled out inline
-    def pent(scale, negate):
-        pts = []
-        for k in range(5):
-            x = scale * math.cos(2 * math.pi * k / 5)
-            y = scale * math.sin(2 * math.pi * k / 5)
-            if negate:
-                x, y = -x, -y
-            pts.append(f"{x},{y}")
-        return ";".join(pts)
-
+    # the builtin Penrose windows written inline with repr floats give the
+    # builtin's bytes, points and weights included
     config = tmp_path / "inline.cfg"
-    config.write_text(
-        "scheme = inline\n"
-        f"window1 = {pent(1, False)}\n"
-        "coset1 = 1 0 0 0\n"
-        f"window2 = {pent(TAU, True)}\n"
-        "coset2 = 2 0 0 0\n"
-        f"window3 = {pent(TAU, False)}\n"
-        "coset3 = 3 0 0 0\n"
-        f"window4 = {pent(1, True)}\n"
-        "coset4 = 4 0 0 0\n"
-        "q = 0 0 -1 -1\n")
-    out = tmp_path / "w"
-    assert run(["windows", "--config", str(config), "--out", str(out)]) == 0
-    builtin = tmp_path / "builtin"
-    assert run(["windows", "--out", str(builtin)]) == 0
-    assert (out / "areas.txt").read_text() == (builtin / "areas.txt").read_text()
+    config.write_text("scheme = inline\nq = 0 0 -1 -1\n" + "".join(
+        f"window{k} = {'; '.join(f'{float(x)!r}, {float(y)!r}' for x, y in w.vertices)}\n"
+        f"coset{k} = {k} 0 0 0\n"
+        for k, w in enumerate(scheme.penrose_scheme().windows, start=1)))
+    out, builtin = tmp_path / "inline", tmp_path / "builtin"
+    for command in (["windows"], ["points", "--s", "10"], ["nu"]):
+        assert run(command + ["--config", str(config), "--out", str(out)]) == 0
+        assert run(command + ["--out", str(builtin)]) == 0
+    names = ["areas.txt", "nu.txt", "pf.txt", "points.csv", "windows.txt"]
+    assert sorted(os.listdir(out)) == sorted(os.listdir(builtin)) == names
+    for name in names:
+        assert (out / name).read_bytes() == (builtin / name).read_bytes(), name
 
 
 def test_config_errors_carry_line_numbers(tmp_path, capsys):
@@ -299,6 +310,8 @@ BAD_CONFIGS = [
     ("scheme = inline\nwindow1 = 0,0;1,0;0,1\ncoset1 = 1 0 0 0\n"
      "window3 = 0,0;1,0;0,1\nq = 0 0 -1 -1\n", 4, "bad.cfg:4: 'window3'"),
     ("nu_row5 = 1 0 0 0\n", 1, "bad.cfg:1: 'nu_row5'"),
+    ("s = 8\nnu_row2 = 0 1 0 0\nnu_row1 = 1 0 0 0\nnu_row3 = 0 0 1 0\nnu_row4 = 0 0 0 1\n", 3,
+     "bad.cfg:3: 'nu_row1' needs nu_policy = explicit"),
     ("s = 3\ns = 4\n", 2, "bad.cfg:2: 's'"),
     # values of the keys read once the scheme is known
     ("scheme = inline\nwindow1 = 0,0;1,0\n", 2, "window1 needs >= 3 vertices"),
@@ -888,7 +901,7 @@ def test_inline_q_solves_only_for_a_unit(q):
 # grid is refused before it is allocated), and no large maxit or k_count
 OWN_VALUES = {
     "scheme": ["penrose", "inline"],
-    "nu_policy": [scheme.POLICY_AREA, scheme.POLICY_EXPLICIT],
+    "nu_policy": ["area-markov", "explicit"],
     "gamma": ["0, 0", "0.031, -0.047", "2, -3", "-1e3, 1e3", "1e-300, 0"],
     "boundary": ["closed", "open"],
     "s": ["8", "3", "1"],
@@ -903,8 +916,9 @@ OWN_VALUES = {
     "outputs": ["grids", "csv", "grids, csv"],
 }
 ANY_VALUES = ["0", "-1", "1e-300", "5e-324", "1e308", "nan", "inf", "-inf", "x", "1, 2", ""]
-# texts of one nu_row<j> line under nu_policy = explicit: a row of example 2,
-# four 0.25s, a negative entry and a row of the wrong length
+# texts of one nu_row<j> line: a row of example 2, four 0.25s, a negative
+# entry and a row of the wrong length; the rows are drawn with a policy, and
+# under area-markov they are a config error
 NU_ROWS = ["0.5 0 0 0.5", "0.25 0.25 0.25 0.25", "0.5 0.5 -0.5 0.5", "0.5 0.5 0.5"]
 
 
@@ -913,7 +927,8 @@ NU_ROWS = ["0.5 0 0 0.5", "0.25 0.25 0.25 0.25", "0.5 0.5 -0.5 0.5", "0.5 0.5 0.
        preset=st.sampled_from([None, *sorted(cli.PRESETS)]),
        config=st.fixed_dictionaries({}, optional={key: st.sampled_from(values)
                                                   for key, values in OWN_VALUES.items()}),
-       nu_rows=st.none() | st.lists(st.sampled_from(NU_ROWS), min_size=4, max_size=4),
+       nu_rows=st.none() | st.tuples(st.sampled_from(OWN_VALUES["nu_policy"]),
+                                     st.lists(st.sampled_from(NU_ROWS), min_size=4, max_size=4)),
        bad=st.none() | st.tuples(st.sampled_from(sorted(cli.KEYS)), st.sampled_from(ANY_VALUES)))
 # an OverflowError traceback drawing the Fourier wavevectors, and from 1e154
 # an overflow warning squaring them, until k_max was held to 1e150
@@ -925,14 +940,20 @@ NU_ROWS = ["0.5 0 0 0.5", "0.25 0.25 0.25 0.25", "0.5 0.5 -0.5 0.5", "0.5 0.5 0.
 @example(command="verify", preset="penrose-example2", config={"gamma": "1e3, 0"},
          nu_rows=None, bad=None)
 # example 2's weights given row by row instead of by its preset
-@example(command="solve", preset=None, config={}, nu_rows=[NU_ROWS[0], NU_ROWS[1], NU_ROWS[1],
-                                                         NU_ROWS[0]], bad=None)
+@example(command="solve", preset=None, config={},
+         nu_rows=("explicit", [NU_ROWS[0], NU_ROWS[1], NU_ROWS[1], NU_ROWS[0]]), bad=None)
+# rows that no policy reads, which points and windows once ignored
+@example(command="points", preset=None, config={}, nu_rows=("area-markov", [NU_ROWS[1]] * 4),
+         bad=None)
+# example 2 under the file's area policy, once refused at stage 'weight matrix'
+@example(command="nu", preset="penrose-example2", config={"nu_policy": "area-markov"},
+         nu_rows=None, bad=None)
 def test_cli_contract(command, preset, config, nu_rows, bad):
     # exit 0, 1 (a verify FAIL) or 2; exit 2 prints one labelled line and
     # writes nothing; any other run writes the same bytes twice
     if nu_rows:
-        config = {**config, "nu_policy": scheme.POLICY_EXPLICIT,
-                  **{f"nu_row{j}": row for j, row in enumerate(nu_rows, start=1)}}
+        config = {**config, "nu_policy": nu_rows[0],
+                  **{f"nu_row{j}": row for j, row in enumerate(nu_rows[1], start=1)}}
     if bad:
         config = {**config, bad[0]: bad[1]}
     flags = ["--preset", preset] if preset else []
@@ -1087,8 +1108,8 @@ REFUSALS = [
     pytest.param(INLINE_WINDOW + "coset1 = 1 0 0 0\n",
                  "config error: {path}: inline scheme needs q = m0,m1,m2,m3", id="missing-q"),
     pytest.param(nu_rows(cli.EXAMPLE2_MATRIX),
-                 "error: failed at stage 'weight matrix': matrix argument is only for the "
-                 "explicit policy", id="matrix-under-area-policy"),
+                 "config error: {path}:1: 'nu_row1' needs nu_policy = explicit",
+                 id="matrix-under-area-policy"),
     pytest.param("nu_policy = explicit\n" + nu_rows(1.5 * np.array(cli.EXAMPLE2_MATRIX)),
                  "error: failed at stage 'eigenpair': spectral radius 1.5 is not 1",
                  id="radius-not-one"),

@@ -1,13 +1,14 @@
 """The program's Z[xi] arithmetic, the multiplication matrix, residue and
 embeddings of a CycInt, against OracleCycInt's scalar ring operations."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from modelsets.cyclotomic import TAU, CoefficientOverflow, CycInt, embedding_matrix
+from modelsets.cyclotomic import EMBEDDING, TAU, CoefficientOverflow, CycInt, embed
 from tests.conftest import OracleCycInt, oracle
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -121,11 +122,47 @@ def test_overflow_detection():
 
 
 def test_embedding_matrix_shape():
-    B = embedding_matrix()
+    assert EMBEDDING.shape == (4, 4)
     a = CycInt(2, -3, 1, 4)
-    vec = B @ np.array(a.coeffs)
+    vec = EMBEDDING @ np.array(a.coeffs)
     assert abs(complex(vec[0], vec[1]) - a.physical()) < 1e-12
     assert abs(complex(vec[2], vec[3]) - a.internal()) < 1e-12
+
+
+def scalar_images(m):
+    """x and x* as the complex sums, term by term in the order m0..m3, by which
+    CycInt formed them before embed: the record that embed moved no bit."""
+    return (sum(c * cmath.exp(2j * cmath.pi * k / 5) for k, c in enumerate(m)),
+            sum(c * cmath.exp(4j * cmath.pi * k / 5) for k, c in enumerate(m)))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+int64 = st.integers(-2**63, 2**63 - 1)
+# a batch long enough for numpy's vector loops, with coefficients at both ends of int64
+FAR = [(2**63 - 1, -2**63, 12345, -1), (-7, 2**62 + 1, -2**53 - 1, 3)] * 5
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=st.tuples(*[int64] * 4), others=st.lists(st.tuples(*[int64] * 4), max_size=40))
+@example(m=(1, 0, 0, 0), others=FAR)
+@example(m=(0, 1, 0, 0), others=FAR)
+@example(m=(0, 0, 1, 0), others=FAR)
+@example(m=(0, 0, 0, 1), others=FAR)
+@example(m=(-1, -1, -1, -1), others=FAR)
+@example(m=TAU.coeffs, others=FAR)
+def test_embed_of_one_vector_is_its_row_of_a_batch(m, others):
+    # CycInt's images and penrose_scheme's vertices and tau embed one vector,
+    # the enumeration and the closure check whole batches: the same bits
+    alone = bits(embed(m))
+    assert bits(row[len(others)] for row in embed([*others, m, *others])) == alone
+    x, u = scalar_images(m)
+    assert bits([x.real, x.imag, u.real, u.imag]) == alone
+    if -2**63 not in m:  # CycInt's range
+        x, u = CycInt(*m).physical(), CycInt(*m).internal()
+        assert bits([x.real, x.imag, u.real, u.imag]) == alone
 
 
 elements = st.tuples(*[st.integers(min_value=-10**5, max_value=10**5)] * 4).map(

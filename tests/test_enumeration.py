@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from modelsets import scheme
-from modelsets.cyclotomic import CycInt, embedding_matrix
+from modelsets.cyclotomic import EMBEDDING, CycInt
 from modelsets.polygeom import contains_many
 from tests.conftest import oracle
 
@@ -25,15 +25,14 @@ POINTS_CSV_SHA256 = {
 
 def box_bound(radius_phys, radius_internal):
     """Coefficient box that provably holds every point of the disk x disk region."""
-    B = embedding_matrix()
-    norm_inf = np.abs(np.linalg.inv(B)).sum(axis=1).max()
+    norm_inf = np.abs(np.linalg.inv(EMBEDDING)).sum(axis=1).max()
     return int(math.floor(norm_inf * math.sqrt(radius_phys**2 + radius_internal**2) + 1))
 
 
 def box_sweep(radius_phys, radius_internal):
     """Every coefficient vector of the box, filtered by both embeddings, per m0; each
     image is summed term by term in the order m0..m3, as the scalar embeddings are."""
-    E = embedding_matrix()
+    E = EMBEDDING
     bound = box_bound(radius_phys, radius_internal)
     rng = np.arange(-bound, bound + 1)
     g1, g2, g3 = np.meshgrid(rng, rng, rng, indexing="ij")

@@ -63,7 +63,7 @@ def test_kernel_grid_frames_the_windows_at_any_gamma(spec, gx, gy):
     windows = [shifted.shifted_window(i) for i in range(1, 5)]
     trans = scheme.transition_windows(shifted)
     for nu in (scheme.build_nu(shifted, trans),
-               scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU)):
+               scheme.build_nu(shifted, trans, matrix=EXAMPLE2_NU)):
         grid = build_kernel(scheme_problem(shifted, trans, nu), h).grid
         assert grid == refine._kernel_grid(windows, h)
         assert grid.nx == grid.ny and 0 <= grid.nx - zero.nx <= 2
@@ -460,7 +460,7 @@ def test_solve_peak_memory_off_both_quotients():
     # outputs could give a finished input
     shifted = scheme.penrose_scheme(gamma=complex(0.031, -0.047))
     trans = scheme.transition_windows(shifted)
-    nu = scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU)
+    nu = scheme.build_nu(shifted, trans, matrix=EXAMPLE2_NU)
     kernel = build_kernel(scheme_problem(shifted, trans, nu), 1 / 128)
     assert kernel.centre is None and not kernel.mirrors
     tracemalloc.start()
@@ -589,7 +589,7 @@ def test_refinement_spectrum_matches_the_moment_eigenvalues(policy, gamma, q, h,
         spec = dataclasses.replace(spec, q_mult=CycInt(*q))
     trans = scheme.transition_windows(spec)
     nu = (scheme.build_nu(spec, trans) if policy == "area" else
-          scheme.build_nu(spec, trans, policy="explicit", matrix=EXAMPLE2_NU))
+          scheme.build_nu(spec, trans, matrix=EXAMPLE2_NU))
     problem = scheme_problem(spec, trans, nu)
     live = problem.w > 0
     a, conj = np.linalg.eigvals(problem.a_matrix)

@@ -393,7 +393,7 @@ def shifted_problem(policy, gamma):
     shifted = scheme.penrose_scheme(gamma=gamma)
     trans = scheme.transition_windows(shifted)
     nu = (scheme.build_nu(shifted, trans) if policy == "area" else
-          scheme.build_nu(shifted, trans, policy="explicit", matrix=EXAMPLE2_NU))
+          scheme.build_nu(shifted, trans, matrix=EXAMPLE2_NU))
     return scheme_problem(shifted, trans, nu)
 
 
@@ -1005,7 +1005,7 @@ def test_warm_start_matches_cold_start(request, example):
         spec = scheme.penrose_scheme(gamma=0.031 - 0.047j)
         transitions = scheme.transition_windows(spec)
         problem = scheme_problem(spec, transitions, scheme.build_nu(
-            spec, transitions, policy="explicit", matrix=EXAMPLE2_NU))
+            spec, transitions, matrix=EXAMPLE2_NU))
     else:
         problem = request.getfixturevalue(f"problem_{'area' if example == 1 else 'explicit'}")
     cells, counting = counted_kernels()

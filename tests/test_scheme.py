@@ -97,7 +97,7 @@ def test_build_nu_ghost_rejected(spec, transitions):
     bad = EXAMPLE2_NU.copy()
     bad[0, 2] = 0.1  # transition window (1,3) is empty
     with pytest.raises(ValueError, match="ghost transition"):
-        scheme.build_nu(spec, transitions, policy="explicit", matrix=bad)
+        scheme.build_nu(spec, transitions, matrix=bad)
 
 
 def test_build_nu_zero_column_rejected(spec, transitions):
@@ -110,10 +110,9 @@ def test_build_nu_zero_column_rejected(spec, transitions):
 
 def test_build_nu_bad_explicit(spec, transitions):
     with pytest.raises(ValueError, match="non-negative"):
-        scheme.build_nu(spec, transitions, policy="explicit",
-                        matrix=-np.eye(4))
+        scheme.build_nu(spec, transitions, matrix=-np.eye(4))
     with pytest.raises(ValueError, match="4x4"):
-        scheme.build_nu(spec, transitions, policy="explicit", matrix=np.eye(3))
+        scheme.build_nu(spec, transitions, matrix=np.eye(3))
 
 
 # --- point enumeration -------------------------------------------------------
