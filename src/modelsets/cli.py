@@ -191,9 +191,10 @@ def _inline_scheme(raw, path, gamma, boundary):
     if "q" not in raw:
         raise ConfigError(f"{path}: inline scheme needs q = m0,m1,m2,m3")
     q = _located(raw, path, "q", lambda text: CycInt(*_parse_ints(text, 4, "q")))
-    if abs(q.internal()) >= 1.0:  # SchemeSpec's rule, located
-        raise ConfigError(f"{path}:{raw['q'][1]}: q: the internal image of the similarity "
-                          f"must be contractive, got modulus {fmt(abs(q.internal()))}")
+    try:  # SchemeSpec's rule, located
+        scheme.check_multiplier(q)
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{raw['q'][1]}: q: {exc}") from None
     return scheme.SchemeSpec(windows=windows, coset_reps=reps, q_mult=q,
                              gamma=complex(*gamma), boundary_mode=boundary)
 

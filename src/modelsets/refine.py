@@ -204,14 +204,12 @@ def next_fast_len(n):
         n += 1
 
 
-def rfft2(a, shape, mirrored=False, out=None):
-    """fft.rfft2(a, s=shape), into `out` when given, with the row pass run only
-    over the rows of `a`: the rows that pad it to `shape` are zero, and so is
-    their row transform.  When `mirrored`, `a` holds the rows up to its centre
-    row, and the rows after it, the flips of those before, are copies of their
+def rfft2(a, shape, out, mirrored=False):
+    """fft.rfft2(a, s=shape) into `out`, with the row pass run only over the rows
+    of `a`: the rows that pad it to `shape` are zero, and so is their row
+    transform.  When `mirrored`, `a` holds the rows up to its centre row, and
+    the rows after it, the flips of those before, are copies of their
     transforms.  The column pass runs in place."""
-    if out is None:
-        out = np.empty((shape[0], shape[1] // 2 + 1), dtype=complex)
     n = len(a)
     fft.rfft(a, n=shape[1], axis=1, out=out[:n])
     if mirrored:
@@ -340,7 +338,7 @@ def _contracted(grid, a_inv, box):
     return rows, cols
 
 
-def _input_stencil(grid, a_inv, mask, start, tail, centre=None):
+def _input_stencil(grid, a_matrix, a_inv, mask, start, tail, centre):
     """The box (lo, hi) of cells, on or off the grid, where f_i(A^-1 y) can be non-zero
     and the Stencil that samples channel i at A^-1 y for the cells y of that box, or
     (None, None).
@@ -348,8 +346,8 @@ def _input_stencil(grid, a_inv, mask, start, tail, centre=None):
     The stencil reads the packed state, whose mask cells of channel i start at
     `start` and whose zero tail is at `tail`.  Its array is the mask's
     bounding box padded by one cell on every side: a mask cell is held at its
-    packed position, every other cell at the tail.  With a `centre` row the
-    rows past it are held at the positions of their flips about it.
+    packed position, every other cell at the tail.  With a `centre` row, not
+    None, the rows past it are held at the positions of their flips about it.
 
     A bilinear sample of a channel that vanishes off its mask is zero unless
     one of the four stencil nodes around A^-1 y lies on the mask, which puts
@@ -359,7 +357,6 @@ def _input_stencil(grid, a_inv, mask, start, tail, centre=None):
     a node off the tail.  With a `centre` row, only the rows up to it are
     tested and sampled, and the box holds their flips about it too.
     """
-    a_matrix = np.linalg.inv(a_inv)
     origin = np.array(grid.origin)
     lo, hi = _box(mask)
     # corners (x, y) of the mask's bounding box grown by a cell, mapped by A
@@ -554,8 +551,8 @@ def build_kernel(problem, h):
     boxes = [None] * r
     stencils = [None] * r
     for j, cells in channels:
-        boxes[j], stencils[j] = _input_stencil(grid, a_inv, masks[j], cells.start, ends[-1],
-                                               centre)
+        boxes[j], stencils[j] = _input_stencil(grid, problem.a_matrix, a_inv, masks[j],
+                                               cells.start, ends[-1], centre)
     size = np.array([grid.ny, grid.nx])
     for j, m in mirrors.items():
         masks[m] = masks[j][::-1, ::-1]
@@ -589,7 +586,7 @@ def _kernel_spectra(problem, grid, blocks, boxes, placements, mirrors, shape, he
         placement = placements[j][i]
         rows = np.zeros((placement[0].stop, placement[1].stop))
         rows[placement] = blocks[j][i].arr * (problem.nu[j, i] * problem.detq_abs * h2)
-        slot[:] = rfft2(rows, shape, out=scratch)[:held]
+        slot[:] = rfft2(rows, shape, scratch)[:held]
         if i in mirrors.values():
             for factor in _mirror_phases(boxes[i], shape, held):
                 slot *= factor
@@ -604,7 +601,7 @@ def initial_density(kernel):
 
 
 def _step_buffers(kernel):
-    """The arrays every step of one solve reuses.
+    """The arrays every step of one solve reuses, and the step's plan.
 
     The state: a packed density followed by one zero cell, the tail that the
     stencils read for a node off their mask.  Per carried channel j that is
@@ -617,21 +614,35 @@ def _step_buffers(kernel):
     its own and returns to the system when the solve drops it, before the
     density is unpacked; separate ones stayed resident and raised the peak
     RSS.
+
+    The plan: per output j that reads an input, in channel order, its terms
+    as (kernel spectrum (j, i) or (j, mirrors[i]), input i's spectrum), the
+    terms of the mirrored inputs first, and how many those are.  A kernel
+    spectrum (j, i) exists only where input i, or its flip, has a stencil.
     """
-    # a kernel spectrum (j, i) exists only where input i, or its flip, has a stencil
-    outputs = {j for j, _ in kernel.channels if any(s is not None for s in kernel.spectra[j])}
-    keys = [j for j, _ in kernel.channels if kernel.stencils[j] is not None or j in outputs]
+    inputs = [i for i, _ in kernel.channels if kernel.stencils[i] is not None]
+    terms = {}
+    for j, _ in kernel.channels:
+        row = kernel.spectra[j]
+        flipped = [(row[m], i) for i, m in kernel.mirrors.items()
+                   if i in inputs and row[m] is not None]
+        direct = [(row[i], i) for i in inputs if row[i] is not None]
+        if flipped or direct:
+            terms[j] = flipped + direct, len(flipped)
+    keys = [j for j, _ in kernel.channels if j in inputs or j in terms]
     rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
-    block = max(1, _SUM_ROWS // (len(outputs) + 1))
-    shapes = [(rows, cols)] * len(keys) + [(len(outputs) + 1, block, cols)]
+    block = max(1, _SUM_ROWS // (len(terms) + 1))
+    shapes = [(rows, cols)] * len(keys) + [(len(terms) + 1, block, cols)]
     sizes = [2 * int(np.prod(s)) for s in shapes] + [kernel.channels[-1][1].stop + 1]
     # the complex views first, so each starts on a 16-byte boundary
     *parts, state = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
     *spectra, blocks = [p.view(complex).reshape(shape) for p, shape in zip(parts, shapes)]
-    return state, dict(zip(keys, spectra)), blocks
+    spectra = dict(zip(keys, spectra))
+    plan = {j: ([(s, spectra[i]) for s, i in t], mirrored) for j, (t, mirrored) in terms.items()}
+    return state, spectra, blocks, plan
 
 
-def apply_refinement(x, kernel, buffers=None):
+def apply_refinement(x, kernel, buffers):
     """One application of the discretized matrix refinement operator, linear and
     positive, to a packed density, neither clamped nor rescaled.
 
@@ -644,62 +655,51 @@ def apply_refinement(x, kernel, buffers=None):
     w = nu w forces nu_ji = 0 from a live channel i into a dead channel j.  A
     mirrored input r-1-i is read through input i's transform.  The
     convolutions run as products of the kernel's spectra, with one transform
-    per non-zero input channel, and an all-zero channel is skipped.  Every
-    input's stencil samples the packed state, copied once into the buffers'
-    state ahead of its zero tail.
+    per input channel with a stencil.  Every input's stencil samples the
+    packed state, copied once into the buffers' state ahead of its zero tail.
 
-    One pass over the spectrum rows the kernel holds (`_held_rows`), a block
-    of rows at a time, sums each output's products in a block of its own:
-    first the terms of the mirrored inputs, the sum conjugated after the last
-    of them, then the direct ones, each term past the first made in the term
-    block and added.  Once every output has formed a block, and so read those
-    rows of every input, output j's block is stored in `spectra[j]`.  Under
-    the row mirror the pass ends at row n // 2, and output j's row k past it
-    is then its row n - k times e^{-2 pi i (2 c k mod n) / n}, by the
-    symmetric convolution theorem (Martucci 1994): its periodic result is its
-    own row flip about its row c of y = 0, the last row of its box.  Without
-    the mirror the pass covers every row and nothing is filled.  The inverse
+    The buffers and the plan are the solve's, made once for all its steps
+    (`_step_buffers`).  One pass over the spectrum rows the kernel holds
+    (`_held_rows`), a block of rows at a time, sums each output's products in
+    a block of its own: the plan's terms in order, the sum conjugated after
+    the last mirrored one, each term past the first made in the term block
+    and added.  Once every output has formed a block, and so read those rows
+    of every input, output j's block is stored in `spectra[j]`.  Under the
+    row mirror the pass ends at row n // 2, and output j's row k past it is
+    then its row n - k times e^{-2 pi i (2 c k mod n) / n}, by the symmetric
+    convolution theorem (Martucci 1994): its periodic result is its own row
+    flip about its row c of y = 0, the last row of its box.  Without the
+    mirror the pass covers every row and nothing is filled.  The inverse
     transform of each output then runs in `spectra[j]` over the rows of its
-    box, in place, its row pass made in the blocks.  The buffers are the
-    solve's, made once for all its steps, or new ones (`_step_buffers`).
+    box, in place, its row pass made in the blocks.
     """
-    state, spectra, blocks = buffers or _step_buffers(kernel)
+    state, spectra, blocks, plan = buffers
     state[:-1] = x
-    transformed = {}
-    for i, cells in kernel.channels:
-        if not x[cells].any() or kernel.stencils[i] is None:
-            continue
-        transformed[i] = rfft2(kernel.stencils[i].sample(state), kernel.fft_shape,
-                               kernel.centre is not None, out=spectra[i])
-    sums = {}  # output j: its terms (kernel spectrum, input) and how many are mirrored
-    for j, _ in kernel.channels:
-        row = kernel.spectra[j]
-        flipped = [(row[m], i) for i, m in kernel.mirrors.items()
-                   if i in transformed and row[m] is not None]
-        terms = flipped + [(row[i], i) for i in transformed if row[i] is not None]
-        if terms:
-            sums[j] = terms, len(flipped)
+    for i, _ in kernel.channels:
+        if kernel.stencils[i] is not None:
+            rfft2(kernel.stencils[i].sample(state), kernel.fft_shape, spectra[i],
+                  kernel.centre is not None)
     *acc, term = blocks
     size = kernel.fft_shape[0]
     held = _held_rows(size, kernel.centre)
     for lo in range(0, held, len(term)):
         rows = slice(lo, min(lo + len(term), held))
         n = rows.stop - lo
-        for (terms, mirrored), block in zip(sums.values(), acc):
+        for (terms, mirrored), block in zip(plan.values(), acc):
             block = block[:n]
-            for k, (spectrum, i) in enumerate(terms):
+            for k, (spectrum, source) in enumerate(terms):
                 if k == 0:
-                    np.multiply(spectrum[rows], transformed[i][rows], out=block)
+                    np.multiply(spectrum[rows], source[rows], out=block)
                 else:
-                    block += np.multiply(spectrum[rows], transformed[i][rows], out=term[:n])
+                    block += np.multiply(spectrum[rows], source[rows], out=term[:n])
                 if k == mirrored - 1:
                     np.conjugate(block, out=block)
-        for j, block in zip(sums, acc):
+        for j, block in zip(plan, acc):
             spectra[j][rows] = block[:n]
     out = np.zeros_like(x)
     cells = dict(kernel.channels)
     whole = blocks.view(float).reshape(-1, 2 * blocks.shape[2])  # real rows of the row pass
-    for j in sums:
+    for j in plan:
         box, (rows, cols) = kernel.outputs[j]
         # the rows past the held ones, from rows size - held down to 1
         np.multiply(spectra[j][size - held:0:-1],
@@ -826,7 +826,7 @@ def solve_fixed_point(kernel, tol=1e-8, maxit=200):
     mass_history = [kernel.masses(x)]
     outputs, diffs, gram = [], [], np.zeros((0, 0))
     for _ in range(maxit):
-        g = apply_refinement(x, kernel, buffers=buffers)
+        g = apply_refinement(x, kernel, buffers)
         _rescale(g, kernel, (kernel.problem.nu * kernel.masses(x)).sum(axis=1))
         diff = np.subtract(g, x, out=x)  # the iterate itself is not needed again
         resid = float(kernel.masses(np.abs(diff)).sum())

@@ -19,12 +19,27 @@ from .cyclotomic import EMBEDDING, TAU, CoefficientOverflow, CycInt, embed
 # contains is unused here but stays importable: perfbench/tracer.py wraps scheme.contains
 from .polygeom import (DEFAULT_EPS, Region, area, contains, contains_many, erode,
                        linear_image, margin, translate)
-from .text import write_rows
+from .text import fmt, write_rows
 
 POINTS_CSV_HEADER = "component,m0,m1,m2,m3,phys_re,phys_im,int_re,int_im"
 _POINTS_CSV_ROW = "%d,%d,%d,%d,%d,%.12g,%.12g,%.12g,%.12g\n"
 MAX_CANDIDATES = 2**22  # per enumeration level; each candidate costs about 160 B
 _CLOSURE_PAIRS = 2**16  # (x, v) pairs per chunk of the closure check; each costs about 125 B
+
+
+def check_multiplier(q):
+    """Raise ValueError unless the internal image q* of the multiplier is contractive
+    and resolved: `embed` forms it with a rounding error of up to about 4 eps sum |m_k|,
+    which must not exceed DEFAULT_EPS |q*|."""
+    modulus = abs(q.internal())
+    if modulus >= 1.0:
+        raise ValueError("the internal image of the similarity must be contractive, "
+                         f"got modulus {fmt(modulus)}")
+    bound = 4 * np.finfo(float).eps * sum(abs(m) for m in q.coeffs)
+    if bound > DEFAULT_EPS * modulus:
+        raise ValueError("the float embedding does not resolve the internal image of the "
+                         f"similarity: its rounding bound {fmt(bound)} exceeds {fmt(DEFAULT_EPS)} "
+                         f"times its modulus {fmt(modulus)}")
 
 
 @dataclass
@@ -46,8 +61,7 @@ class SchemeSpec:
         residues = [z.rho() for z in self.coset_reps]
         if len(set(residues)) != len(residues):
             raise ValueError("coset representatives must have distinct residues")
-        if abs(self.q_mult.internal()) >= 1.0:
-            raise ValueError("internal image of the similarity must be contractive")
+        check_multiplier(self.q_mult)
         if self.boundary_mode not in ("closed", "open"):
             raise ValueError("boundary_mode must be 'closed' or 'open'")
         self.gamma = complex(self.gamma)

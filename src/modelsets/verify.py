@@ -145,8 +145,9 @@ def id3_values(spec, density, points):
 
 def density_estimate(points, s):
     """Per-component point densities #Lambda_s / (pi s^2), shape (r,); the points
-    must be enumerated out to at least s."""
-    return np.array([len(comp.within(s)) for comp in points]) / (np.pi * s * s)
+    must be enumerated out to at least s.  Divided by pi s, then by s: pi s^2
+    underflows to 0 at s = 1e-200."""
+    return np.array([len(comp.within(s)) for comp in points]) / (np.pi * s) / s
 
 
 @dataclass

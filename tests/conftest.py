@@ -116,7 +116,7 @@ def step(f, kernel, conserve_mass=True):
     masks, stepped and unpacked; with `conserve_mass`, the output is projected as
     the solve projects it, clamped at zero and rescaled to the masses nu m."""
     x = pack(kernel, f.values)
-    out = refine.apply_refinement(x, kernel)
+    out = refine.apply_refinement(x, kernel, refine._step_buffers(kernel))
     if conserve_mass:
         refine._rescale(out, kernel, kernel.problem.nu @ kernel.masses(x))
     return kernel.unpack(out)

@@ -892,6 +892,22 @@ def test_inline_q_solves_only_for_a_unit(q):
                        "|det A| * |det Q| = 11, not 1; q must be a unit\n")
 
 
+@pytest.mark.parametrize("command", ["windows", "points", "nu", "solve", "verify"])
+def test_inline_q_unresolved_by_the_embedding_refused(tmp_path, capsys, command):
+    # tau^60, a unit with |q*| = 2.89e-13: the float embedding's rounding,
+    # about 4 eps sum |m_k| = 3.6e-3, swamps q*, which reads 1.83e-4; every
+    # command refuses q at its line instead of building windows from that value
+    config, out = tmp_path / "q.cfg", tmp_path / "out"
+    config.write_text(inline_penrose((956722026041, 0, -1548008755920, -1548008755920)))
+    assert run([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: {config}:2: q: the float embedding does not resolve the internal "
+        "image of the similarity: its rounding bound 0.00359955579821 exceeds 1e-09 times "
+        "its modulus 0.00018310546875\n")
+    assert captured.out == "" and not out.exists()
+
+
 # values of each key in cli.KEYS that the contract property draws from: its
 # default and boundaries, and ones that fail a stage (h = 5 leaves a window
 # unresolved, maxit = 1 stops the solve short); ANY_VALUES then puts tiny,
@@ -1219,7 +1235,7 @@ def test_verify_insufficient_radius(tmp_path, capsys):
     assert capsys.readouterr().out.count("\n") >= 4
 
 
-@pytest.mark.parametrize("s", ["0.3", "0.6"])
+@pytest.mark.parametrize("s", ["0.3", "0.6", "1e-200"])
 def test_verify_no_points(tmp_path, s):
     # no component has a point within s, so WEYL, ID3 and DENSITY have
     # nothing to measure and fail, as ID2 does without translations

@@ -212,7 +212,8 @@ def test_convolution_against_direct_sum():
     assert grid.nx == grid.ny == 13  # the window reaches 0.48 from the origin
     rng = np.random.default_rng(31)
     g = np.where(K.masks[0], rng.uniform(size=(grid.ny, grid.nx)), 0.0)
-    got = K.unpack(refine.apply_refinement(pack(K, g[None]), K)).values[0]
+    got = refine.apply_refinement(pack(K, g[None]), K, refine._step_buffers(K))
+    got = K.unpack(got).values[0]
     block = K.blocks[0][0]
     my, mx = (grid.ny - 1) // 2, (grid.nx - 1) // 2
     want = np.zeros_like(g)
@@ -259,9 +260,10 @@ def test_linearity_and_positivity(problem_explicit):
     f = DensityGrid.from_values(grid, rng.uniform(size=shape))
     g = DensityGrid.from_values(grid, rng.uniform(size=shape))
     x, y = pack(K, f.values), pack(K, g.values)
-    lhs = refine.apply_refinement(0.6 * x - 1.7 * y, K)
-    rf = refine.apply_refinement(x, K)
-    rg = refine.apply_refinement(y, K)
+    buffers = refine._step_buffers(K)
+    lhs = refine.apply_refinement(0.6 * x - 1.7 * y, K, buffers)
+    rf = refine.apply_refinement(x, K, buffers)
+    rg = refine.apply_refinement(y, K, buffers)
     assert np.abs(lhs - 0.6 * rf + 1.7 * rg).max() < 1e-10
     assert lhs.min() < 0
     # a positive operator: on non-negative input only rounding goes below zero
@@ -274,8 +276,9 @@ def test_mass_transport_raw_quadrature(problem_area):
     h = 1 / 64
     K = build_kernel(problem_area, h)
     x = initial_density(K)
+    buffers = refine._step_buffers(K)
     for _ in range(3):
-        x_next = refine.apply_refinement(x, K)
+        x_next = refine.apply_refinement(x, K, buffers)
         assert np.abs(K.masses(x_next) - problem_area.nu @ K.masses(x)).max() < 10 * h
         x = x_next
 

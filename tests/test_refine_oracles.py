@@ -664,10 +664,11 @@ def oracle_apply(x, kernel, spectra=None):
     shape = kernel.fft_shape
     spectra = kernel.spectra if spectra is None else spectra
     transformed = {}
-    for i, cells in kernel.channels:
-        if not x[cells].any() or kernel.stencils[i] is None:
+    for i, _ in kernel.channels:
+        if kernel.stencils[i] is None:
             continue
         transformed[i] = refine.rfft2(oracle_samples(x, kernel, i), shape,
+                                      np.empty((shape[0], shape[1] // 2 + 1), dtype=complex),
                                       kernel.centre is not None)
     out = np.zeros_like(x)
     sums = np.empty((2, shape[0], shape[1] // 2 + 1), dtype=complex)
@@ -715,7 +716,7 @@ def test_step_matches_full_row_products(policy, gamma, h):
         assert level.centre is not None and n % 2 == (h != 1 / 128)
         _, full = eager_spectra(level)
         x = rng.uniform(size=level.channels[-1][1].stop)
-        got = refine.apply_refinement(x, level)
+        got = refine.apply_refinement(x, level, refine._step_buffers(level))
         want = oracle_apply(x, level, full)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -739,7 +740,6 @@ def test_step_is_bit_equal_to_full_frame_oracle(policy, gamma):
             refine._prolong(level.coarse.unpack(initial_density(level.coarse)), level)
         for _ in range(3):
             want = oracle_apply(x, level)
-            assert refine.apply_refinement(x, level).tobytes() == want.tobytes()
             # the solve's buffers, written by the steps before, give the same bytes
             assert refine.apply_refinement(x, level, buffers).tobytes() == want.tobytes()
             x = rng.uniform(size=x.shape)
@@ -759,7 +759,7 @@ def input_reads(kernel):
 @pytest.mark.parametrize("gamma", [0, 0.3, complex(0.031, -0.047)])
 def test_step_buffers_hold_only_what_the_step_reads(policy, gamma):
     kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
-    state, spectra, blocks = refine._step_buffers(kernel)
+    state, spectra, blocks, plan = refine._step_buffers(kernel)
     rows, cols = kernel.fft_shape[0], kernel.fft_shape[1] // 2 + 1
     # a spectrum per transformed input, which then takes that channel's
     # output sum: no spare sum and no full-size product; a block per output
@@ -791,6 +791,22 @@ def test_step_buffers_hold_only_what_the_step_reads(policy, gamma):
         assert stencil.index.dtype == np.int32 and stencil.index.shape == (4, *(hi - lo))
         index = stencil.index
         assert (((index >= cells.start) & (index < cells.stop)) | (index == size)).all()
+    # the plan: per output that reads an input, in channel order, its terms as
+    # (kernel spectrum, input spectrum), the mirrored inputs' first and counted;
+    # together they read exactly the inputs that the output reads
+    reads = input_reads(kernel)
+    assert list(plan) == outputs
+    for j, (terms, mirrored) in plan.items():
+        row = kernel.spectra[j]
+        flipped = [(row[m], i) for i, m in kernel.mirrors.items()
+                   if i in inputs and row[m] is not None]
+        want = flipped + [(row[i], i) for i in inputs if row[i] is not None]
+        assert mirrored == len(flipped) and len(terms) == len(want)
+        assert all(got is spectrum and source is spectra[i]
+                   for (got, source), (spectrum, i) in zip(terms, want))
+        assert {i for _, i in want} == reads[j]
+    # mirrored terms on the point quotient, at gamma = 0 only
+    assert any(mirrored for _, mirrored in plan.values()) == (gamma == 0)
 
 
 def recorded_inverses(x, kernel, buffers):
@@ -816,7 +832,7 @@ def test_outputs_sum_into_their_own_spectra(policy, gamma, path):
     with general_path() if path == "general" else contextlib.nullcontext():
         kernel = build_kernel(shifted_problem(policy, gamma), 1 / 128)
     buffers = refine._step_buffers(kernel)
-    _, spectra, _ = buffers
+    _, spectra, _, _ = buffers
     outputs = [j for j, read in input_reads(kernel).items() if read]
     assert outputs and list(spectra) == [i for i, _ in kernel.channels
                                          if kernel.stencils[i] is not None]
@@ -842,7 +858,7 @@ def test_step_gives_an_output_without_a_stencil_a_spectrum():
     kernel = build_kernel(problem, 1 / 32)
     assert [j for j, _ in kernel.channels] == [0, 1] and kernel.stencils[1] is None
     buffers = refine._step_buffers(kernel)
-    _, spectra, _ = buffers
+    _, spectra, _, _ = buffers
     assert kernel.stencils[0] is not None and list(spectra) == [0, 1]
     x = initial_density(kernel)
     got, inverted = recorded_inverses(x, kernel, buffers)
@@ -1081,7 +1097,8 @@ def test_input_boxes_match_whole_grid_oracle(problem_area, h):
     masks = np.array([coverage(w, grid) > 0 for w in problem_area.windows])
     a_inv = np.linalg.inv(problem_area.a_matrix)
     for mask, want in zip(masks, oracle_input_boxes(grid, a_inv, masks)):
-        got, _ = refine._input_stencil(grid, a_inv, mask, 0, int(mask.sum()))
+        got, _ = refine._input_stencil(grid, problem_area.a_matrix, a_inv, mask, 0,
+                                       int(mask.sum()), None)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     # masks whose preimage box reaches off the grid, tested over 99 cells around it
     toy = refine.make_centered_grid(1.0, 1 / 16)
@@ -1090,7 +1107,9 @@ def test_input_boxes_match_whole_grid_oracle(problem_area, h):
     masks[1, 10:14, 3:9] = True
     masks[2, -3:, -3:] = True
     for a_inv in (4.0 * np.eye(2), 0.25 * np.eye(2), np.array([[0.3, -1.7], [1.7, 0.3]])):
-        got = [refine._input_stencil(toy, a_inv, mask, 0, int(mask.sum()))[0] for mask in masks]
+        a_matrix = np.linalg.inv(a_inv)
+        got = [refine._input_stencil(toy, a_matrix, a_inv, mask, 0, int(mask.sum()), None)[0]
+               for mask in masks]
         want = oracle_input_boxes(toy, a_inv, masks, margin=3 * toy.nx)
         got, want = ([np.concatenate(b).tolist() for b in boxes] for boxes in (got, want))
         assert got == want
@@ -1469,8 +1488,9 @@ def assert_ffts_match_scipy(shape, rng):
     a = rng.standard_normal((max(1, shape[0] - 3), max(1, shape[1] - 2)))
     spectrum = np.fft.rfft2(a, s=shape)
     assert np.array_equal(spectrum, scipy.fft.rfft2(a, s=shape))
-    assert refine.rfft2(a, shape).tobytes() == spectrum.tobytes()
-    assert refine.rfft2(a[:1], shape).tobytes() == np.fft.rfft2(a[:1], s=shape).tobytes()
+    out = np.empty_like(spectrum)
+    assert refine.rfft2(a, shape, out).tobytes() == spectrum.tobytes()
+    assert refine.rfft2(a[:1], shape, out).tobytes() == np.fft.rfft2(a[:1], s=shape).tobytes()
     spectrum *= rng.standard_normal(spectrum.shape)
     want = scipy.fft.irfft2(spectrum, s=shape)
     # numpy scales each axis pass and scipy the whole transform once, so the
