@@ -18,7 +18,9 @@ import math
 import os
 import random
 import re
+import signal
 import sys
+import threading
 from contextlib import contextmanager, suppress
 from types import SimpleNamespace
 
@@ -103,8 +105,17 @@ def _parse_floats(text, count, what):
 
 
 def _parse_ints(text, count, what):
-    vals = _parse_floats(text, count, what)
-    if any(v != int(v) for v in vals):
+    """The integers of text, each read exactly (a float rounds past 2**53) once
+    `_parse_floats` has checked their count, syntax and finiteness.
+
+    A Decimal keeps its exponent, so `1e-999999999` costs no power of ten, as a
+    Fraction's would; it is imported here, off every command's start-up.
+    """
+    from decimal import Decimal
+
+    _parse_floats(text, count, what)
+    vals = [Decimal(p) for p in text.replace(",", " ").split()]
+    if any(int(v) != v for v in vals):
         raise ConfigError(f"{what}: expected integers, got {text!r}")
     return [int(v) for v in vals]
 
@@ -441,6 +452,11 @@ COMMANDS = {"windows": cmd_windows, "points": cmd_points, "nu": cmd_nu,
             "solve": cmd_solve, "verify": cmd_verify}
 
 
+def _terminated(signum, frame):
+    """SIGTERM as SystemExit(143), which runs `_staged`'s cleanup as any exception does."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="modelsets",
@@ -453,12 +469,18 @@ def main(argv=None):
     parser.add_argument("--h", type=float, default=None, help="grid cell size")
     parser.add_argument("--tol", type=float, default=None, help="fixed-point tolerance")
     args = parser.parse_args(argv)
+    # only the main thread may set a handler; the caller's is back on return
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminated) if main_thread else None
     try:
         return COMMANDS[args.command](build_config(args), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    finally:
+        if main_thread:  # None, a handler set outside Python, restores as the default
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
     return 2
 
 

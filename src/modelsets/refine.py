@@ -36,8 +36,8 @@ from .polygeom import GridSpec, area, centroid, dot, rasterize
 
 FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
-_PRODUCT_CHUNK = 64  # wavevectors per batched orbit product
-_MIX_DEPTH = 2  # residual differences in each Anderson fit
+_PRODUCT_CHUNK = 64  # wavevectors per chunk of the Fourier cross-check
+_MIX_DEPTH = 2  # residual differences in each Anderson fit; _mixing_weights solves for 2
 _GRID_PAD = 0.082
 _COARSE_CELLS = 100  # cells per axis of the coarsest grid a warm start solves on
 _MIN_MASK_CELLS = 64  # fewest cells a carried window may meet: a grid that resolves it
@@ -730,10 +730,12 @@ def _mixing_weights(gram):
     `gram` holds the inner products of the stored residuals, newest last.
     The fit runs over the differences from the newest residual, which keeps
     the small normal system well scaled as the residuals shrink.  Its least-norm
-    solution, for n <= _MIX_DEPTH = 2, is formed elementwise: by Cramer's rule when
-    the normal matrix is well conditioned, else as normal rhs / trace^2 (exact at rank <= 1).
+    solution is formed elementwise, so for at most two differences: by Cramer's rule
+    when the normal matrix is well conditioned, else as normal rhs / trace^2 (exact
+    at rank <= 1).  More differences raise ValueError.
     """
-    n = len(gram) - 1
+    if (n := len(gram) - 1) > 2:
+        raise ValueError(f"_MIX_DEPTH = {_MIX_DEPTH}: weights fit at most 2 differences, not {n}")
     normal = gram[n, n] - gram[n, :n][None, :] - gram[:n, n][:, None] + gram[:n, :n]
     trace = normal.trace()
     det = normal[0, 0] * normal[1, 1] - normal[0, 1] * normal[1, 0] if n == 2 else 0.0
@@ -897,18 +899,13 @@ def fourier_product(problem, ks):
 
     Applies the weighted window-transform matrices along the contracted
     wavevector orbit k, A^T k, ... to the mass vector; the orbit stops before
-    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.  The
-    wavevectors go _PRODUCT_CHUNK at a time, so the memory held does not grow
-    with their count.  Within a chunk all orbits advance together: one
-    transform table covers their members, an identity stands past each
-    orbit's end, and one batched product runs per orbit position.
+    its first member shorter than _PRODUCT_TAIL, or after 10000 steps.  All
+    orbits advance together, so the memory held grows with the count of the
+    wavevectors given: one transform table covers their members, an identity
+    stands past each orbit's end, and one batched product runs per orbit
+    position.
     """
     ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-    starts = range(0, max(len(ks), 1), _PRODUCT_CHUNK)  # no wavevector: one empty chunk
-    return np.concatenate([_orbit_product(problem, ks[lo:lo + _PRODUCT_CHUNK]) for lo in starts])
-
-
-def _orbit_product(problem, ks):
     nu, w, a_matrix = problem.nu, problem.w, problem.a_matrix
     kappas = [ks]
     while len(kappas) <= 10000 and \
@@ -951,13 +948,17 @@ def compare_solvers(density, problem, ks):
     """Largest deviation between the grid transform and the matrix product.
 
     Deviation is measured relative to the largest channel mass; returns the
-    maximum over the sampled wavevectors and channels.
+    maximum over the sampled wavevectors and channels.  The wavevectors go
+    _PRODUCT_CHUNK at a time through both transforms, and only each chunk's
+    largest deviation is kept, so the memory held does not grow with their
+    count.
     """
     ks = np.asarray(ks, dtype=float).reshape(-1, 2)
     if not len(ks):
         raise ValueError("no wavevectors to compare the solvers at")
-    deviation = np.abs(grid_ft(density, ks).T - fourier_product(problem, ks)).max(axis=1)
-    return float((deviation / np.abs(problem.w).max()).max())
+    chunks = (ks[lo:lo + _PRODUCT_CHUNK] for lo in range(0, len(ks), _PRODUCT_CHUNK))
+    return float(np.max([np.abs(grid_ft(density, part).T - fourier_product(problem, part)).max()
+                         for part in chunks]) / np.abs(problem.w).max())
 
 
 def write_density(density, grid_files=None, csv_file=None):

@@ -107,6 +107,7 @@ COARSE_START_SHA256 = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("policy", ["area", "explicit"])
 def test_warm_started_level_keeps_no_indicators(request, policy):
     # the h = 1/128 level starts from its coarse level's density, so only the
@@ -352,10 +353,14 @@ def test_fourier_product_l1_bound(problem_area):
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
-def test_fourier_product_chunks_bound_its_memory(request, monkeypatch, policy):
-    # the wavevectors go a fixed chunk at a time: the chunks give the bits of
-    # one call over them all, and eight chunks peak about where one does
+def test_compare_solvers_chunks_bound_its_memory(request, monkeypatch, policy):
+    # the wavevectors go a fixed chunk at a time through both transforms: the
+    # chunks give the bits of one pass over them all, and eight chunks peak
+    # about where one does, on a grid (437 cells a side) where the grid
+    # transform of eight chunks at once would outweigh the product
     problem = request.getfixturevalue(f"problem_{policy}")
+    solve = {"area": "solve1_128", "explicit": "solve2_128"}[policy]  # h = 1/128
+    density = request.getfixturevalue(solve).density
     chunk = refine._PRODUCT_CHUNK
     rng = np.random.default_rng(43)
     turns = rng.uniform(0, 2 * np.pi, 8 * chunk)
@@ -365,12 +370,12 @@ def test_fourier_product_chunks_bound_its_memory(request, monkeypatch, policy):
     for part in (ks[:chunk], ks):
         tracemalloc.start()
         try:
-            chunked = fourier_product(problem, part)
+            chunked = compare_solvers(density, problem, part)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     monkeypatch.setattr(refine, "_PRODUCT_CHUNK", len(ks))
-    assert chunked.tobytes() == fourier_product(problem, ks).tobytes()
+    assert chunked.hex() == compare_solvers(density, problem, ks).hex()
     assert peaks[1] <= 1.3 * peaks[0]
 
 
@@ -503,6 +508,28 @@ def test_solve_releases_the_kernel_before_the_density_grid(request, policy):
     assert alive == dict.fromkeys(held, 0)
     with pytest.raises(ValueError, match="the kernel has served its solve"):
         solve_fixed_point(kernel)
+
+
+@pytest.mark.parametrize("case", ["one", "two", "two-rank-deficient"])
+def test_mixing_weights_match_least_squares(case):
+    # the affine weights minimize the norm of the combined residual, as the
+    # least-norm least-squares fit over the differences from the newest does;
+    # integer residuals keep the rank-deficient Gram matrix exactly singular
+    rng = np.random.default_rng(0)
+    newest, d = rng.integers(-9, 10, size=(2, 6)).astype(float)
+    residuals = {"one": [newest + d, newest],
+                 "two": [*rng.integers(-9, 10, size=(2, 6)).astype(float), newest],
+                 "two-rank-deficient": [newest + 2 * d, newest + d, newest]}[case]
+    r = np.array(residuals)
+    fit = np.linalg.lstsq((r[:-1] - r[-1]).T, -r[-1], rcond=None)[0]
+    weights = refine._mixing_weights(r @ r.T)
+    assert np.abs(weights - np.append(fit, 1.0 - fit.sum())).max() <= 1e-12
+
+
+def test_mixing_weights_refuse_three_differences():
+    r = np.random.default_rng(0).standard_normal((4, 6))
+    with pytest.raises(ValueError, match="_MIX_DEPTH"):
+        refine._mixing_weights(r @ r.T)
 
 
 def test_compare_solvers_toy():
