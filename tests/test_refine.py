@@ -353,29 +353,28 @@ def test_fourier_product_l1_bound(problem_area):
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
-def test_compare_solvers_chunks_bound_its_memory(request, monkeypatch, policy):
-    # the wavevectors go a fixed chunk at a time through both transforms: the
-    # chunks give the bits of one pass over them all, and eight chunks peak
-    # about where one does, on a grid (437 cells a side) where the grid
-    # transform of eight chunks at once would outweigh the product
+def test_compare_solvers_chunks_bound_its_memory(request, policy):
+    # each chunk goes whole through both transforms: eight chunks give the
+    # bits of one pass over them all and peak about where one does, on a grid
+    # (437 cells a side) where the grid transform of eight chunks at once
+    # would outweigh the product
     problem = request.getfixturevalue(f"problem_{policy}")
     solve = {"area": "solve1_128", "explicit": "solve2_128"}[policy]  # h = 1/128
     density = request.getfixturevalue(solve).density
-    chunk = refine._PRODUCT_CHUNK
     rng = np.random.default_rng(43)
-    turns = rng.uniform(0, 2 * np.pi, 8 * chunk)
-    ks = rng.uniform(500, 1000, 8 * chunk)[:, None] * np.column_stack([np.cos(turns),
-                                                                      np.sin(turns)])
+    turns = rng.uniform(0, 2 * np.pi, 8 * 64)
+    ks = rng.uniform(500, 1000, 8 * 64)[:, None] * np.column_stack([np.cos(turns),
+                                                                   np.sin(turns)])
+    chunks = np.split(ks, 8)
     peaks = []
-    for part in (ks[:chunk], ks):
+    for part in (chunks[:1], chunks):
         tracemalloc.start()
         try:
             chunked = compare_solvers(density, problem, part)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    monkeypatch.setattr(refine, "_PRODUCT_CHUNK", len(ks))
-    assert chunked.hex() == compare_solvers(density, problem, ks).hex()
+    assert chunked.hex() == compare_solvers(density, problem, [ks]).hex()
     assert peaks[1] <= 1.3 * peaks[0]
 
 
@@ -537,12 +536,16 @@ def test_compare_solvers_toy():
     res = solve_fixed_point(K)
     rng = np.random.default_rng(2)
     ks = rng.uniform(-5, 5, size=(10, 2))
-    assert compare_solvers(res.density, K.problem, ks) < 1e-3
+    assert compare_solvers(res.density, K.problem, [ks]) < 1e-3
     # at k = 0 the comparison collapses to the mass residual
-    dev0 = compare_solvers(res.density, K.problem, [(0.0, 0.0)])
+    dev0 = compare_solvers(res.density, K.problem, [[(0.0, 0.0)]])
     assert abs(dev0 - abs(res.density.masses[0] - 1.0)) < 1e-12
-    with pytest.raises(ValueError, match="no wavevectors"):
-        compare_solvers(res.density, K.problem, np.zeros((0, 2)))
+    for nothing in ([], [np.zeros((0, 2))]):
+        with pytest.raises(ValueError, match="no wavevectors"):
+            compare_solvers(res.density, K.problem, nothing)
+    # one array is not read as chunks of one wavevector each
+    with pytest.raises(TypeError, match="iterable of wavevector chunks"):
+        compare_solvers(res.density, K.problem, ks)
 
 
 @pytest.mark.parametrize("policy", ["area", "explicit"])
@@ -556,7 +559,7 @@ def test_fourier_deviation_converges_at_second_order(request, policy):
         ks = np.concatenate([ks, batch[np.hypot(batch[:, 0], batch[:, 1]) <= 10]])
     problem = request.getfixturevalue(f"problem_{policy}")
     coarse, fine = (compare_solvers(solve_fixed_point(build_kernel(problem, h)).density,
-                                    problem, ks[:50]) for h in (1 / 32, 1 / 64))
+                                    problem, [ks[:50]]) for h in (1 / 32, 1 / 64))
     assert math.log2(coarse / fine) >= 1.8
 
 
